@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet test race bench walbench obsbench replbench loadbench querybench advisorbench soak fuzz check ci
+.PHONY: all help build vet test race benchmod bench walbench obsbench replbench loadbench querybench advisorbench soak fuzz check ci
 
 # Per-target fuzzing time for `make fuzz` (override: make fuzz FUZZTIME=2m).
 FUZZTIME ?= 30s
@@ -13,6 +13,7 @@ help:
 	@echo "  vet    - go vet"
 	@echo "  test   - full test suite"
 	@echo "  race   - race-detector pass (includes the buffer/heap/engine concurrency tests)"
+	@echo "  benchmod - vet + smoke-test the bench/ module against this engine"
 	@echo "  bench  - scan-throughput matrix (shards x workers) -> BENCH_scan.json"
 	@echo "  walbench - commit throughput / group-commit fsync batching -> BENCH_commit.json"
 	@echo "  obsbench - histogram quantile accuracy + tracing overhead gate -> BENCH_latency.json"
@@ -21,9 +22,9 @@ help:
 	@echo "  querybench - planner query shapes (point/range/path3/aggregate), fused-vs-baseline gate -> BENCH_query.json"
 	@echo "  advisorbench - workload-advisor convergence + <=5% advisory overhead gate -> BENCH_advisor.json"
 	@echo "  soak   - exhaustive fault-injection soak"
-	@echo "  fuzz   - slotted-page and WAL-frame fuzzers (FUZZTIME=$(FUZZTIME) each)"
+	@echo "  fuzz   - all five fuzz targets (FUZZTIME=$(FUZZTIME) each)"
 	@echo "  check  - build + vet + test + race"
-	@echo "  ci     - the full gate: build + vet(+gofmt) + test + race"
+	@echo "  ci     - the full gate: build + vet(+gofmt) + test + race + benchmod"
 
 build:
 	$(GO) build ./...
@@ -41,12 +42,19 @@ test:
 
 # The short-mode sweep covers every package; the second pass runs the
 # sharded-pool / parallel-scan / concurrent-reader tests un-shortened, and
-# the third hammers the fine-grained locking paths (disjoint writers,
-# overlapping footprints, randomized multi-set transactions) a second time.
+# the third hammers the per-set locking paths (disjoint writers,
+# overlapping footprints, randomized multi-set transactions, readers beside
+# an open transaction) a second time.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
-	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait' ./internal/engine
+	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting' ./internal/engine
+
+# The benchmark is its own module (bench/go.mod) that imports the public API
+# and internal/buffer, heap, btree and wal directly; the root ./... never
+# descends into it, so compile and smoke-test it against every engine change.
+benchmod:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Scan throughput across pool shard counts and scan worker counts, on a
 # memory-backed store with simulated device latency. Writes BENCH_scan.json
@@ -55,8 +63,7 @@ bench:
 	$(GO) run ./cmd/scanbench -out BENCH_scan.json
 
 # Commit throughput and group-commit effectiveness: commits/s and
-# fsyncs/commit at 1, 4, and 16 concurrent writers, plus a WAL-disabled
-# single-writer baseline. Writes BENCH_commit.json.
+# fsyncs/commit at 1, 4, and 16 concurrent writers. Writes BENCH_commit.json.
 walbench:
 	$(GO) run ./cmd/walbench -out BENCH_commit.json
 
@@ -105,8 +112,11 @@ soak:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSlottedParsing -fuzztime $(FUZZTIME) ./internal/pagefile/
 	$(GO) test -run '^$$' -fuzz FuzzWALFrame -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/extra/
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/schema/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeLinks -fuzztime $(FUZZTIME) ./internal/links/
 
 check: build vet test race
 
 # CI entry point: everything a pull request must pass.
-ci: check
+ci: check benchmod

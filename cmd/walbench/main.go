@@ -6,14 +6,10 @@
 //	walbench -disjoint -out BENCH_commit.json
 //
 // The default workload is concurrent one-shot inserts (each an implicit
-// durable transaction) into a single set of a file-backed database.
-// Configurations: a WAL-disabled single writer that calls Sync after every
-// insert — the pre-WAL way to make a write durable — as the latency
-// baseline, then WAL commits at 1, 4, and 16 concurrent writers. The
-// quantities of interest are commits/s and fsyncs/commit: group commit is
-// working when the latter falls well below 1 as writers are added
-// (acceptance: < 0.5 at 16 writers, with single-writer WAL commit latency
-// within 2x of the pre-WAL baseline).
+// durable transaction) into a single set of a file-backed database, at 1, 4,
+// and 16 concurrent writers. The quantities of interest are commits/s and
+// fsyncs/commit: group commit is working when the latter falls well below 1
+// as writers are added (acceptance: < 0.5 at 16 writers).
 //
 // -disjoint adds the multi-writer scaling sweep: N writers each own one of N
 // unrelated sets, so their write footprints are disjoint singletons and the
@@ -37,7 +33,7 @@ import (
 )
 
 type result struct {
-	Mode            string  `json:"mode"` // "sync-per-op", "wal", or "wal-disjoint"
+	Mode            string  `json:"mode"` // "wal" or "wal-disjoint"
 	Writers         int     `json:"writers"`
 	Seconds         float64 `json:"seconds"`
 	Commits         int64   `json:"commits"`
@@ -52,23 +48,14 @@ func main() {
 	dur := flag.Duration("dur", time.Second, "measure duration per configuration")
 	interval := flag.Duration("interval", 2*time.Millisecond, "group-commit interval for multi-writer configurations")
 	disjoint := flag.Bool("disjoint", false, "also run the disjoint-set multi-writer scaling sweep")
-	// The coarse sweep's 2ms window is tuned for writers that queue behind
-	// one lock anyway; on the fine-grained path the statements themselves
+	// The single-set sweep's 2ms window is tuned for writers that queue behind
+	// one set lock anyway; with disjoint sets the statements themselves
 	// overlap, so a long sleep only adds latency. A short window still
 	// widens each fsync's batch.
 	disjointIv := flag.Duration("disjoint-interval", 200*time.Microsecond, "group-commit interval for the disjoint sweep's multi-writer rows")
 	flag.Parse()
 
 	var results []result
-
-	// Pre-WAL durability baseline: one writer, Sync (flush + per-file fsync)
-	// after every insert.
-	base, err := run("sync-per-op", 1, 0, true, *dur)
-	if err != nil {
-		fatal(err)
-	}
-	report(base)
-	results = append(results, base)
 
 	// WAL commits. The single writer runs with no commit interval (the
 	// group-commit sleep only pays off with concurrent committers); the
@@ -78,7 +65,7 @@ func main() {
 		if w == 1 {
 			iv = 0
 		}
-		r, err := run("wal", w, iv, false, *dur)
+		r, err := run(w, iv, *dur)
 		if err != nil {
 			fatal(err)
 		}
@@ -87,10 +74,7 @@ func main() {
 	}
 
 	// Acceptance summary.
-	walSingle, wal16 := results[1], results[3]
-	ratio := float64(walSingle.NsPerCommit) / float64(base.NsPerCommit)
-	fmt.Fprintf(os.Stderr, "walbench: single-writer WAL commit latency = %.2fx the sync-per-op baseline (acceptance: <= 2x)\n", ratio)
-	fmt.Fprintf(os.Stderr, "walbench: fsyncs/commit at 16 writers = %.3f (acceptance: < 0.5)\n", wal16.FsyncsPerCommit)
+	fmt.Fprintf(os.Stderr, "walbench: fsyncs/commit at 16 writers = %.3f (acceptance: < 0.5)\n", results[2].FsyncsPerCommit)
 
 	if *disjoint {
 		var single result
@@ -131,7 +115,7 @@ func main() {
 
 // run opens a fresh database and drives writers concurrent insert loops for
 // roughly dur, returning the measured configuration.
-func run(mode string, writers int, interval time.Duration, syncPerOp bool, dur time.Duration) (result, error) {
+func run(writers int, interval time.Duration, dur time.Duration) (result, error) {
 	dir, err := os.MkdirTemp("", "walbench-*")
 	if err != nil {
 		return result{}, err
@@ -142,7 +126,6 @@ func run(mode string, writers int, interval time.Duration, syncPerOp bool, dur t
 		Dir:            dir,
 		PoolPages:      4096,
 		CommitInterval: interval,
-		WALDisabled:    syncPerOp,
 	})
 	if err != nil {
 		return result{}, err
@@ -152,7 +135,7 @@ func run(mode string, writers int, interval time.Duration, syncPerOp bool, dur t
 	if err := setup(db); err != nil {
 		return result{}, err
 	}
-	return measure(db, mode, writers, syncPerOp, dur, func(w int) string { return "Emp" })
+	return measure(db, "wal", writers, dur, func(w int) string { return "Emp" })
 }
 
 // runDisjoint opens a database with one set per writer, so the writers'
@@ -189,12 +172,12 @@ func runDisjoint(writers int, interval time.Duration, dur time.Duration) (result
 			return result{}, err
 		}
 	}
-	return measure(db, "wal-disjoint", writers, false, dur, func(w int) string { return names[w] })
+	return measure(db, "wal-disjoint", writers, dur, func(w int) string { return names[w] })
 }
 
 // measure drives writers concurrent insert loops for roughly dur; setFor
 // maps each writer to its target set.
-func measure(db *fieldrepl.DB, mode string, writers int, syncPerOp bool, dur time.Duration, setFor func(int) string) (result, error) {
+func measure(db *fieldrepl.DB, mode string, writers int, dur time.Duration, setFor func(int) string) (result, error) {
 	base, _ := db.WALStats()
 
 	var (
@@ -214,9 +197,6 @@ func measure(db *fieldrepl.DB, mode string, writers int, syncPerOp bool, dur tim
 					"name":   fieldrepl.S(fmt.Sprintf("w%d-%d", w, i)),
 					"salary": fieldrepl.I(int64(i)),
 				})
-				if err == nil && syncPerOp {
-					err = db.Sync()
-				}
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return

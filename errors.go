@@ -17,19 +17,18 @@ import (
 //	if errors.Is(err, fieldrepl.ErrTxnDone) { ... }
 //
 // See docs/errors.md for the full failure-mode contract (clean refusals,
-// compensated failures, loud inconsistencies, and the repair lifecycle).
+// rolled-back statements, loud inconsistencies, and the repair lifecycle).
 var (
 	// ErrNoSuchSet: an operation named a set that does not exist.
 	ErrNoSuchSet = engine.ErrNoSuchSet
 	// ErrTxnDone: a statement on a transaction that already committed,
 	// rolled back, or aborted.
 	ErrTxnDone = engine.ErrTxnDone
-	// ErrWriteConflict: a fine-grained transaction (BeginSets) touched state
-	// outside its declared footprint — a mutation on an undeclared set, a
-	// query that would drain deferred propagation for one, or a statement
-	// needing exclusive mode — or a per-set lock wait was cancelled by the
-	// context. The transaction is aborted; retry with the right footprint
-	// (or an exclusive Begin).
+	// ErrWriteConflict: a transaction touched state outside its declared
+	// footprint (BeginSets) — a mutation on an undeclared set, a query that
+	// would drain deferred propagation for one — or a per-set lock wait was
+	// cancelled by the context. The statement or transaction is rolled back;
+	// retry with the right footprint (or Begin, which declares every set).
 	ErrWriteConflict = engine.ErrWriteConflict
 	// ErrTypeMismatch: a value's kind does not match the field it is
 	// assigned to.

@@ -48,10 +48,6 @@ type Config struct {
 	// commits time to share one fsync. Zero (the default) forces immediately;
 	// concurrent committers still batch via the leader/follower fsync.
 	CommitInterval time.Duration
-	// WALDisabled turns the write-ahead log off for a file-backed database,
-	// restoring the pre-WAL durability mode (explicit Sync, compensate-or-
-	// taint failure handling). Used for baseline measurements.
-	WALDisabled bool
 	// AdvisorDisabled turns the workload advisor off: completed traces are
 	// not aggregated and Advise reports Enabled=false. Used for overhead
 	// baselines (cmd/advisorbench).
@@ -67,9 +63,9 @@ type Config struct {
 // DB is a database handle. It is safe for concurrent use: read-only
 // operations (Get, Query, Count, the stats accessors) run concurrently on
 // the snapshot read path, and mutations coordinate through the engine's
-// per-set write locks (WAL-backed databases) or its writer lock. Concurrent
-// writers overlap in the group-commit durability wait, which is what lets
-// them share fsyncs. The handle's own exclusive lock guards DDL and
+// per-set write locks (an in-memory database additionally runs one write
+// statement at a time). Concurrent writers overlap in the group-commit
+// durability wait, which is what lets them share fsyncs. The handle's own exclusive lock guards DDL and
 // lifecycle (Close); surface-language statements take it only for schema
 // statements — a retrieve script never queues behind writers.
 type DB struct {
@@ -103,7 +99,7 @@ func (cfg Config) engineConfig() engine.Config {
 	return engine.Config{
 		PoolPages: cfg.PoolPages, Dir: cfg.Dir, InlineMax: cfg.InlineMax,
 		PoolShards: cfg.PoolShards, Readahead: cfg.Readahead, ScanWorkers: cfg.ScanWorkers,
-		WALPath: cfg.WALPath, CommitInterval: cfg.CommitInterval, WALDisabled: cfg.WALDisabled,
+		WALPath: cfg.WALPath, CommitInterval: cfg.CommitInterval,
 		AdvisorDisabled:  cfg.AdvisorDisabled,
 		AdvisorWindowOps: cfg.AdvisorWindowOps, AdvisorWindows: cfg.AdvisorWindows,
 	}
@@ -203,8 +199,8 @@ func toEngineValues(vals V) map[string]schema.Value {
 // zero values.
 //
 // DML wrappers take the shared lock, not the exclusive one: the engine
-// serializes writers on its own lock and releases it before the group-commit
-// durability wait, so concurrent public writers must be allowed to overlap
+// serializes writers on its own per-set locks and releases them before the
+// group-commit durability wait, so concurrent public writers must be allowed to overlap
 // there — an exclusive public lock would hold each commit's fsync wait alone
 // and defeat group commit. The exclusive public lock is reserved for
 // DDL/lifecycle operations.
@@ -443,8 +439,9 @@ func (db *DB) VerifyReplication() []error { defer db.lock()(); return db.e.Verif
 func (db *DB) Sync() error { defer db.lock()(); return db.e.Sync() }
 
 // TaintedSets reports sets whose derived replication state may be stale
-// after a mid-operation failure (the value is the recorded cause). A
-// successful Repair clears them.
+// after a schema operation (Replicate, Unreplicate) failed midway — the
+// value is the recorded cause. Statements never taint: they roll back. A
+// successful Repair clears the markers.
 func (db *DB) TaintedSets() map[string]string { defer db.lock()(); return db.e.TaintedSets() }
 
 // RepairReport summarizes what a Repair pass changed.
@@ -469,8 +466,8 @@ func (r RepairReport) Clean() bool { return len(r.Remaining) == 0 }
 // Repair rebuilds every derived replication structure — hidden values, link
 // structures, collapsed link objects, S′ groups — from the primary objects,
 // returning a report of what changed. It is the recovery path after a
-// mid-operation failure left a set tainted: a clean post-repair verification
-// clears the taint markers.
+// failed schema operation left a set tainted, or after media corruption: a
+// clean post-repair verification clears the taint markers.
 func (db *DB) Repair() (RepairReport, error) {
 	defer db.lock()()
 	rep, err := db.e.Repair()

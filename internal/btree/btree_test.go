@@ -400,3 +400,103 @@ func TestPageReuseAfterFree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// filePages copies every page of fid out of the pool.
+func filePages(t *testing.T, pool *buffer.Pool, fid pagefile.FileID) []pagefile.Page {
+	t.Helper()
+	n, err := pool.Store().NumPages(fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := make([]pagefile.Page, n)
+	for i := range pages {
+		h, err := pool.Get(pagefile.PageID{File: fid, Page: uint32(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages[i] = *h.Page()
+		h.Unpin()
+	}
+	return pages
+}
+
+// A capture view must register every page before it modifies it — splits,
+// borrows, merges, frees and free-chain reuse included — or rollback leaves
+// the modification behind. Each operation runs in its own scope against the
+// same tree and is rolled back (one scope for all would let an early
+// registration of a page hide a later unregistered write to it); afterwards
+// every page the tree had must be byte-identical and every page the scope
+// allocated must be empty.
+func TestCaptureViewRollbackRestoresEveryPage(t *testing.T) {
+	store := pagefile.NewMemStore()
+	t.Cleanup(func() { store.Close() })
+	pool := buffer.New(store, 2048)
+	tr, err := Create(pool, "idx", WithCapacities(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	const n = 160
+	live := rng.Perm(n)
+	for _, v := range live {
+		if err := tr.Insert(Int64Key(int64(v)), oidFor(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := map[pagefile.FileID]bool{tr.FileID(): true}
+	cv := tr.WithCapture(nil)
+
+	var before []pagefile.Page
+	rolledBack := func(op string, v int, run func() error) {
+		t.Helper()
+		pool.BeginScope()
+		if err := run(); err != nil {
+			t.Fatalf("%s %d: %v", op, v, err)
+		}
+		if err := pool.RollbackScope(files); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range filePages(t, pool, tr.FileID()) {
+			want := pagefile.Page{}
+			if i < len(before) {
+				want = before[i]
+			}
+			if got != want {
+				t.Fatalf("%s %d: page %d differs after rollback", op, v, i)
+			}
+		}
+	}
+	inserts := func() {
+		for v := n; v < 2*n; v++ {
+			// Off the key range's end and into its middle.
+			key := int64(v)
+			if v%2 == 0 {
+				key = int64(rng.Intn(n))
+			}
+			rolledBack("insert", v, func() error { return cv.Insert(Int64Key(key), oidFor(v)) })
+		}
+	}
+
+	// A full tree with no free chain: splits allocate fresh pages.
+	before = filePages(t, pool, tr.FileID())
+	inserts()
+	if after := filePages(t, pool, tr.FileID()); len(after) == len(before) {
+		t.Fatal("no insert allocated a page; the test is not exercising fresh-page splits")
+	}
+
+	// Deleting a quarter leaves sparse nodes and a free chain: deletes borrow
+	// and merge, splits reuse freed pages.
+	for _, v := range live[:n/4] {
+		if err := tr.Delete(Int64Key(int64(v)), oidFor(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = filePages(t, pool, tr.FileID())
+	for _, v := range live[n/4:] {
+		rolledBack("delete", v, func() error { return cv.Delete(Int64Key(int64(v)), oidFor(v)) })
+	}
+	inserts()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -35,8 +35,8 @@ type Tree struct {
 type pinMode int
 
 const (
-	modePlain    pinMode = iota // direct frame pins (coarse exclusive lock)
-	modeCapture                 // scoped capture: private copies installed at MarkDirty
+	modePlain    pinMode = iota // direct frame pins (no overlapping write session)
+	modeCapture                 // write session: pages join the pool scope before they are modified
 	modeSnapshot                // detached committed-state copies, read-only
 )
 
@@ -53,9 +53,9 @@ func (t *Tree) WithTrace(tr *obs.Trace) *Tree {
 	return &v
 }
 
-// WithCapture returns a view whose page access goes through the pool's
-// scoped capture. The caller must hold the engine's per-set lock covering
-// this index for the lifetime of the view.
+// WithCapture returns a write session's view: pages are registered in the
+// enclosing pool scope before they are modified. The caller must hold the
+// engine's per-set lock covering this index for the lifetime of the view.
 func (t *Tree) WithCapture(tr *obs.Trace) *Tree {
 	if t == nil {
 		return nil
@@ -88,17 +88,30 @@ func (t *Tree) guardWrite() error {
 	return nil
 }
 
-// page pins one of the tree's pages, charging the tree's trace.
+// page pins one of the tree's pages for reading, charging the tree's trace.
 func (t *Tree) page(pageNo uint32) (*buffer.Handle, error) {
 	pid := pagefile.PageID{File: t.fid, Page: pageNo}
-	switch t.mode {
-	case modeCapture:
-		return t.pool.GetCaptureT(pid, t.tr)
-	case modeSnapshot:
+	if t.mode == modeSnapshot {
 		return t.pool.GetSnapshotT(pid, t.tr)
-	default:
-		return t.pool.GetT(pid, t.tr)
 	}
+	return t.pool.GetT(pid, t.tr)
+}
+
+// willWrite must precede every modification of a pinned page: a capture view
+// registers the page in the scope.
+func (t *Tree) willWrite(h *buffer.Handle) {
+	if t.mode == modeCapture {
+		h.Capture()
+	}
+}
+
+// pageW pins a page the caller is about to modify.
+func (t *Tree) pageW(pageNo uint32) (*buffer.Handle, error) {
+	h, err := t.page(pageNo)
+	if err == nil {
+		t.willWrite(h)
+	}
+	return h, err
 }
 
 // MinPoolFrames is the minimum buffer pool size a Tree requires.
@@ -217,7 +230,7 @@ func (t *Tree) loadMeta() (meta, error) {
 }
 
 func (t *Tree) storeMeta(m meta) error {
-	mh, err := t.page(0)
+	mh, err := t.pageW(0)
 	if err != nil {
 		return err
 	}
@@ -235,7 +248,7 @@ func (t *Tree) storeMeta(m meta) error {
 func (t *Tree) allocNode(m *meta, leaf bool) (*buffer.Handle, uint32, error) {
 	if m.freeHead != noPage {
 		pageNo := m.freeHead
-		h, err := t.page(pageNo)
+		h, err := t.pageW(pageNo)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -267,7 +280,7 @@ func (t *Tree) allocNode(m *meta, leaf bool) (*buffer.Handle, uint32, error) {
 
 // freeNode pushes pageNo onto the free chain.
 func (t *Tree) freeNode(m *meta, pageNo uint32) error {
-	h, err := t.page(pageNo)
+	h, err := t.pageW(pageNo)
 	if err != nil {
 		return err
 	}
@@ -328,6 +341,7 @@ func (t *Tree) insert(m *meta, pageNo uint32, level int, e entry) (split bool, s
 		if pos < n.nkeys() && compareEntries(n.leafEntry(pos), e) == 0 {
 			return false, entry{}, 0, fmt.Errorf("%w: key=%x oid=%v", ErrExists, e.key, e.oid)
 		}
+		t.willWrite(h)
 		n.insertLeafAt(pos, e)
 		h.MarkDirty()
 		if n.nkeys() <= t.leafCap {
@@ -362,6 +376,7 @@ func (t *Tree) insert(m *meta, pageNo uint32, level int, e entry) (split bool, s
 	if !childSplit {
 		return false, entry{}, 0, nil
 	}
+	t.willWrite(h)
 	n.insertIntAt(pos, childSep, childNew)
 	h.MarkDirty()
 	if n.nkeys() <= t.intCap {
@@ -449,6 +464,7 @@ func (t *Tree) delete(m *meta, pageNo uint32, level int, e entry) (bool, error) 
 		if pos >= n.nkeys() || compareEntries(n.leafEntry(pos), e) != 0 {
 			return false, fmt.Errorf("%w: key=%x oid=%v", ErrNotFound, e.key, e.oid)
 		}
+		t.willWrite(h)
 		n.removeLeafAt(pos)
 		h.MarkDirty()
 		return n.nkeys() < t.minLeaf(), nil
@@ -470,8 +486,11 @@ func (t *Tree) delete(m *meta, pageNo uint32, level int, e entry) (bool, error) 
 // rebalance fixes an underflowed child at descent position pos of parent n.
 // childLevel is the child's level (1 = leaf).
 func (t *Tree) rebalance(m *meta, parent node, ph *buffer.Handle, pos, childLevel int) error {
+	// Every branch below rewrites the parent and (or frees) the child; a
+	// sibling joins the scope only in the branch that changes it.
+	t.willWrite(ph)
 	childPage := parent.childAt(pos)
-	ch, err := t.page(childPage)
+	ch, err := t.pageW(childPage)
 	if err != nil {
 		return err
 	}
@@ -507,6 +526,7 @@ func (t *Tree) rebalance(m *meta, parent node, ph *buffer.Handle, pos, childLeve
 			return err
 		}
 		if left.nkeys() > minFill {
+			t.willWrite(lh)
 			if isLeaf {
 				last := left.leafEntry(left.nkeys() - 1)
 				left.setNKeys(left.nkeys() - 1)
@@ -537,6 +557,7 @@ func (t *Tree) rebalance(m *meta, parent node, ph *buffer.Handle, pos, childLeve
 			return err
 		}
 		if right.nkeys() > minFill {
+			t.willWrite(rh)
 			if isLeaf {
 				first := right.leafEntry(0)
 				right.removeLeafAt(0)
@@ -568,6 +589,7 @@ func (t *Tree) rebalance(m *meta, parent node, ph *buffer.Handle, pos, childLeve
 		if err != nil {
 			return err
 		}
+		t.willWrite(lh)
 		if isLeaf {
 			base := left.nkeys()
 			for i := 0; i < child.nkeys(); i++ {

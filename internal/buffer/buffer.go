@@ -41,9 +41,6 @@ var (
 	// ErrNotPinned is returned by Unpin when the page is not pinned — a
 	// double-unpin bug in the caller. The pool state is unchanged.
 	ErrNotPinned = errors.New("buffer: unpin of unpinned page")
-	// ErrCaptureActive is returned by operations that cannot run while a
-	// transaction capture is open (Reset, nested BeginCapture).
-	ErrCaptureActive = errors.New("buffer: capture already active")
 )
 
 // Pool is a buffer pool. All methods are safe for concurrent use.
@@ -78,32 +75,24 @@ type Pool struct {
 	// barrier error aborts that write-back and leaves the frame dirty.
 	barrier func(pagefile.PageID) error
 
-	// Transaction capture. Two kinds of window share the capture map:
+	// Transaction capture. Scoped windows (BeginScope/EndScope) support
+	// concurrent writers to disjoint file sets. Before a scope first modifies
+	// a page it registers it (Handle.Capture, NewPageCaptureT), saving the
+	// frame's image as the rollback image; from then on the scope modifies the
+	// frame in place, and concurrent snapshot readers (GetSnapshotT) are served
+	// the registered image — the state at transaction begin — until the scope
+	// commits, so they never observe a half-modified frame. Pins that only
+	// read copy nothing. Ownership of a capture entry is resolved by file id:
+	// scopes operate on disjoint file sets, so EndScope/RollbackScope(files)
+	// affect exactly their own entries.
 	//
-	// The legacy exclusive window (BeginCapture/EndCapture) assumes one
-	// writer holding the engine's exclusive lock: every pin taken by GetT
-	// copies the frame's pin-time image, and the first MarkDirty per page
-	// registers that image — the page's state at transaction begin — in the
-	// capture map. capExcl marks this window.
-	//
-	// Scoped windows (BeginScope/EndScope) support concurrent writers to
-	// disjoint file sets: pins taken through GetCaptureT work on a private
-	// copy of the page, installed into the frame (and registered) only at
-	// MarkDirty, so concurrent snapshot readers (GetSnapshotT) never observe
-	// a half-modified frame and read the registered pre-image — the state at
-	// transaction begin — while the owning transaction is uncommitted.
-	// Ownership of a capture entry is resolved by file id: scopes operate on
-	// disjoint file sets, so EndScope/RollbackScope(files) affect exactly
-	// their own entries.
-	//
-	// In both kinds, registered frames are pinned in spirit: the clock
-	// refuses to evict them and FlushAll skips them (no-steal), so rollback
-	// can restore every registered page into the still-resident frame.
-	// capCount is the fast path: when zero (no window open) pins take no
-	// copies and the clock takes no map lookups.
+	// Registered frames are pinned in spirit: the clock refuses to evict them
+	// and FlushAll skips them (no-steal), so rollback can restore every
+	// registered page into the still-resident frame — and a scope's dirty
+	// working set must fit the pool. capCount is the fast path: when zero (no
+	// window open) the clock takes no map lookups.
 	//
 	// Lock order: a shard mutex is always taken before capMu, never after.
-	capExcl  atomic.Bool
 	capCount atomic.Int32
 	capMu    sync.Mutex
 	capture  map[pagefile.PageID]*capEntry
@@ -114,11 +103,38 @@ type Pool struct {
 }
 
 // capEntry is one registered page: its image and dirty bit as of transaction
-// begin, and whether the page was freshly allocated inside the transaction.
+// begin, and whether the scope has marked it dirty since (only those pages
+// are the scope's to log and publish; a page registered but left untouched —
+// an insert probe that found no room — is dropped silently).
 type capEntry struct {
 	pre       pagefile.Page
 	prevDirty bool
-	isNew     bool
+	dirty     bool
+}
+
+// capEntries recycles entries (4 KiB each) between scopes: a statement
+// registers every page it writes, so allocating them fresh would put a page
+// of garbage per written page on the collector.
+var capEntries = sync.Pool{New: func() any { return new(capEntry) }}
+
+// register adds pid to the capture map with the given rollback image (nil: a
+// zero page). Caller holds the page's shard mutex and capMu.
+func (p *Pool) register(pid pagefile.PageID, pre *pagefile.Page, prevDirty, dirty bool) *capEntry {
+	e := capEntries.Get().(*capEntry)
+	if pre != nil {
+		e.pre = *pre
+	} else {
+		e.pre = pagefile.Page{}
+	}
+	e.prevDirty, e.dirty = prevDirty, dirty
+	p.capture[pid] = e
+	return e
+}
+
+// unregister drops pid's entry at the end of its scope. Caller holds capMu.
+func (p *Pool) unregister(pid pagefile.PageID, e *capEntry) {
+	delete(p.capture, pid)
+	capEntries.Put(e)
 }
 
 // shard is one lock stripe: a slice of frames, the page table mapping
@@ -223,62 +239,70 @@ type Handle struct {
 	sh  *shard
 	idx int
 	pid pagefile.PageID
-	// pre is the pin-time copy of the page taken while a legacy exclusive
-	// capture was active (nil otherwise); preDirty is the frame's dirty bit
-	// at the same instant. MarkDirty registers the pair as the page's
-	// rollback image.
-	pre      *pagefile.Page
-	preDirty bool
-	// priv is the handle's private working copy of the page (scoped-capture
-	// and snapshot pins). Page() returns it instead of the shared frame;
-	// for capture pins MarkDirty installs it into the frame under the locks.
-	priv *pagefile.Page
-	// detached marks a snapshot handle: priv is the page, there is no pin on
-	// any frame, and Unpin/MarkDirty are no-ops.
-	detached bool
+	// snap is a snapshot handle's detached copy of the page: there is no pin
+	// on any frame, and Unpin/MarkDirty are no-ops.
+	snap *pagefile.Page
+	// cap is the page's entry in the open scope once Capture registered it.
+	cap *capEntry
 }
 
 // PageID returns the identity of the pinned page.
 func (h *Handle) PageID() pagefile.PageID { return h.pid }
 
-// Page returns the page bytes. Valid only while pinned. Scoped-capture and
-// snapshot pins return the handle's private copy, so callers never touch the
-// shared frame outside the pool's locks.
+// Page returns the page bytes. Valid only while pinned. A snapshot handle
+// returns its detached copy.
 func (h *Handle) Page() *pagefile.Page {
-	if h.priv != nil {
-		return h.priv
+	if h.snap != nil {
+		return h.snap
 	}
 	return &h.sh.frames[h.idx].page
 }
 
-// MarkDirty records that the page was modified and must be written back
-// before eviction. If the pin was taken inside a transaction capture, the
-// pin-time image becomes the page's rollback image (first registration per
-// page wins, so the image is always the state at transaction begin). For
-// scoped-capture pins this is also the moment the private working copy is
-// installed into the shared frame — modifications without MarkDirty are
-// discarded. Snapshot handles ignore it.
-func (h *Handle) MarkDirty() {
-	if h.detached {
+// Capture registers the pinned page in the caller's open scope; call it
+// before modifying the page. The first registration of a page saves the
+// frame's image as the scope's rollback image, which is also what concurrent
+// snapshot readers see until the scope ends, so the modifications that follow
+// go straight to the frame. Registering again is free. The caller must hold
+// the engine's per-set lock covering the page's file for the whole scope.
+func (h *Handle) Capture() {
+	if h.cap != nil {
 		return
 	}
-	if h.priv != nil {
-		h.p.installScoped(h)
+	p := h.p
+	h.sh.mu.Lock()
+	f := &h.sh.frames[h.idx]
+	p.capMu.Lock()
+	e, ok := p.capture[h.pid]
+	if !ok {
+		e = p.register(h.pid, &f.page, f.dirty, false)
+	}
+	p.capMu.Unlock()
+	h.sh.mu.Unlock()
+	h.cap = e
+}
+
+// MarkDirty records that the page was modified and must be written back
+// before eviction; on a captured page it also enters the page into the
+// scope's dirty set. Snapshot handles ignore it.
+func (h *Handle) MarkDirty() {
+	if h.snap != nil {
 		return
 	}
 	h.sh.mu.Lock()
 	h.sh.frames[h.idx].dirty = true
-	h.sh.mu.Unlock()
-	if h.pre != nil {
-		h.p.registerCapture(h.pid, h.pre, h.preDirty, false)
+	if h.cap != nil {
+		h.p.capMu.Lock()
+		h.cap.dirty = true
+		h.p.capMu.Unlock()
 	}
+	h.sh.mu.Unlock()
 }
 
 // Unpin releases the pin. Unpinning a page that is not pinned (a caller bug)
 // returns ErrNotPinned and leaves the pool unchanged. Snapshot handles hold
 // no pin; their Unpin is a no-op.
 func (h *Handle) Unpin() error {
-	if h.detached {
+	if h.snap != nil {
 		return nil
 	}
 	h.sh.mu.Lock()
@@ -289,27 +313,6 @@ func (h *Handle) Unpin() error {
 	}
 	f.pins--
 	return nil
-}
-
-// installScoped publishes a scoped-capture handle's private working copy into
-// the shared frame, registering the frame's pristine image as the rollback
-// pre-image on the page's first installation. The whole decision runs under
-// shard mutex + capMu so concurrent snapshot readers see either the pre-image
-// (entry present) or the untouched frame — never a torn state.
-func (p *Pool) installScoped(h *Handle) {
-	h.sh.mu.Lock()
-	f := &h.sh.frames[h.idx]
-	p.capMu.Lock()
-	if _, ok := p.capture[h.pid]; !ok {
-		// First dirtying of this page in the scope: the frame still holds the
-		// transaction-begin image (all of this scope's modifications live in
-		// priv until installed), so capture it as the rollback image.
-		p.capture[h.pid] = &capEntry{pre: f.page, prevDirty: f.dirty}
-	}
-	f.page = *h.priv
-	f.dirty = true
-	p.capMu.Unlock()
-	h.sh.mu.Unlock()
 }
 
 // Get pins page pid, reading it from the store on a miss.
@@ -369,55 +372,16 @@ func (p *Pool) GetT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error) {
 	f.pins = 1
 	f.ref = true
 	sh.table[pid] = idx
-	h := &Handle{p: p, sh: sh, idx: idx, pid: pid}
-	if p.capExcl.Load() {
-		h.pre = new(pagefile.Page)
-		*h.pre = f.page
-		h.preDirty = false
-	}
 	sh.mu.Unlock()
-	return h, nil
+	return &Handle{p: p, sh: sh, idx: idx, pid: pid}, nil
 }
 
-// pinLocked pins the resident frame idx, taking the pin-time capture copy if
-// a legacy exclusive capture is open. Caller holds sh.mu.
+// pinLocked pins the resident frame idx. Caller holds sh.mu.
 func (p *Pool) pinLocked(sh *shard, idx int, pid pagefile.PageID) *Handle {
 	f := &sh.frames[idx]
 	f.pins++
 	f.ref = true
-	h := &Handle{p: p, sh: sh, idx: idx, pid: pid}
-	if p.capExcl.Load() {
-		h.pre = new(pagefile.Page)
-		*h.pre = f.page
-		h.preDirty = f.dirty
-	}
-	return h
-}
-
-// GetCaptureT pins page pid for a scoped capture: the returned handle works
-// on a private copy of the page, which MarkDirty installs into the shared
-// frame (registering the rollback pre-image on first installation). Within
-// one scope the frame always holds the scope's last installed state, so
-// repeated pin/modify/MarkDirty cycles compose; a scope must not hold two
-// pins of the same page with interleaved modification (heap and btree never
-// do). The caller must hold the engine's per-set lock covering the page's
-// file for the whole scope.
-func (p *Pool) GetCaptureT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error) {
-	h, err := p.GetT(pid, tr)
-	if err != nil {
-		return nil, err
-	}
-	// Convert the plain pin into a scoped-capture pin: drop any legacy
-	// pre-image (mutually exclusive modes; capExcl cannot be set while scopes
-	// run, but be explicit) and take the private working copy under the shard
-	// mutex so the copy is coherent against concurrent installs.
-	h.pre, h.preDirty = nil, false
-	priv := new(pagefile.Page)
-	h.sh.mu.Lock()
-	*priv = h.sh.frames[h.idx].page
-	h.sh.mu.Unlock()
-	h.priv = priv
-	return h, nil
+	return &Handle{p: p, sh: sh, idx: idx, pid: pid}
 }
 
 // GetSnapshotT reads page pid without blocking on writers: it returns a
@@ -446,7 +410,7 @@ func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error)
 			*priv = sh.frames[idx].page
 		}
 		sh.mu.Unlock()
-		return &Handle{p: p, pid: pid, priv: priv, detached: true}, nil
+		return &Handle{p: p, pid: pid, snap: priv}, nil
 	}
 	idx, err := sh.victim(p, tr)
 	if errors.Is(err, ErrPoolExhausted) {
@@ -470,7 +434,7 @@ func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error)
 				*priv = sh.frames[i2].page
 			}
 			sh.mu.Unlock()
-			return &Handle{p: p, pid: pid, priv: priv, detached: true}, nil
+			return &Handle{p: p, pid: pid, snap: priv}, nil
 		}
 		idx, err = sh.victim(p, tr)
 	}
@@ -503,7 +467,7 @@ func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error)
 	priv := new(pagefile.Page)
 	*priv = f.page
 	sh.mu.Unlock()
-	return &Handle{p: p, pid: pid, priv: priv, detached: true}, nil
+	return &Handle{p: p, pid: pid, snap: priv}, nil
 }
 
 // NewPage allocates a fresh page in file fid, pins it, and returns the
@@ -544,37 +508,29 @@ func (p *Pool) NewPageT(fid pagefile.FileID, tr *obs.Trace) (*Handle, pagefile.P
 	f.ref = true
 	sh.table[pid] = idx
 	sh.mu.Unlock()
-	h := &Handle{p: p, sh: sh, idx: idx, pid: pid}
-	if p.capExcl.Load() {
-		// A page allocated inside a transaction is registered right away:
-		// its rollback image is all zeroes, exactly what Allocate left in
-		// the store, so a rolled-back allocation is just an empty page.
-		h.pre = new(pagefile.Page)
-		h.preDirty = false
-		p.registerCapture(pid, h.pre, false, true)
-	}
-	return h, pid, nil
+	return &Handle{p: p, sh: sh, idx: idx, pid: pid}, pid, nil
 }
 
 // NewPageCaptureT is NewPageT for a scoped capture: the fresh page is
-// registered immediately with an all-zero rollback image (what Allocate left
-// in the store), and the returned handle works on a private copy like
-// GetCaptureT. Concurrent snapshot readers of the page see the zero image —
-// a valid empty page — until the scope commits.
+// registered immediately, dirty, with an all-zero rollback image (what
+// Allocate left in the store, so a rolled-back allocation is just an empty
+// page). Concurrent snapshot readers of the page see the zero image — a valid
+// empty page — until the scope commits.
 func (p *Pool) NewPageCaptureT(fid pagefile.FileID, tr *obs.Trace) (*Handle, pagefile.PageID, error) {
 	h, pid, err := p.NewPageT(fid, tr)
 	if err != nil {
 		return nil, pagefile.PageID{}, err
 	}
-	h.pre, h.preDirty = nil, false
 	h.sh.mu.Lock()
 	p.capMu.Lock()
-	if _, ok := p.capture[pid]; !ok {
-		p.capture[pid] = &capEntry{isNew: true}
+	e, ok := p.capture[pid]
+	if !ok {
+		e = p.register(pid, nil, false, true)
 	}
+	e.dirty = true
 	p.capMu.Unlock()
 	h.sh.mu.Unlock()
-	h.priv = new(pagefile.Page)
+	h.cap = e
 	return h, pid, nil
 }
 
@@ -724,18 +680,16 @@ func (p *Pool) Invalidate(pid pagefile.PageID) error {
 }
 
 // Reset flushes all dirty pages and then drops every resident page, leaving
-// the pool cold. It fails with ErrStillPinned if any page is pinned. The
-// experiment harness calls Reset between queries so each query starts with a
-// cold cache, matching the cost model.
+// the pool cold. It fails with ErrStillPinned if any page is pinned or
+// registered in an open capture scope. The experiment harness calls Reset
+// between queries so each query starts with a cold cache, matching the cost
+// model.
 func (p *Pool) Reset() error {
-	if p.capCount.Load() != 0 {
-		return ErrCaptureActive
-	}
 	defer p.lockAll()()
 	for s := range p.shards {
 		sh := &p.shards[s]
 		for i := range sh.frames {
-			if sh.frames[i].valid && sh.frames[i].pins > 0 {
+			if sh.frames[i].valid && (sh.frames[i].pins > 0 || p.capturedDirty(sh.frames[i].pid)) {
 				return fmt.Errorf("%w: %s", ErrStillPinned, sh.frames[i].pid)
 			}
 		}
@@ -953,22 +907,6 @@ func (p *Pool) writeBarrier(pid pagefile.PageID) error {
 
 // --- transaction capture ---
 
-// BeginCapture opens the legacy exclusive capture window. The caller must
-// hold an exclusive writer lock over all pool mutators for the whole window
-// (the engine's write lock); the pool only enforces that windows do not nest
-// — including with scoped windows.
-func (p *Pool) BeginCapture() error {
-	p.capMu.Lock()
-	defer p.capMu.Unlock()
-	if p.capCount.Load() != 0 {
-		return ErrCaptureActive
-	}
-	p.capture = make(map[pagefile.PageID]*capEntry)
-	p.capExcl.Store(true)
-	p.capCount.Store(1)
-	return nil
-}
-
 // BeginScope opens a scoped capture window for one transaction. Scopes from
 // concurrent transactions coexist in the shared capture map; the engine
 // guarantees their file sets are disjoint (per-set locking), which is what
@@ -992,40 +930,6 @@ func (p *Pool) capturedDirty(pid pagefile.PageID) bool {
 	_, ok := p.capture[pid]
 	p.capMu.Unlock()
 	return ok
-}
-
-// registerCapture records pid's rollback image. The first registration per
-// page wins: pre is the pin-time image, so the surviving entry is the page's
-// state when the transaction first dirtied it.
-func (p *Pool) registerCapture(pid pagefile.PageID, pre *pagefile.Page, prevDirty, isNew bool) {
-	p.capMu.Lock()
-	defer p.capMu.Unlock()
-	if p.capCount.Load() == 0 {
-		return
-	}
-	if _, ok := p.capture[pid]; ok {
-		return
-	}
-	p.capture[pid] = &capEntry{pre: *pre, prevDirty: prevDirty, isNew: isNew}
-}
-
-// CaptureDirty returns the ids of every page registered in the open capture
-// — the transaction's dirty working set — sorted by (file, page) so commit
-// records are deterministic.
-func (p *Pool) CaptureDirty() []pagefile.PageID {
-	p.capMu.Lock()
-	pids := make([]pagefile.PageID, 0, len(p.capture))
-	for pid := range p.capture {
-		pids = append(pids, pid)
-	}
-	p.capMu.Unlock()
-	sort.Slice(pids, func(i, j int) bool {
-		if pids[i].File != pids[j].File {
-			return pids[i].File < pids[j].File
-		}
-		return pids[i].Page < pids[j].Page
-	})
-	return pids
 }
 
 // DirtyPages returns the ids of every dirty resident page, in (file, page)
@@ -1055,7 +959,7 @@ func (p *Pool) DirtyPages() []pagefile.PageID {
 
 // SnapshotPage copies the current (post-modification) image of a resident
 // page. Registered pages are always resident (no-steal), so commit can rely
-// on this for every id CaptureDirty returned.
+// on this for every id ScopeDirty returned.
 func (p *Pool) SnapshotPage(pid pagefile.PageID) (pagefile.Page, bool) {
 	sh := p.shardOf(pid)
 	sh.mu.Lock()
@@ -1079,25 +983,14 @@ func (p *Pool) StampLSN(pid pagefile.PageID, lsn uint64) {
 	}
 }
 
-// EndCapture closes the capture window, keeping every modification: the
-// transaction committed. Frames stay dirty and become evictable/flushable
-// again (subject to the write barrier).
-func (p *Pool) EndCapture() {
-	p.capMu.Lock()
-	p.capture = nil
-	p.capExcl.Store(false)
-	p.capCount.Store(0)
-	p.capMu.Unlock()
-}
-
-// ScopeDirty returns the ids of every page registered in the capture map
-// whose file is in files — the scope's dirty working set — sorted by (file,
-// page) so commit records are deterministic.
+// ScopeDirty returns the ids of every page of files the scope marked dirty —
+// its dirty working set — sorted by (file, page) so commit records are
+// deterministic.
 func (p *Pool) ScopeDirty(files map[pagefile.FileID]bool) []pagefile.PageID {
 	p.capMu.Lock()
 	pids := make([]pagefile.PageID, 0, len(p.capture))
-	for pid := range p.capture {
-		if files[pid.File] {
+	for pid, e := range p.capture {
+		if e.dirty && files[pid.File] {
 			pids = append(pids, pid)
 		}
 	}
@@ -1119,14 +1012,17 @@ func (p *Pool) ScopeDirty(files map[pagefile.FileID]bool) []pagefile.PageID {
 // already seeing).
 func (p *Pool) EndScope(files map[pagefile.FileID]bool) {
 	p.capMu.Lock()
-	for pid := range p.capture {
-		if files[pid.File] {
-			delete(p.capture, pid)
+	for pid, e := range p.capture {
+		if !files[pid.File] {
+			continue
+		}
+		if e.dirty {
 			if p.fileEpochs == nil {
 				p.fileEpochs = make(map[pagefile.FileID]uint64)
 			}
 			p.fileEpochs[pid.File]++
 		}
+		p.unregister(pid, e)
 	}
 	if p.capCount.Add(-1) == 0 {
 		p.capture = nil
@@ -1174,7 +1070,7 @@ func (p *Pool) RollbackScope(files map[pagefile.FileID]bool) error {
 		idx, res := sh.table[pid]
 		if !res || !sh.frames[idx].valid {
 			// Should be impossible: registration makes the frame unevictable.
-			delete(p.capture, pid)
+			p.unregister(pid, e)
 			p.capMu.Unlock()
 			sh.mu.Unlock()
 			errs = append(errs, fmt.Errorf("buffer: rollback: %s not resident", pid))
@@ -1183,7 +1079,7 @@ func (p *Pool) RollbackScope(files map[pagefile.FileID]bool) error {
 		f := &sh.frames[idx]
 		f.page = e.pre
 		f.dirty = e.prevDirty
-		delete(p.capture, pid)
+		p.unregister(pid, e)
 		p.capMu.Unlock()
 		sh.mu.Unlock()
 	}
@@ -1193,39 +1089,5 @@ func (p *Pool) RollbackScope(files map[pagefile.FileID]bool) error {
 		p.capture = nil
 	}
 	p.capMu.Unlock()
-	return errors.Join(errs...)
-}
-
-// RollbackCapture closes the capture window by restoring every registered
-// page to its transaction-begin image and dirty bit. Because registered
-// frames cannot be evicted, restoration is purely in-memory; the store never
-// saw the aborted modifications.
-func (p *Pool) RollbackCapture() error {
-	p.capMu.Lock()
-	entries := make(map[pagefile.PageID]*capEntry, len(p.capture))
-	for pid, e := range p.capture {
-		entries[pid] = e
-	}
-	p.capture = nil
-	p.capExcl.Store(false)
-	p.capCount.Store(0)
-	p.capMu.Unlock()
-
-	var errs []error
-	for pid, e := range entries {
-		sh := p.shardOf(pid)
-		sh.mu.Lock()
-		idx, ok := sh.table[pid]
-		if !ok || !sh.frames[idx].valid {
-			// Should be impossible: registration makes the frame unevictable.
-			sh.mu.Unlock()
-			errs = append(errs, fmt.Errorf("buffer: rollback: %s not resident", pid))
-			continue
-		}
-		f := &sh.frames[idx]
-		f.page = e.pre
-		f.dirty = e.prevDirty
-		sh.mu.Unlock()
-	}
 	return errors.Join(errs...)
 }

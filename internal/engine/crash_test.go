@@ -112,16 +112,15 @@ func TestCrashDuringFlushNeverHalfApplied(t *testing.T) {
 }
 
 // tornCrash dirties pages, tears the first flush write, and crashes; it
-// returns with the store closed, ready for reopening. walDisabled selects
-// the durability mode for the initial database.
-func tornCrash(t *testing.T, dir string, walDisabled bool) {
+// returns with the store closed, ready for reopening.
+func tornCrash(t *testing.T, dir string) {
 	t.Helper()
 	inner, err := pagefile.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := pagefile.NewFaultStore(inner)
-	db, err := Open(Config{Dir: dir, Store: fs, PoolPages: 64, WALDisabled: walDisabled})
+	db, err := Open(Config{Dir: dir, Store: fs, PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func tornCrash(t *testing.T, dir string, walDisabled bool) {
 // reopen with all data intact — no taint, no Repair.
 func TestCrashTornWriteRepaired(t *testing.T) {
 	dir := t.TempDir()
-	tornCrash(t, dir, false)
+	tornCrash(t, dir)
 
 	db2, err := Open(Config{Dir: dir, PoolPages: 64})
 	if err != nil {
@@ -187,15 +186,18 @@ func TestCrashTornWriteRepaired(t *testing.T) {
 	}
 }
 
-// TestCrashTornWriteDetectedNoWAL is the same crash without a WAL: there is
-// nothing to replay from, so the torn page must surface as ErrCorruptPage
-// when next read — never silently decode as valid data.
+// TestCrashTornWriteDetectedNoWAL is the same crash with the log lost too:
+// there is nothing to replay from, so the torn page must surface as
+// ErrCorruptPage when next read — never silently decode as valid data.
 func TestCrashTornWriteDetectedNoWAL(t *testing.T) {
 	dir := t.TempDir()
-	tornCrash(t, dir, true)
+	tornCrash(t, dir)
+	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil {
+		t.Fatal(err)
+	}
 
 	sawCorrupt := func(err error) bool { return errors.Is(err, pagefile.ErrCorruptPage) }
-	db2, err := Open(Config{Dir: dir, PoolPages: 64, WALDisabled: true})
+	db2, err := Open(Config{Dir: dir, PoolPages: 64})
 	if err != nil {
 		if !sawCorrupt(err) {
 			t.Fatalf("reopen failed with %v, want ErrCorruptPage", err)

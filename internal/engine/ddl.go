@@ -45,8 +45,8 @@ func (db *DB) CreateSet(name, typeName string) error {
 }
 
 // Replicate registers a replication path given in the paper's dotted syntax
-// ("Emp1.dept.name", "Emp1.dept.org.name", "Emp1.dept.all") and builds its
-// replicated state over existing data.
+// ("Emp1.dept.name", "Emp1.dept.org.name", "Emp1.dept.all"), creates its link
+// and S′ page files, and builds its replicated state over existing data.
 func (db *DB) Replicate(path string, strategy catalog.Strategy, opts ...catalog.PathOption) error {
 	if err := db.writable(); err != nil {
 		return err
@@ -61,7 +61,11 @@ func (db *DB) Replicate(path string, strategy catalog.Strategy, opts ...catalog.
 	if err != nil {
 		return err
 	}
-	if err := db.mgr.BuildPath(p); err != nil {
+	err = db.ensurePathFiles(p)
+	if err == nil {
+		err = db.mgr.BuildPath(p)
+	}
+	if err != nil {
 		// The path stays registered with its build incomplete; taint the
 		// source set so the partial state is never trusted. Repair finishes
 		// the build (it derives the same structures the build would have).
@@ -109,6 +113,9 @@ func (db *DB) BuildIndex(name, set, expr string, clustered bool) error {
 		}
 		if p.Deferred && db.mgr.HasPending(p) {
 			if err := db.mgr.FlushPath(p); err != nil {
+				return err
+			}
+			if err := db.takeIdxErr(); err != nil {
 				return err
 			}
 		}
@@ -237,20 +244,21 @@ func keyFor(v schema.Value) btree.Key {
 	}
 }
 
-// HiddenChanged implements core.Listener: it keeps indexes on replicated
-// paths exact as update propagation rewrites hidden values.
+// HiddenChanged implements core.Listener for the engine's own manager: it
+// keeps indexes on replicated paths exact as Repair or FlushReplication
+// rewrite hidden values (statements propagate through sess.HiddenChanged).
 func (db *DB) HiddenChanged(source pagefile.OID, p *catalog.Path, f catalog.ReplField, old, new schema.Value) {
 	ix, ok := db.cat.PathIndexFor(p.Spec.Source, p.Spec.Refs, f.Name)
 	if !ok {
 		return
 	}
-	tree, ok := db.treeFor(ix.Name)
+	tree, ok := db.trees[ix.Name]
 	if !ok {
 		return
 	}
 	// Tolerate a missing old entry (first installation) and an existing new
-	// entry (idempotent re-propagation); any other failure is surfaced by
-	// the next DML operation.
+	// entry (idempotent re-propagation); the running operation surfaces any
+	// other failure (takeIdxErr).
 	if err := tree.Delete(keyFor(old), source); err != nil && !errors.Is(err, btree.ErrNotFound) {
 		db.idxErr = err
 	}
@@ -261,7 +269,7 @@ func (db *DB) HiddenChanged(source pagefile.OID, p *catalog.Path, f catalog.Repl
 
 // maintainBaseIndexes applies an object transition (nil old = insert, nil
 // new = delete) to the base-field indexes of a set, through the session's
-// views (index files are part of a fine writer's footprint).
+// views (a set's index files are part of its footprint).
 func (s *sess) maintainBaseIndexes(set string, oid pagefile.OID, old, new *schema.Object) error {
 	for _, ix := range s.db.cat.IndexesOn(set) {
 		if ix.IsPathIndex() {

@@ -2,28 +2,25 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"github.com/exodb/fieldrepl/internal/catalog"
-	"github.com/exodb/fieldrepl/internal/core"
 	"github.com/exodb/fieldrepl/internal/obs"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
-// DML operations are atomic. With a WAL each one-shot call runs as an
+// DML operations are atomic on every database. Each one-shot call runs as an
 // implicit transaction under the per-set locks of its write footprint: its
-// modifications are captured in a buffer-pool scope, logged and
-// group-committed on success, and rolled back physically on failure — no
-// half-applied state, no taint — while writers to disjoint footprints
-// proceed concurrently. Without a WAL (in-memory databases) they serialize
-// behind the exclusive lock and are atomic-or-loud: when replication or
-// index maintenance fails midway, the operation either compensates
-// (unwinding what it already did, so the failure is clean) or — when the
-// compensation itself fails — taints the set in the catalog so the
-// inconsistency is never silent. Repair() re-derives the tainted state from
-// the primary objects.
+// modifications — the statement's own and all the replication propagation
+// and index maintenance it triggers — are captured in a buffer-pool scope,
+// published on success and rolled back physically on failure, so no failure
+// leaves half-applied state and no DML ever taints a set. On a logged
+// (file-backed) database the commit is appended to the WAL and
+// group-committed, and writers to disjoint footprints proceed concurrently;
+// an in-memory database publishes the scope with no log and its writers
+// serialize behind the exclusive lock. A statement's dirty working set must
+// fit the buffer pool (no-steal): a statement that outgrows it fails with
+// buffer.ErrPoolExhausted and rolls back.
 
 // Insert stores a new object in a set and returns its OID. Replicated
 // hidden fields, inverted-path structures, S′ registration, and indexes are
@@ -80,61 +77,19 @@ func (s *sess) insert(set string, vals map[string]schema.Value) (pagefile.OID, e
 	if err != nil {
 		return pagefile.OID{}, err
 	}
-	if err := s.manager().OnInsert(c, oid, obj); err != nil {
-		if !s.rollsBack() {
-			s.undoInsert(c, oid, obj, false, err)
-		}
+	if err := s.mgr.OnInsert(c, oid, obj); err != nil {
 		return pagefile.OID{}, err
 	}
 	if err := s.maintainBaseIndexes(set, oid, nil, obj); err != nil {
-		if !s.rollsBack() {
-			s.undoInsert(c, oid, obj, true, err)
-		}
 		return pagefile.OID{}, err
 	}
 	if err := s.takeIdxErr(); err != nil {
-		if !s.rollsBack() {
-			s.undoInsert(c, oid, obj, true, err)
-		}
 		return pagefile.OID{}, err
 	}
 	return oid, nil
 }
 
-// undoInsert unwinds a failed Insert: the partially registered replication
-// state is unregistered and the record deleted, so the failed operation
-// leaves no trace. indexed says whether base-index maintenance already ran.
-// If the unwind itself fails, the set is tainted. Only the legacy (no-WAL)
-// path calls it; a capture scope or transaction rolls back physically
-// instead.
-func (s *sess) undoInsert(c *catalog.Set, oid pagefile.OID, obj *schema.Object, indexed bool, cause error) {
-	if err := s.manager().OnDelete(c, oid, obj); err != nil && !errors.Is(err, core.ErrStillReferenced) {
-		s.taint(c.Name, cause)
-		return
-	}
-	s.removePathIndexZeroEntries(c.Name, oid)
-	if indexed {
-		if err := s.maintainBaseIndexes(c.Name, oid, obj, nil); err != nil {
-			s.taint(c.Name, cause)
-			return
-		}
-	}
-	file, err := s.heapFor(c.FileID)
-	if err == nil {
-		err = file.Delete(oid)
-	}
-	if err != nil {
-		s.taint(c.Name, cause)
-		return
-	}
-	// A deferred index error raised during the unwind also means the unwind
-	// was incomplete.
-	if err := s.takeIdxErr(); err != nil {
-		s.taint(c.Name, cause)
-	}
-}
-
-// Get reads an object. On a WAL-backed database the read is a page-level
+// Get reads an object. On a logged database the read is a page-level
 // snapshot that never blocks on concurrent writers.
 func (db *DB) Get(set string, oid pagefile.OID) (*schema.Object, error) {
 	db.mu.RLock()
@@ -165,7 +120,7 @@ func (db *DB) UpdateCtx(ctx context.Context, set string, oid pagefile.OID, vals 
 	lsn, err := db.writeShot(ctx, tr, []string{set}, func(s *sess) error {
 		// Advisor metadata: the fields written and the replication paths the
 		// update propagates into. Stamped inside the closure (it needs the
-		// session's catalog view); idempotent under the fine→coarse retry.
+		// session's catalog view).
 		if typ, terr := s.db.cat.SetType(set); terr == nil {
 			s.stampUpdateMeta(typ, vals)
 		}
@@ -201,29 +156,13 @@ func (s *sess) update(set string, oid pagefile.OID, vals map[string]schema.Value
 	if err := s.WriteObject(oid, next); err != nil {
 		return err
 	}
-	if err := s.manager().OnUpdate(c, oid, old, next); err != nil {
-		// Propagation stopped partway. A capture scope or transaction rolls
-		// back physically; on the legacy path, restore the pre-update object
-		// so the primary data reads as if the update never happened, and
-		// taint the set — the derived structures may reflect either state and
-		// only a Repair pass re-derives them reliably.
-		if !s.rollsBack() {
-			if werr := s.WriteObject(oid, old); werr != nil {
-				err = errors.Join(err, werr)
-			}
-		}
-		s.taint(set, err)
+	if err := s.mgr.OnUpdate(c, oid, old, next); err != nil {
 		return err
 	}
 	if err := s.maintainBaseIndexes(set, oid, old, next); err != nil {
-		s.taint(set, err)
 		return err
 	}
-	if err := s.takeIdxErr(); err != nil {
-		s.taint(set, err)
-		return err
-	}
-	return nil
+	return s.takeIdxErr()
 }
 
 // Delete removes an object. Objects still referenced through a replication
@@ -265,17 +204,11 @@ func (s *sess) delete(set string, oid pagefile.OID) error {
 	if err != nil {
 		return err
 	}
-	if err := s.manager().OnDelete(c, oid, obj); err != nil {
-		// ErrStillReferenced is a clean refusal raised before any mutation;
-		// anything else stopped partway through unregistration.
-		if !errors.Is(err, core.ErrStillReferenced) {
-			s.taint(set, err)
-		}
+	if err := s.mgr.OnDelete(c, oid, obj); err != nil {
 		return err
 	}
 	s.removePathIndexZeroEntries(set, oid)
 	if err := s.maintainBaseIndexes(set, oid, obj, nil); err != nil {
-		s.taint(set, err)
 		return err
 	}
 	file, err := s.heapFor(c.FileID)
@@ -283,15 +216,12 @@ func (s *sess) delete(set string, oid pagefile.OID) error {
 		return err
 	}
 	if err := file.Delete(oid); err != nil {
-		// Unregistered from every path but still present in the set: loudly
-		// inconsistent; Repair re-registers it.
-		s.taint(set, err)
 		return err
 	}
 	return s.takeIdxErr()
 }
 
-// Count returns the number of objects in a set. On a WAL-backed database the
+// Count returns the number of objects in a set. On a logged database the
 // scan reads page-level snapshots and never blocks on concurrent writers.
 func (db *DB) Count(set string) (int, error) {
 	db.mu.RLock()

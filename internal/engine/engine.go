@@ -59,13 +59,13 @@ type Config struct {
 	// predicate evaluation fans out to (default 1, which preserves the
 	// sequential scan's deterministic result order).
 	ScanWorkers int
-	// WALPath relocates the write-ahead log (default Dir/wal.log). The WAL
-	// is enabled for every file-backed database (Dir != ""): transactions
-	// append page after-images and a commit record, the commit is fsync'd
-	// (group commit batches concurrent committers into one fsync), and
-	// recovery replay at Open re-applies committed transactions a crash cut
-	// short. In-memory databases (Dir == "") run without a WAL, keeping the
-	// experiments' legacy compensate-or-taint DML semantics.
+	// WALPath relocates the write-ahead log (default Dir/wal.log). Every
+	// file-backed database (Dir != "") is logged: transactions append page
+	// after-images and a commit record, the commit is fsync'd (group commit
+	// batches concurrent committers into one fsync), and recovery replay at
+	// Open re-applies committed transactions a crash cut short. In-memory
+	// databases (Dir == "") have no log: a commit just publishes the
+	// statement's pool scope.
 	WALPath string
 	// CommitInterval is the optional group-commit batching window: each
 	// committer waits this long before forcing the log, giving concurrent
@@ -73,9 +73,6 @@ type Config struct {
 	// force the log immediately (batching still happens under concurrency
 	// via the leader/follower fsync).
 	CommitInterval time.Duration
-	// WALDisabled turns the WAL off for a file-backed database, restoring
-	// the pre-WAL durability mode (used for baseline measurements).
-	WALDisabled bool
 	// AdvisorDisabled turns the workload advisor off: no trace subscription,
 	// no per-path mix aggregation, and Advise reports Enabled=false. Used for
 	// overhead baselines (cmd/advisorbench).
@@ -87,14 +84,15 @@ type Config struct {
 	AdvisorWindows   int
 }
 
-// DB is a database instance. It is safe for concurrent use. On a WAL-backed
-// database, DML statements lock only their write footprint — the target set
-// plus every set reachable through replicated-field/inverse-link propagation
-// — so writers to disjoint footprints run and commit concurrently, and
-// read-only operations (Query, Get, Count, Inverse) read page-level
-// snapshots that never block on writers. DDL, replication control, explicit
-// Begin transactions, cache control, and all statements on a database
-// without a WAL serialize behind the exclusive lock as before.
+// DB is a database instance. It is safe for concurrent use. DML statements
+// and transactions lock only their write footprint — the target sets plus
+// every set reachable through replicated-field/inverse-link propagation — and
+// run in a buffer-pool scope that commits or rolls back as a unit. On a
+// logged (file-backed) database writers to disjoint footprints run and
+// commit concurrently, and read-only operations (Query, Get, Count, Inverse)
+// read page-level snapshots that never block on writers. DDL, replication
+// control and cache control serialize behind the exclusive lock, as do the
+// write statements of an in-memory database.
 type DB struct {
 	store   pagefile.Store
 	pool    *buffer.Pool
@@ -103,17 +101,18 @@ type DB struct {
 	dir     string
 	workers int
 
-	// mu is the engine's coarse/fine boundary. Coarse operations — DDL,
-	// replication control, explicit Begin transactions, cache control, and
-	// the no-WAL DML path — take it exclusively. Fine-grained writers (WAL
-	// DML) and readers take it shared and coordinate among themselves through
-	// setLocks and the buffer pool's capture scopes. Internal helpers
-	// (including the core.Storage implementation the replication manager
+	// mu separates statements from whole-database operations. DDL,
+	// replication control and cache control take it exclusively. Write
+	// statements and readers take it shared and coordinate among themselves
+	// through setLocks and the buffer pool's scopes — except on a database
+	// without a log, whose write statements take it exclusively because its
+	// readers use plain page views (see lockStatement). Internal helpers
+	// (including the core.Storage implementations the replication manager
 	// re-enters through) never acquire it.
 	mu sync.RWMutex
-	// setLocks is the per-set lock manager for fine-grained writers: each
-	// statement locks its whole write footprint in sorted order before
-	// mutating anything (see footprint.go, lockmgr.go).
+	// setLocks is the per-set lock manager: each write statement locks its
+	// whole footprint in sorted order before mutating anything (see
+	// footprint.go, lockmgr.go).
 	setLocks *lockMgr
 	// fsMu guards files/trees/nextOut/scratchFIDs in shared-lock contexts,
 	// where a session registering a query scratch file races with other
@@ -134,25 +133,19 @@ type DB struct {
 	advisor       *advisor.Advisor
 	advisorCancel func()
 	// lockWait is the writer-lock contention histogram: how long each write
-	// operation blocked acquiring db.mu exclusively. Together with the WAL's
-	// fsync-wait and the pool's stall histograms it decomposes a slow commit
-	// into lock wait vs log wait vs device time.
+	// statement of a database without a log blocked acquiring db.mu
+	// exclusively. Together with the WAL's fsync-wait and the pool's stall
+	// histograms it decomposes a slow commit into lock wait vs log wait vs
+	// device time.
 	lockWait *obs.Histogram
-	// writerTrace is the trace of the write operation currently holding the
-	// exclusive lock, or nil. It is set and cleared only under db.mu.Lock, and
-	// read by internal helpers (heapFor, treeFor, ReadObject) that run under
-	// either lock mode — readers can only ever observe nil, because a writer
-	// excludes them, so every helper invoked during a DML/DDL operation binds
-	// that operation's trace without threading a parameter through
-	// core.Storage.
-	writerTrace *obs.Trace
 
-	// idxErr records an index-maintenance failure raised inside a listener
-	// callback (which cannot return an error); the next DML call surfaces it.
+	// idxErr records an index-maintenance failure raised inside the listener
+	// callback (which cannot return an error) while an exclusive operation
+	// propagates through the engine's own manager; the operation surfaces it
+	// with takeIdxErr. Statements keep theirs in the session.
 	idxErr error
 
-	// wal is the write-ahead log, nil for in-memory or WALDisabled
-	// databases.
+	// wal is the write-ahead log, nil for databases without a Dir.
 	wal *wal.Manager
 	// inlineMax is the resolved link-inlining threshold, kept so a follower
 	// can rebuild the replication manager around a streamed catalog.
@@ -165,15 +158,9 @@ type DB struct {
 	role     atomic.Int32
 	primary  atomic.Pointer[repl.Primary]
 	follower atomic.Pointer[repl.Follower]
-	// txn is the transaction currently holding the writer lock (explicit
-	// Begin or an implicit one-shot), or nil. Set and read only under
-	// db.mu.Lock; internal helpers use it to register undo actions and to
-	// suppress the legacy compensate-or-taint paths (a transaction rolls
-	// back physically instead).
-	txn *Txn
 
-	// pendingFiles are page files created outside any transaction (DDL: set
-	// heaps, index trees, path build files) that the log has not yet shipped.
+	// pendingFiles are the page files DDL created (set heaps, index trees,
+	// link and S′ files) that the log has not yet shipped.
 	// While the database is shipping its WAL, sync() logs them — together
 	// with the dirty pages it is about to flush — as a commit, so a streaming
 	// follower learns of files that local recovery gets for free from the
@@ -182,13 +169,12 @@ type DB struct {
 	pendingFiles []wal.FileCreate
 	// scratchFIDs marks session-local files (query outputs) that must never
 	// be logged or shipped: followers fill the ID gaps with placeholders
-	// instead. Guarded by db.mu.Lock; file IDs are never reused.
+	// instead. Guarded like files (see fsMu); file IDs are never reused.
 	scratchFIDs map[pagefile.FileID]bool
 }
 
-// noteFileCreated records a file created outside any transaction so the next
-// sync() can ship its creation to followers. Inside a transaction the Txn's
-// newFiles list serves the same purpose. Called under db.mu.Lock.
+// noteFileCreated records a file DDL created so the next sync() can ship its
+// creation to followers. Called under db.mu.Lock.
 func (db *DB) noteFileCreated(fid pagefile.FileID, name string) {
 	if db.wal == nil {
 		return
@@ -253,7 +239,7 @@ func Open(cfg Config) (*DB, error) {
 	// committed catalog snapshot (always at least as new as catalog.json)
 	// replaces the one read above.
 	var walMgr *wal.Manager
-	if cfg.Dir != "" && !cfg.WALDisabled {
+	if cfg.Dir != "" {
 		walPath := cfg.WALPath
 		if walPath == "" {
 			walPath = filepath.Join(cfg.Dir, "wal.log")
@@ -368,11 +354,7 @@ func (db *DB) rehydrate() error {
 		}
 	}
 	for _, p := range db.cat.Paths() {
-		links := p.Links
-		if p.CollapsedLink != nil {
-			links = append(links, p.CollapsedLink)
-		}
-		for _, l := range links {
+		for _, l := range pathLinks(p) {
 			if l.HasFile {
 				if err := openHeap(l.FileID); err != nil {
 					return fmt.Errorf("engine: reopening link %d: %w", l.ID, err)
@@ -555,16 +537,12 @@ func (db *DB) syncIfDurable() error {
 	return db.sync()
 }
 
-// taint marks a set's derived replication state suspect after a
-// mid-operation failure, persisting the marker immediately for file-backed
-// databases so even a crash right after the failure leaves the need for
-// repair on record. The cause is recorded with the first taint.
+// taint marks a set's derived replication state suspect after a DDL build
+// or teardown failed midway (statements never taint: they roll back),
+// persisting the marker immediately for file-backed databases so even a
+// crash right after the failure leaves the need for repair on record. The
+// cause is recorded with the first taint.
 func (db *DB) taint(set string, cause error) {
-	if db.txn != nil {
-		// Transactional statements never taint: the whole transaction rolls
-		// back physically, so there is no half-applied state to flag.
-		return
-	}
 	db.cat.MarkTainted(set, cause.Error())
 	// Best-effort: the store may be the very thing that is failing. The
 	// in-memory marker still gates this session; Close persists it later.
@@ -572,8 +550,8 @@ func (db *DB) taint(set string, cause error) {
 }
 
 // TaintedSets reports the sets whose derived replication state may be stale
-// after a mid-operation failure, with the recorded causes. A successful
-// Repair clears them.
+// after a failed DDL build or teardown, with the recorded causes. A
+// successful Repair clears them.
 func (db *DB) TaintedSets() map[string]string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -589,6 +567,13 @@ func (db *DB) Repair() (*core.RepairReport, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	// A Replicate that failed before its files existed left the path
+	// registered without them.
+	for _, p := range db.cat.Paths() {
+		if err := db.ensurePathFiles(p); err != nil {
+			return nil, err
+		}
+	}
 	rep, err := db.mgr.Repair()
 	if err != nil {
 		return rep, err
@@ -616,40 +601,25 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 func (db *DB) Manager() *core.Manager { return db.mgr }
 
 // --- core.Storage implementation ---
+//
+// The DB itself is the Storage (and Listener) of the engine's own manager,
+// through which DDL builds, teardowns and Repair run: plain untraced page
+// views, correct under the exclusive lock those operations hold. Statements
+// go through a sess instead.
 
-// heapFor returns the heap file for fid, bound to the current writer's trace
-// (no-op when no traced writer is running).
 func (db *DB) heapFor(fid pagefile.FileID) (*heap.File, error) {
 	f, ok := db.files[fid]
 	if !ok {
 		return nil, fmt.Errorf("engine: no heap file %d", fid)
 	}
-	return f.WithTrace(db.writerTrace), nil
-}
-
-// treeFor returns the named index tree bound to the current writer's trace.
-func (db *DB) treeFor(name string) (*btree.Tree, bool) {
-	t, ok := db.trees[name]
-	if !ok {
-		return nil, false
-	}
-	return t.WithTrace(db.writerTrace), true
+	return f, nil
 }
 
 // ReadObject implements core.Storage.
 func (db *DB) ReadObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, error) {
-	return db.readObjectT(oid, typ, nil)
-}
-
-// readObjectT reads and decodes an object, charging page I/O to tr (in
-// addition to the writer's trace when one is active).
-func (db *DB) readObjectT(oid pagefile.OID, typ *schema.Type, tr *obs.Trace) (*schema.Object, error) {
 	f, err := db.heapFor(oid.File)
 	if err != nil {
 		return nil, err
-	}
-	if tr != nil {
-		f = f.WithTrace(tr)
 	}
 	data, err := f.Read(oid)
 	if err != nil {
@@ -667,73 +637,69 @@ func (db *DB) WriteObject(oid pagefile.OID, o *schema.Object) error {
 	return f.Update(oid, o.Encode())
 }
 
-// LinkFile implements core.Storage.
+// createReplFile creates and registers a link or S′ page file.
+func (db *DB) createReplFile(name string) (*heap.File, error) {
+	f, err := heap.Create(db.pool, name)
+	if err != nil {
+		return nil, err
+	}
+	db.files[f.ID()] = f
+	db.noteFileCreated(f.ID(), name)
+	return f, nil
+}
+
+// LinkFile implements core.Storage, creating the file if l has none.
 func (db *DB) LinkFile(l *catalog.Link) (*heap.File, error) {
 	if l.HasFile {
 		return db.heapFor(l.FileID)
 	}
-	f, err := heap.Create(db.pool, fmt.Sprintf("__link_%d", l.ID))
+	f, err := db.createReplFile(fmt.Sprintf("__link_%d", l.ID))
 	if err != nil {
 		return nil, err
 	}
-	l.FileID = f.ID()
-	l.HasFile = true
-	db.files[f.ID()] = f
-	if t := db.txn; t != nil {
-		t.fileCreated(f.ID(), fmt.Sprintf("__link_%d", l.ID), func() {
-			l.HasFile = false
-			l.FileID = 0
-			delete(db.files, f.ID())
-		})
-	} else {
-		db.noteFileCreated(f.ID(), fmt.Sprintf("__link_%d", l.ID))
-	}
-	return f.WithTrace(db.writerTrace), nil
+	l.FileID, l.HasFile = f.ID(), true
+	return f, nil
 }
 
-// GroupFile implements core.Storage.
+// GroupFile implements core.Storage, creating the file if g has none.
 func (db *DB) GroupFile(g *catalog.Group) (*heap.File, error) {
 	if g.HasFile {
 		return db.heapFor(g.FileID)
 	}
-	f, err := heap.Create(db.pool, fmt.Sprintf("__sprime_%d", g.ID))
+	f, err := db.createReplFile(fmt.Sprintf("__sprime_%d", g.ID))
 	if err != nil {
 		return nil, err
 	}
-	g.FileID = f.ID()
-	g.HasFile = true
-	db.files[f.ID()] = f
-	if t := db.txn; t != nil {
-		t.fileCreated(f.ID(), fmt.Sprintf("__sprime_%d", g.ID), func() {
-			g.HasFile = false
-			g.FileID = 0
-			delete(db.files, f.ID())
-		})
-	} else {
-		db.noteFileCreated(f.ID(), fmt.Sprintf("__sprime_%d", g.ID))
-	}
-	return f.WithTrace(db.writerTrace), nil
+	g.FileID, g.HasFile = f.ID(), true
+	return f, nil
 }
 
 // RecreateGroupFile implements core.Storage.
 func (db *DB) RecreateGroupFile(g *catalog.Group) (*heap.File, error) {
-	prevID, prevHas := g.FileID, g.HasFile
-	f, err := heap.Create(db.pool, fmt.Sprintf("__sprime_%d_r", g.ID))
+	f, err := db.createReplFile(fmt.Sprintf("__sprime_%d_r", g.ID))
 	if err != nil {
 		return nil, err
 	}
-	g.FileID = f.ID()
-	g.HasFile = true
-	db.files[f.ID()] = f
-	if t := db.txn; t != nil {
-		t.fileCreated(f.ID(), fmt.Sprintf("__sprime_%d_r", g.ID), func() {
-			g.FileID, g.HasFile = prevID, prevHas
-			delete(db.files, f.ID())
-		})
-	} else {
-		db.noteFileCreated(f.ID(), fmt.Sprintf("__sprime_%d_r", g.ID))
+	g.FileID, g.HasFile = f.ID(), true
+	return f, nil
+}
+
+// ensurePathFiles creates the link and S′ page files of p that do not exist
+// yet. Replicate calls it when it registers the path, so every file a
+// statement's propagation can touch exists — and is named by its footprint —
+// before the statement starts. Called under db.mu.Lock.
+func (db *DB) ensurePathFiles(p *catalog.Path) error {
+	for _, l := range pathLinks(p) {
+		if _, err := db.LinkFile(l); err != nil {
+			return err
+		}
 	}
-	return f.WithTrace(db.writerTrace), nil
+	if p.Group != nil {
+		if _, err := db.GroupFile(p.Group); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SetFile implements core.Storage.
@@ -745,10 +711,9 @@ func (db *DB) SetFile(name string) (*heap.File, error) {
 	return db.heapFor(s.FileID)
 }
 
-// lockWriter acquires the engine's exclusive writer lock, recording how long
-// acquisition blocked in the lock-wait histogram and charging it to tr (nil
-// tr records only the histogram). Write entry points use it so writer-lock
-// contention is visible per operation and in aggregate.
+// lockWriter acquires db.mu exclusively for a write statement, recording how
+// long acquisition blocked in the lock-wait histogram and charging it to tr,
+// so writer-lock contention is visible per operation and in aggregate.
 func (db *DB) lockWriter(tr *obs.Trace) {
 	start := time.Now()
 	db.mu.Lock()
@@ -854,7 +819,7 @@ func (db *DB) FlushAll() error {
 
 // VerifyReplication runs the full replication invariant checker. It takes
 // the exclusive lock: the checker cross-references primary objects, link
-// structures, and S′ files, and a fine-grained writer committing between
+// structures, and S′ files, and a concurrent writer committing between
 // those reads would produce false positives.
 func (db *DB) VerifyReplication() []error {
 	db.mu.Lock()
@@ -867,7 +832,7 @@ var ErrNoSuchSet = errors.New("engine: no such set")
 
 // SetStats reports the physical statistics of a set's heap file. It takes
 // the exclusive lock so the multi-page walk never interleaves with a
-// fine-grained writer's commit.
+// concurrent writer's commit.
 func (db *DB) SetStats(set string) (heap.Stats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

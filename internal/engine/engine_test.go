@@ -27,6 +27,34 @@ func openEmployeeDB(t *testing.T, cfg Config) *DB {
 	return db
 }
 
+// onBothStores runs fn as two subtests: against an in-memory database
+// (dir "") and against a file-backed, logged one in a fresh directory.
+func onBothStores(t *testing.T, fn func(t *testing.T, dir string)) {
+	t.Run("in-memory", func(t *testing.T) { fn(t, "") })
+	t.Run("file-backed", func(t *testing.T) { fn(t, t.TempDir()) })
+}
+
+// openFaultDB opens a database over a fault-injecting store: a MemStore when
+// dir is empty, otherwise a FileStore in dir (which makes the database
+// logged). The caller closes it.
+func openFaultDB(t *testing.T, dir string, poolPages int) (*DB, *pagefile.FaultStore) {
+	t.Helper()
+	var inner pagefile.Store = pagefile.NewMemStore()
+	if dir != "" {
+		fileStore, err := pagefile.NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner = fileStore
+	}
+	fs := pagefile.NewFaultStore(inner)
+	db, err := Open(Config{Dir: dir, Store: fs, PoolPages: poolPages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, fs
+}
+
 // defineEmployeeSchema installs the ORG/DEPT/EMP types and their sets.
 func defineEmployeeSchema(t *testing.T, db *DB) {
 	t.Helper()

@@ -200,7 +200,7 @@ type Metrics struct {
 	IO   IOStats          `json:"io"`
 	Pool buffer.PoolStats `json:"pool"`
 	// WAL is nil — rendered as an explicit JSON null — when the database runs
-	// without a write-ahead log (in-memory, or WALDisabled), so consumers can
+	// without a write-ahead log (in-memory), so consumers can
 	// tell "no WAL" from "WAL with zero activity".
 	WAL    *wal.Stats  `json:"wal"`
 	Traces obs.Metrics `json:"traces"`

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"testing"
 
@@ -12,17 +13,23 @@ import (
 
 // The fault soak drives the same operation script against a store that
 // fails exactly one I/O, for every possible position of that failure, and
-// checks that after ClearFaults + Repair the database is indistinguishable
-// (by value) from an oracle that ran only the operations that succeeded.
+// checks that afterwards the database is indistinguishable (by value) from
+// an oracle that ran only the operations that succeeded. A fault inside a
+// DML statement rolls the statement back, so the comparison must hold as is
+// — no taint, a clean replication invariant, no Repair. A fault inside a DDL
+// build leaves the path registered and tainted; Repair finishes it first.
 //
 // Objects are addressed by logical name, never by OID: a failed insert is
-// unwound and later allocations drift, so OIDs differ between runs while
+// rolled back and later allocations drift, so OIDs differ between runs while
 // the visible values must not.
 
 // soakOp is one engine call of the soak script.
 type soakOp struct {
 	name string
 	run  func(db *DB, oids map[string]pagefile.OID) error
+	// ddl marks schema operations: not transactional, finished by Repair
+	// when a fault interrupts them.
+	ddl bool
 }
 
 // soakOID resolves a logical name; it fails when the object's insert failed
@@ -41,7 +48,7 @@ func soakOID(oids map[string]pagefile.OID, key string) (pagefile.OID, error) {
 // propagate, reference moves, a delete, and a late insert.
 func faultSoakScript() []soakOp {
 	ins := func(key, set string, mk func(o map[string]pagefile.OID) (map[string]schema.Value, error)) soakOp {
-		return soakOp{"insert " + key, func(db *DB, o map[string]pagefile.OID) error {
+		return soakOp{name: "insert " + key, run: func(db *DB, o map[string]pagefile.OID) error {
 			vals, err := mk(o)
 			if err != nil {
 				return err
@@ -55,7 +62,7 @@ func faultSoakScript() []soakOp {
 		}}
 	}
 	upd := func(key, set string, mk func(o map[string]pagefile.OID) (map[string]schema.Value, error)) soakOp {
-		return soakOp{"update " + key, func(db *DB, o map[string]pagefile.OID) error {
+		return soakOp{name: "update " + key, run: func(db *DB, o map[string]pagefile.OID) error {
 			oid, err := soakOID(o, key)
 			if err != nil {
 				return err
@@ -89,8 +96,12 @@ func faultSoakScript() []soakOp {
 		}))
 	}
 
+	ddl := func(name string, run func(db *DB) error) soakOp {
+		return soakOp{name: name, ddl: true, run: func(db *DB, _ map[string]pagefile.OID) error { return run(db) }}
+	}
+
 	return []soakOp{
-		{"define types", func(db *DB, _ map[string]pagefile.OID) error {
+		ddl("define types", func(db *DB) error {
 			if err := db.DefineType("ORG", []schema.Field{
 				{Name: "name", Kind: schema.KindString},
 				{Name: "budget", Kind: schema.KindInt},
@@ -110,10 +121,10 @@ func faultSoakScript() []soakOp {
 				{Name: "salary", Kind: schema.KindInt},
 				{Name: "dept", Kind: schema.KindRef, RefType: "DEPT"},
 			})
-		}},
-		{"create Org", func(db *DB, _ map[string]pagefile.OID) error { return db.CreateSet("Org", "ORG") }},
-		{"create Dept", func(db *DB, _ map[string]pagefile.OID) error { return db.CreateSet("Dept", "DEPT") }},
-		{"create Emp1", func(db *DB, _ map[string]pagefile.OID) error { return db.CreateSet("Emp1", "EMP") }},
+		}),
+		ddl("create Org", func(db *DB) error { return db.CreateSet("Org", "ORG") }),
+		ddl("create Dept", func(db *DB) error { return db.CreateSet("Dept", "DEPT") }),
+		ddl("create Emp1", func(db *DB) error { return db.CreateSet("Emp1", "EMP") }),
 
 		ins("o1", "Org", scalars(map[string]schema.Value{"name": str("exo"), "budget": num(9000)})),
 		ins("o2", "Org", scalars(map[string]schema.Value{"name": str("initech"), "budget": num(4000)})),
@@ -127,22 +138,22 @@ func faultSoakScript() []soakOp {
 		emp("e5", "d3", 34, 5000),
 		emp("e6", "d3", 35, 6000),
 
-		{"replicate dept.name", func(db *DB, _ map[string]pagefile.OID) error {
+		ddl("replicate dept.name", func(db *DB) error {
 			return db.Replicate("Emp1.dept.name", catalog.InPlace)
-		}},
-		{"replicate dept.budget", func(db *DB, _ map[string]pagefile.OID) error {
+		}),
+		ddl("replicate dept.budget", func(db *DB) error {
 			return db.Replicate("Emp1.dept.budget", catalog.Separate)
-		}},
-		{"replicate dept.org.name", func(db *DB, _ map[string]pagefile.OID) error {
+		}),
+		ddl("replicate dept.org.name", func(db *DB) error {
 			return db.Replicate("Emp1.dept.org.name", catalog.InPlace, catalog.WithCollapsed())
-		}},
+		}),
 
 		upd("d1", "Dept", scalars(map[string]schema.Value{"budget": num(111)})),
 		upd("o1", "Org", scalars(map[string]schema.Value{"name": str("megacorp")})),
 		upd("e2", "Emp1", withRef("dept", "d2", nil)), // source ref move
 		upd("d3", "Dept", withRef("org", "o1", nil)),  // intermediate ref move
 		upd("d2", "Dept", scalars(map[string]schema.Value{"name": str("shoes2")})),
-		{"delete e4", func(db *DB, o map[string]pagefile.OID) error {
+		{name: "delete e4", run: func(db *DB, o map[string]pagefile.OID) error {
 			oid, err := soakOID(o, "e4")
 			if err != nil {
 				return err
@@ -209,41 +220,46 @@ func runSoakScript(db *DB, script []soakOp, succeeded []bool) (map[string]pagefi
 }
 
 // runFaultSoakAt runs the script with a single transient fault at operation
-// index faultAt, repairs, and compares against a fault-free oracle that
-// applies exactly the ops that succeeded. Returns how many ops succeeded.
-func runFaultSoakAt(t *testing.T, script []soakOp, faultAt int64) int {
+// index faultAt and compares against a fault-free oracle that applies exactly
+// the ops that succeeded — after Repair only when the op the fault
+// interrupted was DDL. Returns how many ops succeeded.
+func runFaultSoakAt(t *testing.T, script []soakOp, faultAt int64, dir string) int {
 	t.Helper()
-	fs := pagefile.NewFaultStore(pagefile.NewMemStore())
-	fs.AddFault(pagefile.Fault{Index: faultAt, Op: pagefile.OpAny})
-	db, err := Open(Config{Store: fs, PoolPages: 8})
-	if err != nil {
-		// The store can only fail Open if the fault fires while the engine
-		// bootstraps; nothing was built, so there is nothing to check.
-		return 0
-	}
+	db, fs := openFaultDB(t, dir, 8)
 	defer db.Close()
+	// Open's own store traffic is not part of the fault stream.
+	fs.AddFault(pagefile.Fault{Index: fs.Ops() + faultAt, Op: pagefile.OpAny})
 
 	succeeded := make([]bool, len(script))
 	_, n := runSoakScript(db, script, succeeded)
 
-	// The transient fault is over; from here every I/O works. Repair must
-	// bring the replicated state back to exact.
+	// The transient fault is over; from here every I/O works. Later failures
+	// only follow from the first (an object that was never inserted), so the
+	// first failed op is the one the fault interrupted.
 	fs.ClearFaults()
-	rep, err := db.Repair()
-	if err != nil {
-		t.Fatalf("fault@%d: Repair: %v", faultAt, err)
-	}
-	if !rep.Clean() {
-		for _, e := range rep.Remaining {
-			t.Errorf("fault@%d: %v", faultAt, e)
+	for i, ok := range succeeded {
+		if ok {
+			continue
 		}
-		t.Fatalf("fault@%d: Repair left %d violations", faultAt, len(rep.Remaining))
+		if script[i].ddl {
+			rep, err := db.Repair()
+			if err != nil {
+				t.Fatalf("fault@%d: Repair: %v", faultAt, err)
+			}
+			if !rep.Clean() {
+				for _, e := range rep.Remaining {
+					t.Errorf("fault@%d: %v", faultAt, e)
+				}
+				t.Fatalf("fault@%d: Repair left %d violations", faultAt, len(rep.Remaining))
+			}
+		}
+		break
 	}
 	if errs := db.VerifyReplication(); len(errs) > 0 {
-		t.Fatalf("fault@%d: VerifyReplication after Repair: %v", faultAt, errs)
+		t.Fatalf("fault@%d: VerifyReplication: %v", faultAt, errs)
 	}
 	if ts := db.TaintedSets(); len(ts) > 0 {
-		t.Fatalf("fault@%d: sets still tainted after clean Repair: %v", faultAt, ts)
+		t.Fatalf("fault@%d: sets tainted: %v", faultAt, ts)
 	}
 
 	// Oracle: a pristine engine running only the ops that succeeded above.
@@ -266,36 +282,50 @@ func runFaultSoakAt(t *testing.T, script []soakOp, faultAt int64) int {
 
 	got, want := soakSnapshot(t, db), soakSnapshot(t, odb)
 	if len(got) != len(want) {
-		t.Fatalf("fault@%d: %d rows after repair, oracle has %d\n got: %v\nwant: %v",
+		t.Fatalf("fault@%d: %d rows, oracle has %d\n got: %v\nwant: %v",
 			faultAt, len(got), len(want), got, want)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("fault@%d: row %d after repair = %q, oracle has %q", faultAt, i, got[i], want[i])
+			t.Fatalf("fault@%d: row %d = %q, oracle has %q", faultAt, i, got[i], want[i])
 		}
 	}
 	return n
 }
 
 // TestFaultSoak injects one transient I/O failure at every faultSoakStride'th
-// operation index of the calibration run. The exhaustive version (stride 1)
-// runs under -tags soak (make soak).
+// operation index of the calibration run, on an in-memory and on a
+// file-backed database. The exhaustive version (stride 1) runs under -tags
+// soak (make soak).
 func TestFaultSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault soak skipped in -short mode")
 	}
+	onBothStores(t, faultSoak)
+}
+
+func faultSoak(t *testing.T, dir string) {
 	script := faultSoakScript()
+	// Every run opens a new database: in memory when dir is empty, otherwise
+	// in a fresh directory under it.
+	fresh := func() string {
+		if dir == "" {
+			return ""
+		}
+		d, err := os.MkdirTemp(dir, "run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 
 	// Calibration: fault-free run to size the operation stream.
-	fs := pagefile.NewFaultStore(pagefile.NewMemStore())
-	db, err := Open(Config{Store: fs, PoolPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, fs := openFaultDB(t, fresh(), 8)
+	base := fs.Ops()
 	if _, n := runSoakScript(db, script, nil); n != len(script) {
 		t.Fatalf("calibration: only %d/%d ops succeeded without faults", n, len(script))
 	}
-	total := fs.Ops()
+	total := fs.Ops() - base
 	db.Close()
 	if total == 0 {
 		t.Fatal("calibration run performed no store operations")
@@ -304,7 +334,7 @@ func TestFaultSoak(t *testing.T) {
 
 	sawFailure := false
 	for i := int64(0); i < total; i += faultSoakStride {
-		if n := runFaultSoakAt(t, script, i); n < len(script) {
+		if n := runFaultSoakAt(t, script, i, fresh()); n < len(script) {
 			sawFailure = true
 		}
 	}

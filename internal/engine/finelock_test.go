@@ -21,6 +21,12 @@ func openDisjointDB(t *testing.T, n int, cfg Config) *DB {
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
+	return openDisjointSets(t, n, cfg)
+}
+
+// openDisjointSets is openDisjointDB on cfg as given: in-memory without a Dir.
+func openDisjointSets(t *testing.T, n int, cfg Config) *DB {
+	t.Helper()
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,11 +248,16 @@ func TestRandomizedMultiSetFootprints(t *testing.T) {
 	verifyDB(t, db)
 }
 
-// TestFineTxnFootprintViolation checks the BeginSets contract: a mutation on
-// an undeclared set fails with ErrWriteConflict and aborts the transaction,
-// while queries on undeclared sets read committed snapshots.
+// TestFineTxnFootprintViolation checks the BeginSets contract on both kinds
+// of database: a mutation on an undeclared set fails with ErrWriteConflict and
+// aborts the transaction, while queries on undeclared sets read committed
+// snapshots.
 func TestFineTxnFootprintViolation(t *testing.T) {
-	db := openDisjointDB(t, 3, Config{PoolPages: 512})
+	onBothStores(t, testFootprintViolation)
+}
+
+func testFootprintViolation(t *testing.T, dir string) {
+	db := openDisjointSets(t, 3, Config{PoolPages: 512, Dir: dir})
 	if _, err := db.Insert("W01", map[string]schema.Value{"name": str("pre"), "n": num(1)}); err != nil {
 		t.Fatal(err)
 	}

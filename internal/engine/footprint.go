@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
+	"github.com/exodb/fieldrepl/internal/catalog"
 	"github.com/exodb/fieldrepl/internal/pagefile"
+	"github.com/exodb/fieldrepl/internal/schema"
 )
 
 // footprint is a DML statement's write footprint: the sets whose locks the
@@ -29,44 +32,37 @@ type footprint struct {
 // locks (the disjoint-writer scaling case). Callers hold db.mu in either
 // mode; the catalog is only mutated under the exclusive lock.
 func (db *DB) computeFootprint(targets ...string) footprint {
+	// This runs once per statement, and a catalog holds a handful of sets,
+	// types and paths: membership is a scan of a short slice, not a map.
 	fp := footprint{files: map[pagefile.FileID]bool{}}
-	inSets := map[string]bool{}
-	for _, t := range targets {
-		inSets[t] = true
+	var closure []string // type names
+	add := func(list []string, name string) []string {
+		if slices.Contains(list, name) {
+			return list
+		}
+		return append(list, name)
 	}
-
-	// Type closure: seed with the targets' types, then absorb every path
-	// sharing a type with the closure until nothing new joins.
-	closure := map[string]bool{}
 	for _, t := range targets {
+		fp.sets = add(fp.sets, t)
 		if s, ok := db.cat.SetByName(t); ok {
-			closure[s.TypeName] = true
+			closure = add(closure, s.TypeName)
 		}
 	}
+
+	// Type closure: seeded with the targets' types, absorb every path sharing
+	// a type with the closure until nothing new joins.
 	paths := db.cat.Paths()
-	inPath := map[uint8]bool{}
+	inPath := make([]bool, len(paths))
+	coupled := false
 	for changed := true; changed; {
 		changed = false
-		for _, p := range paths {
-			if inPath[p.ID] {
+		for i, p := range paths {
+			if inPath[i] || !slices.ContainsFunc(p.Types, func(t *schema.Type) bool { return slices.Contains(closure, t.Name) }) {
 				continue
 			}
-			hit := false
+			inPath[i], changed, coupled = true, true, true
 			for _, t := range p.Types {
-				if closure[t.Name] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			inPath[p.ID] = true
-			changed = true
-			for _, t := range p.Types {
-				if !closure[t.Name] {
-					closure[t.Name] = true
-				}
+				closure = add(closure, t.Name)
 			}
 		}
 	}
@@ -74,15 +70,12 @@ func (db *DB) computeFootprint(targets ...string) footprint {
 	// Sets: the targets always; other sets only when a path actually couples
 	// their type (a set of an unreplicated type shares its type's other sets'
 	// heaps with no one).
-	if len(inPath) > 0 {
+	if coupled {
 		for _, s := range db.cat.Sets() {
-			if closure[s.TypeName] {
-				inSets[s.Name] = true
+			if slices.Contains(closure, s.TypeName) {
+				fp.sets = add(fp.sets, s.Name)
 			}
 		}
-	}
-	for name := range inSets {
-		fp.sets = append(fp.sets, name)
 	}
 	sort.Strings(fp.sets)
 
@@ -98,15 +91,11 @@ func (db *DB) computeFootprint(targets ...string) footprint {
 			fp.files[ix.FileID] = true
 		}
 	}
-	for _, p := range paths {
-		if !inPath[p.ID] {
+	for i, p := range paths {
+		if !inPath[i] {
 			continue
 		}
-		links := p.Links
-		if p.CollapsedLink != nil {
-			links = append(links, p.CollapsedLink)
-		}
-		for _, l := range links {
+		for _, l := range pathLinks(p) {
 			if l.HasFile {
 				fp.files[l.FileID] = true
 			}
@@ -118,16 +107,10 @@ func (db *DB) computeFootprint(targets ...string) footprint {
 	return fp
 }
 
-// contains reports whether every set in other's lock list is covered by fp.
-func (fp footprint) contains(other footprint) bool {
-	held := map[string]bool{}
-	for _, s := range fp.sets {
-		held[s] = true
+// pathLinks returns every link of p, the collapsed link included.
+func pathLinks(p *catalog.Path) []*catalog.Link {
+	if p.CollapsedLink == nil {
+		return p.Links
 	}
-	for _, s := range other.sets {
-		if !held[s] {
-			return false
-		}
-	}
-	return true
+	return append(append([]*catalog.Link(nil), p.Links...), p.CollapsedLink)
 }

@@ -39,10 +39,10 @@ func (db *DB) Inverse(source, refExpr string, target pagefile.OID) (oids []pagef
 		cur = next
 	}
 
-	// A read session: link structures and objects are read through snapshot
-	// views, concurrent with fine-grained writers.
+	// A read session: on a logged database link structures and objects are
+	// read through snapshot views, concurrent with writers.
 	s := db.readSess(nil)
-	if got, ok, err := s.manager().InverseLookup(source, refs, target); err != nil {
+	if got, ok, err := s.mgr.InverseLookup(source, refs, target); err != nil {
 		return nil, "", err
 	} else if ok {
 		return got, "inverted-path", nil
@@ -103,7 +103,10 @@ func (db *DB) FlushReplication() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.mgr.FlushAllPending()
+	if err := db.mgr.FlushAllPending(); err != nil {
+		return err
+	}
+	return db.takeIdxErr()
 }
 
 // PendingPropagations reports the number of queued deferred propagations.
@@ -132,11 +135,7 @@ func (db *DB) ReplicationStorage() ([]ReplStorage, error) {
 	var out []ReplStorage
 	for _, p := range db.cat.Paths() {
 		rs := ReplStorage{Path: p.Spec.String(), Strategy: p.Strategy.String()}
-		links := p.Links
-		if p.CollapsedLink != nil {
-			links = append(links, p.CollapsedLink)
-		}
-		for _, l := range links {
+		for _, l := range pathLinks(p) {
 			if !l.HasFile {
 				continue
 			}

@@ -10,12 +10,12 @@ import (
 	"github.com/exodb/fieldrepl/internal/obs"
 )
 
-// ErrWriteConflict is returned when a fine-grained writer cannot take the
-// per-set locks its statement needs: its context was cancelled while waiting
-// behind another writer, or a BeginSets transaction issued a statement whose
-// propagation footprint reaches a set outside the transaction's declared
-// footprint. The operation performed no mutation; retrying it (with a wider
-// footprint, for the BeginSets case) is safe.
+// ErrWriteConflict is returned when a write cannot stay inside the per-set
+// locks it holds or needs: its context was cancelled while waiting behind
+// another writer, a BeginSets transaction issued a statement on a set outside
+// its declared footprint, or propagation reached a file outside the computed
+// footprint. The statement (or transaction) is rolled back; retrying it (with
+// a wider footprint, for the BeginSets case) is safe.
 var ErrWriteConflict = errors.New("engine: write conflict on per-set locks")
 
 // setLock is one set's exclusive write lock: a one-slot channel holding a

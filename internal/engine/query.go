@@ -94,11 +94,11 @@ type Result struct {
 	Decision *plan.Decision
 }
 
-// Query executes a retrieve. On a WAL-backed database, reads — including
+// Query executes a retrieve. On a logged database, reads — including
 // output-emitting queries — run under the shared lock against page-level
 // snapshots, fully concurrent with writers and never charged any lock wait;
-// only a query that must drain deferred propagation upgrades to the
-// exclusive lock (the drain mutates derived state).
+// only a query that must drain deferred propagation runs as a write statement
+// (the drain mutates derived state) and takes its set's footprint locks.
 //
 // With ScanWorkers > 1 a non-indexed query evaluates predicates and
 // projections in parallel across page ranges; the result rows then arrive
@@ -148,19 +148,16 @@ func queryDetail(q Query) string {
 	return q.Where.Expr
 }
 
-// runQuery acquires the right lock mode for q and executes it, charging I/O
-// to tr. Three regimes:
+// runQuery executes q in the right kind of session, charging I/O to tr:
 //
-//   - Draining queries (pending deferred propagation on a resolved path)
-//     mutate derived state and run coarsely: exclusive lock, implicit
-//     transaction. So do emitting queries on a no-WAL database (the legacy
-//     regime, where only the exclusive lock protects the scratch registry).
-//   - Everything else on a WAL-backed database runs in a read session under
-//     the shared lock: snapshot page views, no set locks, no lock wait. An
-//     emitting query's scratch file is plain-mode (session-local, unlogged)
-//     and its registration is serialized by fsMu.
-//   - Everything else on a no-WAL database reads plain views under the
-//     shared lock, exactly the legacy read path.
+//   - A query with pending deferred propagation on a path it resolves through
+//     mutates derived state, so it runs as a write statement on its own set's
+//     footprint (which covers every path the set's type is on): a drain that
+//     fails partway rolls back instead of leaving derived state
+//     half-propagated.
+//   - Everything else runs in a read session under the shared lock: no set
+//     locks, no lock wait. An emitting query's scratch file is session-local
+//     and unlogged, and its registration is serialized by fsMu.
 //
 // A deferred propagation enqueued by a writer that commits while a read
 // session is already executing is not drained by that query — the reader
@@ -169,49 +166,39 @@ func queryDetail(q Query) string {
 // drains it.
 func (db *DB) runQuery(ctx context.Context, q Query, tr *obs.Trace) (*Result, error) {
 	db.mu.RLock()
-	coarse := db.hasDeferredFor(q) || (q.EmitOutput && db.wal == nil)
-	if coarse {
-		db.mu.RUnlock()
-		// Both coarse branches are writes: emitting an output file creates
-		// an unlogged scratch file (which would desynchronize file IDs with
-		// the primary), and draining deferred propagation mutates derived
-		// state the primary will also stream. A follower refuses rather than
-		// diverging.
+	drain := db.hasDeferredFor(q)
+	if drain || q.EmitOutput {
+		// Both are writes a follower must refuse rather than diverge: the
+		// primary streams the drained state itself, and an unlogged scratch
+		// file would desynchronize file IDs with it.
 		if err := db.writable(); err != nil {
-			return nil, err
-		}
-		var res *Result
-		// The coarse branch runs as an implicit transaction: a deferred
-		// drain that fails partway rolls back instead of leaving derived
-		// state half-propagated.
-		lsn, err := db.coarseShot(tr, func(s *sess) (qerr error) {
-			res, qerr = s.query(ctx, q, true)
-			return qerr
-		})
-		if err == nil {
-			err = db.waitDurable(lsn, tr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	defer db.mu.RUnlock()
-	if q.EmitOutput {
-		// Scratch files desynchronize follower file IDs; refuse like the
-		// coarse branch does.
-		if err := db.writable(); err != nil {
+			db.mu.RUnlock()
 			return nil, err
 		}
 	}
-	return db.readSess(tr).query(ctx, q, false)
+	if !drain {
+		defer db.mu.RUnlock()
+		return db.readSess(tr).query(ctx, q, false)
+	}
+	db.mu.RUnlock()
+	var res *Result
+	lsn, err := db.writeShot(ctx, tr, []string{q.Set}, func(s *sess) (qerr error) {
+		res, qerr = s.query(ctx, q, true)
+		return qerr
+	})
+	if err == nil {
+		err = db.waitDurable(lsn, tr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // query executes q through the session's views. drain says whether to flush
-// pending deferred propagation for the resolved paths first — true on every
-// writing path (coarse query, fine transaction on an in-footprint set),
-// false in pure read sessions (runQuery routes queries that would need a
-// drain to the coarse path).
+// pending deferred propagation for the resolved paths first — true in a
+// write session whose footprint covers q.Set, false otherwise (runQuery
+// routes one-shot queries that need a drain to a write statement).
 func (s *sess) query(ctx context.Context, q Query, drain bool) (*Result, error) {
 	typ, err := s.db.cat.SetType(q.Set)
 	if err != nil {
@@ -402,8 +389,7 @@ func (db *DB) deferredPathsFor(q Query) []*catalog.Path {
 }
 
 // hasDeferredFor reports whether the query would have to drain deferred
-// propagation (and therefore needs the exclusive lock or an in-footprint
-// fine transaction).
+// propagation (and therefore needs a write session covering its set).
 func (db *DB) hasDeferredFor(q Query) bool { return len(db.deferredPathsFor(q)) > 0 }
 
 // flushDeferredFor drains deferred propagation for every replication path
@@ -412,7 +398,7 @@ func (db *DB) hasDeferredFor(q Query) bool { return len(db.deferredPathsFor(q)) 
 // propagation per distinct updated terminal.
 func (s *sess) flushDeferredFor(q Query) error {
 	for _, p := range s.db.deferredPathsFor(q) {
-		if err := s.manager().FlushPath(p); err != nil {
+		if err := s.mgr.FlushPath(p); err != nil {
 			return err
 		}
 	}
@@ -421,7 +407,7 @@ func (s *sess) flushDeferredFor(q Query) error {
 
 // idxEpochRetries bounds how many times a snapshot index traversal re-runs
 // when concurrent commits keep republishing the index file mid-walk before
-// falling back to serializing behind the set's lock.
+// a read session falls back to serializing behind the set's lock.
 const idxEpochRetries = 4
 
 // indexedAccess drives process over the records qualified by the planner's
@@ -439,9 +425,8 @@ const idxEpochRetries = 4
 // the walk then misses). Snapshot traversals therefore validate the collected
 // OIDs against the index file's commit epoch, retrying on change; if the
 // epoch keeps moving, a read session serializes briefly behind the set's
-// lock (charged as lock wait — the pathological case), and a fine session
-// escalates to exclusive mode instead of taking set locks out of footprint
-// order.
+// lock (charged as lock wait — the pathological case); a write session, which
+// cannot take set locks out of footprint order, fails with ErrWriteConflict.
 func (s *sess) indexedAccess(ctx context.Context, q Query, typ *schema.Type, ix *catalog.Index, res *Result, process func(pagefile.OID, *schema.Object) error) (bool, error) {
 	tree, snapshot, ok := s.treeView(ix.Name)
 	if !ok {
@@ -493,13 +478,10 @@ func (s *sess) indexedAccess(ctx context.Context, q Query, typ *schema.Type, ix 
 // invariant that readahead off means zero prefetches and misses equal store
 // reads.
 func (s *sess) prefetchOIDPages(oids []pagefile.OID) {
-	if len(oids) < 2 || s.db.pool.Readahead() <= 0 {
+	if len(oids) < 2 || s.db.pool.Readahead() <= 0 || !s.plainViews() {
 		return
 	}
 	fid := oids[0].File
-	if !s.plainHeap(fid) {
-		return
-	}
 	pages := make([]uint32, 0, len(oids))
 	for _, oid := range oids {
 		if oid.File == fid {
@@ -514,19 +496,6 @@ func (s *sess) prefetchOIDPages(oids []pagefile.OID) {
 		}
 	}
 	s.db.pool.PrefetchPagesT(fid, dedup, s.tr)
-}
-
-// plainHeap mirrors heapFor's mode selection: true when the session reads
-// fid through a plain (directly framed, write-back-free) view.
-func (s *sess) plainHeap(fid pagefile.FileID) bool {
-	switch s.mode {
-	case sessCoarse:
-		return true
-	case sessFine:
-		return !s.fp.files[fid] && s.db.wal == nil
-	default:
-		return s.db.wal == nil
-	}
 }
 
 // snapshotIndexRange collects the OIDs in [lo, hi] from a snapshot tree
@@ -555,10 +524,10 @@ func (s *sess) snapshotIndexRange(ctx context.Context, set string, ix *catalog.I
 		}
 		// Torn: a commit republished index pages mid-walk; discard and retry.
 	}
-	if s.mode == sessFine {
-		// Taking set locks outside the declared footprint here could deadlock
-		// against a writer acquiring its sorted footprint; escalate instead.
-		return nil, fmt.Errorf("%w: index %s keeps changing under snapshot traversal", errNeedsCoarse, ix.Name)
+	if s.writes() {
+		// Taking a set lock outside the held footprint here could deadlock
+		// against a writer acquiring its sorted footprint; refuse instead.
+		return nil, fmt.Errorf("%w: index %s outside the footprint %v keeps changing under snapshot traversal", ErrWriteConflict, ix.Name, s.fp.sets)
 	}
 	// Read session: serialize briefly behind the set's writers. The set lock
 	// covers the index file (index trees are part of every footprint built
@@ -797,7 +766,7 @@ func (s *sess) readReplicatedByName(p *catalog.Path, obj *schema.Object, field s
 	}
 	for _, f := range fields {
 		if f.Name == field {
-			return s.manager().ReadReplicated(p, obj, f.Idx, s.tr)
+			return s.mgr.ReadReplicated(p, obj, f.Idx, s.tr)
 		}
 	}
 	return schema.Value{}, fmt.Errorf("engine: path %s does not replicate %q", p.Spec, field)
@@ -834,7 +803,7 @@ func encodeRow(r Row) []byte {
 // fans predicate evaluation out to ScanWorkers goroutines when configured
 // (the matches are sorted back to physical order); the mutations themselves
 // run serially within the statement, under the per-set locks of the set's
-// footprint (WAL) or the exclusive lock (no WAL).
+// footprint.
 func (db *DB) UpdateWhere(set string, where Pred, vals map[string]schema.Value) (int, error) {
 	n, _, err := db.updateWhereTraced(nil, set, where, vals)
 	return n, err
@@ -842,8 +811,7 @@ func (db *DB) UpdateWhere(set string, where Pred, vals map[string]schema.Value) 
 
 // UpdateWhereCtx is UpdateWhere under a context: cancellation is checked
 // per record during collection and per object during the update pass. A
-// cancelled operation rolls back (with a WAL) or stops between whole-object
-// updates (without one).
+// cancelled operation rolls back.
 func (db *DB) UpdateWhereCtx(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, error) {
 	n, _, err := db.updateWhereTraced(ctx, set, where, vals)
 	return n, err
@@ -898,7 +866,6 @@ func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map
 	decision, ix := s.planQuery(q)
 	// Advisor metadata: prediction for drift tracking, written fields and the
 	// replication paths the update propagates into for the workload mix.
-	// Idempotent (last call wins) under the fine→coarse retry.
 	s.tr.SetPredictedPages(decision.PredictedPages)
 	s.stampUpdateMeta(typ, vals)
 	// Collect matching OIDs first (index or scan), then update; collecting

@@ -51,7 +51,7 @@ func (db *DB) ServeReplication(ln net.Listener, cfg repl.Config) error {
 		return err
 	}
 	if db.wal == nil {
-		return errors.New("engine: replication requires a WAL-backed database (set Dir, leave WALDisabled false)")
+		return errors.New("engine: replication requires a file-backed database (set Dir)")
 	}
 	p := repl.NewPrimary(db.wal, db.replSnapshot, cfg)
 	if !db.primary.CompareAndSwap(nil, p) {
@@ -110,11 +110,11 @@ func (db *DB) replSnapshot() (*repl.Snapshot, error) {
 // database recovers its local log like a normal Open, then resumes streaming
 // from its last durable LSN (a fresh directory gets a full snapshot). All
 // write operations fail with ErrNotPrimary until Promote. cfg must be
-// file-backed with the WAL enabled — the local log is what makes applied
-// transactions durable and restarts resumable.
+// file-backed — the local log is what makes applied transactions durable and
+// restarts resumable.
 func OpenFollower(cfg Config, primaryAddr string, fcfg repl.FollowerConfig) (*DB, error) {
-	if cfg.Dir == "" || cfg.WALDisabled {
-		return nil, errors.New("engine: follower requires a file-backed database with the WAL enabled")
+	if cfg.Dir == "" {
+		return nil, errors.New("engine: follower requires a file-backed database")
 	}
 	db, err := Open(cfg)
 	if err != nil {

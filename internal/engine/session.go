@@ -15,112 +15,54 @@ import (
 	"github.com/exodb/fieldrepl/internal/wal"
 )
 
-// errNeedsCoarse is raised by a fine-grained session when a statement turns
-// out to need something only exclusive mode performs — creating a link or S′
-// page file on first use, or an index traversal that cannot stabilize under
-// concurrent commits. One-shot statements catch it, roll back (nothing has
-// escaped the capture scope), and transparently retry under the exclusive
-// lock; BeginSets transactions surface it wrapped in ErrWriteConflict.
-var errNeedsCoarse = errors.New("engine: statement requires exclusive mode")
-
-// sessMode selects how a statement session locks and views pages.
-type sessMode int
-
-const (
-	// sessCoarse runs under db.mu.Lock with the legacy direct state: plain
-	// page views, db.writerTrace binding, compensate-or-taint on the no-WAL
-	// path. DDL, replication control, explicit Begin transactions, and the
-	// no-WAL DML path use it.
-	sessCoarse sessMode = iota
-	// sessFine runs under db.mu.RLock plus the per-set locks of its
-	// footprint: in-footprint files are capture views (private copies until
-	// commit), out-of-footprint files are snapshot views (reads of committed
-	// state; writes refuse). Independent writers to disjoint footprints
-	// commit concurrently.
-	sessFine
-	// sessRead runs under db.mu.RLock with no set locks: snapshot views
-	// everywhere (plain views on a no-WAL database, where writers still hold
-	// the exclusive lock), so readers never block on — or observe partial
-	// state from — fine-grained writers.
-	sessRead
-)
-
 // sess is one statement's (or transaction's) execution context: it decides
-// lock mode, page-view isolation, trace binding, and where deferred
-// index-maintenance errors accumulate. It implements core.Storage and
-// core.Listener so replication propagation triggered by its statements flows
-// through the same views. The statement bodies (insert, update, delete,
-// query, updateWhere) are sess methods, shared verbatim between the coarse
-// and fine paths.
+// page-view isolation, trace binding, and where deferred index-maintenance
+// errors accumulate. It implements core.Storage and core.Listener so
+// replication propagation triggered by its statements flows through the same
+// views. The statement bodies (insert, update, delete, query, updateWhere)
+// are sess methods.
+//
+// There are two kinds. A write session holds the per-set locks of its
+// footprint and an open buffer-pool scope: in-footprint files are capture
+// views (pages join the scope before they are modified; commit publishes
+// them, rollback restores them), everything else is a snapshot view
+// (committed state; writes refuse). A read session has the empty
+// readFootprint and holds no set locks: snapshot views everywhere on a logged
+// database, so readers never block on — or observe partial state from —
+// writers; plain views on a database without a log, where a writer holds
+// db.mu exclusively and so never overlaps a reader.
 type sess struct {
-	db   *DB
-	tr   *obs.Trace
-	mode sessMode
-	mgr  *core.Manager // fine/read: manager view bound to this sess
-	fp   footprint     // fine only
+	db  *DB
+	tr  *obs.Trace
+	mgr *core.Manager // manager view bound to this sess
+	// fp is a write session's footprint; readFootprint for a read session.
+	fp *footprint
 
-	// txn is the enclosing fine-grained transaction (BeginSets), nil for
-	// one-shots. Coarse sessions use db.txn instead.
+	// txn is the enclosing transaction, nil for one-shot statements.
 	txn *Txn
-	// idxErr is the fine/read-mode deferred index-maintenance error (the
-	// coarse mode uses db.idxErr, which needs the exclusive lock).
+	// idxErr is a deferred index-maintenance error raised inside a listener
+	// callback (which cannot return one); the statement surfaces it.
 	idxErr error
 	// fuse is the per-query join-fusion memo, installed by sess.query for the
 	// duration of one retrieve and nil everywhere else (see fused.go).
 	fuse *fuseState
 }
 
-func (db *DB) coarseSess(tr *obs.Trace) *sess {
-	return &sess{db: db, tr: tr, mode: sessCoarse}
-}
-
-func (db *DB) readSess(tr *obs.Trace) *sess {
-	s := &sess{db: db, tr: tr, mode: sessRead}
+func (db *DB) newSess(tr *obs.Trace, fp *footprint) *sess {
+	s := &sess{db: db, tr: tr, fp: fp}
 	s.mgr = db.mgr.WithSession(s, s)
 	return s
 }
 
-func (db *DB) fineSess(tr *obs.Trace, fp footprint) *sess {
-	s := &sess{db: db, tr: tr, mode: sessFine, fp: fp}
-	s.mgr = db.mgr.WithSession(s, s)
-	return s
-}
+// readFootprint is every read session's footprint: no sets, no files. A
+// session with any other footprint — however small — is a write session.
+var readFootprint = &footprint{}
 
-// manager returns the replication manager to run propagation through: the
-// engine's own (whose Storage/Listener is the DB, correct under the exclusive
-// lock) for coarse sessions, the session-bound view otherwise.
-func (s *sess) manager() *core.Manager {
-	if s.mode == sessCoarse {
-		return s.db.mgr
-	}
-	return s.mgr
-}
+func (db *DB) readSess(tr *obs.Trace) *sess { return db.newSess(tr, readFootprint) }
 
-// rollsBack reports whether a failed statement is undone physically (page
-// rollback) rather than by compensation: always in fine mode (the capture
-// scope restores pre-images), and in coarse mode when a transaction —
-// explicit or the one-shot implicit one — is open.
-func (s *sess) rollsBack() bool {
-	if s.mode == sessCoarse {
-		return s.db.txn != nil
-	}
-	return true
-}
-
-// taint marks a set inconsistent after a failed compensation. Only the
-// coarse no-WAL path ever needs it; fine sessions roll back physically, so
-// nothing inconsistent survives (and the catalog must not be written under
-// the shared lock).
-func (s *sess) taint(set string, cause error) {
-	if s.mode == sessCoarse {
-		s.db.taint(set, cause)
-	}
-}
+func (s *sess) writes() bool { return s.fp != readFootprint }
 
 func (s *sess) takeIdxErr() error {
-	if s.mode == sessCoarse {
-		return s.db.takeIdxErr()
-	}
 	err := s.idxErr
 	s.idxErr = nil
 	return err
@@ -144,47 +86,44 @@ func (db *DB) lookupTree(name string) (*btree.Tree, bool) {
 	return t, ok
 }
 
-// heapFor returns the heap file view for fid in this session's isolation
-// mode: the writer-trace-bound plain view in coarse mode; a capture view for
-// in-footprint files and a snapshot view for everything else in fine mode;
-// a snapshot view in read mode (plain on a no-WAL database, preserving the
-// legacy read path and its readahead behavior — writers there still hold the
-// exclusive lock).
+// plainViews reports whether the session reads out-of-footprint files through
+// plain (directly framed) views: only a read session on a database without a
+// log, preserving the experiments' read path and its readahead behavior.
+func (s *sess) plainViews() bool {
+	return s.db.wal == nil && !s.writes()
+}
+
+// heapFor returns the heap file view for fid in this session's isolation: a
+// capture view for in-footprint files, otherwise a snapshot view (plain for
+// a read session on a database without a log).
 func (s *sess) heapFor(fid pagefile.FileID) (*heap.File, error) {
-	if s.mode == sessCoarse {
-		return s.db.heapFor(fid)
-	}
 	f, ok := s.db.lookupFile(fid)
 	if !ok {
 		return nil, fmt.Errorf("engine: no heap file %d", fid)
 	}
 	switch {
-	case s.mode == sessFine && s.fp.files[fid]:
+	case s.fp.files[fid]:
 		return f.WithCapture(s.tr), nil
-	case s.db.wal == nil:
+	case s.plainViews():
 		return f.WithTrace(s.tr), nil
 	default:
 		return f.WithSnapshot(s.tr), nil
 	}
 }
 
-// treeView returns the named index tree in this session's isolation mode,
-// and whether the returned view is a snapshot (multi-page traversals over a
+// treeView returns the named index tree in this session's isolation, and
+// whether the returned view is a snapshot (multi-page traversals over a
 // snapshot must validate against the file's commit epoch; see
-// tryIndexedAccess).
+// indexedAccess).
 func (s *sess) treeView(name string) (t *btree.Tree, snapshot bool, ok bool) {
-	if s.mode == sessCoarse {
-		t, ok = s.db.treeFor(name)
-		return t, false, ok
-	}
 	base, ok := s.db.lookupTree(name)
 	if !ok {
 		return nil, false, false
 	}
 	switch {
-	case s.mode == sessFine && s.fp.files[base.FileID()]:
+	case s.fp.files[base.FileID()]:
 		return base.WithCapture(s.tr), false, true
-	case s.db.wal == nil:
+	case s.plainViews():
 		return base.WithTrace(s.tr), false, true
 	default:
 		return base.WithSnapshot(s.tr), true, true
@@ -208,13 +147,8 @@ func (s *sess) readObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, e
 	return schema.Decode(typ, data)
 }
 
-// inFootprint reports whether a fine session's locks cover set. Non-fine
-// modes are unrestricted (coarse holds the exclusive lock; read sessions
-// never write).
+// inFootprint reports whether the session's locks cover set.
 func (s *sess) inFootprint(set string) bool {
-	if s.mode != sessFine {
-		return true
-	}
 	for _, name := range s.fp.sets {
 		if name == set {
 			return true
@@ -230,14 +164,11 @@ func (s *sess) ReadObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, e
 }
 
 func (s *sess) WriteObject(oid pagefile.OID, o *schema.Object) error {
-	if s.mode == sessRead {
-		return fmt.Errorf("engine: write through read-only session")
-	}
-	if s.mode == sessFine && !s.fp.files[oid.File] {
-		// The footprint closure should cover every file propagation writes;
-		// reaching here means it did not — escalate to exclusive mode rather
-		// than write through a snapshot view.
-		return fmt.Errorf("%w: write outside footprint (file %d)", errNeedsCoarse, oid.File)
+	if !s.fp.files[oid.File] {
+		// The footprint closure covers every file propagation writes;
+		// reaching here means it did not (or a read session tried to write).
+		// Refuse loudly rather than write outside the locks and the scope.
+		return fmt.Errorf("%w: write to file %d outside the statement's footprint %v", ErrWriteConflict, oid.File, s.fp.sets)
 	}
 	f, err := s.heapFor(oid.File)
 	if err != nil {
@@ -246,34 +177,28 @@ func (s *sess) WriteObject(oid pagefile.OID, o *schema.Object) error {
 	return f.Update(oid, o.Encode())
 }
 
+// LinkFile, GroupFile: link and S′ page files are created when their path is
+// registered (Replicate, under the exclusive lock), never inside a statement,
+// so a footprint names every file its statement can touch.
+
 func (s *sess) LinkFile(l *catalog.Link) (*heap.File, error) {
-	if s.mode == sessCoarse {
-		return s.db.LinkFile(l)
-	}
 	if !l.HasFile {
-		// First use of this link needs a page file (a catalog mutation);
-		// only exclusive mode creates files.
-		return nil, fmt.Errorf("%w: link %d has no file yet", errNeedsCoarse, l.ID)
+		return nil, fmt.Errorf("engine: link %d has no page file (Repair creates it)", l.ID)
 	}
 	return s.heapFor(l.FileID)
 }
 
 func (s *sess) GroupFile(g *catalog.Group) (*heap.File, error) {
-	if s.mode == sessCoarse {
-		return s.db.GroupFile(g)
-	}
 	if !g.HasFile {
-		return nil, fmt.Errorf("%w: S′ group %d has no file yet", errNeedsCoarse, g.ID)
+		return nil, fmt.Errorf("engine: S′ group %d has no page file (Repair creates it)", g.ID)
 	}
 	return s.heapFor(g.FileID)
 }
 
+// RecreateGroupFile is for path builds and Repair, which run under the
+// exclusive lock through the engine's own Storage; no statement rebuilds S′.
 func (s *sess) RecreateGroupFile(g *catalog.Group) (*heap.File, error) {
-	if s.mode == sessCoarse {
-		return s.db.RecreateGroupFile(g)
-	}
-	// Only path rebuilds (DDL) recreate S′ files.
-	return nil, fmt.Errorf("%w: recreating S′ group %d", errNeedsCoarse, g.ID)
+	return nil, fmt.Errorf("engine: recreating S′ group %d inside a statement", g.ID)
 }
 
 func (s *sess) SetFile(name string) (*heap.File, error) {
@@ -287,10 +212,11 @@ func (s *sess) SetFile(name string) (*heap.File, error) {
 // --- core.Listener ---
 
 // HiddenChanged keeps indexes on replicated paths exact as propagation
-// rewrites hidden values, mirroring DB.HiddenChanged through the session's
-// views and error slot.
+// rewrites hidden values. Tolerates a missing old entry (first installation)
+// and an existing new entry (idempotent re-propagation); any other failure is
+// surfaced by the statement through takeIdxErr.
 func (s *sess) HiddenChanged(source pagefile.OID, p *catalog.Path, f catalog.ReplField, old, new schema.Value) {
-	if s.mode == sessRead {
+	if !s.writes() {
 		return // read sessions never propagate
 	}
 	ix, ok := s.db.cat.PathIndexFor(p.Spec.Source, p.Spec.Refs, f.Name)
@@ -302,46 +228,23 @@ func (s *sess) HiddenChanged(source pagefile.OID, p *catalog.Path, f catalog.Rep
 		return
 	}
 	if err := tree.Delete(keyFor(old), source); err != nil && !errors.Is(err, btree.ErrNotFound) {
-		s.setIdxErr(err)
+		s.idxErr = err
 	}
 	if err := tree.Insert(keyFor(new), source); err != nil && !errors.Is(err, btree.ErrExists) {
-		s.setIdxErr(err)
+		s.idxErr = err
 	}
-}
-
-func (s *sess) setIdxErr(err error) {
-	if s.mode == sessCoarse {
-		s.db.idxErr = err
-		return
-	}
-	s.idxErr = err
 }
 
 // --- scratch output files ---
 
 // newScratch creates a session-local query output file and registers it with
 // the engine. Scratch files are never logged or shipped (followers fill the
-// ID gap with placeholders) and their pages bypass the capture scope, so an
-// emitting query inside a fine transaction writes them directly.
+// ID gap with placeholders) and lie outside every footprint, so an emitting
+// query inside a transaction writes them directly, past the scope. Sessions
+// share the registries, so the name is claimed and the file registered under
+// fsMu (creation itself does page I/O and runs outside it).
 func (s *sess) newScratch() (*heap.File, error) {
 	db := s.db
-	if s.mode == sessCoarse {
-		db.nextOut++
-		out, err := heap.Create(db.pool, fmt.Sprintf("__out_%d", db.nextOut))
-		if err != nil {
-			return nil, err
-		}
-		db.files[out.ID()] = out
-		db.scratchFIDs[out.ID()] = true
-		if t := db.txn; t != nil {
-			fid := out.ID()
-			t.scratchFile(fid, func() { delete(db.files, fid) })
-		}
-		return out.WithTrace(s.tr), nil
-	}
-	// Shared-lock context: the registries are contended with other sessions,
-	// so claim the name and register under fsMu (creation itself does page
-	// I/O and runs outside it).
 	db.fsMu.Lock()
 	db.nextOut++
 	n := db.nextOut
@@ -356,7 +259,8 @@ func (s *sess) newScratch() (*heap.File, error) {
 	db.scratchFIDs[fid] = true
 	db.fsMu.Unlock()
 	if t := s.txn; t != nil {
-		t.scratchFile(fid, func() {
+		// A rolled-back transaction forgets its output files.
+		t.undo = append(t.undo, func() {
 			db.fsMu.Lock()
 			delete(db.files, fid)
 			db.fsMu.Unlock()
@@ -365,16 +269,20 @@ func (s *sess) newScratch() (*heap.File, error) {
 	return out.WithTrace(s.tr), nil
 }
 
-// --- fine-grained commit path ---
+// --- commit and rollback ---
 
-// commitFine logs and publishes a fine session's capture scope: the scope's
-// dirty pages are snapshotted, appended as one WAL commit, LSN-stamped, and
-// released to readers by EndScope — the per-page-atomic visibility point.
-// Returns the commit LSN for waitDurable (0 when nothing was dirtied).
-// Called with the per-set locks and db.mu.RLock held.
-func (s *sess) commitFine() (uint64, error) {
+// commit publishes a write session's scope. On a logged database the scope's
+// dirty pages are snapshotted, appended as one WAL commit and LSN-stamped
+// first; EndScope then releases them to readers — the per-page-atomic
+// visibility point. Returns the commit LSN for waitDurable (0 when nothing
+// was logged). If the log append fails the scope is rolled back. Called with
+// the session's locks held.
+func (s *sess) commit() (uint64, error) {
 	db := s.db
-	pids := db.pool.ScopeDirty(s.fp.files)
+	var pids []pagefile.PageID
+	if db.wal != nil {
+		pids = db.pool.ScopeDirty(s.fp.files)
+	}
 	if len(pids) == 0 {
 		db.pool.EndScope(s.fp.files)
 		return 0, nil
@@ -385,14 +293,17 @@ func (s *sess) commitFine() (uint64, error) {
 		if !ok {
 			// Unreachable: no-steal keeps captured frames resident.
 			err := fmt.Errorf("engine: commit: page %v not resident", pid)
-			return 0, errors.Join(err, s.rollbackFine())
+			return 0, errors.Join(err, s.rollback())
 		}
 		images = append(images, wal.PageImage{PID: pid, Data: data})
 	}
 	lsn, nbytes, err := db.wal.AppendCommit(nil, images, nil)
 	if err != nil {
-		return 0, errors.Join(err, s.rollbackFine())
+		return 0, errors.Join(err, s.rollback())
 	}
+	// Stamp each frame with its record's LSN so the image eventually written
+	// back matches the logged one, and so the write barrier and recovery's
+	// LSN comparison see the right version.
 	for i := range images {
 		db.pool.StampLSN(images[i].PID, images[i].LSN)
 	}
@@ -401,66 +312,76 @@ func (s *sess) commitFine() (uint64, error) {
 	return lsn, nil
 }
 
-// rollbackFine restores the scope's pages to their statement-begin images
-// and closes the scope. Catalog state needs no unwinding: fine sessions
-// never mutate it (errNeedsCoarse guards every file-creating path).
-func (s *sess) rollbackFine() error {
+// rollback restores the scope's pages to their statement-begin images and
+// closes the scope. Nothing the statement did was ever written to the data
+// files (no-steal), so rollback involves no I/O; catalog state needs no
+// unwinding because statements never mutate it.
+func (s *sess) rollback() error {
 	return s.db.pool.RollbackScope(s.fp.files)
 }
 
-// --- statement runners ---
+// --- the statement runner ---
 
-// writeShot runs fn as one atomic write statement against the sets in
-// targets: fine-grained (shared lock + per-set locks) on a WAL-backed
-// database, exclusive otherwise — or when the statement turns out to need
-// exclusive mode (errNeedsCoarse), in which case the fine attempt has rolled
-// back completely and the statement retries coarsely.
-func (db *DB) writeShot(ctx context.Context, tr *obs.Trace, targets []string, fn func(*sess) error) (uint64, error) {
+// lockStatement takes db.mu the way write statements hold it — shared on a
+// logged database, where writers coordinate through setLocks and pool scopes
+// and readers see snapshots; exclusively otherwise, because readers of a
+// database without a log use plain page views — and returns the unlock.
+func (db *DB) lockStatement(tr *obs.Trace) (unlock func()) {
 	if db.wal != nil {
-		lsn, err := db.fineShot(ctx, tr, targets, fn)
-		if !errors.Is(err, errNeedsCoarse) {
-			return lsn, err
+		db.mu.RLock()
+		return db.mu.RUnlock
+	}
+	db.lockWriter(tr)
+	return db.mu.Unlock
+}
+
+// openWrite locks the footprint of a statement (or transaction) writing the
+// target sets — nil means every set — and opens its pool scope. The caller
+// runs statements through the returned session, ends with commit or rollback,
+// and then calls release.
+func (db *DB) openWrite(ctx context.Context, tr *obs.Trace, targets []string) (s *sess, release func(), err error) {
+	unlock := db.lockStatement(tr)
+	if targets == nil {
+		for _, set := range db.cat.Sets() {
+			targets = append(targets, set.Name)
 		}
 	}
-	return db.coarseShot(tr, fn)
-}
-
-// coarseShot is the legacy statement runner: exclusive lock, writer-trace
-// binding, one-shot implicit transaction (WAL) or bare compensate-or-taint
-// execution (no WAL).
-func (db *DB) coarseShot(tr *obs.Trace, fn func(*sess) error) (uint64, error) {
-	db.lockWriter(tr)
-	db.writerTrace = tr
-	s := db.coarseSess(tr)
-	lsn, err := db.oneShot(tr, func() error { return fn(s) })
-	db.writerTrace = nil
-	db.mu.Unlock()
-	return lsn, err
-}
-
-// fineShot runs fn under the shared engine lock plus the per-set locks of
-// the statement's footprint, capturing its page writes in a scoped window
-// that commits through the WAL or rolls back physically. Writers to disjoint
-// footprints proceed concurrently end to end (their WAL appends group-commit
-// onto shared fsyncs); writers to overlapping footprints serialize on the
-// first shared set lock.
-func (db *DB) fineShot(ctx context.Context, tr *obs.Trace, targets []string, fn func(*sess) error) (uint64, error) {
-	db.mu.RLock()
+	for _, name := range targets {
+		if _, ok := db.cat.SetByName(name); !ok {
+			unlock()
+			return nil, nil, fmt.Errorf("%w: %s", ErrNoSuchSet, name)
+		}
+	}
 	fp := db.computeFootprint(targets...)
 	if err := db.setLocks.acquire(ctx, fp.sets, tr); err != nil {
-		db.mu.RUnlock()
+		unlock()
+		return nil, nil, err
+	}
+	db.pool.BeginScope()
+	return db.newSess(tr, &fp), func() {
+		db.setLocks.release(fp.sets)
+		unlock()
+	}, nil
+}
+
+// writeShot runs fn as one atomic write statement against the sets in
+// targets, under the per-set locks of the statement's footprint, capturing
+// its page writes in a pool scope that commits (through the WAL when there is
+// one) or rolls back physically. Writers to disjoint footprints proceed
+// concurrently end to end (their WAL appends group-commit onto shared
+// fsyncs); writers to overlapping footprints serialize on the first shared
+// set lock. Returns the commit LSN the caller passes to waitDurable.
+func (db *DB) writeShot(ctx context.Context, tr *obs.Trace, targets []string, fn func(*sess) error) (uint64, error) {
+	s, release, err := db.openWrite(ctx, tr, targets)
+	if err != nil {
 		return 0, err
 	}
-	s := db.fineSess(tr, fp)
-	db.pool.BeginScope()
-	err := fn(s)
-	var lsn uint64
-	if err == nil {
-		lsn, err = s.commitFine()
-	} else if rerr := s.rollbackFine(); rerr != nil {
-		err = errors.Join(err, rerr)
+	defer release()
+	if err := fn(s); err != nil {
+		if rerr := s.rollback(); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
+		return 0, err
 	}
-	db.setLocks.release(fp.sets)
-	db.mu.RUnlock()
-	return lsn, err
+	return s.commit()
 }

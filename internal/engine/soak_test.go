@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,12 +14,22 @@ import (
 // TestSoakEverything is a long randomized run with every feature active at
 // once — all strategies, collapsing, deferral, path and base indexes,
 // teardown/rebuild, bulk updates, and queries cross-checked between indexed
-// and scan plans — verifying the replication invariant throughout.
+// and scan plans — verifying the replication invariant throughout. Every so
+// often a DML statement runs from a cold cache against a store that fails one
+// of its next few I/Os: the statement may fail, and must then have rolled back
+// — no taint, invariant clean, no Repair — on an in-memory and on a
+// file-backed database.
 func TestSoakEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	db := openEmployeeDB(t, Config{PoolPages: 2048})
+	onBothStores(t, soakEverything)
+}
+
+func soakEverything(t *testing.T, dir string) {
+	db, fs := openFaultDB(t, dir, 2048)
+	t.Cleanup(func() { db.Close() })
+	defineEmployeeSchema(t, db)
 	rng := rand.New(rand.NewSource(8191))
 
 	var orgs, depts, emps []pagefile.OID
@@ -124,6 +135,35 @@ func TestSoakEverything(t *testing.T) {
 		}
 	}
 
+	// dml runs one statement, one time in eight under an injected fault. It
+	// reports whether the statement took effect; a statement the fault failed
+	// must have left nothing behind.
+	faulted := 0
+	dml := func(step int, op func() error) bool {
+		t.Helper()
+		inject := rng.Intn(8) == 0
+		if inject {
+			if err := db.ColdCache(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			fs.AddFault(pagefile.Fault{Index: fs.Ops() + int64(rng.Intn(6)), Op: pagefile.OpAny})
+		}
+		err := op()
+		fs.ClearFaults()
+		if err == nil {
+			return true
+		}
+		if !inject || !errors.Is(err, pagefile.ErrInjected) {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		faulted++
+		if ts := db.TaintedSets(); len(ts) > 0 {
+			t.Fatalf("step %d: failed statement tainted %v", step, ts)
+		}
+		verify(step)
+		return false
+	}
+
 	n := 0
 	const steps = 1200
 	for step := 0; step < steps; step++ {
@@ -161,62 +201,54 @@ func TestSoakEverything(t *testing.T) {
 			}
 		case 2:
 			n++
-			oid, err := db.Insert("Emp1", map[string]schema.Value{
+			vals := map[string]schema.Value{
 				"name": str(fmt.Sprintf("new-%04d", n)), "age": num(int64(rng.Intn(60))),
 				"salary": num(int64(40000 + rng.Intn(25000))), "dept": ref(depts[rng.Intn(len(depts))]),
-			})
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
 			}
-			emps = append(emps, oid)
+			var oid pagefile.OID
+			if dml(step, func() (err error) { oid, err = db.Insert("Emp1", vals); return }) {
+				emps = append(emps, oid)
+			}
 		case 3:
 			if len(emps) < 20 {
 				continue
 			}
 			i := rng.Intn(len(emps))
-			if err := db.Delete("Emp1", emps[i]); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+			if dml(step, func() error { return db.Delete("Emp1", emps[i]) }) {
+				emps = append(emps[:i], emps[i+1:]...)
 			}
-			emps = append(emps[:i], emps[i+1:]...)
 		case 4:
 			target := ref(depts[rng.Intn(len(depts))])
 			if rng.Intn(10) == 0 && !paths[4].active {
 				// Null refs only while the collapsed path is down.
 				target = ref(pagefile.NilOID)
 			}
-			if err := db.Update("Emp1", emps[rng.Intn(len(emps))], map[string]schema.Value{"dept": target}); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+			emp := emps[rng.Intn(len(emps))]
+			dml(step, func() error { return db.Update("Emp1", emp, map[string]schema.Value{"dept": target}) })
 		case 5:
-			if err := db.Update("Dept", depts[rng.Intn(len(depts))], map[string]schema.Value{"org": ref(orgs[rng.Intn(len(orgs))])}); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+			dept, org := depts[rng.Intn(len(depts))], orgs[rng.Intn(len(orgs))]
+			dml(step, func() error { return db.Update("Dept", dept, map[string]schema.Value{"org": ref(org)}) })
 		case 6:
 			n++
-			if err := db.Update("Dept", depts[rng.Intn(len(depts))], map[string]schema.Value{
+			dept, vals := depts[rng.Intn(len(depts))], map[string]schema.Value{
 				"name": str(fmt.Sprintf("dr-%04d", n)), "budget": num(int64(rng.Intn(500))),
-			}); err != nil {
-				t.Fatalf("step %d: %v", step, err)
 			}
+			dml(step, func() error { return db.Update("Dept", dept, vals) })
 		case 7:
 			n++
-			if err := db.Update("Org", orgs[rng.Intn(len(orgs))], map[string]schema.Value{
+			org, vals := orgs[rng.Intn(len(orgs))], map[string]schema.Value{
 				"name": str(fmt.Sprintf("or-%04d", n)), "budget": num(int64(rng.Intn(500))),
-			}); err != nil {
-				t.Fatalf("step %d: %v", step, err)
 			}
+			dml(step, func() error { return db.Update("Org", org, vals) })
 		case 8:
-			if _, err := db.UpdateWhere("Emp1",
-				Pred{Expr: "age", Op: OpEQ, Value: num(int64(20 + rng.Intn(45)))},
-				map[string]schema.Value{"salary": num(int64(40000 + rng.Intn(25000)))}); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+			where := Pred{Expr: "age", Op: OpEQ, Value: num(int64(20 + rng.Intn(45)))}
+			vals := map[string]schema.Value{"salary": num(int64(40000 + rng.Intn(25000)))}
+			dml(step, func() error { _, err := db.UpdateWhere("Emp1", where, vals); return err })
 		case 9:
 			// Emp2 traffic exercises the collapsed path (never null refs).
 			if rng.Intn(2) == 0 && len(emps2) > 5 {
-				if err := db.Update("Emp2", emps2[rng.Intn(len(emps2))], map[string]schema.Value{"dept": ref(depts[rng.Intn(len(depts))])}); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
+				emp, dept := emps2[rng.Intn(len(emps2))], depts[rng.Intn(len(depts))]
+				dml(step, func() error { return db.Update("Emp2", emp, map[string]schema.Value{"dept": ref(dept)}) })
 			} else {
 				if err := db.FlushReplication(); err != nil {
 					t.Fatalf("step %d: %v", step, err)
@@ -245,4 +277,8 @@ func TestSoakEverything(t *testing.T) {
 	}
 	verify(steps)
 	crossCheck(steps)
+	if faulted == 0 {
+		t.Error("no injected fault failed a statement; the soak is not exercising rollback")
+	}
+	t.Logf("%d statements failed under an injected fault and rolled back", faulted)
 }

@@ -8,38 +8,38 @@ import (
 	"github.com/exodb/fieldrepl/internal/obs"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/schema"
-	"github.com/exodb/fieldrepl/internal/wal"
 )
 
 // ErrTxnDone is returned by statements on a transaction that has already
 // committed, rolled back, or aborted.
 var ErrTxnDone = errors.New("engine: transaction has already been committed or rolled back")
 
-// Txn is a multi-statement transaction. Two forms exist:
+// Txn is a multi-statement transaction: a write session kept open across
+// statements. It holds the per-set locks of its footprint's closure (the
+// declared sets plus everything their replicated fields and inverse links
+// reach) and one buffer-pool scope from Begin to Commit or Rollback. All
+// modifications — the statements' own writes and every replication
+// propagation and index update they trigger — stay in that scope (no-steal:
+// nothing reaches the data files while the transaction runs, so its dirty
+// working set must fit the pool) and are either published atomically by
+// Commit, through the WAL when the database has one, or restored in memory
+// by Rollback.
 //
-// DB.Begin takes the engine's exclusive lock; the transaction holds it until
-// Commit or Rollback, so its statements see and produce a state no other
-// operation can interleave with. All modifications — the statements' own
-// writes and every replication propagation and index update they trigger —
-// are captured in the buffer pool (no-steal: nothing reaches the data files
-// while the transaction runs) and either committed atomically through the
-// WAL or discarded in-memory by Rollback.
-//
-// DB.BeginSets declares the transaction's write footprint up front and takes
-// only the shared lock plus the per-set locks of the footprint's closure:
-// transactions over disjoint footprints run and commit concurrently.
+// DB.BeginSets declares the footprint; DB.Begin declares every set. On a
+// logged database, transactions over disjoint footprints run and commit
+// concurrently, and readers see the pre-transaction state without waiting.
 // Mutating statements are confined to the declared sets (a statement outside
 // them fails with ErrWriteConflict and aborts); queries may touch any set,
 // reading committed snapshots outside the footprint.
 //
-// A failed mutating statement aborts the whole transaction: the engine's
-// internals may have propagated partway, so the only consistent outcome is a
-// full rollback. The statement's error is returned and every later call
-// returns ErrTxnDone. Read-only statements (Get, Count, a pure Query) fail
-// without aborting. A transaction must be used from a single goroutine, and
-// the goroutine must not call the DB's one-shot operations while the
-// transaction is open (they would deadlock behind its locks — for a
-// BeginSets transaction, whenever the footprints overlap).
+// A failed mutating statement aborts the whole transaction: propagation may
+// have applied partway, so the only consistent outcome is a full rollback.
+// The statement's error is returned and every later call returns ErrTxnDone.
+// Read-only statements (Get, Count, a pure Query) fail without aborting. A
+// transaction must be used from a single goroutine, and the goroutine must
+// not call the DB's one-shot operations while the transaction is open (they
+// deadlock behind its locks whenever the footprints overlap — always, on a
+// database without a log).
 type Txn struct {
 	db   *DB
 	ctx  context.Context
@@ -47,85 +47,48 @@ type Txn struct {
 	s    *sess
 	done bool
 
-	// fine marks a BeginSets transaction: shared lock + per-set locks + a
-	// buffer-pool scope, instead of the exclusive lock + capture.
-	fine bool
-	fp   footprint
-
-	// undo unwinds catalog/in-memory registrations (file-creation links,
-	// scratch registrations) on rollback, in reverse order. Page state needs
-	// no undo entries: the pool capture restores it wholesale.
+	// release drops the set locks and db.mu once the scope has been
+	// committed or rolled back.
+	release func()
+	// undo unwinds in-memory registrations (query scratch files) on
+	// rollback, in reverse order. Page state needs no undo entries: the pool
+	// scope restores it wholesale.
 	undo []func()
-	// newFiles are page files created inside the transaction, logged with the
-	// commit so recovery can recreate them.
-	newFiles []wal.FileCreate
-	// scratch marks query output files: session-local, excluded from the
-	// commit record.
-	scratch  map[pagefile.FileID]bool
-	catDirty bool
 }
 
-// Begin starts an exclusive transaction. ctx, when non-nil, is checked at
-// every statement and during scans: cancellation aborts the transaction.
-// Begin blocks until the engine's writer lock is available; the lock is held
-// until Commit or Rollback.
+// Begin starts a transaction that may write every set. ctx, when non-nil, is
+// checked at every statement and during scans: cancellation aborts the
+// transaction. Begin blocks until every set's lock is available; the locks
+// are held until Commit or Rollback.
 func (db *DB) Begin(ctx context.Context) (*Txn, error) {
-	if err := db.writable(); err != nil {
-		return nil, err
-	}
-	tr := db.obs.Start(obs.KindTxn, "", "txn")
-	db.lockWriter(tr)
-	if err := db.pool.BeginCapture(); err != nil {
-		db.mu.Unlock()
-		db.obs.Finish(tr)
-		return nil, err
-	}
-	t := &Txn{db: db, ctx: ctx, tr: tr}
-	t.s = db.coarseSess(tr)
-	db.txn = t
-	db.writerTrace = tr
-	return t, nil
+	return db.begin(ctx, "txn", nil)
 }
 
-// BeginSets starts a fine-grained transaction whose mutating statements are
-// confined to the given sets. The per-set locks of the footprint closure
-// (the sets plus everything their replicated fields and inverse links reach)
-// are held until Commit or Rollback; a concurrent transaction or statement
-// with a disjoint footprint is never blocked. Mutations outside the declared
-// sets fail with ErrWriteConflict and abort; so does a statement that turns
-// out to need exclusive mode (for instance the first write through a
-// replication path whose link file does not exist yet). On a database
-// without a WAL, BeginSets falls back to the exclusive Begin — there is no
-// fine-grained path without page capture and logging.
+// BeginSets starts a transaction whose mutating statements are confined to
+// the given sets. The per-set locks of the footprint closure are held until
+// Commit or Rollback; on a logged database a concurrent transaction or
+// statement with a disjoint footprint is never blocked. Mutations outside the
+// declared sets fail with ErrWriteConflict and abort.
 func (db *DB) BeginSets(ctx context.Context, sets ...string) (*Txn, error) {
-	if err := db.writable(); err != nil {
-		return nil, err
-	}
-	if db.wal == nil {
-		return db.Begin(ctx)
-	}
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("engine: BeginSets requires at least one set")
 	}
-	tr := db.obs.Start(obs.KindTxn, "", "txn-sets")
-	db.mu.RLock()
-	for _, name := range sets {
-		if _, ok := db.cat.SetByName(name); !ok {
-			db.mu.RUnlock()
-			db.obs.Finish(tr)
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchSet, name)
-		}
+	return db.begin(ctx, "txn-sets", sets)
+}
+
+// begin opens a transaction over the target sets (nil: every set).
+func (db *DB) begin(ctx context.Context, detail string, targets []string) (*Txn, error) {
+	if err := db.writable(); err != nil {
+		return nil, err
 	}
-	fp := db.computeFootprint(sets...)
-	if err := db.setLocks.acquire(ctx, fp.sets, tr); err != nil {
-		db.mu.RUnlock()
+	tr := db.obs.Start(obs.KindTxn, "", detail)
+	s, release, err := db.openWrite(ctx, tr, targets)
+	if err != nil {
 		db.obs.Finish(tr)
 		return nil, err
 	}
-	db.pool.BeginScope()
-	t := &Txn{db: db, ctx: ctx, tr: tr, fine: true, fp: fp}
-	t.s = db.fineSess(tr, fp)
-	t.s.txn = t
+	t := &Txn{db: db, ctx: ctx, tr: tr, s: s, release: release}
+	s.txn = t
 	return t, nil
 }
 
@@ -144,71 +107,49 @@ func (t *Txn) check() error {
 	return nil
 }
 
-// checkTarget confines a fine transaction's mutations to its declared sets.
-// A violation aborts: the caller declared the wrong footprint and must
-// restart with the right one.
+// checkTarget confines the transaction's mutations to its declared sets. A
+// violation aborts: the caller declared the wrong footprint and must restart
+// with the right one. (A set that does not exist passes, so the statement
+// itself reports ErrNoSuchSet.)
 func (t *Txn) checkTarget(set string) error {
-	if !t.fine || t.s.inFootprint(set) {
+	if _, ok := t.db.cat.SetByName(set); !ok || t.s.inFootprint(set) {
 		return nil
 	}
-	err := fmt.Errorf("%w: set %q is outside the transaction's declared footprint %v", ErrWriteConflict, set, t.fp.sets)
+	err := fmt.Errorf("%w: set %q is outside the transaction's declared footprint %v", ErrWriteConflict, set, t.s.fp.sets)
 	t.abort()
-	return err
-}
-
-// statementErr maps a fine-mode escalation demand to the public conflict
-// error; the capture scope has kept the failed statement invisible either
-// way.
-func (t *Txn) statementErr(err error) error {
-	if t.fine && errors.Is(err, errNeedsCoarse) {
-		return fmt.Errorf("%w: %w", ErrWriteConflict, err)
-	}
 	return err
 }
 
 // abort rolls the transaction back after a failed mutating statement and
 // releases its locks.
 func (t *Txn) abort() {
-	if t.fine {
-		t.rollbackFineTxn()
-	} else {
-		t.db.rollbackTxnLocked(t)
-	}
+	t.rollback()
 	t.finish()
 }
 
-// rollbackFineTxn restores the scope's pages and unwinds the transaction's
-// registrations (scratch files), in reverse order.
-func (t *Txn) rollbackFineTxn() error {
-	err := t.s.rollbackFine()
+// rollback restores the scope's pages and unwinds the transaction's
+// registrations.
+func (t *Txn) rollback() error {
+	err := t.s.rollback()
+	t.unwind()
+	return err
+}
+
+// unwind drops the transaction's in-memory registrations (scratch files), in
+// reverse order.
+func (t *Txn) unwind() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.undo[i]()
 	}
 	t.undo = nil
-	return err
 }
 
-// unbind releases the transaction's locks and, for exclusive transactions,
-// clears the engine's transaction binding. Callers have already committed or
-// rolled back.
-func (t *Txn) unbind() {
-	db := t.db
-	t.done = true
-	if t.fine {
-		db.setLocks.release(t.fp.sets)
-		db.mu.RUnlock()
-		return
-	}
-	db.txn = nil
-	db.writerTrace = nil
-	db.mu.Unlock()
-}
-
-// finish unbinds and closes the trace. Commit unbinds first and finishes the
-// trace only after the durability wait, so the transaction's record includes
-// its log wait.
+// finish releases the locks and closes the trace. Commit releases first and
+// finishes the trace only after the durability wait, so the transaction's
+// record includes its log wait.
 func (t *Txn) finish() {
-	t.unbind()
+	t.done = true
+	t.release()
 	t.db.obs.Finish(t.tr)
 }
 
@@ -223,7 +164,6 @@ func (t *Txn) Insert(set string, vals map[string]schema.Value) (pagefile.OID, er
 	}
 	oid, err := t.s.insert(set, vals)
 	if err != nil {
-		err = t.statementErr(err)
 		t.abort()
 		return pagefile.OID{}, err
 	}
@@ -240,7 +180,6 @@ func (t *Txn) Update(set string, oid pagefile.OID, vals map[string]schema.Value)
 		return err
 	}
 	if err := t.s.update(set, oid, vals); err != nil {
-		err = t.statementErr(err)
 		t.abort()
 		return err
 	}
@@ -259,16 +198,15 @@ func (t *Txn) Delete(set string, oid pagefile.OID) error {
 		return err
 	}
 	if err := t.s.delete(set, oid); err != nil {
-		err = t.statementErr(err)
 		t.abort()
 		return err
 	}
 	return nil
 }
 
-// Get reads an object. Errors do not abort the transaction. A fine
-// transaction sees its own uncommitted writes inside the footprint and
-// committed snapshots outside it.
+// Get reads an object. Errors do not abort the transaction. The transaction
+// sees its own uncommitted writes inside the footprint and committed
+// snapshots outside it.
 func (t *Txn) Get(set string, oid pagefile.OID) (*schema.Object, error) {
 	if err := t.check(); err != nil {
 		return nil, err
@@ -298,34 +236,26 @@ func (t *Txn) Count(set string) (int, error) {
 // emitting an output file or draining deferred propagation — aborts the
 // transaction on error, because the mutation may have applied partway.
 //
-// In a fine transaction, a query on an in-footprint set drains that set's
-// pending deferred propagation like any write path would; a query whose set
-// lies outside the footprint cannot drain (the propagation would write
-// unlocked files) and fails with ErrWriteConflict when a drain is pending.
+// A query on an in-footprint set drains that set's pending deferred
+// propagation like any write path would; a query whose set lies outside the
+// footprint cannot drain (the propagation would write unlocked files) and
+// fails with ErrWriteConflict when a drain is pending. So does an index walk
+// outside the footprint that concurrent commits keep tearing: the
+// transaction cannot wait on a lock outside its sorted footprint.
 func (t *Txn) Query(q Query) (*Result, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	drain := true
-	if t.fine {
-		drain = t.s.inFootprint(q.Set)
-		if !drain && t.db.hasDeferredFor(q) {
-			err := fmt.Errorf("%w: query on %q must drain deferred propagation outside the transaction's footprint %v", ErrWriteConflict, q.Set, t.fp.sets)
-			t.abort()
-			return nil, err
-		}
+	drain := t.s.inFootprint(q.Set)
+	pending := t.db.hasDeferredFor(q)
+	if !drain && pending {
+		err := fmt.Errorf("%w: query on %q must drain deferred propagation outside the transaction's footprint %v", ErrWriteConflict, q.Set, t.s.fp.sets)
+		t.abort()
+		return nil, err
 	}
-	mutates := q.EmitOutput || (drain && t.db.hasDeferredFor(q))
 	res, err := t.s.query(t.ctx, q, drain)
-	if err != nil {
-		if t.fine && errors.Is(err, errNeedsCoarse) {
-			err = t.statementErr(err)
-			t.abort()
-			return nil, err
-		}
-		if mutates {
-			t.abort()
-		}
+	if err != nil && (q.EmitOutput || pending || errors.Is(err, ErrWriteConflict)) {
+		t.abort()
 	}
 	return res, err
 }
@@ -341,178 +271,48 @@ func (t *Txn) UpdateWhere(set string, where Pred, vals map[string]schema.Value) 
 	}
 	n, _, err := t.s.updateWhere(t.ctx, set, where, vals)
 	if err != nil {
-		err = t.statementErr(err)
 		t.abort()
 		return 0, err
 	}
 	return n, nil
 }
 
-// Commit makes the transaction's effects atomic and durable: every dirty
-// page is logged with a commit record, the log is forced (group commit
-// batches concurrent committers into one fsync), and only then do the pages
-// become eligible for write-back. On a database without a WAL (in-memory or
-// WALDisabled), Commit just keeps the modifications. If the log append
-// fails, the transaction is rolled back and the append error returned.
+// Commit makes the transaction's effects atomic and, on a logged database,
+// durable: every dirty page is logged with a commit record, the scope is
+// published to readers, the log is forced (group commit batches concurrent
+// committers into one fsync), and only then do the pages become eligible for
+// write-back. On a database without a log (in-memory) Commit just publishes
+// the scope. If the log append fails, the transaction is rolled back and the
+// append error returned.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
 	}
-	db := t.db
-	var lsn uint64
-	var err error
-	if t.fine {
-		lsn, err = t.s.commitFine()
-		if err != nil {
-			// commitFine already rolled the pages back; unwind the
-			// registrations too.
-			for i := len(t.undo) - 1; i >= 0; i-- {
-				t.undo[i]()
-			}
-			t.undo = nil
-		}
-	} else {
-		lsn, err = db.commitTxnLocked(t)
+	lsn, err := t.s.commit()
+	if err != nil {
+		// commit already rolled the pages back; unwind the registrations too.
+		t.unwind()
 	}
-	t.unbind()
+	t.done = true
+	t.release()
 	// The durability wait happens after the locks are released, so
 	// concurrent committers can append and pile onto one fsync.
 	if err == nil {
-		err = db.waitDurable(lsn, t.tr)
+		err = t.db.waitDurable(lsn, t.tr)
 	}
-	db.obs.Finish(t.tr)
+	t.db.obs.Finish(t.tr)
 	return err
 }
 
-// Rollback discards every modification the transaction made: captured pages
-// are restored in-memory to their transaction-begin images and catalog
+// Rollback discards every modification the transaction made: the scope's
+// pages are restored in memory to their transaction-begin images and scratch
 // registrations are unwound. Nothing the transaction did was ever written to
 // the data files (no-steal), so rollback involves no I/O.
 func (t *Txn) Rollback() error {
 	if t.done {
 		return ErrTxnDone
 	}
-	var err error
-	if t.fine {
-		err = t.rollbackFineTxn()
-	} else {
-		err = t.db.rollbackTxnLocked(t)
-	}
+	err := t.rollback()
 	t.finish()
 	return err
-}
-
-// fileCreated registers a page file created inside the transaction: logged
-// at commit (so recovery recreates it), unwound by undo at rollback. The
-// catalog changed with it.
-func (t *Txn) fileCreated(fid pagefile.FileID, name string, undo func()) {
-	t.newFiles = append(t.newFiles, wal.FileCreate{FID: fid, Name: name})
-	t.undo = append(t.undo, undo)
-	t.catDirty = true
-}
-
-// scratchFile registers a session-local query output file: its pages are
-// excluded from the commit record, and undo removes the in-memory
-// registration at rollback.
-func (t *Txn) scratchFile(fid pagefile.FileID, undo func()) {
-	if t.scratch == nil {
-		t.scratch = map[pagefile.FileID]bool{}
-	}
-	t.scratch[fid] = true
-	t.undo = append(t.undo, undo)
-}
-
-// commitTxnLocked logs and closes an exclusive transaction's capture. It
-// returns the commit LSN for WaitDurable — 0 when nothing needed logging (a
-// read-only transaction, or no WAL at all). On append failure the
-// transaction is rolled back, so the caller never sees half-applied state.
-// Called under db.mu.Lock with the capture open.
-func (db *DB) commitTxnLocked(t *Txn) (uint64, error) {
-	if db.wal == nil {
-		// No durability layer: the capture held the modifications in the
-		// pool; keeping them is the whole commit.
-		db.pool.EndCapture()
-		return 0, nil
-	}
-	var images []wal.PageImage
-	for _, pid := range db.pool.CaptureDirty() {
-		if t.scratch[pid.File] {
-			continue
-		}
-		data, ok := db.pool.SnapshotPage(pid)
-		if !ok {
-			// Unreachable: no-steal keeps captured frames resident.
-			err := fmt.Errorf("engine: commit: page %v not resident", pid)
-			return 0, errors.Join(err, db.rollbackTxnLocked(t))
-		}
-		images = append(images, wal.PageImage{PID: pid, Data: data})
-	}
-	var catData []byte
-	if t.catDirty {
-		var err error
-		catData, err = db.cat.Snapshot()
-		if err != nil {
-			return 0, errors.Join(err, db.rollbackTxnLocked(t))
-		}
-	}
-	if len(t.newFiles) == 0 && len(images) == 0 && catData == nil {
-		db.pool.EndCapture()
-		return 0, nil
-	}
-	lsn, nbytes, err := db.wal.AppendCommit(t.newFiles, images, catData)
-	if err != nil {
-		return 0, errors.Join(err, db.rollbackTxnLocked(t))
-	}
-	// Stamp each frame with its record's LSN so the image eventually written
-	// back matches the logged one, and so the write barrier and recovery's
-	// LSN comparison see the right version.
-	for i := range images {
-		db.pool.StampLSN(images[i].PID, images[i].LSN)
-	}
-	db.pool.EndCapture()
-	nrec := int64(len(t.newFiles)+len(images)) + 1
-	if catData != nil {
-		nrec++
-	}
-	t.tr.WAL(nrec, int64(nbytes))
-	return lsn, nil
-}
-
-// rollbackTxnLocked restores every captured page and unwinds the
-// transaction's catalog registrations. Called under db.mu.Lock.
-func (db *DB) rollbackTxnLocked(t *Txn) error {
-	err := db.pool.RollbackCapture()
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.undo[i]()
-	}
-	t.undo = nil
-	return err
-}
-
-// oneShot wraps a single write operation in an implicit transaction when the
-// WAL is on: fn's modifications commit atomically, and a failed fn rolls
-// back physically instead of compensating or tainting. It returns the commit
-// LSN the caller must WaitDurable on after releasing the writer lock (0 when
-// nothing was logged). Without a WAL, fn runs bare with the legacy
-// compensate-or-taint semantics. Called under db.mu.Lock with no transaction
-// open.
-func (db *DB) oneShot(tr *obs.Trace, fn func() error) (uint64, error) {
-	if db.wal == nil {
-		return 0, fn()
-	}
-	if err := db.pool.BeginCapture(); err != nil {
-		return 0, err
-	}
-	t := &Txn{db: db, tr: tr}
-	db.txn = t
-	err := fn()
-	db.txn = nil
-	t.done = true
-	if err != nil {
-		if rerr := db.rollbackTxnLocked(t); rerr != nil {
-			err = errors.Join(err, rerr)
-		}
-		return 0, err
-	}
-	return db.commitTxnLocked(t)
 }

@@ -384,7 +384,7 @@ func crashMatrixStep(t *testing.T, n int, clustered bool) bool {
 	}
 	if uerr != nil && renamed {
 		// A failed update whose commit nonetheless survived would also be
-		// wrong: oneShot only commits after fn succeeds.
+		// wrong: a statement only commits after its body succeeds.
 		t.Fatalf("n=%d: failed update (%v) is visible after recovery", n, uerr)
 	}
 	return uerr == nil

@@ -58,12 +58,14 @@ type pinMode int
 
 const (
 	// modePlain pins frames directly (GetT/NewPageT) — the historical
-	// behavior, correct under the engine's coarse exclusive lock.
+	// behavior, correct when no write session can overlap: DDL under the
+	// engine's exclusive lock, readers of a database without a log.
 	modePlain pinMode = iota
-	// modeCapture pins through the pool's scoped capture (GetCaptureT):
-	// modifications work on a private copy installed at MarkDirty, so
-	// concurrent snapshot readers never see uncommitted bytes. Used by
-	// fine-grained writers holding the per-set locks for this file.
+	// modeCapture is a write session's view: the session holds the per-set
+	// locks for this file and an open pool scope. Pages are registered in the
+	// scope before they are modified (getW), so the scope can roll them back
+	// and concurrent snapshot readers never see uncommitted bytes; reads pin
+	// the frame directly and see the session's own writes.
 	modeCapture
 	// modeSnapshot reads through GetSnapshotT: detached copies of the
 	// committed state, never blocking on (or racing with) writers.
@@ -134,11 +136,10 @@ func (f *File) WithTrace(tr *obs.Trace) *File {
 	return &v
 }
 
-// WithCapture returns a view whose page access goes through the pool's
-// scoped capture: writes work on private copies installed at MarkDirty, and
-// the modified pages are registered for the enclosing scope's commit or
-// rollback. The caller must hold the engine's per-set lock covering this
-// file for the lifetime of the view.
+// WithCapture returns a write session's view: pages are registered in the
+// enclosing pool scope before they are modified, for its commit or rollback.
+// The caller must hold the engine's per-set lock covering this file for the
+// lifetime of the view.
 func (f *File) WithCapture(tr *obs.Trace) *File {
 	if f == nil {
 		return nil
@@ -173,16 +174,22 @@ func (f *File) guardWrite() error {
 	return nil
 }
 
-// get pins a page according to the view's mode.
+// get pins a page for reading according to the view's mode.
 func (f *File) get(pid pagefile.PageID) (*buffer.Handle, error) {
-	switch f.mode {
-	case modeCapture:
-		return f.pool.GetCaptureT(pid, f.tr)
-	case modeSnapshot:
+	if f.mode == modeSnapshot {
 		return f.pool.GetSnapshotT(pid, f.tr)
-	default:
-		return f.pool.GetT(pid, f.tr)
 	}
+	return f.pool.GetT(pid, f.tr)
+}
+
+// getW pins a page the caller is about to modify; a capture view registers
+// it in the scope first.
+func (f *File) getW(pid pagefile.PageID) (*buffer.Handle, error) {
+	h, err := f.get(pid)
+	if err == nil && f.mode == modeCapture {
+		h.Capture()
+	}
+	return h, err
 }
 
 // newPage allocates a fresh page according to the view's mode.
@@ -302,7 +309,7 @@ func (f *File) insertRecord(rec []byte, retryNewPage bool) (pagefile.OID, error)
 }
 
 func (f *File) tryInsertOn(page uint32, rec []byte) (pagefile.OID, bool, error) {
-	h, err := f.get(pagefile.PageID{File: f.id, Page: page})
+	h, err := f.getW(pagefile.PageID{File: f.id, Page: page})
 	if err != nil {
 		return pagefile.OID{}, false, err
 	}
@@ -400,7 +407,7 @@ func (f *File) Update(oid pagefile.OID, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("heap: payload of %d bytes exceeds max %d", len(payload), MaxPayload)
 	}
-	h, err := f.get(oid.PageID())
+	h, err := f.getW(oid.PageID())
 	if err != nil {
 		return err
 	}
@@ -431,7 +438,7 @@ func (f *File) Update(oid pagefile.OID, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		h2, err := f.get(oid.PageID())
+		h2, err := f.getW(oid.PageID())
 		if err != nil {
 			return err
 		}
@@ -461,7 +468,7 @@ func (f *File) Update(oid pagefile.OID, payload []byte) error {
 // updateMoved updates a record whose body lives at target, repointing the
 // stub at home if the body must move again.
 func (f *File) updateMoved(home, target pagefile.OID, payload []byte) error {
-	h, err := f.get(target.PageID())
+	h, err := f.getW(target.PageID())
 	if err != nil {
 		return err
 	}
@@ -485,7 +492,7 @@ func (f *File) updateMoved(home, target pagefile.OID, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	hh, err := f.get(home.PageID())
+	hh, err := f.getW(home.PageID())
 	if err != nil {
 		return err
 	}
@@ -518,7 +525,7 @@ func (f *File) Delete(oid pagefile.OID) error {
 	if err := f.guardWrite(); err != nil {
 		return err
 	}
-	h, err := f.get(oid.PageID())
+	h, err := f.getW(oid.PageID())
 	if err != nil {
 		return err
 	}
@@ -552,7 +559,7 @@ func (f *File) Delete(oid pagefile.OID) error {
 	h.MarkDirty()
 	h.Unpin()
 	if kind == kindStub {
-		ht, err := f.get(target.PageID())
+		ht, err := f.getW(target.PageID())
 		if err != nil {
 			return err
 		}
@@ -579,7 +586,7 @@ func (f *File) Scan(fn func(oid pagefile.OID, payload []byte) error) error {
 	if err != nil {
 		return err
 	}
-	// Readahead only for plain-mode views: the engine's coarse lock excludes
+	// Readahead only for plain-mode views: the engine's exclusive lock excludes
 	// concurrent write-backs there, which the batched prefetch read requires.
 	// Snapshot and capture views run concurrently with other sessions'
 	// evictions and read page-at-a-time through the pool instead.

@@ -469,3 +469,90 @@ func TestStats(t *testing.T) {
 		t.Fatalf("empty stats: %+v, %v", st2, err)
 	}
 }
+
+// A capture view must register every page before it modifies it — in-place
+// updates, forwarding stubs, moved bodies, deletes of both, inserts on old and
+// new pages — or rollback leaves the modification behind. Each operation runs
+// in its own scope against the same file and is rolled back (one scope for
+// all would let an early registration of a page hide a later unregistered
+// write to it); afterwards every page the file had must be byte-identical and
+// every page the scope allocated must be empty.
+func TestCaptureViewRollbackRestoresEveryPage(t *testing.T) {
+	f := newFile(t, 512)
+	rng := rand.New(rand.NewSource(5))
+	var oids []pagefile.OID
+	for i := 0; i < 150; i++ {
+		oid, err := f.Insert(bytes.Repeat([]byte{byte(i)}, 20+rng.Intn(200)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	// A fifth of the records are forwarded before any scope opens.
+	for _, i := range rng.Perm(len(oids))[:30] {
+		if err := f.Update(oids[i], bytes.Repeat([]byte{1}, 1500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := func() []pagefile.Page {
+		n, err := f.NumPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]pagefile.Page, n)
+		for i := range out {
+			h, err := f.pool.Get(pagefile.PageID{File: f.id, Page: uint32(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = *h.Page()
+			h.Unpin()
+		}
+		return out
+	}
+	before := pages()
+	files := map[pagefile.FileID]bool{f.id: true}
+	cv := f.WithCapture(nil)
+
+	grew := false
+	rolledBack := func(op string, run func() error) {
+		t.Helper()
+		f.pool.BeginScope()
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if err := f.pool.RollbackScope(files); err != nil {
+			t.Fatal(err)
+		}
+		after := pages()
+		grew = grew || len(after) > len(before)
+		for i := range after {
+			want := pagefile.Page{}
+			if i < len(before) {
+				want = before[i]
+			}
+			if after[i] != want {
+				t.Fatalf("%s: page %d differs after rollback", op, i)
+			}
+		}
+	}
+	for _, oid := range oids {
+		// Shrink, grow in place, move out, move a moved body again.
+		for _, size := range []int{10, 250, 1400, 3000} {
+			rolledBack(fmt.Sprintf("update %v to %d bytes", oid, size), func() error {
+				return cv.Update(oid, bytes.Repeat([]byte{7}, size))
+			})
+		}
+		rolledBack(fmt.Sprintf("delete %v", oid), func() error { return cv.Delete(oid) })
+	}
+	for i := 0; i < 50; i++ {
+		hint := uint32(rng.Intn(len(before)))
+		rolledBack(fmt.Sprintf("insert near %d", hint), func() error {
+			_, err := cv.InsertNear(bytes.Repeat([]byte{9}, 50+rng.Intn(3000)), hint)
+			return err
+		})
+	}
+	if !grew {
+		t.Fatal("no operation allocated a page; the test is not exercising fresh pages")
+	}
+}

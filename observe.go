@@ -133,7 +133,7 @@ type WALStats struct {
 }
 
 // WALStats reports cumulative write-ahead-log counters. ok is false when
-// the database runs without a WAL (in-memory, or WALDisabled).
+// the database is in-memory and so has no WAL.
 func (db *DB) WALStats() (WALStats, bool) {
 	st, ok := db.e.WALStats()
 	if !ok {

@@ -15,22 +15,26 @@ import (
 // fsync); a crash after Commit returns never loses the transaction, and a
 // crash before it never exposes any part of it.
 //
-// A Begin transaction holds the database's exclusive lock from Begin to
-// Commit/Rollback: concurrent operations queue behind it. A BeginSets
-// transaction instead holds only the per-set locks of its declared write
-// footprint, so transactions over disjoint sets run and commit concurrently.
-// Either way: use it from a single goroutine, and do not call the DB's own
-// write methods while a transaction is open — they can deadlock behind its
-// locks. A failed mutating statement aborts the transaction (it is rolled
-// back automatically and every later call returns ErrTxnDone); read-only
-// statements fail without aborting.
+// A transaction holds the per-set locks of its declared write footprint
+// from Begin to Commit/Rollback: a BeginSets transaction those of the sets it
+// names (plus everything their replication paths reach), a Begin transaction
+// those of every set. On a file-backed database, transactions over disjoint
+// sets run and commit concurrently and readers see the pre-transaction state
+// without waiting; an in-memory database runs one write transaction at a time
+// and its readers wait for it. A transaction's modified pages stay in the
+// buffer pool until it ends, so they must fit it. Either way: use it from a
+// single goroutine, and do not call the DB's own write methods while a
+// transaction is open — they can deadlock behind its locks. A failed mutating
+// statement aborts the transaction (it is rolled back automatically and every
+// later call returns ErrTxnDone); read-only statements fail without aborting.
 type Txn struct {
 	t *engine.Txn
 }
 
-// Begin starts a transaction. ctx governs the whole transaction: if it is
-// cancelled, the next statement aborts with the context's error. A nil ctx
-// means no cancellation. Begin blocks until the writer lock is available.
+// Begin starts a transaction that may write every set. ctx governs the whole
+// transaction: if it is cancelled, the next statement aborts with the
+// context's error. A nil ctx means no cancellation. Begin blocks until every
+// set's write lock is available.
 func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 	t, err := db.e.Begin(ctx)
 	if err != nil {
@@ -39,14 +43,13 @@ func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 	return &Txn{t: t}, nil
 }
 
-// BeginSets starts a fine-grained transaction confined to the given sets:
-// only their per-set locks (plus those of every set reachable through
-// replicated fields and inverse links — the write footprint's closure) are
-// held, and transactions over disjoint footprints proceed fully in parallel.
-// Mutating a set outside the footprint fails with ErrWriteConflict and
-// aborts; queries may read any set, seeing committed snapshots outside the
-// footprint. On an in-memory database (no WAL) BeginSets falls back to the
-// exclusive Begin.
+// BeginSets starts a transaction confined to the given sets: only their
+// per-set locks (plus those of every set reachable through replicated fields
+// and inverse links — the write footprint's closure) are held, and on a
+// file-backed database transactions over disjoint footprints proceed fully in
+// parallel. Mutating a set outside the footprint fails with ErrWriteConflict
+// and aborts, on every database; queries may read any set, seeing committed
+// snapshots outside the footprint.
 func (db *DB) BeginSets(ctx context.Context, sets ...string) (*Txn, error) {
 	t, err := db.e.BeginSets(ctx, sets...)
 	if err != nil {
