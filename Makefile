@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet test race benchmod bench walbench obsbench replbench loadbench querybench advisorbench soak fuzz check ci
+.PHONY: all help build vet test race benchmod lines bench walbench obsbench replbench loadbench querybench advisorbench soak fuzz check ci
 
 # Per-target fuzzing time for `make fuzz` (override: make fuzz FUZZTIME=2m).
 FUZZTIME ?= 30s
@@ -14,6 +14,7 @@ help:
 	@echo "  test   - full test suite"
 	@echo "  race   - race-detector pass (includes the buffer/heap/engine concurrency tests)"
 	@echo "  benchmod - vet + smoke-test the bench/ module against this engine"
+	@echo "  lines  - non-test Go lines per package (the simplicity PRs' before/after number)"
 	@echo "  bench  - scan-throughput matrix (shards x workers) -> BENCH_scan.json"
 	@echo "  walbench - commit throughput / group-commit fsync batching -> BENCH_commit.json"
 	@echo "  obsbench - histogram quantile accuracy + tracing overhead gate -> BENCH_latency.json"
@@ -44,17 +45,28 @@ test:
 # sharded-pool / parallel-scan / concurrent-reader tests un-shortened, and
 # the third hammers the per-set locking paths (disjoint writers,
 # overlapping footprints, randomized multi-set transactions, readers beside
-# an open transaction) a second time.
+# an open transaction, Close under load) a second time; the fourth does the
+# same for the public handle, which holds no lock of its own — the engine's
+# two layers are all there is under its DML, DDL, sessions and sinks.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
-	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting' ./internal/engine
+	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting|TestCloseUnderLoad' ./internal/engine
+	$(GO) test -race -count=2 -run 'TestPublicConcurrentUse|TestSlowQueryLogConcurrent' .
 
 # The benchmark is its own module (bench/go.mod) that imports the public API
 # and internal/buffer, heap, btree and wal directly; the root ./... never
 # descends into it, so compile and smoke-test it against every engine change.
 benchmod:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# Non-test Go lines for the root package, each internal/* and each cmd/*:
+# ROADMAP aim 2 counts a net drop as a success signal, and every simplicity
+# PR reports its before/after from this target.
+lines:
+	@for d in . internal/* cmd/*; do \
+		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \
+	done
 
 # Scan throughput across pool shard counts and scan worker counts, on a
 # memory-backed store with simulated device latency. Writes BENCH_scan.json

@@ -202,7 +202,7 @@ func checkConvergence(emps int) convergenceResult {
 
 	read := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := db.Query(engine.Query{
+			if _, _, err := db.Query(nil, engine.Query{
 				Set:     "Emp1",
 				Project: []string{"name"},
 				Where:   &engine.Pred{Expr: "dept.name", Op: engine.OpEQ, Value: str("dept-0001")},
@@ -213,7 +213,7 @@ func checkConvergence(emps int) convergenceResult {
 	}
 	update := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := db.UpdateWhere("Dept",
+			if _, _, err := db.UpdateWhere(nil, "Dept",
 				engine.Pred{Expr: "name", Op: engine.OpEQ, Value: str("dept-0001")},
 				map[string]schema.Value{"name": str("dept-0001")}); err != nil {
 				fatal(err)
@@ -268,7 +268,7 @@ func checkOverhead(emps, iters int, limit float64) overheadResult {
 	round := func(db *engine.DB) time.Duration {
 		start := time.Now()
 		for i := 0; i < queriesPerRound; i++ {
-			if _, err := db.Query(engine.Query{
+			if _, _, err := db.Query(nil, engine.Query{
 				Set:     "Emp1",
 				Project: []string{"name"},
 				Where:   &engine.Pred{Expr: "dept.name", Op: engine.OpEQ, Value: str("dept-0001")},

@@ -77,7 +77,7 @@
 // The engine counts page-level I/O at its buffer-pool boundary (IO) and
 // supports cold-cache measurement (ColdCache), which the included
 // experiments use to reproduce the paper's analytical results on a running
-// system. Prefer per-operation traces (RecentTraces, SetSlowQueryLog,
-// MetricsJSON) or IO deltas over the deprecated ResetIO. See DESIGN.md and
-// EXPERIMENTS.md in the repository.
+// system. Per-operation traces (RecentTraces, SetSlowQueryLog, MetricsJSON)
+// attribute pages exactly under concurrency; IO deltas suit a quiet
+// database. See DESIGN.md and EXPERIMENTS.md in the repository.
 package fieldrepl

@@ -3,7 +3,6 @@ package fieldrepl
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,16 +59,17 @@ type Config struct {
 	AdvisorWindows   int
 }
 
-// DB is a database handle. It is safe for concurrent use: read-only
+// DB is a database handle. It is safe for concurrent use and holds no lock
+// of its own: all coordination happens inside the engine. Read-only
 // operations (Get, Query, Count, the stats accessors) run concurrently on
 // the snapshot read path, and mutations coordinate through the engine's
 // per-set write locks (an in-memory database additionally runs one write
 // statement at a time). Concurrent writers overlap in the group-commit
-// durability wait, which is what lets them share fsyncs. The handle's own exclusive lock guards DDL and
-// lifecycle (Close); surface-language statements take it only for schema
-// statements — a retrieve script never queues behind writers.
+// durability wait, which is what lets them share fsyncs. DDL, cache control
+// and lifecycle (Close, CrashStop) serialize on the engine's exclusive lock,
+// which waits out in-flight statements; a retrieve never queues behind
+// writers.
 type DB struct {
-	mu       sync.RWMutex
 	e        *engine.DB
 	nextSess atomic.Uint64
 	def      *Session
@@ -80,19 +80,6 @@ func newDB(e *engine.DB) *DB {
 	db := &DB{e: e}
 	db.def = db.NewSession()
 	return db
-}
-
-// lock acquires the writer lock and returns the unlock func, for one-line
-// method prologues.
-func (db *DB) lock() func() {
-	db.mu.Lock()
-	return db.mu.Unlock
-}
-
-// rlock acquires the shared reader lock and returns the unlock func.
-func (db *DB) rlock() func() {
-	db.mu.RLock()
-	return db.mu.RUnlock
 }
 
 func (cfg Config) engineConfig() engine.Config {
@@ -114,12 +101,12 @@ func Open(cfg Config) (*DB, error) {
 	return newDB(e), nil
 }
 
-// Close flushes and releases the database.
-func (db *DB) Close() error { defer db.lock()(); return db.e.Close() }
+// Close flushes and releases the database, waiting for in-flight statements
+// to finish. Statements issued afterwards fail, as does a second Close.
+func (db *DB) Close() error { return db.e.Close() }
 
 // DefineType registers an object type.
 func (db *DB) DefineType(name string, fields []Field) error {
-	defer db.lock()()
 	sf := make([]schema.Field, len(fields))
 	for i, f := range fields {
 		sf[i] = schema.Field{Name: f.Name, Kind: schema.Kind(f.Kind), RefType: f.RefType}
@@ -130,7 +117,6 @@ func (db *DB) DefineType(name string, fields []Field) error {
 // CreateSet creates a named top-level set of the given type, stored as its
 // own file.
 func (db *DB) CreateSet(name, typeName string) error {
-	defer db.lock()()
 	return db.e.CreateSet(name, typeName)
 }
 
@@ -139,7 +125,6 @@ func (db *DB) CreateSet(name, typeName string) error {
 // "Emp1.dept.org" (reference replication, collapsing the path) — and builds
 // the replicated state over existing data.
 func (db *DB) Replicate(path string, strategy Strategy, opts ...ReplicateOption) error {
-	defer db.lock()()
 	var o replicateOpts
 	for _, f := range opts {
 		f(&o)
@@ -160,7 +145,6 @@ func (db *DB) Replicate(path string, strategy Strategy, opts ...ReplicateOption)
 // the answer comes directly from link structures without scanning;
 // viaInvertedPath reports whether it did.
 func (db *DB) Inverse(source, refExpr string, target OID) (oids []OID, viaInvertedPath bool, err error) {
-	defer db.lock()()
 	raw, via, err := db.e.Inverse(source, refExpr, target.inner)
 	if err != nil {
 		return nil, false, err
@@ -173,17 +157,16 @@ func (db *DB) Inverse(source, refExpr string, target OID) (oids []OID, viaInvert
 }
 
 // FlushReplication applies all pending deferred propagations now.
-func (db *DB) FlushReplication() error { defer db.lock()(); return db.e.FlushReplication() }
+func (db *DB) FlushReplication() error { return db.e.FlushReplication() }
 
 // PendingPropagations reports the number of queued deferred propagations.
-func (db *DB) PendingPropagations() int { defer db.lock()(); return db.e.PendingPropagations() }
+func (db *DB) PendingPropagations() int { return db.e.PendingPropagations() }
 
 // BuildIndex builds a B+tree index named name on set.expr, where expr is a
 // base field ("salary") or a replicated path ("dept.org.name", which must be
 // replicated in-place first). clustered records that the set file is
 // physically ordered by this key.
 func (db *DB) BuildIndex(name, set, expr string, clustered bool) error {
-	defer db.lock()()
 	return db.e.BuildIndex(name, set, expr, clustered)
 }
 
@@ -197,22 +180,13 @@ func toEngineValues(vals V) map[string]schema.Value {
 
 // Insert stores a new object and returns its OID. Unassigned fields hold
 // zero values.
-//
-// DML wrappers take the shared lock, not the exclusive one: the engine
-// serializes writers on its own per-set locks and releases them before the
-// group-commit durability wait, so concurrent public writers must be allowed to overlap
-// there — an exclusive public lock would hold each commit's fsync wait alone
-// and defeat group commit. The exclusive public lock is reserved for
-// DDL/lifecycle operations.
 func (db *DB) Insert(set string, vals V) (OID, error) {
-	defer db.rlock()()
 	oid, err := db.e.Insert(set, toEngineValues(vals))
 	return OID{inner: oid}, err
 }
 
 // Get reads an object's visible fields.
 func (db *DB) Get(set string, oid OID) (Record, error) {
-	defer db.rlock()()
 	obj, err := db.e.Get(set, oid.inner)
 	if err != nil {
 		return Record{}, err
@@ -227,19 +201,17 @@ func (db *DB) Get(set string, oid OID) (Record, error) {
 // Update assigns fields of the object at oid, propagating every replication
 // structure and index.
 func (db *DB) Update(set string, oid OID, vals V) error {
-	defer db.rlock()()
 	return db.e.Update(set, oid.inner, toEngineValues(vals))
 }
 
 // Delete removes the object at oid. Deleting an object still referenced
 // through a replication path fails.
 func (db *DB) Delete(set string, oid OID) error {
-	defer db.rlock()()
 	return db.e.Delete(set, oid.inner)
 }
 
 // Count returns the number of objects in a set.
-func (db *DB) Count(set string) (int, error) { defer db.rlock()(); return db.e.Count(set) }
+func (db *DB) Count(set string) (int, error) { return db.e.Count(set) }
 
 func toEnginePred(p *Pred) (*engine.Pred, error) {
 	if p == nil {
@@ -315,12 +287,11 @@ func (db *DB) Query(q Query) (*Result, error) {
 // result's Plan field carries the planner's rendered decision with this
 // execution's observed page count.
 func (db *DB) QueryCtx(ctx context.Context, q Query) (*Result, error) {
-	defer db.rlock()()
 	eq, err := toEngineQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	res, rec, err := db.e.QueryTracedCtx(ctx, eq)
+	res, rec, err := db.e.Query(ctx, eq)
 	if err != nil {
 		return nil, err
 	}
@@ -338,16 +309,15 @@ func (db *DB) UpdateWhere(set string, where Pred, vals V) (int, error) {
 }
 
 // UpdateWhereCtx is UpdateWhere under a context: cancellation is checked per
-// record during collection and per object during the update pass. With a WAL
-// a cancelled operation rolls back entirely; without one it stops between
-// whole-object updates.
+// record during collection and per object during the update pass. A cancelled
+// operation rolls back entirely.
 func (db *DB) UpdateWhereCtx(ctx context.Context, set string, where Pred, vals V) (int, error) {
-	defer db.rlock()()
 	ep, err := toEnginePred(&where)
 	if err != nil {
 		return 0, err
 	}
-	return db.e.UpdateWhereCtx(ctx, set, *ep, toEngineValues(vals))
+	n, _, err := db.e.UpdateWhere(ctx, set, *ep, toEngineValues(vals))
+	return n, err
 }
 
 // Output is the result of executing one surface-language statement.
@@ -377,7 +347,7 @@ func (o Output) Table() string {
 // Session. Statements take only the locks their class needs — retrieve runs
 // on the snapshot read path concurrent with writers, DML goes through the
 // engine's per-set locks, and only schema statements serialize on the
-// exclusive handle lock. For concurrent scripting, give each goroutine its
+// engine's exclusive lock. For concurrent scripting, give each goroutine its
 // own NewSession (concurrent Exec calls on the handle share the default
 // session's bindings and serialize per statement).
 func (db *DB) Exec(script string) ([]Output, error) {
@@ -400,30 +370,19 @@ func (db *DB) ExecOne(stmt string) (Output, error) {
 // write-backs are counted, the page transfers a disk-resident system would
 // perform.
 func (db *DB) IO() IOStats {
-	defer db.lock()()
 	st := db.e.IO()
 	return IOStats{Reads: st.Reads, Writes: st.Writes}
 }
 
-// ResetIO zeroes the I/O counters.
-//
-// Deprecated: the reset/delta pattern misattributes I/O as soon as anything
-// runs concurrently — a reset can land inside another operation's window and
-// both operations' pages land in one delta. Use the per-operation trace API
-// instead (RecentTraces, SetSlowQueryLog, MetricsJSON), which attributes
-// page I/O exactly regardless of concurrency.
-func (db *DB) ResetIO() { defer db.lock()(); db.e.ResetIO() }
-
 // ColdCache flushes and empties the buffer pool so the next operation starts
 // with a cold cache — the measurement discipline used by the experiments.
-func (db *DB) ColdCache() error { defer db.lock()(); return db.e.ColdCache() }
+func (db *DB) ColdCache() error { return db.e.ColdCache() }
 
 // FlushAll writes back all dirty buffered pages.
-func (db *DB) FlushAll() error { defer db.lock()(); return db.e.FlushAll() }
+func (db *DB) FlushAll() error { return db.e.FlushAll() }
 
 // NumPages returns the page count of a set's file.
 func (db *DB) NumPages(set string) (int, error) {
-	defer db.lock()()
 	n, err := db.e.NumPages(set)
 	return int(n), err
 }
@@ -431,18 +390,18 @@ func (db *DB) NumPages(set string) (int, error) {
 // VerifyReplication checks the global replication invariant — every
 // replicated value equals the value reachable through its forward path, link
 // structures are exact, and S′ refcounts match — returning all violations.
-func (db *DB) VerifyReplication() []error { defer db.lock()(); return db.e.VerifyReplication() }
+func (db *DB) VerifyReplication() []error { return db.e.VerifyReplication() }
 
 // Sync makes the current state durable: dirty buffered pages are written
 // back, the store is fsynced, and (for file-backed databases) the catalog
 // snapshot is rewritten. After Sync returns, a crash loses nothing.
-func (db *DB) Sync() error { defer db.lock()(); return db.e.Sync() }
+func (db *DB) Sync() error { return db.e.Sync() }
 
 // TaintedSets reports sets whose derived replication state may be stale
 // after a schema operation (Replicate, Unreplicate) failed midway — the
 // value is the recorded cause. Statements never taint: they roll back. A
 // successful Repair clears the markers.
-func (db *DB) TaintedSets() map[string]string { defer db.lock()(); return db.e.TaintedSets() }
+func (db *DB) TaintedSets() map[string]string { return db.e.TaintedSets() }
 
 // RepairReport summarizes what a Repair pass changed.
 type RepairReport struct {
@@ -469,7 +428,6 @@ func (r RepairReport) Clean() bool { return len(r.Remaining) == 0 }
 // failed schema operation left a set tainted, or after media corruption: a
 // clean post-repair verification clears the taint markers.
 func (db *DB) Repair() (RepairReport, error) {
-	defer db.lock()()
 	rep, err := db.e.Repair()
 	out := RepairReport{}
 	if rep != nil {
@@ -487,12 +445,11 @@ func (db *DB) Repair() (RepairReport, error) {
 // down its hidden values and any link/S′ structures not shared with other
 // paths. An index built on the path must be dropped first.
 func (db *DB) Unreplicate(path string, strategy Strategy) error {
-	defer db.lock()()
 	return db.e.Unreplicate(path, catalog.Strategy(strategy))
 }
 
 // DropIndex removes an index built with BuildIndex.
-func (db *DB) DropIndex(name string) error { defer db.lock()(); return db.e.DropIndex(name) }
+func (db *DB) DropIndex(name string) error { return db.e.DropIndex(name) }
 
 // SetStats describes the physical state of a set's file.
 type SetStats struct {
@@ -509,7 +466,6 @@ type SetStats struct {
 // replication's space effects (in-place replication widens source objects
 // and may forward records that grew after a path was added).
 func (db *DB) Stats(set string) (SetStats, error) {
-	defer db.lock()()
 	st, err := db.e.SetStats(set)
 	if err != nil {
 		return SetStats{}, err

@@ -158,7 +158,7 @@ func TestPublicIndexAndIO(t *testing.T) {
 	if res.UsedIndex != "sal" || len(res.Rows) != 2 {
 		t.Fatalf("res = %+v", res)
 	}
-	// Deltas against a snapshot instead of the deprecated ResetIO: the
+	// Deltas against a snapshot (there is no counter reset): the
 	// counters keep running, and the delta attributes this query's I/O.
 	before := db.IO()
 	if err := db.ColdCache(); err != nil {
@@ -348,45 +348,99 @@ replicate Emp1.dept.name
 	}
 }
 
-// TestPublicConcurrentUse hammers the public API from several goroutines;
-// operations serialize on the internal mutex (run with -race).
+// TestPublicConcurrentUse hammers the public API from several goroutines with
+// no lock above the engine (run with -race): DML and queries, a goroutine
+// cycling the exclusive-lock operations (index build/drop, Sync) and the
+// accessors, and a session script with a begin … commit block. The engine's
+// two lock layers alone must keep every statement correct and the
+// replication invariant intact, on both store kinds.
 func TestPublicConcurrentUse(t *testing.T) {
-	db, oids := openCompany(t)
-	if err := db.Replicate("Emp1.dept.name", InPlace); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 6)
-	for g := 0; g < 6; g++ {
-		go func(g int) {
-			for i := 0; i < 40; i++ {
-				switch (g + i) % 3 {
-				case 0:
-					if _, err := db.Query(Query{Set: "Emp1", Project: []string{"name", "dept.name"}}); err != nil {
-						done <- err
-						return
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (*DB, map[string]OID)
+	}{
+		{"in-memory", openCompany},
+		{"file-backed", func(t *testing.T) (*DB, map[string]OID) {
+			db, oids, _ := openCompanyDir(t)
+			return db, oids
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, oids := tc.open(t)
+			if err := db.Replicate("Emp1.dept.name", InPlace); err != nil {
+				t.Fatal(err)
+			}
+			orgs, err := db.Count("Org")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const goroutines = 8
+			done := make(chan error, goroutines)
+			run := func(f func() error) { go func() { done <- f() }() }
+			for g := 0; g < 6; g++ {
+				run(func() error {
+					for i := 0; i < 40; i++ {
+						var err error
+						switch (g + i) % 3 {
+						case 0:
+							_, err = db.Query(Query{Set: "Emp1", Project: []string{"name", "dept.name"}})
+						case 1:
+							err = db.Update("Dept", oids["research"], V{"budget": I(int64(i))})
+						default:
+							_, err = db.Insert("Emp1", V{"name": S("c"), "age": I(1), "salary": I(1), "dept": R(oids["research"])})
+						}
+						if err != nil {
+							return err
+						}
 					}
-				case 1:
-					if err := db.Update("Dept", oids["research"], V{"budget": I(int64(i))}); err != nil {
-						done <- err
-						return
+					return nil
+				})
+			}
+			run(func() error { // exclusive-lock operations and accessors beside the statements
+				for i := 0; i < 10; i++ {
+					if err := db.BuildIndex("emp1_salary", "Emp1", "salary", false); err != nil {
+						return err
 					}
-				default:
-					if _, err := db.Insert("Emp1", V{"name": S("c"), "age": I(1), "salary": I(1), "dept": R(oids["sales"])}); err != nil {
-						done <- err
-						return
+					if err := db.Sync(); err != nil {
+						return err
+					}
+					_ = db.IO()
+					if _, err := db.NumPages("Emp1"); err != nil {
+						return err
+					}
+					if err := db.DropIndex("emp1_salary"); err != nil {
+						return err
 					}
 				}
+				return nil
+			})
+			run(func() error { // a session whose script holds a transaction open across statements
+				sess := db.NewSession()
+				defer sess.Close()
+				for i := 0; i < 10; i++ {
+					_, err := sess.Exec(`begin on Org
+						insert Org (name = "o", budget = 1)
+						retrieve (Org.name) where Org.budget > 0
+						commit
+						retrieve (Emp1.name, Emp1.dept.name) where Emp1.salary > 0`)
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			for g := 0; g < goroutines; g++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
 			}
-			done <- nil
-		}(g)
-	}
-	for g := 0; g < 6; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if errs := db.VerifyReplication(); len(errs) > 0 {
-		t.Fatal(errs)
+			if n, err := db.Count("Org"); err != nil || n != orgs+10 {
+				t.Fatalf("Org holds %d objects (%v), want the %d seeded plus 10 committed inserts", n, err, orgs)
+			}
+			if errs := db.VerifyReplication(); len(errs) > 0 {
+				t.Fatal(errs)
+			}
+		})
 	}
 }
 

@@ -51,7 +51,7 @@ func TestAdvisorConvergence(t *testing.T) {
 	read := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := db.Query(Query{
+			if _, _, err := db.Query(nil, Query{
 				Set:     "Emp1",
 				Project: []string{"name"},
 				Where:   &Pred{Expr: "dept.name", Op: OpEQ, Value: str("dept-01")},
@@ -63,7 +63,7 @@ func TestAdvisorConvergence(t *testing.T) {
 	update := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := db.UpdateWhere("Dept",
+			if _, _, err := db.UpdateWhere(nil, "Dept",
 				Pred{Expr: "name", Op: OpEQ, Value: str("dept-01")},
 				map[string]schema.Value{"name": str("dept-01")}); err != nil {
 				t.Fatal(err)
@@ -138,7 +138,7 @@ func TestAdvisorSuggestsUnreplicatedPath(t *testing.T) {
 	populate(t, db, 2, 4, 40)
 
 	for i := 0; i < 24; i++ {
-		if _, err := db.Query(Query{
+		if _, _, err := db.Query(nil, Query{
 			Set:   "Emp1",
 			Where: &Pred{Expr: "dept.budget", Op: OpGT, Value: num(100)},
 		}); err != nil {
@@ -163,7 +163,7 @@ func TestAdvisorSuggestsUnreplicatedPath(t *testing.T) {
 func TestAdvisorDisabled(t *testing.T) {
 	db := openEmployeeDB(t, Config{AdvisorDisabled: true})
 	populate(t, db, 1, 2, 8)
-	if _, err := db.Query(Query{Set: "Emp1", Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("dept-01")}}); err != nil {
+	if _, _, err := db.Query(nil, Query{Set: "Emp1", Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("dept-01")}}); err != nil {
 		t.Fatal(err)
 	}
 	rep := db.Advise()
@@ -191,13 +191,13 @@ func TestAdvisorSubscriptionRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			_, _ = db.Query(Query{Set: "Emp1", Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("dept-01")}})
+			_, _, _ = db.Query(nil, Query{Set: "Emp1", Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("dept-01")}})
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			_, _ = db.UpdateWhere("Dept",
+			_, _, _ = db.UpdateWhere(nil, "Dept",
 				Pred{Expr: "name", Op: OpEQ, Value: str("dept-02")},
 				map[string]schema.Value{"name": str("dept-02")})
 		}

@@ -45,11 +45,11 @@ func TestParallelQueryEquivalence(t *testing.T) {
 		{Set: "Dept", Project: []string{"name", "budget"}},
 	}
 	for i, q := range queries {
-		qs, err := seqDB.Query(q)
+		qs, _, err := seqDB.Query(nil, q)
 		if err != nil {
 			t.Fatalf("query %d sequential: %v", i, err)
 		}
-		qp, err := parDB.Query(q)
+		qp, _, err := parDB.Query(nil, q)
 		if err != nil {
 			t.Fatalf("query %d parallel: %v", i, err)
 		}
@@ -78,11 +78,11 @@ func TestParallelUpdateWhereEquivalence(t *testing.T) {
 
 	where := Pred{Expr: "age", Op: OpGT, Value: num(40)}
 	vals := map[string]schema.Value{"salary": num(99)}
-	nSeq, err := seqDB.UpdateWhere("Emp1", where, vals)
+	nSeq, _, err := seqDB.UpdateWhere(nil, "Emp1", where, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, err := parDB.UpdateWhere("Emp1", where, vals)
+	nPar, _, err := parDB.UpdateWhere(nil, "Emp1", where, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestParallelUpdateWhereEquivalence(t *testing.T) {
 		t.Fatalf("UpdateWhere matched %d sequential vs %d parallel rows", nSeq, nPar)
 	}
 	q := Query{Set: "Emp1", Project: []string{"name", "age", "salary"}}
-	qs, err := seqDB.Query(q)
+	qs, _, err := seqDB.Query(nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qp, err := parDB.Query(q)
+	qp, _, err := parDB.Query(nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Query(Query{
+				res, _, err := db.Query(nil, Query{
 					Set: "Emp1", Project: []string{"name", "salary"},
 					Where: &Pred{Expr: "age", Op: OpGT, Value: num(int64(20 + (g+i)%30))},
 				})
@@ -213,7 +213,7 @@ func BenchmarkConcurrentReaders(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						if _, err := db.Query(q); err != nil {
+						if _, _, err := db.Query(nil, q); err != nil {
 							b.Error(err)
 							return
 						}

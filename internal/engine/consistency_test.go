@@ -95,7 +95,7 @@ func TestQueryConsistencyUnderMutation(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
-		res, err := db.Query(Query{
+		res, _, err := db.Query(nil, Query{
 			Set:     "Emp1",
 			Project: []string{"dept.name", "dept.budget", "dept.org.name", "dept.org.budget"},
 		})
@@ -184,7 +184,7 @@ func TestQueryConsistencyUnderMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 6: // bulk update through the executor
-			if _, err := db.UpdateWhere("Dept",
+			if _, _, err := db.UpdateWhere(nil, "Dept",
 				Pred{Expr: "budget", Op: OpLE, Value: num(int64(rng.Intn(500)))},
 				map[string]schema.Value{"budget": num(int64(rng.Intn(1000)))}); err != nil {
 				t.Fatal(err)

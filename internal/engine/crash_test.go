@@ -93,14 +93,14 @@ func TestCrashDuringFlushNeverHalfApplied(t *testing.T) {
 	// Whatever prefix of the flush survived, each source's replicated budget
 	// must now agree with the budget its department actually has.
 	deptBudget := map[string]string{}
-	res, err := db2.Query(Query{Set: "Dept", Project: []string{"name", "budget"}})
+	res, _, err := db2.Query(nil, Query{Set: "Dept", Project: []string{"name", "budget"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res.Rows {
 		deptBudget[r.Values[0].S] = r.Values[1].String()
 	}
-	res, err = db2.Query(Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget"}})
+	res, _, err = db2.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCrashTornWriteRepaired(t *testing.T) {
 		t.Fatalf("replication inconsistent after WAL recovery: %v", errs)
 	}
 	torn := 0
-	res, err := db2.Query(Query{Set: "Emp2", Project: []string{"name"}})
+	res, _, err := db2.Query(nil, Query{Set: "Emp2", Project: []string{"name"}})
 	if err != nil {
 		t.Fatalf("scan after WAL recovery: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestCrashTornWriteRepaired(t *testing.T) {
 		t.Fatalf("recovered %d of 6 committed inserts", torn)
 	}
 	for _, set := range []string{"Org", "Dept", "Emp1"} {
-		if _, err := db2.Query(Query{Set: set, Project: []string{"name"}}); err != nil {
+		if _, _, err := db2.Query(nil, Query{Set: set, Project: []string{"name"}}); err != nil {
 			t.Fatalf("scan of %s after WAL recovery: %v", set, err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestCrashTornWriteDetectedNoWAL(t *testing.T) {
 	defer db2.Close()
 	var firstErr error
 	for _, set := range []string{"Org", "Dept", "Emp1", "Emp2"} {
-		if _, err := db2.Query(Query{Set: set, Project: []string{"name"}}); err != nil {
+		if _, _, err := db2.Query(nil, Query{Set: set, Project: []string{"name"}}); err != nil {
 			firstErr = err
 			break
 		}
@@ -281,7 +281,7 @@ func TestFlippedBitDetectedOnDisk(t *testing.T) {
 		return
 	}
 	defer db2.Close()
-	_, err = db2.Query(Query{Set: "Emp1", Project: []string{"name", "salary"}})
+	_, _, err = db2.Query(nil, Query{Set: "Emp1", Project: []string{"name", "salary"}})
 	if err == nil {
 		t.Fatal("query over a flipped-bit page succeeded")
 	}

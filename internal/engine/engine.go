@@ -132,6 +132,9 @@ type DB struct {
 	// Config.AdvisorDisabled); advisorCancel detaches its obs subscription.
 	advisor       *advisor.Advisor
 	advisorCancel func()
+	// closed is set once Close or CrashStop has released the store and log.
+	// Guarded by db.mu.Lock.
+	closed bool
 	// lockWait is the writer-lock contention histogram: how long each write
 	// statement of a database without a log blocked acquiring db.mu
 	// exclusively. Together with the WAL's fsync-wait and the pool's stall
@@ -385,17 +388,22 @@ func (db *DB) rehydrate() error {
 // Close flushes and releases the database, persisting the catalog snapshot
 // for file-backed databases so they can be reopened. With a WAL, everything
 // is made durable and the log is truncated, so reopening replays nothing.
+//
+// Close waits out in-flight statements and transactions on the exclusive
+// lock; statements that start afterwards fail against the closed store and
+// log. A Close that fails before releasing anything may be retried; once the
+// database is released (by Close or CrashStop), Close returns
+// pagefile.ErrClosed.
 func (db *DB) Close() error {
 	// Replication components must stop before the lock is taken: the
 	// follower applier acquires db.mu inside ApplyTxns, and the primary's
 	// snapshot callback does too.
 	db.closeRepl()
-	if db.advisorCancel != nil {
-		db.advisorCancel()
-		db.advisorCancel = nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.closed {
+		return fmt.Errorf("engine: close: %w", pagefile.ErrClosed)
+	}
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -411,11 +419,19 @@ func (db *DB) Close() error {
 		if err := db.wal.Checkpoint(); err != nil {
 			return err
 		}
-		if err := db.wal.Close(); err != nil {
-			return err
-		}
 	}
-	return db.store.Close()
+	db.closed = true
+	if db.advisorCancel != nil {
+		db.advisorCancel()
+	}
+	var err error
+	if db.wal != nil {
+		err = db.wal.Close()
+	}
+	if cerr := db.store.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeCatalog persists the catalog snapshot of a file-backed database; it is
@@ -593,8 +609,19 @@ func (db *DB) Repair() (*core.RepairReport, error) {
 	return rep, nil
 }
 
-// Catalog exposes the system catalog (read-only use).
-func (db *DB) Catalog() *catalog.Catalog { return db.cat }
+// LinkSequence returns the link IDs of a registered replication path in
+// order — the paper's "link sequence" (§4.1.3) — and whether the path
+// exists. It reads the catalog under the shared lock, so it is safe beside
+// concurrent DDL.
+func (db *DB) LinkSequence(spec catalog.PathSpec, strategy catalog.Strategy) ([]uint8, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	p, ok := db.cat.FindPath(spec, strategy)
+	if !ok {
+		return nil, false
+	}
+	return p.LinkSequence(), true
+}
 
 // Manager exposes the replication manager (used by tests and the invariant
 // checker).
@@ -765,16 +792,6 @@ func (s IOStats) Sub(t IOStats) IOStats {
 func (db *DB) IO() IOStats {
 	st := db.store.Stats().Snapshot()
 	return IOStats{Reads: st.Reads, Writes: st.Writes, Allocs: st.Allocs}
-}
-
-// ResetIO zeroes the I/O counters. It takes the writer lock so a reset can
-// never land in the middle of a query and turn its delta negative; per-query
-// measurement that must coexist with concurrency should use QueryTraced
-// records instead of reset deltas.
-func (db *DB) ResetIO() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.store.Stats().Reset()
 }
 
 // ColdCache flushes and empties the buffer pool, so the next query starts

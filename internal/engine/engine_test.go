@@ -140,14 +140,14 @@ func TestCRUDAndScanQuery(t *testing.T) {
 	db := openEmployeeDB(t, Config{})
 	st := populate(t, db, 2, 4, 20)
 
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"name", "salary"}})
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "salary"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 20 {
 		t.Fatalf("full scan returned %d rows", len(res.Rows))
 	}
-	res, err = db.Query(Query{
+	res, _, err = db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "salary", Op: OpGT, Value: num(65000)},
 	})
@@ -183,7 +183,7 @@ func TestCRUDAndScanQuery(t *testing.T) {
 func TestFunctionalJoinProjection(t *testing.T) {
 	db := openEmployeeDB(t, Config{})
 	populate(t, db, 2, 4, 8)
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.org.name"}})
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.org.name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestIndexedQuery(t *testing.T) {
 	if err := db.BuildIndex("emp1_salary", "Emp1", "salary", false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(Query{
+	res, _, err := db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "salary", Op: OpBetween, Value: num(60000), Value2: num(64000)},
 	})
@@ -223,7 +223,7 @@ func TestIndexedQuery(t *testing.T) {
 	if err := db.Delete("Emp1", st.emps[11]); err != nil { // salary 61000
 		t.Fatal(err)
 	}
-	res, _ = db.Query(Query{
+	res, _, _ = db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"salary"},
 		Where: &Pred{Expr: "salary", Op: OpBetween, Value: num(60000), Value2: num(64000)},
 	})
@@ -231,7 +231,7 @@ func TestIndexedQuery(t *testing.T) {
 		t.Fatalf("after maintenance, indexed range returned %d rows", len(res.Rows))
 	}
 	// ForceScan agrees with the index.
-	res2, _ := db.Query(Query{
+	res2, _, _ := db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"salary"}, ForceScan: true,
 		Where: &Pred{Expr: "salary", Op: OpBetween, Value: num(60000), Value2: num(64000)},
 	})
@@ -270,11 +270,11 @@ func TestReplicationAvoidsJoinIO(t *testing.T) {
 		if err := db.ColdCache(); err != nil {
 			t.Fatal(err)
 		}
-		db.ResetIO()
-		if _, err := db.Query(q); err != nil {
+		_, rec, err := db.Query(nil, q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return db.IO().Reads
+		return rec.StoreReads
 	}
 	before := measure()
 	if err := db.Replicate("Emp1.dept.budget", catalog.InPlace); err != nil {
@@ -298,7 +298,7 @@ func TestReplicatedQueryResultsMatchJoins(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			db := openEmployeeDB(t, Config{})
 			st := populate(t, db, 2, 4, 30)
-			baseline, err := db.Query(Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.org.name"}})
+			baseline, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.org.name"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func TestReplicatedQueryResultsMatchJoins(t *testing.T) {
 				t.Fatal(err)
 			}
 			verifyDB(t, db)
-			replicated, err := db.Query(Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.org.name"}})
+			replicated, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.org.name"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,11 +324,11 @@ func TestReplicatedQueryResultsMatchJoins(t *testing.T) {
 				}
 			}
 			// Results stay equal after updates flow through replication.
-			if _, err := db.UpdateWhere("Dept", Pred{Expr: "budget", Op: OpGE, Value: num(0)}, map[string]schema.Value{"name": str("renamed")}); err != nil {
+			if _, _, err := db.UpdateWhere(nil, "Dept", Pred{Expr: "budget", Op: OpGE, Value: num(0)}, map[string]schema.Value{"name": str("renamed")}); err != nil {
 				t.Fatal(err)
 			}
 			verifyDB(t, db)
-			after, _ := db.Query(Query{Set: "Emp1", Project: []string{"dept.name"}})
+			after, _, _ := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name"}})
 			for _, row := range after.Rows {
 				if row.Values[0].S != "renamed" {
 					t.Fatalf("update not visible through replication: %v", row.Values[0])
@@ -353,7 +353,7 @@ func TestPathIndex(t *testing.T) {
 	if err := db.BuildIndex("emp1_orgname", "Emp1", "dept.org.name", false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(Query{
+	res, _, err := db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"name", "dept.org.name"},
 		Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("org-01")},
 	})
@@ -383,14 +383,14 @@ func TestPathIndex(t *testing.T) {
 	if err := db.Update("Org", st.orgs[1], map[string]schema.Value{"name": str("renamed-org")}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = db.Query(Query{
+	res, _, _ = db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("org-01")},
 	})
 	if len(res.Rows) != 0 {
 		t.Fatalf("stale index entries: %d", len(res.Rows))
 	}
-	res, _ = db.Query(Query{
+	res, _, _ = db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("renamed-org")},
 	})
@@ -401,7 +401,7 @@ func TestPathIndex(t *testing.T) {
 	if err := db.Delete("Emp1", res.Rows[0].OID); err != nil {
 		t.Fatal(err)
 	}
-	res2, _ := db.Query(Query{
+	res2, _, _ := db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("renamed-org")},
 	})
@@ -421,7 +421,7 @@ func TestRefReplicationCollapsesJoins(t *testing.T) {
 	}
 	verifyDB(t, db)
 	q := Query{Set: "Emp1", Project: []string{"dept.org.name"}}
-	res, err := db.Query(q)
+	res, _, err := db.Query(nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,11 +433,11 @@ func TestRefReplicationCollapsesJoins(t *testing.T) {
 	}
 	// I/O: the collapsed query must not read the Dept file.
 	db.ColdCache()
-	db.ResetIO()
-	if _, err := db.Query(q); err != nil {
+	_, rec, err := db.Query(nil, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reads := db.IO().Reads
+	reads := rec.StoreReads
 	empPages, _ := db.NumPages("Emp1")
 	orgPages, _ := db.NumPages("Org")
 	if reads > int64(empPages+orgPages)+2 {
@@ -445,8 +445,8 @@ func TestRefReplicationCollapsesJoins(t *testing.T) {
 	}
 	// Keeps working when the dept's org moves (referential integrity
 	// argument of §3.3.3).
-	deptRes, _ := db.Query(Query{Set: "Dept", Project: []string{"name"}})
-	orgRes, _ := db.Query(Query{Set: "Org", Project: []string{"name"}})
+	deptRes, _, _ := db.Query(nil, Query{Set: "Dept", Project: []string{"name"}})
+	orgRes, _, _ := db.Query(nil, Query{Set: "Org", Project: []string{"name"}})
 	if err := db.Update("Dept", deptRes.Rows[0].OID, map[string]schema.Value{"org": ref(orgRes.Rows[1].OID)}); err != nil {
 		t.Fatal(err)
 	}
@@ -459,14 +459,14 @@ func TestUpdateWhere(t *testing.T) {
 	if err := db.BuildIndex("dept_budget", "Dept", "budget", false); err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.UpdateWhere("Dept", Pred{Expr: "budget", Op: OpLE, Value: num(100)}, map[string]schema.Value{"budget": num(999)})
+	n, _, err := db.UpdateWhere(nil, "Dept", Pred{Expr: "budget", Op: OpLE, Value: num(100)}, map[string]schema.Value{"budget": num(999)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 { // budgets 0 and 100
 		t.Fatalf("UpdateWhere touched %d rows, want 2", n)
 	}
-	res, _ := db.Query(Query{Set: "Dept", Project: []string{"name"}, Where: &Pred{Expr: "budget", Op: OpEQ, Value: num(999)}})
+	res, _, _ := db.Query(nil, Query{Set: "Dept", Project: []string{"name"}, Where: &Pred{Expr: "budget", Op: OpEQ, Value: num(999)}})
 	if len(res.Rows) != 2 {
 		t.Fatalf("after UpdateWhere, query found %d rows", len(res.Rows))
 	}
@@ -475,15 +475,14 @@ func TestUpdateWhere(t *testing.T) {
 func TestEmitOutput(t *testing.T) {
 	db := openEmployeeDB(t, Config{})
 	populate(t, db, 2, 4, 100)
-	db.ResetIO()
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"name", "salary"}, EmitOutput: true})
+	res, rec, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "salary"}, EmitOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.OutputPages == 0 {
 		t.Fatal("no output pages recorded")
 	}
-	if db.IO().Allocs == 0 {
+	if rec.StoreAllocs == 0 {
 		t.Fatal("output file did not allocate pages")
 	}
 }
@@ -506,7 +505,7 @@ func TestFileBackedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyDB(t, db)
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"dept.name"}})
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name"}})
 	if err != nil || len(res.Rows) != 50 {
 		t.Fatalf("file-backed query: %d rows, %v", len(res.Rows), err)
 	}
@@ -517,23 +516,22 @@ func TestColdCacheMeasurementDiscipline(t *testing.T) {
 	populate(t, db, 2, 4, 200)
 	q := Query{Set: "Emp1", Project: []string{"name"}}
 	// Warm run: everything cached, near-zero store reads on repeat.
-	if _, err := db.Query(q); err != nil {
+	if _, _, err := db.Query(nil, q); err != nil {
 		t.Fatal(err)
 	}
-	db.ResetIO()
-	if _, err := db.Query(q); err != nil {
+	_, rec, err := db.Query(nil, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	warm := db.IO().Reads
-	if warm != 0 {
+	if warm := rec.StoreReads; warm != 0 {
 		t.Fatalf("warm query performed %d reads", warm)
 	}
 	db.ColdCache()
-	db.ResetIO()
-	if _, err := db.Query(q); err != nil {
+	_, rec, err = db.Query(nil, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cold := db.IO().Reads
+	cold := rec.StoreReads
 	pages, _ := db.NumPages("Emp1")
 	if cold < int64(pages) {
 		t.Fatalf("cold query read %d pages, set has %d", cold, pages)
@@ -585,7 +583,7 @@ func TestEngineInverseAndAccessors(t *testing.T) {
 	}
 
 	// Accessor smoke coverage.
-	if db.Catalog() == nil || db.Manager() == nil {
+	if db.Manager() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if db.PoolStats().Misses < 0 {
@@ -611,20 +609,20 @@ func TestEngineInverseAndAccessors(t *testing.T) {
 func TestQueryErrorPaths(t *testing.T) {
 	db := openEmployeeDB(t, Config{})
 	populate(t, db, 2, 4, 6)
-	if _, err := db.Query(Query{Set: "Nope"}); err == nil {
+	if _, _, err := db.Query(nil, Query{Set: "Nope"}); err == nil {
 		t.Fatal("query on missing set succeeded")
 	}
-	if _, err := db.Query(Query{Set: "Emp1", Project: []string{"missing"}}); err == nil {
+	if _, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"missing"}}); err == nil {
 		t.Fatal("projection of missing field succeeded")
 	}
-	if _, err := db.Query(Query{Set: "Emp1", Project: []string{"name"},
+	if _, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "salary", Op: OpEQ, Value: str("not an int")}}); err == nil {
 		t.Fatal("kind-mismatched predicate succeeded")
 	}
-	if _, err := db.Query(Query{Set: "Emp1", Project: []string{"age.name"}}); err == nil {
+	if _, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"age.name"}}); err == nil {
 		t.Fatal("path through non-ref field succeeded")
 	}
-	if _, err := db.UpdateWhere("Emp1", Pred{Expr: "salary", Op: Op(77), Value: num(1)}, nil); err == nil {
+	if _, _, err := db.UpdateWhere(nil, "Emp1", Pred{Expr: "salary", Op: Op(77), Value: num(1)}, nil); err == nil {
 		t.Fatal("unknown operator succeeded")
 	}
 }
@@ -637,7 +635,7 @@ func TestConjunctiveFilters(t *testing.T) {
 	}
 	// Index drives the Where; the Filters prune further, including through a
 	// path expression.
-	res, err := db.Query(Query{
+	res, _, err := db.Query(nil, Query{
 		Set:     "Emp1",
 		Project: []string{"name", "salary", "dept.name"},
 		Where:   &Pred{Expr: "salary", Op: OpBetween, Value: num(50000), Value2: num(70000)},
@@ -654,7 +652,7 @@ func TestConjunctiveFilters(t *testing.T) {
 	}
 	// Cross-check against a manual triple filter via scan.
 	want := 0
-	all, _ := db.Query(Query{Set: "Emp1", Project: []string{"salary", "age", "dept.name"}, ForceScan: true})
+	all, _, _ := db.Query(nil, Query{Set: "Emp1", Project: []string{"salary", "age", "dept.name"}, ForceScan: true})
 	for _, row := range all.Rows {
 		if row.Values[0].I >= 50000 && row.Values[0].I <= 70000 &&
 			row.Values[1].I >= 30 && row.Values[2].S == "dept-01" {
@@ -722,7 +720,7 @@ func TestLargeDepartmentFanout(t *testing.T) {
 		t.Fatalf("separate update (%d) not far cheaper than in-place fan-out (%d)", separateIO, inplaceIO)
 	}
 	// All 1000 replicas correct.
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget"},
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget"},
 		Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("Huge")}})
 	if err != nil {
 		t.Fatal(err)

@@ -179,11 +179,11 @@ func soakSnapshot(t *testing.T, db *DB) []string {
 	t.Helper()
 	var rows []string
 	dump := func(set string, project []string) {
-		if _, ok := db.Catalog().SetByName(set); !ok {
+		if _, ok := db.cat.SetByName(set); !ok {
 			rows = append(rows, set+": <absent>")
 			return
 		}
-		res, err := db.Query(Query{Set: set, Project: project})
+		res, _, err := db.Query(nil, Query{Set: set, Project: project})
 		if err != nil {
 			t.Fatalf("snapshot query on %s: %v", set, err)
 		}

@@ -168,7 +168,7 @@ func TestOverlappingFootprintsSerialize(t *testing.T) {
 	}
 	// Replicated reads resolve through the hidden copies; they must match the
 	// terminal values the writers left.
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"name", "dept.name"}})
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "dept.name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestSnapshotReadersNoLockWait(t *testing.T) {
 		iters = 15
 	}
 	for i := 0; i < iters; i++ {
-		res, rec, err := db.QueryTraced(Query{
+		res, rec, err := db.Query(nil, Query{
 			Set: "W00", Project: []string{"name", "n"},
 			Where: &Pred{Expr: "n", Op: OpGE, Value: num(0)},
 		})

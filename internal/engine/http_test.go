@@ -35,7 +35,7 @@ func workload(t *testing.T, db *DB) {
 		// A dotted-path read, so the advisor has a path to aggregate.
 		{Set: "Emp1", Project: []string{"name"}, Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("dept-01")}},
 	} {
-		if _, err := db.Query(q); err != nil {
+		if _, _, err := db.Query(nil, q); err != nil {
 			t.Fatal(err)
 		}
 	}

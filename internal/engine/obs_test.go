@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"math"
 	"sync"
 	"testing"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
-	"github.com/exodb/fieldrepl/internal/costmodel"
 	"github.com/exodb/fieldrepl/internal/obs"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
@@ -44,7 +42,7 @@ func TestConcurrentQueryAttribution(t *testing.T) {
 	// Serial baselines: logical page accesses per query.
 	serial := make([]int64, len(queries))
 	for i, q := range queries {
-		_, rec, err := db.QueryTraced(q)
+		_, rec, err := db.Query(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +71,7 @@ func TestConcurrentQueryAttribution(t *testing.T) {
 			wg.Add(1)
 			go func(i int, q Query) {
 				defer wg.Done()
-				_, rec, err := db.QueryTraced(q)
+				_, rec, err := db.Query(nil, q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -116,7 +114,7 @@ func TestDMLAndUpdateWhereTraced(t *testing.T) {
 	}
 	_ = st
 
-	n, rec, err := db.UpdateWhereTraced("Dept",
+	n, rec, err := db.UpdateWhere(nil, "Dept",
 		Pred{Expr: "budget", Op: OpGT, Value: num(-1)},
 		map[string]schema.Value{"name": str("renamed")})
 	if err != nil {
@@ -140,90 +138,12 @@ func TestDMLAndUpdateWhereTraced(t *testing.T) {
 	}
 }
 
-// TestExplainQueryPredictedVsObserved runs 1-level read and update queries
-// through the explain API and checks the cost-model coordinates are derived
-// correctly and the prediction matches the model's equations.
-func TestExplainQueryPredictedVsObserved(t *testing.T) {
-	db := openEmployeeDB(t, Config{})
-	populate(t, db, 2, 4, 40)
-	if err := db.Replicate("Emp1.dept.name", catalog.InPlace); err != nil {
-		t.Fatal(err)
-	}
-	params := costmodel.Default()
-
-	// Cold cache: observed pages are store transfers, which a warm pool
-	// would reduce to zero (the model assumes each needed page is read once).
-	if err := db.ColdCache(); err != nil {
-		t.Fatal(err)
-	}
-	res, ex, err := db.ExplainQuery(Query{
-		Set: "Emp1", Project: []string{"name", "dept.name"},
-		Where: &Pred{Expr: "salary", Op: OpGT, Value: num(60000)},
-	}, &params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	if ex.Strategy != costmodel.InPlace.String() {
-		t.Fatalf("Strategy = %q, want %q", ex.Strategy, costmodel.InPlace)
-	}
-	if !ex.HasPrediction {
-		t.Fatal("HasPrediction = false with params supplied")
-	}
-	wantPred := math.Ceil(params.ReadCost(costmodel.InPlace, costmodel.Unclustered))
-	if ex.PredictedPages != wantPred {
-		t.Fatalf("PredictedPages = %v, want %v", ex.PredictedPages, wantPred)
-	}
-	if ex.ObservedPages != ex.Trace.IO() {
-		t.Fatalf("ObservedPages = %d, trace IO = %d", ex.ObservedPages, ex.Trace.IO())
-	}
-	if ex.ObservedPages <= 0 {
-		t.Fatalf("ObservedPages = %d", ex.ObservedPages)
-	}
-
-	// Without params: observed only.
-	_, ex, err = db.ExplainQuery(Query{Set: "Emp1", Project: []string{"name"}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.HasPrediction || ex.PredictedPages != 0 {
-		t.Fatalf("nil params produced a prediction: %+v", ex)
-	}
-
-	// Update side: the path terminates at DEPT, so updating Dept pays
-	// in-place propagation.
-	if err := db.ColdCache(); err != nil {
-		t.Fatal(err)
-	}
-	n, ux, err := db.ExplainUpdateWhere("Dept",
-		Pred{Expr: "budget", Op: OpGT, Value: num(-1)},
-		map[string]schema.Value{"name": str("x")}, &params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("updated %d, want 4", n)
-	}
-	if ux.Strategy != costmodel.InPlace.String() {
-		t.Fatalf("update Strategy = %q, want %q", ux.Strategy, costmodel.InPlace)
-	}
-	wantPred = math.Ceil(params.UpdateCost(costmodel.InPlace, costmodel.Unclustered))
-	if ux.PredictedPages != wantPred {
-		t.Fatalf("update PredictedPages = %v, want %v", ux.PredictedPages, wantPred)
-	}
-	if ux.ObservedPages <= 0 {
-		t.Fatalf("update ObservedPages = %d", ux.ObservedPages)
-	}
-}
-
 // TestMetricsAndRecentTraces exercises the pull-based snapshot surface.
 func TestMetricsAndRecentTraces(t *testing.T) {
 	db := openEmployeeDB(t, Config{})
 	populate(t, db, 2, 4, 20)
 
-	if _, err := db.Query(Query{Set: "Emp1", Project: []string{"name"}}); err != nil {
+	if _, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name"}}); err != nil {
 		t.Fatal(err)
 	}
 	m := db.Metrics()
@@ -254,7 +174,7 @@ func TestIndexedQueryTracePlan(t *testing.T) {
 	if err := db.BuildIndex("bysal", "Emp1", "salary", false); err != nil {
 		t.Fatal(err)
 	}
-	res, rec, err := db.QueryTraced(Query{
+	res, rec, err := db.Query(nil, Query{
 		Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "salary", Op: OpBetween, Value: num(55000), Value2: num(60000)},
 	})

@@ -79,12 +79,12 @@ func TestReplicateOnEmptySetsThenFirstWriteInTxn(t *testing.T) {
 	must(txn.Commit())
 	verifyDB(t, p)
 
-	res, err := p.Query(Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget"}})
+	res, _, err := p.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget"}})
 	must(err)
 	if len(res.Rows) != 2 || res.Rows[0].Values[0].S != "games" || res.Rows[0].Values[1].I != 111 {
 		t.Fatalf("Emp1 through replicated paths: %v", res.Rows)
 	}
-	res, err = p.Query(Query{Set: "Emp2", Project: []string{"dept.org.name"}})
+	res, _, err = p.Query(nil, Query{Set: "Emp2", Project: []string{"dept.org.name"}})
 	must(err)
 	if len(res.Rows) != 2 || res.Rows[1].Values[0].S != "megacorp" {
 		t.Fatalf("Emp2 through the collapsed path: %v", res.Rows)
@@ -124,7 +124,7 @@ func TestReadersSeePreTxnStateWithoutWaiting(t *testing.T) {
 			return "", nil, 0, err
 		}
 		v, _ := obj.Get("name")
-		res, rec, err := db.QueryTraced(Query{Set: "Emp1", Project: []string{"dept.name"}})
+		res, rec, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name"}})
 		if err != nil {
 			return "", nil, 0, err
 		}

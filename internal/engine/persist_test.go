@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
@@ -60,7 +64,7 @@ func TestReopenRoundTrip(t *testing.T) {
 		t.Fatalf("Get after reopen: %v, %v", obj, err)
 	}
 	// Queries resolve through the restored replication paths.
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget", "dept.org.name"}})
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget", "dept.org.name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +72,12 @@ func TestReopenRoundTrip(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	// Indexes survived (base and path).
-	ir, err := db.Query(Query{Set: "Emp1", Project: []string{"name"},
+	ir, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "salary", Op: OpBetween, Value: num(50000), Value2: num(55000)}})
 	if err != nil || ir.UsedIndex != "emp1_salary" {
 		t.Fatalf("base index after reopen: %+v, %v", ir, err)
 	}
-	pr, err := db.Query(Query{Set: "Emp1", Project: []string{"name"},
+	pr, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("dept-01")}})
 	if err != nil || pr.UsedIndex != "emp1_deptname" {
 		t.Fatalf("path index after reopen: %+v, %v", pr, err)
@@ -83,7 +87,7 @@ func TestReopenRoundTrip(t *testing.T) {
 	if err := db.Update("Dept", research, map[string]schema.Value{"name": str("Renamed")}); err != nil {
 		t.Fatal(err)
 	}
-	pr, err = db.Query(Query{Set: "Emp1", Project: []string{"name"},
+	pr, _, err = db.Query(nil, Query{Set: "Emp1", Project: []string{"name"},
 		Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("Renamed")}})
 	if err != nil || len(pr.Rows) == 0 {
 		t.Fatalf("propagated index lookup after reopen: %d rows, %v", len(pr.Rows), err)
@@ -186,5 +190,119 @@ func TestCatalogSnapshotRestore(t *testing.T) {
 	}
 	if _, err := catalog.Restore([]byte(`{"version": 99}`)); err == nil {
 		t.Fatal("future version accepted")
+	}
+}
+
+// TestCloseUnderLoad releases a file-backed database while 4 goroutines are
+// mid-Insert/Query, with nothing above the engine serializing them: the
+// release waits the in-flight statements out on the exclusive lock, every
+// statement completes or returns an error (never panics or races), a later
+// Close fails with pagefile.ErrClosed, and the reopened database holds every
+// acknowledged insert with the replication invariant intact. The CrashStop
+// row does the same through the kill -9 path and log recovery.
+func TestCloseUnderLoad(t *testing.T) {
+	// A second Close is refused on every store kind (an in-memory database
+	// has no closed file store to trip over).
+	mem := openEmployeeDB(t, Config{})
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Close(); !errors.Is(err, pagefile.ErrClosed) {
+		t.Fatalf("second Close of an in-memory database = %v, want pagefile.ErrClosed", err)
+	}
+	for _, crash := range []bool{false, true} {
+		name := "Close"
+		if crash {
+			name = "CrashStop"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openEmployeeDB(t, Config{Dir: dir})
+			st := populate(t, db, 2, 4, 20)
+			if err := db.Replicate("Emp1.dept.name", catalog.InPlace); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Replicate("Emp1.dept.budget", catalog.Separate); err != nil {
+				t.Fatal(err)
+			}
+
+			// Each goroutine reports once, after its first warm statements,
+			// so the release lands while all four are mid-loop.
+			const warm = 5
+			warmed := make(chan struct{}, 4)
+			released := make(chan struct{})
+			var acked, attempted atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(2)
+				go func(g int) { // inserter: runs until the released database refuses it
+					defer wg.Done()
+					for i := 0; ; i++ {
+						if i == warm {
+							warmed <- struct{}{}
+						}
+						attempted.Add(1)
+						_, err := db.Insert("Emp1", map[string]schema.Value{
+							"name": str(fmt.Sprintf("late-%d-%d", g, i)), "age": num(30),
+							"salary": num(1), "dept": ref(st.depts[i%len(st.depts)]),
+						})
+						if err != nil {
+							if i < warm {
+								t.Errorf("insert %d before the release: %v", i, err)
+								warmed <- struct{}{}
+							}
+							return
+						}
+						acked.Add(1)
+					}
+				}(g)
+				go func() { // reader: a released database may answer from the pool or fail
+					defer wg.Done()
+					for i := 0; ; i++ {
+						if i == warm {
+							warmed <- struct{}{}
+						}
+						_, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.budget"}})
+						if err != nil && i < warm {
+							t.Errorf("query %d before the release: %v", i, err)
+						}
+						select {
+						case <-released:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			for i := 0; i < 4; i++ {
+				<-warmed
+			}
+			if crash {
+				db.CrashStop()
+			} else if err := db.Close(); err != nil {
+				t.Errorf("Close under load: %v", err)
+			}
+			close(released)
+			wg.Wait()
+			if err := db.Close(); !errors.Is(err, pagefile.ErrClosed) {
+				t.Errorf("Close of a released database = %v, want pagefile.ErrClosed", err)
+			}
+
+			db2, err := Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			verifyDB(t, db2)
+			// An insert that failed in the durability wait may still be in
+			// the log, so the count is bracketed, not exact.
+			n, err := db2.Count("Emp1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi := 20+acked.Load(), 20+attempted.Load(); int64(n) < lo || int64(n) > hi {
+				t.Fatalf("Emp1 holds %d objects after reopen, want %d..%d (acknowledged..attempted)", n, lo, hi)
+			}
+		})
 	}
 }

@@ -30,12 +30,6 @@ func (db *DB) PlanQuery(q Query) (*plan.Decision, error) {
 	return d, nil
 }
 
-// PlanUpdateWhere plans the collection phase of an UpdateWhere without
-// executing it.
-func (db *DB) PlanUpdateWhere(set string, where Pred) (*plan.Decision, error) {
-	return db.PlanQuery(Query{Set: set, Where: &where})
-}
-
 // planQuery gathers statistics and costs q's access paths. It returns the
 // decision and, when the decision is an index range, the catalog index to
 // drive it with. Callers hold the session's locks.

@@ -78,14 +78,14 @@ func TestPlannerFlipsAccessPath(t *testing.T) {
 	}
 
 	// Execution follows the decision.
-	res, err := db.Query(narrow)
+	res, _, err := db.Query(nil, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.UsedIndex != "bysal" || len(res.Rows) != 20 {
 		t.Fatalf("narrow run: index=%q rows=%d", res.UsedIndex, len(res.Rows))
 	}
-	if res, err = db.Query(wide); err != nil {
+	if res, _, err = db.Query(nil, wide); err != nil {
 		t.Fatal(err)
 	}
 	if res.UsedIndex != "" || len(res.Rows) != 1900 {
@@ -199,7 +199,7 @@ func TestPlannedQueriesConcurrentWriters(t *testing.T) {
 			q = Query{Set: "Emp1", Project: []string{"name", "dept.name"},
 				Where: &Pred{Expr: "age", Op: OpGE, Value: num(20)}}
 		}
-		res, rec, err := db.QueryTraced(q)
+		res, rec, err := db.Query(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,45 +94,27 @@ type Result struct {
 	Decision *plan.Decision
 }
 
-// Query executes a retrieve. On a logged database, reads — including
-// output-emitting queries — run under the shared lock against page-level
-// snapshots, fully concurrent with writers and never charged any lock wait;
-// only a query that must drain deferred propagation runs as a write statement
-// (the drain mutates derived state) and takes its set's footprint locks.
+// Query executes a retrieve and returns, with the result (which carries the
+// planner's Decision), the query's completed obs.Record: its own page I/O
+// (buffer hits/misses, store reads/writes, prefetches) attributed exactly to
+// this query regardless of what ran concurrently, plus plan kind, predicted
+// pages and the wall-time breakdown. The record — not a global IO() delta,
+// which counts every concurrent operation's pages — is the way to measure
+// per-query I/O.
 //
-// With ScanWorkers > 1 a non-indexed query evaluates predicates and
-// projections in parallel across page ranges; the result rows then arrive
-// in no particular order (the sequential default preserves physical order).
-func (db *DB) Query(q Query) (*Result, error) {
-	res, _, err := db.QueryTraced(q)
-	return res, err
-}
-
-// QueryCtx is Query under a context: cancellation is checked per record
-// during scans and index ranges (including parallel scan workers), so a
-// cancelled query stops fetching pages promptly. A nil ctx behaves like
-// Query.
-func (db *DB) QueryCtx(ctx context.Context, q Query) (*Result, error) {
-	res, _, err := db.QueryTracedCtx(ctx, q)
-	return res, err
-}
-
-// QueryTraced executes a retrieve like Query and additionally returns the
-// query's completed obs.Record: its own page I/O (buffer hits/misses, store
-// reads/writes, prefetches) attributed exactly to this query regardless of
-// what ran concurrently, plus plan kind and wall time. This — not the
-// Reset/IO-delta pattern, which counts every concurrent operation's pages —
-// is the way to measure per-query I/O.
-func (db *DB) QueryTraced(q Query) (*Result, obs.Record, error) {
-	return db.QueryTracedCtx(nil, q)
-}
-
-// QueryTracedCtx is the canonical retrieve implementation: every other query
-// entry point (Query, QueryCtx, QueryTraced, ExplainQuery, the public API's
-// Plan.Run) is a thin wrapper over it. It plans, executes under the regime
-// runQuery selects, and returns the result — carrying the planner's Decision
-// — plus the operation's completed trace record.
-func (db *DB) QueryTracedCtx(ctx context.Context, q Query) (*Result, obs.Record, error) {
+// On a logged database, reads — including output-emitting queries — run
+// under the shared lock against page-level snapshots, fully concurrent with
+// writers and never charged any lock wait; only a query that must drain
+// deferred propagation runs as a write statement (the drain mutates derived
+// state) and takes its set's footprint locks.
+//
+// Cancellation of ctx (nil means none) is checked per record during scans
+// and index ranges, including parallel scan workers, so a cancelled query
+// stops fetching pages promptly. With ScanWorkers > 1 a non-indexed query
+// evaluates predicates and projections in parallel across page ranges; the
+// result rows then arrive in no particular order (the sequential default
+// preserves physical order).
+func (db *DB) Query(ctx context.Context, q Query) (*Result, obs.Record, error) {
 	tr := db.obs.Start(obs.KindQuery, q.Set, queryDetail(q))
 	tr.SetOrigin(obs.OriginFrom(ctx))
 	res, err := db.runQuery(ctx, q, tr)
@@ -798,50 +780,25 @@ func encodeRow(r Row) []byte {
 	return buf
 }
 
-// UpdateWhere applies vals to every object of set matching where, returning
-// the number updated — the cost model's update query. The collection phase
-// fans predicate evaluation out to ScanWorkers goroutines when configured
-// (the matches are sorted back to physical order); the mutations themselves
-// run serially within the statement, under the per-set locks of the set's
-// footprint.
-func (db *DB) UpdateWhere(set string, where Pred, vals map[string]schema.Value) (int, error) {
-	n, _, err := db.updateWhereTraced(nil, set, where, vals)
-	return n, err
-}
-
-// UpdateWhereCtx is UpdateWhere under a context: cancellation is checked
-// per record during collection and per object during the update pass. A
-// cancelled operation rolls back.
-func (db *DB) UpdateWhereCtx(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, error) {
-	n, _, err := db.updateWhereTraced(ctx, set, where, vals)
-	return n, err
-}
-
-// UpdateWhereTraced is UpdateWhere returning the operation's completed
-// obs.Record: collection reads, object updates, and all replication
-// propagation the updates triggered, attributed to this one operation.
-func (db *DB) UpdateWhereTraced(set string, where Pred, vals map[string]schema.Value) (int, obs.Record, error) {
-	return db.updateWhereTraced(nil, set, where, vals)
-}
-
-func (db *DB) updateWhereTraced(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, obs.Record, error) {
-	n, rec, _, err := db.updateWhereDecided(ctx, set, where, vals)
-	return n, rec, err
-}
-
-// updateWhereDecided is the canonical update-query implementation: every
-// UpdateWhere entry point wraps it. It additionally returns the collection
-// phase's plan decision for Explain.
-func (db *DB) updateWhereDecided(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, obs.Record, *plan.Decision, error) {
+// UpdateWhere applies vals to every object of set matching where — the cost
+// model's update query — returning the number updated and the operation's
+// completed obs.Record: collection reads, object updates, and all replication
+// propagation the updates triggered, attributed to this one operation. The
+// collection phase fans predicate evaluation out to ScanWorkers goroutines
+// when configured (the matches are sorted back to physical order); the
+// mutations themselves run serially within the statement, under the per-set
+// locks of the set's footprint. Cancellation of ctx (nil means none) is
+// checked per record during collection and per object during the update
+// pass; a cancelled operation rolls back.
+func (db *DB) UpdateWhere(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, obs.Record, error) {
 	if err := db.writable(); err != nil {
-		return 0, obs.Record{}, nil, err
+		return 0, obs.Record{}, err
 	}
 	tr := db.obs.Start(obs.KindUpdate, set, where.Expr)
 	tr.SetOrigin(obs.OriginFrom(ctx))
 	var n int
-	var d *plan.Decision
 	lsn, err := db.writeShot(ctx, tr, []string{set}, func(s *sess) (uerr error) {
-		n, d, uerr = s.updateWhere(ctx, set, where, vals)
+		n, uerr = s.updateWhere(ctx, set, where, vals)
 		return uerr
 	})
 	if err == nil {
@@ -849,18 +806,18 @@ func (db *DB) updateWhereDecided(ctx context.Context, set string, where Pred, va
 	}
 	rec := db.obs.Finish(tr)
 	if err != nil {
-		return 0, rec, d, err
+		return 0, rec, err
 	}
-	return n, rec, d, nil
+	return n, rec, nil
 }
 
-func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, *plan.Decision, error) {
+func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, error) {
 	typ, err := s.db.cat.SetType(set)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if err := s.flushDeferredFor(Query{Set: set, Where: &where}); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	q := Query{Set: set, Where: &where}
 	decision, ix := s.planQuery(q)
@@ -891,13 +848,13 @@ func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map
 	if decision.Access == plan.IndexRange && ix != nil {
 		ran, err = s.indexedAccess(ctx, q, typ, ix, &Result{}, collect)
 		if err != nil {
-			return 0, decision, err
+			return 0, err
 		}
 	}
 	if !ran {
 		file, err := s.SetFile(set)
 		if err != nil {
-			return 0, decision, err
+			return 0, err
 		}
 		eval := func(oid pagefile.OID, obj *schema.Object) (Row, bool, error) {
 			if ctx != nil {
@@ -913,7 +870,7 @@ func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map
 			return nil
 		}
 		if err := s.scanProcess(file, typ, eval, emit); err != nil {
-			return 0, decision, err
+			return 0, err
 		}
 		if s.db.workers > 1 {
 			// Parallel collection delivers matches in arbitrary order; sort
@@ -925,13 +882,13 @@ func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map
 	for _, oid := range matches {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return 0, decision, err
+				return 0, err
 			}
 		}
 		if err := s.update(set, oid, vals); err != nil {
-			return 0, decision, err
+			return 0, err
 		}
 	}
 	s.tr.SetRows(int64(len(matches)))
-	return len(matches), decision, nil
+	return len(matches), nil
 }

@@ -238,6 +238,7 @@ func (db *DB) CrashStop() {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.closed = true
 	_ = db.store.Close()
 }
 

@@ -99,7 +99,7 @@ var replSetProj = map[string][]string{
 // compare a replica against its primary.
 func dumpSet(t *testing.T, db *DB, set string) map[string]string {
 	t.Helper()
-	res, err := db.Query(Query{Set: set, Project: replSetProj[set]})
+	res, _, err := db.Query(nil, Query{Set: set, Project: replSetProj[set]})
 	if err != nil {
 		t.Fatalf("dump %s: %v", set, err)
 	}
@@ -180,7 +180,7 @@ func TestReplicationSnapshotAndStream(t *testing.T) {
 	assertReplicaMatches(t, p, f, "Org", "Dept", "Emp1")
 
 	// The replicated path answers on the follower without touching Dept.
-	res, err := f.Query(Query{Set: "Emp1", Project: []string{"name", "dept.name"}})
+	res, _, err := f.Query(nil, Query{Set: "Emp1", Project: []string{"name", "dept.name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestReplicationScratchFIDGap(t *testing.T) {
 	waitCaughtUp(t, p, f)
 
 	for i := 0; i < 3; i++ {
-		if _, err := p.Query(Query{Set: "Emp1", Project: []string{"name"}, EmitOutput: true}); err != nil {
+		if _, _, err := p.Query(nil, Query{Set: "Emp1", Project: []string{"name"}, EmitOutput: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestReplicationScratchFIDGap(t *testing.T) {
 	}
 	waitCaughtUp(t, p, f)
 	assertReplicaMatches(t, p, f, "Org", "Dept", "Emp1")
-	res, err := f.Query(Query{Set: "Late", Project: []string{"name"}})
+	res, _, err := f.Query(nil, Query{Set: "Late", Project: []string{"name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestReplicationScratchFIDGap(t *testing.T) {
 	f2 := startFollower(t, fdir, addr)
 	waitCaughtUp(t, p, f2)
 	assertReplicaMatches(t, p, f2, "Org", "Dept", "Emp1")
-	res, err = f2.Query(Query{Set: "Late", Project: []string{"name"}})
+	res, _, err = f2.Query(nil, Query{Set: "Late", Project: []string{"name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +622,7 @@ func TestReplicationFailoverTorture(t *testing.T) {
 		t.Fatalf("promoted follower is tainted: %v", tainted)
 	}
 	verifyDB(t, f)
-	res, err := f.Query(Query{Set: "Emp1", Project: []string{"name"}})
+	res, _, err := f.Query(nil, Query{Set: "Emp1", Project: []string{"name"}})
 	if err != nil {
 		t.Fatal(err)
 	}

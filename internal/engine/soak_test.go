@@ -106,12 +106,12 @@ func soakEverything(t *testing.T, dir string) {
 		lo := int64(40000 + rng.Intn(15000))
 		where := &Pred{Expr: "salary", Op: OpBetween, Value: num(lo), Value2: num(lo + 5000)}
 		q := Query{Set: "Emp1", Project: []string{"name", "dept.name", "dept.org.name"}, Where: where}
-		idx, err := db.Query(q)
+		idx, _, err := db.Query(nil, q)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		q.ForceScan = true
-		scan, err := db.Query(q)
+		scan, _, err := db.Query(nil, q)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -243,7 +243,7 @@ func soakEverything(t *testing.T, dir string) {
 		case 8:
 			where := Pred{Expr: "age", Op: OpEQ, Value: num(int64(20 + rng.Intn(45)))}
 			vals := map[string]schema.Value{"salary": num(int64(40000 + rng.Intn(25000)))}
-			dml(step, func() error { _, err := db.UpdateWhere("Emp1", where, vals); return err })
+			dml(step, func() error { _, _, err := db.UpdateWhere(nil, "Emp1", where, vals); return err })
 		case 9:
 			// Emp2 traffic exercises the collapsed path (never null refs).
 			if rng.Intn(2) == 0 && len(emps2) > 5 {
@@ -262,7 +262,7 @@ func soakEverything(t *testing.T, dir string) {
 			}
 			crossCheck(step)
 		default:
-			if _, err := db.Query(Query{
+			if _, _, err := db.Query(nil, Query{
 				Set:     "Emp1",
 				Project: []string{"name", "dept.name", "dept.budget", "dept.org.name", "dept.org.budget"},
 				Where:   &Pred{Expr: "age", Op: OpGE, Value: num(int64(rng.Intn(60)))},

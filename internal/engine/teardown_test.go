@@ -36,7 +36,7 @@ func TestUnreplicateInPlace(t *testing.T) {
 		t.Fatalf("target keeps link pairs: %v", dept.Links)
 	}
 	// Queries fall back to functional joins with correct answers.
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"dept.name"}})
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name"}})
 	if err != nil || len(res.Rows) != 20 {
 		t.Fatalf("query after unreplicate: %d rows, %v", len(res.Rows), err)
 	}
@@ -81,7 +81,7 @@ func TestUnreplicateKeepsSharedLinks(t *testing.T) {
 	if err := db.Update("Dept", st.depts[0], map[string]schema.Value{"budget": num(777)}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := db.Query(Query{Set: "Emp1", Project: []string{"dept.budget"},
+	res, _, _ := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.budget"},
 		Where: &Pred{Expr: "dept.budget", Op: OpEQ, Value: num(777)}})
 	if len(res.Rows) == 0 {
 		t.Fatal("budget propagation broken after sibling teardown")

@@ -269,7 +269,7 @@ func (t *Txn) UpdateWhere(set string, where Pred, vals map[string]schema.Value) 
 	if err := t.checkTarget(set); err != nil {
 		return 0, err
 	}
-	n, _, err := t.s.updateWhere(t.ctx, set, where, vals)
+	n, err := t.s.updateWhere(t.ctx, set, where, vals)
 	if err != nil {
 		t.abort()
 		return 0, err

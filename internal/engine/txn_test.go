@@ -119,7 +119,7 @@ func TestTxnRollbackDiscardsEverything(t *testing.T) {
 	if v, _ := obj.Get("name"); v.S == "renamed" {
 		t.Fatal("rolled-back update still visible")
 	}
-	res, err := db.Query(Query{Set: "Emp1", Project: []string{"name"}, Where: &Pred{Expr: "name", Op: OpEQ, Value: str("ghost")}})
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name"}, Where: &Pred{Expr: "name", Op: OpEQ, Value: str("ghost")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestTxnCommitSurvivesCrash(t *testing.T) {
 		t.Fatalf("recovered name %q", v.S)
 	}
 	// The replicated dept.name must have recovered consistently too.
-	res, err := db2.Query(Query{Set: "Emp1", Project: []string{"dept.name"}, Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("post-crash")}})
+	res, _, err := db2.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name"}, Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("post-crash")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestTxnRaceWithQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, _, err := db.QueryTraced(Query{
+				if _, _, err := db.Query(nil, Query{
 					Set: "Emp1", Project: []string{"dept.name"},
 					Where: &Pred{Expr: "salary", Op: OpGE, Value: num(0)},
 				}); err != nil {

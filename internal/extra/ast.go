@@ -133,11 +133,12 @@ func (*BeginStmt) stmt()       {}
 func (*CommitStmt) stmt()      {}
 func (*RollbackStmt) stmt()    {}
 
-// Class partitions statements by the isolation a caller must provide:
-// schema-changing statements need the handle's exclusive lock, mutating
-// statements coordinate through the engine's per-set write locks, and
-// read-only statements run on the snapshot read path. Transaction-control
-// statements coordinate through the engine transaction they open or close.
+// Class partitions statements by the isolation the engine gives them:
+// schema-changing statements take its exclusive lock (and are refused
+// inside a transaction), mutating statements coordinate through its per-set
+// write locks, and read-only statements run on the snapshot read path.
+// Transaction-control statements coordinate through the engine transaction
+// they open or close.
 type Class int
 
 const (

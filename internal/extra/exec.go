@@ -38,9 +38,6 @@ func NewInterp(db *engine.DB) *Interp {
 	return &Interp{DB: db, Env: map[string]pagefile.OID{}}
 }
 
-// TxnOpen reports whether a begin statement's transaction is still open.
-func (in *Interp) TxnOpen() bool { return in.txn != nil }
-
 // Close releases the session's state, rolling back an open transaction.
 // Statements after Close fail with ErrSessionClosed; closing twice is a
 // no-op.
@@ -154,7 +151,8 @@ func (in *Interp) query(ctx context.Context, q engine.Query) (*engine.Result, er
 		}
 		return in.txn.Query(q)
 	}
-	return in.DB.QueryCtx(ctx, q)
+	res, _, err := in.DB.Query(ctx, q)
+	return res, err
 }
 
 // ExecStmt executes one parsed statement under ctx. DDL inside an open
@@ -197,10 +195,8 @@ func (in *Interp) execStmt(ctx context.Context, s Stmt) (Output, error) {
 			return Output{}, err
 		}
 		spec, _ := catalog.ParsePathSpec(st.Path)
-		p, _ := in.DB.Catalog().FindPath(spec, strat)
 		seq := ""
-		if p != nil {
-			ids := p.LinkSequence()
+		if ids, ok := in.DB.LinkSequence(spec, strat); ok {
 			parts := make([]string, len(ids))
 			for i, id := range ids {
 				parts[i] = fmt.Sprintf("%d", id)
@@ -414,7 +410,7 @@ func (in *Interp) explain(ctx context.Context, st *ExplainStmt) (Output, error) 
 		if err != nil {
 			return Output{}, err
 		}
-		res, rec, err := in.DB.QueryTracedCtx(ctx, q)
+		res, rec, err := in.DB.Query(ctx, q)
 		if err != nil {
 			return Output{}, err
 		}

@@ -184,7 +184,7 @@ func (b *TwoLevel) ReadQuery(fr float64) (engine.IOStats, error) {
 		return engine.IOStats{}, err
 	}
 	before := b.DB.IO()
-	_, err := b.DB.Query(engine.Query{
+	_, _, err := b.DB.Query(nil, engine.Query{
 		Set:     "R",
 		Project: []string{"field_r", "sref.s2.repfield"},
 		Where: &engine.Pred{

@@ -273,7 +273,7 @@ func (b *Built) ReadQuery(fr float64) (engine.IOStats, error) {
 	// Per-query traces, not a global-counter delta: the query's record plus
 	// the trailing flush's record is exactly the I/O this query caused, and
 	// stays exact even if something else runs against the DB concurrently.
-	_, rec, err := b.DB.QueryTraced(engine.Query{
+	_, rec, err := b.DB.Query(nil, engine.Query{
 		Set:     "R",
 		Project: []string{"field_r", "sref.repfield"},
 		Where: &engine.Pred{
@@ -319,7 +319,7 @@ func (b *Built) UpdateQuery(fs float64) (engine.IOStats, error) {
 	if err := b.DB.ColdCache(); err != nil {
 		return engine.IOStats{}, err
 	}
-	_, rec, err := b.DB.UpdateWhereTraced("S",
+	_, rec, err := b.DB.UpdateWhere(nil, "S",
 		engine.Pred{
 			Expr: "field_s", Op: engine.OpBetween,
 			Value:  schema.IntValue(int64(lo)),

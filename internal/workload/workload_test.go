@@ -27,7 +27,7 @@ func TestBuildCounts(t *testing.T) {
 	}
 	// Every S object is referenced exactly F times.
 	counts := map[pagefile.OID]int{}
-	res, err := b.DB.Query(engine.Query{Set: "R", Project: []string{"sref"}})
+	res, _, err := b.DB.Query(nil, engine.Query{Set: "R", Project: []string{"sref"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestStrategiesProduceEqualAnswers(t *testing.T) {
 	var rowsBy [3][]string
 	for i, strat := range []Strategy{NoReplication, InPlace, Separate} {
 		b := build(t, Spec{SCount: 100, F: 2, Seed: 7, Strategy: strat})
-		res, err := b.DB.Query(engine.Query{Set: "R", Project: []string{"field_r", "sref.repfield"}})
+		res, _, err := b.DB.Query(nil, engine.Query{Set: "R", Project: []string{"field_r", "sref.repfield"}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,12 +85,10 @@ func toTraceRecord(r obs.Record) TraceRecord {
 	}
 }
 
-// The observability accessors below take no handle lock: the engine pointer
-// is immutable for the handle's lifetime and every engine-side snapshot is
-// lock-free. This makes them safe to call from anywhere — in particular from
-// a slow-query sink, which runs while a DML caller is still inside a public
-// method; a recursive RLock there would deadlock the moment a writer was
-// queued between the two acquisitions.
+// The observability accessors below take no lock: every engine-side snapshot
+// is lock-free. This makes them safe to call from anywhere — in particular
+// from a slow-query sink, which runs while a DML caller is still inside a
+// public method.
 
 // RecentTraces returns the most recently completed operation traces in
 // completion order, oldest completion first. Trace ids are issued at start,

@@ -17,7 +17,11 @@ import (
 // inside the sink, re-enters the database's observability accessors. The sink
 // runs on the completing operation's goroutine while that operation is still
 // inside a public method, so this deadlocks — with or without -race — unless
-// the sink is invoked outside all locks and the accessors take none.
+// the sink is invoked outside all locks and the accessors take none. (IO()
+// did deadlock while the handle had its own lock: the operation held it
+// shared and IO() asked for it exclusively.) A watchdog fails the test with
+// the sink counts when the goroutines stall, rather than leaving only the
+// package timeout's goroutine dump.
 func TestSlowQueryLogConcurrent(t *testing.T) {
 	db, oids := openCompany(t)
 
@@ -33,6 +37,7 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 		}
 		_ = db.RecentTraces()
 		_, _ = db.WALStats()
+		_ = db.IO()
 		reentered.Add(1)
 	})
 
@@ -68,7 +73,13 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("deadlock: %d sink calls entered, %d completed re-entry", fired.Load(), reentered.Load())
+	}
 
 	if got := fired.Load(); got < writers*rounds+readers*rounds {
 		t.Fatalf("sink fired %d times, want >= %d", got, writers*rounds+readers*rounds)

@@ -32,7 +32,6 @@ type Plan struct {
 // paths) against the catalog's measured statistics and records its choice.
 // ctx is checked once up front; a nil ctx is allowed.
 func (db *DB) Plan(ctx context.Context, q Query) (*Plan, error) {
-	defer db.rlock()()
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -54,12 +53,11 @@ func (db *DB) Plan(ctx context.Context, q Query) (*Plan, error) {
 // decision with observed pages, and subsequent Explain calls include them
 // too.
 func (p *Plan) Run(ctx context.Context) (*Result, error) {
-	defer p.db.rlock()()
 	eq, err := toEngineQuery(p.q)
 	if err != nil {
 		return nil, err
 	}
-	res, rec, err := p.db.e.QueryTracedCtx(ctx, eq)
+	res, rec, err := p.db.e.Query(ctx, eq)
 	if err != nil {
 		return nil, err
 	}

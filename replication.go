@@ -77,7 +77,6 @@ func (c FollowerConfig) internal() repl.FollowerConfig {
 // enabled. Shipping runs until Close; the primary keeps committing regardless
 // of follower health.
 func (db *DB) ServeReplication(addr string, cfg ReplicationConfig) (string, error) {
-	defer db.lock()()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -110,7 +109,7 @@ func OpenFollower(cfg Config, primaryAddr string, fcfg FollowerConfig) (*DB, err
 // primary is still alive and ahead — promoting then would fork the history.
 // The old primary must never come back as a primary; wipe it and re-attach
 // it as a follower of the promoted one.
-func (db *DB) Promote() error { defer db.lock()(); return db.e.Promote() }
+func (db *DB) Promote() error { return db.e.Promote() }
 
 // ReplFollowerInfo is one connected follower as the primary sees it.
 type ReplFollowerInfo struct {
@@ -199,4 +198,4 @@ func (db *DB) ReplicationStatus() ReplicationStatus {
 // commits whose fsync had not completed fail; everything acknowledged durable
 // stays on disk. The handle is unusable afterwards — reopen the directory to
 // recover.
-func (db *DB) CrashStop() { defer db.lock()(); db.e.CrashStop() }
+func (db *DB) CrashStop() { db.e.CrashStop() }

@@ -18,7 +18,6 @@ import (
 // statements internally, so sharing one across goroutines is safe but
 // pointless; give each client its own.
 type Session struct {
-	db     *DB
 	origin string
 
 	mu     sync.Mutex
@@ -31,7 +30,6 @@ type Session struct {
 // done — an open transaction is rolled back.
 func (db *DB) NewSession() *Session {
 	return &Session{
-		db:     db,
 		origin: fmt.Sprintf("sess-%d", db.nextSess.Add(1)),
 		in:     extra.NewInterp(db.e),
 	}
@@ -95,13 +93,11 @@ func (s *Session) Close() error {
 	return s.in.Close()
 }
 
-// execRaw executes the script statement by statement, taking the handle lock
-// each statement needs — this is where the surface language stopped
-// over-serializing: a retrieve runs under the shared lock on the engine's
-// snapshot read path (never queueing behind writers), DML runs under the
-// shared lock with the engine's per-set locks providing write isolation, and
-// only schema statements take the exclusive lock. Internal so the network
-// server can reuse it without converting outputs twice.
+// execRaw executes the script statement by statement; the engine takes the
+// locks each statement needs (a retrieve runs on the snapshot read path, DML
+// under its footprint's per-set locks, schema statements under the exclusive
+// lock). Internal so the network server can reuse it without converting
+// outputs twice.
 func (s *Session) execRaw(ctx context.Context, script string) ([]extra.Output, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,33 +114,11 @@ func (s *Session) execRaw(ctx context.Context, script string) ([]extra.Output, e
 		if err := ctx.Err(); err != nil {
 			return outs, err
 		}
-		out, err := s.execStmt(ctx, st)
+		out, err := s.in.ExecStmt(ctx, st)
 		if err != nil {
 			return outs, err
 		}
 		outs = append(outs, out)
 	}
 	return outs, nil
-}
-
-// execStmt runs one statement under the handle-lock mode its class needs.
-func (s *Session) execStmt(ctx context.Context, st extra.Stmt) (extra.Output, error) {
-	db := s.db
-	if s.in.TxnOpen() || extra.Classify(st) == extra.ClassTxn {
-		// Transaction statements coordinate through the engine transaction's
-		// own locks; holding the handle lock across a begin (which blocks on
-		// the engine writer lock) would stall unrelated handle operations.
-		return s.in.ExecStmt(ctx, st)
-	}
-	switch extra.Classify(st) {
-	case extra.ClassDDL:
-		defer db.lock()()
-	default:
-		// DML and retrieve take the shared lock like the public Insert/
-		// Query wrappers: the engine serializes writers on per-set locks and
-		// runs reads on the snapshot path, and an exclusive handle lock here
-		// would both defeat group commit and queue readers behind writers.
-		defer db.rlock()()
-	}
-	return s.in.ExecStmt(ctx, st)
 }
