@@ -173,7 +173,7 @@ func measure(store pagefile.Store, fid pagefile.FileID, frames, shards, workers,
 			return nil
 		}
 		start := time.Now()
-		err := f.ScanParallel(workers, count)
+		err := f.ScanParallel(workers, func() func(pagefile.OID, []byte) error { return count })
 		d := time.Since(start)
 		if err != nil {
 			return 0, 0, err

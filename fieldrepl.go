@@ -278,10 +278,10 @@ func (db *DB) Query(q Query) (*Result, error) {
 	return db.QueryCtx(nil, q)
 }
 
-// QueryCtx is Query under a context: cancellation is checked per record
-// during scans and index ranges (including parallel scan workers), so a
-// cancelled query stops fetching pages promptly and returns ctx.Err(). A nil
-// ctx behaves like Query.
+// QueryCtx is Query under a context: cancellation is checked at page
+// boundaries during scans and index ranges (in every parallel scan worker),
+// so a cancelled query stops fetching pages promptly and returns ctx.Err().
+// A nil ctx behaves like Query.
 //
 // QueryCtx is the canonical form; Query is a thin wrapper over it. The
 // result's Plan field carries the planner's rendered decision with this
@@ -308,9 +308,9 @@ func (db *DB) UpdateWhere(set string, where Pred, vals V) (int, error) {
 	return db.UpdateWhereCtx(nil, set, where, vals)
 }
 
-// UpdateWhereCtx is UpdateWhere under a context: cancellation is checked per
-// record during collection and per object during the update pass. A cancelled
-// operation rolls back entirely.
+// UpdateWhereCtx is UpdateWhere under a context: cancellation is checked at
+// page boundaries during collection and per object during the update pass. A
+// cancelled operation rolls back entirely.
 func (db *DB) UpdateWhereCtx(ctx context.Context, set string, where Pred, vals V) (int, error) {
 	ep, err := toEnginePred(&where)
 	if err != nil {
@@ -355,8 +355,8 @@ func (db *DB) Exec(script string) ([]Output, error) {
 }
 
 // ExecCtx is Exec under a context: cancellation is checked between
-// statements, per record inside queries, and in per-set lock waits. A nil
-// ctx behaves like Exec.
+// statements, at page boundaries inside queries, and in per-set lock waits. A
+// nil ctx behaves like Exec.
 func (db *DB) ExecCtx(ctx context.Context, script string) ([]Output, error) {
 	return db.def.ExecCtx(ctx, script)
 }

@@ -50,6 +50,13 @@ func (m *Manager) BuildPath(p *catalog.Path) error {
 	return nil
 }
 
+// HiddenReader is the part of a source object ReadReplicated consults: its
+// hidden replicated values. A decoded *schema.Object and a *schema.View over
+// the encoded record both provide it.
+type HiddenReader interface {
+	GetHidden(pathID, fieldIdx uint8) (schema.Value, bool)
+}
+
 // ReadReplicated resolves path p's replicated value with field index
 // fieldIdx for a source object, using only the replicated state: the hidden
 // value directly for in-place paths, or one S′ fetch for separate paths.
@@ -60,7 +67,7 @@ func (m *Manager) BuildPath(p *catalog.Path) error {
 // query for every deferred path the query resolves through.
 //
 // The S′ fetch a separate path performs is charged to tr (nil = untraced).
-func (m *Manager) ReadReplicated(p *catalog.Path, src *schema.Object, fieldIdx uint8, tr *obs.Trace) (schema.Value, error) {
+func (m *Manager) ReadReplicated(p *catalog.Path, src HiddenReader, fieldIdx uint8, tr *obs.Trace) (schema.Value, error) {
 	if p.Strategy == catalog.InPlace {
 		v, ok := src.GetHidden(p.ID, fieldIdx)
 		if !ok {

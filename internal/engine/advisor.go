@@ -16,33 +16,17 @@ import (
 // engine. The catalog is consulted again only at Advise() time, under the
 // shared lock, to turn aggregated keys into costable facts.
 
-// pathKeysForQuery returns the canonical path keys (PathSpec dotted form,
-// "Set.ref1...field") of every multi-level expression the query resolves —
+// pathKeys returns the canonical path keys (PathSpec dotted form,
+// "Set.ref1...field") of every multi-level expression the program resolves —
 // predicates, filters, and projections. Unregistered paths are included
 // deliberately: an often-read unreplicated path is exactly what the advisor
 // should suggest replicating.
-func (s *sess) pathKeysForQuery(q Query) []string {
+func (p *rowProgram) pathKeys() []string {
 	var keys []string
-	seen := map[string]bool{}
-	add := func(expr string) {
-		refs, field := splitExpr(expr)
-		if len(refs) == 0 {
-			return
+	for _, a := range p.accs {
+		if len(a.spec.Refs) > 0 {
+			keys = append(keys, a.spec.String())
 		}
-		key := catalog.PathSpec{Source: q.Set, Refs: refs, Field: field}.String()
-		if !seen[key] {
-			seen[key] = true
-			keys = append(keys, key)
-		}
-	}
-	if q.Where != nil {
-		add(q.Where.Expr)
-	}
-	for i := range q.Filters {
-		add(q.Filters[i].Expr)
-	}
-	for _, expr := range q.Project {
-		add(expr)
 	}
 	sort.Strings(keys)
 	return keys

@@ -7,7 +7,7 @@ import (
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
-// fuseState is a per-query memo implementing Odra-style join fusion for
+// fuseMemo is a row program's memo implementing Odra-style join fusion for
 // functional joins: the multi-level path traversal still runs as one pass,
 // but every decoded traversal target and every resolved terminal value is
 // cached for the query's lifetime. Sharing-heavy reference graphs (many
@@ -16,67 +16,73 @@ import (
 // traversal's page cost is capped at the target sets' total pages, which is
 // exactly what the planner's fused-path costing assumes.
 //
-// The memo lives on the session only for the duration of one query
-// (installed after any deferred-propagation drain, discarded before the
-// query returns), so it can never serve values stale against a mutation: no
-// write runs inside a query, and updateWhere's collection phase never
-// installs one. The mutex makes it safe for parallel scan workers, which
-// evaluate path predicates concurrently.
-type fuseState struct {
-	mu    sync.Mutex
-	objs  map[pagefile.OID]*schema.Object
-	terms map[termKey]schema.Value
+// The decoded targets are shared by every worker of the program, under a
+// mutex held across a miss's read so that each target is read exactly once
+// however many workers want it. Terminal values are memoized in front of
+// them by each rowWorker (terms, no lock), per walking expression, under the
+// OID the walk departs from: every source record pointing at the same first
+// target resolves to the same terminal value.
+//
+// The memo belongs to one query's program (compiled after any
+// deferred-propagation drain, discarded with the program before the query
+// returns), so it can never serve values stale against a mutation: no write
+// runs inside a query, and updateWhere's collection pass compiles without
+// one. A nil *fuseMemo is the no-fusion baseline (Query.NoFuse): every walk
+// reads its objects again.
+type fuseMemo struct {
+	mu   sync.Mutex
+	objs map[pagefile.OID]*schema.Object
 }
 
-// termKey memoizes a resolved terminal value by the first reference OID the
-// walk departs from plus the path expression — every source record pointing
-// at the same first-level target resolves to the same terminal value.
-type termKey struct {
-	oid  pagefile.OID
-	expr string
+func newFuseMemo() *fuseMemo {
+	return &fuseMemo{objs: make(map[pagefile.OID]*schema.Object)}
 }
 
-func newFuseState() *fuseState {
-	return &fuseState{
-		objs:  make(map[pagefile.OID]*schema.Object),
-		terms: make(map[termKey]schema.Value),
+// walk resolves a's functional walk departing from the non-nil OID from.
+func (w *rowWorker) walk(a *accessor, from pagefile.OID) (schema.Value, error) {
+	m := w.p.memo
+	if m != nil {
+		if v, hit := w.terms[a.slot][from]; hit {
+			return v, nil
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
+	v := schema.RefValue(from)
+	for _, step := range a.walk {
+		if v.R.IsNil() {
+			// Broken chain: the zero value of the terminal field.
+			v = schema.Zero(a.kind)
+			break
+		}
+		obj, err := m.object(w.s, v.R, step.typ)
+		if err != nil {
+			return schema.Value{}, err
+		}
+		v = obj.Values[step.next]
+	}
+	if m != nil {
+		if w.terms[a.slot] == nil {
+			w.terms[a.slot] = make(map[pagefile.OID]schema.Value)
+		}
+		w.terms[a.slot][from] = v
+	}
+	return v, nil
 }
 
-// readObjectFused is readObject through the fusion memo: traversal targets
-// are decoded once per query. Only walk paths use it — source-set records
-// stream from the scan and are never cached.
-func (s *sess) readObjectFused(oid pagefile.OID, typ *schema.Type) (*schema.Object, error) {
-	f := s.fuse
-	if f == nil {
+// object reads a traversal target, once per query when m is installed. Only
+// walks use it — source-set records stream from the scan and are never
+// cached. The caller holds m.mu.
+func (m *fuseMemo) object(s *sess, oid pagefile.OID, typ *schema.Type) (*schema.Object, error) {
+	if m == nil {
 		return s.readObject(oid, typ)
 	}
-	f.mu.Lock()
-	obj, ok := f.objs[oid]
-	f.mu.Unlock()
-	if ok {
+	if obj, hit := m.objs[oid]; hit {
 		return obj, nil
 	}
 	obj, err := s.readObject(oid, typ)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		m.objs[oid] = obj
 	}
-	f.mu.Lock()
-	f.objs[oid] = obj
-	f.mu.Unlock()
-	return obj, nil
-}
-
-// term looks up a memoized terminal value.
-func (f *fuseState) term(k termKey) (schema.Value, bool) {
-	f.mu.Lock()
-	v, ok := f.terms[k]
-	f.mu.Unlock()
-	return v, ok
-}
-
-func (f *fuseState) setTerm(k termKey, v schema.Value) {
-	f.mu.Lock()
-	f.terms[k] = v
-	f.mu.Unlock()
+	return obj, err
 }

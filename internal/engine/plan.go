@@ -23,17 +23,19 @@ import (
 func (db *DB) PlanQuery(q Query) (*plan.Decision, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if _, err := db.cat.SetType(q.Set); err != nil {
+	prog, err := db.compileQuery(q, false)
+	if err != nil {
 		return nil, err
 	}
-	d, _ := db.readSess(nil).planQuery(q)
+	d, _ := db.readSess(nil).planQuery(q, prog)
 	return d, nil
 }
 
-// planQuery gathers statistics and costs q's access paths. It returns the
-// decision and, when the decision is an index range, the catalog index to
-// drive it with. Callers hold the session's locks.
-func (s *sess) planQuery(q Query) (*plan.Decision, *catalog.Index) {
+// planQuery gathers statistics and costs the access paths of q, whose
+// compiled program is prog. It returns the decision and, when the decision is
+// an index range, the catalog index to drive it with. Callers hold the
+// session's locks.
+func (s *sess) planQuery(q Query, prog *rowProgram) (*plan.Decision, *catalog.Index) {
 	in := plan.Input{
 		Source:    s.setStats(q.Set),
 		ForceScan: q.ForceScan,
@@ -42,12 +44,12 @@ func (s *sess) planQuery(q Query) (*plan.Decision, *catalog.Index) {
 
 	var ix *catalog.Index
 	if q.Where != nil {
-		refs, field := splitExpr(q.Where.Expr)
+		spec := prog.where.spec
 		var found bool
-		if len(refs) == 0 {
-			ix, found = s.db.cat.IndexFor(q.Set, field)
+		if len(spec.Refs) == 0 {
+			ix, found = s.db.cat.IndexFor(q.Set, spec.Field)
 		} else {
-			ix, found = s.db.cat.PathIndexFor(q.Set, refs, field)
+			ix, found = s.db.cat.PathIndexFor(q.Set, spec.Refs, spec.Field)
 		}
 		if !found {
 			ix = nil
@@ -75,7 +77,7 @@ func (s *sess) planQuery(q Query) (*plan.Decision, *catalog.Index) {
 		}
 	}
 
-	in.Paths = s.pathExprs(q, ix)
+	in.Paths = s.pathExprs(prog, ix)
 	if q.EmitOutput {
 		est := in.Source.Card
 		if in.Where != nil {
@@ -325,93 +327,30 @@ func joinPath(refs []string, field string) string {
 	return out + field
 }
 
-// pathExprs classifies every dotted path expression in q by how resolveExpr
-// will serve it: exact in-place replication (free), exact separate
-// replication (one S′ fetch per record), or a fused functional join whose
-// page cost the memo caps at the traversed sets' total pages. ix is the
-// index candidate over the Where expression, whose keys cover that path.
-func (s *sess) pathExprs(q Query, ix *catalog.Index) []plan.PathExpr {
-	type src struct {
-		expr    string
-		filter  bool
-		covered bool
-	}
-	var exprs []src
-	if q.Where != nil {
-		exprs = append(exprs, src{q.Where.Expr, true, ix != nil && len(ix.Path) > 0})
-	}
-	for i := range q.Filters {
-		exprs = append(exprs, src{q.Filters[i].Expr, true, false})
-	}
-	for _, e := range q.Project {
-		exprs = append(exprs, src{e, false, false})
-	}
-
-	seen := make(map[string]int)
+// pathExprs describes every dotted path expression of the program to the
+// planner by the route its accessor was compiled to: exact in-place
+// replication (free), exact separate replication (one S′ fetch per record),
+// or a fused functional join whose page cost the memo caps at the traversed
+// sets' total pages. ix is the index candidate over the Where expression,
+// whose keys cover that path.
+func (s *sess) pathExprs(prog *rowProgram, ix *catalog.Index) []plan.PathExpr {
 	var out []plan.PathExpr
-	for _, e := range exprs {
-		refs, field := splitExpr(e.expr)
-		if len(refs) == 0 {
+	for _, a := range prog.accs {
+		if a.route == plan.PathPlain {
 			continue
 		}
-		if i, dup := seen[e.expr]; dup {
-			out[i].Filter = out[i].Filter || e.filter
-			out[i].Covered = out[i].Covered || e.covered
-			continue
+		p := plan.PathExpr{Expr: a.expr, Kind: a.route, Levels: len(a.walk)}
+		// The memo's page ceiling: total heap pages of the sets actually walked.
+		for _, step := range a.walk {
+			p.LevelPages += s.typePages(step.typ)
 		}
-		p := s.classifyPath(q.Set, e.expr, refs, field)
-		p.Filter = e.filter
-		p.Covered = e.covered
-		seen[e.expr] = len(out)
+		for i := range prog.preds {
+			p.Filter = p.Filter || prog.preds[i].acc == a
+		}
+		p.Covered = a == prog.where && ix != nil && len(ix.Path) > 0
 		out = append(out, p)
 	}
 	return out
-}
-
-// classifyPath mirrors resolveExpr's preference order without doing any I/O.
-func (s *sess) classifyPath(set, expr string, refs []string, field string) plan.PathExpr {
-	p := plan.PathExpr{Expr: expr}
-	spec := catalog.PathSpec{Source: set, Refs: refs, Field: field}
-	if _, ok := s.db.cat.FindPath(spec, catalog.InPlace); ok {
-		p.Kind = plan.PathInPlace
-		return p
-	}
-	if _, ok := s.db.cat.FindPath(spec, catalog.Separate); ok {
-		p.Kind = plan.PathSeparate
-		return p
-	}
-	p.Kind = plan.PathFused
-	p.Levels = len(refs)
-	skip := 0
-	// A replicated reference prefix (§3.3.3 collapsing) shortens the walk:
-	// the hidden ref jumps straight to level k+1.
-	for k := len(refs) - 1; k >= 1; k-- {
-		prefixSpec := catalog.PathSpec{Source: set, Refs: refs[:k], Field: refs[k]}
-		if _, ok := s.db.cat.FindPath(prefixSpec, catalog.InPlace); ok {
-			p.Levels = len(refs) - k
-			skip = k
-			break
-		}
-	}
-	// The memo's page ceiling: total heap pages of the sets actually walked.
-	if typ, err := s.db.cat.SetType(set); err == nil {
-		cur := typ
-		for i, r := range refs {
-			f, ok := cur.Field(r)
-			if !ok || f.Kind != schema.KindRef {
-				break
-			}
-			next, ok := s.db.cat.TypeByName(f.RefType)
-			if !ok {
-				break
-			}
-			if i >= skip {
-				p.LevelPages += s.typePages(next)
-			}
-			cur = next
-		}
-	}
-	return p
 }
 
 // typePages sums the heap pages of the sets holding objects of typ.

@@ -43,9 +43,6 @@ type sess struct {
 	// idxErr is a deferred index-maintenance error raised inside a listener
 	// callback (which cannot return one); the statement surfaces it.
 	idxErr error
-	// fuse is the per-query join-fusion memo, installed by sess.query for the
-	// duration of one retrieve and nil everywhere else (see fused.go).
-	fuse *fuseState
 }
 
 func (db *DB) newSess(tr *obs.Trace, fp *footprint) *sess {

@@ -246,14 +246,18 @@ func (t *Txn) Query(q Query) (*Result, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
+	prog, err := t.db.compileQuery(q, !q.NoFuse)
+	if err != nil {
+		return nil, err
+	}
 	drain := t.s.inFootprint(q.Set)
-	pending := t.db.hasDeferredFor(q)
+	pending := len(t.db.pendingDeferred(prog)) > 0
 	if !drain && pending {
 		err := fmt.Errorf("%w: query on %q must drain deferred propagation outside the transaction's footprint %v", ErrWriteConflict, q.Set, t.s.fp.sets)
 		t.abort()
 		return nil, err
 	}
-	res, err := t.s.query(t.ctx, q, drain)
+	res, err := t.s.query(t.ctx, q, prog, drain)
 	if err != nil && (q.EmitOutput || pending || errors.Is(err, ErrWriteConflict)) {
 		t.abort()
 	}

@@ -577,6 +577,12 @@ func (f *File) Delete(oid pagefile.OID) error {
 // records' home OIDs. Forwarded records are visited at their home position.
 // If fn returns an error, the scan stops and returns it.
 //
+// payload aliases a scan-owned copy of the record's page and is valid only
+// until fn returns: a callback that keeps any of it must copy those bytes
+// (schema.Decode does). fn runs with no page pinned, so it may use the pool —
+// including updating the file being scanned, which the copy keeps the
+// iteration stable against.
+//
 // When the pool's readahead is enabled, the scan pulls the next batch of
 // pages into frames with one batched store read before crossing into it, so
 // a disk-backed scan issues one vectored read per batch instead of one
@@ -594,11 +600,12 @@ func (f *File) Scan(fn func(oid pagefile.OID, payload []byte) error) error {
 	if f.mode != modePlain {
 		ra = 0
 	}
+	var buf pagefile.Page
 	for page := uint32(0); page < n; page++ {
 		if ra > 0 && page%ra == 0 {
 			f.pool.PrefetchT(f.id, page, int(ra), f.tr)
 		}
-		if err := f.scanPage(page, fn); err != nil {
+		if err := f.scanPage(page, &buf, fn); err != nil {
 			return err
 		}
 	}
@@ -606,14 +613,16 @@ func (f *File) Scan(fn func(oid pagefile.OID, payload []byte) error) error {
 }
 
 // ScanParallel scans like Scan but fans page ranges out to workers
-// goroutines. fn is called concurrently from multiple goroutines and must be
-// safe for that; records are delivered in no particular order (within one
-// page, slot order is preserved). Forwarded records are still visited at
-// their home position exactly once. The file must not be mutated during the
-// scan. The first error stops all workers and is returned.
-func (f *File) ScanParallel(workers int, fn func(oid pagefile.OID, payload []byte) error) error {
+// goroutines. Each goroutine calls each once for the callback it then feeds
+// its records to, so a callback can own per-worker state without locking;
+// whatever the callbacks share must be safe for concurrent use. Records are
+// delivered in no particular order (within one page, slot order is
+// preserved). Forwarded records are still visited at their home position
+// exactly once. The file must not be mutated during the scan. The first error
+// stops all workers and is returned. With workers <= 1 it is Scan(each()).
+func (f *File) ScanParallel(workers int, each func() func(oid pagefile.OID, payload []byte) error) error {
 	if workers <= 1 {
-		return f.Scan(fn)
+		return f.Scan(each())
 	}
 	n, err := f.NumPages()
 	if err != nil || n == 0 {
@@ -643,6 +652,8 @@ func (f *File) ScanParallel(workers int, fn func(oid pagefile.OID, payload []byt
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			fn := each()
+			var buf pagefile.Page
 			for !stop.Load() {
 				start := next.Add(chunk) - chunk
 				if start >= n {
@@ -659,7 +670,7 @@ func (f *File) ScanParallel(workers int, fn func(oid pagefile.OID, payload []byt
 					if stop.Load() {
 						return
 					}
-					if err := f.scanPage(page, fn); err != nil {
+					if err := f.scanPage(page, &buf, fn); err != nil {
 						errs[w] = err
 						stop.Store(true)
 						return
@@ -677,68 +688,49 @@ func (f *File) ScanParallel(workers int, fn func(oid pagefile.OID, payload []byt
 	return nil
 }
 
-// scanPage visits the live records of one page: bodies are copied out under
-// the pin, the pin is dropped, and then fn runs (so fn may itself use the
-// pool), with forwarded records resolved through their stubs.
-func (f *File) scanPage(page uint32, fn func(oid pagefile.OID, payload []byte) error) error {
+// scanPage visits the live records of one page in place. A snapshot handle's
+// page is already a private copy; the pinned modes copy the page into buf,
+// the scan's recycled page buffer, and drop the pin, so fn runs unpinned
+// either way (it may itself use the pool). Forwarded records are resolved
+// through their stubs.
+func (f *File) scanPage(page uint32, buf *pagefile.Page, fn func(oid pagefile.OID, payload []byte) error) error {
 	h, err := f.get(pagefile.PageID{File: f.id, Page: page})
 	if err != nil {
 		return err
 	}
-	sp := pagefile.AsSlotted(h.Page())
-	nslots := sp.NumSlots()
-	type item struct {
-		oid  pagefile.OID
-		body []byte // nil if forwarded; resolved below
-		fwd  pagefile.OID
+	pg := h.Page()
+	if f.mode != modeSnapshot {
+		*buf = *pg
+		pg = buf
 	}
-	var items []item
+	h.Unpin()
+	sp := pagefile.AsSlotted(pg)
+	nslots := sp.NumSlots()
 	for slot := uint16(0); slot < nslots; slot++ {
 		if !sp.Live(slot) {
 			continue
 		}
 		rec, err := sp.Read(slot)
 		if err != nil {
-			h.Unpin()
 			return err
 		}
 		oid := pagefile.OID{File: f.id, Page: page, Slot: slot}
 		if len(rec) == 0 {
-			h.Unpin()
 			return fmt.Errorf("%w: empty heap record at %v", pagefile.ErrCorruptPage, oid)
 		}
+		var payload []byte
 		switch rec[0] {
 		case kindHome:
-			p, err := decodePayload(rec)
-			if err != nil {
-				h.Unpin()
-				return err
-			}
-			body := make([]byte, len(p))
-			copy(body, p)
-			items = append(items, item{oid: oid, body: body})
+			payload, err = decodePayload(rec)
 		case kindStub:
-			t, err := pagefile.DecodeOID(rec[1:])
-			if err != nil {
-				h.Unpin()
-				return err
-			}
-			items = append(items, item{oid: oid, fwd: t})
-		case kindMoved:
-			// Visited through its stub.
+			payload, _, err = f.readResolved(oid)
+		default:
+			continue // a moved body is visited through its stub
 		}
-	}
-	h.Unpin()
-	for _, it := range items {
-		body := it.body
-		if body == nil {
-			var err error
-			body, _, err = f.readResolved(it.oid)
-			if err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
-		if err := fn(it.oid, body); err != nil {
+		if err := fn(oid, payload); err != nil {
 			return err
 		}
 	}

@@ -97,7 +97,7 @@ func TestScanParallelEquivalence(t *testing.T) {
 				f.pool.SetReadahead(ra)
 				defer f.pool.SetReadahead(0)
 				par := collectScan(t, func(fn func(pagefile.OID, []byte) error) error {
-					return f.ScanParallel(workers, fn)
+					return f.ScanParallel(workers, func() func(pagefile.OID, []byte) error { return fn })
 				})
 				if len(par) != len(seq) {
 					t.Fatalf("ScanParallel visited %d records, want %d", len(par), len(seq))
@@ -119,11 +119,13 @@ func TestScanParallelStopsOnError(t *testing.T) {
 	buildScanFixture(t, f, 400)
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	err := f.ScanParallel(4, func(oid pagefile.OID, payload []byte) error {
-		if calls.Add(1) == 10 {
-			return boom
+	err := f.ScanParallel(4, func() func(pagefile.OID, []byte) error {
+		return func(oid pagefile.OID, payload []byte) error {
+			if calls.Add(1) == 10 {
+				return boom
+			}
+			return nil
 		}
-		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -236,10 +238,11 @@ func BenchmarkScanThroughput(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				var seen atomic.Int64
-				if err := bf.ScanParallel(cfg.workers, func(pagefile.OID, []byte) error {
+				count := func(pagefile.OID, []byte) error {
 					seen.Add(1)
 					return nil
-				}); err != nil {
+				}
+				if err := bf.ScanParallel(cfg.workers, func() func(pagefile.OID, []byte) error { return count }); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -150,6 +150,32 @@ func RefValue(oid pagefile.OID) Value { return Value{Kind: KindRef, R: oid} }
 // Equal reports whether two values have the same kind and contents.
 func (v Value) Equal(w Value) bool { return v == w }
 
+// Compare orders v against w, a value of the same kind: -1, 0 or +1.
+// Integers, floats and strings order naturally (a NaN orders equal to
+// everything), references physically.
+func (v Value) Compare(w Value) int {
+	switch v.Kind {
+	case KindInt:
+		return cmpOrdered(v.I, w.I)
+	case KindFloat:
+		return cmpOrdered(v.F, w.F)
+	case KindString:
+		return cmpOrdered(v.S, w.S)
+	default:
+		return v.R.Compare(w.R)
+	}
+}
+
+func cmpOrdered[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 func (v Value) String() string {
 	switch v.Kind {
 	case KindInt:

@@ -256,3 +256,90 @@ func TestValueString(t *testing.T) {
 		t.Fatal("Equal broken")
 	}
 }
+
+// TestViewMatchesDecode checks the in-place view against the decoder on an
+// object with every extension kind: every truncation and a trailing byte are
+// rejected by both, the whole encoding reads back equal field by field, the
+// in-place comparisons order like the values, and a warmed-up view neither
+// resets nor compares with an allocation.
+func TestViewMatchesDecode(t *testing.T) {
+	typ := empType(t)
+	o := NewObject(typ)
+	o.Set("name", StringValue("a name longer than thirty-two bytes, to defeat stack temporaries"))
+	o.Set("age", IntValue(-3))
+	o.Set("salary", FloatValue(2.5))
+	o.Set("dept", RefValue(pagefile.OID{File: 2, Page: 7, Slot: 3}))
+	o.SetHidden(1, 0, StringValue("Research"))
+	o.SetHidden(2, 0xFF, RefValue(pagefile.OID{File: 9, Page: 1}))
+	o.SetLink(LinkPair{LinkID: 1, Mode: LinkModeObject, LinkOID: pagefile.OID{File: 9, Page: 1}})
+	o.SetLink(LinkPair{LinkID: 2, Mode: LinkModeInline, Inline: []pagefile.OID{{File: 1}, {File: 2}}})
+	o.SetSep(SepEntry{GroupID: 2, SOID: pagefile.OID{File: 5}, RefCount: 3})
+	data := o.Encode()
+
+	var v View
+	for n := 0; n <= len(data)+1; n++ {
+		cut := append(append([]byte(nil), data...), 0)[:n]
+		_, derr := Decode(typ, cut)
+		if verr := v.Reset(typ, cut); (verr == nil) != (derr == nil) {
+			t.Fatalf("%d of %d bytes: Decode %v, View.Reset %v", n, len(data), derr, verr)
+		}
+	}
+	other, _ := NewType("ORG", 99, []Field{{Name: "x", Kind: KindInt}})
+	if err := v.Reset(other, data); err == nil {
+		t.Fatal("wrong-type reset succeeded")
+	}
+
+	if err := v.Reset(typ, data); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range o.Values {
+		if got := v.Field(i); !got.Equal(want) {
+			t.Fatalf("field %d = %v, want %v", i, got, want)
+		}
+	}
+	if got := v.Ref(typ.FieldIndex("dept")); got != o.MustGet("dept").R {
+		t.Fatalf("Ref = %v", got)
+	}
+	for _, h := range o.Hidden {
+		if got, ok := v.GetHidden(h.PathID, h.FieldIdx); !ok || !got.Equal(h.Value) {
+			t.Fatalf("hidden (%d,%d) = %v, %v, want %v", h.PathID, h.FieldIdx, got, ok, h.Value)
+		}
+	}
+	if _, ok := v.GetHidden(1, 1); ok {
+		t.Fatal("GetHidden of an absent field ok")
+	}
+	if _, ok := v.CompareHidden(1, 0, IntValue(1)); ok {
+		t.Fatal("CompareHidden against another kind ok")
+	}
+	for _, c := range []struct {
+		field string
+		c     Value
+		want  int
+	}{
+		{"age", IntValue(-4), 1}, {"age", IntValue(-3), 0}, {"age", IntValue(0), -1},
+		{"salary", FloatValue(2), 1}, {"salary", FloatValue(2.5), 0}, {"salary", FloatValue(3), -1},
+		{"name", StringValue("a"), 1}, {"name", o.MustGet("name"), 0}, {"name", StringValue("b"), -1},
+	} {
+		if got := v.CompareField(typ.FieldIndex(c.field), c.c); got != c.want {
+			t.Errorf("CompareField(%s, %v) = %d, want %d", c.field, c.c, got, c.want)
+		}
+	}
+	if got, ok := v.CompareHidden(1, 0, StringValue("Sales")); !ok || got != -1 {
+		t.Errorf("CompareHidden = %d, %v", got, ok)
+	}
+
+	name, longer := typ.FieldIndex("name"), StringValue(o.MustGet("name").S+"!")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := v.Reset(typ, data); err != nil {
+			t.Fatal(err)
+		}
+		if v.CompareField(name, longer) >= 0 || v.Ref(typ.FieldIndex("dept")).IsNil() {
+			t.Fatal("wrong comparison")
+		}
+		if _, ok := v.CompareHidden(1, 0, longer); !ok {
+			t.Fatal("hidden value lost")
+		}
+	}); allocs != 0 {
+		t.Fatalf("reset + compare allocates %.0f times", allocs)
+	}
+}

@@ -48,8 +48,8 @@ func (s *Session) Exec(script string) ([]Output, error) {
 }
 
 // ExecCtx is Exec under a context: cancellation is checked between
-// statements, per record inside queries, and in per-set lock waits, so a
-// disconnecting client's statement stops fetching pages promptly. A nil ctx
+// statements, at page boundaries inside queries, and in per-set lock waits, so
+// a disconnecting client's statement stops fetching pages promptly. A nil ctx
 // behaves like Exec.
 func (s *Session) ExecCtx(ctx context.Context, script string) ([]Output, error) {
 	outs, err := s.execRaw(ctx, script)
