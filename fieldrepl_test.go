@@ -222,6 +222,14 @@ func TestPublicFileBacked(t *testing.T) {
 	if err != nil || rec.Fields["x"].Int() != 42 {
 		t.Fatalf("file-backed round trip: %v, %v", rec, err)
 	}
+	// The page's first record since the checkpoint is a full image, its
+	// second a delta; the public counters say which is which.
+	if err := db.Update("Ts", oid, V{"x": I(43)}); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := db.WALStats(); !ok || st.FullImages != 1 || st.DeltaRecords != 1 {
+		t.Fatalf("WALStats after an insert and an update of one page: %+v", st)
+	}
 	if err := db.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -239,8 +239,9 @@ type Handle struct {
 	sh  *shard
 	idx int
 	pid pagefile.PageID
-	// snap is a snapshot handle's detached copy of the page: there is no pin
-	// on any frame, and Unpin/MarkDirty are no-ops.
+	// snap is a snapshot handle's detached copy of the page (sh is nil: there
+	// is no pin on any frame, and MarkDirty is a no-op). Unpin hands the copy
+	// back for the next snapshot read to reuse.
 	snap *pagefile.Page
 	// cap is the page's entry in the open scope once Capture registered it.
 	cap *capEntry
@@ -250,9 +251,9 @@ type Handle struct {
 func (h *Handle) PageID() pagefile.PageID { return h.pid }
 
 // Page returns the page bytes. Valid only while pinned. A snapshot handle
-// returns its detached copy.
+// returns its detached copy, nil once it is unpinned.
 func (h *Handle) Page() *pagefile.Page {
-	if h.snap != nil {
+	if h.sh == nil {
 		return h.snap
 	}
 	return &h.sh.frames[h.idx].page
@@ -285,7 +286,7 @@ func (h *Handle) Capture() {
 // before eviction; on a captured page it also enters the page into the
 // scope's dirty set. Snapshot handles ignore it.
 func (h *Handle) MarkDirty() {
-	if h.snap != nil {
+	if h.sh == nil {
 		return
 	}
 	h.sh.mu.Lock()
@@ -300,9 +301,14 @@ func (h *Handle) MarkDirty() {
 
 // Unpin releases the pin. Unpinning a page that is not pinned (a caller bug)
 // returns ErrNotPinned and leaves the pool unchanged. Snapshot handles hold
-// no pin; their Unpin is a no-op.
+// no pin; their Unpin gives the detached copy up for reuse, so — as with a
+// frame — the page bytes must not be touched afterwards.
 func (h *Handle) Unpin() error {
-	if h.snap != nil {
+	if h.sh == nil {
+		if h.snap != nil {
+			snapPages.Put(h.snap)
+			h.snap = nil
+		}
 		return nil
 	}
 	h.sh.mu.Lock()
@@ -314,6 +320,11 @@ func (h *Handle) Unpin() error {
 	f.pins--
 	return nil
 }
+
+// snapPages recycles snapshot handles' page copies. A read of n pages would
+// otherwise leave n × 4 KiB of garbage behind, and the collection cycles that
+// garbage buys land on whichever reads are running when they start.
+var snapPages = sync.Pool{New: func() any { return new(pagefile.Page) }}
 
 // Get pins page pid, reading it from the store on a miss.
 func (p *Pool) Get(pid pagefile.PageID) (*Handle, error) { return p.GetT(pid, nil) }
@@ -388,8 +399,8 @@ func (p *Pool) pinLocked(sh *shard, idx int, pid pagefile.PageID) *Handle {
 // detached handle holding a private copy of either the page's registered
 // capture pre-image (an uncommitted scope owns the frame — the reader sees
 // the transaction-begin state) or the frame itself. The handle holds no pin;
-// Unpin and MarkDirty are no-ops. On a miss the page is read through the
-// pool normally (charged to tr) and left resident unpinned.
+// MarkDirty is a no-op and Unpin recycles the copy. On a miss the page is
+// read through the pool normally (charged to tr) and left resident unpinned.
 func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error) {
 	sh := p.shardOf(pid)
 	sh.mu.Lock()
@@ -397,7 +408,7 @@ func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error)
 		p.hits.Add(1)
 		tr.Hit(1)
 		sh.frames[idx].ref = true
-		priv := new(pagefile.Page)
+		priv := snapPages.Get().(*pagefile.Page)
 		if p.capCount.Load() > 0 {
 			p.capMu.Lock()
 			if e, reg := p.capture[pid]; reg {
@@ -421,7 +432,7 @@ func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error)
 			p.hits.Add(1)
 			tr.Hit(1)
 			sh.frames[i2].ref = true
-			priv := new(pagefile.Page)
+			priv := snapPages.Get().(*pagefile.Page)
 			if p.capCount.Load() > 0 {
 				p.capMu.Lock()
 				if e, reg := p.capture[pid]; reg {
@@ -464,7 +475,7 @@ func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error)
 	// A page absent from the pool cannot be registered in a capture
 	// (registered frames are unevictable), so the fresh image is the
 	// committed state.
-	priv := new(pagefile.Page)
+	priv := snapPages.Get().(*pagefile.Page)
 	*priv = f.page
 	sh.mu.Unlock()
 	return &Handle{p: p, pid: pid, snap: priv}, nil
@@ -948,12 +959,7 @@ func (p *Pool) DirtyPages() []pagefile.PageID {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(pids, func(i, j int) bool {
-		if pids[i].File != pids[j].File {
-			return pids[i].File < pids[j].File
-		}
-		return pids[i].Page < pids[j].Page
-	})
+	sort.Slice(pids, func(i, j int) bool { return pids[i].Less(pids[j]) })
 	return pids
 }
 
@@ -983,25 +989,42 @@ func (p *Pool) StampLSN(pid pagefile.PageID, lsn uint64) {
 	}
 }
 
-// ScopeDirty returns the ids of every page of files the scope marked dirty —
-// its dirty working set — sorted by (file, page) so commit records are
-// deterministic.
-func (p *Pool) ScopeDirty(files map[pagefile.FileID]bool) []pagefile.PageID {
+// ScopePage is one page of a scope's dirty set, by reference: Pre is the
+// image registered when the scope first touched the page (all zeroes for a
+// page it allocated), Post the frame as the scope left it. Both stay valid,
+// and are the scope owner's alone to read and stamp, until the scope ends.
+type ScopePage struct {
+	PID  pagefile.PageID
+	Pre  *pagefile.Page
+	Post *pagefile.Page
+}
+
+// ScopeDirty returns every page of files the scope marked dirty — its dirty
+// working set — sorted by (file, page) so commit records are deterministic.
+// Nothing is copied: commit diffs and logs the two images where they lie.
+func (p *Pool) ScopeDirty(files map[pagefile.FileID]bool) ([]ScopePage, error) {
 	p.capMu.Lock()
-	pids := make([]pagefile.PageID, 0, len(p.capture))
+	pages := make([]ScopePage, 0, len(p.capture))
 	for pid, e := range p.capture {
 		if e.dirty && files[pid.File] {
-			pids = append(pids, pid)
+			pages = append(pages, ScopePage{PID: pid, Pre: &e.pre})
 		}
 	}
 	p.capMu.Unlock()
-	sort.Slice(pids, func(i, j int) bool {
-		if pids[i].File != pids[j].File {
-			return pids[i].File < pids[j].File
+	sort.Slice(pages, func(i, j int) bool { return pages[i].PID.Less(pages[j].PID) })
+	for i := range pages {
+		pid := pages[i].PID
+		sh := p.shardOf(pid)
+		sh.mu.Lock()
+		idx, ok := sh.table[pid]
+		sh.mu.Unlock()
+		if !ok {
+			// Should be impossible: registration makes the frame unevictable.
+			return nil, fmt.Errorf("buffer: scope page %s not resident", pid)
 		}
-		return pids[i].Page < pids[j].Page
-	})
-	return pids
+		pages[i].Post = &sh.frames[idx].page
+	}
+	return pages, nil
 }
 
 // EndScope closes one scoped window, keeping every modification to pages of

@@ -33,6 +33,7 @@ func byteAt(t *testing.T, p *Pool, pid pagefile.PageID) byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer h.Unpin()
 	return h.Page()[100]
 }
 
@@ -66,8 +67,12 @@ func TestScopeCommitPublishesAndRollbackRestores(t *testing.T) {
 	if err := p.Reset(); !errors.Is(err, ErrStillPinned) {
 		t.Fatalf("Reset with an open scope: %v, want ErrStillPinned", err)
 	}
-	if dirty := p.ScopeDirty(files); len(dirty) != 1 || dirty[0] != pid {
-		t.Fatalf("ScopeDirty = %v, want [%v]", dirty, pid)
+	// The dirty set hands commit both images by reference: what readers still
+	// see, and the frame as the scope left it.
+	if dirty, err := p.ScopeDirty(files); err != nil || len(dirty) != 1 || dirty[0].PID != pid {
+		t.Fatalf("ScopeDirty = %v, %v, want [%v]", dirty, err, pid)
+	} else if dirty[0].Pre[100] != 1 || dirty[0].Post[100] != 3 {
+		t.Fatalf("ScopeDirty images hold %d -> %d, want 1 -> 3", dirty[0].Pre[100], dirty[0].Post[100])
 	}
 	before := p.FileEpoch(pid.File)
 	p.EndScope(files)
@@ -102,8 +107,8 @@ func TestScopeRegisteredButCleanPage(t *testing.T) {
 	}
 	h.Capture()
 	h.Unpin()
-	if dirty := p.ScopeDirty(files); len(dirty) != 0 {
-		t.Fatalf("ScopeDirty = %v for an untouched page", dirty)
+	if dirty, err := p.ScopeDirty(files); err != nil || len(dirty) != 0 {
+		t.Fatalf("ScopeDirty = %v, %v for an untouched page", dirty, err)
 	}
 	before := p.FileEpoch(pid.File)
 	p.EndScope(files)
@@ -125,13 +130,59 @@ func TestScopeNewPageRollsBackToEmpty(t *testing.T) {
 	if got := byteAt(t, p, npid); got != 0 {
 		t.Fatalf("reader saw %d on an uncommitted new page, want the zero image", got)
 	}
-	if dirty := p.ScopeDirty(files); len(dirty) != 1 || dirty[0] != npid {
-		t.Fatalf("ScopeDirty = %v, want [%v]", dirty, npid)
+	if dirty, err := p.ScopeDirty(files); err != nil || len(dirty) != 1 || dirty[0].PID != npid {
+		t.Fatalf("ScopeDirty = %v, %v, want [%v]", dirty, err, npid)
+	} else if *dirty[0].Pre != (pagefile.Page{}) || dirty[0].Post[100] != 9 {
+		t.Fatal("a new page's images are not zero -> written")
 	}
 	if err := p.RollbackScope(files); err != nil {
 		t.Fatal(err)
 	}
 	if got := byteAt(t, p, npid); got != 0 {
 		t.Fatalf("rolled-back allocation holds %d, want an empty page", got)
+	}
+}
+
+// A snapshot handle's copy is its own until Unpin and nobody's after: two
+// handles held together never share a page, a read inside an open scope keeps
+// seeing the pre-image while later reads recycle other copies, and an
+// unpinned handle gives up its bytes (and may be unpinned again harmlessly).
+func TestSnapshotHandleOwnsItsCopyUntilUnpin(t *testing.T) {
+	p, pid, _ := scopePool(t)
+	p.BeginScope()
+	write(t, p, pid, 7) // the frame now differs from what snapshot readers see
+
+	held, err := p.GetSnapshotT(pid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ { // churn the recycled copies under the held one
+		h, err := p.GetSnapshotT(pid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Page() == held.Page() {
+			t.Fatal("two live snapshot handles share one page copy")
+		}
+		h.Page()[100] = 99 // scribbling on a private copy reaches nobody
+		h.MarkDirty()
+		if err := h.Unpin(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held.Page()[100]; got != 1 {
+		t.Fatalf("the held snapshot copy reads %d, want the pre-image 1", got)
+	}
+	if err := held.Unpin(); err != nil {
+		t.Fatal(err)
+	}
+	if held.Page() != nil {
+		t.Fatal("an unpinned snapshot handle still exposes its copy")
+	}
+	if err := held.Unpin(); err != nil {
+		t.Fatalf("second Unpin of a snapshot handle: %v", err)
+	}
+	if got := byteAt(t, p, pid); got != 1 {
+		t.Fatalf("a later snapshot read saw %d, want 1", got)
 	}
 }

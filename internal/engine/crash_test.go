@@ -112,7 +112,10 @@ func TestCrashDuringFlushNeverHalfApplied(t *testing.T) {
 }
 
 // tornCrash dirties pages, tears the first flush write, and crashes; it
-// returns with the store closed, ready for reopening.
+// returns with the store closed, ready for reopening. The six inserts land on
+// one page: its first record since the checkpoint is a full image and the
+// other five are deltas, so the page the crash tears can only be rebuilt by
+// replaying the whole chain.
 func tornCrash(t *testing.T, dir string) {
 	t.Helper()
 	inner, err := pagefile.NewFileStore(dir)
@@ -136,6 +139,9 @@ func tornCrash(t *testing.T, dir string) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if st, _ := db.WALStats(); st.DeltaRecords < 5 {
+		t.Fatalf("the inserts logged %d deltas, want the torn page's newest record to be one", st.DeltaRecords)
 	}
 	fs.AddFault(pagefile.Fault{Index: fs.Ops(), Op: pagefile.OpWrite, Torn: true, Crash: true})
 	if err := db.Sync(); err == nil {
@@ -183,6 +189,64 @@ func TestCrashTornWriteRepaired(t *testing.T) {
 		if _, _, err := db2.Query(nil, Query{Set: set, Project: []string{"name"}}); err != nil {
 			t.Fatalf("scan of %s after WAL recovery: %v", set, err)
 		}
+	}
+}
+
+// TestCrashUnloggedWriteForcesFullImage writes a logged page behind the
+// log's back — what a DDL build that fails before its checkpoint leaves in
+// the pool — between two commits to it. A delta for the second commit would
+// be cut from an image recovery cannot reconstruct; the log must notice the
+// before-image is not the one it recorded and log the page in full, so the
+// crash that follows recovers the second commit exactly.
+func TestCrashUnloggedWriteForcesFullImage(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Config{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineEmployeeSchema(t, db)
+	st := populate(t, db, 1, 1, 1)
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	setBudget(t, db, "Org", "org-00", 1) // full image: first record since the checkpoint
+	setBudget(t, db, "Org", "org-00", 2) // delta
+
+	pid := pagefile.PageID{File: st.orgs[0].File, Page: st.orgs[0].Page}
+	h, err := db.pool.Get(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reserved = 30 // a header byte no page layout reads
+	h.Page()[reserved] ^= 0x5A
+	h.MarkDirty()
+	if err := h.Unpin(); err != nil {
+		t.Fatal(err)
+	}
+
+	before, _ := db.WALStats()
+	setBudget(t, db, "Org", "org-00", 3)
+	if full, delta := deltasSince(db, before); full != 1 || delta != 0 {
+		t.Fatalf("commit over an unlogged write logged %d full images and %d deltas, want 1 + 0", full, delta)
+	}
+	db.CrashStop()
+
+	db2, err := Open(Config{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	res, _, err := db2.Query(nil, Query{Set: "Org", Project: []string{"budget"}})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0].Values[0].I != 3 {
+		t.Fatalf("recovered budget %v (%v), want 3", res.Rows, err)
+	}
+	h2, err := db2.pool.Get(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Unpin()
+	if h2.Page()[reserved] != 0x5A {
+		t.Fatal("the recovered page is not the image the last commit logged")
 	}
 }
 

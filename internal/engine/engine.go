@@ -60,10 +60,10 @@ type Config struct {
 	// sequential scan's deterministic result order).
 	ScanWorkers int
 	// WALPath relocates the write-ahead log (default Dir/wal.log). Every
-	// file-backed database (Dir != "") is logged: transactions append page
-	// after-images and a commit record, the commit is fsync'd (group commit
-	// batches concurrent committers into one fsync), and recovery replay at
-	// Open re-applies committed transactions a crash cut short. In-memory
+	// file-backed database (Dir != "") is logged: transactions append a record
+	// per page they changed and a commit record, the commit is fsync'd (group
+	// commit batches concurrent committers into one fsync), and recovery replay
+	// at Open re-applies committed transactions a crash cut short. In-memory
 	// databases (Dir == "") have no log: a commit just publishes the
 	// statement's pool scope.
 	WALPath string
@@ -148,8 +148,10 @@ type DB struct {
 	// with takeIdxErr. Statements keep theirs in the session.
 	idxErr error
 
-	// wal is the write-ahead log, nil for databases without a Dir.
-	wal *wal.Manager
+	// wal is the write-ahead log, nil for databases without a Dir; recovered
+	// is what its replay did when this database was opened.
+	wal       *wal.Manager
+	recovered wal.RecoveryReport
 	// inlineMax is the resolved link-inlining threshold, kept so a follower
 	// can rebuild the replication manager around a streamed catalog.
 	inlineMax int
@@ -242,6 +244,7 @@ func Open(cfg Config) (*DB, error) {
 	// committed catalog snapshot (always at least as new as catalog.json)
 	// replaces the one read above.
 	var walMgr *wal.Manager
+	var recovered wal.RecoveryReport
 	if cfg.Dir != "" {
 		walPath := cfg.WALPath
 		if walPath == "" {
@@ -267,7 +270,7 @@ func Open(cfg Config) (*DB, error) {
 				return nil, err
 			}
 		}
-		if rep.PagesApplied > 0 || rep.FilesCreated > 0 {
+		if rep.PagesApplied > 0 || rep.DeltasApplied > 0 || rep.FilesCreated > 0 {
 			if err := store.SyncAll(); err != nil {
 				wm.Close()
 				store.Close()
@@ -281,6 +284,7 @@ func Open(cfg Config) (*DB, error) {
 			return nil, err
 		}
 		walMgr = wm
+		recovered = *rep
 	}
 	if cat == nil {
 		cat = catalog.New()
@@ -311,6 +315,7 @@ func Open(cfg Config) (*DB, error) {
 		obs:         obs.NewRegistry(pagefile.PageSize),
 		lockWait:    obs.NewHistogram(),
 		wal:         walMgr,
+		recovered:   recovered,
 		scratchFIDs: map[pagefile.FileID]bool{},
 		setLocks:    newLockMgr(),
 	}
@@ -815,6 +820,11 @@ func (db *DB) WALStats() (wal.Stats, bool) {
 	}
 	return db.wal.Stats(), true
 }
+
+// RecoveryReport reports what WAL replay did when the database was opened:
+// transactions, full images and deltas applied, and how long it took. Zero
+// for an in-memory database and after a clean shutdown.
+func (db *DB) RecoveryReport() wal.RecoveryReport { return db.recovered }
 
 // NumPages returns the page count of a set's backing file.
 func (db *DB) NumPages(set string) (uint32, error) {

@@ -56,7 +56,7 @@ func openFaultDB(t *testing.T, dir string, poolPages int) (*DB, *pagefile.FaultS
 }
 
 // defineEmployeeSchema installs the ORG/DEPT/EMP types and their sets.
-func defineEmployeeSchema(t *testing.T, db *DB) {
+func defineEmployeeSchema(t testing.TB, db *DB) {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -91,7 +91,7 @@ type staff struct {
 	emps  []pagefile.OID
 }
 
-func populate(t *testing.T, db *DB, nOrgs, nDepts, nEmps int) staff {
+func populate(t testing.TB, db *DB, nOrgs, nDepts, nEmps int) staff {
 	t.Helper()
 	var st staff
 	for i := 0; i < nOrgs; i++ {
@@ -126,7 +126,7 @@ func populate(t *testing.T, db *DB, nOrgs, nDepts, nEmps int) staff {
 	return st
 }
 
-func verifyDB(t *testing.T, db *DB) {
+func verifyDB(t testing.TB, db *DB) {
 	t.Helper()
 	if errs := db.VerifyReplication(); len(errs) > 0 {
 		for _, e := range errs {

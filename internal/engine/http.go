@@ -84,6 +84,8 @@ func (db *DB) handleProm(w http.ResponseWriter, _ *http.Request) {
 		obs.PromCounter(w, "fieldrepl_wal_fsyncs_total", "WAL fsyncs performed.", st.Fsyncs)
 		obs.PromCounter(w, "fieldrepl_wal_bytes_total", "WAL bytes appended.", st.Bytes)
 		obs.PromCounter(w, "fieldrepl_wal_checkpoints_total", "WAL checkpoints (log truncations).", st.Checkpoints)
+		obs.PromCounter(w, "fieldrepl_wal_full_images_total", "Page records logged as full images (a page's first record after a checkpoint).", st.FullImages)
+		obs.PromCounter(w, "fieldrepl_wal_delta_records_total", "Page records logged as byte-range deltas.", st.DeltaRecords)
 		obs.PromCounter(w, "fieldrepl_wal_sync_waits_total", "Commits that waited for durability.", st.SyncWaits)
 		obs.PromCounter(w, "fieldrepl_wal_shared_syncs_total", "Durability waits satisfied by another committer's fsync.", st.SharedSyncs)
 		obs.PromGauge(w, "fieldrepl_wal_sync_queue", "Committers currently inside the durability wait.", float64(st.SyncQueue))

@@ -66,6 +66,8 @@ func TestMetricsHandlerProm(t *testing.T) {
 		"fieldrepl_wal_fsync_wait_seconds_bucket",
 		"fieldrepl_wal_sync_queue 0",
 		"fieldrepl_wal_commits_total",
+		"fieldrepl_wal_full_images_total",
+		"fieldrepl_wal_delta_records_total",
 		"fieldrepl_pool_hits_total",
 		"fieldrepl_store_reads_total",
 		"fieldrepl_ops_completed_total",

@@ -348,24 +348,38 @@ func (t *replTarget) ApplyTxns(txns []repl.Txn) error {
 	if err := db.wal.WaitDurable(last); err != nil {
 		return err
 	}
-	for i := range txns {
-		txn := &txns[i]
-		// ApplyCommitted fills file-ID gaps left by the primary's unlogged
-		// scratch files (query outputs) with placeholders, so logged
-		// FileCreate records land on the same IDs here and — crucially — in
-		// restart recovery, which replays the exact same records from the
-		// local log if we crash between AppendRaw and this apply.
-		var rep wal.RecoveryReport
-		if err := wal.ApplyCommitted(db.store, txn.Files, txn.Pages, &rep); err != nil {
+	// Redo fills file-ID gaps left by the primary's unlogged scratch files
+	// (query outputs) with placeholders, so logged FileCreate records land on
+	// the same IDs here and — crucially — in restart recovery, which replays
+	// the exact same records from the local log if we crash between AppendRaw
+	// and this apply. It patches each page in memory however many of the
+	// batch's records touch it and writes it once, at land.
+	var rep wal.RecoveryReport
+	redo := wal.NewRedo(db.store, &rep)
+	land := func(through uint64) error {
+		if err := redo.Flush(); err != nil {
 			return err
 		}
-		// Drop cached copies of the pages just changed beneath the pool.
+		t.applied = through
+		return nil
+	}
+	for i := range txns {
+		txn := &txns[i]
+		if err := redo.ApplyCommitted(txn); err != nil {
+			return err
+		}
+		// Drop cached copies of the pages being changed beneath the pool.
 		for j := range txn.Pages {
 			if err := db.pool.Invalidate(txn.Pages[j].PID); err != nil {
 				return err
 			}
 		}
 		if txn.Catalog != nil {
+			// Installing a catalog reopens files through the pool: the pages
+			// must be in the store first.
+			if err := land(txn.LastLSN); err != nil {
+				return err
+			}
 			if err := db.installCatalog(txn.Catalog); err != nil {
 				return err
 			}
@@ -373,9 +387,8 @@ func (t *replTarget) ApplyTxns(txns []repl.Txn) error {
 				return err
 			}
 		}
-		t.applied = txn.LastLSN
 	}
-	return nil
+	return land(last)
 }
 
 // installCatalog swaps in a catalog snapshot streamed from the primary and

@@ -269,43 +269,36 @@ func (s *sess) newScratch() (*heap.File, error) {
 // --- commit and rollback ---
 
 // commit publishes a write session's scope. On a logged database the scope's
-// dirty pages are snapshotted, appended as one WAL commit and LSN-stamped
-// first; EndScope then releases them to readers — the per-page-atomic
-// visibility point. Returns the commit LSN for waitDurable (0 when nothing
-// was logged). If the log append fails the scope is rolled back. Called with
-// the session's locks held.
+// dirty pages — each frame beside its statement-begin image — are handed to
+// the log, which appends them as one WAL commit (a delta where it can, a full
+// image where it must) and LSN-stamps the frames; EndScope then releases them
+// to readers — the per-page-atomic visibility point. Returns the commit LSN
+// for waitDurable (0 when nothing was logged). If the log append fails the
+// scope is rolled back. Called with the session's locks held.
 func (s *sess) commit() (uint64, error) {
 	db := s.db
-	var pids []pagefile.PageID
-	if db.wal != nil {
-		pids = db.pool.ScopeDirty(s.fp.files)
-	}
-	if len(pids) == 0 {
+	if db.wal == nil {
 		db.pool.EndScope(s.fp.files)
 		return 0, nil
 	}
-	images := make([]wal.PageImage, 0, len(pids))
-	for _, pid := range pids {
-		data, ok := db.pool.SnapshotPage(pid)
-		if !ok {
-			// Unreachable: no-steal keeps captured frames resident.
-			err := fmt.Errorf("engine: commit: page %v not resident", pid)
-			return 0, errors.Join(err, s.rollback())
-		}
-		images = append(images, wal.PageImage{PID: pid, Data: data})
+	dirty, err := db.pool.ScopeDirty(s.fp.files)
+	if err != nil {
+		return 0, errors.Join(fmt.Errorf("engine: commit: %w", err), s.rollback())
 	}
-	lsn, nbytes, err := db.wal.AppendCommit(nil, images, nil)
+	if len(dirty) == 0 {
+		db.pool.EndScope(s.fp.files)
+		return 0, nil
+	}
+	pages := make([]wal.PageRef, len(dirty))
+	for i, pg := range dirty {
+		pages[i] = wal.PageRef{PID: pg.PID, Pre: pg.Pre, Post: pg.Post}
+	}
+	lsn, nbytes, err := db.wal.AppendPages(pages)
 	if err != nil {
 		return 0, errors.Join(err, s.rollback())
 	}
-	// Stamp each frame with its record's LSN so the image eventually written
-	// back matches the logged one, and so the write barrier and recovery's
-	// LSN comparison see the right version.
-	for i := range images {
-		db.pool.StampLSN(images[i].PID, images[i].LSN)
-	}
 	db.pool.EndScope(s.fp.files)
-	s.tr.WAL(int64(len(images))+1, int64(nbytes))
+	s.tr.WAL(int64(len(pages))+1, int64(nbytes))
 	return lsn, nil
 }
 

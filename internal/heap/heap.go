@@ -689,9 +689,10 @@ func (f *File) ScanParallel(workers int, each func() func(oid pagefile.OID, payl
 }
 
 // scanPage visits the live records of one page in place. A snapshot handle's
-// page is already a private copy; the pinned modes copy the page into buf,
-// the scan's recycled page buffer, and drop the pin, so fn runs unpinned
-// either way (it may itself use the pool). Forwarded records are resolved
+// page is already a private copy, held until the page is done; the pinned
+// modes copy the page into buf, the scan's recycled page buffer, and drop the
+// pin, so fn runs without a frame pinned either way (it may itself use the
+// pool). Forwarded records are resolved
 // through their stubs.
 func (f *File) scanPage(page uint32, buf *pagefile.Page, fn func(oid pagefile.OID, payload []byte) error) error {
 	h, err := f.get(pagefile.PageID{File: f.id, Page: page})
@@ -702,8 +703,10 @@ func (f *File) scanPage(page uint32, buf *pagefile.Page, fn func(oid pagefile.OI
 	if f.mode != modeSnapshot {
 		*buf = *pg
 		pg = buf
+		h.Unpin()
+	} else {
+		defer h.Unpin()
 	}
-	h.Unpin()
 	sp := pagefile.AsSlotted(pg)
 	nslots := sp.NumSlots()
 	for slot := uint16(0); slot < nslots; slot++ {

@@ -54,8 +54,8 @@ type Counters struct {
 	Misses      int64 `json:"misses"`
 	Prefetched  int64 `json:"prefetched"`
 	Flushes     int64 `json:"flushes"`
-	// WALRecords/WALBytes count write-ahead-log records (page images, commit
-	// markers, catalog snapshots) and log bytes the operation appended; zero
+	// WALRecords/WALBytes count write-ahead-log records (page images and
+	// deltas, commit markers, catalog snapshots) and log bytes the operation appended; zero
 	// for reads and for databases running without a WAL.
 	WALRecords int64 `json:"wal_records,omitempty"`
 	WALBytes   int64 `json:"wal_bytes,omitempty"`

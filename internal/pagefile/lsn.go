@@ -13,6 +13,15 @@ import "encoding/binary"
 // is reserved. B-tree nodes reuse the same 0-11/12-15/16-23 split.
 const lsnOff = 16
 
+// StampStart and StampEnd bound the header bytes that are stamped onto a page
+// after its content is final — the checksum word by the store on every write,
+// the LSN by the log on every record — and so are never part of the content
+// two images of a page are compared by.
+const (
+	StampStart = checksumOff
+	StampEnd   = lsnOff + 8
+)
+
 // PageLSN returns the LSN stamped into p's header, or zero if the page has
 // never carried a WAL record.
 func PageLSN(p *Page) uint64 {

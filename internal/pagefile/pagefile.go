@@ -41,6 +41,14 @@ type PageID struct {
 
 func (p PageID) String() string { return fmt.Sprintf("%d:%d", p.File, p.Page) }
 
+// Less orders pages by (file, page) — physical order.
+func (p PageID) Less(q PageID) bool {
+	if p.File != q.File {
+		return p.File < q.File
+	}
+	return p.Page < q.Page
+}
+
 // Errors returned by Store implementations.
 var (
 	ErrNoSuchFile = errors.New("pagefile: no such file")

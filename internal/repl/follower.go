@@ -177,12 +177,14 @@ func (f *Follower) session() error {
 	}
 	conn.SetWriteDeadline(time.Time{})
 
-	// pending accumulates the records of a transaction whose commit record
-	// has not arrived yet — MsgRecords batches are sized by bytes and can
-	// split a transaction. Nothing is applied or acked until the commit
+	// The assembler holds back the records of a transaction whose commit
+	// record has not arrived yet — MsgRecords batches are sized by bytes and
+	// can split a transaction. Nothing is applied or acked until the commit
 	// record closes the group, so the local log only ever holds whole
-	// transactions and the resume point is always a commit boundary.
-	var pending Txn
+	// transactions and the resume point is always a commit boundary. Frames
+	// are CRC-checked individually; any damage poisons the whole batch (the
+	// session ends, and the primary resends from the last acked commit).
+	asm := wal.NewAssembler(true)
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.IdleTimeout))
 		typ, payload, err := readMsg(conn)
@@ -200,7 +202,7 @@ func (f *Follower) session() error {
 			}
 			f.snapshots.Add(1)
 			f.applied.Store(snap.LSN)
-			pending = Txn{}
+			asm = wal.NewAssembler(true)
 			if err := writeMsg(conn, MsgAck, putU64(snap.LSN)); err != nil {
 				return err
 			}
@@ -219,7 +221,7 @@ func (f *Follower) session() error {
 			if err != nil {
 				return err
 			}
-			txns, err := f.decode(payload[8:], &pending)
+			txns, err := asm.Feed(payload[8:])
 			if err != nil {
 				f.badFrames.Add(1)
 				return err
@@ -262,47 +264,6 @@ func (f *Follower) session() error {
 			return fmt.Errorf("%w: unexpected message %d", ErrBadEnvelope, typ)
 		}
 	}
-}
-
-// decode parses raw WAL frames into committed transactions, carrying the
-// records of an unfinished transaction in pending across calls. Frames are
-// CRC-checked individually; any damage poisons the whole batch (the caller
-// reconnects and the primary resends from the last acked commit).
-func (f *Follower) decode(frames []byte, pending *Txn) ([]Txn, error) {
-	var txns []Txn
-	for len(frames) > 0 {
-		rec, n, err := wal.ParseFrame(frames)
-		if err != nil {
-			return nil, err
-		}
-		raw := frames[:n]
-		frames = frames[n:]
-		pending.Raw = append(pending.Raw, raw...)
-		pending.Records++
-		pending.LastLSN = rec.LSN
-		switch rec.Type {
-		case wal.RecFileCreate:
-			fc, err := wal.DecodeFileCreate(rec.Payload)
-			if err != nil {
-				return nil, err
-			}
-			pending.Files = append(pending.Files, fc)
-		case wal.RecPage:
-			img, err := wal.DecodePage(rec.LSN, rec.Payload)
-			if err != nil {
-				return nil, err
-			}
-			pending.Pages = append(pending.Pages, img)
-		case wal.RecCatalog:
-			pending.Catalog = append([]byte(nil), rec.Payload...)
-		case wal.RecCommit:
-			txns = append(txns, *pending)
-			*pending = Txn{}
-		default:
-			return nil, fmt.Errorf("%w: record type %d", wal.ErrBadFrame, rec.Type)
-		}
-	}
-	return txns, nil
 }
 
 // ConfirmCaughtUp establishes, with evidence no older than the call, whether

@@ -61,8 +61,10 @@ const (
 )
 
 const (
-	protoMagic   = 0xF1E7DB01
-	protoVersion = 1
+	protoMagic = 0xF1E7DB01
+	// protoVersion 2: MsgRecords may carry pageDelta records, which a
+	// version-1 follower would reject as bad frames, forever.
+	protoVersion = 2
 
 	// maxPayload bounds a received payload before allocation; snapshots ship
 	// pages in batches well under this.
@@ -143,16 +145,15 @@ type SnapshotFile struct {
 	Pages []pagefile.Page
 }
 
-// Txn is one committed transaction decoded from the stream: the decoded
-// records for the apply path and the raw frames for the follower's own log.
-type Txn struct {
-	LastLSN uint64 // the commit record's LSN
-	Files   []wal.FileCreate
-	Pages   []wal.PageImage
-	Catalog []byte // last catalog snapshot in the txn, nil if none
-	Raw     []byte // verbatim frames, commit record included
-	Records int
-}
+// Txn is one committed transaction decoded from the stream by the log's own
+// assembler: the decoded records for the apply path and the raw frames for
+// the follower's own log.
+type Txn = wal.Txn
+
+// A MsgRecords payload is the u64 lastLSN plus a batch that may overshoot
+// Config.BatchBytes (clamped to maxPayload/2) by one frame; the largest frame
+// the log writes must leave it inside the envelope.
+const _ = uint(maxPayload - 8 - maxPayload/2 - (8 + wal.MaxBodyLen))
 
 func sendSnapshot(conn net.Conn, snap *Snapshot) error {
 	begin := make([]byte, 12, 12+len(snap.Catalog))

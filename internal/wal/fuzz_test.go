@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 
@@ -21,11 +22,33 @@ func frame(typ byte, lsn uint64, payload []byte) []byte {
 	return out
 }
 
-// FuzzWALFrame throws arbitrary bytes at the frame parser and the payload
-// decoders a follower runs on every received batch. The contract under fuzz:
-// never panic, never accept a frame whose CRC does not match, never report a
-// frame extending past the input, and decode accepted page/fileCreate
-// payloads without fault.
+// deltaPayload builds a pageDelta payload with the given range count and
+// already-encoded ranges.
+func deltaPayload(prev uint64, n int, ranges []byte) []byte {
+	p := make([]byte, deltaHeaderLen, deltaHeaderLen+len(ranges))
+	binary.LittleEndian.PutUint32(p[0:], 3)
+	binary.LittleEndian.PutUint32(p[4:], 7)
+	binary.LittleEndian.PutUint64(p[8:], prev)
+	binary.LittleEndian.PutUint16(p[16:], uint16(n))
+	return append(p, ranges...)
+}
+
+// span encodes one delta range.
+func span(off, ln int, fill byte) []byte {
+	out := binary.LittleEndian.AppendUint16(nil, uint16(off))
+	out = binary.LittleEndian.AppendUint16(out, uint16(ln))
+	for i := 0; i < ln && i < pagefile.PageSize; i++ {
+		out = append(out, fill)
+	}
+	return out
+}
+
+// FuzzWALFrame throws arbitrary bytes at the frame parser and the record
+// assembler recovery and a follower run on everything they read. The contract
+// under fuzz: never panic, never accept a frame whose CRC does not match,
+// never report a frame extending past the input, reject damage as ErrBadFrame,
+// and hand redo only page records it can apply blindly — a full image of
+// exactly one page, or delta ranges inside the page.
 func FuzzWALFrame(f *testing.F) {
 	pagePayload := make([]byte, 8+pagefile.PageSize)
 	binary.LittleEndian.PutUint32(pagePayload[0:], 3)
@@ -40,6 +63,14 @@ func FuzzWALFrame(f *testing.F) {
 	bad[4] ^= 0xFF
 	f.Add(bad)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	// Deltas: empty, two ranges, and each way a range list can lie.
+	f.Add(frame(RecPageDelta, 50, deltaPayload(49, 0, nil)))
+	f.Add(frame(RecPageDelta, 51, deltaPayload(50, 2, append(span(40, 8, 1), span(4000, 96, 2)...))))
+	f.Add(frame(RecPageDelta, 52, deltaPayload(51, 1, span(4090, 8, 3))))                            // past the page
+	f.Add(frame(RecPageDelta, 53, deltaPayload(52, 2, append(span(100, 8, 4), span(104, 8, 5)...)))) // overlapping
+	f.Add(frame(RecPageDelta, 54, deltaPayload(53, 2, append(span(200, 8, 6), span(100, 8, 7)...)))) // unsorted
+	f.Add(frame(RecPageDelta, 55, deltaPayload(54, 3, span(40, 8, 8))))                              // count overruns
+	f.Add(frame(RecPageDelta, 56, deltaPayload(55, 1, span(10, 8, 9))))                              // over the stamped words
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := ParseFrame(data)
@@ -53,13 +84,31 @@ func FuzzWALFrame(f *testing.F) {
 		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[4:]) {
 			t.Fatal("accepted a frame whose CRC does not match")
 		}
-		switch rec.Type {
-		case RecPage:
-			if img, err := DecodePage(rec.LSN, rec.Payload); err == nil && img.LSN != rec.LSN {
-				t.Fatal("decoded page image lost its LSN")
+		asm := NewAssembler(true)
+		if _, err := asm.Feed(data[:n]); err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("assembler rejected a CRC-valid frame with %v, want ErrBadFrame", err)
 			}
-		case RecFileCreate:
-			_, _ = DecodeFileCreate(rec.Payload)
+			return
+		}
+		// Close the transaction and redo whatever it carried onto a blank page.
+		txns, err := asm.Feed(frame(RecCommit, rec.LSN+1, nil))
+		if rec.Type == RecCommit {
+			return
+		}
+		if err != nil || len(txns) != 1 {
+			t.Fatalf("commit after an accepted record: %d txns, err %v", len(txns), err)
+		}
+		for _, pr := range txns[0].Pages {
+			if pr.LSN != rec.LSN {
+				t.Fatal("decoded page record lost its LSN")
+			}
+			if pr.Delta {
+				var scratch pagefile.Page
+				applyRanges(&scratch, pr.Data)
+			} else if len(pr.Data) != pagefile.PageSize {
+				t.Fatalf("full image of %d bytes", len(pr.Data))
+			}
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -21,68 +20,6 @@ import (
 // LSN have been truncated away by a checkpoint: the consumer can no longer
 // catch up from the log and must full-resync from a snapshot.
 var ErrTruncated = errors.New("wal: records truncated away")
-
-// ErrBadFrame is returned when framed record bytes fail validation (short
-// frame, implausible length, or CRC mismatch).
-var ErrBadFrame = errors.New("wal: bad frame")
-
-// Record is one decoded framed record.
-type Record struct {
-	Type    byte
-	LSN     uint64
-	Payload []byte // aliases the input buffer of ParseFrame
-}
-
-// ParseFrame decodes the first framed record in buf, returning the record
-// and the number of bytes the frame occupies. The returned payload aliases
-// buf. It fails with ErrBadFrame on a short, oversized, or CRC-corrupt
-// frame — a follower treats that as a torn stream and reconnects.
-func ParseFrame(buf []byte) (Record, int, error) {
-	if len(buf) < 8 {
-		return Record{}, 0, fmt.Errorf("%w: short header (%d bytes)", ErrBadFrame, len(buf))
-	}
-	bodyLen := binary.LittleEndian.Uint32(buf[0:])
-	crc := binary.LittleEndian.Uint32(buf[4:])
-	if bodyLen < 9 || bodyLen > maxBodyLen {
-		return Record{}, 0, fmt.Errorf("%w: implausible body length %d", ErrBadFrame, bodyLen)
-	}
-	if len(buf) < 8+int(bodyLen) {
-		return Record{}, 0, fmt.Errorf("%w: truncated body (%d of %d bytes)", ErrBadFrame, len(buf)-8, bodyLen)
-	}
-	body := buf[8 : 8+bodyLen]
-	if crc32.ChecksumIEEE(body) != crc {
-		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
-	}
-	return Record{Type: body[0], LSN: binary.LittleEndian.Uint64(body[1:]), Payload: body[9:]}, 8 + int(bodyLen), nil
-}
-
-// DecodePage decodes a RecPage payload into a PageImage (lsn is the record's
-// LSN, which the logged image is stamped with).
-func DecodePage(lsn uint64, payload []byte) (PageImage, error) {
-	if len(payload) != 8+pagefile.PageSize {
-		return PageImage{}, fmt.Errorf("%w: page payload of %d bytes", ErrBadFrame, len(payload))
-	}
-	img := PageImage{
-		PID: pagefile.PageID{
-			File: pagefile.FileID(binary.LittleEndian.Uint32(payload)),
-			Page: binary.LittleEndian.Uint32(payload[4:]),
-		},
-		LSN: lsn,
-	}
-	copy(img.Data[:], payload[8:])
-	return img, nil
-}
-
-// DecodeFileCreate decodes a RecFileCreate payload.
-func DecodeFileCreate(payload []byte) (FileCreate, error) {
-	if len(payload) < 4 {
-		return FileCreate{}, fmt.Errorf("%w: fileCreate payload of %d bytes", ErrBadFrame, len(payload))
-	}
-	return FileCreate{
-		FID:  pagefile.FileID(binary.LittleEndian.Uint32(payload)),
-		Name: string(payload[4:]),
-	}, nil
-}
 
 // Cursor is a tail reader's position: the last LSN already consumed plus the
 // file offset and log generation it was read at. The zero offset/epoch state
@@ -139,7 +76,7 @@ func (m *Manager) ReadTail(c *Cursor, maxBytes int) ([]byte, error) {
 			return nil, fmt.Errorf("wal: tail read: %w", err)
 		}
 		bodyLen := binary.LittleEndian.Uint32(frame[0:])
-		if bodyLen < 9 || bodyLen > maxBodyLen || off+8+int64(bodyLen) > durOff {
+		if bodyLen < recHeaderLen || bodyLen > MaxBodyLen || off+8+int64(bodyLen) > durOff {
 			break // torn tail or racing truncation
 		}
 		buf := make([]byte, 8+bodyLen)
@@ -255,7 +192,7 @@ func (m *Manager) ResetTo(next uint64) error {
 		return err
 	}
 	m.off = headerSize
-	m.pageLSN = make(map[pagefile.PageID]uint64)
+	m.pageLSN = make(map[pagefile.PageID]pageState)
 	m.nextLSN = next
 	m.appended = next - 1
 	m.durable.Store(m.appended)

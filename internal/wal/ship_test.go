@@ -391,7 +391,8 @@ func TestWaitDurableAbove(t *testing.T) {
 }
 
 // buildReplayLog writes a multi-commit log (file creation, page images, page
-// growth) and returns its path plus the page IDs it covers.
+// growth, then deltas revisiting those pages — some once, some twice) and
+// returns its path plus the page IDs it covers.
 func buildReplayLog(t *testing.T) (string, []pagefile.PageID) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -401,6 +402,7 @@ func buildReplayLog(t *testing.T) (string, []pagefile.PageID) {
 		t.Fatal(err)
 	}
 	m, _ := openT(t, path, store, 0)
+	s := newScopeLog(t, m)
 	var pids []pagefile.PageID
 	var last uint64
 	for c := 0; c < 3; c++ {
@@ -419,9 +421,17 @@ func buildReplayLog(t *testing.T) (string, []pagefile.PageID) {
 			t.Fatal(err)
 		}
 		last = lsn
+		for i := range imgs {
+			s.cur[imgs[i].PID] = &imgs[i].Data
+		}
 	}
 	if err := m.WaitDurable(last); err != nil {
 		t.Fatal(err)
+	}
+	s.commit(poke(7), pids...)
+	s.commit(poke(8), pids[1], pids[4])
+	if full, delta := kinds(m); full != 6 || delta != 8 {
+		t.Fatalf("replay log holds %d full + %d delta records, want 6 + 8", full, delta)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)

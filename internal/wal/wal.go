@@ -9,29 +9,51 @@
 // Record types:
 //
 //	page:       fid u32 | page u32 | full 4096-byte image (LSN pre-stamped)
+//	pageDelta:  fid u32 | page u32 | prevLSN u64 | n u16 |
+//	            n × (off u16 | len u16 | bytes): the byte ranges where the
+//	            page differs from the image it had at prevLSN
 //	commit:     no payload; makes every record since the previous commit real
 //	catalog:    opaque catalog snapshot (JSON) to restore at recovery
 //	fileCreate: fid u32 | name; replay recreates files a committed
 //	            transaction created that are missing after a crash
 //
-// The log is redo-only: transactions append full after-images of every page
-// they dirtied plus a commit record, and fsync the log before the commit is
-// acknowledged. Dirty pages may only reach the data files after the log
-// records covering them are durable (the buffer pool asks EnsureDurablePage
-// before any write-back). Recovery scans the log, stops at the first torn or
-// corrupt record (an unacknowledged tail), and re-applies every committed
-// page image whose LSN is newer than the on-disk page. Checkpoint truncates
-// the log after the data files themselves are durable, carrying the LSN
-// sequence forward in the header so LSNs stay monotone for the life of the
-// database.
+// The log is redo-only: a transaction appends one record per page it dirtied
+// plus a commit record, and fsyncs the log before the commit is acknowledged.
+// Dirty pages may only reach the data files after the log records covering
+// them are durable (the buffer pool asks EnsureDurablePage before any
+// write-back).
+//
+// The full-image rule. A page's record is a full image when the log holds no
+// record for the page since the last checkpoint, when the committer supplied
+// no before-image, or when the before-image is not the image the log last
+// recorded for the page (its LSN or content CRC differs: something wrote the
+// page without logging it). Otherwise it is a delta against the before-image.
+// Every page written back in place therefore has a full image behind it in
+// the log, which is what repairs a torn write; and a delta's base is always
+// an image recovery can itself reconstruct.
+//
+// The chain rule. Redo applies a full image to an older or unreadable page,
+// and a delta only to a page whose LSN is exactly the delta's prevLSN; a
+// record at or below the page's LSN is skipped. A delta that finds any other
+// page — a missing record, or a corrupt page with no full image to restart
+// from — is an error naming the page, never a guess.
+//
+// The delta is physical, a byte diff of two images the committer already
+// holds, not a logical per-page-format operation: one encoder and one
+// five-line redo loop cover slotted pages, B-tree nodes and whatever comes
+// next, and nothing above the log knows deltas exist.
+//
+// Recovery scans the log, stops at the first torn or corrupt record (an
+// unacknowledged tail), and redoes every committed transaction. Checkpoint
+// truncates the log after the data files themselves are durable, carrying the
+// LSN sequence forward in the header so LSNs stay monotone for the life of
+// the database.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -42,22 +64,15 @@ import (
 )
 
 const (
-	walMagic   = 0x57A1F17E
-	walVersion = 1
+	walMagic = 0x57A1F17E
+	// walVersion 2 added pageDelta records. A version-1 log (full images
+	// only) still replays and is upgraded in place; a version-1 binary refuses
+	// a version-2 log rather than mistaking its first delta for a torn tail.
+	walVersion = 2
 	headerSize = 16 // magic u32 | version u32 | baseLSN u64
 
-	// RecPage, RecCommit, RecCatalog and RecFileCreate are the framed record
-	// types. They are exported so the replication layer, which ships raw
-	// frames to followers, can decode what it is applying.
-	RecPage       = 1
-	RecCommit     = 2
-	RecCatalog    = 3
-	RecFileCreate = 4
-
-	// maxBodyLen bounds a record body during the recovery scan; anything
-	// larger is treated as a torn tail rather than risking a huge allocation
-	// from corrupt length bytes.
-	maxBodyLen = pagefile.PageSize + 1<<16
+	// keepBufBytes is the largest batch buffer kept between appends.
+	keepBufBytes = 1 << 20
 )
 
 // ErrClosed is returned by operations on a closed log.
@@ -69,13 +84,26 @@ type FileCreate struct {
 	Name string
 }
 
-// PageImage is one dirty page's after-image headed for the log. Append
-// assigns LSN and stamps it into Data before computing the record CRC, so
-// the logged image and the caller's copy agree.
+// PageImage is one dirty page's after-image headed for the log, held by
+// value: the shape for callers that own a copy of the page and no
+// before-image, so it is always logged in full. AppendCommit assigns LSN and
+// stamps it into Data before computing the record CRC, so the logged image
+// and the caller's copy agree.
 type PageImage struct {
 	PID  pagefile.PageID
 	Data pagefile.Page
 	LSN  uint64
+}
+
+// PageRef is one dirty page headed for the log by reference: Post is the
+// page as it now stands (a buffer-pool frame), Pre the image it had when the
+// committing scope first touched it, nil when there is none. AppendPages
+// stamps the record's LSN into Post and encodes straight from the two images
+// without copying either.
+type PageRef struct {
+	PID  pagefile.PageID
+	Pre  *pagefile.Page
+	Post *pagefile.Page
 }
 
 // Stats is a point-in-time snapshot of log activity. Fsyncs much smaller
@@ -88,6 +116,11 @@ type Stats struct {
 	Fsyncs      int64 `json:"fsyncs"`
 	Bytes       int64 `json:"bytes"`
 	Checkpoints int64 `json:"checkpoints"`
+	// FullImages and DeltaRecords split the page records this log encoded by
+	// kind. The full-image share is what checkpoint cadence controls: every
+	// page's first record after a checkpoint is a full image.
+	FullImages   int64 `json:"full_images"`
+	DeltaRecords int64 `json:"delta_records"`
 	// CheckpointsDeferred counts checkpoints that skipped truncation because
 	// a replication consumer still needed the retained records.
 	CheckpointsDeferred int64 `json:"checkpoints_deferred"`
@@ -100,14 +133,13 @@ type Stats struct {
 	SyncQueue   int64 `json:"sync_queue"`
 }
 
-// RecoveryReport summarizes what Open's replay did.
-type RecoveryReport struct {
-	Commits      int    // committed transactions replayed
-	PagesApplied int    // page images written to the store
-	PagesSkipped int    // page images the store already had (disk LSN >= record LSN)
-	FilesCreated int    // missing page files recreated
-	TornTail     bool   // the scan stopped at a torn or corrupt record
-	Catalog      []byte // last committed catalog snapshot, nil if none logged
+// pageState is what the log remembers of the last record it wrote for a page
+// since the last checkpoint: the record's LSN (the write barrier's target and
+// the next delta's prevLSN) and the identity of the image it recorded (what a
+// before-image must match to serve as a delta's base).
+type pageState struct {
+	lsn uint64
+	crc uint32
 }
 
 // Manager is the append side of the log. All methods are safe for concurrent
@@ -117,12 +149,14 @@ type RecoveryReport struct {
 type Manager struct {
 	path string
 
-	mu       sync.Mutex // guards f (writes), off, nextLSN, appended, pageLSN, closed, broken
+	mu       sync.Mutex // guards f (writes), off, nextLSN, appended, pageLSN, buf, states, closed, broken
 	f        *os.File
 	off      int64 // append position: end of the valid record prefix
 	nextLSN  uint64
 	appended uint64 // highest LSN handed to the OS
-	pageLSN  map[pagefile.PageID]uint64
+	pageLSN  map[pagefile.PageID]pageState
+	buf      []byte      // the batch under construction, recycled between appends
+	states   []pageState // its pages' new pageLSN entries, installed once it is written
 	closed   bool
 	broken   bool // a failed append left bytes we could not truncate away
 
@@ -154,6 +188,8 @@ type Manager struct {
 	fsyncs      atomic.Int64
 	bytes       atomic.Int64
 	checkpoints atomic.Int64
+	fullImages  atomic.Int64
+	deltas      atomic.Int64
 
 	// Group-commit contention telemetry: how long committers spend in the
 	// durability rendezvous, how many actually wait, how many are satisfied
@@ -180,7 +216,7 @@ func Open(path string, store pagefile.Store, interval time.Duration) (*Manager, 
 	m := &Manager{
 		path:      path,
 		f:         f,
-		pageLSN:   make(map[pagefile.PageID]uint64),
+		pageLSN:   make(map[pagefile.PageID]pageState),
 		interval:  interval,
 		fsyncWait: obs.NewHistogram(),
 		notify:    make(chan struct{}),
@@ -210,7 +246,9 @@ func Open(path string, store pagefile.Store, interval time.Duration) (*Manager, 
 		f.Close()
 		return nil, nil, err
 	}
-	last, end, err := m.replay(store, base, rep)
+	start := time.Now()
+	last, end, err := m.replay(store, base, st.Size(), rep)
+	rep.Duration = time.Since(start)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -218,8 +256,8 @@ func Open(path string, store pagefile.Store, interval time.Duration) (*Manager, 
 	m.nextLSN = last + 1
 	m.appended = last
 	m.durable.Store(last)
-	// Appends resume at the end of the valid prefix; a torn tail is
-	// overwritten by the next append.
+	// Appends resume after the last committed transaction; whatever follows
+	// it is overwritten by the next append.
 	m.off = end
 	m.base = base
 	// Everything replayed was applied to the store; treat the valid prefix as
@@ -250,6 +288,9 @@ func (m *Manager) writeHeader(base uint64) error {
 	return nil
 }
 
+// readHeader validates the header and returns the base LSN. A version-1 log
+// holds nothing this version cannot read; its version word is raised in place
+// first, so no log ever carries a delta under a header that promises none.
 func (m *Manager) readHeader() (uint64, error) {
 	var h [headerSize]byte
 	if _, err := m.f.ReadAt(h[:], 0); err != nil {
@@ -258,204 +299,74 @@ func (m *Manager) readHeader() (uint64, error) {
 	if binary.LittleEndian.Uint32(h[0:]) != walMagic {
 		return 0, fmt.Errorf("wal: %s is not a log file", m.path)
 	}
-	if v := binary.LittleEndian.Uint32(h[4:]); v != walVersion {
+	switch v := binary.LittleEndian.Uint32(h[4:]); v {
+	case walVersion:
+	case 1:
+		binary.LittleEndian.PutUint32(h[4:], walVersion)
+		if _, err := m.f.WriteAt(h[4:8], 4); err != nil {
+			return 0, fmt.Errorf("wal: upgrade header: %w", err)
+		}
+		if err := m.f.Sync(); err != nil {
+			return 0, fmt.Errorf("wal: sync header: %w", err)
+		}
+		m.fsyncs.Add(1)
+	default:
 		return 0, fmt.Errorf("wal: unsupported version %d", v)
 	}
 	return binary.LittleEndian.Uint64(h[8:]), nil
 }
 
-// replay scans the log from the header, applying records commit-by-commit,
-// and returns the LSN of the last valid record (or base-1 if none) and the
-// file offset just past it.
-func (m *Manager) replay(store pagefile.Store, base uint64, rep *RecoveryReport) (uint64, int64, error) {
+// replay scans the size-byte log from the header, redoing it transaction by
+// transaction, and returns the LSN of the last commit record (base-1 if there
+// is none) and the file offset just past it. Whole records after it belong to
+// an append that tore before its commit record: never acknowledged, never
+// shipped, and — the write barrier syncs whole appends — never stamped on a
+// page in the store, so both their bytes and their LSNs are free for reuse.
+func (m *Manager) replay(store pagefile.Store, base uint64, size int64, rep *RecoveryReport) (uint64, int64, error) {
 	lastLSN := base - 1
 	off := int64(headerSize)
+	committed := off
+	asm := NewAssembler(false)
+	redo := NewRedo(store, rep)
 
-	// Pending records of the transaction currently being scanned; applied
-	// only when its commit record is reached, discarded at a torn tail.
-	var pendFiles []FileCreate
-	var pendPages []PageImage
-	var pendCatalog []byte
-
-	var frame [8]byte
-	for {
-		if _, err := m.f.ReadAt(frame[:], off); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break
-			}
+	var head [8]byte
+	for off+8 <= size {
+		if _, err := m.f.ReadAt(head[:], off); err != nil {
 			return 0, 0, fmt.Errorf("wal: replay read: %w", err)
 		}
-		bodyLen := binary.LittleEndian.Uint32(frame[0:])
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if bodyLen < 9 || bodyLen > maxBodyLen {
-			rep.TornTail = true
+		// A frame cannot be longer than what is left of the file, so garbage
+		// length bytes never size an allocation; anything that does not parse
+		// is the torn tail of an unacknowledged append.
+		n := 8 + int64(binary.LittleEndian.Uint32(head[:]))
+		if n > size-off {
 			break
 		}
-		body := make([]byte, bodyLen)
-		if _, err := m.f.ReadAt(body, off+8); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				rep.TornTail = true
-				break
-			}
+		frame := make([]byte, n)
+		if _, err := m.f.ReadAt(frame, off); err != nil {
 			return 0, 0, fmt.Errorf("wal: replay read: %w", err)
 		}
-		if crc32.ChecksumIEEE(body) != crc {
-			rep.TornTail = true
+		txns, err := asm.Feed(frame)
+		if err != nil {
 			break
 		}
-		typ := body[0]
-		lsn := binary.LittleEndian.Uint64(body[1:])
-		payload := body[9:]
-
-		switch typ {
-		case RecFileCreate:
-			if len(payload) < 4 {
-				rep.TornTail = true
-				goto done
-			}
-			pendFiles = append(pendFiles, FileCreate{
-				FID:  pagefile.FileID(binary.LittleEndian.Uint32(payload)),
-				Name: string(payload[4:]),
-			})
-		case RecPage:
-			if len(payload) != 8+pagefile.PageSize {
-				rep.TornTail = true
-				goto done
-			}
-			img := PageImage{
-				PID: pagefile.PageID{
-					File: pagefile.FileID(binary.LittleEndian.Uint32(payload)),
-					Page: binary.LittleEndian.Uint32(payload[4:]),
-				},
-				LSN: lsn,
-			}
-			copy(img.Data[:], payload[8:])
-			pendPages = append(pendPages, img)
-		case RecCatalog:
-			pendCatalog = append([]byte(nil), payload...)
-		case RecCommit:
-			if err := m.applyCommitted(store, pendFiles, pendPages, rep); err != nil {
+		off += n
+		for i := range txns {
+			if err := redo.ApplyCommitted(&txns[i]); err != nil {
 				return 0, 0, err
 			}
-			if pendCatalog != nil {
-				rep.Catalog = pendCatalog
+			if txns[i].Catalog != nil {
+				rep.Catalog = txns[i].Catalog
 			}
-			pendFiles, pendPages, pendCatalog = nil, nil, nil
+			m.records.Add(int64(len(txns[i].Files) + len(txns[i].Pages)))
 			rep.Commits++
-		default:
-			rep.TornTail = true
-			goto done
+			lastLSN, committed = txns[i].LastLSN, off
 		}
-		lastLSN = lsn
-		off += 8 + int64(bodyLen)
 	}
-done:
-	// Anything pending without a commit record is an unacknowledged tail.
-	return lastLSN, off, nil
-}
-
-// applyCommitted redoes one committed transaction during recovery replay,
-// counting the applied records in the manager's stats.
-func (m *Manager) applyCommitted(store pagefile.Store, files []FileCreate, pages []PageImage, rep *RecoveryReport) error {
-	if err := ApplyCommitted(store, files, pages, rep); err != nil {
-		return err
+	rep.TornTail = committed < size // bytes follow the last commit record
+	if err := redo.Flush(); err != nil {
+		return 0, 0, err
 	}
-	m.records.Add(int64(len(files) + len(pages)))
-	return nil
-}
-
-// ApplyCommitted redoes one committed transaction onto store: recreate
-// missing files, then write each page image unless the store already has a
-// same-or-newer version (strictly-less comparison: a disk page with an equal
-// LSN is left alone, and pages written outside the log carry LSN 0 and are
-// only overwritten when unreadable). It is idempotent, which is what lets
-// recovery replay and follower apply share it: re-applying an already
-// applied transaction only bumps PagesSkipped.
-func ApplyCommitted(store pagefile.Store, files []FileCreate, pages []PageImage, rep *RecoveryReport) error {
-	for _, fc := range files {
-		if _, err := store.FileName(fc.FID); err == nil {
-			continue // file survived the crash
-		}
-		if err := fillFIDGap(store, fc.FID, rep); err != nil {
-			return err
-		}
-		got, err := store.CreateFile(fc.Name)
-		if err != nil {
-			return fmt.Errorf("wal: replay create file %q: %w", fc.Name, err)
-		}
-		if got != fc.FID {
-			return fmt.Errorf("wal: replay created file %q as %d, log says %d", fc.Name, got, fc.FID)
-		}
-		rep.FilesCreated++
-	}
-	var cur pagefile.Page
-	for i := range pages {
-		img := &pages[i]
-		// Grow the file until the logged page exists. Allocate appends
-		// zeroed pages, so intermediate pages a crash orphaned scan as
-		// empty.
-		for {
-			n, err := store.NumPages(img.PID.File)
-			if err != nil {
-				return fmt.Errorf("wal: replay file %d: %w", img.PID.File, err)
-			}
-			if img.PID.Page < n {
-				break
-			}
-			if _, err := store.Allocate(img.PID.File); err != nil {
-				return fmt.Errorf("wal: replay allocate: %w", err)
-			}
-		}
-		apply := false
-		switch err := store.ReadPage(img.PID, &cur); {
-		case err == nil:
-			apply = pagefile.PageLSN(&cur) < img.LSN
-		case errors.Is(err, pagefile.ErrCorruptPage):
-			apply = true // torn or bit-flipped on disk; the log has the good image
-		default:
-			return fmt.Errorf("wal: replay read page %v: %w", img.PID, err)
-		}
-		if !apply {
-			rep.PagesSkipped++
-			continue
-		}
-		if err := store.WritePage(img.PID, &img.Data); err != nil {
-			return fmt.Errorf("wal: replay write page %v: %w", img.PID, err)
-		}
-		rep.PagesApplied++
-	}
-	return nil
-}
-
-// fillFIDGap grows the store's file-ID sequence with placeholder files until
-// the next CreateFile lands on fid. The log can reference IDs the store never
-// allocated: unlogged scratch files (query outputs) consume IDs without a
-// FileCreate record, and on a replica those files never exist at all. Both
-// replay paths — restart recovery here in Open and live follower apply —
-// must burn the same IDs so a logged FileCreate lands where the log says;
-// sharing this helper is what keeps a crash between a follower's log append
-// and its store apply recoverable.
-func fillFIDGap(store pagefile.Store, fid pagefile.FileID, rep *RecoveryReport) error {
-	next := pagefile.FileID(1)
-	for {
-		if _, err := store.FileName(next); errors.Is(err, pagefile.ErrNoSuchFile) {
-			break
-		} else if err != nil {
-			return fmt.Errorf("wal: replay probe file %d: %w", next, err)
-		}
-		next++
-	}
-	for ; next < fid; next++ {
-		got, err := store.CreateFile(fmt.Sprintf("__repl_gap_%d", next))
-		if err != nil {
-			return fmt.Errorf("wal: replay gap file %d: %w", next, err)
-		}
-		if got != next {
-			return fmt.Errorf("wal: replay gap file created as %d, expected %d", got, next)
-		}
-		rep.FilesCreated++
-	}
-	return nil
+	return lastLSN, committed, nil
 }
 
 // AppendCommit appends one transaction — file creations, page after-images,
@@ -465,6 +376,27 @@ func fillFIDGap(store pagefile.Store, fid pagefile.FileID, rep *RecoveryReport) 
 // record's LSN for WaitDurable, along with the number of log bytes
 // appended. The commit is not durable until WaitDurable returns.
 func (m *Manager) AppendCommit(files []FileCreate, pages []PageImage, catalog []byte) (uint64, int, error) {
+	refs := make([]PageRef, len(pages))
+	for i := range pages {
+		refs[i] = PageRef{PID: pages[i].PID, Post: &pages[i].Data}
+	}
+	lsn, n, err := m.appendTxn(files, refs, catalog)
+	for i := range pages {
+		pages[i].LSN = pagefile.PageLSN(&pages[i].Data)
+	}
+	return lsn, n, err
+}
+
+// AppendPages is AppendCommit for a scope's dirty set handed over by
+// reference: each page is logged as a delta against its before-image where
+// the full-image rule allows, and in full otherwise.
+func (m *Manager) AppendPages(pages []PageRef) (uint64, int, error) {
+	return m.appendTxn(nil, pages, nil)
+}
+
+// appendTxn encodes one transaction into the batch buffer and writes it. It
+// is the only encoder, and the only place the full-or-delta decision is made.
+func (m *Manager) appendTxn(files []FileCreate, pages []PageRef, catalog []byte) (uint64, int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -473,30 +405,64 @@ func (m *Manager) AppendCommit(files []FileCreate, pages []PageImage, catalog []
 	if m.broken {
 		return 0, 0, errors.New("wal: log poisoned by an earlier failed append")
 	}
-	var buf []byte
-	for _, fc := range files {
-		payload := make([]byte, 4+len(fc.Name))
-		binary.LittleEndian.PutUint32(payload, uint32(fc.FID))
-		copy(payload[4:], fc.Name)
-		buf = m.frameRecord(buf, RecFileCreate, payload)
+	// Acknowledged must mean replayable: a record no scan would accept is
+	// refused here, before any LSN is consumed or byte written.
+	if recHeaderLen+len(catalog) > MaxBodyLen {
+		return 0, 0, fmt.Errorf("wal: append: catalog record of %d bytes exceeds the %d-byte record limit", len(catalog), MaxBodyLen)
 	}
+	for _, fc := range files {
+		if recHeaderLen+4+len(fc.Name) > MaxBodyLen {
+			return 0, 0, fmt.Errorf("wal: append: fileCreate record for a %d-byte name exceeds the %d-byte record limit", len(fc.Name), MaxBodyLen)
+		}
+	}
+
+	buf, states := m.buf[:0], m.states[:0]
+	var rec int
+	for _, fc := range files {
+		buf, rec = m.beginRecord(buf, RecFileCreate)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(fc.FID))
+		buf = append(buf, fc.Name...)
+		endRecord(buf, rec)
+	}
+	nDelta := 0
 	for i := range pages {
-		img := &pages[i]
-		// The LSN is part of the logged image: stamp before framing so the
-		// record CRC covers it and replay comparisons see it.
-		img.LSN = m.nextLSN
-		pagefile.SetPageLSN(&img.Data, img.LSN)
-		payload := make([]byte, 8+pagefile.PageSize)
-		binary.LittleEndian.PutUint32(payload, uint32(img.PID.File))
-		binary.LittleEndian.PutUint32(payload[4:], img.PID.Page)
-		copy(payload[8:], img.Data[:])
-		buf = m.frameRecord(buf, RecPage, payload)
+		pg := &pages[i]
+		last, logged := m.pageLSN[pg.PID]
+		lsn := m.nextLSN
+		// The LSN is part of the page: stamp it before encoding so the image
+		// eventually written back matches the logged one, and the write
+		// barrier and redo's LSN comparisons see the right version.
+		pagefile.SetPageLSN(pg.Post, lsn)
+		if logged && pg.Pre != nil && pagefile.PageLSN(pg.Pre) == last.lsn && imageCRC(pg.Pre) == last.crc {
+			buf, rec = m.beginRecord(buf, RecPageDelta)
+			buf = appendPageID(buf, pg.PID)
+			buf = binary.LittleEndian.AppendUint64(buf, last.lsn)
+			count := len(buf)
+			buf = append(buf, 0, 0)
+			var n int
+			buf, n = appendDiff(buf, pg.Pre, pg.Post)
+			binary.LittleEndian.PutUint16(buf[count:], uint16(n))
+			nDelta++
+		} else {
+			buf, rec = m.beginRecord(buf, RecPage)
+			buf = appendPageID(buf, pg.PID)
+			buf = append(buf, pg.Post[:]...)
+		}
+		endRecord(buf, rec)
+		states = append(states, pageState{lsn: lsn, crc: imageCRC(pg.Post)})
 	}
 	if catalog != nil {
-		buf = m.frameRecord(buf, RecCatalog, catalog)
+		buf, rec = m.beginRecord(buf, RecCatalog)
+		buf = append(buf, catalog...)
+		endRecord(buf, rec)
 	}
-	buf = m.frameRecord(buf, RecCommit, nil)
+	buf, rec = m.beginRecord(buf, RecCommit)
+	endRecord(buf, rec)
 	commitLSN := m.nextLSN - 1
+	if cap(buf) <= keepBufBytes {
+		m.buf = buf
+	}
+	m.states = states
 
 	if _, err := m.f.WriteAt(buf, m.off); err != nil {
 		// A partial append is garbage mid-log: later commits appended after
@@ -507,11 +473,14 @@ func (m *Manager) AppendCommit(files []FileCreate, pages []PageImage, catalog []
 			m.broken = true
 		}
 		// The consumed LSNs are simply skipped; the sequence stays monotone.
+		// pageLSN is untouched, so a page stamped above keeps its last real
+		// record as the write barrier's target, and its next record is a full
+		// image unless the caller restores the image that record described.
 		return 0, 0, fmt.Errorf("wal: append: %w", err)
 	}
 	m.off += int64(len(buf))
 	for i := range pages {
-		m.pageLSN[pages[i].PID] = pages[i].LSN
+		m.pageLSN[pages[i].PID] = states[i]
 	}
 	m.appended = commitLSN
 	m.records.Add(int64(len(files)+len(pages)) + 1)
@@ -520,22 +489,9 @@ func (m *Manager) AppendCommit(files []FileCreate, pages []PageImage, catalog []
 	}
 	m.commits.Add(1)
 	m.bytes.Add(int64(len(buf)))
+	m.deltas.Add(int64(nDelta))
+	m.fullImages.Add(int64(len(pages) - nDelta))
 	return commitLSN, len(buf), nil
-}
-
-// frameRecord appends one framed record to buf, consuming the next LSN.
-func (m *Manager) frameRecord(buf []byte, typ byte, payload []byte) []byte {
-	body := make([]byte, 9+len(payload))
-	body[0] = typ
-	binary.LittleEndian.PutUint64(body[1:], m.nextLSN)
-	copy(body[9:], payload)
-	m.nextLSN++
-
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
-	buf = append(buf, frame[:]...)
-	return append(buf, body...)
 }
 
 // WaitDurable blocks until every record up to and including lsn is fsync'd.
@@ -609,12 +565,12 @@ func (m *Manager) syncTo(lsn uint64) (shared bool, err error) {
 // scratch files, pre-WAL state) need no barrier and return immediately.
 func (m *Manager) EnsureDurablePage(pid pagefile.PageID) error {
 	m.mu.Lock()
-	lsn, ok := m.pageLSN[pid]
+	last, ok := m.pageLSN[pid]
 	m.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	_, err := m.syncTo(lsn)
+	_, err := m.syncTo(last.lsn)
 	return err
 }
 
@@ -639,7 +595,7 @@ func (m *Manager) Checkpoint() error {
 	}
 	if m.retain != nil {
 		if minLSN, ok := m.retain(); ok && minLSN < m.appended && (m.retainBytes <= 0 || m.off <= m.retainBytes) {
-			m.pageLSN = make(map[pagefile.PageID]uint64)
+			m.pageLSN = make(map[pagefile.PageID]pageState)
 			m.ckptDeferred.Add(1)
 			return nil
 		}
@@ -648,7 +604,7 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 	m.off = headerSize
-	m.pageLSN = make(map[pagefile.PageID]uint64)
+	m.pageLSN = make(map[pagefile.PageID]pageState)
 	m.appended = m.nextLSN - 1
 	m.durable.Store(m.appended)
 	m.checkpoints.Add(1)
@@ -663,6 +619,8 @@ func (m *Manager) Stats() Stats {
 		Fsyncs:              m.fsyncs.Load(),
 		Bytes:               m.bytes.Load(),
 		Checkpoints:         m.checkpoints.Load(),
+		FullImages:          m.fullImages.Load(),
+		DeltaRecords:        m.deltas.Load(),
 		CheckpointsDeferred: m.ckptDeferred.Load(),
 		SyncWaits:           m.syncWaits.Load(),
 		SharedSyncs:         m.sharedSyncs.Load(),

@@ -121,6 +121,12 @@ type WALStats struct {
 	Fsyncs      int64 `json:"fsyncs"`
 	Bytes       int64 `json:"bytes"`
 	Checkpoints int64 `json:"checkpoints"`
+	// FullImages and DeltaRecords split the page records logged by kind: a
+	// page's first record after a checkpoint is a full 4 KiB image, later
+	// ones carry only the bytes that changed. The full-image share is what
+	// checkpoint cadence buys or costs in log volume.
+	FullImages   int64 `json:"full_images"`
+	DeltaRecords int64 `json:"delta_records"`
 	// SyncWaits counts commits that actually waited for durability;
 	// SharedSyncs the subset satisfied by another committer's fsync (the
 	// follower half of group commit). SyncQueue is the instantaneous number
@@ -140,6 +146,7 @@ func (db *DB) WALStats() (WALStats, bool) {
 	return WALStats{
 		Records: st.Records, Commits: st.Commits, Fsyncs: st.Fsyncs,
 		Bytes: st.Bytes, Checkpoints: st.Checkpoints,
+		FullImages: st.FullImages, DeltaRecords: st.DeltaRecords,
 		SyncWaits: st.SyncWaits, SharedSyncs: st.SharedSyncs, SyncQueue: st.SyncQueue,
 	}, true
 }
