@@ -121,8 +121,7 @@ func (n node) leafEntry(i int) entry {
 func (n node) setLeafEntry(i int, e entry) {
 	off := nodeBody + i*leafEntrySz
 	copy(n.p[off:], e.key[:])
-	buf := e.oid.AppendTo(nil)
-	copy(n.p[off+KeySize:], buf)
+	e.oid.AppendTo(n.p[off+KeySize : off+KeySize]) // appends in place: the page is the capacity
 }
 
 // insertLeafAt shifts entries right and writes e at position i.
@@ -161,8 +160,7 @@ func (n node) intEntry(i int) (entry, uint32) {
 func (n node) setIntEntry(i int, e entry, child uint32) {
 	off := nodeBody + 4 + i*intEntrySz
 	copy(n.p[off:], e.key[:])
-	buf := e.oid.AppendTo(nil)
-	copy(n.p[off+KeySize:], buf)
+	e.oid.AppendTo(n.p[off+KeySize : off+KeySize])
 	binary.LittleEndian.PutUint32(n.p[off+KeySize+pagefile.OIDSize:], child)
 }
 

@@ -551,10 +551,15 @@ func (p *Pool) NewPageCaptureT(fid pagefile.FileID, tr *obs.Trace) (*Handle, pag
 // sh.mu.
 func (sh *shard) victim(p *Pool, tr *obs.Trace) (int, error) {
 	n := len(sh.frames)
-	// Prefer an invalid (never used) frame.
-	for i := range sh.frames {
-		if !sh.frames[i].valid {
-			return i, nil
+	// Prefer an invalid (never used) frame, lowest index first. A frame is
+	// valid exactly while the page table maps to it, so a full table means
+	// there is none and the walk — a touch per frame at a page's stride — is
+	// skipped on every miss of a warmed-up pool.
+	if len(sh.table) < n {
+		for i := range sh.frames {
+			if !sh.frames[i].valid {
+				return i, nil
+			}
 		}
 	}
 	// Clock sweep: up to 2n steps gives every unpinned frame a second chance.

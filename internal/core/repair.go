@@ -484,113 +484,13 @@ func (m *Manager) repairGroups(st *repairState, rep *RepairReport) error {
 		if !rebuild {
 			continue
 		}
-		if err := m.rebuildGroup(g, p); err != nil {
+		// The same derivation as the build of a path of the group, minus the
+		// link structures: the link phase has already made those exact.
+		if err := m.build(p, func(*catalog.Link) bool { return false }); err != nil {
 			return err
 		}
 		rep.GroupsRebuilt++
 	}
-	return nil
-}
-
-// rebuildGroup discards g's S′ file and reconstructs it from the forward
-// walks, exactly as the ordered group build does, minus the link
-// registration (the link phase has already made those exact).
-func (m *Manager) rebuildGroup(g *catalog.Group, p *catalog.Path) error {
-	var file *heap.File
-	var err error
-	if g.HasFile {
-		file, err = m.st.RecreateGroupFile(g)
-	} else {
-		file, err = m.st.GroupFile(g)
-	}
-	if err != nil {
-		return err
-	}
-	srcFile, err := m.st.SetFile(g.Source)
-	if err != nil {
-		return err
-	}
-	srcType := p.Types[0]
-
-	type termInfo struct {
-		oid     pagefile.OID
-		sources []pagefile.OID
-	}
-	var terms []*termInfo
-	byTerm := map[pagefile.OID]*termInfo{}
-	var broken []pagefile.OID
-	err = srcFile.Scan(func(oid pagefile.OID, payload []byte) error {
-		src, err := schema.Decode(srcType, payload)
-		if err != nil {
-			return err
-		}
-		chain, err := m.walkChain(p, src)
-		if err != nil {
-			return err
-		}
-		term := terminalOf(p, chain)
-		if term == nil {
-			broken = append(broken, oid)
-			return nil
-		}
-		ti, ok := byTerm[term.oid]
-		if !ok {
-			ti = &termInfo{oid: term.oid}
-			byTerm[term.oid] = ti
-			terms = append(terms, ti)
-		}
-		ti.sources = append(ti.sources, oid)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	sort.Slice(terms, func(i, j int) bool { return terms[i].oid.Less(terms[j].oid) })
-	termType := p.TerminalType()
-	soidOf := make(map[pagefile.OID]pagefile.OID, len(terms))
-	for _, ti := range terms {
-		tObj, err := m.st.ReadObject(ti.oid, termType)
-		if err != nil {
-			return err
-		}
-		sObj, err := newSPrimeObject(g, tObj)
-		if err != nil {
-			return err
-		}
-		soid, err := file.Insert(sObj.Encode())
-		if err != nil {
-			return err
-		}
-		tObj.SetSep(schema.SepEntry{GroupID: g.ID, SOID: soid, RefCount: uint32(len(ti.sources))})
-		if err := m.st.WriteObject(ti.oid, tObj); err != nil {
-			return err
-		}
-		soidOf[ti.oid] = soid
-	}
-	for _, ti := range terms {
-		for _, s := range ti.sources {
-			src, err := m.st.ReadObject(s, srcType)
-			if err != nil {
-				return err
-			}
-			src.SetHidden(g.ID, catalog.HiddenSPrimeIdx, schema.RefValue(soidOf[ti.oid]))
-			if err := m.st.WriteObject(s, src); err != nil {
-				return err
-			}
-		}
-	}
-	for _, s := range broken {
-		src, err := m.st.ReadObject(s, srcType)
-		if err != nil {
-			return err
-		}
-		src.SetHidden(g.ID, catalog.HiddenSPrimeIdx, schema.RefValue(pagefile.NilOID))
-		if err := m.st.WriteObject(s, src); err != nil {
-			return err
-		}
-	}
-	g.Built = len(g.Fields)
 	return nil
 }
 

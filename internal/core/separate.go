@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
-	"github.com/exodb/fieldrepl/internal/heap"
 	"github.com/exodb/fieldrepl/internal/obs"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/schema"
@@ -173,138 +171,4 @@ func (m *Manager) refreshSPrime(g *catalog.Group, soid pagefile.OID, terminal *s
 		return nil
 	}
 	return file.Update(soid, sobj.Encode())
-}
-
-// buildGroupOrdered constructs (or reconstructs) a group's S′ file over the
-// existing data with the S′ objects in the same physical order as the
-// terminal set — the clustering property the paper relies on ("the objects
-// in which replicated data is stored are kept in the same order as the
-// corresponding objects", §5, Figure 7). Link structures along the ref chain
-// are (re-)registered idempotently in the same pass.
-//
-// The build is three-phase: scan the source set collecting, per terminal,
-// the list of registered sources (and ensure the inverted-path links); then
-// create S′ objects in terminal physical order; finally install the hidden
-// S′ references in the sources.
-func (m *Manager) buildGroupOrdered(p *catalog.Path) error {
-	g := p.Group
-	file, err := m.groupBuildFile(g)
-	if err != nil {
-		return err
-	}
-	srcFile, err := m.st.SetFile(g.Source)
-	if err != nil {
-		return err
-	}
-	srcType := p.Types[0]
-
-	type termInfo struct {
-		oid     pagefile.OID
-		sources []pagefile.OID
-	}
-	var terms []*termInfo
-	byTerm := map[pagefile.OID]*termInfo{}
-	var broken []pagefile.OID
-
-	err = srcFile.Scan(func(oid pagefile.OID, payload []byte) error {
-		src, err := schema.Decode(srcType, payload)
-		if err != nil {
-			return err
-		}
-		chain, err := m.walkChain(p, src)
-		if err != nil {
-			return err
-		}
-		// Ensure the (n-1)-level inverted path links, idempotently.
-		referrer := oid
-		for pos := 0; pos < len(p.Links) && pos < len(chain); pos++ {
-			target := chain[pos]
-			changed, err := m.addReferrer(p.Links[pos], target.oid, target.obj, referrer)
-			if err != nil {
-				return err
-			}
-			if changed {
-				if err := m.st.WriteObject(target.oid, target.obj); err != nil {
-					return err
-				}
-			}
-			referrer = target.oid
-		}
-		term := terminalOf(p, chain)
-		if term == nil {
-			broken = append(broken, oid)
-			return nil
-		}
-		ti, ok := byTerm[term.oid]
-		if !ok {
-			ti = &termInfo{oid: term.oid}
-			byTerm[term.oid] = ti
-			terms = append(terms, ti)
-		}
-		ti.sources = append(ti.sources, oid)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// S′ objects in terminal physical order.
-	sort.Slice(terms, func(i, j int) bool { return terms[i].oid.Less(terms[j].oid) })
-	termType := p.TerminalType()
-	soidOf := make(map[pagefile.OID]pagefile.OID, len(terms))
-	for _, ti := range terms {
-		tObj, err := m.st.ReadObject(ti.oid, termType)
-		if err != nil {
-			return err
-		}
-		sObj, err := newSPrimeObject(g, tObj)
-		if err != nil {
-			return err
-		}
-		soid, err := file.Insert(sObj.Encode())
-		if err != nil {
-			return err
-		}
-		tObj.SetSep(schema.SepEntry{GroupID: g.ID, SOID: soid, RefCount: uint32(len(ti.sources))})
-		if err := m.st.WriteObject(ti.oid, tObj); err != nil {
-			return err
-		}
-		soidOf[ti.oid] = soid
-	}
-
-	// Hidden S′ references in the sources.
-	for _, ti := range terms {
-		for _, s := range ti.sources {
-			src, err := m.st.ReadObject(s, srcType)
-			if err != nil {
-				return err
-			}
-			src.SetHidden(g.ID, catalog.HiddenSPrimeIdx, schema.RefValue(soidOf[ti.oid]))
-			if err := m.st.WriteObject(s, src); err != nil {
-				return err
-			}
-		}
-	}
-	for _, s := range broken {
-		src, err := m.st.ReadObject(s, srcType)
-		if err != nil {
-			return err
-		}
-		src.SetHidden(g.ID, catalog.HiddenSPrimeIdx, schema.RefValue(pagefile.NilOID))
-		if err := m.st.WriteObject(s, src); err != nil {
-			return err
-		}
-	}
-	g.Built = len(g.Fields)
-	return nil
-}
-
-// groupBuildFile returns the file an ordered group build writes into: a
-// fresh file when the group was already materialized (field extension), or
-// the group's first file.
-func (m *Manager) groupBuildFile(g *catalog.Group) (*heap.File, error) {
-	if g.HasFile && g.Built > 0 {
-		return m.st.RecreateGroupFile(g)
-	}
-	return m.st.GroupFile(g)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/exodb/fieldrepl/internal/heap"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
@@ -117,21 +118,33 @@ func (db *DB) PendingPropagations() int {
 }
 
 // ReplStorage reports the auxiliary storage one replication path consumes:
-// pages of link-object files and of the S′ file (shared figures repeat for
-// paths sharing links or groups). It quantifies the paper's §4.2 space
-// discussion.
+// pages and records of its link-object files and of its S′ file, and how many
+// of those records sit behind a forwarding stub — each of which costs a second
+// page to read (shared figures repeat for paths sharing links or groups). It
+// quantifies the paper's §4.2 space discussion.
 type ReplStorage struct {
-	Path        string
-	Strategy    string
-	LinkPages   uint32
-	SPrimePages uint32
+	Path            string
+	Strategy        string
+	LinkPages       uint32
+	LinkObjects     int
+	LinkForwarded   int
+	SPrimePages     uint32
+	SPrimeObjects   int
+	SPrimeForwarded int
 }
 
-// ReplicationStorage reports per-path auxiliary storage.
+// ReplicationStorage reports per-path auxiliary storage. Like SetStats it
+// takes the exclusive lock for its multi-page walks.
 func (db *DB) ReplicationStorage() ([]ReplStorage, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := db.readSess(nil)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	stats := func(fid pagefile.FileID) (heap.Stats, error) {
+		f, err := db.heapFor(fid)
+		if err != nil {
+			return heap.Stats{}, err
+		}
+		return f.Stats()
+	}
 	var out []ReplStorage
 	for _, p := range db.cat.Paths() {
 		rs := ReplStorage{Path: p.Spec.String(), Strategy: p.Strategy.String()}
@@ -139,26 +152,20 @@ func (db *DB) ReplicationStorage() ([]ReplStorage, error) {
 			if !l.HasFile {
 				continue
 			}
-			f, err := s.heapFor(l.FileID)
+			st, err := stats(l.FileID)
 			if err != nil {
 				return nil, err
 			}
-			n, err := f.NumPages()
-			if err != nil {
-				return nil, err
-			}
-			rs.LinkPages += n
+			rs.LinkPages += st.Pages
+			rs.LinkObjects += st.Live
+			rs.LinkForwarded += st.Forwarded
 		}
 		if p.Group != nil && p.Group.HasFile {
-			f, err := s.heapFor(p.Group.FileID)
+			st, err := stats(p.Group.FileID)
 			if err != nil {
 				return nil, err
 			}
-			n, err := f.NumPages()
-			if err != nil {
-				return nil, err
-			}
-			rs.SPrimePages = n
+			rs.SPrimePages, rs.SPrimeObjects, rs.SPrimeForwarded = st.Pages, st.Live, st.Forwarded
 		}
 		out = append(out, rs)
 	}

@@ -286,6 +286,15 @@ func diffValue(rng *rand.Rand, k schema.Kind) schema.Value {
 
 func buildDiffDB(t *testing.T, rng *rand.Rand, cfg Config) *diffDB {
 	t.Helper()
+	d := defineDiffDB(t, rng, cfg)
+	d.load(t, rng, 10)
+	return d
+}
+
+// defineDiffDB opens a database and declares the random types and the four
+// sets, empty.
+func defineDiffDB(t *testing.T, rng *rand.Rand, cfg Config) *diffDB {
+	t.Helper()
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -309,24 +318,30 @@ func buildDiffDB(t *testing.T, rng *rand.Rand, cfg Config) *diffDB {
 			t.Fatal(err)
 		}
 	}
+	return d
+}
+
+// load inserts the objects, terminals first; one reference in nullEvery is
+// null (0: none).
+func (d *diffDB) load(t *testing.T, rng *rand.Rand, nullEvery int) {
+	t.Helper()
 	for _, lv := range []struct{ level, n int }{{3, 5}, {2, 12}, {1, 40}, {0, 600}} {
 		for i := 0; i < lv.n; i++ {
 			vals := map[string]schema.Value{}
 			for _, f := range d.scalars[lv.level] {
 				vals[f.Name] = diffValue(rng, f.Kind)
 			}
-			if lv.level < 3 && rng.Intn(10) > 0 {
+			if lv.level < 3 && (nullEvery == 0 || rng.Intn(nullEvery) > 0) {
 				targets := d.oids[lv.level+1]
 				vals["r"] = ref(targets[rng.Intn(len(targets))])
 			}
-			oid, err := db.Insert(diffSet(lv.level), vals)
+			oid, err := d.db.Insert(diffSet(lv.level), vals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			d.oids[lv.level] = append(d.oids[lv.level], oid)
 		}
 	}
-	return d
 }
 
 // expr returns a random expression of the given depth from A0.

@@ -32,32 +32,39 @@ func assertPagesEqual(t *testing.T, a, b *DB) {
 		if strings.HasPrefix(name, "__") {
 			continue
 		}
-		na, err := a.store.NumPages(fid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := b.store.NumPages(fid)
-		if err != nil || na != nb {
-			t.Fatalf("file %d (%s): %d pages vs %d (%v)", fid, name, na, nb, err)
-		}
-		for pg := uint32(0); pg < na; pg++ {
-			pid := pagefile.PageID{File: fid, Page: pg}
-			var pa, pb pagefile.Page
-			if err := a.store.ReadPage(pid, &pa); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.store.ReadPage(pid, &pb); err != nil {
-				t.Fatal(err)
-			}
-			if pa != pb {
-				t.Fatalf("page %v of %s differs (LSN %d vs %d)", pid, name, pagefile.PageLSN(&pa), pagefile.PageLSN(&pb))
-			}
-			compared++
-		}
+		compared += assertFilePagesEqual(t, a, b, fid)
 	}
 	if compared == 0 {
 		t.Fatal("no pages compared")
 	}
+}
+
+// assertFilePagesEqual compares one file of two databases' stores page for
+// page and returns how many pages it compared.
+func assertFilePagesEqual(t *testing.T, a, b *DB, fid pagefile.FileID) int {
+	t.Helper()
+	na, err := a.store.NumPages(fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := b.store.NumPages(fid)
+	if err != nil || na != nb {
+		t.Fatalf("file %d: %d pages vs %d (%v)", fid, na, nb, err)
+	}
+	for pg := uint32(0); pg < na; pg++ {
+		pid := pagefile.PageID{File: fid, Page: pg}
+		var pa, pb pagefile.Page
+		if err := a.store.ReadPage(pid, &pa); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.store.ReadPage(pid, &pb); err != nil {
+			t.Fatal(err)
+		}
+		if pa != pb {
+			t.Fatalf("page %v differs (LSN %d vs %d)", pid, pagefile.PageLSN(&pa), pagefile.PageLSN(&pb))
+		}
+	}
+	return int(na)
 }
 
 // deltasSince reports the page records the database's log encoded since

@@ -122,7 +122,11 @@ func FormatValidation(rows []ValidationRow) string {
 }
 
 // SpaceRow reports the storage footprint of one strategy at one sharing
-// level: the paper's §4.2 space-overhead discussion, measured.
+// level: the paper's §4.2 space-overhead discussion, measured. The Fwd counts
+// are the records of each file whose body sits behind a forwarding stub, each
+// of which costs a second page to read: objects widened after they were
+// placed (R and S, inherent to physical OIDs) and — before the sorted build —
+// link objects grown one referrer at a time.
 type SpaceRow struct {
 	Strategy    workload.Strategy
 	F           int
@@ -130,6 +134,10 @@ type SpaceRow struct {
 	SPages      uint32
 	LinkPages   uint32
 	SPrimePages uint32
+	RFwd        int
+	SFwd        int
+	LinkFwd     int
+	SPrimeFwd   int
 }
 
 // Overhead returns the auxiliary+widening storage relative to the
@@ -141,7 +149,7 @@ func (r SpaceRow) Overhead(base SpaceRow) float64 {
 }
 
 // MeasureSpace builds the model database per strategy and reports page
-// footprints.
+// footprints and forwarded-record counts.
 func MeasureSpace(sCount, f int, seed int64) ([]SpaceRow, error) {
 	var rows []SpaceRow
 	for _, strat := range []workload.Strategy{workload.NoReplication, workload.InPlace, workload.Separate} {
@@ -150,11 +158,11 @@ func MeasureSpace(sCount, f int, seed int64) ([]SpaceRow, error) {
 			return nil, err
 		}
 		row := SpaceRow{Strategy: strat, F: f}
-		if n, err := b.DB.NumPages("R"); err == nil {
-			row.RPages = n
+		if st, err := b.DB.SetStats("R"); err == nil {
+			row.RPages, row.RFwd = st.Pages, st.Forwarded
 		}
-		if n, err := b.DB.NumPages("S"); err == nil {
-			row.SPages = n
+		if st, err := b.DB.SetStats("S"); err == nil {
+			row.SPages, row.SFwd = st.Pages, st.Forwarded
 		}
 		storage, err := b.DB.ReplicationStorage()
 		if err != nil {
@@ -164,6 +172,8 @@ func MeasureSpace(sCount, f int, seed int64) ([]SpaceRow, error) {
 		for _, st := range storage {
 			row.LinkPages += st.LinkPages
 			row.SPrimePages += st.SPrimePages
+			row.LinkFwd += st.LinkForwarded
+			row.SPrimeFwd += st.SPrimeForwarded
 		}
 		b.Close()
 		rows = append(rows, row)
@@ -178,12 +188,12 @@ func FormatSpace(rows []SpaceRow) string {
 		return "(no rows)\n"
 	}
 	fmt.Fprintf(&sb, "Space overhead (paper §4.2), f=%d\n\n", rows[0].F)
-	fmt.Fprintf(&sb, "  %-10s | %7s %7s %7s %7s | %9s\n", "strategy", "R pgs", "S pgs", "link", "S'", "overhead")
-	fmt.Fprintf(&sb, "  %s\n", strings.Repeat("-", 62))
+	fmt.Fprintf(&sb, "  %-10s | %7s %7s %7s %7s | %9s | %s\n", "strategy", "R pgs", "S pgs", "link", "S'", "overhead", "fwd R/S/link/S'")
+	fmt.Fprintf(&sb, "  %s\n", strings.Repeat("-", 82))
 	base := rows[0]
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %-10s | %7d %7d %7d %7d | %8.1f%%\n",
-			r.Strategy, r.RPages, r.SPages, r.LinkPages, r.SPrimePages, r.Overhead(base))
+		fmt.Fprintf(&sb, "  %-10s | %7d %7d %7d %7d | %8.1f%% | %d/%d/%d/%d\n",
+			r.Strategy, r.RPages, r.SPages, r.LinkPages, r.SPrimePages, r.Overhead(base), r.RFwd, r.SFwd, r.LinkFwd, r.SPrimeFwd)
 	}
 	return sb.String()
 }

@@ -273,77 +273,76 @@ func (s Slotted) Update(i uint16, rec []byte) error {
 	if len(rec) > MaxRecordSize {
 		return fmt.Errorf("%w: record of %d bytes exceeds max %d", ErrPageFull, len(rec), MaxRecordSize)
 	}
-	// Grow: free the old bytes, then insert fresh, possibly compacting. The
-	// old record must not be visible during compaction, but we must restore
-	// it if the new record cannot fit.
-	old := make([]byte, length)
-	copy(old, s.P[off:off+length])
-	s.setSlot(i, deadOffset, 0)
-	if s.contiguousFree() < len(rec) {
-		if s.contiguousFree()+s.deadBytes() < len(rec) {
-			s.restore(i, old)
-			return ErrPageFull
-		}
-		s.Compact()
-		if s.contiguousFree() < len(rec) {
-			s.restore(i, old)
-			return ErrPageFull
-		}
+	// Grow. The new record needs len(rec) contiguous bytes once the old one
+	// is released; if even compaction cannot provide them the page is left
+	// untouched.
+	if s.contiguousFree()+s.deadBytes()+int(length) < len(rec) {
+		return ErrPageFull
 	}
-	start := s.dataStartInt() - len(rec)
+	if s.contiguousFree() >= len(rec) {
+		// Fits below the record area as it stands: the old bytes become dead
+		// space reclaimed by a later compaction.
+		start := s.dataStartInt() - len(rec)
+		copy(s.P[start:], rec)
+		s.setDataStart(start)
+		s.setSlot(i, uint16(start), uint16(len(rec)))
+		return nil
+	}
+	// Compact with the old record packed last, so it sits directly above the
+	// free space and stays intact until the new record is known to fit over
+	// it; on a well-formed page it always does.
+	s.compact(int(i))
+	off, length = s.slot(i)
+	if off == deadOffset {
+		return fmt.Errorf("%w: slot %d dropped compacting an oversubscribed page", ErrCorruptPage, i)
+	}
+	start := int(off) + int(length) - len(rec)
+	if start < slotBase+int(s.NumSlots())*slotSize {
+		return ErrPageFull
+	}
 	copy(s.P[start:], rec)
 	s.setDataStart(start)
 	s.setSlot(i, uint16(start), uint16(len(rec)))
 	return nil
 }
 
-func (s Slotted) restore(i uint16, rec []byte) {
-	// Restore after a failed grow. The original bytes still fit because we
-	// only freed them; recompact and reinsert into the same slot.
-	s.Compact()
-	start := s.dataStartInt() - len(rec)
-	copy(s.P[start:], rec)
-	s.setDataStart(start)
-	s.setSlot(i, uint16(start), uint16(len(rec)))
-}
-
 // Compact rewrites all live records contiguously at the end of the page,
 // eliminating dead space. Slot numbers are unchanged.
-func (s Slotted) Compact() {
-	type rec struct {
-		slot uint16
-		data []byte
-	}
+func (s Slotted) Compact() { s.compact(-1) }
+
+// compact packs the live records at the end of the page in slot order, except
+// that slot last (if it is a live slot) is placed after all the others, at the
+// lowest address. Records are copied out of a stack image of the page, so
+// compaction allocates nothing.
+func (s Slotted) compact(last int) {
+	scratch := *s.P
 	n := s.NumSlots()
 	slotEnd := slotBase + int(n)*slotSize
-	recs := make([]rec, 0, n)
-	for i := uint16(0); i < n; i++ {
+	start := PageSize
+	place := func(i uint16) {
 		off, length := s.slot(i)
 		if off == deadOffset {
-			continue
+			return
 		}
-		if int(off) < slotBase || int(off)+int(length) > PageSize {
-			// Corrupted extent: the bytes are unrecoverable, so the slot is
-			// dropped rather than copying out of bounds. Validate reports the
+		if int(off) < slotBase || int(off)+int(length) > PageSize || start-int(length) < slotEnd {
+			// A corrupted extent is unrecoverable, and corrupted lengths can
+			// oversubscribe the page: the slot is dropped rather than copying
+			// out of bounds or over the slot directory. Validate reports the
 			// damage to callers that care.
 			s.setSlot(i, deadOffset, 0)
-			continue
+			return
 		}
-		data := make([]byte, length)
-		copy(data, s.P[int(off):int(off)+int(length)])
-		recs = append(recs, rec{slot: i, data: data})
+		start -= int(length)
+		copy(s.P[start:], scratch[int(off):int(off)+int(length)])
+		s.setSlot(i, uint16(start), length)
 	}
-	start := PageSize
-	for _, r := range recs {
-		if start-len(r.data) < slotEnd {
-			// Only reachable when corrupted lengths oversubscribe the page:
-			// drop the record instead of overwriting the slot directory.
-			s.setSlot(r.slot, deadOffset, 0)
-			continue
+	for i := uint16(0); i < n; i++ {
+		if int(i) != last {
+			place(i)
 		}
-		start -= len(r.data)
-		copy(s.P[start:], r.data)
-		s.setSlot(r.slot, uint16(start), uint16(len(r.data)))
+	}
+	if last >= 0 && last < int(n) {
+		place(uint16(last))
 	}
 	s.setDataStart(start)
 }

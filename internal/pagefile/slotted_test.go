@@ -177,6 +177,59 @@ func TestSlottedCompactionReclaimsSpace(t *testing.T) {
 	}
 }
 
+// TestSlottedCompactionAllocatesNothing pins the in-place compaction: a bulk
+// build widens every record of a page in turn, so Compact and a grow that
+// fits only after compaction run once per record and must stay off the heap.
+func TestSlottedCompactionAllocatesNothing(t *testing.T) {
+	var fragmented Page
+	s := InitSlotted(&fragmented)
+	var slots []uint16
+	for {
+		slot, err := s.Insert(bytes.Repeat([]byte{7}, 400))
+		if err != nil {
+			break
+		}
+		slots = append(slots, slot)
+	}
+	for i := 0; i < len(slots); i += 2 {
+		if err := s.Delete(slots[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var p Page
+	if n := testing.AllocsPerRun(100, func() {
+		p = fragmented
+		AsSlotted(&p).Compact()
+	}); n != 0 {
+		t.Errorf("Compact: %v allocs per run, want 0", n)
+	}
+	// Slot 1 is live between two holes; 700 bytes fit only once the holes are
+	// joined, and the other survivors must come through intact.
+	big := bytes.Repeat([]byte{8}, 700)
+	var err error
+	if n := testing.AllocsPerRun(100, func() {
+		p = fragmented
+		err = AsSlotted(&p).Update(slots[1], big)
+	}); n != 0 {
+		t.Errorf("Update growing after compaction: %v allocs per run, want 0", n)
+	}
+	if err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	sp := AsSlotted(&p)
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := sp.Read(slots[1]); !bytes.Equal(got, big) {
+		t.Fatal("grown record not stored")
+	}
+	for i := 3; i < len(slots); i += 2 {
+		if got, err := sp.Read(slots[i]); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{7}, 400)) {
+			t.Fatalf("survivor slot %d damaged: %v", slots[i], err)
+		}
+	}
+}
+
 func TestSlottedMaxRecord(t *testing.T) {
 	var p Page
 	s := InitSlotted(&p)
