@@ -42,6 +42,7 @@ test:
 	$(GO) test ./...
 
 # The short-mode sweep covers every package; the second pass runs the
+# page-file mapping (readers beside chunk growth, writes and syncs) and the
 # sharded-pool / parallel-scan / concurrent-reader tests un-shortened, and
 # the third hammers the per-set locking paths (disjoint writers,
 # overlapping footprints, randomized multi-set transactions, readers beside
@@ -50,7 +51,7 @@ test:
 # two layers are all there is under its DML, DDL, sessions and sinks.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
+	$(GO) test -race ./internal/pagefile ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
 	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting|TestCloseUnderLoad' ./internal/engine
 	$(GO) test -race -count=2 -run 'TestPublicConcurrentUse|TestSlowQueryLogConcurrent' .
 

@@ -742,7 +742,7 @@ func (p *Pool) Reset() error {
 // Prefetch loads up to n pages of file fid starting at page start into
 // frames without pinning them, so an imminent Get hits instead of missing.
 // Already-resident pages are skipped; the remaining runs of absent pages are
-// fetched with batched store reads (one vectored I/O per run on FileStore).
+// fetched with batched store reads (one Store.ReadPages call per run).
 // It is best-effort: a store error or a shard with every frame pinned simply
 // ends the batch — the scan's own Get will surface any real problem. The
 // number of pages actually loaded is returned.

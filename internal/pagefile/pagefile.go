@@ -140,9 +140,9 @@ type Store interface {
 	ReadPage(pid PageID, buf *Page) error
 	// ReadPages reads the len(bufs) consecutive pages of file f starting at
 	// page start into bufs, counting one read per page (so batched and
-	// page-at-a-time scans charge identical I/O). FileStore issues a single
-	// vectored ReadAt for the whole run; stores without a batched substrate
-	// fall back to a per-page loop.
+	// page-at-a-time scans charge identical I/O). FileStore and MemStore
+	// copy the run under one lock acquisition; FaultStore loops over
+	// ReadPage so that fault indexes do not shift.
 	ReadPages(f FileID, start uint32, bufs []Page) error
 	// WritePage writes buf to page pid.
 	WritePage(pid PageID, buf *Page) error
