@@ -118,9 +118,10 @@ advisorbench:
 	$(GO) run ./cmd/advisorbench -out BENCH_advisor.json
 
 # Exhaustive fault soak: one injected fault at every I/O index of the
-# calibration run (the untagged test samples every 7th index).
+# calibration run, and a crash at every store operation of each schema
+# operation of the DDL crash matrix (the untagged tests sample every 7th).
 soak:
-	$(GO) test -tags soak -run 'TestFaultSoak|TestSoak' -v ./internal/engine/
+	$(GO) test -tags soak -run 'TestFaultSoak|TestSoak|TestDDLCrashMatrix' -v ./internal/engine/
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSlottedParsing -fuzztime $(FUZZTIME) ./internal/pagefile/

@@ -397,12 +397,6 @@ func (db *DB) VerifyReplication() []error { return db.e.VerifyReplication() }
 // snapshot is rewritten. After Sync returns, a crash loses nothing.
 func (db *DB) Sync() error { return db.e.Sync() }
 
-// TaintedSets reports sets whose derived replication state may be stale
-// after a schema operation (Replicate, Unreplicate) failed midway — the
-// value is the recorded cause. Statements never taint: they roll back. A
-// successful Repair clears the markers.
-func (db *DB) TaintedSets() map[string]string { return db.e.TaintedSets() }
-
 // RepairReport summarizes what a Repair pass changed.
 type RepairReport struct {
 	HiddenFixed    int     // source objects whose hidden replicated values were rewritten
@@ -424,9 +418,10 @@ func (r RepairReport) Clean() bool { return len(r.Remaining) == 0 }
 
 // Repair rebuilds every derived replication structure — hidden values, link
 // structures, collapsed link objects, S′ groups — from the primary objects,
-// returning a report of what changed. It is the recovery path after a
-// failed schema operation left a set tainted, or after media corruption: a
-// clean post-repair verification clears the taint markers.
+// returning a report of what changed. It is the recovery path for damage no
+// log covers, media corruption of a derived page. Failed or crashed
+// operations never need it: statements roll back, and a schema operation
+// that does not finish is torn down.
 func (db *DB) Repair() (RepairReport, error) {
 	rep, err := db.e.Repair()
 	out := RepairReport{}

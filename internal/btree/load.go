@@ -45,7 +45,13 @@ const (
 // page is written once. ErrExists reports an adjacent duplicate pair, like
 // Insert; an out-of-order or non-empty-tree call is a caller bug reported as
 // an error before anything is written.
-func (t *Tree) Load(entries []Entry) error {
+//
+// Through a capture view every page of the tree, the two Create wrote
+// included, enters the write session's scope. safePoint, when non-nil, is
+// called before each node is written, with no page of the tree pinned: a
+// session whose scope cannot hold the whole tree commits what it has there.
+// Its error stops the load.
+func (t *Tree) Load(entries []Entry, safePoint func() error) error {
 	if err := t.guardWrite(); err != nil {
 		return err
 	}
@@ -65,7 +71,13 @@ func (t *Tree) Load(entries []Entry) error {
 		}
 	}
 	if len(entries) == 0 {
-		return nil
+		h, err := t.pageW(m.root) // rewritten unchanged, like the meta page below
+		if err != nil {
+			return err
+		}
+		h.MarkDirty()
+		h.Unpin()
+		return t.storeMeta(m)
 	}
 
 	// level holds, for each node of the level just written, its page and the
@@ -74,10 +86,15 @@ func (t *Tree) Load(entries []Entry) error {
 		min  entry
 		page uint32
 	}
+	if safePoint == nil {
+		safePoint = func() error { return nil }
+	}
 	var level []child
-	var prev *buffer.Handle // the previous leaf, pinned until its sibling link is known
 	pos := 0
 	for i, size := range loadSizes(len(entries), t.leafCap, t.minLeaf()) {
+		if err := safePoint(); err != nil {
+			return err
+		}
 		var h *buffer.Handle
 		page := m.root // the empty root leaf becomes the leftmost leaf
 		if i == 0 {
@@ -86,9 +103,6 @@ func (t *Tree) Load(entries []Entry) error {
 			h, page, err = t.allocNode(&m, true)
 		}
 		if err != nil {
-			if prev != nil {
-				prev.Unpin()
-			}
 			return err
 		}
 		n := node{p: h.Page()}
@@ -97,15 +111,21 @@ func (t *Tree) Load(entries []Entry) error {
 		}
 		n.setNKeys(size)
 		h.MarkDirty()
-		if prev != nil {
+		h.Unpin()
+		if i > 0 {
+			// Link the previous leaf to this one. It is re-pinned rather than
+			// held, so no page stays pinned across a safe point.
+			prev, err := t.pageW(level[i-1].page)
+			if err != nil {
+				return err
+			}
 			node{p: prev.Page()}.setNext(page)
+			prev.MarkDirty()
 			prev.Unpin()
 		}
-		prev = h
 		level = append(level, child{min: entry{entries[pos].Key, entries[pos].OID}, page: page})
 		pos += size
 	}
-	prev.Unpin()
 
 	for len(level) > 1 {
 		// A node with k separators has k+1 children, so the sizes are drawn in
@@ -113,6 +133,9 @@ func (t *Tree) Load(entries []Entry) error {
 		var parents []child
 		pos := 0
 		for _, size := range loadSizes(len(level), t.intCap+1, t.minInt()+1) {
+			if err := safePoint(); err != nil {
+				return err
+			}
 			h, page, err := t.allocNode(&m, false)
 			if err != nil {
 				return err
@@ -130,6 +153,9 @@ func (t *Tree) Load(entries []Entry) error {
 		}
 		level = parents
 		m.height++
+	}
+	if err := safePoint(); err != nil {
+		return err
 	}
 	m.root = level[0].page
 	m.count = uint64(len(entries))

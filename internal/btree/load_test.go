@@ -65,7 +65,7 @@ func TestLoadMatchesSequentialInserts(t *testing.T) {
 			}
 			es := loadEntries(n)
 			loaded := newTree(t, WithCapacities(leaf, inner))
-			if err := loaded.Load(es); err != nil {
+			if err := loaded.Load(es, nil); err != nil {
 				t.Fatalf("caps %v n=%d: Load: %v", caps, n, err)
 			}
 			if err := loaded.Validate(); err != nil {
@@ -94,7 +94,7 @@ func TestLoadFillAndHeight(t *testing.T) {
 	for i := range es {
 		es[i] = Entry{Key: Int64Key(int64(i)), OID: oidFor(i)}
 	}
-	if err := tr.Load(es); err != nil {
+	if err := tr.Load(es, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
@@ -121,7 +121,7 @@ func TestLoadThenRandomDML(t *testing.T) {
 	for _, caps := range [][2]int{{4, 4}, {8, 5}} {
 		tr := newTree(t, WithCapacities(caps[0], caps[1]))
 		es := loadEntries(500)
-		if err := tr.Load(es); err != nil {
+		if err := tr.Load(es, nil); err != nil {
 			t.Fatal(err)
 		}
 		model := map[Entry]bool{}
@@ -177,24 +177,24 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	tr := newTree(t, WithCapacities(4, 4))
 	dup := loadEntries(10)
 	dup[5] = dup[4]
-	if err := tr.Load(dup); !errors.Is(err, ErrExists) {
+	if err := tr.Load(dup, nil); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate pair: %v, want ErrExists", err)
 	}
 	swapped := loadEntries(10)
 	swapped[2], swapped[7] = swapped[7], swapped[2]
-	if err := tr.Load(swapped); err == nil {
+	if err := tr.Load(swapped, nil); err == nil {
 		t.Fatal("out-of-order entries accepted")
 	}
 	if c, _ := tr.Count(); c != 0 {
 		t.Fatalf("refused loads left %d entries", c)
 	}
-	if err := tr.Load(loadEntries(10)); err != nil {
+	if err := tr.Load(loadEntries(10), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Load(loadEntries(10)); err == nil {
+	if err := tr.Load(loadEntries(10), nil); err == nil {
 		t.Fatal("load into a non-empty tree accepted")
 	}
-	if err := tr.WithSnapshot(nil).Load(nil); err == nil {
+	if err := tr.WithSnapshot(nil).Load(nil, nil); err == nil {
 		t.Fatal("load through a snapshot view accepted")
 	}
 	if err := tr.Validate(); err != nil {
@@ -207,7 +207,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 func TestLoadReusesFreedPages(t *testing.T) {
 	tr := newTree(t, WithCapacities(4, 4))
 	es := loadEntries(200)
-	if err := tr.Load(es); err != nil {
+	if err := tr.Load(es, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := tr.pool.Store().NumPages(tr.fid)
@@ -216,7 +216,7 @@ func TestLoadReusesFreedPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.Load(es); err != nil {
+	if err := tr.Load(es, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {

@@ -948,50 +948,14 @@ func (p *Pool) capturedDirty(pid pagefile.PageID) bool {
 	return ok
 }
 
-// DirtyPages returns the ids of every dirty resident page, in (file, page)
-// order. The engine's replication delta logging uses it to capture what a
-// FlushAll is about to write back; callers must hold the engine's writer lock
-// so the set cannot change underneath them.
-func (p *Pool) DirtyPages() []pagefile.PageID {
-	var pids []pagefile.PageID
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for j := range sh.frames {
-			if sh.frames[j].valid && sh.frames[j].dirty {
-				pids = append(pids, sh.frames[j].pid)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i].Less(pids[j]) })
-	return pids
-}
-
-// SnapshotPage copies the current (post-modification) image of a resident
-// page. Registered pages are always resident (no-steal), so commit can rely
-// on this for every id ScopeDirty returned.
-func (p *Pool) SnapshotPage(pid pagefile.PageID) (pagefile.Page, bool) {
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	idx, ok := sh.table[pid]
-	if !ok || !sh.frames[idx].valid {
-		return pagefile.Page{}, false
-	}
-	return sh.frames[idx].page, true
-}
-
-// StampLSN writes the WAL record LSN into a resident page's header so the
-// image eventually written back to the store matches the logged one. The
-// frame's dirty bit is unchanged.
-func (p *Pool) StampLSN(pid pagefile.PageID, lsn uint64) {
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if idx, ok := sh.table[pid]; ok && sh.frames[idx].valid {
-		pagefile.SetPageLSN(&sh.frames[idx].page, lsn)
-	}
+// Captured returns the number of pages registered in open scopes — frames
+// the clock may not evict. A write session that bounds its own dirty
+// working set (a chunked schema build) commits when this nears its share of
+// the pool.
+func (p *Pool) Captured() int {
+	p.capMu.Lock()
+	defer p.capMu.Unlock()
+	return len(p.capture)
 }
 
 // ScopePage is one page of a scope's dirty set, by reference: Pre is the

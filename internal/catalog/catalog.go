@@ -12,6 +12,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/exodb/fieldrepl/internal/pagefile"
@@ -100,7 +101,8 @@ type ReplField struct {
 // Group is a separate-replication S′ set shared by all separate paths with
 // the same source set and ref chain. Its ID shares the hidden-value ID space
 // with path IDs, so a source object's hidden (ID, HiddenSPrimeIdx) entry
-// unambiguously names the group.
+// unambiguously names the group. A group is never widened in place (see
+// AddPath).
 type Group struct {
 	ID      uint8
 	Source  string
@@ -108,9 +110,6 @@ type Group struct {
 	Fields  []ReplField
 	FileID  pagefile.FileID
 	HasFile bool
-	// Built counts the fields materialized in the S′ file; when a new path
-	// extends the group (len(Fields) > Built) the S′ file is rebuilt.
-	Built int
 }
 
 // HiddenSPrimeIdx is the reserved FieldIdx under which a source object's
@@ -188,20 +187,25 @@ type Index struct {
 // IsPathIndex reports whether the index is built on a replicated path.
 func (ix *Index) IsPathIndex() bool { return len(ix.Path) > 0 }
 
-// Catalog is the in-memory system catalog.
+// Catalog is the in-memory system catalog. A replication path is live or
+// building: AddPath registers it as building, which reserves its path, link
+// and group IDs, but the path queries (Paths, PathsFromSet, PathsWithLink,
+// PathsWithGroup, FindPath, Groups) see live paths only, so no query, plan or
+// propagation routes through it. Publish makes it live; Retire turns it back
+// into a building path whose teardown is pending.
 type Catalog struct {
 	types      map[string]*schema.Type
 	typesByTag map[uint16]*schema.Type
 	sets       map[string]*Set
 	indexes    map[string]*Index
-	paths      []*Path
+	paths      []*Path // live
+	building   []*Path
 	linksByKey map[string]*Link
 	linksByID  map[uint8]*Link
-	groups     map[string]*Group
-	tainted    map[string]string // set name -> why its derived state is suspect
 	nextTag    uint16
 	nextPathID uint8 // shared by paths and groups (one hidden-ID space)
 	nextLinkID uint8
+	rederive   bool // see NeedsRederive
 }
 
 // New returns an empty catalog.
@@ -213,8 +217,6 @@ func New() *Catalog {
 		indexes:    make(map[string]*Index),
 		linksByKey: make(map[string]*Link),
 		linksByID:  make(map[uint8]*Link),
-		groups:     make(map[string]*Group),
-		tainted:    make(map[string]string),
 		nextTag:    1,
 		nextPathID: 1,
 		nextLinkID: 1,
@@ -313,10 +315,13 @@ func WithCollapsed() PathOption { return func(p *Path) { p.Collapsed = true } }
 // Valid only for in-place paths.
 func WithDeferred() PathOption { return func(p *Path) { p.Deferred = true } }
 
-// AddPath validates and registers a replication path, allocating its link
-// sequence with prefix sharing. For separate paths it finds or extends the
-// S′ group; the returned group's Fields may have grown, in which case the
-// engine rebuilds the group's S′ file.
+// AddPath validates a replication path and registers it as building,
+// allocating its link sequence with prefix sharing. A separate path shares
+// the live S′ group of its source set and ref chain if that holds all its
+// fields; otherwise it gets a new group, the live one's fields followed by
+// its own, and the live group a building placeholder path: once Publish has
+// moved the live paths to the new group, tearing the placeholder down clears
+// the old group's state.
 func (c *Catalog) AddPath(spec PathSpec, strategy Strategy, opts ...PathOption) (*Path, error) {
 	if strategy != InPlace && strategy != Separate {
 		return nil, fmt.Errorf("catalog: invalid strategy %d", strategy)
@@ -370,7 +375,7 @@ func (c *Catalog) AddPath(spec PathSpec, strategy Strategy, opts ...PathOption) 
 		}
 		fields = append(fields, ReplField{Terminal: terminal.FieldIndex(spec.Field), Name: f.Name, Kind: f.Kind})
 	}
-	for _, p := range c.paths {
+	for _, p := range c.registered() {
 		if p.Spec.String() == spec.String() && p.Strategy == strategy {
 			return nil, fmt.Errorf("%w: %s", ErrPathExists, spec)
 		}
@@ -386,12 +391,11 @@ func (c *Catalog) AddPath(spec PathSpec, strategy Strategy, opts ...PathOption) 
 	if p.Deferred && strategy != InPlace {
 		return nil, fmt.Errorf("catalog: path %s: deferred propagation requires an in-place path (separate replication already updates one shared object)", spec)
 	}
-	if c.nextPathID == 0 {
-		return nil, errors.New("catalog: path/group ID space exhausted")
+	if p.ID, err = c.newHiddenID(); err != nil {
+		return nil, err
 	}
-	p.ID = c.nextPathID
-	c.nextPathID++
 
+	var placeholder *Path
 	switch {
 	case p.Collapsed:
 		// One collapsed link spanning the whole chain; never shared.
@@ -416,25 +420,29 @@ func (c *Catalog) AddPath(spec PathSpec, strategy Strategy, opts ...PathOption) 
 			}
 			p.Links = append(p.Links, link)
 		}
-		g, err := c.shareOrCreateGroup(spec.Source, spec.Refs)
-		if err != nil {
-			return nil, err
-		}
-		// Extend the group with this path's fields (shared fields keep
-		// their existing index).
-		for i := range fields {
-			found := false
-			for _, gf := range g.Fields {
-				if gf.Terminal == fields[i].Terminal {
-					fields[i].Idx = gf.Idx
-					found = true
-					break
+		live := c.liveGroup(spec.Source, spec.Refs)
+		g := live
+		if live == nil || slices.ContainsFunc(fields, func(f ReplField) bool { return groupField(live, f) < 0 }) {
+			g = &Group{Source: spec.Source, Refs: slices.Clone(spec.Refs)}
+			if g.ID, err = c.newHiddenID(); err != nil {
+				return nil, err
+			}
+			if live != nil {
+				g.Fields = slices.Clone(live.Fields)
+				placeholder = &Path{Spec: spec, Strategy: Separate, Types: types, Links: p.Links, Group: live}
+				if placeholder.ID, err = c.newHiddenID(); err != nil {
+					return nil, err
 				}
 			}
-			if !found {
+		}
+		for i := range fields {
+			j := groupField(g, fields[i])
+			if j < 0 { // only ever in a new group
 				fields[i].Idx = uint8(len(g.Fields))
 				g.Fields = append(g.Fields, fields[i])
+				continue
 			}
+			fields[i].Idx = g.Fields[j].Idx
 		}
 		p.Group = g
 	}
@@ -445,8 +453,107 @@ func (c *Catalog) AddPath(spec PathSpec, strategy Strategy, opts ...PathOption) 
 		}
 	}
 	p.Fields = fields
-	c.paths = append(c.paths, p)
+	c.building = append(c.building, p)
+	if placeholder != nil {
+		c.building = append(c.building, placeholder)
+	}
 	return p, nil
+}
+
+// newHiddenID allocates the next ID of the space paths and groups share.
+func (c *Catalog) newHiddenID() (uint8, error) {
+	if c.nextPathID == 0 {
+		return 0, errors.New("catalog: path/group ID space exhausted")
+	}
+	c.nextPathID++
+	return c.nextPathID - 1, nil
+}
+
+// groupField returns the position of f's terminal field in g, -1 if g does
+// not replicate it.
+func groupField(g *Group, f ReplField) int {
+	return slices.IndexFunc(g.Fields, func(gf ReplField) bool { return gf.Terminal == f.Terminal })
+}
+
+// liveGroup returns the S′ group live paths from source through refs use.
+func (c *Catalog) liveGroup(source string, refs []string) *Group {
+	for _, p := range c.paths {
+		if g := p.Group; g != nil && g.Source == source && slices.Equal(g.Refs, refs) {
+			return g
+		}
+	}
+	return nil
+}
+
+// Publish makes building path p live. When p brought a new S′ group, every
+// live path of the same source and ref chain moves to it.
+func (c *Catalog) Publish(p *Path) error {
+	i := slices.Index(c.building, p)
+	if i < 0 {
+		return fmt.Errorf("catalog: path %s is not building", p.Spec)
+	}
+	c.building = slices.Delete(c.building, i, i+1)
+	if g := p.Group; g != nil {
+		if live := c.liveGroup(g.Source, g.Refs); live != nil && live != g {
+			for _, q := range c.paths {
+				if q.Group == live {
+					q.Group = g
+				}
+			}
+		}
+	}
+	c.paths = append(c.paths, p)
+	return nil
+}
+
+// Retire turns live path p into a building one, so nothing routes through it
+// while its replicated state is torn down.
+func (c *Catalog) Retire(p *Path) error {
+	i := slices.Index(c.paths, p)
+	if i < 0 {
+		return fmt.Errorf("catalog: path %s is not live", p.Spec)
+	}
+	c.paths = slices.Delete(c.paths, i, i+1)
+	c.building = append(c.building, p)
+	return nil
+}
+
+// Building returns the building paths, in registration order.
+func (c *Catalog) Building() []*Path { return slices.Clone(c.building) }
+
+// registered returns every path, live and building.
+func (c *Catalog) registered() []*Path { return append(slices.Clone(c.paths), c.building...) }
+
+// SoleLinkUser reports whether p is the only registered path, live or
+// building, whose inverted path contains link l: the link's structures are
+// p's alone to build or tear down.
+func (c *Catalog) SoleLinkUser(p *Path, l *Link) bool {
+	for _, q := range c.registered() {
+		if q != p && q.usesLink(l.ID) {
+			return false
+		}
+	}
+	return true
+}
+
+// SoleGroupUser reports whether p is the only registered path, live or
+// building, of its S′ group.
+func (c *Catalog) SoleGroupUser(p *Path) bool {
+	for _, q := range c.registered() {
+		if q != p && q.Group == p.Group {
+			return false
+		}
+	}
+	return true
+}
+
+// usesLink reports whether link id is on p's inverted path (collapsed link
+// included).
+func (p *Path) usesLink(id uint8) bool {
+	if p.CollapsedLink != nil && p.CollapsedLink.ID == id {
+		return true
+	}
+	return slices.ContainsFunc(p.Links, func(l *Link) bool { return l.ID == id })
 }
 
 func linkKey(source string, prefix []string) string {
@@ -480,24 +587,10 @@ func (c *Catalog) newLink(source string, prefix []string, level int, fromType, t
 	return l, nil
 }
 
-func (c *Catalog) shareOrCreateGroup(source string, refs []string) (*Group, error) {
-	key := linkKey(source, refs)
-	if g, ok := c.groups[key]; ok {
-		return g, nil
-	}
-	if c.nextPathID == 0 {
-		return nil, errors.New("catalog: path/group ID space exhausted")
-	}
-	g := &Group{ID: c.nextPathID, Source: source, Refs: append([]string(nil), refs...)}
-	c.nextPathID++
-	c.groups[key] = g
-	return g, nil
-}
-
-// Paths returns every registered path.
+// Paths returns the live paths.
 func (c *Catalog) Paths() []*Path { return c.paths }
 
-// PathsFromSet returns the paths emanating from the named set.
+// PathsFromSet returns the live paths emanating from the named set.
 func (c *Catalog) PathsFromSet(set string) []*Path {
 	var out []*Path
 	for _, p := range c.paths {
@@ -517,39 +610,22 @@ func (c *Catalog) Links() []*Link {
 	return out
 }
 
-// Groups returns every registered separate-replication group.
+// Groups returns the S′ groups of live paths.
 func (c *Catalog) Groups() []*Group {
-	out := make([]*Group, 0, len(c.groups))
-	for _, g := range c.groups {
-		out = append(out, g)
+	var out []*Group
+	for _, p := range c.paths {
+		if p.Group != nil && !slices.Contains(out, p.Group) {
+			out = append(out, p.Group)
+		}
 	}
 	return out
 }
 
-// MarkTainted records that a multi-step replication update touching set
-// failed partway, so the set's derived state (hidden values, links, S′
-// objects) may be stale. The marker survives catalog persistence and is
-// cleared by a successful repair.
-func (c *Catalog) MarkTainted(set, why string) {
-	if _, dup := c.tainted[set]; !dup {
-		c.tainted[set] = why
-	}
-}
-
-// ClearTaint removes the taint marker for one set.
-func (c *Catalog) ClearTaint(set string) { delete(c.tainted, set) }
-
-// ClearAllTaint removes every taint marker.
-func (c *Catalog) ClearAllTaint() { c.tainted = make(map[string]string) }
-
-// TaintedSets returns the current taint markers (set name -> reason).
-func (c *Catalog) TaintedSets() map[string]string {
-	out := make(map[string]string, len(c.tainted))
-	for k, v := range c.tainted {
-		out[k] = v
-	}
-	return out
-}
+// NeedsRederive reports whether the snapshot this catalog was restored from
+// carries taint markers. Versions that recorded a failed Replicate or
+// Unreplicate as taint wrote them; the derived state of such a database is
+// re-derived once (Repair) before it is trusted.
+func (c *Catalog) NeedsRederive() bool { return c.rederive }
 
 // LinkByID resolves a link ID found in an object's (link-OID, link-ID) pair.
 func (c *Catalog) LinkByID(id uint8) (*Link, bool) {
@@ -566,36 +642,33 @@ func (c *Catalog) LinkFor(source string, prefix []string) (*Link, bool) {
 	return l, ok
 }
 
-// PathsWithLink returns the paths whose inverted path contains link id
+// PathsWithLink returns the live paths whose inverted path contains link id
 // (including as collapsed link).
 func (c *Catalog) PathsWithLink(id uint8) []*Path {
 	var out []*Path
 	for _, p := range c.paths {
-		if p.CollapsedLink != nil && p.CollapsedLink.ID == id {
+		if p.usesLink(id) {
 			out = append(out, p)
-			continue
-		}
-		for _, l := range p.Links {
-			if l.ID == id {
-				out = append(out, p)
-				break
-			}
 		}
 	}
 	return out
 }
 
-// GroupByID resolves a separate-replication group ID.
+// GroupByID resolves a separate-replication group ID found in an object's S′
+// entry or hidden reference: the group of any registered path, live or
+// building.
 func (c *Catalog) GroupByID(id uint8) (*Group, bool) {
-	for _, g := range c.groups {
-		if g.ID == id {
-			return g, true
+	for _, paths := range [2][]*Path{c.paths, c.building} {
+		for _, p := range paths {
+			if p.Group != nil && p.Group.ID == id {
+				return p.Group, true
+			}
 		}
 	}
 	return nil, false
 }
 
-// PathsWithGroup returns the separate paths belonging to group id.
+// PathsWithGroup returns the live separate paths belonging to group id.
 func (c *Catalog) PathsWithGroup(id uint8) []*Path {
 	var out []*Path
 	for _, p := range c.paths {
@@ -678,37 +751,21 @@ func (c *Catalog) PathIndexFor(set string, refs []string, field string) (*Index,
 	return nil, false
 }
 
-// RemovePath unregisters a path after its replicated state has been torn
-// down. Links and groups no longer used by any remaining path are dropped
+// RemovePath unregisters a building path after its replicated state has
+// been torn down. Links no longer used by any registered path are dropped
 // from the registries; the caller (engine/core) is responsible for having
-// removed their on-disk structures first.
+// removed their structures from the objects first.
 func (c *Catalog) RemovePath(p *Path) error {
-	idx := -1
-	for i, q := range c.paths {
-		if q == p {
-			idx = i
-			break
+	i := slices.Index(c.building, p)
+	if i < 0 {
+		return fmt.Errorf("catalog: path %s is not building", p.Spec)
+	}
+	c.building = slices.Delete(c.building, i, i+1)
+	for _, l := range c.linksByID {
+		if p.usesLink(l.ID) && !slices.ContainsFunc(c.registered(), func(q *Path) bool { return q.usesLink(l.ID) }) {
+			delete(c.linksByID, l.ID)
+			delete(c.linksByKey, linkKey(l.Source, l.Prefix))
 		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("catalog: path %s is not registered", p.Spec)
-	}
-	c.paths = append(c.paths[:idx], c.paths[idx+1:]...)
-	drop := func(l *Link) {
-		if len(c.PathsWithLink(l.ID)) > 0 {
-			return
-		}
-		delete(c.linksByID, l.ID)
-		delete(c.linksByKey, linkKey(l.Source, l.Prefix))
-	}
-	for _, l := range p.Links {
-		drop(l)
-	}
-	if p.CollapsedLink != nil {
-		drop(p.CollapsedLink)
-	}
-	if p.Group != nil && len(c.PathsWithGroup(p.Group.ID)) == 0 {
-		delete(c.groups, linkKey(p.Group.Source, p.Group.Refs))
 	}
 	return nil
 }

@@ -46,6 +46,16 @@ func employeeCatalog(t *testing.T) *Catalog {
 	return c
 }
 
+// addLive registers a path and publishes it, the way a Replicate whose build
+// succeeded leaves it.
+func addLive(c *Catalog, spec PathSpec, strat Strategy, opts ...PathOption) (*Path, error) {
+	p, err := c.AddPath(spec, strat, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return p, c.Publish(p)
+}
+
 func TestDefineTypeAndSets(t *testing.T) {
 	c := employeeCatalog(t)
 	emp, ok := c.TypeByName("EMP")
@@ -155,7 +165,7 @@ func TestLinkSharing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.AddPath(spec, strat)
+		p, err := addLive(c, spec, strat)
 		if err != nil {
 			t.Fatalf("AddPath(%s): %v", s, err)
 		}
@@ -199,13 +209,14 @@ func TestSeparateGroupsShareAndExtend(t *testing.T) {
 	c := employeeCatalog(t)
 	add := func(s string) *Path {
 		spec, _ := ParsePathSpec(s)
-		p, err := c.AddPath(spec, Separate)
+		p, err := addLive(c, spec, Separate)
 		if err != nil {
 			t.Fatalf("AddPath(%s): %v", s, err)
 		}
 		return p
 	}
 	p1 := add("Emp1.dept.name")
+	g1 := p1.Group
 	p2 := add("Emp1.dept.budget")
 	p3 := add("Emp2.dept.name")
 
@@ -228,6 +239,14 @@ func TestSeparateGroupsShareAndExtend(t *testing.T) {
 	if g.Fields[0].Idx == g.Fields[1].Idx {
 		t.Fatal("group fields share an index")
 	}
+	// The wider group is a new one; the old one is left to a building
+	// placeholder whose teardown clears it.
+	if g == g1 || g.ID == g1.ID {
+		t.Fatal("a widened group kept its ID: its S′ objects would change layout in place")
+	}
+	if b := c.Building(); len(b) != 1 || b[0].Group != g1 || !c.SoleGroupUser(b[0]) {
+		t.Fatalf("building after the widening = %v, want one placeholder owning the old group", b)
+	}
 	// A repeated field keeps its index.
 	spec, _ := ParsePathSpec("Emp1.dept.name")
 	if _, err := c.AddPath(spec, Separate); !errors.Is(err, ErrPathExists) {
@@ -247,6 +266,15 @@ func TestSeparateGroupsShareAndExtend(t *testing.T) {
 	}
 	if got := c.PathsWithGroup(g.ID); len(got) != 2 {
 		t.Fatalf("PathsWithGroup = %d paths", len(got))
+	}
+	// A path replicating a subset of the live group's fields shares it.
+	p5 := add("Emp1.dept.all")
+	if p5.Group != g || len(g.Fields) != 2 {
+		t.Fatalf("Emp1.dept.all group = %+v", p5.Group)
+	}
+	spec6, _ := ParsePathSpec("Emp2.dept.name")
+	if _, err := c.AddPath(spec6, Separate); !errors.Is(err, ErrPathExists) {
+		t.Fatalf("dup Emp2 path: %v", err)
 	}
 }
 
@@ -302,8 +330,8 @@ func TestPathQueries(t *testing.T) {
 	c := employeeCatalog(t)
 	s1, _ := ParsePathSpec("Emp1.dept.name")
 	s2, _ := ParsePathSpec("Emp2.dept.name")
-	c.AddPath(s1, InPlace)
-	c.AddPath(s2, Separate)
+	addLive(c, s1, InPlace)
+	addLive(c, s2, Separate)
 	if got := c.PathsFromSet("Emp1"); len(got) != 1 {
 		t.Fatalf("PathsFromSet(Emp1) = %d", len(got))
 	}

@@ -66,7 +66,10 @@ type groupSnap struct {
 	Fields  []replFieldSnap `json:"fields"`
 	FileID  pagefile.FileID `json:"file_id,omitempty"`
 	HasFile bool            `json:"has_file,omitempty"`
-	Built   int             `json:"built"`
+	// Built counts the fields materialized in the S′ file, which is every
+	// field of a group a catalog records. It is written for earlier versions,
+	// which rebuild a group whose count falls short, and not read.
+	Built int `json:"built"`
 }
 
 type pathSnap struct {
@@ -81,23 +84,23 @@ type pathSnap struct {
 	GroupID       uint8           `json:"group_id,omitempty"`
 	Collapsed     bool            `json:"collapsed,omitempty"`
 	Deferred      bool            `json:"deferred,omitempty"`
+	Building      bool            `json:"building,omitempty"`
 }
 
 type catalogSnap struct {
-	Version int         `json:"version"`
-	Types   []typeSnap  `json:"types"`
-	Sets    []setSnap   `json:"sets"`
-	Indexes []indexSnap `json:"indexes"`
-	Links   []linkSnap  `json:"links"`
-	Groups  []groupSnap `json:"groups"`
-	Paths   []pathSnap  `json:"paths"`
-	// Tainted records sets whose derived replication state may be stale
-	// after a mid-operation failure; persisted so a crash-and-reopen still
-	// knows repair is needed.
-	Tainted    map[string]string `json:"tainted,omitempty"`
-	NextTag    uint16            `json:"next_tag"`
-	NextPathID uint8             `json:"next_path_id"`
-	NextLinkID uint8             `json:"next_link_id"`
+	Version    int         `json:"version"`
+	Types      []typeSnap  `json:"types"`
+	Sets       []setSnap   `json:"sets"`
+	Indexes    []indexSnap `json:"indexes"`
+	Links      []linkSnap  `json:"links"`
+	Groups     []groupSnap `json:"groups"`
+	Paths      []pathSnap  `json:"paths"`
+	NextTag    uint16      `json:"next_tag"`
+	NextPathID uint8       `json:"next_path_id"`
+	NextLinkID uint8       `json:"next_link_id"`
+	// Tainted is read, never written: versions that recorded failed DDL as
+	// per-set taint markers persisted them here (see NeedsRederive).
+	Tainted map[string]string `json:"tainted,omitempty"`
 }
 
 const snapshotVersion = 1
@@ -152,18 +155,25 @@ func (c *Catalog) Snapshot() ([]byte, error) {
 		addLink(l, false) // collapsed links are not in the sharing map
 	}
 	sortBy(snap.Links, func(a, b linkSnap) bool { return a.ID < b.ID })
-	for _, g := range c.groups {
-		gs := groupSnap{ID: g.ID, Source: g.Source, Refs: g.Refs, FileID: g.FileID, HasFile: g.HasFile, Built: g.Built}
+	seenGroup := map[uint8]bool{}
+	for _, p := range c.registered() {
+		g := p.Group
+		if g == nil || seenGroup[g.ID] {
+			continue
+		}
+		seenGroup[g.ID] = true
+		gs := groupSnap{ID: g.ID, Source: g.Source, Refs: g.Refs, FileID: g.FileID, HasFile: g.HasFile, Built: len(g.Fields)}
 		for _, f := range g.Fields {
 			gs.Fields = append(gs.Fields, replFieldSnap(f))
 		}
 		snap.Groups = append(snap.Groups, gs)
 	}
 	sortBy(snap.Groups, func(a, b groupSnap) bool { return a.ID < b.ID })
-	for _, p := range c.paths {
+	for i, p := range c.registered() {
 		ps := pathSnap{
 			ID: p.ID, Source: p.Spec.Source, Refs: p.Spec.Refs, Field: p.Spec.Field,
 			Strategy: p.Strategy, Collapsed: p.Collapsed, Deferred: p.Deferred,
+			Building: i >= len(c.paths),
 		}
 		for _, l := range p.Links {
 			ps.LinkIDs = append(ps.LinkIDs, l.ID)
@@ -178,9 +188,6 @@ func (c *Catalog) Snapshot() ([]byte, error) {
 			ps.GroupID = p.Group.ID
 		}
 		snap.Paths = append(snap.Paths, ps)
-	}
-	if len(c.tainted) > 0 {
-		snap.Tainted = c.TaintedSets()
 	}
 	return json.MarshalIndent(snap, "", "  ")
 }
@@ -207,6 +214,7 @@ func Restore(data []byte) (*Catalog, error) {
 	c.nextTag = snap.NextTag
 	c.nextPathID = snap.NextPathID
 	c.nextLinkID = snap.NextLinkID
+	c.rederive = len(snap.Tainted) > 0
 	for _, ts := range snap.Types {
 		fields := make([]schema.Field, len(ts.Fields))
 		for i, f := range ts.Fields {
@@ -244,12 +252,13 @@ func Restore(data []byte) (*Catalog, error) {
 			c.linksByKey[linkKey(l.Source, l.Prefix)] = l
 		}
 	}
+	groups := map[uint8]*Group{}
 	for _, gs := range snap.Groups {
-		g := &Group{ID: gs.ID, Source: gs.Source, Refs: gs.Refs, FileID: gs.FileID, HasFile: gs.HasFile, Built: gs.Built}
+		g := &Group{ID: gs.ID, Source: gs.Source, Refs: gs.Refs, FileID: gs.FileID, HasFile: gs.HasFile}
 		for _, f := range gs.Fields {
 			g.Fields = append(g.Fields, ReplField(f))
 		}
-		c.groups[linkKey(g.Source, g.Refs)] = g
+		groups[g.ID] = g
 	}
 	for _, ps := range snap.Paths {
 		p := &Path{
@@ -293,16 +302,17 @@ func Restore(data []byte) (*Catalog, error) {
 			p.Fields = append(p.Fields, ReplField(f))
 		}
 		if ps.GroupID != 0 {
-			g, ok := c.GroupByID(ps.GroupID)
+			g, ok := groups[ps.GroupID]
 			if !ok {
 				return nil, fmt.Errorf("catalog: path %s references unknown group %d", p.Spec, ps.GroupID)
 			}
 			p.Group = g
 		}
-		c.paths = append(c.paths, p)
-	}
-	for set, why := range snap.Tainted {
-		c.tainted[set] = why
+		if ps.Building {
+			c.building = append(c.building, p)
+		} else {
+			c.paths = append(c.paths, p)
+		}
 	}
 	return c, nil
 }

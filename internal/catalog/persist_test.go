@@ -16,7 +16,7 @@ func fullCatalog(t *testing.T) *Catalog {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.AddPath(spec, strat, opts...)
+		p, err := addLive(c, spec, strat, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,14 +179,38 @@ func TestRemovePathGroupLifecycle(t *testing.T) {
 	c := employeeCatalog(t)
 	spec1, _ := ParsePathSpec("Emp1.dept.name")
 	spec2, _ := ParsePathSpec("Emp1.dept.budget")
-	p1, _ := c.AddPath(spec1, Separate)
-	p2, _ := c.AddPath(spec2, Separate)
-	gid := p1.Group.ID
+	p1, _ := addLive(c, spec1, Separate)
+	old := p1.Group
+	p2, _ := addLive(c, spec2, Separate)
+	gid := p2.Group.ID
+	if p1.Group != p2.Group {
+		t.Fatal("publishing the wider group did not move the live path to it")
+	}
+	// The placeholder left for the old group goes once its teardown is done.
+	placeholder := c.Building()[0]
+	if err := c.RemovePath(placeholder); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.GroupByID(old.ID); ok {
+		t.Fatal("the widened-away group outlived its placeholder")
+	}
+	if err := c.RemovePath(p1); err == nil {
+		t.Fatal("a live path was removed without being retired")
+	}
+	if err := c.Retire(p1); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.RemovePath(p1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.GroupByID(gid); !ok {
 		t.Fatal("group dropped while p2 remains")
+	}
+	if err := c.Retire(p2); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.PathsWithGroup(gid); len(got) != 0 {
+		t.Fatalf("a retired path is still live: %v", got)
 	}
 	if err := c.RemovePath(p2); err != nil {
 		t.Fatal(err)
@@ -194,6 +218,77 @@ func TestRemovePathGroupLifecycle(t *testing.T) {
 	if _, ok := c.GroupByID(gid); ok {
 		t.Fatal("orphaned group not dropped")
 	}
+}
+
+// TestBuildingPathsPersist: a snapshot taken while a path is building
+// restores it as building, so the reopened engine can tear it down, with its
+// IDs still reserved.
+func TestBuildingPathsPersist(t *testing.T) {
+	c := employeeCatalog(t)
+	spec, _ := ParsePathSpec("Emp1.dept.name")
+	p, err := c.AddPath(spec, InPlace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Paths()) != 0 || len(got.Building()) != 1 || got.Building()[0].ID != p.ID {
+		t.Fatalf("restored %d live and %v building paths, want 0 and [%d]", len(got.Paths()), got.Building(), p.ID)
+	}
+	if _, ok := got.LinkByID(p.Links[0].ID); !ok {
+		t.Fatal("a building path's link was not restored")
+	}
+	q, err := got.AddPath(mustSpec(t, "Emp2.dept.name"), InPlace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.ID == p.ID || q.Links[0].ID == p.Links[0].ID {
+		t.Fatal("a restored building path's IDs were reused")
+	}
+}
+
+// TestLegacyTaintNeedsRederive: a snapshot written by a version that kept
+// per-set taint markers restores with NeedsRederive set, and the snapshot
+// taken from it no longer carries the field.
+func TestLegacyTaintNeedsRederive(t *testing.T) {
+	data, err := fullCatalog(t).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := Restore(data); c.NeedsRederive() {
+		t.Fatal("a snapshot without taint markers needs re-deriving")
+	}
+	legacy := bytes.Replace(data, []byte(`"next_tag"`), []byte(`"tainted": {"Emp1": "injected fault"},
+  "next_tag"`), 1)
+	c, err := Restore(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.NeedsRederive() {
+		t.Fatal("taint markers were dropped silently")
+	}
+	out, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(out, []byte("tainted")) {
+		t.Fatal("a new snapshot still carries taint markers")
+	}
+}
+
+func mustSpec(t *testing.T, s string) PathSpec {
+	t.Helper()
+	spec, err := ParsePathSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
 func TestRemoveIndex(t *testing.T) {

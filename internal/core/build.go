@@ -19,22 +19,15 @@ import (
 //
 // Links p shares with a path registered before it already hold every
 // referrer (their contents depend on the source set and ref prefix alone, and
-// DML keeps them exact), so only p's own links are written. When a separate
-// path joins an existing group with additional fields, the group's S′ file is
-// rebuilt to the wider layout.
+// DML keeps them exact), so only p's own links are written. A separate path
+// that shares a live S′ group has nothing to build: the group already holds
+// its fields. One that brought a group of its own (a new one, or a wider copy
+// of the live one) builds it in full, beside the live group it will replace.
 func (m *Manager) BuildPath(p *catalog.Path) error {
-	if g := p.Group; g != nil && g.Built == len(g.Fields) {
-		// Same fields, nothing new to materialize.
+	if p.Group != nil && !m.cat.SoleGroupUser(p) {
 		return nil
 	}
-	return m.build(p, func(l *catalog.Link) bool {
-		for _, q := range m.cat.PathsWithLink(l.ID) {
-			if q != p {
-				return false
-			}
-		}
-		return true
-	})
+	return m.build(p, func(l *catalog.Link) bool { return m.cat.SoleLinkUser(p, l) })
 }
 
 // buildRef is one edge of the inverted path under construction: referrer
@@ -237,19 +230,13 @@ func (m *Manager) build(p *catalog.Path, owns func(*catalog.Link) bool) error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if p.Group != nil {
-		p.Group.Built = len(p.Group.Fields)
-	}
-	return nil
+	return err
 }
 
 // groupBuildFile returns the file a group build writes into: the group's own
 // file while it is still empty (the first build), a fresh one when it already
-// holds S′ objects (a field extension, or a repair over a build that failed
-// midway) — those are abandoned with the old file.
+// holds S′ objects (Repair rebuilding the group) — those are abandoned with
+// the old file.
 func (m *Manager) groupBuildFile(g *catalog.Group) (*heap.File, error) {
 	file, err := m.st.GroupFile(g)
 	if err != nil {

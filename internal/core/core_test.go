@@ -595,8 +595,9 @@ func (r *recordingListener) HiddenChanged(src pagefile.OID, p *catalog.Path, f c
 
 func TestListenerNotifications(t *testing.T) {
 	lis := &recordingListener{}
-	fx := load(t, WithListener(lis))
+	fx := load(t)
 	db := fx.db
+	db.mgr = db.mgr.WithSession(db, lis)
 	db.replicate("Emp1.dept.name", catalog.InPlace)
 	n := len(lis.events)
 	if n == 0 {

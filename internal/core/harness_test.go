@@ -198,7 +198,9 @@ func (db *testDB) remove(set string, oid pagefile.OID) error {
 	return db.sets[set].Delete(oid)
 }
 
-// replicate registers and builds a path.
+// replicate registers, builds and publishes a path, then tears down what it
+// left building (the placeholder of a group it widened), the sequence the
+// engine runs.
 func (db *testDB) replicate(pathStr string, strat catalog.Strategy, opts ...catalog.PathOption) *catalog.Path {
 	db.t.Helper()
 	spec, err := catalog.ParsePathSpec(pathStr)
@@ -212,7 +214,24 @@ func (db *testDB) replicate(pathStr string, strat catalog.Strategy, opts ...cata
 	if err := db.mgr.BuildPath(p); err != nil {
 		db.t.Fatalf("BuildPath(%s): %v", pathStr, err)
 	}
+	if err := db.cat.Publish(p); err != nil {
+		db.t.Fatal(err)
+	}
+	db.dropBuilding()
 	return p
+}
+
+// dropBuilding tears down and unregisters every building path.
+func (db *testDB) dropBuilding() {
+	db.t.Helper()
+	for _, b := range db.cat.Building() {
+		if err := db.mgr.TeardownPath(b); err != nil {
+			db.t.Fatalf("TeardownPath(%s): %v", b.Spec, err)
+		}
+		if err := db.cat.RemovePath(b); err != nil {
+			db.t.Fatal(err)
+		}
+	}
 }
 
 // read loads and decodes an object.

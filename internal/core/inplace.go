@@ -228,13 +228,14 @@ func (m *Manager) removeChain(p *catalog.Path, srcOID pagefile.OID, src *schema.
 
 // dropHiddenNotifying removes src's hidden values for p, notifying the
 // listener (old value -> zero) so indexes on the replicated path stay exact.
-func (m *Manager) dropHiddenNotifying(p *catalog.Path, srcOID pagefile.OID, src *schema.Object) {
+// It reports whether src had any.
+func (m *Manager) dropHiddenNotifying(p *catalog.Path, srcOID pagefile.OID, src *schema.Object) bool {
 	for _, f := range p.Fields {
 		if old, had := src.GetHidden(p.ID, f.Idx); had {
 			m.notify(srcOID, p, f, old, schema.Zero(f.Kind))
 		}
 	}
-	src.DropHiddenPath(p.ID)
+	return src.DropHiddenPath(p.ID)
 }
 
 // propagateInPlace pushes new terminal values down the inverted path: from

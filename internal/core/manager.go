@@ -2,12 +2,12 @@
 // contribution: in-place and separate replication of reference-path fields,
 // kept consistent through inverted paths built from link objects.
 //
-// The Manager is driven by the engine through four entry points:
+// The Manager is driven by the engine through these entry points:
 //
 //   - BuildPath: one-time construction of a path's hidden fields and
 //     inverted path over existing data (the paper's observation that "the
 //     cost of maintaining an inverted path consists primarily of the
-//     one-time cost to build it").
+//     one-time cost to build it"), and TeardownPath, its inverse.
 //   - OnInsert / OnDelete: maintenance when source-set objects come and go
 //     (§4.1.1 insert E / delete E).
 //   - OnUpdate: propagation of data-field updates through the inverted path
@@ -36,13 +36,12 @@ type Storage interface {
 	ReadObject(oid pagefile.OID, t *schema.Type) (*schema.Object, error)
 	// WriteObject encodes and stores o at oid (the OID stays stable).
 	WriteObject(oid pagefile.OID, o *schema.Object) error
-	// LinkFile returns the heap file holding link objects for l, creating it
-	// on first use and recording it in the catalog link.
+	// LinkFile returns the heap file holding link objects for l.
 	LinkFile(l *catalog.Link) (*heap.File, error)
-	// GroupFile returns the S′ heap file for g, creating it on first use.
+	// GroupFile returns the S′ heap file for g.
 	GroupFile(g *catalog.Group) (*heap.File, error)
-	// RecreateGroupFile discards g's S′ file and returns a fresh one. Used
-	// when a new path extends an existing group with more fields.
+	// RecreateGroupFile discards g's S′ file and returns a fresh one,
+	// recording it in g. Repair's group rebuild uses it.
 	RecreateGroupFile(g *catalog.Group) (*heap.File, error)
 	// SetFile returns the heap file backing a named set.
 	SetFile(name string) (*heap.File, error)
@@ -71,9 +70,6 @@ type Manager struct {
 // Option configures a Manager.
 type Option func(*Manager)
 
-// WithListener registers a hidden-value change listener.
-func WithListener(l Listener) Option { return func(m *Manager) { m.listener = l } }
-
 // WithInlineMax sets the link-inlining threshold of §4.3.1: link structures
 // with at most n referrers are stored inline in the owning object instead of
 // as a separate link object. n = 0 disables inlining. The default is 1,
@@ -99,9 +95,6 @@ func (m *Manager) WithSession(st Storage, l Listener) *Manager {
 	v.listener = l
 	return &v
 }
-
-// Catalog returns the manager's catalog.
-func (m *Manager) Catalog() *catalog.Catalog { return m.cat }
 
 // ErrStillReferenced is returned when deleting an object that is still the
 // target of replication-path references. The paper assumes such deletions

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
@@ -11,12 +12,14 @@ import (
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
-// Repair rebuilds every derived replication structure from the primary data:
-// forward reference chains are re-walked and hidden values, link structures,
-// collapsed link objects and S′ groups are rewritten to match. It is the
-// recovery companion to Verify — a mid-operation failure (I/O error, crash)
-// can leave the derived state stale, and Repair restores the invariant
-// without replaying the failed operation.
+// Repair rebuilds every derived replication structure of the live paths from
+// the primary data: forward reference chains are re-walked and hidden values,
+// link structures, collapsed link objects and S′ groups are rewritten to
+// match. It is the recovery companion to Verify for damage no log covers —
+// media corruption of a derived page — and restores the invariant without
+// any record of how the damage arose. (Failed and crashed operations never
+// need it: statements roll back, and a schema operation that does not finish
+// is torn down.)
 //
 // The repair is derivation, not patching: the forward references and terminal
 // field values stored in the user's objects are authoritative, and every
@@ -469,19 +472,8 @@ func (m *Manager) repairGroups(st *repairState, rep *RepairReport) error {
 				return err
 			}
 		}
-		// A group whose fields are not fully built (a failed BuildPath or
-		// field extension) is always rebuilt; otherwise rebuild only if a
-		// path of the group still fails verification.
-		rebuild := g.Built != len(g.Fields)
-		if !rebuild {
-			for _, gp := range paths {
-				if len(m.verifyPath(gp)) > 0 {
-					rebuild = true
-					break
-				}
-			}
-		}
-		if !rebuild {
+		// Rebuild only a group a path of which still fails verification.
+		if !slices.ContainsFunc(paths, func(gp *catalog.Path) bool { return len(m.verifyPath(gp)) > 0 }) {
 			continue
 		}
 		// The same derivation as the build of a path of the group, minus the

@@ -1,166 +1,117 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
-// TeardownPath removes a path's replicated state so the catalog entry can be
-// dropped: hidden values leave the source objects, link structures that no
-// other path shares are dismantled, and — when the path is the last member
-// of its S′ group — the terminals' S′ registrations are cleared. The
-// heap pages of dismantled link/S′ files become orphaned (page stores do not
-// delete files); a fresh file is allocated if an identical path is later
-// re-created.
+// TeardownPath removes a building path's replicated state so its catalog
+// entry can be dropped: hidden values leave the source objects, the pairs of
+// every link no other registered path uses leave the objects carrying them,
+// and — when p is the last path of its S′ group — so do the group's S′
+// entries and hidden S′ references.
 //
-// Paths sharing links with p keep those links untouched; only links with no
-// remaining path are dismantled.
+// It scans sets by type rather than walking reference chains, so it clears
+// whatever part of the state exists, however it got there: a build an error
+// or a crash cut short, a path Unreplicate retired, or pairs left on objects
+// a statement moved out of the chain while the path was building. Link and
+// S′ objects are not deleted one by one: a dead link's file and a dead
+// group's S′ file are abandoned whole (page stores do not delete files).
 func (m *Manager) TeardownPath(p *catalog.Path) error {
-	// Purge any pending deferred propagation for p.
-	s := m.pend
-	s.mu.Lock()
-	if s.pending != nil {
-		kept := s.order[:0]
-		for _, k := range s.order {
-			if k.path == p.ID {
-				delete(s.pending, k)
-				continue
-			}
-			kept = append(kept, k)
-		}
-		s.order = kept
-	}
-	s.mu.Unlock()
+	m.purgePending(p)
 
-	// Determine which links die with p. PathsWithLink still includes p
-	// itself at this point, so "dead" means p is the only user.
-	dead := map[uint8]bool{}
+	// The link IDs whose pairs objects of each type may carry.
+	strip := map[string][]uint8{}
 	links := p.Links
 	if p.CollapsedLink != nil {
-		links = append(links, p.CollapsedLink)
+		links = append(slices.Clone(links), p.CollapsedLink)
 	}
 	for _, l := range links {
-		if len(m.cat.PathsWithLink(l.ID)) == 1 {
-			dead[l.ID] = true
+		if !m.cat.SoleLinkUser(p, l) {
+			continue
+		}
+		strip[l.ToType] = append(strip[l.ToType], l.ID)
+		if l == p.CollapsedLink {
+			// The collapsed marker pairs sit on the intermediates.
+			strip[p.Types[1].Name] = append(strip[p.Types[1].Name], l.ID)
 		}
 	}
-	lastGroupMember := p.Group != nil && len(m.cat.PathsWithGroup(p.Group.ID)) == 1
-
-	srcFile, err := m.st.SetFile(p.Spec.Source)
-	if err != nil {
-		return err
-	}
-	srcType := p.Types[0]
-	visited := map[pagefile.OID]bool{}
-	var clearTarget func(pos int, oid pagefile.OID, obj *schema.Object) error
-	clearTarget = func(pos int, oid pagefile.OID, obj *schema.Object) error {
-		// pos indexes the link whose pair lives on obj (obj is the target of
-		// ref pos). Remove dead pairs/link objects, then continue up.
-		if visited[oid] {
-			return nil
-		}
-		visited[oid] = true
-		changed := false
-		if pos < len(links) && dead[links[pos].ID] {
-			if lp := obj.FindLink(links[pos].ID); lp != nil {
-				if lp.Mode == schema.LinkModeObject {
-					store, err := m.linkStore(links[pos])
-					if err != nil {
-						return err
-					}
-					if err := store.Delete(lp.LinkOID); err != nil {
-						return err
-					}
-				}
-				obj.RemoveLink(links[pos].ID)
-				changed = true
-			}
-		}
-		if lastGroupMember && pos == len(p.Spec.Refs)-1 {
-			if obj.RemoveSep(p.Group.ID) {
-				changed = true
-			}
-		}
-		if changed {
-			if err := m.st.WriteObject(oid, obj); err != nil {
-				return err
-			}
-		}
-		return nil
+	var group uint8 // the dying S′ group, 0 for none
+	if p.Group != nil && m.cat.SoleGroupUser(p) {
+		group = p.Group.ID
 	}
 
-	return srcFile.Scan(func(oid pagefile.OID, payload []byte) error {
-		src, err := schema.Decode(srcType, payload)
+	sets := m.cat.Sets()
+	slices.SortFunc(sets, func(a, b *catalog.Set) int { return cmp.Compare(a.Name, b.Name) })
+	for _, set := range sets {
+		typ, err := m.cat.SetType(set.Name)
 		if err != nil {
 			return err
 		}
-		changed := false
-		switch p.Strategy {
-		case catalog.InPlace:
-			if len(src.Hidden) > 0 {
-				before := len(src.Hidden)
-				m.dropHiddenNotifying(p, oid, src)
-				changed = len(src.Hidden) != before
-			}
-		case catalog.Separate:
-			if lastGroupMember {
-				for _, h := range src.Hidden {
-					if h.PathID == p.Group.ID {
-						src.DropHiddenPath(p.Group.ID)
-						changed = true
-						break
-					}
-				}
-			}
+		ids := strip[typ.Name]
+		source := set.Name == p.Spec.Source
+		terminal := group != 0 && typ.Name == p.TerminalType().Name
+		if len(ids) == 0 && !source && !terminal {
+			continue
 		}
-		if changed {
-			if err := m.st.WriteObject(oid, src); err != nil {
-				return err
-			}
-		}
-		// Walk the chain clearing dead structures. For collapsed paths the
-		// single tagged link object lives on the terminal and the marker on
-		// the intermediate; both carry the collapsed link's ID.
-		chain, err := m.walkChain(p, src)
+		file, err := m.st.SetFile(set.Name)
 		if err != nil {
 			return err
 		}
-		if p.Collapsed {
-			for _, ent := range chain {
-				if visited[ent.oid] {
-					continue
-				}
-				visited[ent.oid] = true
-				if lp := ent.obj.FindLink(p.CollapsedLink.ID); lp != nil {
-					if lp.Mode == schema.LinkModeObject && dead[p.CollapsedLink.ID] {
-						store, err := m.linkStore(p.CollapsedLink)
-						if err != nil {
-							return err
-						}
-						if err := store.Delete(lp.LinkOID); err != nil {
-							return err
-						}
-					}
-					if dead[p.CollapsedLink.ID] {
-						ent.obj.RemoveLink(p.CollapsedLink.ID)
-						if err := m.st.WriteObject(ent.oid, ent.obj); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		}
-		for pos, ent := range chain {
-			if err := clearTarget(pos, ent.oid, ent.obj); err != nil {
+		err = file.Scan(func(oid pagefile.OID, payload []byte) error {
+			obj, err := schema.Decode(typ, payload)
+			if err != nil {
 				return err
 			}
+			changed := false
+			if source {
+				switch {
+				case p.Strategy == catalog.InPlace:
+					changed = m.dropHiddenNotifying(p, oid, obj)
+				case group != 0:
+					changed = obj.DropHiddenPath(group)
+				}
+			}
+			for _, id := range ids {
+				changed = obj.RemoveLink(id) || changed
+			}
+			if terminal {
+				changed = obj.RemoveSep(group) || changed
+			}
+			if !changed {
+				return nil
+			}
+			return m.st.WriteObject(oid, obj)
+		})
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
+}
+
+// purgePending drops p's queued deferred propagations.
+func (m *Manager) purgePending(p *catalog.Path) {
+	s := m.pend
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pending == nil {
+		return
+	}
+	kept := s.order[:0]
+	for _, k := range s.order {
+		if k.path == p.ID {
+			delete(s.pending, k)
+			continue
+		}
+		kept = append(kept, k)
+	}
+	s.order = kept
 }
 
 // ErrPathInUse is returned when a path cannot be torn down because an index

@@ -10,7 +10,8 @@ import (
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
-// unreplicate runs the teardown + catalog removal sequence the engine uses.
+// unreplicate runs the retire + teardown + catalog removal sequence the
+// engine uses.
 func (db *testDB) unreplicate(t *testing.T, pathStr string, strat catalog.Strategy) {
 	t.Helper()
 	spec, err := catalog.ParsePathSpec(pathStr)
@@ -21,12 +22,10 @@ func (db *testDB) unreplicate(t *testing.T, pathStr string, strat catalog.Strate
 	if !ok {
 		t.Fatalf("no path %s", pathStr)
 	}
-	if err := db.mgr.TeardownPath(p); err != nil {
-		t.Fatalf("TeardownPath(%s): %v", pathStr, err)
-	}
-	if err := db.cat.RemovePath(p); err != nil {
+	if err := db.cat.Retire(p); err != nil {
 		t.Fatal(err)
 	}
+	db.dropBuilding()
 }
 
 func TestTeardownTwoLevelInPlace(t *testing.T) {

@@ -205,6 +205,9 @@ func (m *Manager) propagateDataChange(oid pagefile.OID, obj *schema.Object, chan
 		if !ok {
 			return fmt.Errorf("core: object carries unknown group ID %d", se.GroupID)
 		}
+		if len(m.cat.PathsWithGroup(g.ID)) == 0 {
+			continue // a building group: its teardown clears the entry
+		}
 		touches := false
 		for _, f := range g.Fields {
 			if changedSet[f.Terminal] {

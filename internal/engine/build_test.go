@@ -456,12 +456,12 @@ func TestBuildIndexFaultLeavesNoIndex(t *testing.T) {
 }
 
 // TestBulkBuildsReachLiveFollower runs BuildIndex and Replicate on a primary
-// with a follower attached and streaming. Neither build goes through the log
-// — their pages are written in bulk under the exclusive lock — so what the
-// follower gets is the delta the closing sync ships: every page the build
-// dirtied and every file it created. The replica must end byte-equal, derived
-// files included, answer through the new index and paths, and verify clean
-// once promoted.
+// with a follower attached and streaming. The builds are write sessions like
+// any statement: every page they write and every file they create reaches
+// the follower as an ordinary log record, and its log counts the same full
+// images and deltas as the primary's. The replica must end byte-equal,
+// derived files included, answer through the new index and paths, and verify
+// clean once promoted.
 func TestBulkBuildsReachLiveFollower(t *testing.T) {
 	p, addr := startPrimary(t, repl.Config{})
 	defineEmployeeSchema(t, p)
@@ -471,6 +471,8 @@ func TestBulkBuildsReachLiveFollower(t *testing.T) {
 	}
 	f := startFollower(t, t.TempDir(), addr)
 	waitCaughtUp(t, p, f)
+	pBefore, _ := p.WALStats()
+	fBefore, _ := f.WALStats()
 
 	if err := p.BuildIndex("sal", "Emp1", "salary", true); err != nil {
 		t.Fatal(err)
@@ -487,8 +489,20 @@ func TestBulkBuildsReachLiveFollower(t *testing.T) {
 	if err := p.BuildIndex("deptname", "Emp1", "dept.name", false); err != nil {
 		t.Fatal(err)
 	}
-	verifyDB(t, p)
 	waitCaughtUp(t, p, f)
+	pAfter, _ := p.WALStats()
+	fAfter, _ := f.WALStats()
+	pFull, pDelta := pAfter.FullImages-pBefore.FullImages, pAfter.DeltaRecords-pBefore.DeltaRecords
+	fFull, fDelta := fAfter.FullImages-fBefore.FullImages, fAfter.DeltaRecords-fBefore.DeltaRecords
+	if pFull == 0 || fFull != pFull || fDelta != pDelta {
+		t.Fatalf("the builds logged %d full images and %d deltas on the primary, %d and %d on the follower", pFull, pDelta, fFull, fDelta)
+	}
+	verifyDB(t, p)
+	// The follower applies to its store; the primary's pages are still in its
+	// pool.
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	assertReplicaMatches(t, p, f, "Org", "Dept", "Emp1")
 	assertPagesEqual(t, p, f)
 

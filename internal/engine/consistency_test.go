@@ -83,7 +83,7 @@ func TestQueryConsistencyUnderMutation(t *testing.T) {
 				return schema.Value{}
 			}
 			typ, _ := db.cat.TypeByName(typs[i])
-			next, err := db.ReadObject(v.R, typ)
+			next, err := db.readSess(nil).readObject(v.R, typ)
 			if err != nil {
 				t.Fatal(err)
 			}

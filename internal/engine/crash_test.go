@@ -34,8 +34,8 @@ func crashSetup(t *testing.T, db *DB) staff {
 // "crashes" (every store operation fails from the first flush write onward,
 // and the engine is dropped without Close). The reopened database must
 // never silently expose a half-applied update: either the update is wholly
-// absent, or the inconsistency is visible to VerifyReplication/taint and
-// Repair restores exactness.
+// absent, or the inconsistency is visible to VerifyReplication and Repair
+// restores exactness.
 func TestCrashDuringFlushNeverHalfApplied(t *testing.T) {
 	dir := t.TempDir()
 	inner, err := pagefile.NewFileStore(dir)
@@ -166,9 +166,6 @@ func TestCrashTornWriteRepaired(t *testing.T) {
 		t.Fatalf("reopen after torn write: %v (WAL replay should repair it)", err)
 	}
 	defer db2.Close()
-	if tainted := db2.TaintedSets(); len(tainted) > 0 {
-		t.Fatalf("sets tainted after WAL recovery: %v", tainted)
-	}
 	if errs := db2.VerifyReplication(); len(errs) > 0 {
 		t.Fatalf("replication inconsistent after WAL recovery: %v", errs)
 	}
@@ -351,5 +348,86 @@ func TestFlippedBitDetectedOnDisk(t *testing.T) {
 	}
 	if !errors.Is(err, pagefile.ErrCorruptPage) {
 		t.Fatalf("query failed with %v, want ErrCorruptPage", err)
+	}
+}
+
+// TestFlippedBitInDerivedFileRepaired flips one bit of a separate path's S′
+// file between Close and reopen: media damage no log record covers, which is
+// what Repair is for. Reads through the path fail with ErrCorruptPage and
+// VerifyReplication reports it; Repair re-derives the group into a fresh
+// file, durably, and the path answers again.
+func TestFlippedBitInDerivedFileRepaired(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Config{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defineEmployeeSchema(t, db)
+	populate(t, db, 2, 4, 20)
+	if err := db.Replicate("Emp1.dept.budget", catalog.Separate); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Set: "Emp1", Project: []string{"name", "dept.budget"}}
+	want, _, err := db.Query(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target string
+	for _, e := range entries {
+		if strings.Contains(e.Name(), "__sprime_") {
+			target = filepath.Join(dir, e.Name())
+		}
+	}
+	if target == "" {
+		t.Fatalf("no S′ file in %s", dir)
+	}
+	data, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[100] ^= 0x04
+	if err := os.WriteFile(target, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(Config{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Query(nil, q); !errors.Is(err, pagefile.ErrCorruptPage) {
+		t.Fatalf("query through the damaged S′ file: %v, want ErrCorruptPage", err)
+	}
+	if errs := db.VerifyReplication(); len(errs) == 0 {
+		t.Fatal("VerifyReplication did not see the damaged S′ file")
+	}
+	rep, err := db.Repair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GroupsRebuilt != 1 || !rep.Clean() {
+		t.Fatalf("Repair rebuilt %d groups, left %v", rep.GroupsRebuilt, rep.Remaining)
+	}
+	db.CrashStop()
+
+	db, err = Open(Config{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	verifyDB(t, db)
+	got, _, err := db.Query(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(got.Rows, want.Rows); err != nil {
+		t.Fatalf("after Repair and a crash: %v", err)
 	}
 }

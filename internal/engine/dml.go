@@ -14,7 +14,7 @@ import (
 // modifications — the statement's own and all the replication propagation
 // and index maintenance it triggers — are captured in a buffer-pool scope,
 // published on success and rolled back physically on failure, so no failure
-// leaves half-applied state and no DML ever taints a set. On a logged
+// leaves half-applied state and no DML ever needs Repair. On a logged
 // (file-backed) database the commit is appended to the WAL and
 // group-committed, and writers to disjoint footprints proceed concurrently;
 // an in-memory database publishes the scope with no log and its writers

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +24,6 @@ import (
 	"github.com/exodb/fieldrepl/internal/obs"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/repl"
-	"github.com/exodb/fieldrepl/internal/schema"
 	"github.com/exodb/fieldrepl/internal/wal"
 )
 
@@ -107,14 +107,13 @@ type DB struct {
 	// through setLocks and the buffer pool's scopes — except on a database
 	// without a log, whose write statements take it exclusively because its
 	// readers use plain page views (see lockStatement). Internal helpers
-	// (including the core.Storage implementations the replication manager
-	// re-enters through) never acquire it.
+	// never acquire it.
 	mu sync.RWMutex
 	// setLocks is the per-set lock manager: each write statement locks its
 	// whole footprint in sorted order before mutating anything (see
 	// footprint.go, lockmgr.go).
 	setLocks *lockMgr
-	// fsMu guards files/trees/nextOut/scratchFIDs in shared-lock contexts,
+	// fsMu guards files/trees/nextOut in shared-lock contexts,
 	// where a session registering a query scratch file races with other
 	// sessions' lookups. Exclusive-lock holders access the maps directly
 	// (the RWMutex orders them against every shared-mode access). Leaf-level:
@@ -142,12 +141,6 @@ type DB struct {
 	// device time.
 	lockWait *obs.Histogram
 
-	// idxErr records an index-maintenance failure raised inside the listener
-	// callback (which cannot return an error) while an exclusive operation
-	// propagates through the engine's own manager; the operation surfaces it
-	// with takeIdxErr. Statements keep theirs in the session.
-	idxErr error
-
 	// wal is the write-ahead log, nil for databases without a Dir; recovered
 	// is what its replay did when this database was opened.
 	wal       *wal.Manager
@@ -163,35 +156,6 @@ type DB struct {
 	role     atomic.Int32
 	primary  atomic.Pointer[repl.Primary]
 	follower atomic.Pointer[repl.Follower]
-
-	// pendingFiles are the page files DDL created (set heaps, index trees,
-	// link and S′ files) that the log has not yet shipped.
-	// While the database is shipping its WAL, sync() logs them — together
-	// with the dirty pages it is about to flush — as a commit, so a streaming
-	// follower learns of files that local recovery gets for free from the
-	// filesystem. Cleared by each successful sync (a checkpoint either ships
-	// or truncates them). Guarded by db.mu.Lock.
-	pendingFiles []wal.FileCreate
-	// scratchFIDs marks session-local files (query outputs) that must never
-	// be logged or shipped: followers fill the ID gaps with placeholders
-	// instead. Guarded like files (see fsMu); file IDs are never reused.
-	scratchFIDs map[pagefile.FileID]bool
-}
-
-// noteFileCreated records a file DDL created so the next sync() can ship its
-// creation to followers. Called under db.mu.Lock.
-func (db *DB) noteFileCreated(fid pagefile.FileID, name string) {
-	if db.wal == nil {
-		return
-	}
-	db.pendingFiles = append(db.pendingFiles, wal.FileCreate{FID: fid, Name: name})
-}
-
-// takeIdxErr returns and clears a deferred index-maintenance error.
-func (db *DB) takeIdxErr() error {
-	err := db.idxErr
-	db.idxErr = nil
-	return err
 }
 
 // catalogFileName is the catalog snapshot inside a file-backed database
@@ -200,8 +164,12 @@ const catalogFileName = "catalog.json"
 
 // Open creates a database. With a Dir that already holds a database
 // (created by a previous Open/Close cycle), the database is reopened: the
-// page files are reattached and the catalog restored.
-func Open(cfg Config) (*DB, error) {
+// page files are reattached, the catalog restored, and what a crash left of
+// an unfinished schema operation torn down.
+func Open(cfg Config) (*DB, error) { return open(cfg, rolePrimary) }
+
+// open is Open in the given replication role.
+func open(cfg Config, role int32) (*DB, error) {
 	if cfg.PoolPages == 0 {
 		cfg.PoolPages = 256
 	}
@@ -305,19 +273,18 @@ func Open(cfg Config) (*DB, error) {
 		pool.SetWriteBarrier(walMgr.EnsureDurablePage)
 	}
 	db := &DB{
-		store:       store,
-		pool:        pool,
-		cat:         cat,
-		dir:         cfg.Dir,
-		workers:     workers,
-		files:       map[pagefile.FileID]*heap.File{},
-		trees:       map[string]*btree.Tree{},
-		obs:         obs.NewRegistry(pagefile.PageSize),
-		lockWait:    obs.NewHistogram(),
-		wal:         walMgr,
-		recovered:   recovered,
-		scratchFIDs: map[pagefile.FileID]bool{},
-		setLocks:    newLockMgr(),
+		store:     store,
+		pool:      pool,
+		cat:       cat,
+		dir:       cfg.Dir,
+		workers:   workers,
+		files:     map[pagefile.FileID]*heap.File{},
+		trees:     map[string]*btree.Tree{},
+		obs:       obs.NewRegistry(pagefile.PageSize),
+		lockWait:  obs.NewHistogram(),
+		wal:       walMgr,
+		recovered: recovered,
+		setLocks:  newLockMgr(),
 	}
 	inlineMax := cfg.InlineMax
 	if inlineMax == 0 {
@@ -326,13 +293,18 @@ func Open(cfg Config) (*DB, error) {
 		inlineMax = 0
 	}
 	db.inlineMax = inlineMax
-	db.mgr = core.New(db.cat, db, core.WithInlineMax(inlineMax), core.WithListener(db))
+	db.role.Store(role)
+	db.mgr = core.New(db.cat, nil, core.WithInlineMax(inlineMax))
 	if !cfg.AdvisorDisabled {
 		db.advisor = advisor.New(advisor.Config{WindowOps: cfg.AdvisorWindowOps, Windows: cfg.AdvisorWindows})
 		db.advisorCancel = db.obs.Subscribe(db.advisor.Observe)
 	}
 	if reopen {
-		if err := db.rehydrate(); err != nil {
+		err := db.rehydrate()
+		if err == nil {
+			err = db.finishSchema()
+		}
+		if err != nil {
 			if walMgr != nil {
 				walMgr.Close()
 			}
@@ -343,7 +315,39 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// rehydrate reattaches heap files and indexes recorded in a restored catalog.
+// finishSchema completes what the catalog leaves unfinished before the
+// database accepts statements: paths still building are torn down, and the
+// replicated state of a catalog an earlier version wrote with taint markers is
+// re-derived once, after which the catalog is rewritten without them. A
+// follower leaves both to its primary.
+func (db *DB) finishSchema() error {
+	if db.role.Load() == roleFollower {
+		return nil
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.settle(); err != nil {
+		return err
+	}
+	if !db.cat.NeedsRederive() {
+		return nil
+	}
+	var rep *core.RepairReport
+	err := db.schemaOp(func(s *sess) (err error) {
+		rep, err = s.repair()
+		return err
+	})
+	if err == nil && !rep.Clean() {
+		err = fmt.Errorf("%d violations remain, the first: %v", len(rep.Remaining), rep.Remaining[0])
+	}
+	if err != nil {
+		return fmt.Errorf("engine: the catalog carries taint markers from an earlier version, and re-deriving the replicated state failed: %w (the version that wrote them can run Repair)", err)
+	}
+	return db.writeCatalog()
+}
+
+// rehydrate reattaches the heap files and indexes a catalog records that are
+// not attached yet.
 func (db *DB) rehydrate() error {
 	openHeap := func(fid pagefile.FileID) error {
 		if _, done := db.files[fid]; done {
@@ -361,7 +365,7 @@ func (db *DB) rehydrate() error {
 			return fmt.Errorf("engine: reopening set %s: %w", s.Name, err)
 		}
 	}
-	for _, p := range db.cat.Paths() {
+	for _, p := range append(slices.Clone(db.cat.Paths()), db.cat.Building()...) {
 		for _, l := range pathLinks(p) {
 			if l.HasFile {
 				if err := openHeap(l.FileID); err != nil {
@@ -409,21 +413,8 @@ func (db *DB) Close() error {
 	if db.closed {
 		return fmt.Errorf("engine: close: %w", pagefile.ErrClosed)
 	}
-	if err := db.pool.FlushAll(); err != nil {
+	if err := db.sync(); err != nil {
 		return err
-	}
-	if db.wal != nil {
-		if err := db.store.SyncAll(); err != nil {
-			return err
-		}
-	}
-	if err := db.writeCatalog(); err != nil {
-		return err
-	}
-	if db.wal != nil {
-		if err := db.wal.Checkpoint(); err != nil {
-			return err
-		}
 	}
 	db.closed = true
 	if db.advisorCancel != nil {
@@ -457,7 +448,7 @@ func (db *DB) writeCatalog() error {
 	// Its catalog durability comes from the streamed RecCatalog records
 	// already in the local log.
 	if db.wal != nil && db.role.Load() != roleFollower {
-		lsn, _, err := db.wal.AppendCommit(nil, nil, data)
+		lsn, _, err := db.wal.AppendPages(nil, nil, data)
 		if err != nil {
 			return err
 		}
@@ -481,9 +472,6 @@ func (db *DB) Sync() error {
 // it is also the checkpoint: once the data files and catalog are durable the
 // log no longer needs to cover them and is truncated.
 func (db *DB) sync() error {
-	if err := db.logShipDelta(); err != nil {
-		return err
-	}
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -494,124 +482,36 @@ func (db *DB) sync() error {
 		return err
 	}
 	if db.wal != nil {
-		if err := db.wal.Checkpoint(); err != nil {
-			return err
-		}
+		return db.wal.Checkpoint()
 	}
-	// Everything pending is now either shipped (logShipDelta) or durable in
-	// the store with the log checkpointed past it.
-	db.pendingFiles = nil
 	return nil
 }
 
-// logShipDelta ships what a DDL-style sync is about to flush. Local
-// durability never needs it: FlushAll writes the pages and the filesystem
-// already holds the created files, so the checkpoint can truncate the log.
-// But while the WAL is being shipped, the catalog-only commit writeCatalog
-// appends would reach followers referencing files and pages that never
-// traveled through the log (checkpoint truncation is deferred for connected
-// followers, so no snapshot resync saves them). So: when actively shipping,
-// log a commit carrying the untransacted file creations and full images of
-// every dirty non-scratch page, before the flush. Re-logging a page a DML
-// commit already covered is redundant but harmless — apply is idempotent.
-// Called under db.mu.Lock as part of sync().
-func (db *DB) logShipDelta() error {
-	if db.wal == nil || db.primary.Load() == nil || db.role.Load() == roleFollower {
-		return nil
-	}
-	var images []wal.PageImage
-	for _, pid := range db.pool.DirtyPages() {
-		if db.scratchFIDs[pid.File] {
-			continue
-		}
-		data, ok := db.pool.SnapshotPage(pid)
-		if !ok {
-			continue // raced out of residence; impossible under the writer lock
-		}
-		images = append(images, wal.PageImage{PID: pid, Data: data})
-	}
-	files := db.pendingFiles
-	if len(files) == 0 && len(images) == 0 {
-		return nil
-	}
-	if _, _, err := db.wal.AppendCommit(files, images, nil); err != nil {
+// Repair re-derives all replicated state from the primary objects (see
+// core.Repair), as a schema operation: the rewritten pages are logged and
+// durable when it returns. It is for damage no log covers — media corruption
+// of a derived page.
+func (db *DB) Repair() (rep *core.RepairReport, err error) {
+	err = db.ddl(func(s *sess) error {
+		rep, err = s.repair()
 		return err
-	}
-	// Stamp the logged LSNs into the resident frames so the images FlushAll
-	// writes back match the logged ones, and the write barrier forces the log
-	// through them first.
-	for i := range images {
-		db.pool.StampLSN(images[i].PID, images[i].LSN)
-	}
-	db.pendingFiles = nil
-	return nil
+	})
+	return rep, err
 }
 
-// syncIfDurable runs sync for file-backed databases. DDL operations call it
-// so that schema changes and their bulk builds survive a crash without an
-// orderly Close; in-memory databases skip it to keep the experiments' page
-// I/O counts undisturbed. Callers hold db.mu.
-func (db *DB) syncIfDurable() error {
-	if db.dir == "" {
-		return nil
-	}
-	return db.sync()
-}
-
-// taint marks a set's derived replication state suspect after a DDL build
-// or teardown failed midway (statements never taint: they roll back),
-// persisting the marker immediately for file-backed databases so even a
-// crash right after the failure leaves the need for repair on record. The
-// cause is recorded with the first taint.
-func (db *DB) taint(set string, cause error) {
-	db.cat.MarkTainted(set, cause.Error())
-	// Best-effort: the store may be the very thing that is failing. The
-	// in-memory marker still gates this session; Close persists it later.
-	_ = db.writeCatalog()
-}
-
-// TaintedSets reports the sets whose derived replication state may be stale
-// after a failed DDL build or teardown, with the recorded causes. A
-// successful Repair clears them.
-func (db *DB) TaintedSets() map[string]string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.cat.TaintedSets()
-}
-
-// Repair rebuilds all derived replication state from the primary objects
-// (see core.Repair) and, when the post-repair verification comes back clean,
-// clears the taint markers and makes the repaired state durable.
-func (db *DB) Repair() (*core.RepairReport, error) {
-	if err := db.writable(); err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// A Replicate that failed before its files existed left the path
-	// registered without them.
-	for _, p := range db.cat.Paths() {
-		if err := db.ensurePathFiles(p); err != nil {
+// repair runs core.Repair through the session, creating first the files a
+// path an earlier version registered may lack.
+func (s *sess) repair() (*core.RepairReport, error) {
+	for _, p := range s.db.cat.Paths() {
+		if err := s.ensurePathFiles(p); err != nil {
 			return nil, err
 		}
 	}
-	rep, err := db.mgr.Repair()
-	if err != nil {
-		return rep, err
+	rep, err := s.mgr.Repair()
+	if err == nil {
+		err = s.takeIdxErr()
 	}
-	if err := db.takeIdxErr(); err != nil {
-		// An index-maintenance failure during repair propagation: the
-		// replication state is fixed but an index may not be. Surface it and
-		// keep the taint markers.
-		return rep, err
-	}
-	if rep.Clean() {
-		db.cat.ClearAllTaint()
-	}
-	if err := db.syncIfDurable(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, err
 }
 
 // LinkSequence returns the link IDs of a registered replication path in
@@ -626,121 +526,6 @@ func (db *DB) LinkSequence(spec catalog.PathSpec, strategy catalog.Strategy) ([]
 		return nil, false
 	}
 	return p.LinkSequence(), true
-}
-
-// Manager exposes the replication manager (used by tests and the invariant
-// checker).
-func (db *DB) Manager() *core.Manager { return db.mgr }
-
-// --- core.Storage implementation ---
-//
-// The DB itself is the Storage (and Listener) of the engine's own manager,
-// through which DDL builds, teardowns and Repair run: plain untraced page
-// views, correct under the exclusive lock those operations hold. Statements
-// go through a sess instead.
-
-func (db *DB) heapFor(fid pagefile.FileID) (*heap.File, error) {
-	f, ok := db.files[fid]
-	if !ok {
-		return nil, fmt.Errorf("engine: no heap file %d", fid)
-	}
-	return f, nil
-}
-
-// ReadObject implements core.Storage.
-func (db *DB) ReadObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, error) {
-	f, err := db.heapFor(oid.File)
-	if err != nil {
-		return nil, err
-	}
-	data, err := f.Read(oid)
-	if err != nil {
-		return nil, err
-	}
-	return schema.Decode(typ, data)
-}
-
-// WriteObject implements core.Storage.
-func (db *DB) WriteObject(oid pagefile.OID, o *schema.Object) error {
-	f, err := db.heapFor(oid.File)
-	if err != nil {
-		return err
-	}
-	return f.Update(oid, o.Encode())
-}
-
-// createReplFile creates and registers a link or S′ page file.
-func (db *DB) createReplFile(name string) (*heap.File, error) {
-	f, err := heap.Create(db.pool, name)
-	if err != nil {
-		return nil, err
-	}
-	db.files[f.ID()] = f
-	db.noteFileCreated(f.ID(), name)
-	return f, nil
-}
-
-// LinkFile implements core.Storage, creating the file if l has none.
-func (db *DB) LinkFile(l *catalog.Link) (*heap.File, error) {
-	if l.HasFile {
-		return db.heapFor(l.FileID)
-	}
-	f, err := db.createReplFile(fmt.Sprintf("__link_%d", l.ID))
-	if err != nil {
-		return nil, err
-	}
-	l.FileID, l.HasFile = f.ID(), true
-	return f, nil
-}
-
-// GroupFile implements core.Storage, creating the file if g has none.
-func (db *DB) GroupFile(g *catalog.Group) (*heap.File, error) {
-	if g.HasFile {
-		return db.heapFor(g.FileID)
-	}
-	f, err := db.createReplFile(fmt.Sprintf("__sprime_%d", g.ID))
-	if err != nil {
-		return nil, err
-	}
-	g.FileID, g.HasFile = f.ID(), true
-	return f, nil
-}
-
-// RecreateGroupFile implements core.Storage.
-func (db *DB) RecreateGroupFile(g *catalog.Group) (*heap.File, error) {
-	f, err := db.createReplFile(fmt.Sprintf("__sprime_%d_r", g.ID))
-	if err != nil {
-		return nil, err
-	}
-	g.FileID, g.HasFile = f.ID(), true
-	return f, nil
-}
-
-// ensurePathFiles creates the link and S′ page files of p that do not exist
-// yet. Replicate calls it when it registers the path, so every file a
-// statement's propagation can touch exists — and is named by its footprint —
-// before the statement starts. Called under db.mu.Lock.
-func (db *DB) ensurePathFiles(p *catalog.Path) error {
-	for _, l := range pathLinks(p) {
-		if _, err := db.LinkFile(l); err != nil {
-			return err
-		}
-	}
-	if p.Group != nil {
-		if _, err := db.GroupFile(p.Group); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetFile implements core.Storage.
-func (db *DB) SetFile(name string) (*heap.File, error) {
-	s, ok := db.cat.SetByName(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchSet, name)
-	}
-	return db.heapFor(s.FileID)
 }
 
 // lockWriter acquires db.mu exclusively for a write statement, recording how
@@ -830,7 +615,7 @@ func (db *DB) RecoveryReport() wal.RecoveryReport { return db.recovered }
 func (db *DB) NumPages(set string) (uint32, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	f, err := db.SetFile(set)
+	f, err := db.readSess(nil).SetFile(set)
 	if err != nil {
 		return 0, err
 	}
@@ -844,14 +629,22 @@ func (db *DB) FlushAll() error {
 	return db.pool.FlushAll()
 }
 
-// VerifyReplication runs the full replication invariant checker. It takes
-// the exclusive lock: the checker cross-references primary objects, link
-// structures, and S′ files, and a concurrent writer committing between
-// those reads would produce false positives.
+// VerifyReplication runs the full replication invariant checker over the
+// live paths. It takes the exclusive lock: the checker cross-references
+// primary objects, link structures, and S′ files, and a concurrent writer
+// committing between those reads would produce false positives. It runs as a
+// schema operation, because the checker first drains deferred propagation.
 func (db *DB) VerifyReplication() []error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.mgr.Verify()
+	var errs []error
+	if err := db.schemaOp(func(s *sess) error {
+		errs = s.mgr.Verify()
+		return nil
+	}); err != nil {
+		errs = append(errs, err)
+	}
+	return errs
 }
 
 // ErrNoSuchSet is returned for operations on unknown sets.
@@ -863,7 +656,7 @@ var ErrNoSuchSet = errors.New("engine: no such set")
 func (db *DB) SetStats(set string) (heap.Stats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	f, err := db.SetFile(set)
+	f, err := db.readSess(nil).SetFile(set)
 	if err != nil {
 		return heap.Stats{}, err
 	}

@@ -583,9 +583,6 @@ func TestEngineInverseAndAccessors(t *testing.T) {
 	}
 
 	// Accessor smoke coverage.
-	if db.Manager() == nil {
-		t.Fatal("accessors returned nil")
-	}
 	if db.PoolStats().Misses < 0 {
 		t.Fatal("PoolStats broken")
 	}

@@ -15,9 +15,10 @@ import (
 // fails exactly one I/O, for every possible position of that failure, and
 // checks that afterwards the database is indistinguishable (by value) from
 // an oracle that ran only the operations that succeeded. A fault inside a
-// DML statement rolls the statement back, so the comparison must hold as is
-// — no taint, a clean replication invariant, no Repair. A fault inside a DDL
-// build leaves the path registered and tainted; Repair finishes it first.
+// DML statement rolls the statement back, and a fault inside a schema
+// operation rolls back its open chunk and tears down the path it was
+// building, so the comparison must hold as is — a clean replication
+// invariant and no Repair.
 //
 // Objects are addressed by logical name, never by OID: a failed insert is
 // rolled back and later allocations drift, so OIDs differ between runs while
@@ -27,9 +28,6 @@ import (
 type soakOp struct {
 	name string
 	run  func(db *DB, oids map[string]pagefile.OID) error
-	// ddl marks schema operations: not transactional, finished by Repair
-	// when a fault interrupts them.
-	ddl bool
 }
 
 // soakOID resolves a logical name; it fails when the object's insert failed
@@ -97,7 +95,7 @@ func faultSoakScript() []soakOp {
 	}
 
 	ddl := func(name string, run func(db *DB) error) soakOp {
-		return soakOp{name: name, ddl: true, run: func(db *DB, _ map[string]pagefile.OID) error { return run(db) }}
+		return soakOp{name: name, run: func(db *DB, _ map[string]pagefile.OID) error { return run(db) }}
 	}
 
 	return []soakOp{
@@ -221,8 +219,7 @@ func runSoakScript(db *DB, script []soakOp, succeeded []bool) (map[string]pagefi
 
 // runFaultSoakAt runs the script with a single transient fault at operation
 // index faultAt and compares against a fault-free oracle that applies exactly
-// the ops that succeeded — after Repair only when the op the fault
-// interrupted was DDL. Returns how many ops succeeded.
+// the ops that succeeded. Returns how many ops succeeded.
 func runFaultSoakAt(t *testing.T, script []soakOp, faultAt int64, dir string) int {
 	t.Helper()
 	db, fs := openFaultDB(t, dir, 8)
@@ -233,33 +230,13 @@ func runFaultSoakAt(t *testing.T, script []soakOp, faultAt int64, dir string) in
 	succeeded := make([]bool, len(script))
 	_, n := runSoakScript(db, script, succeeded)
 
-	// The transient fault is over; from here every I/O works. Later failures
-	// only follow from the first (an object that was never inserted), so the
-	// first failed op is the one the fault interrupted.
+	// The transient fault is over; from here every I/O works.
 	fs.ClearFaults()
-	for i, ok := range succeeded {
-		if ok {
-			continue
-		}
-		if script[i].ddl {
-			rep, err := db.Repair()
-			if err != nil {
-				t.Fatalf("fault@%d: Repair: %v", faultAt, err)
-			}
-			if !rep.Clean() {
-				for _, e := range rep.Remaining {
-					t.Errorf("fault@%d: %v", faultAt, e)
-				}
-				t.Fatalf("fault@%d: Repair left %d violations", faultAt, len(rep.Remaining))
-			}
-		}
-		break
+	if b := db.cat.Building(); len(b) > 0 {
+		t.Fatalf("fault@%d: %d paths left building", faultAt, len(b))
 	}
 	if errs := db.VerifyReplication(); len(errs) > 0 {
 		t.Fatalf("fault@%d: VerifyReplication: %v", faultAt, errs)
-	}
-	if ts := db.TaintedSets(); len(ts) > 0 {
-		t.Fatalf("fault@%d: sets tainted: %v", faultAt, ts)
 	}
 
 	// Oracle: a pristine engine running only the ops that succeeded above.

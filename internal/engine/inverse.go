@@ -97,17 +97,16 @@ func (s *sess) chainReaches(typ *schema.Type, obj *schema.Object, refs []string,
 	return false, nil
 }
 
-// FlushReplication drains all pending deferred propagations.
+// FlushReplication drains all pending deferred propagations, as a schema
+// operation (under the exclusive lock, its pages committed in pool-bounded
+// chunks).
 func (db *DB) FlushReplication() error {
-	if err := db.writable(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.mgr.FlushAllPending(); err != nil {
-		return err
-	}
-	return db.takeIdxErr()
+	return db.ddl(func(s *sess) error {
+		if err := s.mgr.FlushAllPending(); err != nil {
+			return err
+		}
+		return s.takeIdxErr()
+	})
 }
 
 // PendingPropagations reports the number of queued deferred propagations.
@@ -138,8 +137,9 @@ type ReplStorage struct {
 func (db *DB) ReplicationStorage() ([]ReplStorage, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	s := db.readSess(nil)
 	stats := func(fid pagefile.FileID) (heap.Stats, error) {
-		f, err := db.heapFor(fid)
+		f, err := s.heapFor(fid)
 		if err != nil {
 			return heap.Stats{}, err
 		}

@@ -116,11 +116,10 @@ func OpenFollower(cfg Config, primaryAddr string, fcfg repl.FollowerConfig) (*DB
 	if cfg.Dir == "" {
 		return nil, errors.New("engine: follower requires a file-backed database")
 	}
-	db, err := Open(cfg)
+	db, err := open(cfg, roleFollower)
 	if err != nil {
 		return nil, err
 	}
-	db.role.Store(roleFollower)
 	// Open's recovery replayed the whole local log into the store, so the
 	// applied frontier starts at the log end.
 	db.follower.Store(repl.StartFollower(primaryAddr, &replTarget{db: db, applied: db.wal.LastLSN()}, fcfg))
@@ -129,8 +128,10 @@ func OpenFollower(cfg Config, primaryAddr string, fcfg repl.FollowerConfig) (*DB
 
 // Promote turns a follower into a writable primary after the old primary is
 // gone: the replication session is stopped, the applied state is forced
-// durable, and the role flips. The LSN sequence continues where the stream
-// ended, so a later follower of the new primary resumes cleanly.
+// durable, and the role flips. A schema operation the old primary left
+// unfinished is then torn down, as Open would. The LSN sequence continues
+// where the stream ended, so a later follower of the new primary resumes
+// cleanly.
 //
 // Promote refuses with repl.ErrFollowerLagged while the session to the old
 // primary is still live and the follower is behind it — promoting then would
@@ -156,25 +157,12 @@ func (db *DB) Promote() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := db.store.SyncAll(); err != nil {
-		return err
-	}
-	data, err := db.cat.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(db.dir, catalogFileName), data, 0o644); err != nil {
-		return err
-	}
-	if err := db.wal.Checkpoint(); err != nil {
+	if err := db.sync(); err != nil { // still a follower: the catalog is not logged
 		return err
 	}
 	db.follower.Store(nil)
 	db.role.Store(rolePrimary)
-	return nil
+	return db.settle()
 }
 
 // ReplicationStatus reports the database's replication role and, when
@@ -338,9 +326,7 @@ func (t *replTarget) ApplyTxns(txns []repl.Txn) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i := range txns {
-		txn := &txns[i]
-		nCommits := 1
-		if err := db.wal.AppendRaw(txn.Raw, txn.LastLSN, txn.Records, nCommits); err != nil {
+		if err := db.wal.AppendRaw(&txns[i]); err != nil {
 			return err
 		}
 	}
@@ -400,7 +386,7 @@ func (db *DB) installCatalog(data []byte) error {
 		return fmt.Errorf("engine: restoring streamed catalog: %w", err)
 	}
 	db.cat = cat
-	db.mgr = core.New(db.cat, db, core.WithInlineMax(db.inlineMax), core.WithListener(db))
+	db.mgr = core.New(db.cat, nil, core.WithInlineMax(db.inlineMax))
 	db.files = map[pagefile.FileID]*heap.File{}
 	db.trees = map[string]*btree.Tree{}
 	return db.rehydrate()

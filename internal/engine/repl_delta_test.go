@@ -169,7 +169,7 @@ func TestReplicationCrashBetweenLogAndApplyWithDeltas(t *testing.T) {
 		t.Fatalf("%d transactions, %v", len(txns), err)
 	}
 	for i := range txns {
-		if err := f.wal.AppendRaw(txns[i].Raw, txns[i].LastLSN, txns[i].Records, 1); err != nil {
+		if err := f.wal.AppendRaw(&txns[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,6 +243,16 @@ func TestReplicationTornPageWithoutFullImage(t *testing.T) {
 		t.Fatalf("reopening over a torn page with only a delta in the log: err = %v, want ErrCorruptPage naming %v", err, pid)
 	}
 
+	// A checkpoint first, once the primary has dropped the crashed follower's
+	// session (a connected follower defers truncation): the log then no
+	// longer reaches back to its first record, so a fresh follower cannot
+	// stream from the start.
+	waitCond(t, 15*time.Second, "the primary to drop the crashed follower", func() bool {
+		return len(p.ReplicationStatus().Primary.Followers) == 0
+	})
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	f3 := startFollower(t, t.TempDir(), addr)
 	waitCaughtUp(t, p, f3)
 	if fs := f3.ReplicationStatus().Follower; fs.Snapshots != 1 {

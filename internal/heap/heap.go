@@ -57,9 +57,9 @@ func slotReadErr(oid pagefile.OID, err error) error {
 type pinMode int
 
 const (
-	// modePlain pins frames directly (GetT/NewPageT) — the historical
-	// behavior, correct when no write session can overlap: DDL under the
-	// engine's exclusive lock, readers of a database without a log.
+	// modePlain pins frames directly (GetT/NewPageT) — correct when no write
+	// session can overlap: readers of a database without a log, statistics
+	// walks under the engine's exclusive lock, and query scratch files.
 	modePlain pinMode = iota
 	// modeCapture is a write session's view: the session holds the per-set
 	// locks for this file and an open pool scope. Pages are registered in the

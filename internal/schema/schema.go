@@ -304,15 +304,18 @@ func (o *Object) SetHidden(pathID, fieldIdx uint8, v Value) {
 	o.Hidden = append(o.Hidden, HiddenValue{PathID: pathID, FieldIdx: fieldIdx, Value: v})
 }
 
-// DropHiddenPath removes all hidden values belonging to pathID.
-func (o *Object) DropHiddenPath(pathID uint8) {
+// DropHiddenPath removes all hidden values belonging to pathID, reporting
+// whether there were any.
+func (o *Object) DropHiddenPath(pathID uint8) bool {
 	out := o.Hidden[:0]
 	for _, h := range o.Hidden {
 		if h.PathID != pathID {
 			out = append(out, h)
 		}
 	}
+	dropped := len(out) != len(o.Hidden)
 	o.Hidden = out
+	return dropped
 }
 
 // FindLink returns a pointer to the link pair for linkID, or nil.

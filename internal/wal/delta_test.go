@@ -223,7 +223,7 @@ func (s *scopeLog) commit(edit func(pid pagefile.PageID, p *pagefile.Page), pids
 		edit(pid, s.cur[pid])
 		refs[i].Post = s.cur[pid]
 	}
-	lsn, _, err := s.m.AppendPages(refs)
+	lsn, _, err := s.m.AppendPages(nil, refs, nil)
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestFailedAppendKeepsTheChain(t *testing.T) {
 	kept := *s.cur[pid]
 	pre := kept
 	poke(3)(pid, s.cur[pid])
-	if _, _, err := m.AppendPages([]PageRef{{PID: pid, Pre: &pre, Post: s.cur[pid]}}); err == nil {
+	if _, _, err := m.AppendPages(nil, []PageRef{{PID: pid, Pre: &pre, Post: s.cur[pid]}}, nil); err == nil {
 		t.Fatal("append to a read-only file succeeded")
 	}
 	ro.Close()

@@ -141,15 +141,17 @@ func (m *Manager) WaitDurableAbove(after uint64, timeout time.Duration) uint64 {
 	}
 }
 
-// AppendRaw appends pre-framed records received from a primary verbatim.
-// The caller (the follower applier) has already verified the framing and
-// CRCs and guarantees the frames end at lastLSN and continue the local LSN
+// AppendRaw appends one committed transaction received from a primary, its
+// frames verbatim (txn.Raw, as an Assembler that keeps them decoded it). The
+// caller (the follower applier) guarantees the frames continue the local LSN
 // sequence (gaps are fine — the primary skips LSNs on failed appends). A
-// transaction already in the log (lastLSN at or below the appended frontier)
+// transaction already in the log (LastLSN at or below the appended frontier)
 // is dropped as a duplicate: the primary re-sends from the follower's
 // *applied* position, which trails the log when an apply failed after the
-// append. The bytes are not durable until WaitDurable(lastLSN) returns.
-func (m *Manager) AppendRaw(frames []byte, lastLSN uint64, nRecords, nCommits int) error {
+// append. The counters move as the primary's did when it appended the
+// transaction. The bytes are not durable until WaitDurable(txn.LastLSN)
+// returns.
+func (m *Manager) AppendRaw(txn *Txn) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -158,21 +160,28 @@ func (m *Manager) AppendRaw(frames []byte, lastLSN uint64, nRecords, nCommits in
 	if m.broken {
 		return errors.New("wal: log poisoned by an earlier failed append")
 	}
-	if lastLSN <= m.appended {
+	if txn.LastLSN <= m.appended {
 		return nil // duplicate of an already-appended transaction
 	}
-	if _, err := m.f.WriteAt(frames, m.off); err != nil {
+	if _, err := m.f.WriteAt(txn.Raw, m.off); err != nil {
 		if terr := m.f.Truncate(m.off); terr != nil {
 			m.broken = true
 		}
 		return fmt.Errorf("wal: raw append: %w", err)
 	}
-	m.off += int64(len(frames))
-	m.appended = lastLSN
-	m.nextLSN = lastLSN + 1
-	m.records.Add(int64(nRecords))
-	m.commits.Add(int64(nCommits))
-	m.bytes.Add(int64(len(frames)))
+	m.off += int64(len(txn.Raw))
+	m.appended = txn.LastLSN
+	m.nextLSN = txn.LastLSN + 1
+	m.records.Add(int64(txn.Records))
+	m.commits.Add(1)
+	m.bytes.Add(int64(len(txn.Raw)))
+	for i := range txn.Pages {
+		if txn.Pages[i].Delta {
+			m.deltas.Add(1)
+		} else {
+			m.fullImages.Add(1)
+		}
+	}
 	return nil
 }
 

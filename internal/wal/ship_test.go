@@ -264,22 +264,31 @@ func TestAppendRawRoundTripsThroughReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := parseAll(t, frames)
+	txns, err := NewAssembler(true).Feed(frames)
+	if err != nil || len(txns) != 2 {
+		t.Fatalf("%d transactions, %v", len(txns), err)
+	}
 
 	fstore := pagefile.NewMemStore()
 	fpath := filepath.Join(dir, "follower.log")
 	fm, _ := openT(t, fpath, fstore, 0)
-	if err := fm.AppendRaw(frames, last, len(recs), 2); err != nil {
-		t.Fatal(err)
+	for i := range txns {
+		if err := fm.AppendRaw(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, pst := fm.Stats(), pm.Stats(); st.Records != int64(len(recs)) || st.Commits != 2 ||
+		st.FullImages != pst.FullImages || st.DeltaRecords != pst.DeltaRecords {
+		t.Fatalf("follower counted %+v for the primary's %+v (%d records)", st, pst, len(recs))
 	}
 	// A re-sent transaction at or below the appended frontier is a duplicate
 	// (the primary resumes from the follower's applied LSN, which can trail
 	// the log): it must be dropped without growing the log.
 	sizeBefore := fm.Size()
-	if err := fm.AppendRaw(frames, last-1, len(recs), 2); err != nil {
-		t.Fatalf("duplicate AppendRaw: %v", err)
-	}
-	if err := fm.AppendRaw(frames, last, len(recs), 2); err != nil {
-		t.Fatalf("duplicate AppendRaw at frontier: %v", err)
+	for i := range txns {
+		if err := fm.AppendRaw(&txns[i]); err != nil {
+			t.Fatalf("duplicate AppendRaw of transaction %d: %v", i, err)
+		}
 	}
 	if fm.Size() != sizeBefore {
 		t.Fatalf("duplicate AppendRaw grew the log: %d -> %d", sizeBefore, fm.Size())

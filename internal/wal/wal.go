@@ -86,13 +86,12 @@ type FileCreate struct {
 
 // PageImage is one dirty page's after-image headed for the log, held by
 // value: the shape for callers that own a copy of the page and no
-// before-image, so it is always logged in full. AppendCommit assigns LSN and
-// stamps it into Data before computing the record CRC, so the logged image
+// before-image, so it is always logged in full. AppendCommit stamps the
+// record's LSN into Data before computing the record CRC, so the logged image
 // and the caller's copy agree.
 type PageImage struct {
 	PID  pagefile.PageID
 	Data pagefile.Page
-	LSN  uint64
 }
 
 // PageRef is one dirty page headed for the log by reference: Post is the
@@ -371,27 +370,25 @@ func (m *Manager) replay(store pagefile.Store, base uint64, size int64, rep *Rec
 
 // AppendCommit appends one transaction — file creations, page after-images,
 // an optional catalog snapshot, and the commit record — as a single write.
-// It assigns LSNs, stamping each page image's LSN into Data (and into the
-// returned slice) before the CRC is computed, and returns the commit
-// record's LSN for WaitDurable, along with the number of log bytes
-// appended. The commit is not durable until WaitDurable returns.
+// It assigns LSNs, stamping each page image's LSN into Data before the CRC
+// is computed, and returns the commit record's LSN for WaitDurable, along
+// with the number of log bytes appended. The commit is not durable until
+// WaitDurable returns.
 func (m *Manager) AppendCommit(files []FileCreate, pages []PageImage, catalog []byte) (uint64, int, error) {
 	refs := make([]PageRef, len(pages))
 	for i := range pages {
 		refs[i] = PageRef{PID: pages[i].PID, Post: &pages[i].Data}
 	}
-	lsn, n, err := m.appendTxn(files, refs, catalog)
-	for i := range pages {
-		pages[i].LSN = pagefile.PageLSN(&pages[i].Data)
-	}
-	return lsn, n, err
+	return m.appendTxn(files, refs, catalog)
 }
 
 // AppendPages is AppendCommit for a scope's dirty set handed over by
 // reference: each page is logged as a delta against its before-image where
-// the full-image rule allows, and in full otherwise.
-func (m *Manager) AppendPages(pages []PageRef) (uint64, int, error) {
-	return m.appendTxn(nil, pages, nil)
+// the full-image rule allows, and in full otherwise. A statement passes pages
+// alone; a schema operation also passes the files it created since its last
+// commit and, on the commit that changes it, the catalog.
+func (m *Manager) AppendPages(files []FileCreate, pages []PageRef, catalog []byte) (uint64, int, error) {
+	return m.appendTxn(files, pages, catalog)
 }
 
 // appendTxn encodes one transaction into the batch buffer and writes it. It
@@ -561,8 +558,9 @@ func (m *Manager) syncTo(lsn uint64) (shared bool, err error) {
 
 // EnsureDurablePage is the buffer pool's write barrier: it must be called
 // before a dirty page is written back to the store, and fsyncs the log
-// through the page's last logged record. Pages never logged (DDL writes,
-// scratch files, pre-WAL state) need no barrier and return immediately.
+// through the page's last logged record. Pages with no record since the last
+// checkpoint (scratch query outputs, which are never logged) need no barrier
+// and return immediately.
 func (m *Manager) EnsureDurablePage(pid pagefile.PageID) error {
 	m.mu.Lock()
 	last, ok := m.pageLSN[pid]
