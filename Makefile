@@ -46,13 +46,15 @@ test:
 # sharded-pool / parallel-scan / concurrent-reader tests un-shortened, and
 # the third hammers the per-set locking paths (disjoint writers,
 # overlapping footprints, randomized multi-set transactions, readers beside
-# an open transaction, Close under load) a second time; the fourth does the
-# same for the public handle, which holds no lock of its own — the engine's
-# two layers are all there is under its DML, DDL, sessions and sinks.
+# an open transaction, Close under load) and the row-program oracles (per-worker
+# verdict and departure tables beside the shared fusion memo at ScanWorkers 4)
+# a second time; the fourth does the same for the public handle, which holds
+# no lock of its own — the engine's two layers are all there is under its DML,
+# DDL, sessions and sinks.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pagefile ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
-	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting|TestCloseUnderLoad' ./internal/engine
+	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting|TestCloseUnderLoad|TestRowProgramMatchesOracle|TestWalkedPredicatesMatchOracle' ./internal/engine
 	$(GO) test -race -count=2 -run 'TestPublicConcurrentUse|TestSlowQueryLogConcurrent' .
 
 # The benchmark is its own module (bench/go.mod) that imports the public API

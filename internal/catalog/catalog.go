@@ -110,6 +110,31 @@ type Group struct {
 	Fields  []ReplField
 	FileID  pagefile.FileID
 	HasFile bool
+	sprime  *schema.Type
+}
+
+// SPrimeType is the synthetic type of the group's S′ objects: one field per
+// replicated field, in index order. The paper stores "the replicated values
+// for D1.name and D1.budget together in one object" (Figure 7); the type is
+// that object's layout. It is built once, when the group's fields are final.
+func (g *Group) SPrimeType() *schema.Type { return g.sprime }
+
+// buildSPrimeType builds SPrimeType from the final field list. A corrupted
+// catalog snapshot can carry an arbitrary one, so it is checked, not trusted.
+func (g *Group) buildSPrimeType() error {
+	fields := make([]schema.Field, len(g.Fields))
+	for _, f := range g.Fields {
+		if int(f.Idx) >= len(fields) {
+			return fmt.Errorf("catalog: S′ group %d: field index %d out of range", g.ID, f.Idx)
+		}
+		fields[f.Idx] = schema.Field{Name: f.Name, Kind: f.Kind}
+	}
+	t, err := schema.NewType(fmt.Sprintf("__sprime_%d", g.ID), 0x8000|uint16(g.ID), fields)
+	if err != nil {
+		return fmt.Errorf("catalog: building S′ type for group %d: %w", g.ID, err)
+	}
+	g.sprime = t
+	return nil
 }
 
 // HiddenSPrimeIdx is the reserved FieldIdx under which a source object's
@@ -443,6 +468,11 @@ func (c *Catalog) AddPath(spec PathSpec, strategy Strategy, opts ...PathOption) 
 				continue
 			}
 			fields[i].Idx = g.Fields[j].Idx
+		}
+		if g != live {
+			if err := g.buildSPrimeType(); err != nil {
+				return nil, err
+			}
 		}
 		p.Group = g
 	}

@@ -258,6 +258,9 @@ func Restore(data []byte) (*Catalog, error) {
 		for _, f := range gs.Fields {
 			g.Fields = append(g.Fields, ReplField(f))
 		}
+		if err := g.buildSPrimeType(); err != nil {
+			return nil, err
+		}
 		groups[g.ID] = g
 	}
 	for _, ps := range snap.Paths {

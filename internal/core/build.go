@@ -177,11 +177,7 @@ func (m *Manager) build(p *catalog.Path, owns func(*catalog.Link) bool) error {
 					return fmt.Errorf("core: collapsed path %s requires non-null references", p.Spec)
 				}
 			} else if p.Group != nil {
-				sobj, err := newSPrimeObject(p.Group, obj)
-				if err != nil {
-					return err
-				}
-				soid, err := sprime.Insert(sobj.Encode())
+				soid, err := sprime.Insert(newSPrimeObject(p.Group, obj).Encode())
 				if err != nil {
 					return err
 				}
@@ -289,9 +285,13 @@ func (m *Manager) ReadReplicated(p *catalog.Path, src HiddenReader, fieldIdx uin
 		}
 		return schema.Value{}, nil
 	}
-	sobj, err := m.ReadSPrime(g, ref.R, tr)
+	data, err := m.readSPrime(g, ref.R, tr)
 	if err != nil {
 		return schema.Value{}, err
 	}
-	return sobj.Values[fieldIdx], nil
+	var sobj schema.View
+	if err := sobj.Reset(g.SPrimeType(), data); err != nil {
+		return schema.Value{}, err
+	}
+	return sobj.Field(int(fieldIdx)), nil
 }

@@ -1,62 +1,39 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/exodb/fieldrepl/internal/catalog"
 	"github.com/exodb/fieldrepl/internal/obs"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
-// groupType builds the synthetic type describing a group's S′ objects: one
-// field per replicated field, in index order. The paper stores "the
-// replicated values for D1.name and D1.budget together in one object"
-// (Figure 7); the synthetic type is that object's layout.
-func groupType(g *catalog.Group) (*schema.Type, error) {
-	fields := make([]schema.Field, len(g.Fields))
-	for _, f := range g.Fields {
-		fields[f.Idx] = schema.Field{Name: f.Name, Kind: f.Kind}
-	}
-	t, err := schema.NewType(fmt.Sprintf("__sprime_%d", g.ID), 0x8000|uint16(g.ID), fields)
-	if err != nil {
-		// Group fields normally come from validated paths, but a corrupted
-		// catalog snapshot can carry arbitrary field lists — surface that as
-		// an error rather than tearing the process down.
-		return nil, fmt.Errorf("core: building S′ type for group %d: %w", g.ID, err)
-	}
-	return t, nil
-}
-
 // newSPrimeObject builds an S′ object carrying terminal's replicated values.
-func newSPrimeObject(g *catalog.Group, terminal *schema.Object) (*schema.Object, error) {
-	t, err := groupType(g)
-	if err != nil {
-		return nil, err
-	}
-	o := schema.NewObject(t)
+func newSPrimeObject(g *catalog.Group, terminal *schema.Object) *schema.Object {
+	o := schema.NewObject(g.SPrimeType())
 	for _, f := range g.Fields {
 		o.Values[f.Idx] = terminal.Values[f.Terminal]
 	}
-	return o, nil
+	return o
+}
+
+// readSPrime returns the encoded S′ object at soid for group g, charging the
+// page reads to tr (nil = untraced).
+func (m *Manager) readSPrime(g *catalog.Group, soid pagefile.OID, tr *obs.Trace) ([]byte, error) {
+	file, err := m.st.GroupFile(g)
+	if err != nil {
+		return nil, err
+	}
+	return file.WithTrace(tr).Read(soid)
 }
 
 // ReadSPrime loads and decodes the S′ object at soid for group g, charging
 // the page reads to tr (nil = untraced).
 func (m *Manager) ReadSPrime(g *catalog.Group, soid pagefile.OID, tr *obs.Trace) (*schema.Object, error) {
-	file, err := m.st.GroupFile(g)
+	data, err := m.readSPrime(g, soid, tr)
 	if err != nil {
 		return nil, err
 	}
-	data, err := file.WithTrace(tr).Read(soid)
-	if err != nil {
-		return nil, err
-	}
-	t, err := groupType(g)
-	if err != nil {
-		return nil, err
-	}
-	return schema.Decode(t, data)
+	return schema.Decode(g.SPrimeType(), data)
 }
 
 // ensureSeparateTerminal registers src at the terminal of separate path p:
@@ -85,11 +62,7 @@ func (m *Manager) ensureSeparateTerminal(p *catalog.Path, srcOID pagefile.OID, s
 	if err != nil {
 		return err
 	}
-	sobj, err := newSPrimeObject(g, term.obj)
-	if err != nil {
-		return err
-	}
-	soid, err := file.InsertNear(sobj.Encode(), term.oid.Page)
+	soid, err := file.InsertNear(newSPrimeObject(g, term.obj).Encode(), term.oid.Page)
 	if err != nil {
 		return err
 	}
@@ -151,11 +124,7 @@ func (m *Manager) refreshSPrime(g *catalog.Group, soid pagefile.OID, terminal *s
 	if err != nil {
 		return err
 	}
-	gt, err := groupType(g)
-	if err != nil {
-		return err
-	}
-	sobj, err := schema.Decode(gt, data)
+	sobj, err := schema.Decode(g.SPrimeType(), data)
 	if err != nil {
 		return err
 	}

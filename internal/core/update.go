@@ -416,11 +416,7 @@ func (m *Manager) moveSeparateSources(p *catalog.Path, sources []pagefile.OID, o
 			if err != nil {
 				return err
 			}
-			sObj, err := newSPrimeObject(g, termObj)
-			if err != nil {
-				return err
-			}
-			soid, err := file.InsertNear(sObj.Encode(), newTerm.oid.Page)
+			soid, err := file.InsertNear(newSPrimeObject(g, termObj).Encode(), newTerm.oid.Page)
 			if err != nil {
 				return err
 			}

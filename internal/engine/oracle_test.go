@@ -534,6 +534,172 @@ func TestRowProgramMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestWalkedPredicatesMatchOracle aims the differential check at the per-worker
+// verdicts of fused walks: predicates EQ / LT / GE / BETWEEN on string and int
+// terminals, two walked predicates in one query and two on one expression,
+// null references and chains broken one level further, departures into two
+// sets of the same type (the departure table's fallback), and — once Emp.dept.org
+// is replicated — the same walks departing from the hidden reference of a
+// collapsed prefix. Each query runs with fusion on and off, at ScanWorkers 1
+// and 4, on both stores; rows and pages touched must equal the oracle's.
+func TestWalkedPredicatesMatchOracle(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			onBothStores(t, func(t *testing.T, dir string) { checkWalkedPredicates(t, dir, workers) })
+		})
+	}
+}
+
+func checkWalkedPredicates(t *testing.T, dir string, workers int) {
+	db, err := Open(Config{Dir: dir, PoolPages: 256, ScanWorkers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadTwoSetChain(t, db)
+	queries := []Query{
+		{Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("org-03")}},
+		{Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("")}},
+		{Where: &Pred{Expr: "dept.org.name", Op: OpBetween, Value: str("org-02"), Value2: str("org-05")}},
+		{Where: &Pred{Expr: "dept.org.budget", Op: OpLT, Value: num(3)}},
+		{Where: &Pred{Expr: "dept.org.budget", Op: OpGE, Value: num(2)},
+			Filters: []Pred{{Expr: "dept.org.budget", Op: OpLT, Value: num(4)}}},
+		{Where: &Pred{Expr: "dept.name", Op: OpGE, Value: str("dept-050")},
+			Filters: []Pred{{Expr: "dept.org.budget", Op: OpBetween, Value: num(1), Value2: num(3)}}},
+		{Where: &Pred{Expr: "dept.name", Op: OpEQ, Value: str("")}},
+		{Where: &Pred{Expr: "salary", Op: OpLT, Value: num(700)},
+			Filters: []Pred{{Expr: "dept.org.name", Op: OpLT, Value: str("org-06")}}},
+	}
+	typ, _ := db.cat.SetType("Emp")
+	for _, collapsed := range []bool{false, true} {
+		if collapsed {
+			if err := db.Replicate("Emp.dept.org", catalog.InPlace); err != nil {
+				t.Fatal(err)
+			}
+			verifyDB(t, db)
+		}
+		a, err := compileAccessor(db.cat, "Emp", typ, "dept.org.name")
+		if err != nil || a.route != plan.PathFused || (a.path != nil) != collapsed {
+			t.Fatalf("dept.org.name compiles to %v (collapsed %v), %v", a.route, a.path != nil, err)
+		}
+		for i, q := range queries {
+			q.Set = "Emp"
+			q.Project = []string{"name", "dept.org.name", "dept.org.budget", "dept.name"}
+			for _, noFuse := range []bool{false, true} {
+				q.NoFuse = noFuse
+				res, rec, err := db.Query(nil, q)
+				if err != nil {
+					t.Fatalf("query %d (collapsed %v, no-fuse %v): %v", i, collapsed, noFuse, err)
+				}
+				want, wantRec := oracleQuery(t, db, q)
+				if err := sameRows(sortedRows(res.Rows), sortedRows(want)); err != nil {
+					t.Fatalf("query %d (collapsed %v, no-fuse %v): %v", i, collapsed, noFuse, err)
+				}
+				if rec.Hits+rec.Misses != wantRec.Hits+wantRec.Misses || rec.StoreReads != wantRec.StoreReads {
+					t.Fatalf("query %d (collapsed %v, no-fuse %v): touched %d pages (%d store reads), oracle %d (%d)",
+						i, collapsed, noFuse, rec.Hits+rec.Misses, rec.StoreReads, wantRec.Hits+wantRec.Misses, wantRec.StoreReads)
+				}
+			}
+		}
+	}
+}
+
+// loadTwoSetChain loads Emp -> DEPT -> ORG where each of DEPT and ORG has two
+// sets (Dept and DeptB, Org and OrgB), so the departures of one expression lie
+// in two files. One employee in 25 has no department and one department in 10
+// has no organisation.
+func loadTwoSetChain(t *testing.T, db *DB) {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(db.DefineType("ORG", []schema.Field{{Name: "name", Kind: schema.KindString}, {Name: "budget", Kind: schema.KindInt}}))
+	must(db.DefineType("DEPT", []schema.Field{{Name: "name", Kind: schema.KindString}, {Name: "org", Kind: schema.KindRef, RefType: "ORG"}}))
+	must(db.DefineType("EMP", []schema.Field{{Name: "name", Kind: schema.KindString}, {Name: "salary", Kind: schema.KindInt},
+		{Name: "dept", Kind: schema.KindRef, RefType: "DEPT"}}))
+	for _, s := range []struct{ set, typ string }{{"Org", "ORG"}, {"OrgB", "ORG"}, {"Dept", "DEPT"}, {"DeptB", "DEPT"}, {"Emp", "EMP"}} {
+		must(db.CreateSet(s.set, s.typ))
+	}
+	rng := rand.New(rand.NewSource(7))
+	load := func(sets []string, n int, vals func(i int) map[string]schema.Value) []pagefile.OID {
+		txn, err := db.BeginSets(nil, sets...)
+		must(err)
+		oids := make([]pagefile.OID, n)
+		for i := range oids {
+			oids[i], err = txn.Insert(sets[i%len(sets)], vals(i))
+			must(err)
+		}
+		must(txn.Commit())
+		return oids
+	}
+	orgs := load([]string{"Org", "OrgB"}, 12, func(i int) map[string]schema.Value {
+		return map[string]schema.Value{"name": str(fmt.Sprintf("org-%02d", i)), "budget": num(int64(i % 5))}
+	})
+	depts := load([]string{"Dept", "DeptB"}, 120, func(i int) map[string]schema.Value {
+		v := map[string]schema.Value{"name": str(fmt.Sprintf("dept-%03d", i))}
+		if i%10 != 0 {
+			v["org"] = ref(orgs[rng.Intn(len(orgs))])
+		}
+		return v
+	})
+	load([]string{"Emp"}, 1500, func(i int) map[string]schema.Value {
+		v := map[string]schema.Value{"name": str(fmt.Sprintf("emp-%04d", i)), "salary": num(int64(i))}
+		if i%25 != 0 {
+			v["dept"] = ref(depts[rng.Intn(len(depts))])
+		}
+		return v
+	})
+}
+
+// TestDepartureTable exercises the departure table's layout: the first file's
+// OIDs, the zero OID included, in pages and slots grown on first use, and
+// another file's in the fallback map.
+func TestDepartureTable(t *testing.T) {
+	var d departures[int]
+	zero := pagefile.OID{}
+	if _, ok := d.get(zero); ok {
+		t.Fatal("an empty table holds the zero OID")
+	}
+	d.put(zero, 1)
+	if v, ok := d.get(zero); !ok || v != 1 {
+		t.Fatalf("zero OID: %d, %v", v, ok)
+	}
+	at := func(page uint32, slot uint16) pagefile.OID { return pagefile.OID{Page: page, Slot: slot} }
+	d.put(at(5, 2), 52)
+	if len(d.pages) != 6 || d.pages[3] != nil || len(d.pages[5]) != 3 {
+		t.Fatalf("after page 5 slot 2: %d pages, page 3 %v, page 5 %d slots", len(d.pages), d.pages[3], len(d.pages[5]))
+	}
+	for _, oid := range []pagefile.OID{at(3, 0), at(5, 1), at(5, 3), at(6, 0)} {
+		if _, ok := d.get(oid); ok {
+			t.Fatalf("%v found, never put", oid)
+		}
+	}
+	d.put(at(5, 40), 540)
+	d.put(at(5, 2), 520)
+	for oid, want := range map[pagefile.OID]int{zero: 1, at(5, 2): 520, at(5, 40): 540} {
+		if v, ok := d.get(oid); !ok || v != want {
+			t.Fatalf("%v: %d, %v; want %d", oid, v, ok, want)
+		}
+	}
+	if d.other != nil {
+		t.Fatal("first-file OIDs went to the fallback map")
+	}
+	other := pagefile.OID{File: 9, Page: 5, Slot: 2}
+	if _, ok := d.get(other); ok {
+		t.Fatalf("%v found, never put", other)
+	}
+	d.put(other, 952)
+	if v, ok := d.get(other); !ok || v != 952 || len(d.other) != 1 {
+		t.Fatalf("second file: %d, %v, %d in the fallback map", v, ok, len(d.other))
+	}
+	if v, ok := d.get(at(5, 2)); !ok || v != 520 {
+		t.Fatalf("first file after a second: %d, %v", v, ok)
+	}
+}
+
 func mustSet(t *testing.T, db *DB, name string) *catalog.Set {
 	t.Helper()
 	set, ok := db.cat.SetByName(name)

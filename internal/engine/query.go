@@ -511,15 +511,40 @@ func encodeRow(r Row) []byte {
 // checked at page boundaries during collection and per object during the
 // update pass; a cancelled operation rolls back.
 func (db *DB) UpdateWhere(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, obs.Record, error) {
+	return db.ReplaceWhere(ctx, Query{Set: set, Where: &where}, vals)
+}
+
+// ReplaceWhere is UpdateWhere over a whole selection — q.Where and every
+// q.Filters conjunct; projections and the other options are ignored — as one
+// write session: the objects are collected under the set's footprint locks,
+// so no concurrent writer can change one between its test and its update,
+// and all of them are updated in one commit or none is.
+func (db *DB) ReplaceWhere(ctx context.Context, q Query, vals map[string]schema.Value) (int, obs.Record, error) {
+	return db.writeWhere(ctx, obs.KindUpdate, queryDetail(q), q.Set, func(s *sess) (int, error) {
+		return s.updateWhere(ctx, q, vals)
+	})
+}
+
+// DeleteWhere deletes every object of q.Set matching q.Where and every
+// q.Filters conjunct in one write session, like ReplaceWhere: one refused
+// or failed delete leaves every object in place.
+func (db *DB) DeleteWhere(ctx context.Context, q Query) (int, obs.Record, error) {
+	return db.writeWhere(ctx, obs.KindDML, "delete", q.Set, func(s *sess) (int, error) {
+		return s.deleteWhere(ctx, q)
+	})
+}
+
+// writeWhere runs fn as one durable write statement on set, traced as kind.
+func (db *DB) writeWhere(ctx context.Context, kind, detail, set string, fn func(*sess) (int, error)) (int, obs.Record, error) {
 	if err := db.writable(); err != nil {
 		return 0, obs.Record{}, err
 	}
-	tr := db.obs.Start(obs.KindUpdate, set, where.Expr)
+	tr := db.obs.Start(kind, set, detail)
 	tr.SetOrigin(obs.OriginFrom(ctx))
 	var n int
-	lsn, err := db.writeShot(ctx, tr, []string{set}, func(s *sess) (uerr error) {
-		n, uerr = s.updateWhere(ctx, set, where, vals)
-		return uerr
+	lsn, err := db.writeShot(ctx, tr, []string{set}, func(s *sess) (ferr error) {
+		n, ferr = fn(s)
+		return ferr
 	})
 	if err == nil {
 		err = db.waitDurable(lsn, tr)
@@ -531,14 +556,28 @@ func (db *DB) UpdateWhere(ctx context.Context, set string, where Pred, vals map[
 	return n, rec, nil
 }
 
-func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map[string]schema.Value) (int, error) {
-	typ, err := s.db.cat.SetType(set)
+func (s *sess) updateWhere(ctx context.Context, q Query, vals map[string]schema.Value) (int, error) {
+	typ, err := s.db.cat.SetType(q.Set)
 	if err != nil {
 		return 0, err
 	}
-	// The collection pass is the query {Set, Where} with nothing projected and
-	// no fusion memo: the mutation pass would invalidate it mid-statement.
-	q := Query{Set: set, Where: &where}
+	// Advisor metadata: the written fields and the replication paths the
+	// update propagates into, for the workload mix.
+	s.stampUpdateMeta(typ, vals)
+	return s.mutateWhere(ctx, q, func(oid pagefile.OID) error { return s.update(q.Set, oid, vals) })
+}
+
+func (s *sess) deleteWhere(ctx context.Context, q Query) (int, error) {
+	return s.mutateWhere(ctx, q, func(oid pagefile.OID) error { return s.delete(q.Set, oid) })
+}
+
+// mutateWhere applies mutate to every object of q.Set matching q.Where and
+// q.Filters, returning how many there were.
+func (s *sess) mutateWhere(ctx context.Context, q Query, mutate func(pagefile.OID) error) (int, error) {
+	// The collection pass is the query {Set, Where, Filters} with nothing
+	// projected and no fusion memo: the mutation pass would invalidate it
+	// mid-statement.
+	q = Query{Set: q.Set, Where: q.Where, Filters: q.Filters}
 	prog, err := s.db.compileQuery(q, false)
 	if err != nil {
 		return 0, err
@@ -547,11 +586,9 @@ func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map
 		return 0, err
 	}
 	decision, ix := s.planQuery(q, prog)
-	// Advisor metadata: prediction for drift tracking, written fields and the
-	// replication paths the update propagates into for the workload mix.
+	// Advisor metadata: the prediction, for drift tracking.
 	s.tr.SetPredictedPages(decision.PredictedPages)
-	s.stampUpdateMeta(typ, vals)
-	// Collect matching OIDs first (index or scan), then update; collecting
+	// Collect matching OIDs first (index or scan), then mutate; collecting
 	// first keeps the scan stable under heap mutation.
 	var matches []pagefile.OID
 	collect := func(row Row) error {
@@ -559,13 +596,13 @@ func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map
 		return nil
 	}
 	res := &Result{}
-	if err := s.access(ctx, set, prog, decision, ix, res, collect); err != nil {
+	if err := s.access(ctx, q.Set, prog, decision, ix, res, collect); err != nil {
 		return 0, err
 	}
 	if res.UsedIndex == "" && s.db.workers > 1 {
 		// Parallel collection delivers matches in arbitrary order; sort back
-		// to physical order so the update pass (and any forwarding it causes)
-		// is deterministic regardless of worker count.
+		// to physical order so the mutation pass (and any forwarding it
+		// causes) is deterministic regardless of worker count.
 		sort.Slice(matches, func(i, j int) bool { return matches[i].Less(matches[j]) })
 	}
 	for _, oid := range matches {
@@ -574,7 +611,7 @@ func (s *sess) updateWhere(ctx context.Context, set string, where Pred, vals map
 				return 0, err
 			}
 		}
-		if err := s.update(set, oid, vals); err != nil {
+		if err := mutate(oid); err != nil {
 			return 0, err
 		}
 	}

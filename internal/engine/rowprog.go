@@ -234,16 +234,19 @@ type rowWorker struct {
 	ctx  context.Context
 	view schema.View
 	page pagefile.PageID // heap page of the previous record
-	// terms memoizes each walking accessor's terminal values by departure
-	// OID; nil without a fusion memo (see fused.go).
-	terms []map[pagefile.OID]schema.Value
+	// terms (per accessor) and verdicts (per predicate) memoize walked
+	// terminal values and predicate orderings by departure OID; nil without a
+	// fusion memo (see fused.go).
+	terms    []departures[schema.Value]
+	verdicts []departures[verdict]
 }
 
 func (s *sess) newRowWorker(ctx context.Context, p *rowProgram) *rowWorker {
 	// No record lives on the impossible page, so the first one checks ctx.
 	w := &rowWorker{p: p, s: s, ctx: ctx, page: pagefile.PageID{File: ^pagefile.FileID(0), Page: ^uint32(0)}}
 	if p.memo != nil {
-		w.terms = make([]map[pagefile.OID]schema.Value, len(p.accs))
+		w.terms = make([]departures[schema.Value], len(p.accs))
+		w.verdicts = make([]departures[verdict], len(p.preds))
 	}
 	return w
 }
@@ -265,7 +268,7 @@ func (w *rowWorker) eval(oid pagefile.OID, payload []byte) (Row, bool, error) {
 		return Row{}, false, err
 	}
 	for i := range w.p.preds {
-		ok, err := w.test(&w.p.preds[i])
+		ok, err := w.test(i)
 		if err != nil || !ok {
 			return Row{}, false, err
 		}
@@ -281,12 +284,13 @@ func (w *rowWorker) eval(oid pagefile.OID, payload []byte) (Row, bool, error) {
 	return row, true, nil
 }
 
-func (w *rowWorker) test(p *rowPred) (bool, error) {
-	lo, hi, err := w.compare(p)
+// test applies predicate i to the current record.
+func (w *rowWorker) test(i int) (bool, error) {
+	lo, hi, err := w.compare(i)
 	if err != nil {
 		return false, err
 	}
-	switch p.op {
+	switch w.p.preds[i].op {
 	case OpEQ:
 		return lo == 0, nil
 	case OpLT:
@@ -302,10 +306,13 @@ func (w *rowWorker) test(p *rowPred) (bool, error) {
 	}
 }
 
-// compare orders the predicate's value for the current record against its
-// constant — lo — and, for OpBetween, its second constant — hi; in place when
-// the value lies in the record, else on the value resolved once.
-func (w *rowWorker) compare(p *rowPred) (lo, hi int, err error) {
+// compare orders predicate i's value for the current record against its
+// constant — lo — and, for OpBetween, its second constant — hi: in place when
+// the value lies in the record, once per departure object for a fused walk
+// with a memo (the verdict is kept per worker, see fused.go), else on the
+// value resolved once.
+func (w *rowWorker) compare(i int) (lo, hi int, err error) {
+	p := &w.p.preds[i]
 	a, between := p.acc, p.op == OpBetween
 	switch a.route {
 	case plan.PathPlain:
@@ -321,12 +328,40 @@ func (w *rowWorker) compare(p *rowPred) (lo, hi int, err error) {
 			}
 			return c, hi, nil
 		}
+	case plan.PathFused:
+		if w.verdicts == nil {
+			break
+		}
+		from, err := w.departure(a)
+		if err != nil {
+			return 0, 0, err
+		}
+		if from.IsNil() {
+			return p.order(schema.Zero(a.kind))
+		}
+		if v, ok := w.verdicts[i].get(from); ok {
+			return int(v.lo), int(v.hi), nil
+		}
+		v, err := w.walk(a, from)
+		if err == nil {
+			lo, hi, err = p.order(v)
+		}
+		if err == nil {
+			w.verdicts[i].put(from, verdict{lo: int8(lo), hi: int8(hi)})
+		}
+		return lo, hi, err
 	}
 	v, err := w.value(a)
-	if err == nil {
-		lo, err = compareValues(v, p.lo)
+	if err != nil {
+		return 0, 0, err
 	}
-	if err == nil && between {
+	return p.order(v)
+}
+
+// order orders v against the predicate's constants.
+func (p *rowPred) order(v schema.Value) (lo, hi int, err error) {
+	lo, err = compareValues(v, p.lo)
+	if err == nil && p.op == OpBetween {
 		hi, err = compareValues(v, p.hi)
 	}
 	return lo, hi, err
@@ -341,20 +376,25 @@ func (w *rowWorker) value(a *accessor) (schema.Value, error) {
 	case plan.PathInPlace, plan.PathSeparate:
 		return w.s.mgr.ReadReplicated(a.path, &w.view, a.hidden, w.s.tr)
 	}
-	var from pagefile.OID
-	if a.path == nil {
-		from = w.view.Ref(a.field)
-	} else {
-		ref, err := w.s.mgr.ReadReplicated(a.path, &w.view, a.hidden, w.s.tr)
-		if err != nil {
-			return schema.Value{}, err
-		}
-		from = ref.R
+	from, err := w.departure(a)
+	if err != nil {
+		return schema.Value{}, err
 	}
 	if from.IsNil() {
 		return schema.Zero(a.kind), nil
 	}
 	return w.walk(a, from)
+}
+
+// departure returns the OID the fused accessor a's walk departs from for the
+// current record: its base reference, or on a collapsed prefix the hidden
+// reference the replicated reference attribute holds.
+func (w *rowWorker) departure(a *accessor) (pagefile.OID, error) {
+	if a.path == nil {
+		return w.view.Ref(a.field), nil
+	}
+	ref, err := w.s.mgr.ReadReplicated(a.path, &w.view, a.hidden, w.s.tr)
+	return ref.R, err
 }
 
 func compareValues(a, b schema.Value) (int, error) {

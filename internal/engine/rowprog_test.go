@@ -287,3 +287,31 @@ func TestScanAllocBudget(t *testing.T) {
 			largePages-smallPages, large-small, budget-small)
 	}
 }
+
+// TestSeparateReadAllocBudget pins what one S′ read costs in allocations: the
+// group's S′ type is built once, not per read, and the replicated field is
+// read off the encoded S′ object instead of a decoded copy. Every record of
+// the scan resolves its predicate through one S′ fetch; only a twentieth of
+// them match. The fetch itself (page pin, record, traced file view) takes
+// about five; rebuilding the type and decoding the object on every read took
+// eleven.
+func TestSeparateReadAllocBudget(t *testing.T) {
+	db := openEmployeeDB(t, Config{})
+	const nEmps = 2000
+	populate(t, db, 2, 20, nEmps)
+	if err := db.Replicate("Emp1.dept.budget", catalog.Separate); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Set: "Emp1", Project: []string{"name"}, Where: &Pred{Expr: "dept.budget", Op: OpEQ, Value: num(0)}}
+	allocs := testing.AllocsPerRun(5, func() {
+		res, _, err := db.Query(nil, q)
+		if err != nil || len(res.Rows) != nEmps/20 {
+			t.Fatalf("%d rows, %v", len(res.Rows), err)
+		}
+	})
+	const perRecord = 7
+	t.Logf("%.0f allocs for %d S′ reads (%.2f each)", allocs, nEmps, allocs/nEmps)
+	if allocs > perRecord*nEmps {
+		t.Fatalf("%.0f allocations for a scan of %d records through a separate path; budget %d per record", allocs, nEmps, perRecord)
+	}
+}

@@ -267,13 +267,29 @@ func (t *Txn) Query(q Query) (*Result, error) {
 // UpdateWhere applies vals to every object of set matching where (see
 // DB.UpdateWhere). On error the transaction is rolled back.
 func (t *Txn) UpdateWhere(set string, where Pred, vals map[string]schema.Value) (int, error) {
+	return t.ReplaceWhere(Query{Set: set, Where: &where}, vals)
+}
+
+// ReplaceWhere applies vals to every object of q.Set matching q.Where and
+// q.Filters (see DB.ReplaceWhere). On error the transaction is rolled back.
+func (t *Txn) ReplaceWhere(q Query, vals map[string]schema.Value) (int, error) {
+	return t.mutateWhere(q.Set, func() (int, error) { return t.s.updateWhere(t.ctx, q, vals) })
+}
+
+// DeleteWhere deletes every object of q.Set matching q.Where and q.Filters
+// (see DB.DeleteWhere). On error the transaction is rolled back.
+func (t *Txn) DeleteWhere(q Query) (int, error) {
+	return t.mutateWhere(q.Set, func() (int, error) { return t.s.deleteWhere(t.ctx, q) })
+}
+
+func (t *Txn) mutateWhere(set string, fn func() (int, error)) (int, error) {
 	if err := t.check(); err != nil {
 		return 0, err
 	}
 	if err := t.checkTarget(set); err != nil {
 		return 0, err
 	}
-	n, err := t.s.updateWhere(t.ctx, set, where, vals)
+	n, err := fn()
 	if err != nil {
 		t.abort()
 		return 0, err

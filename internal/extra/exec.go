@@ -128,31 +128,47 @@ func (in *Interp) insert(ctx context.Context, set string, vals map[string]schema
 	return in.DB.InsertCtx(ctx, set, vals)
 }
 
-func (in *Interp) update(ctx context.Context, set string, oid pagefile.OID, vals map[string]schema.Value) error {
+// replace and delete each run as one write session: the matching objects are
+// collected under the set's locks and all of them change, or none does.
+func (in *Interp) replace(ctx context.Context, q engine.Query, vals map[string]schema.Value) (int, error) {
 	if in.txn != nil {
-		return in.txn.Update(set, oid, vals)
+		if err := ctxErr(ctx); err != nil {
+			return 0, err
+		}
+		return in.txn.ReplaceWhere(q, vals)
 	}
-	return in.DB.UpdateCtx(ctx, set, oid, vals)
+	n, _, err := in.DB.ReplaceWhere(ctx, q, vals)
+	return n, err
 }
 
-func (in *Interp) deleteOne(ctx context.Context, set string, oid pagefile.OID) error {
+func (in *Interp) delete(ctx context.Context, q engine.Query) (int, error) {
 	if in.txn != nil {
-		return in.txn.Delete(set, oid)
+		if err := ctxErr(ctx); err != nil {
+			return 0, err
+		}
+		return in.txn.DeleteWhere(q)
 	}
-	return in.DB.DeleteCtx(ctx, set, oid)
+	n, _, err := in.DB.DeleteWhere(ctx, q)
+	return n, err
 }
 
 func (in *Interp) query(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	if in.txn != nil {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
 		}
 		return in.txn.Query(q)
 	}
 	res, _, err := in.DB.Query(ctx, q)
 	return res, err
+}
+
+// ctxErr is ctx.Err for a possibly nil ctx.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // ExecStmt executes one parsed statement under ctx. DDL inside an open
@@ -281,13 +297,21 @@ func (in *Interp) execStmt(ctx context.Context, s Stmt) (Output, error) {
 			}
 			vals[a.Field] = v
 		}
-		n, err := in.replaceWhere(ctx, st, vals)
+		q, err := in.buildQuery(st.Set, nil, false, st.Where, st.Filters)
+		if err != nil {
+			return Output{}, err
+		}
+		n, err := in.replace(ctx, q, vals)
 		if err != nil {
 			return Output{}, err
 		}
 		return Output{Message: fmt.Sprintf("replaced %d objects in %s", n, st.Set)}, nil
 	case *DeleteStmt:
-		n, err := in.deleteWhere(ctx, st)
+		q, err := in.buildQuery(st.Set, nil, false, st.Where, st.Filters)
+		if err != nil {
+			return Output{}, err
+		}
+		n, err := in.delete(ctx, q)
 		if err != nil {
 			return Output{}, err
 		}
@@ -448,52 +472,6 @@ func (in *Interp) explainCollect(ctx context.Context, verb, set string, where *P
 		Message: fmt.Sprintf("explained %s on %s (planned only, not executed)", verb, set),
 		Plan:    d.Render(),
 	}, nil
-}
-
-// replaceWhere collects matching OIDs through the executor (so conjuncts
-// and indexes apply), then updates each, checking ctx between objects.
-func (in *Interp) replaceWhere(ctx context.Context, st *ReplaceStmt, vals map[string]schema.Value) (int, error) {
-	q, err := in.buildQuery(st.Set, nil, false, st.Where, st.Filters)
-	if err != nil {
-		return 0, err
-	}
-	res, err := in.query(ctx, q)
-	if err != nil {
-		return 0, err
-	}
-	for _, row := range res.Rows {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		if err := in.update(ctx, st.Set, row.OID, vals); err != nil {
-			return 0, err
-		}
-	}
-	return len(res.Rows), nil
-}
-
-func (in *Interp) deleteWhere(ctx context.Context, st *DeleteStmt) (int, error) {
-	q, err := in.buildQuery(st.Set, nil, false, st.Where, st.Filters)
-	if err != nil {
-		return 0, err
-	}
-	res, err := in.query(ctx, q)
-	if err != nil {
-		return 0, err
-	}
-	for _, row := range res.Rows {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		if err := in.deleteOne(ctx, st.Set, row.OID); err != nil {
-			return 0, err
-		}
-	}
-	return len(res.Rows), nil
 }
 
 func (in *Interp) toPred(p *PredStmt) (engine.Pred, error) {
