@@ -49,7 +49,6 @@ func run() error {
 	showIO := flag.Bool("io", false, "print page I/O after each statement")
 	workers := flag.Int("workers", 1, "goroutines for non-indexed scan predicate evaluation (1 = sequential)")
 	shards := flag.Int("shards", 1, "buffer pool lock shards")
-	readahead := flag.Int("readahead", 0, "scan readahead in pages (0 = off)")
 	explain := flag.Bool("explain", false, "print each statement's plan (chosen operators, costed alternatives) and per-operation I/O trace")
 	metrics := flag.Bool("metrics", false, "print the observability snapshot as JSON after all scripts")
 	advise := flag.Bool("advise", false, "print the workload advisor's report as JSON after all scripts")
@@ -69,7 +68,7 @@ func run() error {
 	}
 	stayUp := *serve != "" || *listen != "" || *shipListen != "" || *follow != ""
 	if flag.NArg() == 0 && !stayUp {
-		fmt.Fprintln(os.Stderr, "usage: extradb [-dir DIR] [-io] [-explain] [-metrics] [-advise] [-slowms N] [-serve ADDR] [-listen ADDR] [-ship-listen ADDR] [-follow ADDR] [-workers N] [-shards N] [-readahead K] script.extra ... (or - for stdin)")
+		fmt.Fprintln(os.Stderr, "usage: extradb [-dir DIR] [-io] [-explain] [-metrics] [-advise] [-slowms N] [-serve ADDR] [-listen ADDR] [-ship-listen ADDR] [-follow ADDR] [-workers N] [-shards N] script.extra ... (or - for stdin)")
 		os.Exit(2)
 	}
 
@@ -80,7 +79,7 @@ func run() error {
 
 	cfg := fieldrepl.Config{
 		Dir: *dir, PoolPages: *pool,
-		ScanWorkers: *workers, PoolShards: *shards, Readahead: *readahead,
+		ScanWorkers: *workers, PoolShards: *shards,
 	}
 	var db *fieldrepl.DB
 	var err error
@@ -171,8 +170,8 @@ func run() error {
 				if seen[r.ID] {
 					continue
 				}
-				fmt.Printf("-- trace #%d %s set=%s plan=%s wall=%v reads=%d writes=%d hits=%d misses=%d prefetched=%d\n",
-					r.ID, r.Kind, r.Set, r.Plan, r.Wall, r.StoreReads, r.StoreWrites, r.Hits, r.Misses, r.Prefetched)
+				fmt.Printf("-- trace #%d %s set=%s plan=%s wall=%v reads=%d writes=%d hits=%d misses=%d\n",
+					r.ID, r.Kind, r.Set, r.Plan, r.Wall, r.StoreReads, r.StoreWrites, r.Hits, r.Misses)
 			}
 			seen = next
 		}

@@ -126,7 +126,7 @@ func main() {
 // build creates the in-memory three-level dataset. No replication paths are
 // declared: the path-query gate must hold on fusion alone.
 func build() (*fieldrepl.DB, error) {
-	db, err := fieldrepl.Open(fieldrepl.Config{PoolPages: 1024, Readahead: 8})
+	db, err := fieldrepl.Open(fieldrepl.Config{PoolPages: 1024})
 	if err != nil {
 		return nil, err
 	}

@@ -27,11 +27,6 @@ type Config struct {
 	// concurrent readers scale across cores (default 1, the historical
 	// single-clock pool the paper-figure reproductions assume).
 	PoolShards int
-	// Readahead is the scan prefetch depth in pages: full scans pull the
-	// next Readahead pages into the pool with one batched store read. 0
-	// (the default) disables it, keeping per-query buffer miss counts
-	// byte-identical to the paper's unprefetched execution.
-	Readahead int
 	// ScanWorkers fans non-indexed query predicate evaluation out to this
 	// many goroutines (default 1, which preserves the sequential scan's
 	// deterministic result order).
@@ -63,9 +58,8 @@ type Config struct {
 // of its own: all coordination happens inside the engine. Read-only
 // operations (Get, Query, Count, the stats accessors) run concurrently on
 // the snapshot read path, and mutations coordinate through the engine's
-// per-set write locks (an in-memory database additionally runs one write
-// statement at a time). Concurrent writers overlap in the group-commit
-// durability wait, which is what lets them share fsyncs. DDL, cache control
+// per-set write locks, in memory and on disk alike. Concurrent writers overlap
+// in the group-commit durability wait, which is what lets them share fsyncs. DDL, cache control
 // and lifecycle (Close, CrashStop) serialize on the engine's exclusive lock,
 // which waits out in-flight statements; a retrieve never queues behind
 // writers.
@@ -85,7 +79,7 @@ func newDB(e *engine.DB) *DB {
 func (cfg Config) engineConfig() engine.Config {
 	return engine.Config{
 		PoolPages: cfg.PoolPages, Dir: cfg.Dir, InlineMax: cfg.InlineMax,
-		PoolShards: cfg.PoolShards, Readahead: cfg.Readahead, ScanWorkers: cfg.ScanWorkers,
+		PoolShards: cfg.PoolShards, ScanWorkers: cfg.ScanWorkers,
 		WALPath: cfg.WALPath, CommitInterval: cfg.CommitInterval,
 		AdvisorDisabled:  cfg.AdvisorDisabled,
 		AdvisorWindowOps: cfg.AdvisorWindowOps, AdvisorWindows: cfg.AdvisorWindows,

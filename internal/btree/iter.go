@@ -87,19 +87,6 @@ func (it *Iterator) Next() (Key, pagefile.OID, bool) {
 		if it.nextPage == noPage {
 			return Key{}, pagefile.OID{}, false
 		}
-		// Range scans walk the leaf chain in page order after a bulk build, so
-		// the heap scan's readahead applies here too: batch the upcoming leaf
-		// pages into one vectored read. Plain views only — capture and
-		// snapshot views read page-at-a-time for the same reason heap.Scan
-		// disables readahead there (prefetch installs raw frames, which must
-		// not race concurrent write-backs), and with readahead off the
-		// paper-figure invariant (misses == store reads, zero prefetches)
-		// holds unchanged.
-		if it.t.mode == modePlain {
-			if ra := it.t.pool.Readahead(); ra > 0 {
-				it.t.pool.PrefetchT(it.t.fid, it.nextPage, ra, it.t.tr)
-			}
-		}
 		if err := it.loadLeaf(it.nextPage); err != nil {
 			it.err = err
 			return Key{}, pagefile.OID{}, false

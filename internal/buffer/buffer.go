@@ -49,19 +49,13 @@ type Pool struct {
 	shards []shard
 	size   int
 
-	// readahead is the scan prefetch depth in pages; 0 (the default)
-	// disables prefetching, keeping per-query miss counts byte-identical to
-	// the unprefetched execution the cost model describes.
-	readahead atomic.Int32
-
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
-	flushes    atomic.Int64
-	prefetched atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
+	flushes   atomic.Int64
 
 	// I/O stall telemetry: wall time spent blocked on the store. readStall
-	// times the synchronous read a miss (or a prefetch batch) performs;
+	// times the synchronous read a miss performs;
 	// writeStall times dirty write-backs including the WAL write barrier that
 	// precedes them — so "slow query" decomposes into cache behavior (miss
 	// counts) and device behavior (stall distributions).
@@ -206,21 +200,6 @@ func (p *Pool) Size() int { return p.size }
 // Shards returns the number of lock shards.
 func (p *Pool) Shards() int { return len(p.shards) }
 
-// SetReadahead sets the scan prefetch depth in pages; 0 disables it. Heap
-// full scans prefetch this many pages ahead of the cursor in one batched
-// store read. Off by default: figure reproduction depends on the pool's
-// per-query miss counts, which prefetching redistributes (misses become
-// prefetches) even though total store reads are unchanged.
-func (p *Pool) SetReadahead(k int) {
-	if k < 0 {
-		k = 0
-	}
-	p.readahead.Store(int32(k))
-}
-
-// Readahead returns the configured scan prefetch depth.
-func (p *Pool) Readahead() int { return int(p.readahead.Load()) }
-
 // shardOf maps a page to its owning shard.
 func (p *Pool) shardOf(pid pagefile.PageID) *shard {
 	if len(p.shards) == 1 {
@@ -334,65 +313,13 @@ func (p *Pool) Get(pid pagefile.PageID) (*Handle, error) { return p.GetT(pid, ni
 // charged to tr as well as the pool's global counters. A nil tr is the
 // untraced Get.
 func (p *Pool) GetT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error) {
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	if idx, ok := sh.table[pid]; ok {
-		h := p.pinLocked(sh, idx, pid)
-		p.hits.Add(1)
-		tr.Hit(1)
-		sh.mu.Unlock()
-		return h, nil
-	}
-	idx, err := sh.victim(p, tr)
-	if errors.Is(err, ErrPoolExhausted) {
-		// Bounded retry: concurrent pins are transient. Yield once so other
-		// goroutines can Unpin (or bring the page in themselves), then sweep
-		// the clock one more time before giving up.
-		sh.mu.Unlock()
-		runtime.Gosched()
-		sh.mu.Lock()
-		if i2, ok := sh.table[pid]; ok {
-			h := p.pinLocked(sh, i2, pid)
-			p.hits.Add(1)
-			tr.Hit(1)
-			sh.mu.Unlock()
-			return h, nil
-		}
-		idx, err = sh.victim(p, tr)
-	}
+	sh, idx, err := p.frameOf(pid, tr)
 	if err != nil {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("buffer: pinning %s: %w", pid, err)
-	}
-	p.misses.Add(1)
-	tr.Miss(1)
-	f := &sh.frames[idx]
-	readStart := time.Now()
-	if err := p.store.ReadPage(pid, &f.page); err != nil {
-		f.valid = false
-		sh.mu.Unlock()
 		return nil, err
 	}
-	stall := time.Since(readStart)
-	p.readStall.Observe(stall)
-	tr.ReadStall(stall)
-	tr.StoreRead(1)
-	f.pid = pid
-	f.valid = true
-	f.dirty = false
-	f.pins = 1
-	f.ref = true
-	sh.table[pid] = idx
+	sh.frames[idx].pins++
 	sh.mu.Unlock()
 	return &Handle{p: p, sh: sh, idx: idx, pid: pid}, nil
-}
-
-// pinLocked pins the resident frame idx. Caller holds sh.mu.
-func (p *Pool) pinLocked(sh *shard, idx int, pid pagefile.PageID) *Handle {
-	f := &sh.frames[idx]
-	f.pins++
-	f.ref = true
-	return &Handle{p: p, sh: sh, idx: idx, pid: pid}
 }
 
 // GetSnapshotT reads page pid without blocking on writers: it returns a
@@ -402,65 +329,69 @@ func (p *Pool) pinLocked(sh *shard, idx int, pid pagefile.PageID) *Handle {
 // MarkDirty is a no-op and Unpin recycles the copy. On a miss the page is
 // read through the pool normally (charged to tr) and left resident unpinned.
 func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error) {
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	if idx, ok := sh.table[pid]; ok {
-		p.hits.Add(1)
-		tr.Hit(1)
-		sh.frames[idx].ref = true
-		priv := snapPages.Get().(*pagefile.Page)
-		if p.capCount.Load() > 0 {
-			p.capMu.Lock()
-			if e, reg := p.capture[pid]; reg {
-				*priv = e.pre
-			} else {
-				*priv = sh.frames[idx].page
-			}
-			p.capMu.Unlock()
+	sh, idx, err := p.frameOf(pid, tr)
+	if err != nil {
+		return nil, err
+	}
+	priv := snapPages.Get().(*pagefile.Page)
+	if p.capCount.Load() > 0 {
+		p.capMu.Lock()
+		if e, reg := p.capture[pid]; reg {
+			*priv = e.pre
 		} else {
 			*priv = sh.frames[idx].page
 		}
-		sh.mu.Unlock()
-		return &Handle{p: p, pid: pid, snap: priv}, nil
+		p.capMu.Unlock()
+	} else {
+		*priv = sh.frames[idx].page
 	}
-	idx, err := sh.victim(p, tr)
-	if errors.Is(err, ErrPoolExhausted) {
-		sh.mu.Unlock()
-		runtime.Gosched()
-		sh.mu.Lock()
-		if i2, ok := sh.table[pid]; ok {
-			p.hits.Add(1)
-			tr.Hit(1)
-			sh.frames[i2].ref = true
-			priv := snapPages.Get().(*pagefile.Page)
-			if p.capCount.Load() > 0 {
-				p.capMu.Lock()
-				if e, reg := p.capture[pid]; reg {
-					*priv = e.pre
-				} else {
-					*priv = sh.frames[i2].page
-				}
-				p.capMu.Unlock()
-			} else {
-				*priv = sh.frames[i2].page
-			}
-			sh.mu.Unlock()
-			return &Handle{p: p, pid: pid, snap: priv}, nil
-		}
+	sh.mu.Unlock()
+	return &Handle{p: p, pid: pid, snap: priv}, nil
+}
+
+// frameOf returns the frame holding pid, unpinned by this call, with its
+// shard's mutex held: a resident frame is a hit, otherwise the clock frees a
+// frame and the page is read into it from the store — a miss. Either is
+// charged to tr, and so are the read and any dirty eviction the miss forced.
+// On error no mutex is held.
+func (p *Pool) frameOf(pid pagefile.PageID, tr *obs.Trace) (*shard, int, error) {
+	sh := p.shardOf(pid)
+	sh.mu.Lock()
+	idx, hit := sh.table[pid]
+	if !hit {
+		var err error
 		idx, err = sh.victim(p, tr)
+		if errors.Is(err, ErrPoolExhausted) {
+			// Bounded retry: concurrent pins are transient. Yield once so other
+			// goroutines can Unpin (or bring the page in themselves), then sweep
+			// the clock one more time before giving up.
+			sh.mu.Unlock()
+			runtime.Gosched()
+			sh.mu.Lock()
+			err = nil
+			if idx, hit = sh.table[pid]; !hit {
+				idx, err = sh.victim(p, tr)
+			}
+		}
+		if err != nil {
+			sh.mu.Unlock()
+			return nil, 0, fmt.Errorf("buffer: pinning %s: %w", pid, err)
+		}
 	}
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("buffer: pinning %s: %w", pid, err)
+	f := &sh.frames[idx]
+	f.ref = true
+	if hit {
+		p.hits.Add(1)
+		tr.Hit(1)
+		return sh, idx, nil
 	}
 	p.misses.Add(1)
 	tr.Miss(1)
-	f := &sh.frames[idx]
 	readStart := time.Now()
 	if err := p.store.ReadPage(pid, &f.page); err != nil {
 		f.valid = false
 		sh.mu.Unlock()
-		return nil, err
+		return nil, 0, err
 	}
 	stall := time.Since(readStart)
 	p.readStall.Observe(stall)
@@ -470,15 +401,8 @@ func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error)
 	f.valid = true
 	f.dirty = false
 	f.pins = 0
-	f.ref = true
 	sh.table[pid] = idx
-	// A page absent from the pool cannot be registered in a capture
-	// (registered frames are unevictable), so the fresh image is the
-	// committed state.
-	priv := snapPages.Get().(*pagefile.Page)
-	*priv = f.page
-	sh.mu.Unlock()
-	return &Handle{p: p, pid: pid, snap: priv}, nil
+	return sh, idx, nil
 }
 
 // NewPage allocates a fresh page in file fid, pins it, and returns the
@@ -739,135 +663,12 @@ func (p *Pool) Reset() error {
 	return nil
 }
 
-// Prefetch loads up to n pages of file fid starting at page start into
-// frames without pinning them, so an imminent Get hits instead of missing.
-// Already-resident pages are skipped; the remaining runs of absent pages are
-// fetched with batched store reads (one Store.ReadPages call per run).
-// It is best-effort: a store error or a shard with every frame pinned simply
-// ends the batch — the scan's own Get will surface any real problem. The
-// number of pages actually loaded is returned.
-//
-// Prefetch must not run concurrently with writers of the same pages (the
-// batched read bypasses the frame table between read and install); the
-// engine guarantees this by running scans under its reader lock.
-func (p *Pool) Prefetch(fid pagefile.FileID, start uint32, n int) int {
-	return p.PrefetchT(fid, start, n, nil)
-}
-
-// PrefetchT is Prefetch with per-operation attribution: the batched store
-// reads and installed pages are charged to tr (the scan that requested the
-// readahead). Attribution is best-effort under store errors: pages a failed
-// batch read before the error are counted globally but not on tr.
-func (p *Pool) PrefetchT(fid pagefile.FileID, start uint32, n int, tr *obs.Trace) int {
-	if n <= 0 {
-		return 0
-	}
-	npages, err := p.store.NumPages(fid)
-	if err != nil || start >= npages {
-		return 0
-	}
-	if uint32(n) > npages-start {
-		n = int(npages - start)
-	}
-	loaded := 0
-	page := start
-	end := start + uint32(n)
-	for page < end {
-		for page < end && p.resident(pagefile.PageID{File: fid, Page: page}) {
-			page++
-		}
-		runStart := page
-		for page < end && !p.resident(pagefile.PageID{File: fid, Page: page}) {
-			page++
-		}
-		if page == runStart {
-			continue
-		}
-		bufs := make([]pagefile.Page, page-runStart)
-		readStart := time.Now()
-		if err := p.store.ReadPages(fid, runStart, bufs); err != nil {
-			return loaded
-		}
-		stall := time.Since(readStart)
-		p.readStall.Observe(stall)
-		tr.ReadStall(stall)
-		tr.StoreRead(int64(len(bufs)))
-		for i := range bufs {
-			pid := pagefile.PageID{File: fid, Page: runStart + uint32(i)}
-			if p.install(pid, &bufs[i], tr) {
-				loaded++
-			}
-		}
-	}
-	return loaded
-}
-
-// PrefetchPagesT prefetches an explicit ascending list of page numbers,
-// batching maximal consecutive runs into vectored store reads via PrefetchT.
-// It serves index-range fetches: the planner's executor collects the
-// qualifying OIDs, sorts and dedupes their pages, and warms them in one pass
-// so the per-object reads that follow hit the pool. Pages out of range are
-// clamped and resident pages skipped by the underlying run logic. The same
-// no-concurrent-writer caveat as Prefetch applies.
-func (p *Pool) PrefetchPagesT(fid pagefile.FileID, pages []uint32, tr *obs.Trace) int {
-	loaded := 0
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
-		loaded += p.PrefetchT(fid, pages[i], j-i, tr)
-		i = j
-	}
-	return loaded
-}
-
-// resident reports whether pid is currently framed.
-func (p *Pool) resident(pid pagefile.PageID) bool {
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	_, ok := sh.table[pid]
-	sh.mu.Unlock()
-	return ok
-}
-
-// install maps a prefetched page image into a frame with zero pins. A page
-// that became resident since the batched read was issued is skipped (the
-// resident copy may be newer).
-func (p *Pool) install(pid pagefile.PageID, page *pagefile.Page, tr *obs.Trace) bool {
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.table[pid]; ok {
-		return false
-	}
-	idx, err := sh.victim(p, tr)
-	if err != nil {
-		return false
-	}
-	f := &sh.frames[idx]
-	f.page = *page
-	f.pid = pid
-	f.valid = true
-	f.dirty = false
-	f.pins = 0
-	f.ref = true
-	sh.table[pid] = idx
-	p.prefetched.Add(1)
-	tr.Prefetch(1)
-	return true
-}
-
 // PoolStats is a snapshot of pool counters.
 type PoolStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	Flushes   int64 `json:"flushes"`
-	// Prefetched counts pages brought in by Prefetch rather than by a miss.
-	// With readahead off it is always zero, and Misses equals the store
-	// reads issued through the pool — the paper-figure invariant.
-	Prefetched int64 `json:"prefetched"`
 }
 
 // Stats returns a coherent snapshot of the pool's counters. Every counter
@@ -879,16 +680,15 @@ type PoolStats struct {
 func (p *Pool) Stats() PoolStats {
 	defer p.lockAll()()
 	return PoolStats{
-		Hits:       p.hits.Load(),
-		Misses:     p.misses.Load(),
-		Evictions:  p.evictions.Load(),
-		Flushes:    p.flushes.Load(),
-		Prefetched: p.prefetched.Load(),
+		Hits:      p.hits.Load(),
+		Misses:    p.misses.Load(),
+		Evictions: p.evictions.Load(),
+		Flushes:   p.flushes.Load(),
 	}
 }
 
 // StallHists snapshots the pool's I/O stall histograms: time blocked on
-// store reads (misses and prefetch batches) and on dirty write-backs
+// store reads (misses) and on dirty write-backs
 // (including the WAL write barrier). ResetStats does not clear them — they
 // are lifetime distributions, like the registry's latency histograms.
 func (p *Pool) StallHists() (read, write obs.HistSnapshot) {
@@ -904,7 +704,6 @@ func (p *Pool) ResetStats() {
 	p.misses.Store(0)
 	p.evictions.Store(0)
 	p.flushes.Store(0)
-	p.prefetched.Store(0)
 }
 
 // SetWriteBarrier installs b as the pool's write barrier: it is called with

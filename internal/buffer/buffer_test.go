@@ -323,3 +323,47 @@ func TestEvictionFailureLeavesFrameRetryable(t *testing.T) {
 		t.Fatalf("page byte = %#x, want 0xAB (dirty data lost during failed eviction)", h2.Page()[100])
 	}
 }
+
+// TestMissReadFailureFreesFrame fails the store read behind a snapshot miss
+// in a one-frame pool and checks the frame is not left holding a half-read
+// page: the next read of the same page misses again, finds the frame free,
+// and returns the stored contents.
+func TestMissReadFailureFreesFrame(t *testing.T) {
+	store := pagefile.NewFaultStore(pagefile.NewMemStore())
+	t.Cleanup(func() { store.Close() })
+	fid, err := store.CreateFile("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(store, 1)
+	h, pid, err := p.NewPage(fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Page()[0] = 0x77
+	h.MarkDirty()
+	h.Unpin()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	p.ResetStats()
+
+	store.AddFault(pagefile.Fault{Index: store.Ops(), Op: pagefile.OpRead})
+	if _, err := p.GetSnapshotT(pid, nil); !errors.Is(err, pagefile.ErrInjected) {
+		t.Fatalf("snapshot read during a read fault: err = %v, want ErrInjected", err)
+	}
+	h2, err := p.Get(pid)
+	if err != nil {
+		t.Fatalf("Get after the fault: %v", err)
+	}
+	defer h2.Unpin()
+	if h2.Page()[0] != 0x77 {
+		t.Fatalf("page byte = %#x, want 0x77", h2.Page()[0])
+	}
+	if st := p.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("counters = %+v, want Hits=0 Misses=2 (the failed read is a miss that left nothing resident)", st)
+	}
+}

@@ -115,7 +115,7 @@ func TestShardedConcurrentGets(t *testing.T) {
 			if st.Hits+st.Misses != goroutines*iters {
 				t.Errorf("hits %d + misses %d != %d gets", st.Hits, st.Misses, goroutines*iters)
 			}
-			// Every store read was charged as a pool miss (readahead off).
+			// Every store read was charged as a pool miss.
 			if reads := p.Store().Stats().Reads(); reads != st.Misses {
 				t.Errorf("store reads %d != pool misses %d", reads, st.Misses)
 			}
@@ -220,6 +220,62 @@ func TestExhaustedRetryRecovers(t *testing.T) {
 	}
 }
 
+// TestSnapshotExhausted checks the snapshot read shares Get's exhaustion
+// handling: with every frame pinned, a snapshot read of an absent page fails
+// with ErrPoolExhausted naming the page and charges no miss, while one of a
+// resident page is still served as a hit.
+func TestSnapshotExhausted(t *testing.T) {
+	p, fid := newShardedPool(t, 2, 1)
+	var pids []pagefile.PageID
+	for i := 0; i < 3; i++ {
+		h, pid, err := p.NewPage(fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Page()[0] = byte(0x10 + i)
+		h.MarkDirty()
+		h.Unpin()
+		pids = append(pids, pid)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	ha, err := p.Get(pids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ha.Unpin()
+	hb, err := p.Get(pids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hb.Unpin()
+	p.ResetStats()
+
+	_, err = p.GetSnapshotT(pids[2], nil)
+	if !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("snapshot read with all frames pinned: err = %v, want ErrPoolExhausted", err)
+	}
+	if want := pids[2].String(); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name page %s", err, want)
+	}
+	if st := p.Stats(); st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("failed snapshot read charged %+v, want nothing", st)
+	}
+
+	h, err := p.GetSnapshotT(pids[0], nil)
+	if err != nil {
+		t.Fatalf("snapshot read of a pinned resident page: %v", err)
+	}
+	if h.Page()[0] != 0x10 {
+		t.Fatalf("snapshot byte = %#x, want 0x10", h.Page()[0])
+	}
+	h.Unpin()
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("resident snapshot read charged %+v, want Hits=1 Misses=0", st)
+	}
+}
+
 // TestStatsRace reads counters while other goroutines mutate the pool; the
 // race detector verifies Stats/ResetStats are safe (they were a data race on
 // the old plain-int implementation).
@@ -264,103 +320,6 @@ func TestStatsRace(t *testing.T) {
 	st := p.Stats()
 	if st.Hits < 0 || st.Misses < 0 {
 		t.Fatalf("negative counters: %+v", st)
-	}
-}
-
-// TestPrefetch verifies Prefetch residency, accounting, and the miss-count
-// invariant: a prefetched page Gets as a hit, total store reads are the same
-// as an unprefetched scan, and misses+prefetched = pages read.
-func TestPrefetch(t *testing.T) {
-	p, fid := newShardedPool(t, 32, 4)
-	const n = 16
-	for i := 0; i < n; i++ {
-		h, _, err := p.NewPage(fid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Page()[0] = byte(i)
-		h.MarkDirty()
-		h.Unpin()
-	}
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStats()
-	p.Store().Stats().Reset()
-
-	if got := p.Prefetch(fid, 0, 8); got != 8 {
-		t.Fatalf("Prefetch loaded %d pages, want 8", got)
-	}
-	// Prefetching resident pages is a no-op.
-	if got := p.Prefetch(fid, 0, 8); got != 0 {
-		t.Fatalf("re-Prefetch loaded %d pages, want 0", got)
-	}
-	// Clamped at EOF.
-	if got := p.Prefetch(fid, n-2, 100); got != 2 {
-		t.Fatalf("EOF Prefetch loaded %d pages, want 2", got)
-	}
-	if got := p.Prefetch(fid, n+5, 4); got != 0 {
-		t.Fatalf("past-EOF Prefetch loaded %d pages, want 0", got)
-	}
-
-	for i := 0; i < n; i++ {
-		h, err := p.Get(pagefile.PageID{File: fid, Page: uint32(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Page()[0] != byte(i) {
-			t.Fatalf("prefetched page %d: content %d", i, h.Page()[0])
-		}
-		h.Unpin()
-	}
-	st := p.Stats()
-	if st.Prefetched != 10 {
-		t.Errorf("prefetched = %d, want 10", st.Prefetched)
-	}
-	if st.Misses != int64(n)-10 {
-		t.Errorf("misses = %d, want %d", st.Misses, n-10)
-	}
-	// The invariant: prefetching moves reads between categories but total
-	// store reads equal pages touched, same as a plain cold scan.
-	if reads := p.Store().Stats().Reads(); reads != int64(n) {
-		t.Errorf("store reads = %d, want %d", reads, n)
-	}
-}
-
-// TestPrefetchSkipsDirtyResident makes sure a prefetch never clobbers a
-// resident dirty page with a stale disk image.
-func TestPrefetchSkipsDirtyResident(t *testing.T) {
-	p, fid := newShardedPool(t, 8, 2)
-	h, pid, err := p.NewPage(fid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Page()[0] = 0x11
-	h.MarkDirty()
-	h.Unpin()
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Dirty the resident copy without flushing.
-	h2, err := p.Get(pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2.Page()[0] = 0x22
-	h2.MarkDirty()
-	h2.Unpin()
-
-	p.Prefetch(fid, 0, 4)
-	h3, err := p.Get(pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h3.Unpin()
-	if h3.Page()[0] != 0x22 {
-		t.Fatalf("prefetch replaced dirty resident page: byte = %#x, want 0x22", h3.Page()[0])
 	}
 }
 

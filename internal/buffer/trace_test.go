@@ -70,6 +70,64 @@ func TestGetTChargesTrace(t *testing.T) {
 	}
 }
 
+// TestGetSnapshotTChargesLikeGetT pins the snapshot read to GetT's charging
+// rules — a miss charges Miss + StoreRead, a hit charges Hit — and checks a
+// snapshot miss leaves its frame resident but unpinned: a one-frame pool can
+// still evict it.
+func TestGetSnapshotTChargesLikeGetT(t *testing.T) {
+	p, fid := newPool(t, 1)
+	h, pid, err := p.NewPage(fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Page()[0] = 0x5A
+	h.MarkDirty()
+	h.Unpin()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	p.ResetStats()
+	p.Store().Stats().Reset()
+
+	tr := obs.NewRegistry(4096).Start(obs.KindQuery, "q", "")
+	read := func(want obs.Counters) {
+		t.Helper()
+		h, err := p.GetSnapshotT(pid, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Page()[0] != 0x5A {
+			t.Fatalf("snapshot byte = %#x, want 0x5A", h.Page()[0])
+		}
+		h.Unpin()
+		if c := tr.Counters(); c.Hits != want.Hits || c.Misses != want.Misses || c.StoreReads != want.StoreReads {
+			t.Fatalf("counters = %+v, want Hits=%d Misses=%d StoreReads=%d", c, want.Hits, want.Misses, want.StoreReads)
+		}
+	}
+	read(obs.Counters{Misses: 1, StoreReads: 1})
+	read(obs.Counters{Hits: 1, Misses: 1, StoreReads: 1})
+
+	// The only frame holds pid unpinned, so a new page evicts it and the next
+	// snapshot read misses again.
+	h2, _, err := p.NewPage(fid)
+	if err != nil {
+		t.Fatalf("NewPage after snapshot reads: %v (snapshot left its frame pinned)", err)
+	}
+	h2.Unpin()
+	read(obs.Counters{Hits: 1, Misses: 2, StoreReads: 2})
+
+	st := p.Stats()
+	if st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("global counters = %+v, want Hits=1 Misses=2", st)
+	}
+	if reads := p.Store().Stats().Reads(); reads != st.Misses {
+		t.Fatalf("store reads %d != pool misses %d", reads, st.Misses)
+	}
+}
+
 // TestTraceEvictionWriteBack forces a dirty eviction and checks the evicting
 // trace is charged the flush and the store write (performed-by attribution).
 func TestTraceEvictionWriteBack(t *testing.T) {

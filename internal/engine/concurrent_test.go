@@ -34,7 +34,7 @@ func sortedKeys(res *Result) []string {
 // row multisets must match.
 func TestParallelQueryEquivalence(t *testing.T) {
 	seqDB := openEmployeeDB(t, Config{})
-	parDB := openEmployeeDB(t, Config{ScanWorkers: 4, PoolShards: 8, Readahead: 4})
+	parDB := openEmployeeDB(t, Config{ScanWorkers: 4, PoolShards: 8})
 	populate(t, seqDB, 2, 6, 300)
 	populate(t, parDB, 2, 6, 300)
 

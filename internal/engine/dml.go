@@ -14,11 +14,11 @@ import (
 // modifications — the statement's own and all the replication propagation
 // and index maintenance it triggers — are captured in a buffer-pool scope,
 // published on success and rolled back physically on failure, so no failure
-// leaves half-applied state and no DML ever needs Repair. On a logged
+// leaves half-applied state and no DML ever needs Repair. Writers to disjoint
+// footprints proceed concurrently on every database. On a logged
 // (file-backed) database the commit is appended to the WAL and
-// group-committed, and writers to disjoint footprints proceed concurrently;
-// an in-memory database publishes the scope with no log and its writers
-// serialize behind the exclusive lock. A statement's dirty working set must
+// group-committed; an in-memory database publishes the scope with no log. A
+// statement's dirty working set must
 // fit the buffer pool (no-steal): a statement that outgrows it fails with
 // buffer.ErrPoolExhausted and rolls back.
 
@@ -89,8 +89,8 @@ func (s *sess) insert(set string, vals map[string]schema.Value) (pagefile.OID, e
 	return oid, nil
 }
 
-// Get reads an object. On a logged database the read is a page-level
-// snapshot that never blocks on concurrent writers.
+// Get reads an object. The read is a page-level snapshot that never blocks
+// on concurrent writers.
 func (db *DB) Get(set string, oid pagefile.OID) (*schema.Object, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -221,8 +221,8 @@ func (s *sess) delete(set string, oid pagefile.OID) error {
 	return s.takeIdxErr()
 }
 
-// Count returns the number of objects in a set. On a logged database the
-// scan reads page-level snapshots and never blocks on concurrent writers.
+// Count returns the number of objects in a set. The scan reads page-level
+// snapshots and never blocks on concurrent writers.
 func (db *DB) Count(set string) (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

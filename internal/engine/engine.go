@@ -51,10 +51,6 @@ type Config struct {
 	// over (default 1, the historical single-clock pool the figure
 	// reproductions assume). Concurrent readers scale with shards.
 	PoolShards int
-	// Readahead is the scan prefetch depth in pages; 0 (the default)
-	// disables it, keeping per-query buffer miss counts byte-identical to
-	// the paper's unprefetched execution.
-	Readahead int
 	// ScanWorkers is the number of goroutines non-indexed Query/UpdateWhere
 	// predicate evaluation fans out to (default 1, which preserves the
 	// sequential scan's deterministic result order).
@@ -87,12 +83,12 @@ type Config struct {
 // DB is a database instance. It is safe for concurrent use. DML statements
 // and transactions lock only their write footprint — the target sets plus
 // every set reachable through replicated-field/inverse-link propagation — and
-// run in a buffer-pool scope that commits or rolls back as a unit. On a
-// logged (file-backed) database writers to disjoint footprints run and
-// commit concurrently, and read-only operations (Query, Get, Count, Inverse)
-// read page-level snapshots that never block on writers. DDL, replication
-// control and cache control serialize behind the exclusive lock, as do the
-// write statements of an in-memory database.
+// run in a buffer-pool scope that commits or rolls back as a unit. Writers to
+// disjoint footprints run and commit concurrently, and read-only operations
+// (Query, Get, Count, Inverse) read page-level snapshots that never block on
+// writers, on every database; the one difference a log makes is that a
+// commit also appends to it. DDL, replication control and cache control
+// serialize behind the exclusive lock.
 type DB struct {
 	store   pagefile.Store
 	pool    *buffer.Pool
@@ -104,10 +100,8 @@ type DB struct {
 	// mu separates statements from whole-database operations. DDL,
 	// replication control and cache control take it exclusively. Write
 	// statements and readers take it shared and coordinate among themselves
-	// through setLocks and the buffer pool's scopes — except on a database
-	// without a log, whose write statements take it exclusively because its
-	// readers use plain page views (see lockStatement). Internal helpers
-	// never acquire it.
+	// through setLocks and the buffer pool's scopes. Internal helpers never
+	// acquire it.
 	mu sync.RWMutex
 	// setLocks is the per-set lock manager: each write statement locks its
 	// whole footprint in sorted order before mutating anything (see
@@ -134,12 +128,6 @@ type DB struct {
 	// closed is set once Close or CrashStop has released the store and log.
 	// Guarded by db.mu.Lock.
 	closed bool
-	// lockWait is the writer-lock contention histogram: how long each write
-	// statement of a database without a log blocked acquiring db.mu
-	// exclusively. Together with the WAL's fsync-wait and the pool's stall
-	// histograms it decomposes a slow commit into lock wait vs log wait vs
-	// device time.
-	lockWait *obs.Histogram
 
 	// wal is the write-ahead log, nil for databases without a Dir; recovered
 	// is what its replay did when this database was opened.
@@ -266,7 +254,6 @@ func open(cfg Config, role int32) (*DB, error) {
 		workers = 1
 	}
 	pool := buffer.NewSharded(store, cfg.PoolPages, shards)
-	pool.SetReadahead(cfg.Readahead)
 	if walMgr != nil {
 		// Log-before-data: a dirty page may only be written back once the
 		// log covering it is durable.
@@ -281,7 +268,6 @@ func open(cfg Config, role int32) (*DB, error) {
 		files:     map[pagefile.FileID]*heap.File{},
 		trees:     map[string]*btree.Tree{},
 		obs:       obs.NewRegistry(pagefile.PageSize),
-		lockWait:  obs.NewHistogram(),
 		wal:       walMgr,
 		recovered: recovered,
 		setLocks:  newLockMgr(),
@@ -528,21 +514,10 @@ func (db *DB) LinkSequence(spec catalog.PathSpec, strategy catalog.Strategy) ([]
 	return p.LinkSequence(), true
 }
 
-// lockWriter acquires db.mu exclusively for a write statement, recording how
-// long acquisition blocked in the lock-wait histogram and charging it to tr,
-// so writer-lock contention is visible per operation and in aggregate.
-func (db *DB) lockWriter(tr *obs.Trace) {
-	start := time.Now()
-	db.mu.Lock()
-	wait := time.Since(start)
-	db.lockWait.Observe(wait)
-	tr.LockWait(wait)
-}
-
 // waitDurable blocks in the WAL group-commit rendezvous until lsn is fsync'd,
 // charging the wait to tr as log wait. lsn 0 (nothing logged) is a no-op.
-// Callers must have released the writer lock so committers overlap in the
-// wait and batch onto one fsync.
+// Callers must have released their locks so committers overlap in the wait
+// and batch onto one fsync.
 func (db *DB) waitDurable(lsn uint64, tr *obs.Trace) error {
 	if lsn == 0 || db.wal == nil {
 		return nil

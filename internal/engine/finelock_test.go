@@ -8,23 +8,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
-// openDisjointDB builds a WAL-backed database with n unrelated sets
-// (W00..Wnn) of a ref-free type, so every write footprint is a singleton and
-// writers to different sets share no lock.
-func openDisjointDB(t *testing.T, n int, cfg Config) *DB {
-	t.Helper()
-	if cfg.Dir == "" {
-		cfg.Dir = t.TempDir()
-	}
-	return openDisjointSets(t, n, cfg)
-}
-
-// openDisjointSets is openDisjointDB on cfg as given: in-memory without a Dir.
+// openDisjointSets builds a database with n unrelated sets (W00..Wnn) of a
+// ref-free type, so every write footprint is a singleton and writers to
+// different sets share no lock. It is in-memory without cfg.Dir, WAL-backed
+// with one.
 func openDisjointSets(t *testing.T, n int, cfg Config) *DB {
 	t.Helper()
 	db, err := Open(cfg)
@@ -48,16 +41,20 @@ func openDisjointSets(t *testing.T, n int, cfg Config) *DB {
 
 // TestDisjointWritersConcurrent drives 16 writers into 16 disjoint sets in
 // parallel. Under -race this exercises the whole fine-grained path — shared
-// engine lock, per-set locks, scoped page capture, concurrent WAL appends,
-// group commit — and the per-set counts prove no commit was lost or
-// misrouted.
+// engine lock, per-set locks, scoped page capture and, on the file-backed
+// leg, concurrent WAL appends and group commit — and the per-set counts prove
+// no commit was lost or misrouted.
 func TestDisjointWritersConcurrent(t *testing.T) {
+	onBothStores(t, testDisjointWritersConcurrent)
+}
+
+func testDisjointWritersConcurrent(t *testing.T, dir string) {
 	const writers = 16
 	perWriter := 60
 	if testing.Short() {
 		perWriter = 15
 	}
-	db := openDisjointDB(t, writers, Config{PoolPages: 1024, PoolShards: 8})
+	db := openDisjointSets(t, writers, Config{Dir: dir, PoolPages: 1024, PoolShards: 8})
 
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
@@ -113,9 +110,13 @@ func TestDisjointWritersConcurrent(t *testing.T) {
 // the replicated-field target set: updates to Dept propagate into Emp1's
 // hidden copies, so both writers' footprint closures contain {Emp1, Emp2,
 // Dept, Org} and they must fully serialize. No update may be lost and the
-// replicated state must verify afterwards.
+// replicated state must verify afterwards, on either store.
 func TestOverlappingFootprintsSerialize(t *testing.T) {
-	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 1024, PoolShards: 8})
+	onBothStores(t, testOverlappingFootprintsSerialize)
+}
+
+func testOverlappingFootprintsSerialize(t *testing.T, dir string) {
+	db, err := Open(Config{Dir: dir, PoolPages: 1024, PoolShards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +182,20 @@ func TestOverlappingFootprintsSerialize(t *testing.T) {
 // TestRandomizedMultiSetFootprints hammers BeginSets transactions with
 // randomized multi-set footprints from many goroutines. Sorted acquisition
 // must keep the schedule deadlock-free (the test completing is the
-// assertion -race can't make), and the per-set insert counts must add up.
+// assertion -race can't make), and the per-set insert counts must add up, on
+// either store.
 func TestRandomizedMultiSetFootprints(t *testing.T) {
+	onBothStores(t, testRandomizedMultiSetFootprints)
+}
+
+func testRandomizedMultiSetFootprints(t *testing.T, dir string) {
 	const nsets = 6
 	const writers = 8
 	iters := 30
 	if testing.Short() {
 		iters = 8
 	}
-	db := openDisjointDB(t, nsets, Config{PoolPages: 1024, PoolShards: 8})
+	db := openDisjointSets(t, nsets, Config{Dir: dir, PoolPages: 1024, PoolShards: 8})
 
 	var inserted [nsets]atomic.Int64
 	var wg sync.WaitGroup
@@ -289,17 +295,30 @@ func testFootprintViolation(t *testing.T, dir string) {
 	verifyDB(t, db)
 }
 
-// TestSnapshotReadersNoLockWait runs readers concurrently with a committing
-// writer and asserts the read traces charge zero lock wait: the snapshot read
-// path takes neither the exclusive lock nor any set lock.
+// TestSnapshotReadersNoLockWait runs readers beside a committing writer and a
+// transaction left open on another set, and asserts the readers finish while
+// that transaction is still open, charging zero lock wait: the snapshot read
+// path takes neither the exclusive lock nor any set lock, on either store.
 func TestSnapshotReadersNoLockWait(t *testing.T) {
-	db := openDisjointDB(t, 2, Config{PoolPages: 1024, PoolShards: 8})
+	onBothStores(t, testSnapshotReadersNoLockWait)
+}
+
+func testSnapshotReadersNoLockWait(t *testing.T, dir string) {
+	db := openDisjointSets(t, 2, Config{Dir: dir, PoolPages: 1024, PoolShards: 8})
 	for i := 0; i < 50; i++ {
 		if _, err := db.Insert("W00", map[string]schema.Value{
 			"name": str(fmt.Sprintf("seed-%03d", i)), "n": num(int64(i)),
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	txn, err := db.BeginSets(context.Background(), "W01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Rollback() // releases the locks before Close if an assertion fails
+	if _, err := txn.Insert("W01", map[string]schema.Value{"name": str("open"), "n": num(1)}); err != nil {
+		t.Fatal(err)
 	}
 
 	stop := make(chan struct{})
@@ -327,25 +346,45 @@ func TestSnapshotReadersNoLockWait(t *testing.T) {
 	if testing.Short() {
 		iters = 15
 	}
-	for i := 0; i < iters; i++ {
-		res, rec, err := db.Query(nil, Query{
-			Set: "W00", Project: []string{"name", "n"},
-			Where: &Pred{Expr: "n", Op: OpGE, Value: num(0)},
-		})
+	read := make(chan error, 1)
+	go func() {
+		for i := 0; i < iters; i++ {
+			res, rec, err := db.Query(nil, Query{
+				Set: "W00", Project: []string{"name", "n"},
+				Where: &Pred{Expr: "n", Op: OpGE, Value: num(0)},
+			})
+			switch {
+			case err != nil:
+			case len(res.Rows) < 50:
+				err = fmt.Errorf("reader %d saw %d rows, want >= 50", i, len(res.Rows))
+			case rec.LockWaitNs != 0:
+				err = fmt.Errorf("reader %d charged %dns lock wait; snapshot reads must not block", i, rec.LockWaitNs)
+			}
+			if err != nil {
+				read <- err
+				return
+			}
+		}
+		read <- nil
+	}()
+	select {
+	case err := <-read:
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) < 50 {
-			t.Fatalf("reader %d saw %d rows, want >= 50", i, len(res.Rows))
-		}
-		if rec.LockWaitNs != 0 {
-			t.Fatalf("reader %d charged %dns lock wait; snapshot reads must not block", i, rec.LockWaitNs)
-		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("readers blocked behind an open transaction on another set")
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
 	if werr != nil {
 		t.Fatal(werr)
+	}
+	if n, err := db.Count("W01"); err != nil || n != 1 {
+		t.Fatalf("W01 after commit: %d objects (%v), want 1", n, err)
 	}
 	verifyDB(t, db)
 }

@@ -48,7 +48,6 @@ func (db *DB) handleProm(w http.ResponseWriter, _ *http.Request) {
 	obs.PromCounter(w, "fieldrepl_pool_misses_total", "Buffer pool misses.", pool.Misses)
 	obs.PromCounter(w, "fieldrepl_pool_evictions_total", "Buffer pool frame evictions.", pool.Evictions)
 	obs.PromCounter(w, "fieldrepl_pool_flushes_total", "Dirty pages written back by the pool.", pool.Flushes)
-	obs.PromCounter(w, "fieldrepl_pool_prefetched_total", "Pages brought in by scan readahead.", pool.Prefetched)
 
 	tm := db.obs.Metrics()
 	obs.PromGauge(w, "fieldrepl_ops_active", "Traced operations currently running.", float64(tm.Active))
@@ -69,10 +68,8 @@ func (db *DB) handleProm(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	obs.PromHeader(w, "fieldrepl_lock_wait_seconds", "histogram", "Writer-lock acquisition wait per write operation.")
-	obs.PromHistogram(w, "fieldrepl_lock_wait_seconds", db.lockWait.Snapshot())
 	read, write := db.pool.StallHists()
-	obs.PromHeader(w, "fieldrepl_pool_read_stall_seconds", "histogram", "Time stalled on store page reads (misses and prefetch batches).")
+	obs.PromHeader(w, "fieldrepl_pool_read_stall_seconds", "histogram", "Time stalled on store page reads (misses).")
 	obs.PromHistogram(w, "fieldrepl_pool_read_stall_seconds", read)
 	obs.PromHeader(w, "fieldrepl_pool_write_stall_seconds", "histogram", "Time stalled on dirty write-backs, including the WAL write barrier.")
 	obs.PromHistogram(w, "fieldrepl_pool_write_stall_seconds", write)

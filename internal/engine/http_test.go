@@ -60,7 +60,6 @@ func TestMetricsHandlerProm(t *testing.T) {
 		`fieldrepl_op_latency_seconds_bucket{kind="dml",le="+Inf"}`,
 		`fieldrepl_op_latency_seconds_count{kind="query"}`,
 		`fieldrepl_op_set_latency_seconds_bucket{kind="query",set="Emp1",`,
-		"fieldrepl_lock_wait_seconds_count",
 		"fieldrepl_pool_read_stall_seconds_bucket",
 		"fieldrepl_pool_write_stall_seconds_count",
 		"fieldrepl_wal_fsync_wait_seconds_bucket",

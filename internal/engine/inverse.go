@@ -40,8 +40,8 @@ func (db *DB) Inverse(source, refExpr string, target pagefile.OID) (oids []pagef
 		cur = next
 	}
 
-	// A read session: on a logged database link structures and objects are
-	// read through snapshot views, concurrent with writers.
+	// A read session: link structures and objects are read through snapshot
+	// views, concurrent with writers.
 	s := db.readSess(nil)
 	if got, ok, err := s.mgr.InverseLookup(source, refs, target); err != nil {
 		return nil, "", err

@@ -22,10 +22,10 @@ type Metrics struct {
 	// Latency digests the wall-time histograms: per operation kind under the
 	// kind name ("query"), per (kind, set) under "kind|set" ("query|Emp1").
 	Latency map[string]obs.HistSummary `json:"latency"`
-	// Contention digests the wait/stall histograms: "lock_wait" (writer-lock
-	// acquisition), "wal_fsync_wait" (group-commit durability rendezvous;
-	// present only with a WAL), "pool_read_stall" and "pool_write_stall"
-	// (buffer-pool store I/O).
+	// Contention digests the wait/stall histograms: "wal_fsync_wait"
+	// (group-commit durability rendezvous; present only with a WAL),
+	// "pool_read_stall" and "pool_write_stall" (buffer-pool store I/O), and
+	// "set_lock_wait|<set>" (per-set write locks, once contended).
 	Contention map[string]obs.HistSummary `json:"contention"`
 	Recent     []obs.Record               `json:"recent"`
 }
@@ -54,7 +54,6 @@ func (db *DB) Metrics() Metrics {
 func (db *DB) contentionSummaries() map[string]obs.HistSummary {
 	read, write := db.pool.StallHists()
 	out := map[string]obs.HistSummary{
-		"lock_wait":        db.lockWait.Snapshot().Summary(),
 		"pool_read_stall":  read.Summary(),
 		"pool_write_stall": write.Summary(),
 	}

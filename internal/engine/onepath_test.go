@@ -95,14 +95,16 @@ func TestReplicateOnEmptySetsThenFirstWriteInTxn(t *testing.T) {
 	assertReplicaMatches(t, p, f, "Org", "Dept", "Emp1", "Emp2")
 }
 
-// TestReadersSeePreTxnStateWithoutWaiting opens a Begin transaction on a
-// file-backed database, writes through it, and reads the same objects from
-// other goroutines: they return the pre-transaction state immediately, with
-// zero lock wait, and the committed state afterwards.
+// TestReadersSeePreTxnStateWithoutWaiting opens a Begin transaction, writes
+// through it, and reads the same objects from other goroutines: they return
+// the pre-transaction state immediately, with zero lock wait, and the
+// committed state afterwards — in memory and on disk alike.
 func TestReadersSeePreTxnStateWithoutWaiting(t *testing.T) {
-	db, _ := openWALDB(t)
-	defer db.Close()
-	defineEmployeeSchema(t, db)
+	onBothStores(t, testReadersSeePreTxnState)
+}
+
+func testReadersSeePreTxnState(t *testing.T, dir string) {
+	db := openEmployeeDB(t, Config{Dir: dir, PoolPages: 64})
 	st := populate(t, db, 1, 2, 6)
 	if err := db.Replicate("Emp1.dept.name", catalog.InPlace); err != nil {
 		t.Fatal(err)
@@ -192,13 +194,13 @@ func TestPropagationOutsideFootprintRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A statement on Dept whose session covers Dept's own file only.
-		unlock := db.lockStatement(nil)
+		db.mu.RLock()
 		dept, _ := db.cat.SetByName("Dept")
 		s := db.newSess(nil, &footprint{sets: []string{"Dept"}, files: map[pagefile.FileID]bool{dept.FileID: true}})
 		db.pool.BeginScope()
 		err := s.update("Dept", st.depts[0], map[string]schema.Value{"name": str("escaped")})
 		rerr := s.rollback()
-		unlock()
+		db.mu.RUnlock()
 		if rerr != nil {
 			t.Fatal(rerr)
 		}

@@ -154,10 +154,9 @@ func TestPlannerFlipsAccessPath(t *testing.T) {
 // per-set writers on a WAL-backed database and asserts the snapshot read
 // path stayed lock-free: every query trace charges zero lock wait, carries a
 // planner decision, and sees a consistent row count. Run with -race this
-// also exercises the fusion memo and page-batched index execution under
-// concurrency.
+// also exercises the fusion memo and index execution under concurrency.
 func TestPlannedQueriesConcurrentWriters(t *testing.T) {
-	db := openEmployeeDB(t, Config{Dir: t.TempDir(), PoolPages: 2048, Readahead: 8, ScanWorkers: 2})
+	db := openEmployeeDB(t, Config{Dir: t.TempDir(), PoolPages: 2048, ScanWorkers: 2})
 	seedEmps(t, db, 400)
 	if err := db.BuildIndex("bysal", "Emp1", "salary", false); err != nil {
 		t.Fatal(err)

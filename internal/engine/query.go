@@ -95,17 +95,16 @@ type Result struct {
 
 // Query executes a retrieve and returns, with the result (which carries the
 // planner's Decision), the query's completed obs.Record: its own page I/O
-// (buffer hits/misses, store reads/writes, prefetches) attributed exactly to
-// this query regardless of what ran concurrently, plus plan kind, predicted
-// pages and the wall-time breakdown. The record — not a global IO() delta,
-// which counts every concurrent operation's pages — is the way to measure
-// per-query I/O.
+// (buffer hits/misses, store reads/writes) attributed exactly to this query
+// regardless of what ran concurrently, plus plan kind, predicted pages and
+// the wall-time breakdown. The record — not a global IO() delta, which counts
+// every concurrent operation's pages — is the way to measure per-query I/O.
 //
-// On a logged database, reads — including output-emitting queries — run
-// under the shared lock against page-level snapshots, fully concurrent with
-// writers and never charged any lock wait; only a query that must drain
-// deferred propagation runs as a write statement (the drain mutates derived
-// state) and takes its set's footprint locks.
+// Reads — including output-emitting queries — run under the shared lock
+// against page-level snapshots, fully concurrent with writers and never
+// charged any lock wait; only a query that must drain deferred propagation
+// runs as a write statement (the drain mutates derived state) and takes its
+// set's footprint locks.
 //
 // Cancellation of ctx (nil means none) is checked at page boundaries — once
 // per heap page of a scan (in every parallel scan worker) and each time an
@@ -325,11 +324,8 @@ const idxEpochRetries = 4
 // when the session has no view of the index (the caller falls back to a
 // scan). file is the indexed set's heap file.
 //
-// Execution is page-batched: the qualifying OIDs are collected from the leaf
-// chain first (whose pages the iterator itself reads ahead), their distinct
-// heap pages are then warmed in sorted vectored batches through the
-// scan-readahead machinery, and the records are evaluated from the pool —
-// the index-range analogue of the heap scan's page-at-a-time evaluation.
+// The qualifying OIDs are collected from the leaf chain first, then their
+// records are read and evaluated in that order.
 //
 // Through a snapshot view a B-tree descent is only page-atomic, and a commit
 // landing between two page reads can tear the traversal (a split moves keys
@@ -361,7 +357,6 @@ func (s *sess) indexedAccess(ctx context.Context, set string, file *heap.File, i
 	if err != nil {
 		return true, err
 	}
-	s.prefetchOIDPages(oids)
 	w := s.newRowWorker(ctx, prog)
 	for _, oid := range oids {
 		payload, err := file.Read(oid)
@@ -381,35 +376,6 @@ func (s *sess) indexedAccess(ctx context.Context, set string, file *heap.File, i
 		}
 	}
 	return true, nil
-}
-
-// prefetchOIDPages warms the distinct heap pages behind a batch of qualifying
-// OIDs, turning the index fetch's scattered single-page reads into sorted
-// vectored batches. Plain-mode views only — capture and snapshot views read
-// page-at-a-time for the same reason heap.Scan disables readahead there
-// (prefetch installs raw frames, which must not race concurrent write-backs)
-// — and only with readahead configured, preserving the paper-figure
-// invariant that readahead off means zero prefetches and misses equal store
-// reads.
-func (s *sess) prefetchOIDPages(oids []pagefile.OID) {
-	if len(oids) < 2 || s.db.pool.Readahead() <= 0 || !s.plainViews() {
-		return
-	}
-	fid := oids[0].File
-	pages := make([]uint32, 0, len(oids))
-	for _, oid := range oids {
-		if oid.File == fid {
-			pages = append(pages, oid.Page)
-		}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	dedup := pages[:1]
-	for _, p := range pages[1:] {
-		if p != dedup[len(dedup)-1] {
-			dedup = append(dedup, p)
-		}
-	}
-	s.db.pool.PrefetchPagesT(fid, dedup, s.tr)
 }
 
 // snapshotIndexRange collects the OIDs in [lo, hi] from a snapshot tree

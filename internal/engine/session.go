@@ -27,10 +27,9 @@ import (
 // views (pages join the scope before they are modified; commit publishes
 // them, rollback restores them), everything else is a snapshot view
 // (committed state; writes refuse). A read session has the empty
-// readFootprint and holds no set locks: snapshot views everywhere on a logged
-// database, so readers never block on — or observe partial state from —
-// writers; plain views on a database without a log, where a writer holds
-// db.mu exclusively and so never overlaps a reader.
+// readFootprint and holds no set locks: snapshot views everywhere, so readers
+// never block on — or observe partial state from — writers, whether or not
+// the database has a log.
 //
 // A schema operation runs in a write session too (see ddl.go), under the
 // exclusive lock, with every file in its footprint and a chunk bound: its
@@ -98,29 +97,17 @@ func (db *DB) lookupTree(name string) (*btree.Tree, bool) {
 	return t, ok
 }
 
-// plainViews reports whether the session reads out-of-footprint files through
-// plain (directly framed) views: only a read session on a database without a
-// log, preserving the experiments' read path and its readahead behavior.
-func (s *sess) plainViews() bool {
-	return s.db.wal == nil && !s.writes()
-}
-
 // heapFor returns the heap file view for fid in this session's isolation: a
-// capture view for in-footprint files, otherwise a snapshot view (plain for
-// a read session on a database without a log).
+// capture view for in-footprint files, otherwise a snapshot view.
 func (s *sess) heapFor(fid pagefile.FileID) (*heap.File, error) {
 	f, ok := s.db.lookupFile(fid)
 	if !ok {
 		return nil, fmt.Errorf("engine: no heap file %d", fid)
 	}
-	switch {
-	case s.fp.files[fid]:
+	if s.fp.files[fid] {
 		return f.WithCapture(s.tr), nil
-	case s.plainViews():
-		return f.WithTrace(s.tr), nil
-	default:
-		return f.WithSnapshot(s.tr), nil
 	}
+	return f.WithSnapshot(s.tr), nil
 }
 
 // treeView returns the named index tree in this session's isolation, and
@@ -132,14 +119,10 @@ func (s *sess) treeView(name string) (t *btree.Tree, snapshot bool, ok bool) {
 	if !ok {
 		return nil, false, false
 	}
-	switch {
-	case s.fp.files[base.FileID()]:
+	if s.fp.files[base.FileID()] {
 		return base.WithCapture(s.tr), false, true
-	case s.plainViews():
-		return base.WithTrace(s.tr), false, true
-	default:
-		return base.WithSnapshot(s.tr), true, true
 	}
+	return base.WithSnapshot(s.tr), true, true
 }
 
 func (s *sess) treeFor(name string) (*btree.Tree, bool) {
@@ -353,25 +336,13 @@ func (s *sess) rollback() error {
 
 // --- the statement runner ---
 
-// lockStatement takes db.mu the way write statements hold it — shared on a
-// logged database, where writers coordinate through setLocks and pool scopes
-// and readers see snapshots; exclusively otherwise, because readers of a
-// database without a log use plain page views — and returns the unlock.
-func (db *DB) lockStatement(tr *obs.Trace) (unlock func()) {
-	if db.wal != nil {
-		db.mu.RLock()
-		return db.mu.RUnlock
-	}
-	db.lockWriter(tr)
-	return db.mu.Unlock
-}
-
 // openWrite locks the footprint of a statement (or transaction) writing the
-// target sets — nil means every set — and opens its pool scope. The caller
-// runs statements through the returned session, ends with commit or rollback,
-// and then calls release.
+// target sets — nil means every set — and opens its pool scope. db.mu is held
+// shared: writers coordinate through setLocks and pool scopes, and readers see
+// snapshots. The caller runs statements through the returned session, ends
+// with commit or rollback, and then calls release.
 func (db *DB) openWrite(ctx context.Context, tr *obs.Trace, targets []string) (s *sess, release func(), err error) {
-	unlock := db.lockStatement(tr)
+	db.mu.RLock()
 	if targets == nil {
 		for _, set := range db.cat.Sets() {
 			targets = append(targets, set.Name)
@@ -379,19 +350,19 @@ func (db *DB) openWrite(ctx context.Context, tr *obs.Trace, targets []string) (s
 	}
 	for _, name := range targets {
 		if _, ok := db.cat.SetByName(name); !ok {
-			unlock()
+			db.mu.RUnlock()
 			return nil, nil, fmt.Errorf("%w: %s", ErrNoSuchSet, name)
 		}
 	}
 	fp := db.computeFootprint(targets...)
 	if err := db.setLocks.acquire(ctx, fp.sets, tr); err != nil {
-		unlock()
+		db.mu.RUnlock()
 		return nil, nil, err
 	}
 	db.pool.BeginScope()
 	return db.newSess(tr, &fp), func() {
 		db.setLocks.release(fp.sets)
-		unlock()
+		db.mu.RUnlock()
 	}, nil
 }
 

@@ -25,9 +25,9 @@ var ErrTxnDone = errors.New("engine: transaction has already been committed or r
 // Commit, through the WAL when the database has one, or restored in memory
 // by Rollback.
 //
-// DB.BeginSets declares the footprint; DB.Begin declares every set. On a
-// logged database, transactions over disjoint footprints run and commit
-// concurrently, and readers see the pre-transaction state without waiting.
+// DB.BeginSets declares the footprint; DB.Begin declares every set.
+// Transactions over disjoint footprints run and commit concurrently, and
+// readers see the pre-transaction state without waiting.
 // Mutating statements are confined to the declared sets (a statement outside
 // them fails with ErrWriteConflict and aborts); queries may touch any set,
 // reading committed snapshots outside the footprint.
@@ -38,8 +38,7 @@ var ErrTxnDone = errors.New("engine: transaction has already been committed or r
 // Read-only statements (Get, Count, a pure Query) fail without aborting. A
 // transaction must be used from a single goroutine, and the goroutine must
 // not call the DB's one-shot operations while the transaction is open (they
-// deadlock behind its locks whenever the footprints overlap — always, on a
-// database without a log).
+// deadlock behind its locks whenever the footprints overlap).
 type Txn struct {
 	db   *DB
 	ctx  context.Context
@@ -66,8 +65,8 @@ func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 
 // BeginSets starts a transaction whose mutating statements are confined to
 // the given sets. The per-set locks of the footprint closure are held until
-// Commit or Rollback; on a logged database a concurrent transaction or
-// statement with a disjoint footprint is never blocked. Mutations outside the
+// Commit or Rollback; a concurrent transaction or statement with a disjoint
+// footprint is never blocked. Mutations outside the
 // declared sets fail with ErrWriteConflict and abort.
 func (db *DB) BeginSets(ctx context.Context, sets ...string) (*Txn, error) {
 	if len(sets) == 0 {

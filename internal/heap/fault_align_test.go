@@ -26,13 +26,12 @@ type faultScanResult struct {
 // schedules a read fault k read-operations after the build, and scans —
 // traced when tr is non-nil. The build is deterministic, so two calls with
 // the same parameters exercise identical store operation sequences.
-func runFaultScan(t *testing.T, readahead int, k int64, traced bool) faultScanResult {
+func runFaultScan(t *testing.T, k int64, traced bool) faultScanResult {
 	t.Helper()
 	mem := pagefile.NewMemStore()
 	t.Cleanup(func() { mem.Close() })
 	fs := pagefile.NewFaultStore(mem)
 	pool := buffer.New(fs, 64)
-	pool.SetReadahead(readahead)
 	f, err := Create(pool, "t")
 	if err != nil {
 		t.Fatal(err)
@@ -74,23 +73,18 @@ func runFaultScan(t *testing.T, readahead int, k int64, traced bool) faultScanRe
 // plans: attribution happens at the pool level, so the store sees the exact
 // same operation sequence whether a scan is traced or not — a fault scheduled
 // at read N fires at the same point, the scan fails (or survives) the same
-// way, and the same number of records is visited. Checked with readahead off
-// (page-at-a-time ReadPage) and on (batched ReadPages, which FaultStore steps
-// per page).
+// way, and the same number of records is visited.
 func TestFaultPlanAlignmentTracedScan(t *testing.T) {
-	for _, readahead := range []int{0, 4} {
-		for _, k := range []int64{0, 3, 7} {
-			name := fmt.Sprintf("readahead=%d/faultAtRead+%d", readahead, k)
-			t.Run(name, func(t *testing.T) {
-				plain := runFaultScan(t, readahead, k, false)
-				traced := runFaultScan(t, readahead, k, true)
-				if plain != traced {
-					t.Fatalf("traced scan diverged from untraced:\nuntraced: %+v\ntraced:   %+v", plain, traced)
-				}
-				if plain.injected == 0 {
-					t.Fatalf("fault never fired: %+v", plain)
-				}
-			})
-		}
+	for _, k := range []int64{0, 3, 7} {
+		t.Run(fmt.Sprintf("faultAtRead+%d", k), func(t *testing.T) {
+			plain := runFaultScan(t, k, false)
+			traced := runFaultScan(t, k, true)
+			if plain != traced {
+				t.Fatalf("traced scan diverged from untraced:\nuntraced: %+v\ntraced:   %+v", plain, traced)
+			}
+			if plain.injected == 0 {
+				t.Fatalf("fault never fired: %+v", plain)
+			}
+		})
 	}
 }

@@ -58,8 +58,8 @@ type pinMode int
 
 const (
 	// modePlain pins frames directly (GetT/NewPageT) — correct when no write
-	// session can overlap: readers of a database without a log, statistics
-	// walks under the engine's exclusive lock, and query scratch files.
+	// session can overlap: query scratch files, which belong to one session,
+	// and callers that own the whole pool.
 	modePlain pinMode = iota
 	// modeCapture is a write session's view: the session holds the per-set
 	// locks for this file and an open pool scope. Pages are registered in the
@@ -122,7 +122,7 @@ func Open(pool *buffer.Pool, id pagefile.FileID) (*File, error) {
 }
 
 // WithTrace returns a view of the file whose page I/O (buffer gets, new
-// pages, prefetches) is charged to tr in addition to the global counters.
+// pages) is charged to tr in addition to the global counters.
 // The view shares the underlying file's pool and append cursor, and keeps
 // the receiver's pin mode, so re-tracing a capture or snapshot view never
 // strips its isolation; tr may be nil, which returns an untraced view (often
@@ -582,29 +582,13 @@ func (f *File) Delete(oid pagefile.OID) error {
 // (schema.Decode does). fn runs with no page pinned, so it may use the pool —
 // including updating the file being scanned, which the copy keeps the
 // iteration stable against.
-//
-// When the pool's readahead is enabled, the scan pulls the next batch of
-// pages into frames with one batched store read before crossing into it, so
-// a disk-backed scan issues one vectored read per batch instead of one
-// syscall per page. Total pages read are unchanged.
 func (f *File) Scan(fn func(oid pagefile.OID, payload []byte) error) error {
 	n, err := f.NumPages()
 	if err != nil {
 		return err
 	}
-	// Readahead only for plain-mode views: the engine's exclusive lock excludes
-	// concurrent write-backs there, which the batched prefetch read requires.
-	// Snapshot and capture views run concurrently with other sessions'
-	// evictions and read page-at-a-time through the pool instead.
-	ra := uint32(f.pool.Readahead())
-	if f.mode != modePlain {
-		ra = 0
-	}
 	var buf pagefile.Page
 	for page := uint32(0); page < n; page++ {
-		if ra > 0 && page%ra == 0 {
-			f.pool.PrefetchT(f.id, page, int(ra), f.tr)
-		}
 		if err := f.scanPage(page, &buf, fn); err != nil {
 			return err
 		}
@@ -631,17 +615,8 @@ func (f *File) ScanParallel(workers int, each func() func(oid pagefile.OID, payl
 	if uint32(workers) > n {
 		workers = int(n)
 	}
-	// Workers claim fixed chunks of pages; with readahead on, a claimed
-	// chunk is prefetched with one batched read before it is scanned.
-	// As in Scan, prefetch is plain-mode only.
-	ra := f.pool.Readahead()
-	if f.mode != modePlain {
-		ra = 0
-	}
-	chunk := uint32(ra)
-	if chunk == 0 {
-		chunk = 8
-	}
+	// Workers claim fixed chunks of pages.
+	const chunk = 8
 	var (
 		next atomic.Uint32
 		stop atomic.Bool
@@ -662,9 +637,6 @@ func (f *File) ScanParallel(workers int, each func() func(oid pagefile.OID, payl
 				end := start + chunk
 				if end > n {
 					end = n
-				}
-				if ra > 0 {
-					f.pool.PrefetchT(f.id, start, int(end-start), f.tr)
 				}
 				for page := start; page < end; page++ {
 					if stop.Load() {

@@ -75,8 +75,7 @@ func collectScan(t *testing.T, scan func(fn func(pagefile.OID, []byte) error) er
 
 // TestScanParallelEquivalence checks that ScanParallel visits exactly the
 // records Scan visits — same OIDs, same payloads, forwarded records at their
-// home position exactly once — for several worker counts and readahead
-// settings.
+// home position exactly once — for several worker counts.
 func TestScanParallelEquivalence(t *testing.T) {
 	f := newFile(t, 64)
 	want := buildScanFixture(t, f, 600)
@@ -92,23 +91,19 @@ func TestScanParallelEquivalence(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 7} {
-		for _, ra := range []int{0, 4} {
-			t.Run(fmt.Sprintf("workers=%d/readahead=%d", workers, ra), func(t *testing.T) {
-				f.pool.SetReadahead(ra)
-				defer f.pool.SetReadahead(0)
-				par := collectScan(t, func(fn func(pagefile.OID, []byte) error) error {
-					return f.ScanParallel(workers, func() func(pagefile.OID, []byte) error { return fn })
-				})
-				if len(par) != len(seq) {
-					t.Fatalf("ScanParallel visited %d records, want %d", len(par), len(seq))
-				}
-				for oid, payload := range seq {
-					if !bytes.Equal(par[oid], payload) {
-						t.Fatalf("payload mismatch at %v", oid)
-					}
-				}
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			par := collectScan(t, func(fn func(pagefile.OID, []byte) error) error {
+				return f.ScanParallel(workers, func() func(pagefile.OID, []byte) error { return fn })
 			})
-		}
+			if len(par) != len(seq) {
+				t.Fatalf("ScanParallel visited %d records, want %d", len(par), len(seq))
+			}
+			for oid, payload := range seq {
+				if !bytes.Equal(par[oid], payload) {
+					t.Fatalf("payload mismatch at %v", oid)
+				}
+			}
+		})
 	}
 }
 
@@ -139,47 +134,6 @@ func TestScanParallelStopsOnError(t *testing.T) {
 	}
 }
 
-// TestScanReadaheadIOInvariant checks the accounting invariant the figures
-// depend on: with readahead on, a cold full scan issues exactly as many
-// store reads as with readahead off — misses are merely reclassified as
-// prefetches.
-func TestScanReadaheadIOInvariant(t *testing.T) {
-	f := newFile(t, 256)
-	buildScanFixture(t, f, 800)
-	pool := f.pool
-	count := func(ra int) (reads int64, st buffer.PoolStats) {
-		pool.SetReadahead(ra)
-		defer pool.SetReadahead(0)
-		if err := pool.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := pool.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		pool.ResetStats()
-		pool.Store().Stats().Reset()
-		if err := f.Scan(func(pagefile.OID, []byte) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return pool.Store().Stats().Reads(), pool.Stats()
-	}
-	plainReads, plainStats := count(0)
-	raReads, raStats := count(6)
-	if plainStats.Prefetched != 0 {
-		t.Errorf("readahead-off scan prefetched %d pages", plainStats.Prefetched)
-	}
-	if raReads != plainReads {
-		t.Errorf("store reads with readahead = %d, without = %d; total I/O must be unchanged", raReads, plainReads)
-	}
-	if raStats.Prefetched == 0 {
-		t.Error("readahead scan recorded no prefetched pages")
-	}
-	if got := raStats.Misses + raStats.Prefetched; got != plainReads {
-		t.Errorf("misses %d + prefetched %d = %d, want %d store reads",
-			raStats.Misses, raStats.Prefetched, got, plainReads)
-	}
-}
-
 // slowStore delays reads to emulate device latency, so the benchmark's
 // worker speedup reflects overlapped I/O rather than CPU parallelism.
 type slowStore struct {
@@ -190,11 +144,6 @@ type slowStore struct {
 func (s *slowStore) ReadPage(pid pagefile.PageID, buf *pagefile.Page) error {
 	time.Sleep(s.latency)
 	return s.Store.ReadPage(pid, buf)
-}
-
-func (s *slowStore) ReadPages(fid pagefile.FileID, start uint32, bufs []pagefile.Page) error {
-	time.Sleep(s.latency)
-	return s.Store.ReadPages(fid, start, bufs)
 }
 
 // BenchmarkScanThroughput measures full-scan pages/s across pool shard and

@@ -7,7 +7,7 @@
 // paper's Section 6 cost model predicts — becomes unmeasurable. A Trace is a
 // handle-carried accumulator: the engine creates one per query/DML operation,
 // binds it to the heap files and B+trees the operation touches, and the
-// buffer pool charges every hit, miss, prefetch, and write-back to the trace
+// buffer pool charges every hit, miss, and write-back to the trace
 // alongside the global counters. Parallel scan workers share the owning
 // operation's trace (the counters are atomic), so a trace is exact under any
 // interleaving: its counters depend only on the operation's own page
@@ -42,8 +42,8 @@ const (
 )
 
 // Counters is one trace's I/O counter set. Store* count page transfers to or
-// from the page store (the cost model's I/O); Hits/Misses/Prefetched/Flushes
-// count buffer pool events. Hits+Misses is the operation's logical page
+// from the page store (the cost model's I/O); Hits/Misses/Flushes count
+// buffer pool events. Hits+Misses is the operation's logical page
 // accesses — deterministic for a given plan regardless of cache warmth,
 // which is what makes per-trace counts comparable across runs.
 type Counters struct {
@@ -52,7 +52,6 @@ type Counters struct {
 	StoreAllocs int64 `json:"store_allocs"`
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
-	Prefetched  int64 `json:"prefetched"`
 	Flushes     int64 `json:"flushes"`
 	// WALRecords/WALBytes count write-ahead-log records (page images and
 	// deltas, commit markers, catalog snapshots) and log bytes the operation appended; zero
@@ -80,7 +79,6 @@ func (c Counters) Add(d Counters) Counters {
 		StoreAllocs:   c.StoreAllocs + d.StoreAllocs,
 		Hits:          c.Hits + d.Hits,
 		Misses:        c.Misses + d.Misses,
-		Prefetched:    c.Prefetched + d.Prefetched,
 		Flushes:       c.Flushes + d.Flushes,
 		WALRecords:    c.WALRecords + d.WALRecords,
 		WALBytes:      c.WALBytes + d.WALBytes,
@@ -114,21 +112,20 @@ type Trace struct {
 	storeAllocs   atomic.Int64
 	hits          atomic.Int64
 	misses        atomic.Int64
-	prefetched    atomic.Int64
 	flushes       atomic.Int64
 	walRecords    atomic.Int64
 	walBytes      atomic.Int64
 	lockConflicts atomic.Int64
 
-	// Wall-time decomposition: time the operation spent waiting for the
-	// engine writer lock, for the WAL durability rendezvous (fsync wait),
+	// Wall-time decomposition: time the operation spent waiting for its
+	// per-set write locks, for the WAL durability rendezvous (fsync wait),
 	// and stalled on store page reads / dirty write-backs. Charged by the
 	// engine, the WAL call sites, and the buffer pool alongside the matching
 	// global contention histograms.
-	lockWaitNs   atomic.Int64
-	logWaitNs    atomic.Int64
-	readStallNs  atomic.Int64
-	writeStallNs atomic.Int64
+	setLockWaitNs atomic.Int64
+	logWaitNs     atomic.Int64
+	readStallNs   atomic.Int64
+	writeStallNs  atomic.Int64
 }
 
 // ID returns the trace's registry-unique id (0 for a nil trace).
@@ -174,13 +171,6 @@ func (t *Trace) Miss(n int64) {
 	}
 }
 
-// Prefetch charges n pages brought in by readahead on the trace's behalf.
-func (t *Trace) Prefetch(n int64) {
-	if t != nil {
-		t.prefetched.Add(n)
-	}
-}
-
 // Flush charges n dirty-page write-backs performed by (or on behalf of) the
 // traced operation — evictions its accesses forced, or an explicit flush.
 func (t *Trace) Flush(n int64) {
@@ -205,11 +195,10 @@ func (t *Trace) LockConflict(n int64) {
 	}
 }
 
-// LockWait charges time spent waiting to acquire the engine writer lock or a
-// per-set write lock.
+// LockWait charges time spent waiting to acquire a per-set write lock.
 func (t *Trace) LockWait(d time.Duration) {
 	if t != nil && d > 0 {
-		t.lockWaitNs.Add(int64(d))
+		t.setLockWaitNs.Add(int64(d))
 	}
 }
 
@@ -221,8 +210,8 @@ func (t *Trace) LogWait(d time.Duration) {
 	}
 }
 
-// ReadStall charges time stalled on store page reads (buffer misses,
-// readahead batches) performed on the trace's behalf.
+// ReadStall charges time stalled on store page reads (buffer misses)
+// performed on the trace's behalf.
 func (t *Trace) ReadStall(d time.Duration) {
 	if t != nil && d > 0 {
 		t.readStallNs.Add(int64(d))
@@ -297,7 +286,6 @@ func (t *Trace) Counters() Counters {
 		StoreAllocs:   t.storeAllocs.Load(),
 		Hits:          t.hits.Load(),
 		Misses:        t.misses.Load(),
-		Prefetched:    t.prefetched.Load(),
 		Flushes:       t.flushes.Load(),
 		WALRecords:    t.walRecords.Load(),
 		WALBytes:      t.walBytes.Load(),
@@ -323,7 +311,7 @@ type Record struct {
 	Counters
 	// Bytes is the store traffic in bytes: (reads + writes) * page size.
 	Bytes int64 `json:"bytes"`
-	// Wall-time decomposition (nanoseconds): writer-lock wait, WAL
+	// Wall-time decomposition (nanoseconds): per-set lock wait, WAL
 	// durability wait, store read stalls, and dirty write-back stalls. The
 	// remainder of Wall is compute (predicate evaluation, decoding,
 	// in-buffer work). Zero fields are elided from JSON.
@@ -345,8 +333,8 @@ type Record struct {
 }
 
 func (r Record) String() string {
-	return fmt.Sprintf("#%d %s set=%s plan=%s wall=%v reads=%d writes=%d hits=%d misses=%d prefetched=%d",
-		r.ID, r.Kind, r.Set, r.Plan, r.Wall, r.StoreReads, r.StoreWrites, r.Hits, r.Misses, r.Prefetched)
+	return fmt.Sprintf("#%d %s set=%s plan=%s wall=%v reads=%d writes=%d hits=%d misses=%d",
+		r.ID, r.Kind, r.Set, r.Plan, r.Wall, r.StoreReads, r.StoreWrites, r.Hits, r.Misses)
 }
 
 // Metrics is the registry's aggregate snapshot.
@@ -448,7 +436,7 @@ func (r *Registry) Finish(t *Trace) Record {
 		Wall:         r.now().Sub(t.start),
 		Counters:     c,
 		Bytes:        c.IO() * r.pageSize,
-		LockWaitNs:   t.lockWaitNs.Load(),
+		LockWaitNs:   t.setLockWaitNs.Load(),
 		LogWaitNs:    t.logWaitNs.Load(),
 		ReadStallNs:  t.readStallNs.Load(),
 		WriteStallNs: t.writeStallNs.Load(),

@@ -15,7 +15,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.StoreAlloc(1)
 	tr.Hit(1)
 	tr.Miss(1)
-	tr.Prefetch(1)
 	tr.Flush(1)
 	tr.SetPlan("scan")
 	if id := tr.ID(); id != 0 {

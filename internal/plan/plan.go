@@ -25,7 +25,7 @@ const (
 	// predicate over whole pinned pages.
 	SeqScan Access = iota
 	// IndexRange descends a B+tree to the predicate's key range and fetches
-	// the qualifying objects, leaf pages batched through readahead.
+	// the qualifying objects.
 	IndexRange
 )
 

@@ -38,7 +38,6 @@ type TraceRecord struct {
 	StoreAllocs int64 `json:"store_allocs"`
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
-	Prefetched  int64 `json:"prefetched"`
 	Flushes     int64 `json:"flushes"`
 	// WALRecords/WALBytes count write-ahead-log records and bytes the
 	// operation appended; zero for reads and for databases without a WAL.
@@ -46,8 +45,8 @@ type TraceRecord struct {
 	WALBytes   int64 `json:"wal_bytes,omitempty"`
 	// Bytes is the store traffic in bytes: (reads + writes) * page size.
 	Bytes int64 `json:"bytes"`
-	// Wall-time decomposition (nanoseconds): time blocked acquiring the
-	// engine writer lock, waiting in the WAL group-commit durability
+	// Wall-time decomposition (nanoseconds): time blocked acquiring per-set
+	// write locks, waiting in the WAL group-commit durability
 	// rendezvous, stalled on store page reads, and stalled on dirty
 	// write-backs. The remainder of Wall is compute.
 	LockWaitNs   int64 `json:"lock_wait_ns,omitempty"`
@@ -75,7 +74,7 @@ func toTraceRecord(r obs.Record) TraceRecord {
 		ID: r.ID, Kind: r.Kind, Set: r.Set, Detail: r.Detail, Plan: r.Plan, Origin: r.Origin,
 		Start: r.Start, Wall: r.Wall,
 		StoreReads: r.StoreReads, StoreWrites: r.StoreWrites, StoreAllocs: r.StoreAllocs,
-		Hits: r.Hits, Misses: r.Misses, Prefetched: r.Prefetched, Flushes: r.Flushes,
+		Hits: r.Hits, Misses: r.Misses, Flushes: r.Flushes,
 		WALRecords: r.WALRecords, WALBytes: r.WALBytes,
 		Bytes:      r.Bytes,
 		LockWaitNs: r.LockWaitNs, LogWaitNs: r.LogWaitNs,

@@ -18,12 +18,11 @@ import (
 // A transaction holds the per-set locks of its declared write footprint
 // from Begin to Commit/Rollback: a BeginSets transaction those of the sets it
 // names (plus everything their replication paths reach), a Begin transaction
-// those of every set. On a file-backed database, transactions over disjoint
-// sets run and commit concurrently and readers see the pre-transaction state
-// without waiting; an in-memory database runs one write transaction at a time
-// and its readers wait for it. A transaction's modified pages stay in the
-// buffer pool until it ends, so they must fit it. Either way: use it from a
-// single goroutine, and do not call the DB's own write methods while a
+// those of every set. Transactions over disjoint sets run and commit
+// concurrently, and readers see the pre-transaction state without waiting,
+// in memory and on disk alike. A transaction's modified pages stay in the
+// buffer pool until it ends, so they must fit it. Use it from a single
+// goroutine, and do not call the DB's own write methods while a
 // transaction is open — they can deadlock behind its locks. A failed mutating
 // statement aborts the transaction (it is rolled back automatically and every
 // later call returns ErrTxnDone); read-only statements fail without aborting.
@@ -45,11 +44,10 @@ func (db *DB) Begin(ctx context.Context) (*Txn, error) {
 
 // BeginSets starts a transaction confined to the given sets: only their
 // per-set locks (plus those of every set reachable through replicated fields
-// and inverse links — the write footprint's closure) are held, and on a
-// file-backed database transactions over disjoint footprints proceed fully in
-// parallel. Mutating a set outside the footprint fails with ErrWriteConflict
-// and aborts, on every database; queries may read any set, seeing committed
-// snapshots outside the footprint.
+// and inverse links — the write footprint's closure) are held, and
+// transactions over disjoint footprints proceed fully in parallel. Mutating a
+// set outside the footprint fails with ErrWriteConflict and aborts; queries
+// may read any set, seeing committed snapshots outside the footprint.
 func (db *DB) BeginSets(ctx context.Context, sets ...string) (*Txn, error) {
 	t, err := db.e.BeginSets(ctx, sets...)
 	if err != nil {
