@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet test race benchmod lines bench walbench obsbench replbench loadbench querybench advisorbench soak fuzz check ci
+.PHONY: all help build vet test race benchmod lines abbench bench walbench obsbench replbench loadbench querybench advisorbench soak fuzz check ci
 
 # Per-target fuzzing time for `make fuzz` (override: make fuzz FUZZTIME=2m).
 FUZZTIME ?= 30s
@@ -15,6 +15,7 @@ help:
 	@echo "  race   - race-detector pass (includes the buffer/heap/engine concurrency tests)"
 	@echo "  benchmod - vet + smoke-test the bench/ module against this engine"
 	@echo "  lines  - non-test Go lines per package (the simplicity PRs' before/after number)"
+	@echo "  abbench - Go benchmark A/B: REV=<rev> PKG=<pkg> BENCH=<regex> ROUNDS=10 against the working tree"
 	@echo "  bench  - scan-throughput matrix (shards x workers) -> BENCH_scan.json"
 	@echo "  walbench - commit throughput / group-commit fsync batching -> BENCH_commit.json"
 	@echo "  obsbench - histogram quantile accuracy + tracing overhead gate -> BENCH_latency.json"
@@ -70,6 +71,16 @@ lines:
 	@for d in . internal/* cmd/*; do \
 		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \
 	done
+
+# Go benchmark A/B of the working tree against REV: both test binaries are
+# built once and alternated ROUNDS times, REV first in odd rounds; prints
+# ns/op, B/op and allocs/op per round and their medians (scripts/abbench.sh).
+REV ?= HEAD
+PKG ?= ./internal/engine
+BENCH ?= BenchmarkPathScanWarm
+ROUNDS ?= 10
+abbench:
+	scripts/abbench.sh $(REV) $(PKG) '$(BENCH)' $(ROUNDS)
 
 # Scan throughput across pool shard counts and scan worker counts, on a
 # memory-backed store with simulated device latency. Writes BENCH_scan.json

@@ -251,15 +251,26 @@ func toEngineQuery(q Query) (engine.Query, error) {
 	return eq, nil
 }
 
-// fromEngineResult converts an engine result to the public representation.
+// fromEngineResult converts an engine result to the public representation:
+// one allocation for the rows and one for all their values.
 func fromEngineResult(res *engine.Result) *Result {
 	out := &Result{UsedIndex: res.UsedIndex, OutputPages: int(res.OutputPages)}
+	if len(res.Rows) == 0 {
+		return out
+	}
+	n := 0
 	for _, r := range res.Rows {
-		row := Row{OID: OID{inner: r.OID}, Values: make([]Value, len(r.Values))}
-		for i, v := range r.Values {
-			row.Values[i] = Value{inner: v}
+		n += len(r.Values)
+	}
+	vals := make([]Value, n)
+	out.Rows = make([]Row, len(res.Rows))
+	for i, r := range res.Rows {
+		row := vals[:len(r.Values):len(r.Values)]
+		vals = vals[len(r.Values):]
+		for j, v := range r.Values {
+			row[j] = Value{inner: v}
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[i] = Row{OID: OID{inner: r.OID}, Values: row}
 	}
 	return out
 }

@@ -268,13 +268,13 @@ func (s *sess) scanProcess(ctx context.Context, file *heap.File, prog *rowProgra
 	return file.ScanParallel(s.db.workers, func() func(pagefile.OID, []byte) error {
 		w := s.newRowWorker(ctx, prog)
 		return func(oid pagefile.OID, payload []byte) error {
-			row, ok, err := w.eval(oid, payload)
+			vals, ok, err := w.eval(oid, payload)
 			if err != nil || !ok {
 				return err
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			return emit(row)
+			return emit(Row{OID: oid, Values: vals})
 		}
 	})
 }
@@ -365,12 +365,12 @@ func (s *sess) indexedAccess(ctx context.Context, set string, file *heap.File, i
 		}
 		// The predicate is rechecked on the resolved value: string keys are
 		// prefix-truncated and range bounds may be exclusive.
-		row, ok, err := w.eval(oid, payload)
+		vals, ok, err := w.eval(oid, payload)
 		if err != nil {
 			return true, err
 		}
 		if ok {
-			if err := emit(row); err != nil {
+			if err := emit(Row{OID: oid, Values: vals}); err != nil {
 				return true, err
 			}
 		}

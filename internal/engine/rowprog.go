@@ -239,7 +239,15 @@ type rowWorker struct {
 	// fusion memo (see fused.go).
 	terms    []departures[schema.Value]
 	verdicts []departures[verdict]
+	// slab holds the values not yet carved into rows; chunk is the row count
+	// of its last allocation.
+	slab  []schema.Value
+	chunk int
 }
+
+// maxSlabValues caps a slab allocation, and so what a result can hold unused,
+// at a size the allocator serves without rounding up to whole pages.
+const maxSlabValues = 512
 
 func (s *sess) newRowWorker(ctx context.Context, p *rowProgram) *rowWorker {
 	// No record lives on the impossible page, so the first one checks ctx.
@@ -252,36 +260,54 @@ func (s *sess) newRowWorker(ctx context.Context, p *rowProgram) *rowWorker {
 }
 
 // eval applies the predicates to the record at oid and, if it passes them
-// all, builds its projected row. payload is read in place and not retained;
-// values are materialized only for a row that is returned. Cancellation is
-// checked when the stream moves to another heap page.
-func (w *rowWorker) eval(oid pagefile.OID, payload []byte) (Row, bool, error) {
+// all, returns its projected values. payload is read in place and not
+// retained; values are materialized only for a row that is returned.
+// Cancellation is checked when the stream moves to another heap page.
+//
+// The caller builds the Row. Returning one made the caller spill the OID as
+// two 32-bit halves and reload it as one word on every call, rejected
+// records included: a store-forwarding stall worth a tenth of a path scan.
+func (w *rowWorker) eval(oid pagefile.OID, payload []byte) ([]schema.Value, bool, error) {
 	if pid := oid.PageID(); pid != w.page {
 		w.page = pid
 		if w.ctx != nil {
 			if err := w.ctx.Err(); err != nil {
-				return Row{}, false, err
+				return nil, false, err
 			}
 		}
 	}
 	if err := w.view.Reset(w.p.typ, payload); err != nil {
-		return Row{}, false, err
+		return nil, false, err
 	}
 	for i := range w.p.preds {
 		ok, err := w.test(i)
 		if err != nil || !ok {
-			return Row{}, false, err
+			return nil, false, err
 		}
 	}
-	row := Row{OID: oid, Values: make([]schema.Value, len(w.p.proj))}
+	vals := w.carve(len(w.p.proj))
 	for i, a := range w.p.proj {
 		v, err := w.value(a)
 		if err != nil {
-			return Row{}, false, err
+			return nil, false, err
 		}
-		row.Values[i] = v
+		vals[i] = v
 	}
-	return row, true, nil
+	return vals, true, nil
+}
+
+// carve returns n zero values for one row, cut from the worker's slab. The
+// slab's allocations double from a single row's, so a 1-row query allocates
+// no more than one row. The capacity is cut at n: an append to one row's
+// values cannot overwrite the next row's.
+func (w *rowWorker) carve(n int) []schema.Value {
+	if len(w.slab) < n {
+		w.chunk = max(min(2*w.chunk, maxSlabValues/n), 1)
+		w.slab = make([]schema.Value, w.chunk*n)
+	}
+	vals := w.slab[:n:n]
+	w.slab = w.slab[n:]
+	return vals
 }
 
 // test applies predicate i to the current record.

@@ -315,3 +315,44 @@ func TestSeparateReadAllocBudget(t *testing.T) {
 		t.Fatalf("%.0f allocations for a scan of %d records through a separate path; budget %d per record", allocs, nEmps, perRecord)
 	}
 }
+
+// TestCarveSlabGrowth pins the slab policy: a worker's first allocation holds
+// one row's values, and each later one twice as many rows, up to
+// maxSlabValues values.
+func TestCarveSlabGrowth(t *testing.T) {
+	const n = 3
+	var w rowWorker
+	want := 1
+	for i := 0; i < 1000; i++ {
+		grows := len(w.slab) < n
+		w.carve(n)
+		if grows {
+			if got := len(w.slab)/n + 1; got != want {
+				t.Fatalf("carve %d allocated %d rows, want %d", i, got, want)
+			}
+			want = min(2*want, maxSlabValues/n)
+		}
+	}
+	if want != maxSlabValues/n {
+		t.Fatalf("slab stopped growing at %d rows, want %d", want, maxSlabValues/n)
+	}
+}
+
+// TestCarvedRowsDoNotAlias pins that the rows a worker carves from one slab
+// are each capped at their own length: growing one row's values reallocates
+// it instead of writing into the next row's.
+func TestCarvedRowsDoNotAlias(t *testing.T) {
+	db := openEmployeeDB(t, Config{})
+	populate(t, db, 2, 4, 40)
+	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"name", "dept.name"}})
+	if err != nil || len(res.Rows) != 40 {
+		t.Fatalf("%d rows, %v", len(res.Rows), err)
+	}
+	for i := 0; i+1 < len(res.Rows); i++ {
+		next := res.Rows[i+1].Values[0]
+		_ = append(res.Rows[i].Values, str("grown"))
+		if got := res.Rows[i+1].Values[0]; got != next {
+			t.Fatalf("appending to row %d changed row %d from %v to %v", i, i+1, next, got)
+		}
+	}
+}

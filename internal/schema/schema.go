@@ -62,6 +62,20 @@ type Type struct {
 	Fields []Field
 
 	byName map[string]int
+	// widths[i] is base field i's encoded width, 0 for a string, which
+	// carries its own length: the record layout View.Reset walks.
+	widths []int
+}
+
+// fixedWidth is the encoded width of a value of kind k, 0 for a string.
+func fixedWidth(k Kind) int {
+	switch k {
+	case KindString:
+		return 0
+	case KindRef:
+		return pagefile.OIDSize
+	}
+	return 8
 }
 
 // NewType validates and constructs a type definition.
@@ -73,6 +87,7 @@ func NewType(name string, tag uint16, fields []Field) (*Type, error) {
 		return nil, fmt.Errorf("schema: type %s has no fields", name)
 	}
 	byName := make(map[string]int, len(fields))
+	widths := make([]int, len(fields))
 	for i, f := range fields {
 		if f.Name == "" {
 			return nil, fmt.Errorf("schema: type %s: field %d has no name", name, i)
@@ -93,8 +108,9 @@ func NewType(name string, tag uint16, fields []Field) (*Type, error) {
 			return nil, fmt.Errorf("schema: type %s: field %q has invalid kind", name, f.Name)
 		}
 		byName[f.Name] = i
+		widths[i] = fixedWidth(f.Kind)
 	}
-	return &Type{Name: name, Tag: tag, Fields: fields, byName: byName}, nil
+	return &Type{Name: name, Tag: tag, Fields: fields, byName: byName, widths: widths}, nil
 }
 
 // FieldIndex returns the index of the named field, or -1.

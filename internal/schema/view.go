@@ -34,7 +34,49 @@ type hiddenAt struct {
 
 // Reset points the view at data, an encoded object of type t. On error the
 // view must not be read until a later Reset succeeds.
+//
+// The base fields are walked along the widths NewType computed, with one
+// bounds check per string, before its length is read. Nothing else is read,
+// and offsets only grow, so a field that runs past the end is caught by the
+// next string's check or by the final length check. Anything rejected is
+// handed to resetErr, which builds the error.
 func (v *View) Reset(t *Type, data []byte) error {
+	if len(data) < 3 || binary.LittleEndian.Uint16(data) != t.Tag {
+		return v.resetErr(t, data)
+	}
+	n := len(t.Fields)
+	if cap(v.off) < n {
+		v.off = make([]int, n)
+	}
+	v.t, v.buf, v.off, v.hidden = t, data, v.off[:n], v.hidden[:0]
+	off, pos := v.off, 3
+	for i, w := range t.widths {
+		off[i] = pos
+		if w == 0 {
+			if pos+2 > len(data) {
+				return v.resetErr(t, data)
+			}
+			w = 2 + int(binary.LittleEndian.Uint16(data[pos:]))
+		}
+		pos += w
+	}
+	if data[2]&extFlag != 0 {
+		d := decoder{buf: data, pos: pos}
+		if v.resetExtension(&d) != nil {
+			return v.resetErr(t, data)
+		}
+		pos = d.pos
+	}
+	if pos != len(data) {
+		return v.resetErr(t, data)
+	}
+	return nil
+}
+
+// resetErr reports why Reset rejected data. It re-runs the walk with a
+// bounds check per field, so the error names the first field and byte at
+// fault.
+func (v *View) resetErr(t *Type, data []byte) error {
 	tag, err := DecodeTag(data)
 	if err != nil {
 		return err
@@ -42,10 +84,8 @@ func (v *View) Reset(t *Type, data []byte) error {
 	if tag != t.Tag {
 		return fmt.Errorf("schema: object tag %d is not type %s (tag %d)", tag, t.Name, t.Tag)
 	}
-	v.t, v.buf, v.off, v.hidden = t, data, v.off[:0], v.hidden[:0]
 	d := decoder{buf: data, pos: 3}
 	for i := range t.Fields {
-		v.off = append(v.off, d.pos)
 		if err := d.skip(t.Fields[i].Kind); err != nil {
 			return fmt.Errorf("schema: decoding %s.%s: %w", t.Name, t.Fields[i].Name, err)
 		}
@@ -55,10 +95,7 @@ func (v *View) Reset(t *Type, data []byte) error {
 			return err
 		}
 	}
-	if d.pos != len(data) {
-		return fmt.Errorf("schema: %d trailing bytes after %s object", len(data)-d.pos, t.Name)
-	}
-	return nil
+	return fmt.Errorf("schema: %d trailing bytes after %s object", len(data)-d.pos, t.Name)
 }
 
 // resetExtension walks the extension section, recording the hidden values and
