@@ -64,13 +64,13 @@ race:
 benchmod:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# Non-test Go lines for the root package, each internal/* and each cmd/*:
-# ROADMAP aim 2 counts a net drop as a success signal, and every simplicity
-# PR reports its before/after from this target.
+# Non-test Go lines for the root package, each internal/* and each cmd/*,
+# then their total: ROADMAP aim 2 counts a net drop as a success signal, and
+# every simplicity PR reports its before/after from this target.
 lines:
 	@for d in . internal/* cmd/*; do \
 		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 # Go benchmark A/B of the working tree against REV: both test binaries are
 # built once and alternated ROUNDS times, REV first in odd rounds; prints

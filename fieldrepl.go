@@ -402,43 +402,35 @@ func (db *DB) VerifyReplication() []error { return db.e.VerifyReplication() }
 // snapshot is rewritten. After Sync returns, a crash loses nothing.
 func (db *DB) Sync() error { return db.e.Sync() }
 
-// RepairReport summarizes what a Repair pass changed.
+// RepairReport is what a Repair pass found and what it left: the
+// VerifyReplication findings before the repair and after it.
 type RepairReport struct {
-	HiddenFixed    int     // source objects whose hidden replicated values were rewritten
-	LinksFixed     int     // link referrer structures rewritten
-	CollapsedFixed int     // collapsed link objects created, rewritten or dropped
-	MarkersFixed   int     // collapsed intermediate markers added or removed
-	GroupsRebuilt  int     // S′ groups rebuilt from scratch
-	SepSwept       int     // stale S′ entries swept
-	Remaining      []error // violations still present after repair
-}
-
-// Changed reports the total number of fixes applied.
-func (r RepairReport) Changed() int {
-	return r.HiddenFixed + r.LinksFixed + r.CollapsedFixed + r.MarkersFixed + r.GroupsRebuilt + r.SepSwept
+	Found     []error // violations present before the repair
+	Remaining []error // violations still present after it
 }
 
 // Clean reports whether the post-repair verification found no violations.
 func (r RepairReport) Clean() bool { return len(r.Remaining) == 0 }
 
-// Repair rebuilds every derived replication structure — hidden values, link
+// Repair re-derives every live path's replicated state — hidden values, link
 // structures, collapsed link objects, S′ groups — from the primary objects,
-// returning a report of what changed. It is the recovery path for damage no
-// log covers, media corruption of a derived page. Failed or crashed
-// operations never need it: statements roll back, and a schema operation
-// that does not finish is torn down.
+// in three steps: one scan of the sets strips all of it, without reading a
+// link or S′ object; every link and S′ group gets a fresh page file, the old
+// ones abandoned whole; and every path is built again. It is the recovery
+// path for damage no log covers, media corruption of a derived page in a
+// link or S′ file. Failed or crashed operations never need it: statements
+// roll back, and a schema operation that does not finish is torn down. A
+// Repair that fails or crashes partway resumes by itself, at the next schema
+// operation or Open; until then no query answers through a replicated path
+// or a path index. A resume that fails again — on a damaged page of a set's
+// own file — does not stop Open, but Repair and every other schema
+// operation return its error until one finishes.
 func (db *DB) Repair() (RepairReport, error) {
 	rep, err := db.e.Repair()
-	out := RepairReport{}
-	if rep != nil {
-		out = RepairReport{
-			HiddenFixed: rep.HiddenFixed, LinksFixed: rep.LinksFixed,
-			CollapsedFixed: rep.CollapsedFixed, MarkersFixed: rep.MarkersFixed,
-			GroupsRebuilt: rep.GroupsRebuilt, SepSwept: rep.SepSwept,
-			Remaining: rep.Remaining,
-		}
+	if rep == nil {
+		return RepairReport{}, err
 	}
-	return out, err
+	return RepairReport{Found: rep.Found, Remaining: rep.Remaining}, err
 }
 
 // Unreplicate removes a replication path declared with Replicate, tearing

@@ -554,23 +554,23 @@ func (c *Catalog) Building() []*Path { return slices.Clone(c.building) }
 // registered returns every path, live and building.
 func (c *Catalog) registered() []*Path { return append(slices.Clone(c.paths), c.building...) }
 
-// SoleLinkUser reports whether p is the only registered path, live or
-// building, whose inverted path contains link l: the link's structures are
-// p's alone to build or tear down.
-func (c *Catalog) SoleLinkUser(p *Path, l *Link) bool {
+// SoleLinkUsers reports whether the paths ps are the only registered paths,
+// live or building, whose inverted path contains link l: the link's
+// structures are theirs alone to build or tear down.
+func (c *Catalog) SoleLinkUsers(l *Link, ps ...*Path) bool {
 	for _, q := range c.registered() {
-		if q != p && q.usesLink(l.ID) {
+		if q.usesLink(l.ID) && !slices.Contains(ps, q) {
 			return false
 		}
 	}
 	return true
 }
 
-// SoleGroupUser reports whether p is the only registered path, live or
-// building, of its S′ group.
-func (c *Catalog) SoleGroupUser(p *Path) bool {
+// SoleGroupUsers reports whether the paths ps are the only registered paths,
+// live or building, of S′ group g.
+func (c *Catalog) SoleGroupUsers(g *Group, ps ...*Path) bool {
 	for _, q := range c.registered() {
-		if q != p && q.Group == p.Group {
+		if q.Group == g && !slices.Contains(ps, q) {
 			return false
 		}
 	}
@@ -651,11 +651,16 @@ func (c *Catalog) Groups() []*Group {
 	return out
 }
 
-// NeedsRederive reports whether the snapshot this catalog was restored from
-// carries taint markers. Versions that recorded a failed Replicate or
-// Unreplicate as taint wrote them; the derived state of such a database is
-// re-derived once (Repair) before it is trusted.
+// NeedsRederive reports whether a re-derivation of every live path's
+// replicated state (Repair) is unfinished: Repair sets the flag with its
+// first commit and clears it with its last, and a snapshot carrying the
+// taint markers of earlier versions restores with it set. Until it is
+// cleared the replicated state may be half rebuilt, so no read may answer
+// through a path, and the next Open or schema operation re-derives it again.
 func (c *Catalog) NeedsRederive() bool { return c.rederive }
+
+// SetRederive sets or clears the flag NeedsRederive reports.
+func (c *Catalog) SetRederive(on bool) { c.rederive = on }
 
 // LinkByID resolves a link ID found in an object's (link-OID, link-ID) pair.
 func (c *Catalog) LinkByID(id uint8) (*Link, bool) {

@@ -244,7 +244,7 @@ func TestSeparateGroupsShareAndExtend(t *testing.T) {
 	if g == g1 || g.ID == g1.ID {
 		t.Fatal("a widened group kept its ID: its S′ objects would change layout in place")
 	}
-	if b := c.Building(); len(b) != 1 || b[0].Group != g1 || !c.SoleGroupUser(b[0]) {
+	if b := c.Building(); len(b) != 1 || b[0].Group != g1 || !c.SoleGroupUsers(g1, b[0]) {
 		t.Fatalf("building after the widening = %v, want one placeholder owning the old group", b)
 	}
 	// A repeated field keeps its index.

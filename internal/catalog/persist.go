@@ -98,6 +98,7 @@ type catalogSnap struct {
 	NextTag    uint16      `json:"next_tag"`
 	NextPathID uint8       `json:"next_path_id"`
 	NextLinkID uint8       `json:"next_link_id"`
+	Rederive   bool        `json:"rederive,omitempty"` // see NeedsRederive
 	// Tainted is read, never written: versions that recorded failed DDL as
 	// per-set taint markers persisted them here (see NeedsRederive).
 	Tainted map[string]string `json:"tainted,omitempty"`
@@ -112,6 +113,7 @@ func (c *Catalog) Snapshot() ([]byte, error) {
 		NextTag:    c.nextTag,
 		NextPathID: c.nextPathID,
 		NextLinkID: c.nextLinkID,
+		Rederive:   c.rederive,
 	}
 	// Types in tag order for determinism.
 	for tag := uint16(1); tag < c.nextTag; tag++ {
@@ -214,7 +216,7 @@ func Restore(data []byte) (*Catalog, error) {
 	c.nextTag = snap.NextTag
 	c.nextPathID = snap.NextPathID
 	c.nextLinkID = snap.NextLinkID
-	c.rederive = len(snap.Tainted) > 0
+	c.rederive = snap.Rederive || len(snap.Tainted) > 0
 	for _, ts := range snap.Types {
 		fields := make([]schema.Field, len(ts.Fields))
 		for i, f := range ts.Fields {

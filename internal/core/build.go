@@ -24,10 +24,10 @@ import (
 // its fields. One that brought a group of its own (a new one, or a wider copy
 // of the live one) builds it in full, beside the live group it will replace.
 func (m *Manager) BuildPath(p *catalog.Path) error {
-	if p.Group != nil && !m.cat.SoleGroupUser(p) {
+	if p.Group != nil && !m.cat.SoleGroupUsers(p.Group, p) {
 		return nil
 	}
-	return m.build(p, func(l *catalog.Link) bool { return m.cat.SoleLinkUser(p, l) })
+	return m.build(p, func(l *catalog.Link) bool { return m.cat.SoleLinkUsers(l, p) })
 }
 
 // buildRef is one edge of the inverted path under construction: referrer
@@ -68,7 +68,7 @@ func (m *Manager) build(p *catalog.Path, owns func(*catalog.Link) bool) error {
 	}
 	var sprime *heap.File
 	if p.Group != nil {
-		if sprime, err = m.groupBuildFile(p.Group); err != nil {
+		if sprime, err = m.st.GroupFile(p.Group); err != nil {
 			return err
 		}
 	}
@@ -148,7 +148,7 @@ func (m *Manager) build(p *catalog.Path, owns func(*catalog.Link) bool) error {
 				for i, r := range group {
 					referrers[i] = r.referrer
 				}
-				if err := m.setReferrersExact(p.Links[k], target, obj, referrers); err != nil {
+				if err := m.setReferrers(p.Links[k], target, obj, referrers); err != nil {
 					return err
 				}
 				changed = true
@@ -229,19 +229,28 @@ func (m *Manager) build(p *catalog.Path, owns func(*catalog.Link) bool) error {
 	return err
 }
 
-// groupBuildFile returns the file a group build writes into: the group's own
-// file while it is still empty (the first build), a fresh one when it already
-// holds S′ objects (Repair rebuilding the group) — those are abandoned with
-// the old file.
-func (m *Manager) groupBuildFile(g *catalog.Group) (*heap.File, error) {
-	file, err := m.st.GroupFile(g)
+// setReferrers gives target, which carries no pair for l yet, a structure
+// listing the sorted referrers: inline up to the inlining threshold, else a
+// link object placed on target's page.
+func (m *Manager) setReferrers(l *catalog.Link, targetOID pagefile.OID, target *schema.Object, referrers []pagefile.OID) error {
+	if len(referrers) <= m.inlineMax {
+		target.SetLink(schema.LinkPair{LinkID: l.ID, Mode: schema.LinkModeInline, Inline: referrers})
+		return nil
+	}
+	store, err := m.linkStore(l)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n, err := file.NumPages(); err != nil || n == 0 {
-		return file, err
+	lobj := &links.Object{Refs: make([]links.Ref, len(referrers))}
+	for i, oid := range referrers {
+		lobj.Refs[i] = links.Ref{OID: oid}
 	}
-	return m.st.RecreateGroupFile(g)
+	loid, err := store.Create(lobj, targetOID.Page)
+	if err != nil {
+		return err
+	}
+	target.SetLink(schema.LinkPair{LinkID: l.ID, Mode: schema.LinkModeObject, LinkOID: loid})
+	return nil
 }
 
 // HiddenReader is the part of a source object ReadReplicated consults: its

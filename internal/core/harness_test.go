@@ -71,17 +71,6 @@ func (db *testDB) GroupFile(g *catalog.Group) (*heap.File, error) {
 	return f, nil
 }
 
-func (db *testDB) RecreateGroupFile(g *catalog.Group) (*heap.File, error) {
-	f, err := heap.Create(db.pool, fmt.Sprintf("sprime_%d_v2", g.ID))
-	if err != nil {
-		return nil, err
-	}
-	g.FileID = f.ID()
-	g.HasFile = true
-	db.files[f.ID()] = f
-	return f, nil
-}
-
 func (db *testDB) SetFile(name string) (*heap.File, error) {
 	f, ok := db.sets[name]
 	if !ok {

@@ -40,9 +40,6 @@ type Storage interface {
 	LinkFile(l *catalog.Link) (*heap.File, error)
 	// GroupFile returns the S′ heap file for g.
 	GroupFile(g *catalog.Group) (*heap.File, error)
-	// RecreateGroupFile discards g's S′ file and returns a fresh one,
-	// recording it in g. Repair's group rebuild uses it.
-	RecreateGroupFile(g *catalog.Group) (*heap.File, error)
 	// SetFile returns the heap file backing a named set.
 	SetFile(name string) (*heap.File, error)
 }

@@ -33,250 +33,157 @@ func newRepairFixture(t *testing.T) *repairFixture {
 	return fx
 }
 
-// mustDetect asserts Verify currently fails, then that Repair restores it.
-func runRepair(t *testing.T, db *testDB, wantDetected bool) *RepairReport {
+// rewrite applies change to the object at oid behind the manager's back.
+func (fx *repairFixture) rewrite(t *testing.T, typeName string, oid pagefile.OID, change func(*schema.Object)) {
 	t.Helper()
-	if errs := db.mgr.Verify(); wantDetected && len(errs) == 0 {
-		t.Fatal("corruption was not detected by Verify")
-	}
-	rep, err := db.mgr.Repair()
+	typ, _ := fx.db.cat.TypeByName(typeName)
+	obj, err := fx.db.ReadObject(oid, typ)
 	if err != nil {
-		t.Fatalf("Repair: %v", err)
+		t.Fatal(err)
 	}
-	if !rep.Clean() {
-		for _, e := range rep.Remaining {
-			t.Error(e)
-		}
-		t.Fatalf("Repair left %d violations", len(rep.Remaining))
-	}
-	db.verify()
-	return rep
-}
-
-func TestRepairCleanIsNoOp(t *testing.T) {
-	fx := newRepairFixture(t)
-	fx.db.replicate("Emp1.dept.name", catalog.InPlace)
-	fx.db.replicate("Emp1.dept.budget", catalog.Separate)
-	rep := runRepair(t, fx.db, false)
-	if rep.Changed() != 0 {
-		t.Fatalf("Repair on clean database changed %d structures: %+v", rep.Changed(), rep)
+	change(obj)
+	if err := fx.db.WriteObject(oid, obj); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestRepairInPlaceHidden(t *testing.T) {
-	fx := newRepairFixture(t)
-	p := fx.db.replicate("Emp1.dept.name", catalog.InPlace)
-
-	// Corrupt one source's hidden replicated value behind the manager's back.
-	empType, _ := fx.db.cat.TypeByName("EMP")
-	src, err := fx.db.ReadObject(fx.emps[0], empType)
-	if err != nil {
-		t.Fatal(err)
+// TestRepair damages one kind of derived state (or none) behind the
+// manager's back, next to a second, separate path that shares the case's
+// first link. Repair must report the damage as found — except on the clean
+// database — leave nothing behind, restore the replicated values, and leave
+// a structure that propagates later updates, reference moves included.
+func TestRepair(t *testing.T) {
+	collapsed := []catalog.PathOption{catalog.WithCollapsed()}
+	for _, c := range []struct {
+		name     string
+		path     string
+		strategy catalog.Strategy
+		opts     []catalog.PathOption
+		field    string
+		want     schema.Value // e0's replicated field after the repair
+		corrupt  func(t *testing.T, fx *repairFixture, p *catalog.Path)
+	}{
+		{"clean", "Emp1.dept.name", catalog.InPlace, nil, "name", str("toys"), nil},
+		{"stale hidden value", "Emp1.dept.name", catalog.InPlace, nil, "name", str("toys"),
+			func(t *testing.T, fx *repairFixture, p *catalog.Path) {
+				fx.rewrite(t, "EMP", fx.emps[0], func(o *schema.Object) { o.SetHidden(p.ID, p.Fields[0].Idx, str("stale")) })
+			}},
+		{"missing link structure", "Emp1.dept.name", catalog.InPlace, nil, "name", str("toys"),
+			func(t *testing.T, fx *repairFixture, p *catalog.Path) {
+				fx.rewrite(t, "DEPT", fx.d1, func(o *schema.Object) { o.RemoveLink(p.Links[0].ID) })
+			}},
+		{"spurious referrer", "Emp1.dept.name", catalog.InPlace, nil, "name", str("toys"),
+			func(t *testing.T, fx *repairFixture, p *catalog.Path) {
+				// A department no employee references lists a fabricated one.
+				d3 := fx.db.insert("Dept", map[string]schema.Value{"name": str("ghost"), "budget": num(0), "org": ref(fx.org)})
+				fake := pagefile.OID{File: 99, Page: 7, Slot: 3}
+				fx.rewrite(t, "DEPT", d3, func(o *schema.Object) {
+					o.SetLink(schema.LinkPair{LinkID: p.Links[0].ID, Mode: schema.LinkModeInline, Inline: []pagefile.OID{fake}})
+				})
+			}},
+		{"damaged sprime group", "Emp1.dept.budget", catalog.Separate, nil, "budget", num(100),
+			func(t *testing.T, fx *repairFixture, p *catalog.Path) {
+				// The S′ object's value, the terminal's refcount and a
+				// source's hidden S′ reference, all at once.
+				g := p.Group
+				deptType, _ := fx.db.cat.TypeByName("DEPT")
+				d, err := fx.db.ReadObject(fx.d1, deptType)
+				if err != nil {
+					t.Fatal(err)
+				}
+				se := d.FindSep(g.ID)
+				sobj, err := fx.db.mgr.ReadSPrime(g, se.SOID, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sobj.Values[g.Fields[0].Idx] = num(-1)
+				gf, err := fx.db.GroupFile(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := gf.Update(se.SOID, sobj.Encode()); err != nil {
+					t.Fatal(err)
+				}
+				fx.rewrite(t, "DEPT", fx.d1, func(o *schema.Object) {
+					o.SetSep(schema.SepEntry{GroupID: g.ID, SOID: se.SOID, RefCount: 42})
+				})
+				fx.rewrite(t, "EMP", fx.emps[0], func(o *schema.Object) {
+					o.SetHidden(g.ID, catalog.HiddenSPrimeIdx, ref(pagefile.OID{File: 99, Page: 1, Slot: 1}))
+				})
+			}},
+		{"stale sprime entry", "Emp1.dept.budget", catalog.Separate, nil, "budget", num(100),
+			func(t *testing.T, fx *repairFixture, p *catalog.Path) {
+				// A department no employee references holds a leftover entry
+				// a later registration would adopt.
+				d3 := fx.db.insert("Dept", map[string]schema.Value{"name": str("empty"), "budget": num(1), "org": ref(fx.org)})
+				fx.rewrite(t, "DEPT", d3, func(o *schema.Object) {
+					o.SetSep(schema.SepEntry{GroupID: p.Group.ID, SOID: pagefile.OID{File: 99, Page: 2, Slot: 2}, RefCount: 7})
+				})
+			}},
+		{"collapsed tags and markers", "Emp1.dept.org.name", catalog.InPlace, collapsed, "name", str("exo"),
+			func(t *testing.T, fx *repairFixture, p *catalog.Path) {
+				// The terminal's tagged link object pair and one
+				// intermediate's marker pair.
+				fx.rewrite(t, "ORG", fx.org, func(o *schema.Object) { o.RemoveLink(p.CollapsedLink.ID) })
+				fx.rewrite(t, "DEPT", fx.d1, func(o *schema.Object) { o.RemoveLink(p.CollapsedLink.ID) })
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fx := newRepairFixture(t)
+			p := fx.db.replicate(c.path, c.strategy, c.opts...)
+			fx.db.replicate("Emp1.dept.org.budget", catalog.Separate)
+			if c.corrupt != nil {
+				c.corrupt(t, fx, p)
+			}
+			// The harness's LinkFile and GroupFile create the fresh files.
+			rep, err := fx.db.mgr.Repair(func() error { return nil })
+			if err != nil {
+				t.Fatalf("Repair: %v", err)
+			}
+			if clean := c.corrupt == nil; clean != (len(rep.Found) == 0) {
+				t.Fatalf("Repair found %v", rep.Found)
+			}
+			if !rep.Clean() {
+				t.Fatalf("Repair left %v", rep.Remaining)
+			}
+			if fx.db.cat.NeedsRederive() {
+				t.Fatal("a finished Repair left the rederive flag set")
+			}
+			fx.db.verify()
+			if got := fx.db.replicated(p, "Emp1", fx.emps[0], c.field); got != c.want {
+				t.Fatalf("replicated %s after repair = %v, want %v", c.field, got, c.want)
+			}
+			if p.Collapsed {
+				deptType, _ := fx.db.cat.TypeByName("DEPT")
+				d, err := fx.db.ReadObject(fx.d1, deptType)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lp := d.FindLink(p.CollapsedLink.ID); lp == nil || lp.Mode != schema.LinkModeInline {
+					t.Fatal("intermediate marker not restored")
+				}
+			}
+			// The rebuilt structures propagate updates.
+			if err := fx.db.update("Org", fx.org, map[string]schema.Value{"name": str("megacorp"), "budget": num(1)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fx.db.update("Dept", fx.d1, map[string]schema.Value{"name": str("games"), "budget": num(111)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fx.db.update("Emp1", fx.emps[2], map[string]schema.Value{"dept": ref(fx.d1)}); err != nil {
+				t.Fatal(err)
+			}
+			// A collapsed path re-routes d1's sources by its marker.
+			org2 := fx.db.insert("Org", map[string]schema.Value{"name": str("acme"), "budget": num(7)})
+			if err := fx.db.update("Dept", fx.d1, map[string]schema.Value{"org": ref(org2)}); err != nil {
+				t.Fatal(err)
+			}
+			fx.db.verify()
+			if p.Collapsed {
+				if got := fx.db.replicated(p, "Emp1", fx.emps[0], c.field); got != str("acme") {
+					t.Fatalf("replicated %s after moving d1 = %v, want acme", c.field, got)
+				}
+			}
+		})
 	}
-	src.SetHidden(p.ID, p.Fields[0].Idx, str("stale"))
-	if err := fx.db.WriteObject(fx.emps[0], src); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := runRepair(t, fx.db, true)
-	if rep.HiddenFixed != 1 {
-		t.Fatalf("HiddenFixed = %d, want 1", rep.HiddenFixed)
-	}
-	if got := fx.db.replicated(p, "Emp1", fx.emps[0], "name"); got != str("toys") {
-		t.Fatalf("replicated name after repair = %v, want toys", got)
-	}
-}
-
-func TestRepairMissingLinkStructure(t *testing.T) {
-	fx := newRepairFixture(t)
-	p := fx.db.replicate("Emp1.dept.name", catalog.InPlace)
-	l := p.Links[0]
-
-	// Drop d1's whole referrer structure.
-	deptType, _ := fx.db.cat.TypeByName("DEPT")
-	d, err := fx.db.ReadObject(fx.d1, deptType)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.RemoveLink(l.ID)
-	if err := fx.db.WriteObject(fx.d1, d); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := runRepair(t, fx.db, true)
-	if rep.LinksFixed == 0 {
-		t.Fatal("LinksFixed = 0, want > 0")
-	}
-	d, _ = fx.db.ReadObject(fx.d1, deptType)
-	refs, err := fx.db.mgr.referrersOf(d, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != 2 {
-		t.Fatalf("referrers of d1 after repair = %v, want the 2 emps", refs)
-	}
-}
-
-func TestRepairSpuriousReferrerRemoved(t *testing.T) {
-	fx := newRepairFixture(t)
-	p := fx.db.replicate("Emp1.dept.name", catalog.InPlace)
-	l := p.Links[0]
-
-	// A department no employee references, carrying a fabricated referrer.
-	d3 := fx.db.insert("Dept", map[string]schema.Value{"name": str("ghost"), "budget": num(0), "org": ref(fx.org)})
-	deptType, _ := fx.db.cat.TypeByName("DEPT")
-	d, err := fx.db.ReadObject(d3, deptType)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := pagefile.OID{File: 99, Page: 7, Slot: 3}
-	d.SetLink(schema.LinkPair{LinkID: l.ID, Mode: schema.LinkModeInline, Inline: []pagefile.OID{fake}})
-	if err := fx.db.WriteObject(d3, d); err != nil {
-		t.Fatal(err)
-	}
-
-	// Verify's link check is containment-based, so the spurious entry is not
-	// necessarily detected — repair must still remove it.
-	rep := runRepair(t, fx.db, false)
-	if rep.LinksFixed == 0 {
-		t.Fatal("LinksFixed = 0, want > 0")
-	}
-	d, _ = fx.db.ReadObject(d3, deptType)
-	refs, err := fx.db.mgr.referrersOf(d, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != 0 {
-		t.Fatalf("referrers of ghost dept after repair = %v, want none", refs)
-	}
-}
-
-func TestRepairSeparateGroup(t *testing.T) {
-	fx := newRepairFixture(t)
-	p := fx.db.replicate("Emp1.dept.budget", catalog.Separate)
-	g := p.Group
-	deptType, _ := fx.db.cat.TypeByName("DEPT")
-
-	// Corrupt all three separate-strategy structures at once: the S′ object's
-	// value, the terminal's refcount, and a source's hidden S′ reference.
-	d, err := fx.db.ReadObject(fx.d1, deptType)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se := d.FindSep(g.ID)
-	if se == nil {
-		t.Fatal("fixture: d1 has no S′ entry")
-	}
-	sobj, err := fx.db.mgr.ReadSPrime(g, se.SOID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sobj.Values[g.Fields[0].Idx] = num(-1)
-	gf, err := fx.db.GroupFile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gf.Update(se.SOID, sobj.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	d.SetSep(schema.SepEntry{GroupID: g.ID, SOID: se.SOID, RefCount: 42})
-	if err := fx.db.WriteObject(fx.d1, d); err != nil {
-		t.Fatal(err)
-	}
-	empType, _ := fx.db.cat.TypeByName("EMP")
-	src, err := fx.db.ReadObject(fx.emps[0], empType)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.SetHidden(g.ID, catalog.HiddenSPrimeIdx, ref(pagefile.OID{File: 99, Page: 1, Slot: 1}))
-	if err := fx.db.WriteObject(fx.emps[0], src); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := runRepair(t, fx.db, true)
-	if rep.GroupsRebuilt != 1 {
-		t.Fatalf("GroupsRebuilt = %d, want 1", rep.GroupsRebuilt)
-	}
-	if got := fx.db.replicated(p, "Emp1", fx.emps[0], "budget"); got != num(100) {
-		t.Fatalf("replicated budget after repair = %v, want 100", got)
-	}
-}
-
-func TestRepairSweepsStaleSepEntry(t *testing.T) {
-	fx := newRepairFixture(t)
-	p := fx.db.replicate("Emp1.dept.budget", catalog.Separate)
-	g := p.Group
-
-	// A department with no employees holding a leftover S′ entry — Verify
-	// cannot see it (no forward walk reaches the dept), but a later
-	// registration would adopt its dangling SOID.
-	d3 := fx.db.insert("Dept", map[string]schema.Value{"name": str("empty"), "budget": num(1), "org": ref(fx.org)})
-	deptType, _ := fx.db.cat.TypeByName("DEPT")
-	d, err := fx.db.ReadObject(d3, deptType)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetSep(schema.SepEntry{GroupID: g.ID, SOID: pagefile.OID{File: 99, Page: 2, Slot: 2}, RefCount: 7})
-	if err := fx.db.WriteObject(d3, d); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := runRepair(t, fx.db, false)
-	if rep.SepSwept != 1 {
-		t.Fatalf("SepSwept = %d, want 1", rep.SepSwept)
-	}
-	if rep.GroupsRebuilt != 0 {
-		t.Fatalf("GroupsRebuilt = %d, want 0 (group itself was consistent)", rep.GroupsRebuilt)
-	}
-	d, _ = fx.db.ReadObject(d3, deptType)
-	if d.FindSep(g.ID) != nil {
-		t.Fatal("stale S′ entry survived repair")
-	}
-}
-
-func TestRepairCollapsed(t *testing.T) {
-	fx := newRepairFixture(t)
-	p := fx.db.replicate("Emp1.dept.org.name", catalog.InPlace, catalog.WithCollapsed())
-	cl := p.CollapsedLink
-
-	// Drop the terminal's tagged link object pair and one intermediate's
-	// marker pair.
-	orgType, _ := fx.db.cat.TypeByName("ORG")
-	o, err := fx.db.ReadObject(fx.org, orgType)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.RemoveLink(cl.ID)
-	if err := fx.db.WriteObject(fx.org, o); err != nil {
-		t.Fatal(err)
-	}
-	deptType, _ := fx.db.cat.TypeByName("DEPT")
-	d, err := fx.db.ReadObject(fx.d1, deptType)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.RemoveLink(cl.ID)
-	if err := fx.db.WriteObject(fx.d1, d); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := runRepair(t, fx.db, true)
-	if rep.CollapsedFixed == 0 {
-		t.Fatal("CollapsedFixed = 0, want > 0")
-	}
-	if rep.MarkersFixed == 0 {
-		t.Fatal("MarkersFixed = 0, want > 0")
-	}
-	d, _ = fx.db.ReadObject(fx.d1, deptType)
-	if d.FindLink(cl.ID) == nil {
-		t.Fatal("intermediate marker not restored")
-	}
-	// The restored structure must still propagate updates.
-	if err := fx.db.update("Org", fx.org, map[string]schema.Value{"name": str("megacorp")}); err != nil {
-		t.Fatal(err)
-	}
-	if got := fx.db.replicated(p, "Emp1", fx.emps[0], "name"); got != str("megacorp") {
-		t.Fatalf("replicated org name after repair+update = %v, want megacorp", got)
-	}
-	fx.db.verify()
 }

@@ -18,9 +18,12 @@ import (
 //     is broken;
 //   - (separate) R's hidden S′ reference resolves to an S′ object whose
 //     fields equal the forward-path values, and S′ refcounts equal the
-//     number of sources sharing each terminal;
+//     number of sources sharing each terminal (no other object holds an S′
+//     entry);
 //   - link structures are exact: T lists R as a referrer if and only if R
-//     references T on the path (and is itself on the path).
+//     references T on the path (and is itself on the path); on a collapsed
+//     path a terminal lists exactly the sources reaching it, and exactly the
+//     intermediates they route through carry a marker pair.
 //
 // Verify first drains any deferred propagations: the invariant is defined
 // over the quiesced state.
@@ -137,69 +140,76 @@ func (m *Manager) verifyPath(p *catalog.Path) []error {
 		return append(errs, scanErr)
 	}
 
-	// Check link structures against expectations. (Shared links are checked
-	// once per path; expectations are per-path subsets, so we verify
-	// containment of this path's referrers rather than exact equality when
-	// the link is shared. For exactness, the union across sharing paths is
-	// checked by each path contributing its own expectations — missing
-	// entries are caught here, spurious entries are caught by the refcount
-	// and hidden checks plus the sharing paths' own runs.)
-	for k, want := range wantRefs {
-		l, ok := m.cat.LinkByID(k.link)
-		if !ok {
-			fail("unknown link %d", k.link)
-			continue
-		}
-		var targetType *schema.Type
-		for i, ln := range p.Links {
-			if ln.ID == k.link {
-				targetType = p.Types[i+1]
+	// Link structures: exact. Every object of a link's target type lists
+	// exactly the referrers the forward walks derived for it (a link's
+	// contents depend only on its source set and ref prefix, so every path
+	// sharing it derives the same ones).
+	for pos, l := range p.Links {
+		err := m.scanType(p.Types[pos+1], func(oid pagefile.OID, obj *schema.Object) {
+			want := wantRefs[linkKey{link: l.ID, target: oid}]
+			got, err := m.referrersOf(obj, l)
+			if err != nil {
+				fail("reading referrers of %v: %v", oid, err)
+				return
 			}
-		}
-		if targetType == nil {
-			continue
-		}
-		tObj, err := m.st.ReadObject(k.target, targetType)
-		if err != nil {
-			fail("reading link target %v: %v", k.target, err)
-			continue
-		}
-		got, err := m.referrersOf(tObj, l)
-		if err != nil {
-			fail("reading referrers of %v: %v", k.target, err)
-			continue
-		}
-		gotSet := map[pagefile.OID]bool{}
-		for _, r := range got {
-			gotSet[r] = true
-		}
-		for r := range want {
-			if !gotSet[r] {
-				fail("link %d target %v is missing referrer %v", k.link, k.target, r)
+			listed := make(map[pagefile.OID]bool, len(got))
+			for _, r := range got {
+				if !want[r] {
+					fail("link %d target %v lists spurious referrer %v", l.ID, oid, r)
+				}
+				listed[r] = true
 			}
-		}
-	}
-	// Collapsed link objects: exact per-terminal contents.
-	if p.Collapsed {
-		store, err := m.linkStore(p.CollapsedLink)
+			for r := range want {
+				if !listed[r] {
+					fail("link %d target %v is missing referrer %v", l.ID, oid, r)
+				}
+			}
+		})
 		if err != nil {
 			return append(errs, err)
 		}
-		for termOID, want := range collapsedTags {
-			tObj, err := m.st.ReadObject(termOID, p.TerminalType())
-			if err != nil {
-				fail("reading collapsed terminal %v: %v", termOID, err)
-				continue
+	}
+	// Collapsed structure: exact. A marker pair on exactly the intermediates
+	// some source routes through — updates find the intermediate by it — and
+	// on each terminal a tagged link object listing exactly the sources that
+	// reach it, each tagged with its intermediate.
+	if p.Collapsed {
+		cl := p.CollapsedLink
+		routing := map[pagefile.OID]bool{}
+		for _, srcs := range collapsedTags {
+			for _, tag := range srcs {
+				routing[tag] = true
 			}
-			lp := tObj.FindLink(p.CollapsedLink.ID)
-			if lp == nil {
-				fail("collapsed terminal %v has no link pair", termOID)
-				continue
+		}
+		err := m.scanType(p.Types[1], func(oid pagefile.OID, obj *schema.Object) {
+			lp := obj.FindLink(cl.ID)
+			marked := lp != nil && lp.Mode == schema.LinkModeInline
+			if marked && !routing[oid] {
+				fail("intermediate %v carries a collapsed marker but routes no source", oid)
+			} else if !marked && routing[oid] {
+				fail("intermediate %v routes sources but carries no collapsed marker", oid)
+			}
+		})
+		if err != nil {
+			return append(errs, err)
+		}
+		store, err := m.linkStore(cl)
+		if err != nil {
+			return append(errs, err)
+		}
+		err = m.scanType(p.TerminalType(), func(termOID pagefile.OID, tObj *schema.Object) {
+			want := collapsedTags[termOID]
+			lp := tObj.FindLink(cl.ID)
+			if lp == nil || lp.Mode != schema.LinkModeObject {
+				if len(want) > 0 {
+					fail("collapsed terminal %v has no link pair", termOID)
+				}
+				return
 			}
 			lobj, err := store.Read(lp.LinkOID)
 			if err != nil {
 				fail("reading collapsed link object %v: %v", lp.LinkOID, err)
-				continue
+				return
 			}
 			if lobj.Len() != len(want) {
 				fail("collapsed terminal %v lists %d sources, want %d", termOID, lobj.Len(), len(want))
@@ -212,26 +222,48 @@ func (m *Manager) verifyPath(p *catalog.Path) []error {
 					fail("collapsed terminal %v source %v tagged %v, want %v", termOID, r.OID, r.Tag, tag)
 				}
 			}
+		})
+		if err != nil {
+			return append(errs, err)
 		}
 	}
-	// Separate refcounts: exact.
+	// Separate refcounts: exact, and no S′ entry on an object no source
+	// reaches.
 	if p.Strategy == catalog.Separate {
 		g := p.Group
-		for termOID, n := range wantSep {
-			tObj, err := m.st.ReadObject(termOID, p.TerminalType())
-			if err != nil {
-				fail("reading terminal %v: %v", termOID, err)
-				continue
+		err := m.scanType(p.TerminalType(), func(oid pagefile.OID, obj *schema.Object) {
+			if se := obj.FindSep(g.ID); se != nil && se.RefCount != uint32(wantSep[oid]) {
+				fail("terminal %v refcount = %d, want %d", oid, se.RefCount, wantSep[oid])
 			}
-			se := tObj.FindSep(g.ID)
-			if se == nil {
-				fail("terminal %v lost its S′ entry", termOID)
-				continue
-			}
-			if se.RefCount != uint32(n) {
-				fail("terminal %v refcount = %d, want %d", termOID, se.RefCount, n)
-			}
+		})
+		if err != nil {
+			return append(errs, err)
 		}
 	}
 	return errs
+}
+
+// scanType decodes every object of every set holding type t.
+func (m *Manager) scanType(t *schema.Type, fn func(pagefile.OID, *schema.Object)) error {
+	for _, set := range m.cat.Sets() {
+		if set.TypeName != t.Name {
+			continue
+		}
+		file, err := m.st.SetFile(set.Name)
+		if err != nil {
+			return err
+		}
+		err = file.Scan(func(oid pagefile.OID, payload []byte) error {
+			obj, err := schema.Decode(t, payload)
+			if err != nil {
+				return err
+			}
+			fn(oid, obj)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -83,8 +83,8 @@ func TestCrashDuringFlushNeverHalfApplied(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Repair after crash: %v", err)
 		}
-		if !rep.Clean() {
-			t.Fatalf("Repair after crash left violations: %v", rep.Remaining)
+		if len(rep.Found) == 0 || !rep.Clean() {
+			t.Fatalf("Repair after crash found %v, left %v", rep.Found, rep.Remaining)
 		}
 	}
 	if errs := db2.VerifyReplication(); len(errs) > 0 {
@@ -351,23 +351,24 @@ func TestFlippedBitDetectedOnDisk(t *testing.T) {
 	}
 }
 
-// TestFlippedBitInDerivedFileRepaired flips one bit of a separate path's S′
-// file between Close and reopen: media damage no log record covers, which is
-// what Repair is for. Reads through the path fail with ErrCorruptPage and
-// VerifyReplication reports it; Repair re-derives the group into a fresh
-// file, durably, and the path answers again.
-func TestFlippedBitInDerivedFileRepaired(t *testing.T) {
-	dir := t.TempDir()
+// damageDerivedFile replicates path over 2 orgs, 4 departments and 20
+// employees — 5 per department, so link objects exist — in dir, records the
+// answer of a query through it, closes the database and flips one byte of
+// every page file whose name contains marker: media damage no log record
+// covers, which is what Repair is for.
+func damageDerivedFile(t *testing.T, dir, path string, strategy catalog.Strategy, marker string, opts ...catalog.PathOption) (Query, []Row) {
+	t.Helper()
 	db, err := Open(Config{Dir: dir, PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defineEmployeeSchema(t, db)
 	populate(t, db, 2, 4, 20)
-	if err := db.Replicate("Emp1.dept.budget", catalog.Separate); err != nil {
+	if err := db.Replicate(path, strategy, opts...); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Set: "Emp1", Project: []string{"name", "dept.budget"}}
+	spec, _ := catalog.ParsePathSpec(path)
+	q := Query{Set: "Emp1", Project: []string{"name", strings.Join(append(spec.Refs, spec.Field), ".")}}
 	want, _, err := db.Query(nil, q)
 	if err != nil {
 		t.Fatal(err)
@@ -375,45 +376,47 @@ func TestFlippedBitInDerivedFileRepaired(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var target string
+	flipped := 0
 	for _, e := range entries {
-		if strings.Contains(e.Name(), "__sprime_") {
-			target = filepath.Join(dir, e.Name())
+		if !strings.Contains(e.Name(), marker) {
+			continue
 		}
+		target := filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[100] ^= 0x04
+		if err := os.WriteFile(target, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipped++
 	}
-	if target == "" {
-		t.Fatalf("no S′ file in %s", dir)
+	if flipped == 0 {
+		t.Fatalf("no %s file in %s", marker, dir)
 	}
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[100] ^= 0x04
-	if err := os.WriteFile(target, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return q, want.Rows
+}
 
-	db, err = Open(Config{Dir: dir, PoolPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Query(nil, q); !errors.Is(err, pagefile.ErrCorruptPage) {
-		t.Fatalf("query through the damaged S′ file: %v, want ErrCorruptPage", err)
-	}
+// repairDamaged holds db, reopened over damageDerivedFile's dir, to the
+// repair lifecycle: VerifyReplication reports the damage, Repair finds it and
+// leaves nothing behind, durably, and after a crash the path answers q as
+// before the damage.
+func repairDamaged(t *testing.T, db *DB, dir string, q Query, want []Row) {
+	t.Helper()
 	if errs := db.VerifyReplication(); len(errs) == 0 {
-		t.Fatal("VerifyReplication did not see the damaged S′ file")
+		t.Fatal("VerifyReplication did not see the damaged file")
 	}
 	rep, err := db.Repair()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.GroupsRebuilt != 1 || !rep.Clean() {
-		t.Fatalf("Repair rebuilt %d groups, left %v", rep.GroupsRebuilt, rep.Remaining)
+	if len(rep.Found) == 0 || !rep.Clean() {
+		t.Fatalf("Repair found %v, left %v", rep.Found, rep.Remaining)
 	}
 	db.CrashStop()
 
@@ -427,7 +430,48 @@ func TestFlippedBitInDerivedFileRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameRows(got.Rows, want.Rows); err != nil {
+	if err := sameRows(got.Rows, want); err != nil {
 		t.Fatalf("after Repair and a crash: %v", err)
+	}
+}
+
+// TestFlippedBitInDerivedFileRepaired damages a separate path's S′ file:
+// reads through the path fail with ErrCorruptPage until Repair re-derives the
+// group into a fresh file.
+func TestFlippedBitInDerivedFileRepaired(t *testing.T) {
+	dir := t.TempDir()
+	q, want := damageDerivedFile(t, dir, "Emp1.dept.budget", catalog.Separate, "__sprime_")
+	db, err := Open(Config{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Query(nil, q); !errors.Is(err, pagefile.ErrCorruptPage) {
+		t.Fatalf("query through the damaged S′ file: %v, want ErrCorruptPage", err)
+	}
+	repairDamaged(t, db, dir, q, want)
+}
+
+// TestFlippedBitInLinkFileRepaired damages the link files of a two-level
+// path, in-place, separate and collapsed. Repair strips the links without
+// reading them and builds them into fresh files.
+func TestFlippedBitInLinkFileRepaired(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		strategy catalog.Strategy
+		opts     []catalog.PathOption
+	}{
+		{"in-place", catalog.InPlace, nil},
+		{"separate", catalog.Separate, nil},
+		{"collapsed", catalog.InPlace, []catalog.PathOption{catalog.WithCollapsed()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			q, want := damageDerivedFile(t, dir, "Emp1.dept.org.name", c.strategy, "__link_", c.opts...)
+			db, err := Open(Config{Dir: dir, PoolPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			repairDamaged(t, db, dir, q, want)
+		})
 	}
 }

@@ -104,8 +104,12 @@ func (s *sess) safePoint() error {
 
 // commitChunk commits what the session did since its last commit — the files
 // it created, its dirty pages, and the catalog if it changed — and opens the
-// next chunk's scope. On failure the scope stays open for abandon.
+// next chunk's scope. On failure the scope stays open for abandon. A failed
+// index update fails it: the tree may be left unfit to commit.
 func (s *sess) commitChunk() error {
+	if s.idxErr != nil {
+		return s.idxErr
+	}
 	cat, err := s.db.cat.Snapshot()
 	if err != nil {
 		return err
@@ -146,16 +150,47 @@ func (s *sess) abandon() error {
 	return errors.Join(err, db.rehydrate())
 }
 
-// settle tears down every path left building — by a schema operation that
-// failed or crashed before its flip, by Unreplicate, or as the placeholder of
-// a widened S′ group — and unregisters it. A follower leaves them to its
-// primary, whose teardown reaches it through the log. Caller holds
+// settle finishes what the catalog leaves unfinished: it tears down every
+// path left building — by a schema operation that failed or crashed before
+// its flip, by Unreplicate, or as the placeholder of a widened S′ group — and
+// unregisters it, then resumes a Repair a failure or a crash cut short (or
+// the one a catalog with legacy taint markers asks for). A follower leaves
+// both to its primary, whose work reaches it through the log. Caller holds
 // db.mu.Lock.
 func (db *DB) settle() error {
-	if db.role.Load() == roleFollower || len(db.cat.Building()) == 0 {
+	if db.role.Load() == roleFollower {
 		return nil
 	}
-	return db.inSchemaSess(func(s *sess) error { return s.dropBuilding() })
+	if len(db.cat.Building()) > 0 {
+		if err := db.inSchemaSess(func(s *sess) error { return s.dropBuilding() }); err != nil {
+			return err
+		}
+	}
+	if !db.cat.NeedsRederive() {
+		return nil
+	}
+	err := db.inSchemaSess(func(s *sess) error {
+		_, err := s.repair()
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("%w: %w", errUnfinishedRepair, err)
+	}
+	return nil
+}
+
+// errUnfinishedRepair wraps settle's failure to resume a Repair.
+var errUnfinishedRepair = errors.New("engine: resuming an unfinished Repair")
+
+// settleToServe is settle for Open and Promote: a Repair that cannot finish —
+// on a damaged page of a set's own file, say — does not stop the database
+// from serving. Until one finishes, reads walk the primary objects, and
+// Repair and every other schema operation retry it and return its error.
+func (db *DB) settleToServe() error {
+	if err := db.settle(); !errors.Is(err, errUnfinishedRepair) {
+		return err
+	}
+	return nil
 }
 
 // dropBuilding tears down every building path, committing each one's removal

@@ -16,9 +16,10 @@ import (
 // The DDL crash matrix crashes the store at every store operation of a schema
 // operation, on a pool of 8 pages so the build spans many chunks, then
 // reopens the directory. Whatever the crash point, the reopened database has
-// no path left building, verifies clean with no Repair, accepts an update of
-// every object the path spans (reference moves included), and the operation
-// retried — when its effect did not survive — succeeds and verifies clean.
+// no path left building and no Repair unfinished, verifies clean, accepts an
+// update of every object the path spans (reference moves included), and the
+// operation retried — when its effect did not survive — succeeds and
+// verifies clean.
 
 const ddlCrashPath = "Emp1.dept.org.name"
 
@@ -51,6 +52,14 @@ func ddlCrashCases() []ddlCrashCase {
 	hasIndex := func(name string) func(db *DB) bool {
 		return func(db *DB) bool { _, ok := db.cat.IndexByName(name); return ok }
 	}
+	repair := func(db *DB) error { _, err := db.Repair(); return err }
+	repaired := func(db *DB) bool { return !db.cat.NeedsRederive() }
+	indexed := func(db *DB) error {
+		if err := replicate(catalog.InPlace)(db); err != nil {
+			return err
+		}
+		return index("orgname", "dept.org.name")(db)
+	}
 	collapsed := catalog.WithCollapsed()
 	return []ddlCrashCase{
 		{"replicate/in-place", nil, replicate(catalog.InPlace), has(catalog.InPlace)},
@@ -61,6 +70,10 @@ func ddlCrashCases() []ddlCrashCase {
 		{"unreplicate/collapsed", replicate(catalog.InPlace, collapsed), unreplicate(catalog.InPlace), hasNot(catalog.InPlace)},
 		{"build-index/base", nil, index("sal", "salary"), hasIndex("sal")},
 		{"build-index/path", replicate(catalog.InPlace), index("orgname", "dept.org.name"), hasIndex("orgname")},
+		{"repair/in-place", replicate(catalog.InPlace), repair, repaired},
+		{"repair/separate", replicate(catalog.Separate), repair, repaired},
+		{"repair/collapsed", replicate(catalog.InPlace, collapsed), repair, repaired},
+		{"repair/path-index", indexed, repair, repaired},
 	}
 }
 
@@ -115,6 +128,9 @@ func checkAfterDDLCrash(t *testing.T, db *DB, c ddlCrashCase) {
 	t.Helper()
 	if b := db.cat.Building(); len(b) > 0 {
 		t.Fatalf("%d paths still building after reopen", len(b))
+	}
+	if db.cat.NeedsRederive() {
+		t.Fatal("an unfinished Repair was not resumed at reopen")
 	}
 	verifyDB(t, db)
 	touchEveryObject(t, db)
@@ -414,6 +430,82 @@ func TestLegacyTaintedCatalogRederived(t *testing.T) {
 	}
 	if data, err := os.ReadFile(path); err != nil || strings.Contains(string(data), "tainted") {
 		t.Fatalf("the rewritten catalog still carries taint markers (%v)", err)
+	}
+}
+
+// TestUnfinishedRepairDoesNotBlockOpen damages a page of the Org set's own
+// file. Repair strips the sets in name order, so it commits chunks of Dept
+// and Emp1 — and its rederive flag with them — before it reads that page and
+// fails. The database still opens and answers from the primary objects it
+// can read; Repair and every other schema operation report the damage.
+func TestUnfinishedRepairDoesNotBlockOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openDDLCrashDB(t, dir, func(db *DB) error { return db.Replicate(ddlCrashPath, catalog.InPlace) })
+	q := Query{Set: "Emp1", Project: []string{"name", "dept.name"}}
+	want, _, err := db.Query(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), "_Org.pf") {
+			target := dir + "/" + e.Name()
+			data, err := os.ReadFile(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[100] ^= 0x04
+			if err := os.WriteFile(target, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			flipped = true
+		}
+	}
+	if !flipped {
+		t.Fatalf("no Org set file in %s", dir)
+	}
+
+	// A pool of 8 pages, so the strip commits in chunks.
+	if db, err = Open(Config{Dir: dir, PoolPages: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Repair(); !errors.Is(err, pagefile.ErrCorruptPage) {
+		t.Fatalf("Repair over a damaged Org page: %v, want ErrCorruptPage", err)
+	}
+	if !db.cat.NeedsRederive() {
+		t.Fatal("the failed Repair committed no chunk; the test needs its flag set")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(Config{Dir: dir, PoolPages: ddlCheckPool})
+	if err != nil {
+		t.Fatalf("Open with a Repair that cannot finish: %v", err)
+	}
+	defer db.Close()
+	if !db.cat.NeedsRederive() {
+		t.Fatal("Open cleared the flag of a Repair that cannot finish")
+	}
+	got, _, err := db.Query(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(got.Rows, want.Rows); err != nil {
+		t.Fatalf("reading undamaged data: %v", err)
+	}
+	if _, err := db.Repair(); !errors.Is(err, pagefile.ErrCorruptPage) {
+		t.Fatalf("Repair after reopen: %v, want ErrCorruptPage", err)
+	}
+	if err := db.DefineType("LATER", []schema.Field{{Name: "x", Kind: schema.KindInt}}); !errors.Is(err, pagefile.ErrCorruptPage) {
+		t.Fatalf("a schema operation beside an unfinished Repair: %v, want ErrCorruptPage", err)
 	}
 }
 

@@ -302,34 +302,11 @@ func open(cfg Config, role int32) (*DB, error) {
 }
 
 // finishSchema completes what the catalog leaves unfinished before the
-// database accepts statements: paths still building are torn down, and the
-// replicated state of a catalog an earlier version wrote with taint markers is
-// re-derived once, after which the catalog is rewritten without them. A
-// follower leaves both to its primary.
+// database accepts statements (see settle).
 func (db *DB) finishSchema() error {
-	if db.role.Load() == roleFollower {
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.settle(); err != nil {
-		return err
-	}
-	if !db.cat.NeedsRederive() {
-		return nil
-	}
-	var rep *core.RepairReport
-	err := db.schemaOp(func(s *sess) (err error) {
-		rep, err = s.repair()
-		return err
-	})
-	if err == nil && !rep.Clean() {
-		err = fmt.Errorf("%d violations remain, the first: %v", len(rep.Remaining), rep.Remaining[0])
-	}
-	if err != nil {
-		return fmt.Errorf("engine: the catalog carries taint markers from an earlier version, and re-deriving the replicated state failed: %w (the version that wrote them can run Repair)", err)
-	}
-	return db.writeCatalog()
+	return db.settleToServe()
 }
 
 // rehydrate reattaches the heap files and indexes a catalog records that are
@@ -485,15 +462,19 @@ func (db *DB) Repair() (rep *core.RepairReport, err error) {
 	return rep, err
 }
 
-// repair runs core.Repair through the session, creating first the files a
-// path an earlier version registered may lack.
+// repair runs core.Repair through the session. Its fresh files step gives
+// every live link and S′ group a new page file, abandoning the old one whole.
+// The catalog's rederive flag, set with the first commit and cleared with
+// the last, makes a crash or a failure resume it (settle).
 func (s *sess) repair() (*core.RepairReport, error) {
-	for _, p := range s.db.cat.Paths() {
-		if err := s.ensurePathFiles(p); err != nil {
-			return nil, err
+	rep, err := s.mgr.Repair(func() error {
+		for _, p := range s.db.cat.Paths() {
+			if err := s.ensurePathFiles(p); err != nil {
+				return err
+			}
 		}
-	}
-	rep, err := s.mgr.Repair()
+		return nil
+	})
 	if err == nil {
 		err = s.takeIdxErr()
 	}

@@ -41,12 +41,16 @@ func (db *DB) Inverse(source, refExpr string, target pagefile.OID) (oids []pagef
 	}
 
 	// A read session: link structures and objects are read through snapshot
-	// views, concurrent with writers.
+	// views, concurrent with writers. While a Repair is unfinished the link
+	// structures may be half rebuilt, so the answer comes from a scan, as a
+	// query's comes from the forward walk (compileAccessor).
 	s := db.readSess(nil)
-	if got, ok, err := s.mgr.InverseLookup(source, refs, target); err != nil {
-		return nil, "", err
-	} else if ok {
-		return got, "inverted-path", nil
+	if !db.cat.NeedsRederive() {
+		if got, ok, err := s.mgr.InverseLookup(source, refs, target); err != nil {
+			return nil, "", err
+		} else if ok {
+			return got, "inverted-path", nil
+		}
 	}
 
 	// Fallback: scan the source set and walk each object's chain.

@@ -46,9 +46,11 @@ func (s *sess) planQuery(q Query, prog *rowProgram) (*plan.Decision, *catalog.In
 	if q.Where != nil {
 		spec := prog.where.spec
 		var found bool
-		if len(spec.Refs) == 0 {
+		switch {
+		case len(spec.Refs) == 0:
 			ix, found = s.db.cat.IndexFor(q.Set, spec.Field)
-		} else {
+		case prog.where.route == plan.PathInPlace:
+			// A path index holds the in-place path's replicated values.
 			ix, found = s.db.cat.PathIndexFor(q.Set, spec.Refs, spec.Field)
 		}
 		if !found {

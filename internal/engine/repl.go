@@ -162,7 +162,7 @@ func (db *DB) Promote() error {
 	}
 	db.follower.Store(nil)
 	db.role.Store(rolePrimary)
-	return db.settle()
+	return db.settleToServe()
 }
 
 // ReplicationStatus reports the database's replication role and, when

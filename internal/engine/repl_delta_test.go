@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -259,4 +261,119 @@ func TestReplicationTornPageWithoutFullImage(t *testing.T) {
 		t.Fatalf("the replacement follower took %d snapshots, want 1", fs.Snapshots)
 	}
 	assertReplicaMatches(t, p, f3, "Org", "Dept", "Emp1")
+}
+
+// TestFollowerMidRepairAnswersFromPrimaryObjects stops a follower after it
+// has applied the first commit of a primary's Repair but not the last. The
+// catalog that commit carries marks the repair unfinished, so the follower's
+// path queries walk the primary objects and use no path index: they return
+// the primary's pre-repair answers, never the half-stripped state. After the
+// last commit both sides verify clean.
+func TestFollowerMidRepairAnswersFromPrimaryObjects(t *testing.T) {
+	// A small pool, so the repair commits in many chunks.
+	p, err := Open(Config{Dir: t.TempDir(), PoolPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ServeReplication(ln, repl.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	defineEmployeeSchema(t, p)
+	st := populate(t, p, 2, 6, 300)
+	if err := p.Replicate("Emp1.dept.org.name", catalog.InPlace); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BuildIndex("orgname", "Emp1", "dept.org.name", false); err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{
+		{Set: "Emp1", Project: []string{"name", "dept.org.name"}},
+		{Set: "Emp1", Project: []string{"name"}, Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("org-01")}},
+	}
+	want := make([][]Row, len(queries))
+	for i, q := range queries {
+		res, _, err := p.Query(nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Rows
+	}
+	wantEmps, via, err := p.Inverse("Emp1", "dept", st.depts[0])
+	if err != nil || via != "inverted-path" {
+		t.Fatalf("Inverse on the primary: via %q, %v", via, err)
+	}
+	answersAsBefore := func(db *DB, wantVia string) {
+		t.Helper()
+		emps, via, err := db.Inverse("Emp1", "dept", st.depts[0])
+		if err != nil || via != wantVia || !slices.Equal(emps, wantEmps) {
+			t.Fatalf("Inverse via %q (%v): %d employees, want %d via %q", via, err, len(emps), len(wantEmps), wantVia)
+		}
+		for i, q := range queries {
+			res, _, err := db.Query(nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameRows(res.Rows, want[i]); err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+		}
+	}
+
+	f := startFollower(t, t.TempDir(), ln.Addr().String())
+	waitCaughtUp(t, p, f)
+	f.follower.Load().Stop() // from here on the test applies the stream itself
+
+	from := p.wal.LastLSN()
+	rep, err := p.Repair()
+	if err != nil || !rep.Clean() {
+		t.Fatalf("Repair: %v, left %v", err, rep.Remaining)
+	}
+	cur := p.wal.CursorAt(from)
+	var frames []byte
+	for {
+		buf, err := p.wal.ReadTail(&cur, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) == 0 {
+			break
+		}
+		frames = append(frames, buf...)
+	}
+	all, err := wal.NewAssembler(true).Feed(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txns []wal.Txn
+	for _, txn := range all {
+		if txn.LastLSN > from {
+			txns = append(txns, txn)
+		}
+	}
+	if len(txns) < 2 {
+		t.Fatalf("the repair committed %d times, want several chunks", len(txns))
+	}
+
+	target := &replTarget{db: f}
+	if err := target.ApplyTxns(txns[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if !f.cat.NeedsRederive() {
+		t.Fatal("the repair's first commit does not mark it unfinished")
+	}
+	answersAsBefore(f, "scan")
+	if err := target.ApplyTxns(txns[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if f.cat.NeedsRederive() {
+		t.Fatal("the repair's last commit leaves it unfinished")
+	}
+	verifyDB(t, p)
+	verifyDB(t, f)
+	answersAsBefore(f, "inverted-path")
 }

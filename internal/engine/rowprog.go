@@ -181,13 +181,22 @@ func compileAccessor(cat *catalog.Catalog, set string, typ *schema.Type, expr st
 		return a, nil
 	}
 
-	if p, ok := cat.FindPath(a.spec, catalog.InPlace); ok {
+	// No read answers through a path while a Repair is unfinished: its
+	// replicated state may be half rebuilt. The walk then reads the primary
+	// objects, and planQuery, which follows the route, uses no path index.
+	find := func(spec catalog.PathSpec, strategy catalog.Strategy) (*catalog.Path, bool) {
+		if cat.NeedsRederive() {
+			return nil, false
+		}
+		return cat.FindPath(spec, strategy)
+	}
+	if p, ok := find(a.spec, catalog.InPlace); ok {
 		if rf, ok := replField(p.Fields, field); ok {
 			a.route, a.path, a.hidden = plan.PathInPlace, p, rf.Idx
 			return a, nil
 		}
 	}
-	if p, ok := cat.FindPath(a.spec, catalog.Separate); ok {
+	if p, ok := find(a.spec, catalog.Separate); ok {
 		if rf, ok := replField(p.Group.Fields, field); ok {
 			a.route, a.path, a.hidden = plan.PathSeparate, p, rf.Idx
 			return a, nil
@@ -197,7 +206,7 @@ func compileAccessor(cat *catalog.Catalog, set string, typ *schema.Type, expr st
 	from := 0 // the walk reads the objects refs[from:] point at
 	a.field = typ.FieldIndex(refs[0])
 	for k := len(refs) - 1; k >= 1; k-- {
-		p, ok := cat.FindPath(catalog.PathSpec{Source: set, Refs: refs[:k], Field: refs[k]}, catalog.InPlace)
+		p, ok := find(catalog.PathSpec{Source: set, Refs: refs[:k], Field: refs[k]}, catalog.InPlace)
 		if !ok {
 			continue
 		}

@@ -200,20 +200,6 @@ func (s *sess) GroupFile(g *catalog.Group) (*heap.File, error) {
 	return s.heapFor(g.FileID)
 }
 
-// RecreateGroupFile serves Repair's group rebuild, a schema operation; no
-// statement rebuilds S′.
-func (s *sess) RecreateGroupFile(g *catalog.Group) (*heap.File, error) {
-	if s.chunk == 0 {
-		return nil, fmt.Errorf("engine: recreating S′ group %d inside a statement", g.ID)
-	}
-	f, err := s.createHeap(fmt.Sprintf("__sprime_%d_r", g.ID))
-	if err != nil {
-		return nil, err
-	}
-	g.FileID, g.HasFile = f.ID(), true
-	return s.heapFor(f.ID())
-}
-
 func (s *sess) SetFile(name string) (*heap.File, error) {
 	set, ok := s.db.cat.SetByName(name)
 	if !ok {
@@ -227,9 +213,11 @@ func (s *sess) SetFile(name string) (*heap.File, error) {
 // HiddenChanged keeps indexes on replicated paths exact as propagation
 // rewrites hidden values. Tolerates a missing old entry (first installation)
 // and an existing new entry (idempotent re-propagation); any other failure is
-// surfaced by the statement through takeIdxErr.
+// surfaced by the statement through takeIdxErr. After a failure the tree is
+// left alone — a failed split leaves a node over capacity, and the session
+// rolls back anyway.
 func (s *sess) HiddenChanged(source pagefile.OID, p *catalog.Path, f catalog.ReplField, old, new schema.Value) {
-	if !s.writes() {
+	if !s.writes() || s.idxErr != nil {
 		return // read sessions never propagate
 	}
 	ix, ok := s.db.cat.PathIndexFor(p.Spec.Source, p.Spec.Refs, f.Name)
