@@ -51,12 +51,14 @@ test:
 # verdict and departure tables beside the shared fusion memo at ScanWorkers 4)
 # a second time; the fourth does the same for the public handle, which holds
 # no lock of its own — the engine's two layers are all there is under its DML,
-# DDL, sessions and sinks.
+# DDL, sessions and sinks; the fifth repeats the native server's connection
+# reader tests (disconnect, pipelining, idle timer, Close).
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pagefile ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
 	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting|TestCloseUnderLoad|TestRowProgramMatchesOracle|TestWalkedPredicatesMatchOracle' ./internal/engine
 	$(GO) test -race -count=2 -run 'TestPublicConcurrentUse|TestSlowQueryLogConcurrent' .
+	$(GO) test -race -count=2 -run 'TestDisconnectCancelsExec|TestPipelinedFrameNotSwallowedByWatchdog|TestIdleTimeout|TestLongStatementOutlivesIdleTimeout|TestCloseCancelsInFlight|TestCloseLeavesNoConnectionReaders' ./internal/server
 
 # The benchmark is its own module (bench/go.mod) that imports the public API
 # and internal/buffer, heap, btree and wal directly; the root ./... never

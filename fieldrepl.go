@@ -331,10 +331,11 @@ type Output struct {
 	Columns []string
 	Rows    [][]string
 	OID     OID
-	// Plan carries the rendered planner decision for "explain <stmt>"
-	// statements: the chosen operator pipeline, every costed alternative with
-	// its rejection reason, and (for executed retrieves) predicted vs
-	// observed pages.
+	// Plan carries the rendered planner decision: the chosen operator
+	// pipeline and every costed alternative with its rejection reason. It is
+	// set for "explain <stmt>" statements (an explained retrieve adds
+	// predicted vs observed pages) and for plain retrieves. The network
+	// server's Result.Plan carries it for explain statements only.
 	Plan string
 }
 

@@ -3,6 +3,7 @@ package btree
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/exodb/fieldrepl/internal/buffer"
@@ -268,20 +269,27 @@ func TestContains(t *testing.T) {
 
 // TestRandomizedAgainstModel performs mixed inserts and deletes, comparing
 // against a reference map and validating invariants.
-func TestRandomizedAgainstModel(t *testing.T) {
+// modelPair is one (key, OID) entry of randomModelTree's in-memory model.
+type modelPair struct {
+	k int64
+	o pagefile.OID
+}
+
+// randomModelTree builds a small-capacity tree by a seeded random mix of
+// inserts (duplicate keys included) and deletes, checking every step against
+// an in-memory model, and returns the tree with the model's entries in
+// ascending (key, OID) order.
+func randomModelTree(t *testing.T) (*Tree, []modelPair) {
+	t.Helper()
 	tr := newTree(t, WithCapacities(5, 5))
 	rng := rand.New(rand.NewSource(123))
-	type pair struct {
-		k int64
-		o pagefile.OID
-	}
-	model := map[pair]bool{}
-	var live []pair
+	model := map[modelPair]bool{}
+	var live []modelPair
 
 	for step := 0; step < 6000; step++ {
 		if rng.Intn(3) != 0 || len(live) == 0 {
 			k := int64(rng.Intn(500)) // small key space forces duplicates
-			p := pair{k: k, o: oidFor(rng.Intn(10000))}
+			p := modelPair{k: k, o: oidFor(rng.Intn(10000))}
 			err := tr.Insert(Int64Key(p.k), p.o)
 			if model[p] {
 				if !errors.Is(err, ErrExists) {
@@ -310,6 +318,17 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 		}
 	}
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].k != live[j].k {
+			return live[i].k < live[j].k
+		}
+		return live[i].o.Compare(live[j].o) < 0
+	})
+	return tr, live
+}
+
+func TestRandomizedAgainstModel(t *testing.T) {
+	tr, model := randomModelTree(t)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +343,8 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		if !ok {
 			break
 		}
-		if !model[pair{k: Int64FromKey(k), o: oid}] {
-			t.Fatalf("iterator surfaced unknown entry (%d, %v)", Int64FromKey(k), oid)
+		if seen >= len(model) || (modelPair{k: Int64FromKey(k), o: oid}) != model[seen] {
+			t.Fatalf("iterator entry %d = (%d, %v), model disagrees", seen, Int64FromKey(k), oid)
 		}
 		seen++
 	}

@@ -4,63 +4,59 @@ import (
 	"github.com/exodb/fieldrepl/internal/pagefile"
 )
 
-// Iterator walks entries in ascending (key, OID) order. It copies each leaf's
-// entries while visiting it, so it holds no pins between Next calls and
-// tolerates the pool being reset mid-scan (subsequent leaves are re-read).
+// Iterator walks entries in ascending (key, OID) order. It keeps a private
+// copy of the leaf it is visiting and decodes one entry per Next, so it holds
+// no pins between Next calls and tolerates the pool being reset mid-scan
+// (subsequent leaves are re-read).
 type Iterator struct {
 	t        *Tree
-	entries  []entry
-	pos      int
+	leaf     pagefile.Page // entries pos..n of the current leaf, at their page offsets
+	pos, n   int
 	nextPage uint32
 	err      error
 }
 
 // SeekGE positions an iterator at the first entry whose key is >= key.
 func (t *Tree) SeekGE(key Key) (*Iterator, error) {
-	return t.seek(entry{key: key, oid: pagefile.OID{}})
+	it := new(Iterator)
+	if err := t.seek(it, entry{key: key}); err != nil {
+		return nil, err
+	}
+	return it, nil
 }
 
 // First positions an iterator at the smallest entry.
 func (t *Tree) First() (*Iterator, error) { return t.SeekGE(MinKey) }
 
-func (t *Tree) seek(e entry) (*Iterator, error) {
+// seek descends to the leaf that holds the first entry >= e and positions it
+// there.
+func (t *Tree) seek(it *Iterator, e entry) error {
 	m, err := t.loadMeta()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pageNo := m.root
 	for level := m.height; level > 1; level-- {
 		h, err := t.page(pageNo)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		n, nerr := asNode(h.Page())
 		if nerr != nil {
 			h.Unpin()
-			return nil, nerr
+			return nerr
 		}
 		pageNo = n.childAt(n.descendPos(e))
 		h.Unpin()
 	}
-	it := &Iterator{t: t}
-	if err := it.loadLeaf(pageNo); err != nil {
-		return nil, err
-	}
-	// Position within the leaf.
-	lo, hi := 0, len(it.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareEntries(it.entries[mid], e) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	it.pos = lo
-	return it, nil
+	it.t = t
+	return it.loadLeaf(pageNo, &e)
 }
 
-func (it *Iterator) loadLeaf(pageNo uint32) error {
+// loadLeaf pins leaf pageNo, positions the iterator at its first entry >=
+// *from (its first entry when from is nil), and copies the entries from
+// there on into the private page before unpinning.
+func (it *Iterator) loadLeaf(pageNo uint32, from *entry) error {
 	h, err := it.t.page(pageNo)
 	if err != nil {
 		return err
@@ -70,29 +66,29 @@ func (it *Iterator) loadLeaf(pageNo uint32) error {
 	if err != nil {
 		return err
 	}
-	k := n.nkeys()
-	it.entries = it.entries[:0]
-	for i := 0; i < k; i++ {
-		it.entries = append(it.entries, n.leafEntry(i))
+	it.pos, it.n = 0, n.nkeys()
+	if from != nil {
+		it.pos = n.leafSearch(*from)
 	}
-	it.pos = 0
 	it.nextPage = n.next()
+	lo, hi := nodeBody+it.pos*leafEntrySz, nodeBody+it.n*leafEntrySz
+	copy(it.leaf[lo:hi], n.p[lo:hi])
 	return nil
 }
 
 // Next returns the next entry. ok is false when the iterator is exhausted or
 // an error occurred; check Err afterwards.
 func (it *Iterator) Next() (Key, pagefile.OID, bool) {
-	for it.pos >= len(it.entries) {
+	for it.pos >= it.n {
 		if it.nextPage == noPage {
 			return Key{}, pagefile.OID{}, false
 		}
-		if err := it.loadLeaf(it.nextPage); err != nil {
+		if err := it.loadLeaf(it.nextPage, nil); err != nil {
 			it.err = err
 			return Key{}, pagefile.OID{}, false
 		}
 	}
-	e := it.entries[it.pos]
+	e := node{p: &it.leaf}.leafEntry(it.pos)
 	it.pos++
 	return e.key, e.oid, true
 }
@@ -103,8 +99,8 @@ func (it *Iterator) Err() error { return it.err }
 // Range calls fn for every entry with lo <= key <= hi, in order. fn returning
 // false stops the scan early.
 func (t *Tree) Range(lo, hi Key, fn func(Key, pagefile.OID) bool) error {
-	it, err := t.SeekGE(lo)
-	if err != nil {
+	var it Iterator // stays on the stack: a range allocates nothing itself
+	if err := t.seek(&it, entry{key: lo}); err != nil {
 		return err
 	}
 	for {

@@ -196,11 +196,16 @@ func (s *sess) predInfo(p *Pred, st plan.SetStats) *plan.PredInfo {
 	if sel > 1 {
 		sel = 1
 	}
-	detail := p.Expr + " " + p.Op.String() + " " + valueStr(p.Value)
+	return &plan.PredInfo{Expr: p.Expr, Op: p.Op.String(), Detail: p, Selectivity: sel}
+}
+
+// String renders the predicate as plan text: "salary between 1 and 9".
+func (p *Pred) String() string {
+	s := p.Expr + " " + p.Op.String() + " " + valueStr(p.Value)
 	if p.Op == OpBetween {
-		detail += " and " + valueStr(p.Value2)
+		s += " and " + valueStr(p.Value2)
 	}
-	return &plan.PredInfo{Expr: p.Expr, Op: p.Op.String(), Detail: detail, Selectivity: sel}
+	return s
 }
 
 // interpolateRange estimates a range predicate's selectivity by uniform

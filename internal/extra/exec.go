@@ -9,6 +9,7 @@ import (
 	"github.com/exodb/fieldrepl/internal/catalog"
 	"github.com/exodb/fieldrepl/internal/engine"
 	"github.com/exodb/fieldrepl/internal/pagefile"
+	"github.com/exodb/fieldrepl/internal/plan"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
@@ -67,6 +68,10 @@ type Output struct {
 	// operator pipeline, costed alternatives with rejection reasons, and
 	// (for executed retrieves) predicted vs observed pages.
 	Plan string
+	// Decision is a plain retrieve's planner decision, left unrendered:
+	// rendering costs more than a small indexed retrieve, so it is done
+	// only by a caller that shows it.
+	Decision *plan.Decision
 }
 
 // Exec parses and executes a script, returning one Output per statement.
@@ -284,9 +289,7 @@ func (in *Interp) execStmt(ctx context.Context, s Stmt) (Output, error) {
 		if res.UsedIndex != "" {
 			out.Message += " (via index " + res.UsedIndex + ")"
 		}
-		if res.Decision != nil {
-			out.Plan = res.Decision.Render()
-		}
+		out.Decision = res.Decision
 		return out, nil
 	case *ReplaceStmt:
 		vals := make(map[string]schema.Value, len(st.Assigns))

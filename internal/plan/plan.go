@@ -13,6 +13,8 @@
 package plan
 
 import (
+	"fmt"
+
 	"github.com/exodb/fieldrepl/internal/costmodel"
 )
 
@@ -67,9 +69,11 @@ type IndexInfo struct {
 
 // PredInfo summarizes the qualifying predicate for costing and rendering.
 type PredInfo struct {
-	Expr        string
-	Op          string  // "=", "<", "<=", ">", ">=", "between"
-	Detail      string  // rendered "salary between 60000 and 64000"
+	Expr string
+	Op   string // "=", "<", "<=", ">", ">=", "between"
+	// Detail renders the predicate ("salary between 60000 and 64000"); it
+	// is called only when the plan is rendered. nil renders no detail.
+	Detail      fmt.Stringer
 	Selectivity float64 // estimated fraction of the set qualifying
 }
 
@@ -144,26 +148,19 @@ type Input struct {
 	EmitPages float64
 }
 
-// Candidate is one costed access path, kept (with the rejection reason) for
-// Explain output.
+// Candidate is one costed access path, kept for Explain output (which
+// derives its selection or rejection reason).
 type Candidate struct {
 	Access    Access  `json:"access"`
 	Index     string  `json:"index,omitempty"`
 	Clustered bool    `json:"clustered,omitempty"`
 	Pages     float64 `json:"pages"`
 	Chosen    bool    `json:"chosen"`
-	Reason    string  `json:"reason"`
 }
 
-// Operator is one step of the chosen plan, for rendering.
-type Operator struct {
-	Name   string  `json:"name"`
-	Detail string  `json:"detail,omitempty"`
-	Pages  float64 `json:"pages"`
-}
-
-// Decision is the planner's output: the chosen access path, every costed
-// alternative, and the operator pipeline execution follows.
+// Decision is the planner's output: the chosen access path and every costed
+// alternative. It holds numbers only; the operator pipeline, the candidates'
+// reasons and the predicate text are derived when it is rendered.
 type Decision struct {
 	Set       string `json:"set"`
 	Access    Access `json:"-"`
@@ -176,11 +173,13 @@ type Decision struct {
 	// Fused lists the path expressions resolved by fused traversal.
 	Fused      []string    `json:"fused,omitempty"`
 	Candidates []Candidate `json:"candidates"`
-	Operators  []Operator  `json:"operators"`
 	// PredictedPages is the chosen candidate's page cost.
 	PredictedPages float64 `json:"predicted_pages"`
 	// EstRows is the predicted qualifying-row count.
 	EstRows float64 `json:"est_rows"`
+
+	in    Input        // what was costed, for rendering
+	cands [2]Candidate // backs Candidates: scan, then the index if any
 }
 
 // Label returns the trace plan label the engine stamps on the operation:
@@ -220,22 +219,23 @@ func pathCost(p PathExpr, records float64) float64 {
 	return c
 }
 
+// selectivity is the fraction of the set the Where predicate qualifies,
+// clamped to (0, 1]; 1 without a predicate.
+func (in *Input) selectivity() float64 {
+	if in.Where == nil || in.Where.Selectivity <= 0 || in.Where.Selectivity > 1 {
+		return 1
+	}
+	return in.Where.Selectivity
+}
+
 // Choose costs every viable access path for in and returns the decision.
 func Choose(in Input) *Decision {
-	sel := 1.0
-	if in.Where != nil {
-		sel = in.Where.Selectivity
-		if sel <= 0 {
-			sel = 1
-		}
-		if sel > 1 {
-			sel = 1
-		}
-	}
+	sel := in.selectivity()
 	estRows := sel * in.Source.Card
 	if in.Where != nil && estRows < 1 {
 		estRows = 1
 	}
+	d := &Decision{Set: in.Source.Set, EstRows: estRows, in: in}
 
 	// Sequential scan: every heap page once, path predicates evaluated for
 	// every record, projection paths only for matches.
@@ -248,7 +248,8 @@ func Choose(in Input) *Decision {
 		}
 	}
 	scanPages += in.EmitPages
-	cands := []Candidate{{Access: SeqScan, Pages: scanPages}}
+	d.cands[0] = Candidate{Access: SeqScan, Pages: scanPages}
+	d.Candidates = d.cands[:1]
 
 	// Index range: descend, walk the qualifying leaf span, fetch the
 	// qualifying objects (Yao for unclustered, ceil of the page fraction for
@@ -264,27 +265,20 @@ func Choose(in Input) *Decision {
 			ixPages += pathCost(p, estRows)
 		}
 		ixPages += in.EmitPages
-		cands = append(cands, Candidate{
+		d.cands[1] = Candidate{
 			Access: IndexRange, Index: ix.Name, Clustered: ix.Clustered, Pages: ixPages,
-		})
+		}
+		d.Candidates = d.cands[:2]
 	}
 
-	choice := pick(cands, in.ForceScan)
-	chosen := &cands[choice]
+	chosen := &d.Candidates[pick(d.Candidates, in.ForceScan)]
 	chosen.Chosen = true
-
-	d := &Decision{
-		Set:            in.Source.Set,
-		Access:         chosen.Access,
-		Index:          chosen.Index,
-		Clustered:      chosen.Clustered,
-		Parallel:       chosen.Access == SeqScan && in.Workers > 1,
-		Candidates:     cands,
-		PredictedPages: chosen.Pages,
-		EstRows:        estRows,
-	}
-	d.AccessStr = d.Access.String()
-	d.Operators = operators(in, d, sel, estRows)
+	d.Access = chosen.Access
+	d.AccessStr = chosen.Access.String()
+	d.Index = chosen.Index
+	d.Clustered = chosen.Clustered
+	d.Parallel = chosen.Access == SeqScan && in.Workers > 1
+	d.PredictedPages = chosen.Pages
 	for _, p := range in.Paths {
 		if p.Kind == PathFused && !(p.Covered && d.Access == IndexRange) {
 			d.Fused = append(d.Fused, p.Expr)
@@ -293,86 +287,13 @@ func Choose(in Input) *Decision {
 	return d
 }
 
-// pick selects the winning candidate index and writes the others' rejection
-// reasons.
+// pick selects the winning candidate: the scan when forced or alone, else
+// the index unless the scan is cheaper by more than IndexMargin.
 func pick(cands []Candidate, forceScan bool) int {
-	if forceScan {
-		cands[0].Reason = "forced: ForceScan set"
-		for i := 1; i < len(cands); i++ {
-			cands[i].Reason = "rejected: ForceScan set"
-		}
+	if forceScan || len(cands) == 1 || cands[1].Pages > cands[0].Pages+IndexMargin {
 		return 0
 	}
-	if len(cands) == 1 {
-		cands[0].Reason = "only access path"
-		return 0
-	}
-	scan, idx := &cands[0], &cands[1]
-	if idx.Pages <= scan.Pages+IndexMargin {
-		idx.Reason = fmtPages("chosen: %s pages vs scan %s (index preferred within margin)", idx.Pages, scan.Pages)
-		scan.Reason = fmtPages("rejected: %s pages vs index %s", scan.Pages, idx.Pages)
-		return 1
-	}
-	scan.Reason = fmtPages("chosen: %s pages vs index %s", scan.Pages, idx.Pages)
-	idx.Reason = fmtPages("rejected: %s pages vs scan %s (beyond %s-page index margin)", idx.Pages, scan.Pages, IndexMargin)
-	return 0
-}
-
-// operators builds the chosen plan's operator pipeline.
-func operators(in Input, d *Decision, sel, estRows float64) []Operator {
-	var ops []Operator
-	detail := ""
-	if in.Where != nil {
-		detail = in.Where.Detail
-	}
-	if d.Access == IndexRange {
-		ops = append(ops,
-			Operator{Name: "index-range(" + d.Index + ")", Detail: detail,
-				Pages: costmodel.IndexProbePages(in.Index.Height, in.Index.LeafPages, sel)},
-			Operator{Name: "fetch(" + in.Source.Set + ")", Detail: clusteredStr(in.Index.Clustered),
-				Pages: fetchPages(in, sel, estRows)},
-		)
-	} else {
-		name := "seq-scan(" + in.Source.Set + ")"
-		if d.Parallel {
-			name = "seq-scan-parallel(" + in.Source.Set + ")"
-		}
-		ops = append(ops, Operator{Name: name, Detail: detail, Pages: in.Source.Pages})
-	}
-	for _, p := range in.Paths {
-		if p.Kind == PathPlain {
-			continue
-		}
-		if p.Covered && d.Access == IndexRange {
-			ops = append(ops, Operator{Name: p.Kind.String() + "(" + p.Expr + ")", Detail: "covered by index keys", Pages: 0})
-			continue
-		}
-		records := estRows
-		if p.Filter && d.Access == SeqScan {
-			records = in.Source.Card
-		}
-		op := Operator{Name: p.Kind.String() + "(" + p.Expr + ")", Pages: pathCost(p, records)}
-		switch p.Kind {
-		case PathInPlace:
-			op.Detail = "replicated in source object"
-		case PathSeparate:
-			op.Detail = "one S′ fetch per record"
-		case PathFused:
-			op.Detail = fmtLevels(p.Levels)
-		}
-		ops = append(ops, op)
-	}
-	if in.EmitPages > 0 {
-		ops = append(ops, Operator{Name: "emit(output)", Pages: in.EmitPages})
-	}
-	return ops
-}
-
-func clusteredStr(c bool) string {
-	if c {
-		return "clustered"
-	}
-	return "unclustered"
+	return 1
 }
 
 // fetchPages predicts the heap pages read to fetch the qualifying records

@@ -3,6 +3,8 @@ package plan
 import (
 	"fmt"
 	"strings"
+
+	"github.com/exodb/fieldrepl/internal/costmodel"
 )
 
 // Render returns the human-readable plan text: the chosen operator pipeline
@@ -36,15 +38,15 @@ func (d *Decision) render(observed int64) string {
 		fmt.Fprintf(&b, "  predicted=%s pages", num(d.PredictedPages))
 	}
 	b.WriteByte('\n')
-	for _, op := range d.Operators {
-		fmt.Fprintf(&b, "  -> %s", op.Name)
-		if op.Detail != "" {
-			fmt.Fprintf(&b, " [%s]", op.Detail)
+	for _, op := range d.operators() {
+		fmt.Fprintf(&b, "  -> %s", op.name)
+		if op.detail != "" {
+			fmt.Fprintf(&b, " [%s]", op.detail)
 		}
-		fmt.Fprintf(&b, "  (%s pages)\n", num(op.Pages))
+		fmt.Fprintf(&b, "  (%s pages)\n", num(op.pages))
 	}
 	b.WriteString("candidates:\n")
-	for _, c := range d.Candidates {
+	for i, c := range d.Candidates {
 		mark := " "
 		if c.Chosen {
 			mark = "*"
@@ -53,9 +55,99 @@ func (d *Decision) render(observed int64) string {
 		if c.Index != "" {
 			name += "(" + c.Index + ")"
 		}
-		fmt.Fprintf(&b, "  %s %-28s %8s pages  %s\n", mark, name, num(c.Pages), c.Reason)
+		fmt.Fprintf(&b, "  %s %-28s %8s pages  %s\n", mark, name, num(c.Pages), d.reason(i))
 	}
 	return strings.TrimRight(b.String(), "\n")
+}
+
+// reason explains why candidate i was chosen or rejected.
+func (d *Decision) reason(i int) string {
+	if d.in.ForceScan {
+		if i == 0 {
+			return "forced: ForceScan set"
+		}
+		return "rejected: ForceScan set"
+	}
+	if len(d.Candidates) == 1 {
+		return "only access path"
+	}
+	scan, idx := d.Candidates[0].Pages, d.Candidates[1].Pages
+	switch {
+	case i == 1 && d.Candidates[1].Chosen:
+		return fmtPages("chosen: %s pages vs scan %s (index preferred within margin)", idx, scan)
+	case i == 1:
+		return fmtPages("rejected: %s pages vs scan %s (beyond %s-page index margin)", idx, scan, IndexMargin)
+	case d.Candidates[0].Chosen:
+		return fmtPages("chosen: %s pages vs index %s", scan, idx)
+	default:
+		return fmtPages("rejected: %s pages vs index %s", scan, idx)
+	}
+}
+
+// operator is one step of the chosen plan.
+type operator struct {
+	name   string
+	detail string
+	pages  float64
+}
+
+// operators builds the chosen plan's operator pipeline.
+func (d *Decision) operators() []operator {
+	in := &d.in
+	sel := in.selectivity()
+	var ops []operator
+	detail := ""
+	if in.Where != nil && in.Where.Detail != nil {
+		detail = in.Where.Detail.String()
+	}
+	if d.Access == IndexRange {
+		ops = append(ops,
+			operator{name: "index-range(" + d.Index + ")", detail: detail,
+				pages: costmodel.IndexProbePages(in.Index.Height, in.Index.LeafPages, sel)},
+			operator{name: "fetch(" + in.Source.Set + ")", detail: clusteredStr(in.Index.Clustered),
+				pages: fetchPages(d.in, sel, d.EstRows)},
+		)
+	} else {
+		name := "seq-scan(" + in.Source.Set + ")"
+		if d.Parallel {
+			name = "seq-scan-parallel(" + in.Source.Set + ")"
+		}
+		ops = append(ops, operator{name: name, detail: detail, pages: in.Source.Pages})
+	}
+	for _, p := range in.Paths {
+		if p.Kind == PathPlain {
+			continue
+		}
+		if p.Covered && d.Access == IndexRange {
+			ops = append(ops, operator{name: p.Kind.String() + "(" + p.Expr + ")", detail: "covered by index keys"})
+			continue
+		}
+		records := d.EstRows
+		if p.Filter && d.Access == SeqScan {
+			records = in.Source.Card
+		}
+		op := operator{name: p.Kind.String() + "(" + p.Expr + ")", pages: pathCost(p, records)}
+		switch p.Kind {
+		case PathInPlace:
+			op.detail = "replicated in source object"
+		case PathSeparate:
+			op.detail = "one S′ fetch per record"
+		case PathFused:
+			op.detail = fmtLevels(p.Levels)
+		}
+		ops = append(ops, op)
+	}
+	if in.EmitPages > 0 {
+		ops = append(ops, operator{name: "emit(output)", pages: in.EmitPages})
+	}
+	return ops
+}
+
+func clusteredStr(c bool) string {
+	if c {
+		return "clustered"
+	}
+	return "unclustered"
 }
 
 // num formats a page count compactly: integers without a decimal point,

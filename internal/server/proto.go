@@ -18,9 +18,9 @@
 // (payload: script), Ping, or Bye; the server answers Hello (payload:
 // session origin, sent once after the magic), Result (payload: encoded
 // statement outputs), Error (payload: 1 code byte + message), or Pong. A
-// session runs one statement at a time: the client must not send the next
-// Exec until the previous answer arrives (the server uses the quiet wire to
-// detect disconnects mid-query and cancel the statement).
+// session runs one statement at a time and answers frames in the order they
+// arrive. A connection reader keeps reading while a statement runs, so a
+// client that disconnects mid-query has its statement cancelled.
 package server
 
 import (
@@ -68,7 +68,9 @@ type Result struct {
 	Columns []string   `json:"columns,omitempty"`
 	Rows    [][]string `json:"rows,omitempty"`
 	OID     string     `json:"oid,omitempty"`
-	// Plan is the rendered planner decision for explain statements.
+	// Plan is the rendered planner decision, set for explain statements
+	// only: a plain retrieve's plan is not rendered for the wire (embedded
+	// sessions get it in fieldrepl.Output.Plan).
 	Plan string `json:"plan,omitempty"`
 }
 

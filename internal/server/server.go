@@ -226,8 +226,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if native {
 		_, _ = br.Discard(len(Magic))
 		defer s.release(conn)
-		defer conn.Close()
-		s.serveNative(conn, br)
+		s.serveNative(conn, br) // closes conn
 		return
 	}
 	// HTTP: replay the sniffed bytes and hand the connection to the HTTP
@@ -239,83 +238,107 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
+// frame is one native-protocol message, as the connection reader hands it
+// to the serving loop.
+type frame struct {
+	typ     byte
+	payload []byte
+}
+
 // serveNative runs the binary protocol for one connection: Hello, then a
 // request/response loop with one Session for the connection's lifetime.
+//
+// A reader goroutine owns the read side for the connection's lifetime. It
+// hands each frame to the loop over an unbuffered channel, so a pipelined
+// frame waits its turn and frames are served in order. A read error (the
+// client closed or reset the connection) cancels the connection's context,
+// which cancels the statement in flight. The idle timer runs only while the
+// loop waits for a frame, never while a statement runs.
 func (s *Server) serveNative(conn net.Conn, br *bufio.Reader) {
 	sess := s.backend.NewSession()
 	defer sess.Close()
 	bw := bufio.NewWriter(conn)
 	if WriteFrame(bw, MsgHello, []byte(sess.Origin())) != nil || bw.Flush() != nil {
+		_ = conn.Close()
 		return
 	}
-	for {
-		if s.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		typ, payload, err := ReadFrame(br)
-		if err != nil {
-			return
-		}
-		_ = conn.SetReadDeadline(time.Time{})
-		switch typ {
-		case MsgPing:
-			if WriteFrame(bw, MsgPong, nil) != nil || bw.Flush() != nil {
+
+	ctx, cancel := context.WithCancel(s.ctx)
+	frames := make(chan frame)
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		defer cancel()
+		for {
+			typ, payload, err := ReadFrame(br)
+			if err != nil {
 				return
 			}
+			select {
+			case frames <- frame{typ: typ, payload: payload}:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	defer func() {
+		cancel()
+		_ = conn.Close() // ends the reader's blocked read
+		<-readerDone
+	}()
+
+	var idle <-chan time.Time
+	var timer *time.Timer
+	if s.cfg.IdleTimeout > 0 {
+		timer = time.NewTimer(s.cfg.IdleTimeout)
+		defer timer.Stop()
+		idle = timer.C
+	}
+	for {
+		var f frame
+		select {
+		case f = <-frames:
+		case <-idle:
+			return
+		case <-ctx.Done():
+			return
+		}
+		if timer != nil && !timer.Stop() {
+			// Fired while the frame was on its way: drain it, or the stale
+			// tick would end the next wait at once. go.mod's go 1.22 keeps
+			// the buffered timer channel, where the tick is already there.
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		var err error
+		switch f.typ {
+		case MsgPing:
+			err = WriteFrame(bw, MsgPong, nil)
 		case MsgBye:
 			return
 		case MsgExec:
-			rs, execErr, connDead := s.execWatched(conn, br, sess, string(payload))
-			if connDead {
-				return
+			rs, execErr := sess.Exec(ctx, string(f.payload))
+			if ctx.Err() != nil {
+				return // the client is gone or the server is closing
 			}
 			if execErr != nil {
 				err = WriteFrame(bw, MsgError, EncodeError(codeOf(execErr), execErr.Error()))
 			} else {
 				err = WriteFrame(bw, MsgResult, EncodeResults(rs))
 			}
-			if err != nil || bw.Flush() != nil {
-				return
-			}
 		default:
-			_ = WriteFrame(bw, MsgError, EncodeError(ErrCodeGeneric, fmt.Sprintf("unknown message type 0x%02x", typ)))
+			_ = WriteFrame(bw, MsgError, EncodeError(ErrCodeGeneric, fmt.Sprintf("unknown message type 0x%02x", f.typ)))
 			_ = bw.Flush()
 			return
 		}
-	}
-}
-
-// execWatched runs one Exec while watching the wire: the protocol is
-// strictly request/response, so any read activity during execution means
-// the client is gone (EOF or reset) and the statement's context is
-// cancelled — a disconnecting client stops consuming engine time promptly.
-func (s *Server) execWatched(conn net.Conn, br *bufio.Reader, sess Session, script string) (rs []Result, err error, connDead bool) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-	dead := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, perr := br.Peek(1); perr != nil {
-			var ne net.Error
-			if errors.As(perr, &ne) && ne.Timeout() {
-				return // our own deadline-abort below, not a disconnect
-			}
-			close(dead)
-			cancel()
+		if err != nil || bw.Flush() != nil {
+			return
 		}
-	}()
-	rs, err = sess.Exec(ctx, script)
-	// Stop the watchdog: an immediate deadline aborts its blocked Peek;
-	// bytes it may have buffered stay in br for the next ReadFrame.
-	_ = conn.SetReadDeadline(time.Now())
-	<-done
-	_ = conn.SetReadDeadline(time.Time{})
-	select {
-	case <-dead:
-		return nil, nil, true
-	default:
-		return rs, err, false
+		if timer != nil {
+			timer.Reset(s.cfg.IdleTimeout)
+		}
 	}
 }
 

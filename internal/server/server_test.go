@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -300,8 +301,8 @@ func TestPipelinedFrameNotSwallowedByWatchdog(t *testing.T) {
 	}}
 	s := startServer(t, b, Config{})
 	conn, br, _ := dialNative(t, s.Addr())
-	// Send a second Exec while the first is still running: the disconnect
-	// watchdog peeks at it but must leave it for the request loop.
+	// Send a second Exec while the first is still running: the connection
+	// reader holds it until the serving loop has answered the first.
 	if err := WriteFrame(conn, MsgExec, []byte("slow")); err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +336,65 @@ func TestIdleTimeout(t *testing.T) {
 		t.Fatal("idle close took too long")
 	}
 	waitFor(t, func() bool { return b.closed.Load() == 1 })
+}
+
+// A statement running longer than the idle timeout is answered, and the
+// timer, stopped while it ran, neither closes the connection before the next
+// statement nor stays disarmed after it.
+func TestLongStatementOutlivesIdleTimeout(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	b := &fakeBackend{exec: func(ctx context.Context, script string) ([]Result, error) {
+		if script == "slow" {
+			time.Sleep(3 * idle)
+		}
+		return []Result{{Message: script}}, nil
+	}}
+	s := startServer(t, b, Config{IdleTimeout: idle})
+	conn, br, _ := dialNative(t, s.Addr())
+	for _, script := range []string{"slow", "fast"} {
+		if err := WriteFrame(conn, MsgExec, []byte(script)); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := ReadFrame(br)
+		if err != nil || typ != MsgResult {
+			t.Fatalf("%s: typ 0x%02x err %v", script, typ, err)
+		}
+		if rs, err := DecodeResults(payload); err != nil || len(rs) != 1 || rs[0].Message != script {
+			t.Fatalf("%s: rs %+v err %v", script, rs, err)
+		}
+	}
+	if _, err := br.ReadByte(); err == nil {
+		t.Fatal("idle connection not closed after the statements")
+	}
+	waitFor(t, func() bool { return b.closed.Load() == 1 })
+}
+
+// Close ends every connection's reader goroutine: the goroutine count falls
+// back to what it was before the server started.
+func TestCloseLeavesNoConnectionReaders(t *testing.T) {
+	base := runtime.NumGoroutine()
+	b := &fakeBackend{}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Serve(ln, b, Config{})
+	for i := 0; i < 3; i++ {
+		conn, br, _ := dialNative(t, s.Addr())
+		if err := WriteFrame(conn, MsgExec, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := ReadFrame(br); err != nil || typ != MsgResult {
+			t.Fatalf("typ 0x%02x err %v", typ, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= base })
+	if n := b.closed.Load(); n != 3 {
+		t.Fatalf("%d sessions closed, want 3", n)
+	}
 }
 
 func TestCloseCancelsInFlight(t *testing.T) {

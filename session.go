@@ -56,6 +56,9 @@ func (s *Session) ExecCtx(ctx context.Context, script string) ([]Output, error) 
 	converted := make([]Output, len(outs))
 	for i, o := range outs {
 		converted[i] = Output{Message: o.Message, Columns: o.Columns, Rows: o.Rows, OID: OID{inner: o.OID}, Plan: o.Plan}
+		if o.Decision != nil {
+			converted[i].Plan = o.Decision.Render()
+		}
 	}
 	return converted, err
 }
