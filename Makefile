@@ -24,7 +24,7 @@ help:
 	@echo "  querybench - planner query shapes (point/range/path3/aggregate), fused-vs-baseline gate -> BENCH_query.json"
 	@echo "  advisorbench - workload-advisor convergence + <=5% advisory overhead gate -> BENCH_advisor.json"
 	@echo "  soak   - exhaustive fault-injection soak"
-	@echo "  fuzz   - all five fuzz targets (FUZZTIME=$(FUZZTIME) each)"
+	@echo "  fuzz   - all seven fuzz targets (FUZZTIME=$(FUZZTIME) each)"
 	@echo "  check  - build + vet + test + race"
 	@echo "  ci     - the full gate: build + vet(+gofmt) + test + race + benchmod"
 
@@ -52,13 +52,15 @@ test:
 # a second time; the fourth does the same for the public handle, which holds
 # no lock of its own — the engine's two layers are all there is under its DML,
 # DDL, sessions and sinks; the fifth repeats the native server's connection
-# reader tests (disconnect, pipelining, idle timer, Close).
+# reader tests (disconnect, pipelining, idle timer, Close); the sixth runs a
+# log tail reader beside checkpoints that switch log generations under it.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pagefile ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
 	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting|TestCloseUnderLoad|TestRowProgramMatchesOracle|TestWalkedPredicatesMatchOracle' ./internal/engine
 	$(GO) test -race -count=2 -run 'TestPublicConcurrentUse|TestSlowQueryLogConcurrent' .
 	$(GO) test -race -count=2 -run 'TestDisconnectCancelsExec|TestPipelinedFrameNotSwallowedByWatchdog|TestIdleTimeout|TestLongStatementOutlivesIdleTimeout|TestCloseCancelsInFlight|TestCloseLeavesNoConnectionReaders' ./internal/server
+	$(GO) test -race -count=2 -run 'TestReadTailAcrossGenerations' ./internal/wal
 
 # The benchmark is its own module (bench/go.mod) that imports the public API
 # and internal/buffer, heap, btree and wal directly; the root ./... never
@@ -138,9 +140,13 @@ advisorbench:
 soak:
 	$(GO) test -tags soak -run 'TestFaultSoak|TestSoak|TestDDLCrashMatrix' -v ./internal/engine/
 
+# FuzzRestore's seeds are whole catalog snapshots: the default minute spent
+# minimizing each new input would stall the run, so it gets two seconds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSlottedParsing -fuzztime $(FUZZTIME) ./internal/pagefile/
 	$(GO) test -run '^$$' -fuzz FuzzWALFrame -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/catalog/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/extra/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLinks -fuzztime $(FUZZTIME) ./internal/links/

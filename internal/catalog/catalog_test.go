@@ -12,7 +12,7 @@ import (
 
 // employeeCatalog builds the paper's Figure 1 schema: ORG, DEPT, EMP types
 // and the Org, Dept, Emp1, Emp2 sets.
-func employeeCatalog(t *testing.T) *Catalog {
+func employeeCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	c := New()
 	if _, err := c.DefineType("ORG", []schema.Field{

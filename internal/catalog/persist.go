@@ -222,6 +222,9 @@ func Restore(data []byte) (*Catalog, error) {
 		for i, f := range ts.Fields {
 			fields[i] = schema.Field{Name: f.Name, Kind: f.Kind, RefType: f.RefType}
 		}
+		if _, dup := c.typesByTag[ts.Tag]; dup || ts.Tag == 0 || ts.Tag >= c.nextTag {
+			return nil, fmt.Errorf("catalog: type %s has tag %d, duplicate or outside [1, %d)", ts.Name, ts.Tag, c.nextTag)
+		}
 		t, err := schema.NewType(ts.Name, ts.Tag, fields)
 		if err != nil {
 			return nil, err
@@ -243,6 +246,9 @@ func Restore(data []byte) (*Catalog, error) {
 		c.indexes[ix.Name] = ix
 	}
 	for _, ls := range snap.Links {
+		if len(ls.Prefix) == 0 {
+			return nil, fmt.Errorf("catalog: link %d has no ref prefix", ls.ID)
+		}
 		l := &Link{
 			ID: ls.ID, Source: ls.Source, Prefix: ls.Prefix,
 			RefField: ls.Prefix[len(ls.Prefix)-1],

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -247,13 +248,20 @@ func TestCrashUnloggedWriteForcesFullImage(t *testing.T) {
 	}
 }
 
-// TestCrashTornWriteDetectedNoWAL is the same crash with the log lost too:
-// there is nothing to replay from, so the torn page must surface as
-// ErrCorruptPage when next read — never silently decode as valid data.
+// TestCrashTornWriteDetectedNoWAL is the same crash with the log's records
+// lost too: there is nothing to replay from, so the torn page must surface as
+// ErrCorruptPage when next read — never silently decode as valid data. The
+// log's header stays, because it carries the catalog.
 func TestCrashTornWriteDetectedNoWAL(t *testing.T) {
 	dir := t.TempDir()
 	tornCrash(t, dir)
-	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil {
+	logPath := filepath.Join(dir, "wal.log")
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fixed = 24 // magic | version | base | catLen | catCRC
+	if err := os.Truncate(logPath, fixed+int64(binary.LittleEndian.Uint32(log[16:]))); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -368,10 +370,11 @@ func TestDefineTypeSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestLegacyTaintedCatalogRederived opens a directory whose catalog carries
-// the taint markers earlier versions recorded, over replicated state that is
-// indeed stale: Open re-derives it once and rewrites the catalog without
-// them.
+// TestLegacyTaintedCatalogRederived opens a directory as earlier versions
+// left it — a bare 16-byte version-2 log header, and the catalog in
+// catalog.json carrying the taint markers they recorded — over replicated
+// state that is indeed stale. Open re-derives it once, moves the catalog,
+// without the markers, into a version-3 log header, and removes the file.
 func TestLegacyTaintedCatalogRederived(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{Dir: dir, PoolPages: 64})
@@ -405,18 +408,28 @@ func TestLegacyTaintedCatalogRederived(t *testing.T) {
 	if errs := db.VerifyReplication(); len(errs) != 1 {
 		t.Fatalf("the stale value shows as %d violations, want 1", len(errs))
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// ... and the marker naming its set.
-	path := dir + "/" + catalogFileName
-	data, err := os.ReadFile(path)
+	snap, err := db.cat.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = []byte(strings.Replace(string(data), `"next_tag"`, `"tainted": {"Emp1": "injected fault"},
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// ... the log as a bare legacy header at the same base LSN ...
+	logPath := filepath.Join(dir, "wal.log")
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(log[4:], 2)
+	if err := os.WriteFile(logPath, log[:16], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// ... and the catalog file with the marker naming its set.
+	catPath := filepath.Join(dir, "catalog.json")
+	snap = []byte(strings.Replace(string(snap), `"next_tag"`, `"tainted": {"Emp1": "injected fault"},
   "next_tag"`, 1))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(catPath, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -428,8 +441,14 @@ func TestLegacyTaintedCatalogRederived(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if data, err := os.ReadFile(path); err != nil || strings.Contains(string(data), "tainted") {
-		t.Fatalf("the rewritten catalog still carries taint markers (%v)", err)
+	if _, err := os.Stat(catPath); !os.IsNotExist(err) {
+		t.Fatalf("catalog.json after the upgrade: %v", err)
+	}
+	if log, err = os.ReadFile(logPath); err != nil || binary.LittleEndian.Uint32(log[4:]) != 3 {
+		t.Fatalf("log header after the upgrade: % x (%v), want version 3", log[:8], err)
+	}
+	if strings.Contains(string(log), "tainted") || strings.Contains(string(log), `"rederive"`) {
+		t.Fatal("the log's catalog still asks for a re-derivation")
 	}
 }
 

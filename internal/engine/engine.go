@@ -44,8 +44,8 @@ type Config struct {
 	// Store, when non-nil, is used as the page store instead of the MemStore /
 	// FileStore the engine would otherwise create. This is the fault-injection
 	// seam: tests wrap a real store in a pagefile.FaultStore to exercise
-	// failure paths. When Dir is also set, the catalog snapshot is still
-	// read/written under Dir while page I/O goes through the injected store.
+	// failure paths. When Dir is also set, the log, which carries the catalog,
+	// still lives under Dir while page I/O goes through the injected store.
 	Store pagefile.Store
 	// PoolShards is the number of lock shards the buffer pool is striped
 	// over (default 1, the historical single-clock pool the figure
@@ -94,7 +94,6 @@ type DB struct {
 	pool    *buffer.Pool
 	cat     *catalog.Catalog
 	mgr     *core.Manager
-	dir     string
 	workers int
 
 	// mu separates statements from whole-database operations. DDL,
@@ -146,60 +145,50 @@ type DB struct {
 	follower atomic.Pointer[repl.Follower]
 }
 
-// catalogFileName is the catalog snapshot inside a file-backed database
-// directory; its presence marks the directory as an existing database.
-const catalogFileName = "catalog.json"
-
 // Open creates a database. With a Dir that already holds a database
 // (created by a previous Open/Close cycle), the database is reopened: the
-// page files are reattached, the catalog restored, and what a crash left of
-// an unfinished schema operation torn down.
+// page files are reattached, the catalog restored from the log, and what a
+// crash left of an unfinished schema operation torn down.
 func Open(cfg Config) (*DB, error) { return open(cfg, rolePrimary) }
 
 // open is Open in the given replication role.
-func open(cfg Config, role int32) (*DB, error) {
+func open(cfg Config, role int32) (_ *DB, err error) {
 	if cfg.PoolPages == 0 {
 		cfg.PoolPages = 256
 	}
 	if cfg.PoolPages < btree.MinPoolFrames {
 		return nil, fmt.Errorf("engine: pool of %d pages is below the B+tree minimum %d", cfg.PoolPages, btree.MinPoolFrames)
 	}
-	var store pagefile.Store
-	var cat *catalog.Catalog
-	reopen := false
+	store := cfg.Store
 	if cfg.Dir != "" {
-		catPath := filepath.Join(cfg.Dir, catalogFileName)
-		if data, err := os.ReadFile(catPath); err == nil {
-			cat, err = catalog.Restore(data)
-			if err != nil {
-				return nil, fmt.Errorf("engine: restoring catalog: %w", err)
-			}
-			reopen = true
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("engine: creating %s: %w", cfg.Dir, err)
 		}
 	}
 	switch {
-	case cfg.Store != nil:
-		store = cfg.Store
+	case store != nil:
 	case cfg.Dir == "":
 		store = pagefile.NewMemStore()
-	case reopen:
+	default:
 		fs, err := pagefile.OpenFileStore(cfg.Dir)
 		if err != nil {
 			return nil, err
 		}
 		store = fs
-	default:
-		fs, err := pagefile.NewFileStore(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		store = fs
 	}
-	// WAL recovery runs against the bare store, before the pool exists:
-	// committed transactions a crash cut short are re-applied, and the last
-	// committed catalog snapshot (always at least as new as catalog.json)
-	// replaces the one read above.
 	var walMgr *wal.Manager
+	defer func() {
+		if err != nil {
+			if walMgr != nil {
+				walMgr.Close()
+			}
+			store.Close()
+		}
+	}()
+	// WAL recovery runs against the bare store, before the pool exists:
+	// committed transactions a crash cut short are re-applied, and the log's
+	// last committed catalog is the database's.
+	cat := catalog.New()
 	var recovered wal.RecoveryReport
 	if cfg.Dir != "" {
 		walPath := cfg.WALPath
@@ -208,42 +197,39 @@ func open(cfg Config, role int32) (*DB, error) {
 		}
 		wm, rep, err := wal.Open(walPath, store, cfg.CommitInterval)
 		if err != nil {
-			store.Close()
 			return nil, err
 		}
-		if rep.Catalog != nil {
-			c, err := catalog.Restore(rep.Catalog)
-			if err != nil {
-				wm.Close()
-				store.Close()
-				return nil, fmt.Errorf("engine: restoring logged catalog: %w", err)
-			}
-			cat = c
-			reopen = true
-			if err := os.WriteFile(filepath.Join(cfg.Dir, catalogFileName), rep.Catalog, 0o644); err != nil {
-				wm.Close()
-				store.Close()
+		walMgr = wm
+		// Databases written before the log carried the catalog kept it in
+		// catalog.json. It is read this once; the checkpoint below moves it
+		// into the log, and only then is it removed.
+		data, legacy := rep.Catalog, filepath.Join(cfg.Dir, "catalog.json")
+		if data == nil {
+			if data, err = os.ReadFile(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
 				return nil, err
+			}
+		}
+		if data != nil {
+			if cat, err = catalog.Restore(data); err != nil {
+				return nil, fmt.Errorf("engine: restoring catalog: %w", err)
 			}
 		}
 		if rep.PagesApplied > 0 || rep.DeltasApplied > 0 || rep.FilesCreated > 0 {
 			if err := store.SyncAll(); err != nil {
-				wm.Close()
-				store.Close()
 				return nil, err
 			}
 		}
-		// The replayed state is durable; start from an empty log.
-		if err := wm.Checkpoint(); err != nil {
-			wm.Close()
-			store.Close()
+		// The replayed state is durable; start a new log generation.
+		if data, err = cat.Snapshot(); err != nil {
 			return nil, err
 		}
-		walMgr = wm
+		if err := wm.Checkpoint(data); err != nil {
+			return nil, err
+		}
+		if err := os.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
 		recovered = *rep
-	}
-	if cat == nil {
-		cat = catalog.New()
 	}
 	shards := cfg.PoolShards
 	if shards < 1 {
@@ -263,7 +249,6 @@ func open(cfg Config, role int32) (*DB, error) {
 		store:     store,
 		pool:      pool,
 		cat:       cat,
-		dir:       cfg.Dir,
 		workers:   workers,
 		files:     map[pagefile.FileID]*heap.File{},
 		trees:     map[string]*btree.Tree{},
@@ -285,18 +270,11 @@ func open(cfg Config, role int32) (*DB, error) {
 		db.advisor = advisor.New(advisor.Config{WindowOps: cfg.AdvisorWindowOps, Windows: cfg.AdvisorWindows})
 		db.advisorCancel = db.obs.Subscribe(db.advisor.Observe)
 	}
-	if reopen {
-		err := db.rehydrate()
-		if err == nil {
-			err = db.finishSchema()
-		}
-		if err != nil {
-			if walMgr != nil {
-				walMgr.Close()
-			}
-			store.Close()
-			return nil, err
-		}
+	if err := db.rehydrate(); err != nil {
+		return nil, err
+	}
+	if err := db.finishSchema(); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
@@ -357,9 +335,9 @@ func (db *DB) rehydrate() error {
 	return nil
 }
 
-// Close flushes and releases the database, persisting the catalog snapshot
-// for file-backed databases so they can be reopened. With a WAL, everything
-// is made durable and the log is truncated, so reopening replays nothing.
+// Close flushes and releases the database. With a WAL, everything is made
+// durable and the log starts a new generation carrying the catalog, so
+// reopening replays nothing.
 //
 // Close waits out in-flight statements and transactions on the exclusive
 // lock; statements that start afterwards fail against the closed store and
@@ -393,38 +371,9 @@ func (db *DB) Close() error {
 	return err
 }
 
-// writeCatalog persists the catalog snapshot of a file-backed database; it is
-// a no-op for in-memory databases. With a WAL, the snapshot is first logged
-// and forced: the log's last committed catalog is then always at least as
-// new as catalog.json, so recovery can rewrite catalog.json from the log
-// without ever regressing it.
-func (db *DB) writeCatalog() error {
-	if db.dir == "" {
-		return nil
-	}
-	data, err := db.cat.Snapshot()
-	if err != nil {
-		return err
-	}
-	// A follower never appends to its own log: its LSN sequence is a copy of
-	// the primary's, and a local commit would collide with streamed records.
-	// Its catalog durability comes from the streamed RecCatalog records
-	// already in the local log.
-	if db.wal != nil && db.role.Load() != roleFollower {
-		lsn, _, err := db.wal.AppendPages(nil, nil, data)
-		if err != nil {
-			return err
-		}
-		if err := db.wal.WaitDurable(lsn); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(filepath.Join(db.dir, catalogFileName), data, 0o644)
-}
-
 // Sync makes the current state durable: all dirty buffered pages are written
-// back, the underlying store is fsynced, and (for file-backed databases) the
-// catalog snapshot is rewritten. After Sync returns, a crash loses nothing.
+// back and the underlying store is fsynced. After Sync returns, a crash loses
+// nothing.
 func (db *DB) Sync() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -432,8 +381,9 @@ func (db *DB) Sync() error {
 }
 
 // sync is Sync without the lock, for callers already holding it. With a WAL
-// it is also the checkpoint: once the data files and catalog are durable the
-// log no longer needs to cover them and is truncated.
+// it is also the checkpoint: once the data files are durable the log no
+// longer needs to cover them, and a new generation starts with the catalog in
+// its header.
 func (db *DB) sync() error {
 	if err := db.pool.FlushAll(); err != nil {
 		return err
@@ -441,13 +391,14 @@ func (db *DB) sync() error {
 	if err := db.store.SyncAll(); err != nil {
 		return err
 	}
-	if err := db.writeCatalog(); err != nil {
+	if db.wal == nil {
+		return nil
+	}
+	cat, err := db.cat.Snapshot()
+	if err != nil {
 		return err
 	}
-	if db.wal != nil {
-		return db.wal.Checkpoint()
-	}
-	return nil
+	return db.wal.Checkpoint(cat)
 }
 
 // Repair re-derives all replicated state from the primary objects (see

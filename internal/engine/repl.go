@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 
 	"github.com/exodb/fieldrepl/internal/btree"
 	"github.com/exodb/fieldrepl/internal/catalog"
@@ -157,7 +155,7 @@ func (db *DB) Promote() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.sync(); err != nil { // still a follower: the catalog is not logged
+	if err := db.sync(); err != nil {
 		return err
 	}
 	db.follower.Store(nil)
@@ -212,8 +210,8 @@ func (db *DB) closeRepl() {
 }
 
 // CrashStop simulates kill -9 for crash-recovery and failover tests: the WAL
-// and store handles are closed without flushing the buffer pool, writing the
-// catalog, or checkpointing. In-flight commits whose fsync had not completed
+// and store handles are closed without flushing the buffer pool or
+// checkpointing. In-flight commits whose fsync had not completed
 // fail; everything acknowledged durable stays on disk. The DB object is
 // unusable afterwards (operations fail with closed-store errors); reopen the
 // directory to recover.
@@ -302,14 +300,11 @@ func (t *replTarget) ApplySnapshot(snap *repl.Snapshot) error {
 		return err
 	}
 	// The store now embodies everything through snap.LSN: restart the local
-	// log there (durably — ResetTo syncs the new header).
-	if err := db.wal.ResetTo(snap.LSN + 1); err != nil {
+	// log there, its header carrying the snapshot's catalog.
+	if err := db.wal.ResetTo(snap.LSN+1, snap.Catalog); err != nil {
 		return err
 	}
 	if err := db.installCatalog(snap.Catalog); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(db.dir, catalogFileName), snap.Catalog, 0o644); err != nil {
 		return err
 	}
 	t.applied = snap.LSN
@@ -367,9 +362,6 @@ func (t *replTarget) ApplyTxns(txns []repl.Txn) error {
 				return err
 			}
 			if err := db.installCatalog(txn.Catalog); err != nil {
-				return err
-			}
-			if err := os.WriteFile(filepath.Join(db.dir, catalogFileName), txn.Catalog, 0o644); err != nil {
 				return err
 			}
 		}

@@ -42,6 +42,7 @@ type FileStore struct {
 	files      []*osFile
 	stats      Stats
 	closed     bool
+	created    bool // a file was created since SyncAll last fsynced dir
 }
 
 type osFile struct {
@@ -189,6 +190,7 @@ func (s *FileStore) CreateFile(name string) (FileID, error) {
 		return 0, fmt.Errorf("pagefile: creating %s: %w", path, err)
 	}
 	s.files = append(s.files, &osFile{f: f, name: name})
+	s.created = true
 	return id, nil
 }
 
@@ -385,7 +387,9 @@ func (s *FileStore) Sync(id FileID) error {
 	return nil
 }
 
-// SyncAll implements Store: an fsync barrier across every file.
+// SyncAll implements Store: an fsync barrier across every file, and across
+// the directory when a file was created since the last barrier, so the file
+// keeps its entry once the log no longer records its creation.
 func (s *FileStore) SyncAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,7 +402,30 @@ func (s *FileStore) SyncAll() error {
 			firstErr = fmt.Errorf("pagefile: syncing file %d: %w", i+1, err)
 		}
 	}
-	return firstErr
+	if firstErr != nil || !s.created {
+		return firstErr
+	}
+	if err := SyncDir(s.dir); err != nil {
+		return err
+	}
+	s.created = false
+	return nil
+}
+
+// SyncDir fsyncs directory dir, making the entries created or renamed in it
+// durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("pagefile: syncing directory %s: %w", dir, err)
+	}
+	return nil
 }
 
 // Stats implements Store.

@@ -266,10 +266,15 @@ func txnFrames(t *testing.T, m *Manager) [][]byte {
 	return out
 }
 
-// writeLog writes a log file by hand: header, then the given frames.
+// writeLog writes a log file by hand: header, then the given frames. A
+// version 1 or 2 header is the legacy 16 bytes; a later one carries no
+// catalog.
 func writeLog(t *testing.T, path string, version uint32, base uint64, frames ...[]byte) {
 	t.Helper()
 	h := make([]byte, headerSize)
+	if version < 3 {
+		h = h[:legacyHeader]
+	}
 	binary.LittleEndian.PutUint32(h[0:], walMagic)
 	binary.LittleEndian.PutUint32(h[4:], version)
 	binary.LittleEndian.PutUint64(h[8:], base)
@@ -320,14 +325,14 @@ func TestFullImageRule(t *testing.T) {
 	step("unchanged page", 0, 1, 64, func() { s.commit(func(pagefile.PageID, *pagefile.Page) {}, pid) })
 
 	step("after a truncating checkpoint", 1, 0, 0, func() {
-		if err := m.Checkpoint(); err != nil {
+		if err := m.Checkpoint(nil); err != nil {
 			t.Fatal(err)
 		}
 		s.commit(poke(3), pid)
 	})
 	step("after a deferred checkpoint", 1, 0, 0, func() {
 		m.SetRetain(func() (uint64, bool) { return 1, true }, 0)
-		if err := m.Checkpoint(); err != nil {
+		if err := m.Checkpoint(nil); err != nil {
 			t.Fatal(err)
 		}
 		m.SetRetain(nil, 0)
@@ -650,8 +655,19 @@ func TestReplayDropsRecordsWithoutCommit(t *testing.T) {
 	}
 }
 
+// headerVersion reads the version word of the log at path.
+func headerVersion(t *testing.T, path string) uint32 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) < 8 {
+		t.Fatalf("reading the header of %s: %d bytes, %v", path, len(data), err)
+	}
+	return binary.LittleEndian.Uint32(data[4:])
+}
+
 // TestVersions: a version-1 log (full images only) replays and is raised to
-// the current version in place; an unknown version is refused.
+// version 2 in place, a version-2 log is read as it is, only a generation
+// switch writes version 3, and an unknown version is refused.
 func TestVersions(t *testing.T) {
 	_, txns, pid, _ := deltaLog(t)
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -667,20 +683,27 @@ func TestVersions(t *testing.T) {
 	s.commit(poke(1), pid)
 	s.commit(poke(2), pid)
 	m.Close()
-	var h [8]byte
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.ReadAt(h[:], 0)
-	f.Close()
-	if v := binary.LittleEndian.Uint32(h[4:]); v != walVersion {
-		t.Fatalf("header version %d after reopening a v1 log, want %d", v, walVersion)
+	if v := headerVersion(t, path); v != 2 {
+		t.Fatalf("header version %d after reopening a v1 log, want 2", v)
 	}
 	m2, rep2 := openT(t, path, store, 0)
+	if rep2.Commits != 3 || rep2.Catalog != nil {
+		t.Fatalf("upgraded log replayed %d commits and catalog %q, want 3 and none", rep2.Commits, rep2.Catalog)
+	}
+	if v := headerVersion(t, path); v != 2 {
+		t.Fatalf("reading a v2 log rewrote its header to version %d", v)
+	}
+	if err := m2.Checkpoint([]byte("cat")); err != nil {
+		t.Fatal(err)
+	}
 	m2.Close()
-	if rep2.Commits != 3 {
-		t.Fatalf("upgraded log replayed %d commits, want 3", rep2.Commits)
+	if v := headerVersion(t, path); v != walVersion {
+		t.Fatalf("header version %d after a checkpoint, want %d", v, walVersion)
+	}
+	m3, rep3 := openT(t, path, store, 0)
+	m3.Close()
+	if rep3.Commits != 0 || string(rep3.Catalog) != "cat" {
+		t.Fatalf("v3 log: commits=%d catalog=%q, want 0 and the header's", rep3.Commits, rep3.Catalog)
 	}
 
 	writeLog(t, path, walVersion+1, 1)

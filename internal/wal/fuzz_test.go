@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/exodb/fieldrepl/internal/pagefile"
@@ -109,6 +111,49 @@ func FuzzWALFrame(f *testing.F) {
 			} else if len(pr.Data) != pagefile.PageSize {
 				t.Fatalf("full image of %d bytes", len(pr.Data))
 			}
+		}
+	})
+}
+
+// header builds a log header: the legacy 16 bytes for versions 1 and 2, the
+// catalog-carrying form after them.
+func header(version uint32, base uint64, cat []byte) []byte {
+	h := binary.LittleEndian.AppendUint32(nil, walMagic)
+	h = binary.LittleEndian.AppendUint32(h, version)
+	h = binary.LittleEndian.AppendUint64(h, base)
+	if version < 3 {
+		return h
+	}
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(cat)))
+	h = binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(cat))
+	return append(h, cat...)
+}
+
+// FuzzOpen hands Open arbitrary bytes as the log file: it returns an error or
+// a log that takes an append, and never panics.
+func FuzzOpen(f *testing.F) {
+	commit := frame(RecCommit, 2, nil)
+	f.Add([]byte{})
+	f.Add(header(2, 1, nil))
+	f.Add(append(header(1, 1, nil), append(frame(RecCatalog, 1, []byte(`{"v":1}`)), commit...)...))
+	f.Add(append(header(walVersion, 1, []byte(`{"sets":[]}`)), append(frame(RecFileCreate, 1, append([]byte{1, 0, 0, 0}, "emp"...)), commit...)...))
+	f.Add(header(walVersion, 7, []byte(`{"sets":[]}`))[:headerSize+3])
+	bad := header(walVersion, 7, []byte("cat"))
+	bad[20] ^= 1
+	f.Add(bad)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := Open(path, pagefile.NewMemStore(), 0)
+		if err != nil {
+			return
+		}
+		defer m.Close()
+		if _, _, err := m.AppendCommit(nil, nil, []byte("cat")); err != nil {
+			t.Fatalf("append to an opened log: %v", err)
 		}
 	})
 }

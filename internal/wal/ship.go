@@ -4,10 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
-
-	"github.com/exodb/fieldrepl/internal/pagefile"
 )
 
 // This file is the shipping side of the log: a tail reader that streams the
@@ -42,50 +39,46 @@ func (m *Manager) CursorAt(lsn uint64) Cursor { return Cursor{LSN: lsn} }
 //
 // The file is read outside the manager lock (concurrent appends use
 // positional writes past the durable boundary, so the bytes below it are
-// stable); a truncation that races the read is detected by re-checking the
-// log generation before returning, so a reader can never hand out frames
-// from a mixed generation.
+// stable). A new generation closes the file it replaces, so a read racing
+// one fails; the log generation is re-checked before returning, and a
+// changed one turns the read into a stale result, so a reader can never
+// hand out frames from a mixed generation.
 func (m *Manager) ReadTail(c *Cursor, maxBytes int) ([]byte, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	base, epoch, durOff := m.base, m.epoch, m.durableOff
+	base, first, epoch, durOff := m.base, m.first, m.epoch, m.durableOff
 	f := m.f
 	m.mu.Unlock()
 
 	if !c.valid || c.epoch != epoch {
-		// First read, or the log was truncated/reset since the last one:
-		// offsets are meaningless, so rescan from the header. Records below
-		// the current base are gone for good.
+		// First read, or a new generation since the last one: offsets are
+		// meaningless, so rescan from its first record. Records below the
+		// current base are gone for good.
 		if c.LSN+1 < base {
 			return nil, fmt.Errorf("%w: need LSN %d, log starts at %d", ErrTruncated, c.LSN+1, base)
 		}
-		c.off, c.epoch, c.valid = headerSize, epoch, true
+		c.off, c.epoch, c.valid = first, epoch, true
 	}
 
 	var out []byte
+	var rerr error
 	off, lsn := c.off, c.LSN
 	var frame [8]byte
 	for off < durOff && len(out) < maxBytes {
-		if _, err := f.ReadAt(frame[:], off); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break // racing truncation; the epoch re-check below rejects it
-			}
-			return nil, fmt.Errorf("wal: tail read: %w", err)
+		if _, rerr = f.ReadAt(frame[:], off); rerr != nil {
+			break
 		}
 		bodyLen := binary.LittleEndian.Uint32(frame[0:])
 		if bodyLen < recHeaderLen || bodyLen > MaxBodyLen || off+8+int64(bodyLen) > durOff {
-			break // torn tail or racing truncation
+			break // torn tail
 		}
 		buf := make([]byte, 8+bodyLen)
 		copy(buf, frame[:])
-		if _, err := f.ReadAt(buf[8:], off+8); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break
-			}
-			return nil, fmt.Errorf("wal: tail read: %w", err)
+		if _, rerr = f.ReadAt(buf[8:], off+8); rerr != nil {
+			break
 		}
 		recLSN := binary.LittleEndian.Uint64(buf[9:])
 		if recLSN > lsn {
@@ -95,14 +88,15 @@ func (m *Manager) ReadTail(c *Cursor, maxBytes int) ([]byte, error) {
 		off += 8 + int64(bodyLen)
 	}
 
-	// Reject the read if the log generation changed underneath it: the bytes
-	// may mix records from before and after a truncation.
 	m.mu.Lock()
 	stale := m.epoch != epoch
 	m.mu.Unlock()
 	if stale {
 		c.valid = false
 		return nil, nil
+	}
+	if rerr != nil {
+		return nil, fmt.Errorf("wal: tail read: %w", rerr)
 	}
 	c.off, c.LSN = off, lsn
 	return out, nil
@@ -185,11 +179,11 @@ func (m *Manager) AppendRaw(txn *Txn) error {
 	return nil
 }
 
-// ResetTo truncates the log and restarts the LSN sequence at next. A
-// follower calls it after installing a snapshot taken at LSN next-1: the
-// store now embodies everything up to the snapshot, and the log will hold
-// only records streamed after it.
-func (m *Manager) ResetTo(next uint64) error {
+// ResetTo starts a new log generation at LSN next whose header carries
+// catalog cat. A follower calls it after installing a snapshot taken at LSN
+// next-1: the store now embodies everything up to the snapshot, cat is the
+// snapshot's catalog, and the log will hold only records streamed after it.
+func (m *Manager) ResetTo(next uint64, cat []byte) error {
 	m.syncMu.Lock()
 	defer m.syncMu.Unlock()
 	m.mu.Lock()
@@ -197,16 +191,7 @@ func (m *Manager) ResetTo(next uint64) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if err := m.writeHeader(next); err != nil {
-		return err
-	}
-	m.off = headerSize
-	m.pageLSN = make(map[pagefile.PageID]pageState)
-	m.nextLSN = next
-	m.appended = next - 1
-	m.durable.Store(m.appended)
-	m.broken = false
-	return nil
+	return m.newGeneration(next, cat)
 }
 
 // SetRetain registers the truncation interlock: f reports the minimum LSN a

@@ -132,7 +132,7 @@ func TestReadTailTruncationForcesResync(t *testing.T) {
 	if err := m.WaitDurable(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Checkpoint(); err != nil {
+	if err := m.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +181,7 @@ func TestRetainDefersCheckpointUntilUnregistered(t *testing.T) {
 	// A consumer still needs LSN 1: truncation must be deferred.
 	m.SetRetain(func() (uint64, bool) { return 1, true }, 0)
 	size := m.Size()
-	if err := m.Checkpoint(); err != nil {
+	if err := m.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.CheckpointsDeferred != 1 || st.Checkpoints != 0 {
@@ -197,7 +197,7 @@ func TestRetainDefersCheckpointUntilUnregistered(t *testing.T) {
 
 	// Consumer gone: the next checkpoint truncates.
 	m.SetRetain(nil, 0)
-	if err := m.Checkpoint(); err != nil {
+	if err := m.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Size() >= size || m.BaseLSN() != lsn+1 {
@@ -222,7 +222,7 @@ func TestRetainBoundForcesTruncation(t *testing.T) {
 	// The lagging consumer's allowance is 1 byte: the log is over it, so the
 	// checkpoint truncates anyway and the consumer must resync.
 	m.SetRetain(func() (uint64, bool) { return 1, true }, 1)
-	if err := m.Checkpoint(); err != nil {
+	if err := m.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Checkpoints != 1 {
@@ -333,7 +333,7 @@ func TestResetToRestartsSequence(t *testing.T) {
 	if _, _, err := m.AppendCommit(nil, []PageImage{{PID: pagefile.PageID{File: fid}, Data: fill(1)}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ResetTo(50); err != nil {
+	if err := m.ResetTo(50, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.BaseLSN() != 50 || m.LastLSN() != 49 || m.DurableLSN() != 49 {

@@ -1,7 +1,8 @@
 // Package wal implements a page-oriented redo write-ahead log.
 //
-// The log is a single append-only file. A 16-byte header (magic, version,
-// base LSN) is followed by a sequence of records framed as
+// The log is a single append-only file. A header (magic u32 | version u32 |
+// base LSN u64 | catLen u32 | catCRC u32 | catalog) is followed by records
+// framed as
 //
 //	u32 bodyLen | u32 crc32(body) | body
 //	body = u8 type | u64 lsn | payload
@@ -44,17 +45,22 @@
 // next, and nothing above the log knows deltas exist.
 //
 // Recovery scans the log, stops at the first torn or corrupt record (an
-// unacknowledged tail), and redoes every committed transaction. Checkpoint
-// truncates the log after the data files themselves are durable, carrying the
-// LSN sequence forward in the header so LSNs stay monotone for the life of
-// the database.
+// unacknowledged tail), and redoes every committed transaction. A generation
+// — the log from one truncation to the next — starts at creation, at each
+// Checkpoint and at a follower's ResetTo. Its header carries the LSN sequence
+// forward and the catalog as of its base LSN, the catalog's only durable
+// home. It is written whole beside the log, fsynced, renamed over it and the
+// directory fsynced: a crash leaves the old log or the new one, each whole.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,11 +71,13 @@ import (
 
 const (
 	walMagic = 0x57A1F17E
-	// walVersion 2 added pageDelta records. A version-1 log (full images
-	// only) still replays and is upgraded in place; a version-1 binary refuses
-	// a version-2 log rather than mistaking its first delta for a torn tail.
-	walVersion = 2
-	headerSize = 16 // magic u32 | version u32 | baseLSN u64
+	// walVersion 2 added pageDelta records (a version-1 log is raised to 2
+	// in place; a version-1 binary refuses a version-2 log rather than
+	// mistaking its first delta for a torn tail), 3 the header catalog (a
+	// version-2 log is read as it is until the next generation).
+	walVersion   = 3
+	legacyHeader = 16 // magic u32 | version u32 | baseLSN u64: versions 1 and 2
+	headerSize   = 24 // legacyHeader | catLen u32 | catCRC u32, then the catalog
 
 	// keepBufBytes is the largest batch buffer kept between appends.
 	keepBufBytes = 1 << 20
@@ -163,12 +171,14 @@ type Manager struct {
 	durable  atomic.Uint64 // highest LSN known fsync'd
 	interval time.Duration // optional batching window before claiming leadership
 
-	// Shipping state (guarded by mu). base is the header's base LSN; epoch
-	// increments every time the log is truncated or reset, invalidating tail
-	// cursors whose file offsets refer to the previous log generation;
-	// durableOff is the file offset covered by the last fsync — the shipping
-	// boundary, so a tail reader never ships bytes a crash could take back.
+	// Shipping state (guarded by mu). base is the header's base LSN and first
+	// the offset of the generation's first record; epoch increments with
+	// every new generation, invalidating tail cursors whose file offsets
+	// refer to the previous one; durableOff is the file offset covered by the
+	// last fsync — the shipping boundary, so a tail reader never ships bytes
+	// a crash could take back.
 	base       uint64
+	first      int64
 	epoch      uint64
 	durableOff int64
 	// notify is closed and replaced whenever the durable LSN advances (or the
@@ -202,51 +212,46 @@ type Manager struct {
 }
 
 // Open opens (creating if absent) the log at path, replays any committed
-// records into store, and returns the manager ready for appends. Replay does
-// not truncate the log: the caller must make the replayed state durable
-// (store sync + catalog rewrite) and then call Checkpoint, so a crash during
-// recovery just replays again. interval is the optional group-commit
-// batching window (see WaitDurable).
+// records into store, and returns the manager ready for appends; the
+// report's Catalog is the header's, or a later committed record's. Replay
+// does not truncate the log: the caller must make the replayed state durable
+// (store sync) and then call Checkpoint, so a crash during recovery just
+// replays again. A log shorter than its header, or whose header catalog
+// fails its checksum, is an error, never a fresh log. interval is the
+// optional group-commit batching window (see WaitDurable).
 func Open(path string, store pagefile.Store, interval time.Duration) (*Manager, *RecoveryReport, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: open: %w", err)
-	}
 	m := &Manager{
 		path:      path,
-		f:         f,
 		pageLSN:   make(map[pagefile.PageID]pageState),
 		interval:  interval,
 		fsyncWait: obs.NewHistogram(),
 		notify:    make(chan struct{}),
 	}
 	rep := &RecoveryReport{}
-
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: stat: %w", err)
+	// A temp file is a switch a crash cut short: the log is still whole.
+	if err := os.Remove(path + ".tmp"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	if st.Size() < headerSize {
-		// Fresh (or torn-before-header) log: write a clean header.
-		if err := m.writeHeader(1); err != nil {
-			f.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := m.newGeneration(1, nil); err != nil {
 			return nil, nil, err
 		}
-		m.nextLSN = 1
-		m.appended = 0
-		m.off = headerSize
-		m.durable.Store(0)
 		return m, rep, nil
 	}
-
-	base, err := m.readHeader()
 	if err != nil {
-		f.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: open: %w", err)
+	}
+	m.f = f
+	st, err := f.Stat()
+	if err == nil {
+		m.base, m.first, err = m.readHeader(st.Size(), rep)
 	}
 	start := time.Now()
-	last, end, err := m.replay(store, base, st.Size(), rep)
+	var last uint64
+	if err == nil {
+		last, m.off, err = m.replay(store, m.base, m.first, st.Size(), rep)
+	}
 	rep.Duration = time.Since(start)
 	if err != nil {
 		f.Close()
@@ -255,75 +260,120 @@ func Open(path string, store pagefile.Store, interval time.Duration) (*Manager, 
 	m.nextLSN = last + 1
 	m.appended = last
 	m.durable.Store(last)
-	// Appends resume after the last committed transaction; whatever follows
-	// it is overwritten by the next append.
-	m.off = end
-	m.base = base
-	// Everything replayed was applied to the store; treat the valid prefix as
-	// the shipping boundary (the caller checkpoints right after recovery).
-	m.durableOff = end
+	// Appends resume after the last committed transaction, overwriting what
+	// follows it. Everything replayed was applied to the store: the valid
+	// prefix is the shipping boundary (the caller checkpoints right after).
+	m.durableOff = m.off
 	return m, rep, nil
 }
 
-func (m *Manager) writeHeader(base uint64) error {
-	var h [headerSize]byte
+// newGeneration starts a log generation at base whose header carries cat: the
+// header is written to a temp file, fsynced and renamed over the log, and the
+// directory is fsynced. The caller holds syncMu and mu, or owns m alone.
+func (m *Manager) newGeneration(base uint64, cat []byte) error {
+	h := make([]byte, headerSize, headerSize+len(cat))
 	binary.LittleEndian.PutUint32(h[0:], walMagic)
 	binary.LittleEndian.PutUint32(h[4:], walVersion)
 	binary.LittleEndian.PutUint64(h[8:], base)
-	if err := m.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
+	binary.LittleEndian.PutUint32(h[16:], uint32(len(cat)))
+	binary.LittleEndian.PutUint32(h[20:], crc32.ChecksumIEEE(cat))
+	h = append(h, cat...)
+	tmp := m.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = f.Write(h); err == nil {
+			if err = f.Sync(); err == nil {
+				err = os.Rename(tmp, m.path)
+			}
+		}
+		if err != nil {
+			f.Close()
+			_ = os.Remove(tmp) // a leftover goes at the next Open
+		}
 	}
-	if _, err := m.f.WriteAt(h[:], 0); err != nil {
-		return fmt.Errorf("wal: write header: %w", err)
+	if err != nil {
+		return fmt.Errorf("wal: new generation: %w", err)
 	}
-	if err := m.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync header: %w", err)
+	// Renamed: the new file is the log whatever happens next. A tail reader
+	// still holding the old one finds it closed, and the epoch tells it why.
+	if m.f != nil {
+		m.f.Close()
 	}
-	m.fsyncs.Add(1)
-	// The log restarted: offsets from the previous generation are invalid.
-	m.base = base
+	m.f = f
+	m.base, m.first = base, int64(len(h))
+	m.off, m.durableOff = m.first, m.first
 	m.epoch++
-	m.durableOff = headerSize
+	m.pageLSN = make(map[pagefile.PageID]pageState)
+	m.nextLSN, m.appended = base, base-1
+	m.durable.Store(m.appended)
+	m.broken = false
+	m.bytes.Add(int64(len(h)))
+	m.fsyncs.Add(2) // the file's and the directory's
+	if err := pagefile.SyncDir(filepath.Dir(m.path)); err != nil {
+		return fmt.Errorf("wal: new generation: %w", err)
+	}
 	return nil
 }
 
-// readHeader validates the header and returns the base LSN. A version-1 log
-// holds nothing this version cannot read; its version word is raised in place
-// first, so no log ever carries a delta under a header that promises none.
-func (m *Manager) readHeader() (uint64, error) {
+// readHeader validates the header of a size-byte log, returns the base LSN
+// and the offset of the first record, and sets rep.Catalog to the header's
+// catalog (none before version 3). A version-1 log holds nothing this
+// version cannot read; its version word is raised to 2 in place first, so no
+// log ever carries a delta under a header that promises none.
+func (m *Manager) readHeader(size int64, rep *RecoveryReport) (uint64, int64, error) {
+	short := fmt.Errorf("wal: %s is %d bytes, shorter than its header", m.path, size)
 	var h [headerSize]byte
-	if _, err := m.f.ReadAt(h[:], 0); err != nil {
-		return 0, fmt.Errorf("wal: read header: %w", err)
+	if size < legacyHeader {
+		return 0, 0, short
+	}
+	if _, err := m.f.ReadAt(h[:min(size, headerSize)], 0); err != nil {
+		return 0, 0, fmt.Errorf("wal: read header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(h[0:]) != walMagic {
-		return 0, fmt.Errorf("wal: %s is not a log file", m.path)
+		return 0, 0, fmt.Errorf("wal: %s is not a log file", m.path)
 	}
+	base := binary.LittleEndian.Uint64(h[8:])
 	switch v := binary.LittleEndian.Uint32(h[4:]); v {
-	case walVersion:
 	case 1:
-		binary.LittleEndian.PutUint32(h[4:], walVersion)
+		binary.LittleEndian.PutUint32(h[4:], 2)
 		if _, err := m.f.WriteAt(h[4:8], 4); err != nil {
-			return 0, fmt.Errorf("wal: upgrade header: %w", err)
+			return 0, 0, fmt.Errorf("wal: upgrade header: %w", err)
 		}
 		if err := m.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: sync header: %w", err)
+			return 0, 0, fmt.Errorf("wal: sync header: %w", err)
 		}
 		m.fsyncs.Add(1)
+		fallthrough
+	case 2:
+		return base, legacyHeader, nil
+	case walVersion:
 	default:
-		return 0, fmt.Errorf("wal: unsupported version %d", v)
+		return 0, 0, fmt.Errorf("wal: unsupported version %d", v)
 	}
-	return binary.LittleEndian.Uint64(h[8:]), nil
+	n := int64(binary.LittleEndian.Uint32(h[16:]))
+	if size < headerSize+n {
+		return 0, 0, short
+	}
+	if n > 0 {
+		rep.Catalog = make([]byte, n)
+		if _, err := m.f.ReadAt(rep.Catalog, headerSize); err != nil {
+			return 0, 0, fmt.Errorf("wal: read header: %w", err)
+		}
+	}
+	if crc32.ChecksumIEEE(rep.Catalog) != binary.LittleEndian.Uint32(h[20:]) {
+		return 0, 0, fmt.Errorf("wal: %s: the header's catalog fails its checksum", m.path)
+	}
+	return base, headerSize + n, nil
 }
 
-// replay scans the size-byte log from the header, redoing it transaction by
+// replay scans the size-byte log from offset off, redoing it transaction by
 // transaction, and returns the LSN of the last commit record (base-1 if there
 // is none) and the file offset just past it. Whole records after it belong to
 // an append that tore before its commit record: never acknowledged, never
 // shipped, and — the write barrier syncs whole appends — never stamped on a
 // page in the store, so both their bytes and their LSNs are free for reuse.
-func (m *Manager) replay(store pagefile.Store, base uint64, size int64, rep *RecoveryReport) (uint64, int64, error) {
+func (m *Manager) replay(store pagefile.Store, base uint64, off, size int64, rep *RecoveryReport) (uint64, int64, error) {
 	lastLSN := base - 1
-	off := int64(headerSize)
 	committed := off
 	asm := NewAssembler(false)
 	redo := NewRedo(store, rep)
@@ -572,18 +622,18 @@ func (m *Manager) EnsureDurablePage(pid pagefile.PageID) error {
 	return err
 }
 
-// Checkpoint truncates the log, carrying the LSN sequence forward in the
-// header. The caller must have flushed and fsync'd the data files (and
-// persisted the catalog) first: after Checkpoint the log no longer covers
-// them.
+// Checkpoint starts a new log generation whose header carries the LSN
+// sequence forward and catalog cat. The caller must have flushed and fsync'd
+// the data files first: after Checkpoint the log no longer covers them.
 //
 // When a retain hook is registered (replication shipping) and a consumer
-// still needs records this log holds, truncation is deferred: the data files
-// are durable, so the write-barrier entries are dropped, but the records stay
-// on disk for the shipper. A deferred checkpoint is not an error. Once the
-// log outgrows the configured retain bound the truncation happens anyway and
-// the lagging consumer must full-resync.
-func (m *Manager) Checkpoint() error {
+// still needs records this log holds, the switch is deferred: the data files
+// are durable, so the write-barrier entries are dropped, but the records —
+// and the catalog the generation's header and records hold — stay on disk
+// for the shipper. A deferred checkpoint is not an error. Once the log
+// outgrows the configured retain bound the switch happens anyway and the
+// lagging consumer must full-resync.
+func (m *Manager) Checkpoint(cat []byte) error {
 	m.syncMu.Lock()
 	defer m.syncMu.Unlock()
 	m.mu.Lock()
@@ -598,13 +648,9 @@ func (m *Manager) Checkpoint() error {
 			return nil
 		}
 	}
-	if err := m.writeHeader(m.nextLSN); err != nil {
+	if err := m.newGeneration(m.nextLSN, cat); err != nil {
 		return err
 	}
-	m.off = headerSize
-	m.pageLSN = make(map[pagefile.PageID]pageState)
-	m.appended = m.nextLSN - 1
-	m.durable.Store(m.appended)
 	m.checkpoints.Add(1)
 	return nil
 }

@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -297,7 +300,7 @@ func TestCheckpointTruncatesAndKeepsLSNsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Checkpoint(); err != nil {
+	if err := m.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := os.Stat(path)
@@ -322,23 +325,177 @@ func TestCheckpointTruncatesAndKeepsLSNsMonotone(t *testing.T) {
 }
 
 func TestReplayAfterCheckpointedReopen(t *testing.T) {
-	// A clean open-checkpoint-close cycle leaves nothing to replay.
+	// After a checkpoint's rename the log is its header alone: nothing to
+	// replay, and the catalog the checkpoint handed it.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	store := pagefile.NewMemStore()
 
 	m, _ := openT(t, path, store, 0)
-	if _, _, err := m.AppendCommit(nil, nil, []byte("cat")); err != nil {
+	if _, _, err := m.AppendCommit(nil, nil, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Checkpoint(); err != nil {
+	if err := m.Checkpoint([]byte("cat")); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
 	m2, rep := openT(t, path, store, 0)
 	defer m2.Close()
-	if rep.Commits != 0 || rep.Catalog != nil {
-		t.Fatalf("clean reopen replayed commits=%d catalog=%q", rep.Commits, rep.Catalog)
+	if rep.Commits != 0 || string(rep.Catalog) != "cat" {
+		t.Fatalf("clean reopen replayed commits=%d catalog=%q, want 0 and the header's", rep.Commits, rep.Catalog)
+	}
+}
+
+// TestGenerationSwitchStates opens each state a crash can leave around a
+// generation switch, and each damaged header. A temp file beside the log,
+// torn or whole, is a switch cut short before its rename: the old log
+// replays with its catalog and the temp file goes. A header that is short or
+// whose catalog fails its checksum is refused, never taken for a fresh log.
+func TestGenerationSwitchStates(t *testing.T) {
+	// oldLog leaves a log holding one commit with catalog "old" after a
+	// checkpoint whose header carries "base".
+	oldLog := func(t *testing.T) string {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		m, _ := openT(t, path, pagefile.NewMemStore(), 0)
+		if err := m.Checkpoint([]byte("base")); err != nil {
+			t.Fatal(err)
+		}
+		lsn, _, err := m.AppendCommit(nil, nil, []byte("old"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WaitDurable(lsn); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		return path
+	}
+	for _, tc := range []struct {
+		name string
+		tmp  func(t *testing.T, path string) // writes path's temp file
+	}{
+		{"torn temp", func(t *testing.T, path string) {
+			if err := os.WriteFile(path+".tmp", []byte{0x7E, 0xF1}, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"whole temp never renamed", func(t *testing.T, path string) {
+			writeLog(t, path+".tmp", walVersion, 99)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := oldLog(t)
+			tc.tmp(t, path)
+			m, rep := openT(t, path, pagefile.NewMemStore(), 0)
+			defer m.Close()
+			if rep.Commits != 1 || string(rep.Catalog) != "old" || m.BaseLSN() != 1 {
+				t.Fatalf("commits=%d catalog=%q base=%d, want the old log: 1, \"old\", 1", rep.Commits, rep.Catalog, m.BaseLSN())
+			}
+			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("temp file after Open: %v", err)
+			}
+		})
+	}
+	t.Run("header catalog fails its checksum", func(t *testing.T) {
+		path := oldLog(t)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[headerSize] ^= 1 // "base" -> "case"
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(path, pagefile.NewMemStore(), 0); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("Open = %v, want a checksum error", err)
+		}
+	})
+	for _, size := range []int64{0, legacyHeader - 1, headerSize - 1, headerSize + 2} {
+		t.Run(fmt.Sprintf("cut to %d bytes", size), func(t *testing.T) {
+			path := oldLog(t)
+			if err := os.Truncate(path, size); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Open(path, pagefile.NewMemStore(), 0); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Open = %v, want an error naming %s", err, path)
+			}
+		})
+	}
+}
+
+// TestReadTailAcrossGenerations runs a tail reader beside a writer that
+// commits and checkpoints in turn. Each generation's pages carry its number;
+// the reader must see one generation per read and every LSN exactly once,
+// in order, except where a checkpoint took records it had not read yet.
+func TestReadTailAcrossGenerations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	store := pagefile.NewMemStore()
+	fid, _ := store.CreateFile("data")
+	m, _ := openT(t, path, store, 0)
+	defer m.Close()
+	const gens, perGen = 40, 8
+	var last uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for g := 1; g <= gens; g++ {
+			for c := 0; c < perGen; c++ {
+				lsn, _, err := m.AppendCommit(nil, []PageImage{{PID: pagefile.PageID{File: fid, Page: uint32(c)}, Data: fill(byte(g))}}, nil)
+				if err == nil {
+					err = m.WaitDurable(lsn)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				atomic.StoreUint64(&last, lsn)
+			}
+			if err := m.Checkpoint([]byte{byte(g)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	cur := m.CursorAt(0)
+	var seen uint64
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true // one more pass reads what is left
+		default:
+		}
+		buf, err := m.ReadTail(&cur, 1<<16)
+		if errors.Is(err, ErrTruncated) {
+			cur = m.CursorAt(m.BaseLSN() - 1)
+			seen = cur.LSN
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := -1
+		for len(buf) > 0 {
+			rec, n, err := ParseFrame(buf)
+			if err != nil {
+				t.Fatalf("a read returned a bad frame: %v", err)
+			}
+			buf = buf[n:]
+			if rec.LSN != seen+1 {
+				t.Fatalf("read LSN %d after %d", rec.LSN, seen)
+			}
+			seen = rec.LSN
+			if rec.Type != RecPage {
+				continue
+			}
+			if g := int(rec.Payload[8+100]); gen < 0 {
+				gen = g
+			} else if g != gen {
+				t.Fatalf("one read returned pages of generations %d and %d", gen, g)
+			}
+		}
+	}
+	if want := atomic.LoadUint64(&last); seen != want {
+		t.Fatalf("reader ended at LSN %d, the writer at %d", seen, want)
 	}
 }
 
