@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet test race benchmod lines abbench bench walbench obsbench replbench loadbench querybench advisorbench soak fuzz check ci
+.PHONY: all help build vet test race benchmod lines abbench bench gates soak fuzz check ci
 
 # Per-target fuzzing time for `make fuzz` (override: make fuzz FUZZTIME=2m).
 FUZZTIME ?= 30s
@@ -16,13 +16,9 @@ help:
 	@echo "  benchmod - vet + smoke-test the bench/ module against this engine"
 	@echo "  lines  - non-test Go lines per package (the simplicity PRs' before/after number)"
 	@echo "  abbench - Go benchmark A/B: REV=<rev> PKG=<pkg> BENCH=<regex> ROUNDS=10 against the working tree"
-	@echo "  bench  - scan-throughput matrix (shards x workers) -> BENCH_scan.json"
-	@echo "  walbench - commit throughput / group-commit fsync batching -> BENCH_commit.json"
-	@echo "  obsbench - histogram quantile accuracy + tracing overhead gate -> BENCH_latency.json"
-	@echo "  replbench - steady-state replication lag (LSN + ms, p50/p99) -> BENCH_repl.json"
-	@echo "  loadbench - 1000+ concurrent network clients, zero-read-lock-wait gate -> BENCH_server.json"
-	@echo "  querybench - planner query shapes (point/range/path3/aggregate), fused-vs-baseline gate -> BENCH_query.json"
-	@echo "  advisorbench - workload-advisor convergence + <=5% advisory overhead gate -> BENCH_advisor.json"
+	@echo "  bench  - the repo benchmark: bash bench/run.sh \$$(ARGS) (see bench/README.md)"
+	@echo "  gates  - the side gates at full scale (go test -tags gates): quantile error, tracing and"
+	@echo "           advisory overhead, advisor convergence, fused path3 speedup, zero read lock wait"
 	@echo "  soak   - exhaustive fault-injection soak"
 	@echo "  fuzz   - all seven fuzz targets (FUZZTIME=$(FUZZTIME) each)"
 	@echo "  check  - build + vet + test + race"
@@ -86,53 +82,30 @@ ROUNDS ?= 10
 abbench:
 	scripts/abbench.sh $(REV) $(PKG) '$(BENCH)' $(ROUNDS)
 
-# Scan throughput across pool shard counts and scan worker counts, on a
-# memory-backed store with simulated device latency. Writes BENCH_scan.json
-# (shards, workers, ns_per_op, pages_per_sec per configuration).
+# The repo benchmark: end-to-end workloads plus per-layer budgets, compared
+# against a baseline (bench/README.md). Pass its flags through ARGS.
 bench:
-	$(GO) run ./cmd/scanbench -out BENCH_scan.json
+	bash bench/run.sh $(ARGS)
 
-# Commit throughput and group-commit effectiveness: commits/s and
-# fsyncs/commit at 1, 4, and 16 concurrent writers. Writes BENCH_commit.json.
-walbench:
-	$(GO) run ./cmd/walbench -out BENCH_commit.json
-
-# Telemetry self-check: latency-histogram quantile error across 1µs-10s must
-# stay within ~1%, and the full recording path (trace + histograms + ring)
-# must cost <= 5% of a warm in-memory scan. Writes BENCH_latency.json and
-# exits non-zero on regression.
-obsbench:
-	$(GO) run ./cmd/obsbench -out BENCH_latency.json
-
-# Steady-state replication lag: a primary ships to one local follower while
-# concurrent writers insert; records commit rate and the follower's lag as
-# LSNs behind and milliseconds to visibility (p50/p99). Writes BENCH_repl.json.
-replbench:
-	$(GO) run ./cmd/replbench -out BENCH_repl.json
-
-# Multi-client serving gate: 1000 concurrent read-only native-protocol
-# sessions retrieve while 64 writer sessions commit; read sessions must
-# accumulate exactly zero per-set lock wait (snapshot reads never queue
-# behind writers). Writes BENCH_server.json and exits non-zero on failure.
-loadbench:
-	$(GO) run ./cmd/loadbench -out BENCH_server.json
-
-# Planner gate: the four query shapes (point probe, index range, 3-level
-# path, aggregate) compiled with DB.Plan, each pairing predicted with
-# observed pages; fused path queries must beat the record-at-a-time
-# no-fuse baseline by 2x without replication. Writes BENCH_query.json and
-# exits non-zero on regression.
-querybench:
-	$(GO) run ./cmd/querybench -out BENCH_query.json -check
-
-# Workload-advisor gate: on a replayed read-heavy -> update-heavy workload
-# the recommendation must converge to the Section-6 optimum within the window
-# ring's budget, and the whole advisory pipeline (trace stamping, trace
-# subscription, windowed aggregation, drift histograms) must cost <= 5% of
-# the same warm query workload with the advisor disabled. Writes
-# BENCH_advisor.json and exits non-zero on regression.
-advisorbench:
-	$(GO) run ./cmd/advisorbench -out BENCH_advisor.json
+# The side gates at the scale their claims are made for. Each is a Go test
+# that the untagged suite runs at unit scale (or, for a timing ratio, not at
+# all); -tags gates selects the full size, the way -tags soak selects the
+# exhaustive fault soak. The numbers are in the -v log lines:
+#   TestHistQuantileAccuracy          quantile error <= 1% over 1us-10s
+#   TestTraceOverhead                 tracing <= 5% of a warm heap scan
+#   TestAdvisorConvergence            <= windows+2 windows, 64-op windows
+#   TestAdvisorOverhead               advisor <= 5% of the same queries
+#   TestQueryShapes                   predicted/observed pages, path3 >= 2x NoFuse
+#   TestServerReadersNeverWaitOnWriters  0 ns read lock wait, 1000 readers + 64 writers
+# The measure-only numbers (scan pages/s, commits/s and fsyncs/commit,
+# replication lag) are benchmarks:
+#   go test -bench 'ScanThroughput|Commit|ReplicationLag' -run '^$' ./internal/heap .
+# -p 1 runs one package at a time: the overhead ratios must not share the
+# CPUs with the 1064-connection serving gate.
+gates:
+	$(GO) test -tags gates -count=1 -p 1 -v \
+		-run '^(TestHistQuantileAccuracy|TestTraceOverhead|TestAdvisorConvergence|TestAdvisorOverhead|TestQueryShapes|TestServerReadersNeverWaitOnWriters)$$' \
+		./internal/obs ./internal/heap ./internal/engine .
 
 # Exhaustive fault soak: one injected fault at every I/O index of the
 # calibration run, and a crash at every store operation of each schema

@@ -5,14 +5,13 @@
 //	extradb script.extra [more.extra ...]    # run script files in order
 //	extradb -                                 # read a script from stdin
 //	extradb -dir ./data script.extra          # persist (and reopen) under ./data
-//	extradb -serve :7070 -dir ./data          # serve statements to network clients
-//	extradb -listen :8080 script.extra        # keep serving /metrics after the scripts
+//	extradb -serve :7070 -dir ./data          # serve statements and /metrics to network clients
 //	extradb -dir ./data -ship-listen :7071    # ship the WAL to read replicas
 //	extradb -dir ./rep -follow host:7071      # run as a read-only follower
 //
 // Retrieve statements print aligned tables; other statements print one-line
-// summaries. With -serve, -listen, -ship-listen, or -follow the process stays
-// up after the scripts finish — serving clients or telemetry, shipping the
+// summaries. With -serve, -ship-listen, or -follow the process stays up
+// after the scripts finish — serving clients and telemetry, shipping the
 // log, or replaying the primary's stream — until interrupted; SIGINT/SIGTERM
 // shut the servers down and close the database cleanly (deferred closes run
 // on every exit path, so the store is never abandoned with dirty state).
@@ -53,9 +52,8 @@ func run() error {
 	metrics := flag.Bool("metrics", false, "print the observability snapshot as JSON after all scripts")
 	advise := flag.Bool("advise", false, "print the workload advisor's report as JSON after all scripts")
 	slowMS := flag.Int("slowms", 0, "log operations slower than this many milliseconds to stderr (0 = off)")
-	serve := flag.String("serve", "", "serve surface-language statements to network clients (native protocol + JSON HTTP) on this address and stay up")
+	serve := flag.String("serve", "", "serve surface-language statements (native protocol + JSON HTTP) and /metrics, /debug/vars, /debug/traces, /debug/pprof on this address and stay up")
 	maxConns := flag.Int("maxconns", 0, "with -serve: cap concurrent client connections (0 = default 1024)")
-	listen := flag.String("listen", "", "serve /metrics, /debug/vars, /debug/traces, /debug/pprof on this address and stay up after the scripts")
 	shipListen := flag.String("ship-listen", "", "ship the WAL to follower replicas connecting on this address (requires -dir)")
 	follow := flag.String("follow", "", "open as a read-only follower replicating from this primary address (requires -dir)")
 	syncFollowers := flag.Int("sync-followers", 0, "with -ship-listen: commits wait for this many follower acks (0 = asynchronous)")
@@ -63,12 +61,12 @@ func run() error {
 	flag.Parse()
 	if *mutexProfile > 0 {
 		// Exposes engine-lock and per-set-lock contention through the pprof
-		// mutex profile (pair with -listen to scrape it).
+		// mutex profile (pair with -serve to scrape it).
 		runtime.SetMutexProfileFraction(*mutexProfile)
 	}
-	stayUp := *serve != "" || *listen != "" || *shipListen != "" || *follow != ""
+	stayUp := *serve != "" || *shipListen != "" || *follow != ""
 	if flag.NArg() == 0 && !stayUp {
-		fmt.Fprintln(os.Stderr, "usage: extradb [-dir DIR] [-io] [-explain] [-metrics] [-advise] [-slowms N] [-serve ADDR] [-listen ADDR] [-ship-listen ADDR] [-follow ADDR] [-workers N] [-shards N] script.extra ... (or - for stdin)")
+		fmt.Fprintln(os.Stderr, "usage: extradb [-dir DIR] [-io] [-explain] [-metrics] [-advise] [-slowms N] [-serve ADDR] [-ship-listen ADDR] [-follow ADDR] [-workers N] [-shards N] script.extra ... (or - for stdin)")
 		os.Exit(2)
 	}
 
@@ -108,14 +106,6 @@ func run() error {
 	if *follow != "" {
 		fmt.Fprintf(os.Stderr, "-- replication: following %s (read-only until promoted)\n", *follow)
 	}
-	var srv *fieldrepl.MetricsServer
-	if *listen != "" {
-		srv, err = db.ServeMetrics(*listen)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "-- telemetry: http://%s/metrics\n", srv.Addr())
-	}
 	var qsrv *fieldrepl.Server
 	if *serve != "" {
 		qsrv, err = db.Serve(*serve, fieldrepl.ServerConfig{MaxConns: *maxConns})
@@ -123,7 +113,7 @@ func run() error {
 			return err
 		}
 		defer qsrv.Close()
-		fmt.Fprintf(os.Stderr, "-- serving: %s (native protocol and POST /exec)\n", qsrv.Addr())
+		fmt.Fprintf(os.Stderr, "-- serving: %s (native protocol, POST /exec, telemetry at http://%s/metrics)\n", qsrv.Addr(), qsrv.Addr())
 	}
 	// seen tracks trace ids already printed by -explain. The recent ring is in
 	// completion order, not id order (ids are issued at operation start), so a
@@ -196,13 +186,6 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "-- shutting down")
 		if qsrv != nil {
 			_ = qsrv.Close()
-		}
-		if srv != nil {
-			// Graceful: stop accepting scrapes, let in-flight responses
-			// finish, bounded so shutdown can't hang on a stuck client.
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
 		}
 	}
 	return nil

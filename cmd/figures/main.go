@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -23,45 +24,15 @@ func main() {
 	steps := flag.Int("steps", 40, "update-probability steps for graph figures")
 	flag.Parse()
 
-	emit := func(name string) {
-		switch name {
-		case "10":
-			fmt.Println(exp.Figure10Table())
-		case "11":
-			fmt.Println("Figure 11: Results for Unclustered Indexes")
-			fmt.Println()
-			for _, sw := range exp.Figure11(*steps) {
-				if *csv {
-					fmt.Printf("# %s\n%s\n", sw.Title(), sw.CSV())
-				} else {
-					fmt.Println(sw.ASCIIPlot())
-				}
-			}
-		case "12":
-			fmt.Println(exp.Figure12Table())
-		case "13":
-			fmt.Println("Figure 13: Results for Clustered Indexes")
-			fmt.Println()
-			for _, sw := range exp.Figure13(*steps) {
-				if *csv {
-					fmt.Printf("# %s\n%s\n", sw.Title(), sw.CSV())
-				} else {
-					fmt.Println(sw.ASCIIPlot())
-				}
-			}
-		case "14":
-			fmt.Println(exp.Figure14Table())
-		default:
-			fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", name)
-			os.Exit(2)
-		}
-	}
+	figs := []string{*fig}
 	if *fig == "all" {
-		for _, name := range []string{"10", "11", "12", "13", "14"} {
-			emit(name)
-			fmt.Println()
-		}
-		return
+		figs = exp.Figures
 	}
-	emit(*fig)
+	w := bufio.NewWriter(os.Stdout)
+	err := exp.WriteFigures(w, figs, *csv, *steps)
+	w.Flush()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(2)
+	}
 }

@@ -43,15 +43,8 @@ type Config struct {
 	// concurrent committers still batch via the leader/follower fsync.
 	CommitInterval time.Duration
 	// AdvisorDisabled turns the workload advisor off: completed traces are
-	// not aggregated and Advise reports Enabled=false. Used for overhead
-	// baselines (cmd/advisorbench).
+	// not aggregated and Advise reports Enabled=false.
 	AdvisorDisabled bool
-	// AdvisorWindowOps/AdvisorWindows size the advisor's aggregation windows:
-	// path-relevant operations per window, and how many windows the
-	// recommendation mix spans before a workload shift ages out. Zero takes
-	// the defaults (256 ops, 8 windows).
-	AdvisorWindowOps int
-	AdvisorWindows   int
 }
 
 // DB is a database handle. It is safe for concurrent use and holds no lock
@@ -81,8 +74,7 @@ func (cfg Config) engineConfig() engine.Config {
 		PoolPages: cfg.PoolPages, Dir: cfg.Dir, InlineMax: cfg.InlineMax,
 		PoolShards: cfg.PoolShards, ScanWorkers: cfg.ScanWorkers,
 		WALPath: cfg.WALPath, CommitInterval: cfg.CommitInterval,
-		AdvisorDisabled:  cfg.AdvisorDisabled,
-		AdvisorWindowOps: cfg.AdvisorWindowOps, AdvisorWindows: cfg.AdvisorWindows,
+		AdvisorDisabled: cfg.AdvisorDisabled,
 	}
 }
 
@@ -239,7 +231,7 @@ func toEngineQuery(q Query) (engine.Query, error) {
 	}
 	eq := engine.Query{
 		Set: q.Set, Project: q.Project, Where: ep,
-		EmitOutput: q.EmitOutput, ForceScan: q.ForceScan, NoFuse: q.NoFuse,
+		EmitOutput: q.EmitOutput, ForceScan: q.ForceScan,
 	}
 	for i := range q.Filters {
 		fp, err := toEnginePred(&q.Filters[i])

@@ -38,12 +38,14 @@ func findRec(t *testing.T, rep advisor.Report, path string) advisor.Recommendati
 // TestAdvisorConvergence replays a shifting workload — read-heavy, then
 // update-heavy — and checks that the advisor's windowed mix tracks the shift
 // and the recommendation converges to the Section-6 optimum for the true mix
-// within the ring's window budget.
+// within the ring's window budget. The two optima must differ, so a pass
+// proves the recommendation moved. Under -tags gates (make gates) it is the
+// convergence gate, at advisorScale's gate size.
 func TestAdvisorConvergence(t *testing.T) {
-	const windowOps = 16
+	windowOps := advisorScale.windowOps
 	const windows = 4
 	db := openEmployeeDB(t, Config{AdvisorWindowOps: windowOps, AdvisorWindows: windows})
-	populate(t, db, 2, 4, 40)
+	populate(t, db, advisorScale.orgs, advisorScale.depts, advisorScale.emps)
 	if err := db.Replicate("Emp1.dept.name", catalog.InPlace); err != nil {
 		t.Fatal(err)
 	}
@@ -99,23 +101,24 @@ func TestAdvisorConvergence(t *testing.T) {
 	// Phase B: the workload shifts to pure updates of the replicated field.
 	// The read-heavy windows must age out of the ring within its budget and
 	// the recommendation converge to the optimum at the new true mix.
-	converged := false
+	converged := 0
 	var last advisor.Recommendation
-	for round := 0; round < windows+2; round++ {
+	for round := 1; round <= windows+2; round++ {
 		update(windowOps)
 		last = findRec(t, db.Advise(), "Emp1.dept.name")
 		if last.UpdateFraction >= 0.9 && last.Recommended == optimumAt(last, 1) {
-			converged = true
+			converged = round
 			break
 		}
 	}
-	if !converged {
+	if converged == 0 {
 		t.Fatalf("after %d update windows: fraction=%v recommended=%q optimum=%q (costs %+v)",
 			windows+2, last.UpdateFraction, last.Recommended, optimumAt(last, 1), last.Costs)
 	}
-	if updateOpt := optimumAt(last, 1); updateOpt != optimumAt(last, 0) && last.Recommended == readOpt {
-		t.Fatalf("optimum shifts %q -> %q with the mix but recommendation stayed %q",
-			optimumAt(last, 0), updateOpt, last.Recommended)
+	t.Logf("converged %s -> %s in %d update windows of %d ops (limit %d)",
+		readOpt, last.Recommended, converged, windowOps, windows+2)
+	if last.Recommended == readOpt {
+		t.Fatalf("read- and update-heavy optima are both %q: the geometry cannot show the recommendation move", readOpt)
 	}
 	if last.Updates == 0 || last.Reads == 0 {
 		t.Fatalf("all-time counts should span both phases: %+v", last)

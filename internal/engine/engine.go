@@ -71,7 +71,7 @@ type Config struct {
 	CommitInterval time.Duration
 	// AdvisorDisabled turns the workload advisor off: no trace subscription,
 	// no per-path mix aggregation, and Advise reports Enabled=false. Used for
-	// overhead baselines (cmd/advisorbench).
+	// the overhead baseline (TestAdvisorOverhead, make gates).
 	AdvisorDisabled bool
 	// AdvisorWindowOps/AdvisorWindows size the advisor's aggregation windows
 	// (operations per window, windows retained); zero takes the advisor's

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
 	"github.com/exodb/fieldrepl/internal/plan"
@@ -220,4 +223,71 @@ func TestPlannedQueriesConcurrentWriters(t *testing.T) {
 	default:
 	}
 	verifyDB(t, db)
+}
+
+// TestQueryShapes runs the planner's four query shapes — point probe, index
+// range, 3-level path, aggregate — on 20,000 employees over 200 departments
+// over 20 orgs with a B-tree on Emp1.salary, each from a cold cache, and
+// checks that every rendered plan pairs the predicted pages with the
+// observed ones. Under -tags gates (make gates) it is also the fusion gate:
+// with no replication declared, the fused 3-level path query must run at
+// least 2x faster than record-at-a-time (NoFuse), best of 7 warm runs each.
+func TestQueryShapes(t *testing.T) {
+	db := openEmployeeDB(t, Config{PoolPages: 1024})
+	populate(t, db, 20, 200, 20000)
+	if err := db.BuildIndex("bysal", "Emp1", "salary", false); err != nil {
+		t.Fatal(err)
+	}
+	salary := func(i int64) schema.Value { return num(50000 + 1000*i) }
+	shapes := []struct {
+		name string
+		q    Query
+	}{
+		{"point", Query{Set: "Emp1", Project: []string{"name"},
+			Where: &Pred{Expr: "salary", Op: OpEQ, Value: salary(12345)}}},
+		{"range", Query{Set: "Emp1", Project: []string{"name", "salary"},
+			Where: &Pred{Expr: "salary", Op: OpBetween, Value: salary(5000), Value2: salary(5199)}}},
+		{"path3", Query{Set: "Emp1", Project: []string{"name", "dept.org.name", "dept.org.budget"},
+			Where: &Pred{Expr: "dept.org.name", Op: OpEQ, Value: str("org-07")}}},
+		{"aggregate", Query{Set: "Emp1", Project: []string{"salary"}}},
+	}
+	for _, s := range shapes {
+		if err := db.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
+		res, rec, err := db.Query(nil, s.q)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		explain := res.Decision.RenderObserved(rec.IO())
+		if !strings.Contains(explain, "predicted=") || !strings.Contains(explain, "observed=") {
+			t.Errorf("%s: plan does not pair predicted with observed pages:\n%s", s.name, explain)
+		}
+		t.Logf("%-9s rows=%-5d %s", s.name, len(res.Rows), strings.SplitN(explain, "\n", 2)[0])
+	}
+	if !gates {
+		return
+	}
+	best := func(q Query) time.Duration {
+		min := time.Duration(math.MaxInt64)
+		for i := 0; i < 7; i++ {
+			start := time.Now()
+			if _, _, err := db.Query(nil, q); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	path3 := shapes[2].q
+	fused := best(path3)
+	path3.NoFuse = true
+	baseline := best(path3)
+	speedup := float64(baseline) / float64(fused)
+	t.Logf("path3 fused %v, record-at-a-time %v: %.2fx (limit 2x)", fused, baseline, speedup)
+	if speedup < 2 {
+		t.Fatalf("fused path3 is %.2fx the record-at-a-time baseline, want >= 2x", speedup)
+	}
 }

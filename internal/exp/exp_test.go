@@ -1,12 +1,51 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/exodb/fieldrepl/internal/costmodel"
 	"github.com/exodb/fieldrepl/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/figures*.golden from the current WriteFigures output")
+
+// TestFiguresGolden pins `figures -fig all` and `figures -fig all -csv` byte
+// for byte. Regenerate with `go test ./internal/exp -update` only when the
+// figures are meant to change.
+func TestFiguresGolden(t *testing.T) {
+	for _, c := range []struct {
+		file string
+		csv  bool
+	}{{"figures.golden", false}, {"figures_csv.golden", true}} {
+		var b strings.Builder
+		if err := WriteFigures(&b, Figures, c.csv, 40); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", c.file)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("figures differ from %s; rerun with -update if that is intended", path)
+		}
+	}
+	if err := WriteFigures(&strings.Builder{}, []string{"15"}, false, 40); err == nil {
+		t.Error("unknown figure accepted")
+	}
+}
 
 func TestFigure10Table(t *testing.T) {
 	out := Figure10Table()

@@ -7,6 +7,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -184,4 +185,44 @@ func (sw Sweep) CSV() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// Figures are the names WriteFigures accepts, in the paper's order.
+var Figures = []string{"10", "11", "12", "13", "14"}
+
+// WriteFigures writes the named figures to w: tables as text, graph figures
+// (11, 13) as ASCII plots, or as CSV series when csv is set, with steps
+// update-probability steps. When more than one figure is asked for, each is
+// followed by a blank line. An unknown name is an error.
+func WriteFigures(w io.Writer, figs []string, csv bool, steps int) error {
+	graphs := func(title string, sweeps []Sweep) {
+		fmt.Fprintf(w, "%s\n\n", title)
+		for _, sw := range sweeps {
+			if csv {
+				fmt.Fprintf(w, "# %s\n%s\n", sw.Title(), sw.CSV())
+			} else {
+				fmt.Fprintln(w, sw.ASCIIPlot())
+			}
+		}
+	}
+	for _, name := range figs {
+		switch name {
+		case "10":
+			fmt.Fprintln(w, Figure10Table())
+		case "11":
+			graphs("Figure 11: Results for Unclustered Indexes", Figure11(steps))
+		case "12":
+			fmt.Fprintln(w, Figure12Table())
+		case "13":
+			graphs("Figure 13: Results for Clustered Indexes", Figure13(steps))
+		case "14":
+			fmt.Fprintln(w, Figure14Table())
+		default:
+			return fmt.Errorf("unknown figure %q", name)
+		}
+		if len(figs) > 1 {
+			fmt.Fprintln(w)
+		}
+	}
+	return nil
 }

@@ -135,7 +135,9 @@ func TestScanParallelStopsOnError(t *testing.T) {
 }
 
 // slowStore delays reads to emulate device latency, so the benchmark's
-// worker speedup reflects overlapped I/O rather than CPU parallelism.
+// worker speedup reflects overlapped I/O rather than CPU parallelism. It
+// sleeps once per ReadPage and once per ReadPages batch, the way a device
+// charges one seek per I/O whatever its transfer size.
 type slowStore struct {
 	pagefile.Store
 	latency time.Duration
@@ -146,11 +148,18 @@ func (s *slowStore) ReadPage(pid pagefile.PageID, buf *pagefile.Page) error {
 	return s.Store.ReadPage(pid, buf)
 }
 
+func (s *slowStore) ReadPages(f pagefile.FileID, start uint32, bufs []pagefile.Page) error {
+	time.Sleep(s.latency)
+	return s.Store.ReadPages(f, start, bufs)
+}
+
 // BenchmarkScanThroughput measures full-scan pages/s across pool shard and
 // scan worker counts on a latency-bearing memory store. The pool is smaller
 // than the file so every scan is cold; workers>1 on a sharded pool overlap
-// their miss reads. Run with -bench ScanThroughput; pages/s is reported as
-// a custom metric.
+// their miss reads. One shard serves only one worker: its lock is held
+// across a miss read, so more workers would measure the lock convoy, not the
+// scan. Run with -bench ScanThroughput; pages/s is reported as a custom
+// metric.
 func BenchmarkScanThroughput(b *testing.B) {
 	mem := pagefile.NewMemStore()
 	b.Cleanup(func() { mem.Close() })
@@ -175,7 +184,7 @@ func BenchmarkScanThroughput(b *testing.B) {
 	store := &slowStore{Store: mem, latency: 20 * time.Microsecond}
 
 	for _, cfg := range []struct{ shards, workers int }{
-		{1, 1}, {8, 1}, {8, 4},
+		{1, 1}, {8, 1}, {8, 2}, {8, 4}, {8, 8},
 	} {
 		b.Run(fmt.Sprintf("shards=%d/workers=%d", cfg.shards, cfg.workers), func(b *testing.B) {
 			pool := buffer.NewSharded(store, 256, cfg.shards)

@@ -54,11 +54,13 @@ func TestHistBucketErrorBound(t *testing.T) {
 }
 
 // Quantiles over a known deterministic distribution spanning 1µs–10s stay
-// within 1% of the exact order statistics.
+// within 1% of the exact order statistics. This is the telemetry accuracy
+// gate (make gates); at 200,000 samples it runs in milliseconds, so the
+// untagged run checks it at the same scale.
 func TestHistQuantileAccuracy(t *testing.T) {
 	h := NewHistogram()
 	// Log-uniform sweep over [1µs, 10s]: v = 1µs * 10^(7i/N).
-	const n = 20000
+	const n = 200000
 	exact := make([]int64, 0, n)
 	for i := 0; i < n; i++ {
 		v := int64(1e3 * math.Pow(10, 7*float64(i)/float64(n-1)))
@@ -67,6 +69,7 @@ func TestHistQuantileAccuracy(t *testing.T) {
 	}
 	sort.Slice(exact, func(i, j int) bool { return exact[i] < exact[j] })
 	s := h.Snapshot()
+	var worst float64
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
 		rank := int(q*float64(n) + 0.5)
 		if rank > n {
@@ -78,7 +81,9 @@ func TestHistQuantileAccuracy(t *testing.T) {
 		if rel > 0.01 {
 			t.Errorf("q=%v: got %d want %d, relative error %v > 1%%", q, got, want, rel)
 		}
+		worst = math.Max(worst, rel)
 	}
+	t.Logf("worst quantile error %.3f%% over %d samples (limit 1%%)", 100*worst, n)
 	if int64(s.Quantile(1.0)) != s.Max {
 		t.Errorf("p100 %v != max %v", s.Quantile(1.0), s.Max)
 	}

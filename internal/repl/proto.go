@@ -202,7 +202,17 @@ func recvSnapshot(conn net.Conn, begin []byte) (*Snapshot, error) {
 		Catalog: append([]byte(nil), begin[12:]...),
 	}
 	nFiles := binary.LittleEndian.Uint32(begin[8:])
+	// A file's pages grow as MsgSnapPages batches arrive, so what a frame
+	// declares is never allocated ahead of the pages themselves; the count
+	// is checked once the file is over, at the next MsgSnapFile or MsgSnapEnd.
 	var cur *SnapshotFile
+	var declared uint64
+	finish := func() error {
+		if cur != nil && uint64(len(cur.Pages)) != declared {
+			return fmt.Errorf("%w: file %d sent %d of %d pages", ErrBadEnvelope, cur.FID, len(cur.Pages), declared)
+		}
+		return nil
+	}
 	for {
 		typ, payload, err := readMsg(conn)
 		if err != nil {
@@ -213,12 +223,15 @@ func recvSnapshot(conn net.Conn, begin []byte) (*Snapshot, error) {
 			if len(payload) < 8 {
 				return nil, fmt.Errorf("%w: SnapFile of %d bytes", ErrBadEnvelope, len(payload))
 			}
+			if err := finish(); err != nil {
+				return nil, err
+			}
 			snap.Files = append(snap.Files, SnapshotFile{
-				FID:   pagefile.FileID(binary.LittleEndian.Uint32(payload)),
-				Name:  string(payload[8:]),
-				Pages: make([]pagefile.Page, binary.LittleEndian.Uint32(payload[4:])),
+				FID:  pagefile.FileID(binary.LittleEndian.Uint32(payload)),
+				Name: string(payload[8:]),
 			})
 			cur = &snap.Files[len(snap.Files)-1]
+			declared = uint64(binary.LittleEndian.Uint32(payload[4:]))
 		case MsgSnapPages:
 			if cur == nil || len(payload) < 12 {
 				return nil, fmt.Errorf("%w: SnapPages outside a file", ErrBadEnvelope)
@@ -226,16 +239,19 @@ func recvSnapshot(conn net.Conn, begin []byte) (*Snapshot, error) {
 			fid := pagefile.FileID(binary.LittleEndian.Uint32(payload))
 			start := binary.LittleEndian.Uint32(payload[4:])
 			count := binary.LittleEndian.Uint32(payload[8:])
-			if fid != cur.FID || uint64(start)+uint64(count) > uint64(len(cur.Pages)) ||
+			if fid != cur.FID || uint64(start) != uint64(len(cur.Pages)) || uint64(start)+uint64(count) > declared ||
 				len(payload) != 12+int(count)*pagefile.PageSize {
 				return nil, fmt.Errorf("%w: SnapPages shape", ErrBadEnvelope)
 			}
-			for i := uint32(0); i < count; i++ {
-				copy(cur.Pages[start+i][:], payload[12+int(i)*pagefile.PageSize:])
+			for i := 0; i < int(count); i++ {
+				cur.Pages = append(cur.Pages, pagefile.Page(payload[12+i*pagefile.PageSize:][:pagefile.PageSize]))
 			}
 		case MsgSnapEnd:
 			lsn, err := u64(payload)
 			if err != nil {
+				return nil, err
+			}
+			if err := finish(); err != nil {
 				return nil, err
 			}
 			if lsn != snap.LSN || uint32(len(snap.Files)) != nFiles {

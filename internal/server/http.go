@@ -30,6 +30,7 @@ func (s *Server) httpHandler() http.Handler {
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
+	mux.Handle("/", s.backend.Handler())
 	return mux
 }
 

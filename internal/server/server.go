@@ -18,9 +18,12 @@ import (
 var ErrTooManyConnections = errors.New("server: too many connections")
 
 // Backend is what the server serves: a factory for independent statement
-// sessions. The root fieldrepl package adapts its DB to this.
+// sessions, and the HTTP routes (the root package's telemetry) that the
+// HTTP side serves beside /exec and /stats. The root fieldrepl package
+// adapts its DB to this.
 type Backend interface {
 	NewSession() Session
+	Handler() http.Handler
 }
 
 // Session executes surface-language scripts for one client. The server

@@ -32,6 +32,8 @@ func (b *fakeBackend) NewSession() Session {
 	return &fakeSession{b: b, origin: fmt.Sprintf("sess-%d", b.sess.Add(1))}
 }
 
+func (b *fakeBackend) Handler() http.Handler { return http.NotFoundHandler() }
+
 func (s *fakeSession) Exec(ctx context.Context, script string) ([]Result, error) {
 	if s.b.exec != nil {
 		return s.b.exec(ctx, script)

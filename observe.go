@@ -1,9 +1,7 @@
 package fieldrepl
 
 import (
-	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"time"
 
@@ -163,7 +161,8 @@ func (db *DB) SetSlowQueryLog(threshold time.Duration, sink func(TraceRecord)) {
 }
 
 // MetricsHandler returns the live-telemetry HTTP handler, for embedding in an
-// existing server. It serves, on a private mux (http.DefaultServeMux is never
+// existing server; DB.Serve's HTTP side serves the same routes beside /exec
+// and /stats. It serves, on a private mux (http.DefaultServeMux is never
 // touched):
 //
 //	/metrics        Prometheus text exposition: per-kind and per-(kind, set)
@@ -192,38 +191,4 @@ func (db *DB) MetricsHandler() http.Handler {
 		w.Write(append(enc, '\n'))
 	})
 	return mux
-}
-
-// MetricsServer is a running telemetry HTTP server started by ServeMetrics.
-type MetricsServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Addr returns the server's listen address (useful with ":0").
-func (s *MetricsServer) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the server down, closing the listener and any open scrapes.
-func (s *MetricsServer) Close() error { return s.srv.Close() }
-
-// Shutdown gracefully shuts the server down: the listener closes immediately
-// (no new scrapes), in-flight responses finish, and idle connections are
-// closed — until ctx is cancelled, at which point remaining connections are
-// cut like Close. Use this from signal handlers so a scrape in progress is
-// not truncated mid-body.
-func (s *MetricsServer) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
-
-// ServeMetrics starts a telemetry HTTP server on addr (e.g. ":8080") serving
-// MetricsHandler's endpoints and returns it; the server runs until Close. The
-// database itself is unaffected by the server's lifecycle — closing the
-// database while the server runs only makes subsequent scrapes report final
-// counter values.
-func (db *DB) ServeMetrics(addr string) (*MetricsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: db.MetricsHandler()}
-	go func() { _ = srv.Serve(ln) }()
-	return &MetricsServer{ln: ln, srv: srv}, nil
 }

@@ -99,15 +99,16 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 	}
 }
 
-// TestServeMetrics exercises the public HTTP surface end to end: a real
-// listener on an ephemeral port, a scrape of each endpoint, then Close.
+// TestServeMetrics exercises the public HTTP surface end to end: the query
+// server's port on an ephemeral address serves the telemetry routes beside
+// /stats, a scrape of each endpoint, then Close.
 func TestServeMetrics(t *testing.T) {
 	db, _ := openCompany(t)
 	if _, err := db.Query(Query{Set: "Emp1", Project: []string{"name"}}); err != nil {
 		t.Fatal(err)
 	}
 
-	srv, err := db.ServeMetrics("127.0.0.1:0")
+	srv, err := db.Serve("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +144,12 @@ func TestServeMetrics(t *testing.T) {
 	}
 	if !strings.Contains(fetch("/debug/traces"), `"kind":"query"`) {
 		t.Error("/debug/traces missing query trace")
+	}
+	if !strings.Contains(fetch("/replication"), `"role"`) {
+		t.Error("/replication missing the role")
+	}
+	if !strings.Contains(fetch("/stats"), `"accepted"`) {
+		t.Error("/stats missing the connection accounting")
 	}
 
 	if err := srv.Close(); err != nil {

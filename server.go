@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"time"
 
 	"github.com/exodb/fieldrepl/internal/extra"
@@ -54,8 +55,10 @@ func (s *Server) Close() error { return s.s.Close() }
 // port) executing EXTRA surface-language statements from network clients.
 // One port speaks two protocols: the native binary protocol (the client
 // package; one Session per connection, so bindings and transactions persist
-// across requests) and JSON over HTTP (POST /exec with {"script": "..."};
-// one session per request). Each session's statements run under the
+// across requests) and HTTP — JSON statements (POST /exec with
+// {"script": "..."}; one session per request), GET /stats, and
+// MetricsHandler's telemetry routes (/metrics, /advisor, /debug/*,
+// /replication). Each session's statements run under the
 // fine-grained locking Exec uses — concurrent read-only clients never queue
 // behind writers — and its traces carry the session's origin label for
 // slow-query attribution. The server runs until Close; see docs/server.md.
@@ -76,6 +79,8 @@ type dbBackend struct{ db *DB }
 func (b dbBackend) NewSession() server.Session {
 	return sessAdapter{s: b.db.NewSession()}
 }
+
+func (b dbBackend) Handler() http.Handler { return b.db.MetricsHandler() }
 
 type sessAdapter struct{ s *Session }
 

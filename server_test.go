@@ -73,67 +73,55 @@ func countEmp(t *testing.T, c *client.Client) int {
 	return len(rs[0].Rows)
 }
 
-// TestServerReadersNeverWaitOnWriters is the PR's headline property, at unit
-// scale (loadbench checks it at thousands of connections): read-only network
-// sessions run retrieves on the snapshot path and accumulate zero set-lock
-// wait while concurrent sessions commit inserts, and every trace carries its
-// session's origin.
+// TestServerReadersNeverWaitOnWriters: read-only network sessions run
+// retrieves on the snapshot path and accumulate zero set-lock wait while
+// concurrent sessions commit inserts, and every trace carries its session's
+// origin. Under -tags gates (make gates) it is the serving gate, at
+// serverFleet's 1,000 readers and 64 writers; the whole fleet connects before
+// the clock starts.
 func TestServerReadersNeverWaitOnWriters(t *testing.T) {
-	db, srv, _ := startQueryServer(t, ServerConfig{})
+	readers, writers := serverFleet.readers, serverFleet.writers
+	db, srv, _ := startQueryServer(t, ServerConfig{MaxConns: readers + writers + 16})
 
+	var queries, queryLockWait atomic.Int64
 	var mu sync.Mutex
-	var recs []TraceRecord
+	origins := map[string]bool{}
 	db.SetSlowQueryLog(time.Nanosecond, func(r TraceRecord) {
+		if r.Kind != "query" {
+			return
+		}
+		queries.Add(1)
+		queryLockWait.Add(r.LockWaitNs)
 		mu.Lock()
-		recs = append(recs, r)
+		origins[r.Origin] = true
 		mu.Unlock()
 	})
-	defer db.SetSlowQueryLog(0, nil)
 
-	const writers, readers = 3, 3
+	clients := make([]*client.Client, readers+writers)
+	for i := range clients {
+		clients[i] = dialClient(t, srv.Addr())
+	}
 	stop := make(chan struct{})
 	var wrote, read atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
+	for i, c := range clients {
 		wg.Add(1)
-		go func(w int) {
+		go func(i int, c *client.Client) {
 			defer wg.Done()
-			c, err := client.Dial(srv.Addr(), client.Config{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for i := 0; ; i++ {
+			for n := 0; ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				script := fmt.Sprintf(`insert Emp1 (name = "w%d-%d", age = 20, salary = 50000, dept = nil)`, w, i)
-				if _, err := c.Exec(context.Background(), script); err != nil {
-					t.Error(err)
-					return
-				}
-				wrote.Add(1)
-			}
-		}(w)
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := client.Dial(srv.Addr(), client.Config{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+				if i >= readers {
+					script := fmt.Sprintf(`insert Emp1 (name = "w%d-%d", age = 20, salary = 50000, dept = nil)`, i, n)
+					if _, err := c.Exec(context.Background(), script); err != nil {
+						t.Error(err)
+						return
+					}
+					wrote.Add(1)
+					continue
 				}
 				rs, err := c.Exec(context.Background(), `retrieve (Emp1.name) where Emp1.salary > 100000`)
 				if err != nil {
@@ -146,41 +134,32 @@ func TestServerReadersNeverWaitOnWriters(t *testing.T) {
 				}
 				read.Add(1)
 			}
-		}()
+		}(i, c)
 	}
-	time.Sleep(500 * time.Millisecond)
+	time.Sleep(serverFleet.dur)
 	close(stop)
 	wg.Wait()
+	db.SetSlowQueryLog(0, nil)
+	t.Logf("%d readers, %d writers, %v: %d retrieves (%d traced), %d inserts, read lock wait %dns (want 0)",
+		readers, writers, serverFleet.dur, read.Load(), queries.Load(), wrote.Load(), queryLockWait.Load())
 	if wrote.Load() == 0 || read.Load() == 0 {
 		t.Fatalf("no overlap: %d writes, %d reads", wrote.Load(), read.Load())
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	var queries int
-	var queryLockWait int64
-	origins := map[string]bool{}
-	for _, r := range recs {
-		if r.Kind != "query" {
-			continue
-		}
-		queries++
-		queryLockWait += r.LockWaitNs
-		origins[r.Origin] = true
-	}
-	if queries == 0 {
+	if queries.Load() == 0 {
 		t.Fatal("no query traces captured")
 	}
-	if queryLockWait != 0 {
-		t.Fatalf("read sessions accumulated %dns of set-lock wait across %d queries; snapshot reads must never wait", queryLockWait, queries)
+	if queryLockWait.Load() != 0 {
+		t.Fatalf("read sessions accumulated %dns of set-lock wait across %d queries; snapshot reads must never wait", queryLockWait.Load(), queries.Load())
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	for o := range origins {
 		if !strings.HasPrefix(o, "sess-") {
 			t.Fatalf("query trace without session origin: %q", o)
 		}
 	}
 	if len(origins) < readers {
-		t.Fatalf("expected ≥%d distinct reader origins, got %v", readers, origins)
+		t.Fatalf("expected ≥%d distinct reader origins, got %d", readers, len(origins))
 	}
 }
 

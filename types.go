@@ -159,10 +159,6 @@ type Query struct {
 	EmitOutput bool
 	// ForceScan disables index selection.
 	ForceScan bool
-	// NoFuse disables the per-query join-fusion memo, forcing every path
-	// expression to traverse record-at-a-time. Used for baseline
-	// measurements; leave false otherwise.
-	NoFuse bool
 }
 
 // Row is one result tuple.
