@@ -14,112 +14,21 @@ import (
 // cheapest one per path. It is recommend-only: applying a recommendation is
 // an explicit Replicate/Unreplicate call by the operator.
 
-// AdvisorStrategyCost is one strategy's Section-6 cost at the observed mix:
-// pages per read query, pages per update, and the mix-weighted total. The
-// Read/Update components let a consumer re-weigh Total at any update
-// fraction (Total is linear in it).
-type AdvisorStrategyCost struct {
-	ReadPages   float64 `json:"read_pages"`
-	UpdatePages float64 `json:"update_pages"`
-	TotalPages  float64 `json:"total_pages"`
-}
-
-// AdvisorDrift digests a predicted-vs-observed page-error histogram:
-// quantiles of |predicted−observed|/predicted, in percent.
-type AdvisorDrift struct {
-	Samples int64   `json:"samples"`
-	P50Pct  float64 `json:"p50_pct"`
-	P95Pct  float64 `json:"p95_pct"`
-	P99Pct  float64 `json:"p99_pct"`
-}
-
-// AdvisorRecommendation is one path's costed ranking.
-type AdvisorRecommendation struct {
-	// Path is the dotted path key ("Emp1.dept.name"); Current and Recommended
-	// are strategy slugs: "no-replication", "in-place", "separate". Change
-	// reports whether they differ.
-	Path        string `json:"path"`
-	Current     string `json:"current"`
-	Recommended string `json:"recommended"`
-	// Setting is the clustering regime the costing assumed ("clustered" when
-	// the source set carries a clustered index, else "unclustered").
-	Setting string `json:"setting"`
-	Change  bool   `json:"change"`
-	// Reads/Updates are all-time counts; WindowReads/WindowUpdates the
-	// windowed mix the costing used; UpdateFraction its update share.
-	Reads          int64   `json:"reads"`
-	Updates        int64   `json:"updates"`
-	WindowReads    int64   `json:"window_reads"`
-	WindowUpdates  int64   `json:"window_updates"`
-	UpdateFraction float64 `json:"update_fraction"`
-	// Fr/Fs are the observed selectivities overlaid on the model: mean result
-	// rows per read over |R|, mean matched rows per update over |S|.
-	Fr float64 `json:"fr"`
-	Fs float64 `json:"fs"`
-	// Costs maps each strategy slug to its cost at the observed mix.
-	Costs map[string]AdvisorStrategyCost `json:"costs"`
-	// PredictedSavingsPct is the recommended strategy's total-cost saving
-	// over the current one, in percent (0 when no change).
-	PredictedSavingsPct float64 `json:"predicted_savings_pct"`
-	// Confidence grades the recommendation — "none", "low", "medium", "high"
-	// — from the sample count and the model's observed drift on this path.
-	Confidence string `json:"confidence"`
-	// ModelError is the drift of operations touching this path.
-	ModelError AdvisorDrift `json:"model_error"`
-}
-
-// AdvisorReport is the advisor's full snapshot: configuration, aggregation
-// progress, ranked recommendations (largest predicted saving first), and
-// cost-model drift per access label ("set|plan-family").
-type AdvisorReport struct {
-	Enabled         bool                    `json:"enabled"`
-	WindowOps       int                     `json:"window_ops"`
-	Windows         int                     `json:"windows"`
-	WindowsRotated  int64                   `json:"windows_rotated"`
-	OpsObserved     int64                   `json:"ops_observed"`
-	TracesObserved  int64                   `json:"traces_observed"`
-	Recommendations []AdvisorRecommendation `json:"recommendations"`
-	ModelDrift      map[string]AdvisorDrift `json:"model_drift,omitempty"`
-}
-
-func toAdvisorDrift(d advisor.DriftSummary) AdvisorDrift {
-	return AdvisorDrift{Samples: d.Samples, P50Pct: d.P50Pct, P95Pct: d.P95Pct, P99Pct: d.P99Pct}
-}
-
-func toAdvisorReport(r advisor.Report) AdvisorReport {
-	out := AdvisorReport{
-		Enabled:        r.Enabled,
-		WindowOps:      r.WindowOps,
-		Windows:        r.Windows,
-		WindowsRotated: r.WindowsRotated,
-		OpsObserved:    r.OpsObserved,
-		TracesObserved: r.TracesObserved,
-	}
-	for _, rec := range r.Recommendations {
-		pub := AdvisorRecommendation{
-			Path: rec.Path, Current: rec.Current, Recommended: rec.Recommended,
-			Setting: rec.Setting, Change: rec.Change,
-			Reads: rec.Reads, Updates: rec.Updates,
-			WindowReads: rec.WindowReads, WindowUpdates: rec.WindowUpdates,
-			UpdateFraction: rec.UpdateFraction, Fr: rec.Fr, Fs: rec.Fs,
-			Costs:               map[string]AdvisorStrategyCost{},
-			PredictedSavingsPct: rec.PredictedSavingsPct,
-			Confidence:          rec.Confidence,
-			ModelError:          toAdvisorDrift(rec.ModelError),
-		}
-		for slug, c := range rec.Costs {
-			pub.Costs[slug] = AdvisorStrategyCost{ReadPages: c.Read, UpdatePages: c.Update, TotalPages: c.Total}
-		}
-		out.Recommendations = append(out.Recommendations, pub)
-	}
-	if len(r.ModelDrift) > 0 {
-		out.ModelDrift = map[string]AdvisorDrift{}
-		for k, d := range r.ModelDrift {
-			out.ModelDrift[k] = toAdvisorDrift(d)
-		}
-	}
-	return out
-}
+// The report types are the advisor's own; their fields document each value.
+type (
+	// AdvisorReport is the advisor's full snapshot: configuration,
+	// aggregation progress, ranked recommendations (largest predicted saving
+	// first), and cost-model drift per access label ("set|plan-family").
+	AdvisorReport = advisor.Report
+	// AdvisorRecommendation is one path's costed ranking.
+	AdvisorRecommendation = advisor.Recommendation
+	// AdvisorDrift digests a predicted-vs-observed page-error histogram:
+	// quantiles of |predicted−observed|/predicted, in percent.
+	AdvisorDrift = advisor.DriftSummary
+	// AdvisorStrategyCost is one strategy's Section-6 cost at the observed
+	// mix: pages per read query, pages per update, and the mix-weighted total.
+	AdvisorStrategyCost = advisor.StrategyCost
+)
 
 // Advise returns the workload advisor's current report: per-path strategy
 // recommendations ranked by predicted savings, the observed mixes they are
@@ -127,9 +36,7 @@ func toAdvisorReport(r advisor.Report) AdvisorReport {
 // (Config.AdvisorDisabled) the report has Enabled=false and no content.
 // Advise reads the catalog under the shared lock and never blocks writers
 // beyond that; it applies nothing.
-func (db *DB) Advise() AdvisorReport {
-	return toAdvisorReport(db.e.Advise())
-}
+func (db *DB) Advise() AdvisorReport { return db.e.Advise() }
 
 // AdviseJSON returns the advisor report as indented JSON — what the /advisor
 // endpoint serves and extradb -advise prints.

@@ -67,10 +67,9 @@ func insertEMP(b *testing.B, db *DB, writers, n int, setFor func(w int) string) 
 	wg.Wait()
 }
 
-// BenchmarkCommit measures durable one-insert commits. A single writer
-// forces the log at once; more writers wait a group-commit interval first, so
-// that each fsync carries a wider batch: 2ms where they queue behind one
-// set's lock anyway, 200µs where their statements overlap on disjoint sets.
+// BenchmarkCommit measures durable one-insert commits. Every committer
+// forces the log at once; concurrent ones share an fsync through the
+// leader/follower rendezvous.
 func BenchmarkCommit(b *testing.B) {
 	run := func(b *testing.B, cfg Config, writers int, setFor func(int) string, sets ...string) {
 		db := openEMP(b, cfg, sets...)
@@ -83,15 +82,9 @@ func BenchmarkCommit(b *testing.B) {
 		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "commits/s")
 		b.ReportMetric(float64(st.Fsyncs-base.Fsyncs)/float64(st.Commits-base.Commits), "fsyncs/commit")
 	}
-	interval := func(writers int, d time.Duration) time.Duration {
-		if writers == 1 {
-			return 0
-		}
-		return d
-	}
 	for _, w := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("writers=%d", w), func(b *testing.B) {
-			cfg := Config{PoolPages: 4096, CommitInterval: interval(w, 2*time.Millisecond)}
+			cfg := Config{PoolPages: 4096}
 			run(b, cfg, w, func(int) string { return "Emp" }, "Emp")
 		})
 	}
@@ -101,7 +94,7 @@ func BenchmarkCommit(b *testing.B) {
 			for i := range sets {
 				sets[i] = fmt.Sprintf("Emp%02d", i)
 			}
-			cfg := Config{PoolPages: 4096, PoolShards: 8, CommitInterval: interval(w, 200*time.Microsecond)}
+			cfg := Config{PoolPages: 4096, PoolShards: 8}
 			run(b, cfg, w, func(i int) string { return sets[i] }, sets...)
 		})
 	}

@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/exodb/fieldrepl/internal/catalog"
+	"github.com/exodb/fieldrepl/internal/core"
 	"github.com/exodb/fieldrepl/internal/engine"
 	"github.com/exodb/fieldrepl/internal/extra"
+	"github.com/exodb/fieldrepl/internal/heap"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
@@ -37,11 +38,6 @@ type Config struct {
 	// can reach the data files, and replay committed-but-unapplied work when
 	// reopened after a crash.
 	WALPath string
-	// CommitInterval is the optional group-commit batching window: each
-	// committer waits this long before forcing the log, giving concurrent
-	// commits time to share one fsync. Zero (the default) forces immediately;
-	// concurrent committers still batch via the leader/follower fsync.
-	CommitInterval time.Duration
 	// AdvisorDisabled turns the workload advisor off: completed traces are
 	// not aggregated and Advise reports Enabled=false.
 	AdvisorDisabled bool
@@ -73,8 +69,7 @@ func (cfg Config) engineConfig() engine.Config {
 	return engine.Config{
 		PoolPages: cfg.PoolPages, Dir: cfg.Dir, InlineMax: cfg.InlineMax,
 		PoolShards: cfg.PoolShards, ScanWorkers: cfg.ScanWorkers,
-		WALPath: cfg.WALPath, CommitInterval: cfg.CommitInterval,
-		AdvisorDisabled: cfg.AdvisorDisabled,
+		WALPath: cfg.WALPath, AdvisorDisabled: cfg.AdvisorDisabled,
 	}
 }
 
@@ -367,10 +362,7 @@ func (db *DB) ExecOne(stmt string) (Output, error) {
 // IO returns cumulative page-level I/O counters: only buffer-pool misses and
 // write-backs are counted, the page transfers a disk-resident system would
 // perform.
-func (db *DB) IO() IOStats {
-	st := db.e.IO()
-	return IOStats{Reads: st.Reads, Writes: st.Writes}
-}
+func (db *DB) IO() IOStats { return db.e.IO() }
 
 // ColdCache flushes and empties the buffer pool so the next operation starts
 // with a cold cache — the measurement discipline used by the experiments.
@@ -396,14 +388,9 @@ func (db *DB) VerifyReplication() []error { return db.e.VerifyReplication() }
 func (db *DB) Sync() error { return db.e.Sync() }
 
 // RepairReport is what a Repair pass found and what it left: the
-// VerifyReplication findings before the repair and after it.
-type RepairReport struct {
-	Found     []error // violations present before the repair
-	Remaining []error // violations still present after it
-}
-
-// Clean reports whether the post-repair verification found no violations.
-func (r RepairReport) Clean() bool { return len(r.Remaining) == 0 }
+// VerifyReplication findings before the repair (Found) and after it
+// (Remaining). Clean reports that Remaining is empty.
+type RepairReport = core.RepairReport
 
 // Repair re-derives every live path's replicated state — hidden values, link
 // structures, collapsed link objects, S′ groups — from the primary objects,
@@ -423,7 +410,7 @@ func (db *DB) Repair() (RepairReport, error) {
 	if rep == nil {
 		return RepairReport{}, err
 	}
-	return RepairReport{Found: rep.Found, Remaining: rep.Remaining}, err
+	return *rep, err
 }
 
 // Unreplicate removes a replication path declared with Replicate, tearing
@@ -436,28 +423,12 @@ func (db *DB) Unreplicate(path string, strategy Strategy) error {
 // DropIndex removes an index built with BuildIndex.
 func (db *DB) DropIndex(name string) error { return db.e.DropIndex(name) }
 
-// SetStats describes the physical state of a set's file.
-type SetStats struct {
-	Pages       int
-	Live        int     // live objects
-	Forwarded   int     // objects whose record moved behind a forwarding stub
-	DeadSlots   int     // free slot-directory entries
-	PayloadSize int64   // total live record bytes
-	FreeBytes   int64   // reclaimable bytes
-	AvgPayload  float64 // mean live record size
-}
+// SetStats describes the physical state of a set's file: pages, live,
+// forwarded and dead-slot counts, payload and reclaimable bytes, and the mean
+// live record size (AvgPayload).
+type SetStats = heap.Stats
 
 // Stats reports the physical statistics of a set's file: useful for judging
 // replication's space effects (in-place replication widens source objects
 // and may forward records that grew after a path was added).
-func (db *DB) Stats(set string) (SetStats, error) {
-	st, err := db.e.SetStats(set)
-	if err != nil {
-		return SetStats{}, err
-	}
-	return SetStats{
-		Pages: int(st.Pages), Live: st.Live, Forwarded: st.Forwarded,
-		DeadSlots: st.DeadSlots, PayloadSize: st.PayloadSize,
-		FreeBytes: st.FreeBytes, AvgPayload: st.AvgPayload(),
-	}, nil
-}
+func (db *DB) Stats(set string) (SetStats, error) { return db.e.SetStats(set) }

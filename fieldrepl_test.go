@@ -458,7 +458,7 @@ func TestPublicSetStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Live != 3 || st.Pages == 0 || st.AvgPayload <= 0 {
+	if st.Live != 3 || st.Pages == 0 || st.AvgPayload() <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Replicating after load widens objects; forwarding may appear, and the
@@ -473,8 +473,8 @@ func TestPublicSetStats(t *testing.T) {
 	if st2.Live != 3 {
 		t.Fatalf("live changed: %+v", st2)
 	}
-	if st2.AvgPayload <= st.AvgPayload {
-		t.Fatalf("replication did not widen objects: %v -> %v", st.AvgPayload, st2.AvgPayload)
+	if st2.AvgPayload() <= st.AvgPayload() {
+		t.Fatalf("replication did not widen objects: %v -> %v", st.AvgPayload(), st2.AvgPayload())
 	}
 	if _, err := db.Stats("Nope"); err == nil {
 		t.Fatal("stats of missing set succeeded")

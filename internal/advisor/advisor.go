@@ -235,11 +235,13 @@ type PathFacts struct {
 }
 
 // StrategyCost is one strategy's cost at the observed mix: pages per read
-// query, pages per update, and the mix-weighted total.
+// query, pages per update, and the mix-weighted total. The read and update
+// components let a consumer re-weigh the total at any update fraction (it is
+// linear in it).
 type StrategyCost struct {
-	Read   float64 `json:"read_pages"`
-	Update float64 `json:"update_pages"`
-	Total  float64 `json:"total_pages"`
+	ReadPages   float64 `json:"read_pages"`
+	UpdatePages float64 `json:"update_pages"`
+	TotalPages  float64 `json:"total_pages"`
 }
 
 // DriftSummary digests one model-error histogram: quantiles of
@@ -272,10 +274,14 @@ const (
 
 // Recommendation is one path's costed ranking.
 type Recommendation struct {
+	// Path is the dotted path key ("Emp1.dept.name"); Current and Recommended
+	// are strategy slugs: "no-replication", "in-place", "separate".
 	Path        string `json:"path"`
 	Current     string `json:"current"`
 	Recommended string `json:"recommended"`
-	Setting     string `json:"setting"`
+	// Setting is the clustering regime the costing assumed ("clustered" when
+	// the source set carries a clustered index, else "unclustered").
+	Setting string `json:"setting"`
 	// Change reports whether the recommended strategy differs from the
 	// current one.
 	Change bool `json:"change"`
@@ -293,14 +299,16 @@ type Recommendation struct {
 	Fs float64 `json:"fs"`
 
 	// Costs keys "no-replication", "in-place", "separate" to their pages per
-	// operation at the observed mix; Read/Update components are included so a
-	// consumer can re-weigh the total at any update fraction.
+	// operation at the observed mix.
 	Costs map[string]StrategyCost `json:"costs"`
 	// PredictedSavingsPct is the total-cost saving of the recommended
 	// strategy relative to the current one, in percent (0 when no change).
 	PredictedSavingsPct float64 `json:"predicted_savings_pct"`
 
-	Confidence string       `json:"confidence"`
+	// Confidence grades the recommendation — "none", "low", "medium", "high"
+	// — from the sample count and the model's observed drift on this path.
+	Confidence string `json:"confidence"`
+	// ModelError is the drift of operations touching this path.
 	ModelError DriftSummary `json:"model_error"`
 }
 
@@ -408,19 +416,19 @@ func (a *Advisor) Report(facts []PathFacts) Report {
 		bestTotal := math.Inf(1)
 		for _, st := range strategies {
 			sc := StrategyCost{
-				Read:   p.ReadCost(st, f.Setting),
-				Update: p.UpdateCost(st, f.Setting),
+				ReadPages:   p.ReadCost(st, f.Setting),
+				UpdatePages: p.UpdateCost(st, f.Setting),
 			}
-			sc.Total = (1-rec.UpdateFraction)*sc.Read + rec.UpdateFraction*sc.Update
+			sc.TotalPages = (1-rec.UpdateFraction)*sc.ReadPages + rec.UpdateFraction*sc.UpdatePages
 			rec.Costs[StrategySlug(st)] = sc
-			if sc.Total < bestTotal {
-				bestTotal = sc.Total
+			if sc.TotalPages < bestTotal {
+				bestTotal = sc.TotalPages
 				best = st
 			}
 		}
 		rec.Recommended = StrategySlug(best)
 		rec.Change = best != f.Current
-		curTotal := rec.Costs[rec.Current].Total
+		curTotal := rec.Costs[rec.Current].TotalPages
 		if rec.Change && curTotal > 0 {
 			rec.PredictedSavingsPct = 100 * (curTotal - bestTotal) / curTotal
 		}

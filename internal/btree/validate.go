@@ -156,33 +156,3 @@ func (v *validator) walk(pageNo uint32, level int, lo, hi entry, isRoot bool) er
 	}
 	return nil
 }
-
-// LeafFill reports the average leaf occupancy — entries per leaf over the
-// leaf capacity — by walking the sibling chain. It is the density a build or
-// a reorganisation is judged by: 0.9 right after Load, about 0.69 under
-// random inserts, 0.5 under ascending ones.
-func (t *Tree) LeafFill() (float64, error) {
-	m, err := t.loadMeta()
-	if err != nil {
-		return 0, err
-	}
-	page := m.root
-	for level := m.height; level > 1; level-- {
-		h, err := t.page(page)
-		if err != nil {
-			return 0, err
-		}
-		page = node{p: h.Page()}.child0()
-		h.Unpin()
-	}
-	leaves := 0
-	for ; page != noPage; leaves++ {
-		h, err := t.page(page)
-		if err != nil {
-			return 0, err
-		}
-		page = node{p: h.Page()}.next()
-		h.Unpin()
-	}
-	return float64(m.count) / float64(leaves*t.leafCap), nil
-}

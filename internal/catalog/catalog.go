@@ -173,21 +173,8 @@ type Path struct {
 	Deferred bool
 }
 
-// NLevels returns the number of functional joins the path spans.
-func (p *Path) NLevels() int { return len(p.Spec.Refs) }
-
 // TerminalType returns the type at the end of the ref chain.
 func (p *Path) TerminalType() *schema.Type { return p.Types[len(p.Types)-1] }
-
-// FieldByTerminal returns the ReplField covering terminal field index ti.
-func (p *Path) FieldByTerminal(ti int) (ReplField, bool) {
-	for _, f := range p.Fields {
-		if f.Terminal == ti {
-			return f, true
-		}
-	}
-	return ReplField{}, false
-}
 
 // Set is a named top-level set stored as one disk file.
 type Set struct {
@@ -273,12 +260,6 @@ func (c *Catalog) DefineType(name string, fields []schema.Field) (*schema.Type, 
 // TypeByName returns a registered type.
 func (c *Catalog) TypeByName(name string) (*schema.Type, bool) {
 	t, ok := c.types[name]
-	return t, ok
-}
-
-// TypeByTag returns a registered type by its tag.
-func (c *Catalog) TypeByTag(tag uint16) (*schema.Type, bool) {
-	t, ok := c.typesByTag[tag]
 	return t, ok
 }
 

@@ -62,8 +62,8 @@ func TestDefineTypeAndSets(t *testing.T) {
 	if !ok {
 		t.Fatal("EMP not found")
 	}
-	if got, ok := c.TypeByTag(emp.Tag); !ok || got != emp {
-		t.Fatal("TypeByTag mismatch")
+	if c.typesByTag[emp.Tag] != emp {
+		t.Fatal("type not registered by its tag")
 	}
 	if _, err := c.DefineType("EMP", nil); err == nil {
 		t.Fatal("duplicate type accepted")
@@ -296,11 +296,8 @@ func TestFullObjectReplication(t *testing.T) {
 	if p.TerminalType().Name != "DEPT" {
 		t.Fatalf("terminal type = %s", p.TerminalType().Name)
 	}
-	if _, ok := p.FieldByTerminal(1); !ok {
-		t.Fatal("FieldByTerminal(budget) missed")
-	}
-	if _, ok := p.FieldByTerminal(2); ok {
-		t.Fatal("FieldByTerminal(org) should miss (ref field)")
+	if p.Fields[0].Terminal != 0 || p.Fields[1].Terminal != 1 {
+		t.Fatalf("terminal field indexes = %d, %d, want 0, 1", p.Fields[0].Terminal, p.Fields[1].Terminal)
 	}
 }
 
@@ -350,8 +347,8 @@ func TestPathQueries(t *testing.T) {
 	if p, ok := c.FindPath(s2, 0); !ok || p.Strategy != Separate {
 		t.Fatal("FindPath any-strategy failed")
 	}
-	if p, _ := c.FindPath(s1, InPlace); p.NLevels() != 1 {
-		t.Fatal("NLevels wrong")
+	if p, _ := c.FindPath(s1, InPlace); len(p.Spec.Refs) != 1 {
+		t.Fatal("path spans the wrong number of joins")
 	}
 }
 

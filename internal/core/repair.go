@@ -9,7 +9,7 @@ type RepairReport struct {
 }
 
 // Clean reports whether the post-repair verification found no violations.
-func (r *RepairReport) Clean() bool { return len(r.Remaining) == 0 }
+func (r RepairReport) Clean() bool { return len(r.Remaining) == 0 }
 
 // Repair re-derives the replicated state of every live path from the primary
 // objects, for damage no log covers — media corruption of a derived page. (A

@@ -15,7 +15,7 @@ import (
 func optimumAt(rec advisor.Recommendation, pu float64) string {
 	best, bestCost := "", math.Inf(1)
 	for slug, c := range rec.Costs {
-		total := (1-pu)*c.Read + pu*c.Update
+		total := (1-pu)*c.ReadPages + pu*c.UpdatePages
 		if total < bestCost {
 			bestCost = total
 			best = slug

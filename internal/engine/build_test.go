@@ -155,12 +155,20 @@ func TestBuildLayout(t *testing.T) {
 				if err := tree.Validate(); err != nil {
 					t.Fatalf("index %s: %v", name, err)
 				}
-				fill, err := tree.LeafFill()
+				// A leaf holds 155 entries. Leaves loaded at nine tenths,
+				// their few internal nodes and the meta page fit in the
+				// pages of leaves 0.85 full plus three; leaves split by
+				// inserts (about 0.69 full) do not.
+				n, err := tree.Count()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fill < 0.85 {
-					t.Errorf("index %s: average leaf fill %.3f, want >= 0.85", name, fill)
+				pages, err := db.store.NumPages(tree.FileID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if max := uint32(n)/(155*85/100) + 3; pages > max {
+					t.Errorf("index %s: %d entries on %d pages, want <= %d", name, n, pages, max)
 				}
 			}
 			storage, err := db.ReplicationStorage()

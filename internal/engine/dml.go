@@ -34,20 +34,11 @@ func (db *DB) Insert(set string, vals map[string]schema.Value) (pagefile.OID, er
 // ctx error, and the trace is attributed to the context's session origin. A
 // nil ctx behaves like Insert.
 func (db *DB) InsertCtx(ctx context.Context, set string, vals map[string]schema.Value) (pagefile.OID, error) {
-	if err := db.writable(); err != nil {
-		return pagefile.OID{}, err
-	}
-	tr := db.obs.Start(obs.KindDML, set, "insert")
-	tr.SetOrigin(obs.OriginFrom(ctx))
 	var oid pagefile.OID
-	lsn, err := db.writeShot(ctx, tr, []string{set}, func(s *sess) (ierr error) {
+	_, _, err := db.writeWhere(ctx, obs.KindDML, "insert", set, func(s *sess) (_ int, ierr error) {
 		oid, ierr = s.insert(set, vals)
-		return ierr
+		return 1, ierr
 	})
-	if err == nil {
-		err = db.waitDurable(lsn, tr)
-	}
-	db.obs.Finish(tr)
 	if err != nil {
 		return pagefile.OID{}, err
 	}
@@ -112,12 +103,7 @@ func (db *DB) Update(set string, oid pagefile.OID, vals map[string]schema.Value)
 // waits for its per-set locks aborts it, and the trace is attributed to the
 // context's session origin. A nil ctx behaves like Update.
 func (db *DB) UpdateCtx(ctx context.Context, set string, oid pagefile.OID, vals map[string]schema.Value) error {
-	if err := db.writable(); err != nil {
-		return err
-	}
-	tr := db.obs.Start(obs.KindDML, set, "update")
-	tr.SetOrigin(obs.OriginFrom(ctx))
-	lsn, err := db.writeShot(ctx, tr, []string{set}, func(s *sess) error {
+	_, _, err := db.writeWhere(ctx, obs.KindDML, "update", set, func(s *sess) (int, error) {
 		// Advisor metadata: the fields written and the replication paths the
 		// update propagates into. Stamped inside the closure (it needs the
 		// session's catalog view).
@@ -125,12 +111,8 @@ func (db *DB) UpdateCtx(ctx context.Context, set string, oid pagefile.OID, vals 
 			s.stampUpdateMeta(typ, vals)
 		}
 		s.tr.SetRows(1)
-		return s.update(set, oid, vals)
+		return 1, s.update(set, oid, vals)
 	})
-	if err == nil {
-		err = db.waitDurable(lsn, tr)
-	}
-	db.obs.Finish(tr)
 	return err
 }
 
@@ -176,18 +158,9 @@ func (db *DB) Delete(set string, oid pagefile.OID) error {
 // waits for its per-set locks aborts it, and the trace is attributed to the
 // context's session origin. A nil ctx behaves like Delete.
 func (db *DB) DeleteCtx(ctx context.Context, set string, oid pagefile.OID) error {
-	if err := db.writable(); err != nil {
-		return err
-	}
-	tr := db.obs.Start(obs.KindDML, set, "delete")
-	tr.SetOrigin(obs.OriginFrom(ctx))
-	lsn, err := db.writeShot(ctx, tr, []string{set}, func(s *sess) error {
-		return s.delete(set, oid)
+	_, _, err := db.writeWhere(ctx, obs.KindDML, "delete", set, func(s *sess) (int, error) {
+		return 1, s.delete(set, oid)
 	})
-	if err == nil {
-		err = db.waitDurable(lsn, tr)
-	}
-	db.obs.Finish(tr)
 	return err
 }
 

@@ -63,12 +63,6 @@ type Config struct {
 	// databases (Dir == "") have no log: a commit just publishes the
 	// statement's pool scope.
 	WALPath string
-	// CommitInterval is the optional group-commit batching window: each
-	// committer waits this long before forcing the log, giving concurrent
-	// commits time to pile onto one fsync. Zero (the default) means commits
-	// force the log immediately (batching still happens under concurrency
-	// via the leader/follower fsync).
-	CommitInterval time.Duration
 	// AdvisorDisabled turns the workload advisor off: no trace subscription,
 	// no per-path mix aggregation, and Advise reports Enabled=false. Used for
 	// the overhead baseline (TestAdvisorOverhead, make gates).
@@ -195,7 +189,7 @@ func open(cfg Config, role int32) (_ *DB, err error) {
 		if walPath == "" {
 			walPath = filepath.Join(cfg.Dir, "wal.log")
 		}
-		wm, rep, err := wal.Open(walPath, store, cfg.CommitInterval)
+		wm, rep, err := wal.Open(walPath, store)
 		if err != nil {
 			return nil, err
 		}
@@ -468,7 +462,8 @@ func (db *DB) waitDurable(lsn uint64, tr *obs.Trace) error {
 
 // --- I/O accounting and cache control ---
 
-// IOStats is a snapshot of page-level I/O counters.
+// IOStats is a snapshot of page-level I/O counters: store reads, writes and
+// page allocations.
 type IOStats struct {
 	Reads  int64 `json:"reads"`
 	Writes int64 `json:"writes"`
@@ -482,6 +477,8 @@ func (s IOStats) Total() int64 { return s.Reads + s.Writes }
 func (s IOStats) Sub(t IOStats) IOStats {
 	return IOStats{Reads: s.Reads - t.Reads, Writes: s.Writes - t.Writes, Allocs: s.Allocs - t.Allocs}
 }
+
+func (s IOStats) String() string { return fmt.Sprintf("reads=%d writes=%d", s.Reads, s.Writes) }
 
 // IO returns the cumulative page I/O counters of the underlying store. Only
 // buffer misses and write-backs are counted, exactly the page transfers the

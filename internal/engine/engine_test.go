@@ -166,8 +166,11 @@ func TestCRUDAndScanQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj, err := db.Get("Emp1", st.emps[0])
-	if err != nil || obj.MustGet("salary").I != 1 {
-		t.Fatalf("update lost: %v, %v", obj, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := obj.Get("salary"); v.I != 1 {
+		t.Fatalf("update lost: %v", obj)
 	}
 	if err := db.Delete("Emp1", st.emps[1]); err != nil {
 		t.Fatal(err)

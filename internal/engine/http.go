@@ -127,7 +127,7 @@ func (db *DB) handleProm(w http.ResponseWriter, _ *http.Request) {
 			obs.PromHeader(w, "fieldrepl_advisor_strategy_cost", "gauge", "Section-6 pages per operation for each strategy at the observed mix.")
 			for _, r := range rep.Recommendations {
 				for _, st := range []string{"no-replication", "in-place", "separate"} {
-					obs.PromValue(w, "fieldrepl_advisor_strategy_cost", r.Costs[st].Total, "path", r.Path, "strategy", st)
+					obs.PromValue(w, "fieldrepl_advisor_strategy_cost", r.Costs[st].TotalPages, "path", r.Path, "strategy", st)
 				}
 			}
 			obs.PromHeader(w, "fieldrepl_advisor_predicted_savings_pct", "gauge", "Predicted total-cost saving of the recommended strategy over the current one.")

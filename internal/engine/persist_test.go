@@ -60,8 +60,11 @@ func TestReopenRoundTrip(t *testing.T) {
 		t.Fatalf("Count after reopen = %d, %v", n, err)
 	}
 	obj, err := db.Get("Emp1", alice)
-	if err != nil || obj.MustGet("name").S != "emp-000" {
-		t.Fatalf("Get after reopen: %v, %v", obj, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := obj.Get("name"); v.S != "emp-000" {
+		t.Fatalf("Get after reopen: %v", obj)
 	}
 	// Queries resolve through the restored replication paths.
 	res, _, err := db.Query(nil, Query{Set: "Emp1", Project: []string{"dept.name", "dept.budget", "dept.org.name"}})

@@ -381,9 +381,14 @@ func crashMatrixStep(t *testing.T, n int, clustered bool) bool {
 	return uerr == nil
 }
 
+// TestGroupCommitConcurrentWriters checks that one-shot writers to one set
+// share fsyncs: each appends its commit under the set's lock and waits for
+// durability after releasing it. The log's leader lock is held until all K
+// wait, so the batch does not depend on how fast a statement runs against
+// an fsync (a -race build makes statements many times slower).
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Config{Dir: dir, PoolPages: 256, CommitInterval: 2 * time.Millisecond})
+	db, err := Open(Config{Dir: dir, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +402,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	}
 
 	const K = 16
+	release := db.wal.HoldSync()
 	var wg sync.WaitGroup
 	for i := 0; i < K; i++ {
 		wg.Add(1)
@@ -409,6 +415,17 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 			}
 		}(i)
 	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if q, _ := db.WALStats(); q.SyncQueue == K {
+			break
+		}
+		if time.Now().After(deadline) {
+			release()
+			wg.Wait()
+			t.Fatalf("%d writers never all reached the durability wait: a commit holds its set lock while it waits", K)
+		}
+	}
+	release()
 	wg.Wait()
 
 	stats, _ := db.WALStats()

@@ -24,21 +24,21 @@ func TestParseAdvise(t *testing.T) {
 func TestExecAdvise(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	if _, err := in.Exec(`replicate inplace Emp1.dept.name`); err != nil {
+	if _, err := run(in, `replicate inplace Emp1.dept.name`); err != nil {
 		t.Fatal(err)
 	}
 	// Drive the mix the advisor aggregates: reads through the replicated
 	// path, then an update of the replicated field.
 	for i := 0; i < 8; i++ {
-		if _, err := in.Exec(`retrieve (Emp1.name) where Emp1.dept.name = "Research"`); err != nil {
+		if _, err := run(in, `retrieve (Emp1.name) where Emp1.dept.name = "Research"`); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := in.Exec(`replace Dept (name = "Research") where Dept.name = "Research"`); err != nil {
+	if _, err := run(in, `replace Dept (name = "Research") where Dept.name = "Research"`); err != nil {
 		t.Fatal(err)
 	}
 
-	outs, err := in.Exec("advise")
+	outs, err := run(in, "advise")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func newLoggedInterp(t *testing.T) (*Interp, *pagefile.FaultStore) {
 	}
 	t.Cleanup(func() { db.Close() })
 	in := NewInterp(db)
-	if _, err := in.Exec(figure1Schema); err != nil {
+	if _, err := run(in, figure1Schema); err != nil {
 		t.Fatalf("figure 1 schema: %v", err)
 	}
 	seed(t, in)
@@ -37,7 +37,7 @@ func newLoggedInterp(t *testing.T) (*Interp, *pagefile.FaultStore) {
 // column runs a retrieve and returns its first column, space-separated.
 func column(t *testing.T, in *Interp, src string) string {
 	t.Helper()
-	out, err := in.ExecOne(src)
+	out, err := runOne(in, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestReplaceFaultChangesNothing(t *testing.T) {
 	for i := fs.Ops(); i < fs.Ops()+1000; i++ {
 		fs.AddFault(pagefile.Fault{Index: i, Op: pagefile.OpAlloc})
 	}
-	_, err := in.ExecOne(`replace Emp1 (name = "` + long + `") where Emp1.age >= 30`)
+	_, err := runOne(in, `replace Emp1 (name = "`+long+`") where Emp1.age >= 30`)
 	if !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("replace under an allocation fault: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestReplaceIsOneCommit(t *testing.T) {
 		return st.Commits
 	}
 	c0 := commits()
-	out, err := in.ExecOne("replace Emp1 (salary = 1) where Emp1.age >= 30")
+	out, err := runOne(in, "replace Emp1 (salary = 1) where Emp1.age >= 30")
 	if err != nil || !strings.Contains(out.Message, "replaced 3") {
 		t.Fatalf("replace: %q, %v", out.Message, err)
 	}
@@ -94,13 +94,13 @@ func TestReplaceIsOneCommit(t *testing.T) {
 	}
 
 	c0 = commits()
-	if _, err := in.Exec("begin on Emp1\nreplace Emp1 (salary = 2) where Emp1.age >= 30\ndelete Emp1 where Emp1.age >= 40"); err != nil {
+	if _, err := run(in, "begin on Emp1\nreplace Emp1 (salary = 2) where Emp1.age >= 30\ndelete Emp1 where Emp1.age >= 40"); err != nil {
 		t.Fatal(err)
 	}
 	if n := commits() - c0; n != 0 {
 		t.Fatalf("statements inside a transaction appended %d commit records", n)
 	}
-	if _, err := in.ExecOne("commit"); err != nil {
+	if _, err := runOne(in, "commit"); err != nil {
 		t.Fatal(err)
 	}
 	if n := commits() - c0; n != 1 {

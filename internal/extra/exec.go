@@ -74,15 +74,11 @@ type Output struct {
 	Decision *plan.Decision
 }
 
-// Exec parses and executes a script, returning one Output per statement.
-func (in *Interp) Exec(src string) ([]Output, error) {
-	return in.ExecCtx(context.Background(), src)
-}
-
-// ExecCtx is Exec under a context: cancellation is checked between
-// statements and threaded into each statement's query, update, and per-set
-// lock waits, so a cancelled script stops promptly. The context's obs origin
-// (if any) labels every trace the script produces.
+// ExecCtx parses and executes a script, returning one Output per statement.
+// Cancellation is checked between statements and threaded into each
+// statement's query, update, and per-set lock waits, so a cancelled script
+// stops promptly. The context's obs origin (if any) labels every trace the
+// script produces. A nil ctx is never cancelled.
 func (in *Interp) ExecCtx(ctx context.Context, src string) ([]Output, error) {
 	stmts, err := Parse(src)
 	if err != nil {
@@ -102,18 +98,6 @@ func (in *Interp) ExecCtx(ctx context.Context, src string) ([]Output, error) {
 		outs = append(outs, o)
 	}
 	return outs, nil
-}
-
-// ExecOne executes a single-statement script.
-func (in *Interp) ExecOne(src string) (Output, error) {
-	outs, err := in.Exec(src)
-	if err != nil {
-		return Output{}, err
-	}
-	if len(outs) != 1 {
-		return Output{}, fmt.Errorf("extra: expected one statement, got %d", len(outs))
-	}
-	return outs[0], nil
 }
 
 // --- statement targets ---
@@ -390,9 +374,9 @@ func (in *Interp) advise() (Output, error) {
 			r.Path, r.Current, r.Recommended,
 			fmt.Sprintf("%d", r.Reads), fmt.Sprintf("%d", r.Updates),
 			fmt.Sprintf("%.3f", r.UpdateFraction),
-			fmt.Sprintf("%.2f", r.Costs["no-replication"].Total),
-			fmt.Sprintf("%.2f", r.Costs["in-place"].Total),
-			fmt.Sprintf("%.2f", r.Costs["separate"].Total),
+			fmt.Sprintf("%.2f", r.Costs["no-replication"].TotalPages),
+			fmt.Sprintf("%.2f", r.Costs["in-place"].TotalPages),
+			fmt.Sprintf("%.2f", r.Costs["separate"].TotalPages),
 			fmt.Sprintf("%.1f", r.PredictedSavingsPct),
 			r.Confidence,
 		})

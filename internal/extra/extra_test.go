@@ -1,6 +1,8 @@
 package extra
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,6 +32,23 @@ create Emp1: {own ref EMP}
 create Emp2: {own ref EMP}
 `
 
+// run executes a script with no cancellation.
+func run(in *Interp, src string) ([]Output, error) {
+	return in.ExecCtx(context.Background(), src)
+}
+
+// runOne executes a single-statement script.
+func runOne(in *Interp, src string) (Output, error) {
+	outs, err := run(in, src)
+	if err != nil {
+		return Output{}, err
+	}
+	if len(outs) != 1 {
+		return Output{}, fmt.Errorf("expected one statement, got %d", len(outs))
+	}
+	return outs[0], nil
+}
+
 func newInterp(t *testing.T) *Interp {
 	t.Helper()
 	db, err := engine.Open(engine.Config{})
@@ -38,7 +57,7 @@ func newInterp(t *testing.T) *Interp {
 	}
 	t.Cleanup(func() { db.Close() })
 	in := NewInterp(db)
-	if _, err := in.Exec(figure1Schema); err != nil {
+	if _, err := run(in, figure1Schema); err != nil {
 		t.Fatalf("figure 1 schema: %v", err)
 	}
 	return in
@@ -46,7 +65,7 @@ func newInterp(t *testing.T) *Interp {
 
 func seed(t *testing.T, in *Interp) {
 	t.Helper()
-	_, err := in.Exec(`
+	_, err := run(in, `
 let acme = insert Org (name = "Acme", budget = 1000)
 let globex = insert Org (name = "Globex", budget = 2000)
 let research = insert Dept (name = "Research", budget = 100, org = acme)
@@ -97,7 +116,7 @@ func TestPaperQuery(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
 	// The paper's Section 3.1 example query.
-	out, err := in.ExecOne(`
+	out, err := runOne(in, `
 retrieve (Emp1.name, Emp1.salary, Emp1.dept.name)
     where Emp1.salary > 100000
 `)
@@ -128,7 +147,7 @@ func TestReplicateStatementForms(t *testing.T) {
 		"replicate collapsed Emp1.dept.org.name",
 		"replicate inplace Emp2.dept.name",
 	} {
-		out, err := in.ExecOne(stmt)
+		out, err := runOne(in, stmt)
 		if err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
@@ -140,7 +159,7 @@ func TestReplicateStatementForms(t *testing.T) {
 		t.Fatalf("invariant: %v", errs)
 	}
 	// Queries now exploit replication transparently.
-	out, err := in.ExecOne(`retrieve (Emp1.name, Emp1.dept.name, Emp1.dept.org.name) where Emp1.salary > 100000`)
+	out, err := runOne(in, `retrieve (Emp1.name, Emp1.dept.name, Emp1.dept.org.name) where Emp1.salary > 100000`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +171,13 @@ func TestReplicateStatementForms(t *testing.T) {
 func TestReplacePropagation(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	if _, err := in.ExecOne("replicate Emp1.dept.name"); err != nil {
+	if _, err := runOne(in, "replicate Emp1.dept.name"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.ExecOne(`replace Dept (name = "R&D") where Dept.name = "Research"`); err != nil {
+	if _, err := runOne(in, `replace Dept (name = "R&D") where Dept.name = "Research"`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := in.ExecOne(`retrieve (Emp1.dept.name) where Emp1.name = "Alice"`)
+	out, err := runOne(in, `retrieve (Emp1.dept.name) where Emp1.name = "Alice"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +192,10 @@ func TestReplacePropagation(t *testing.T) {
 func TestBuildIndexAndBetween(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	if _, err := in.ExecOne("build btree on Emp1.salary"); err != nil {
+	if _, err := runOne(in, "build btree on Emp1.salary"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := in.ExecOne("retrieve (Emp1.name) where Emp1.salary between 90000 and 120000")
+	out, err := runOne(in, "retrieve (Emp1.name) where Emp1.salary between 90000 and 120000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +206,7 @@ func TestBuildIndexAndBetween(t *testing.T) {
 		t.Fatalf("message = %q", out.Message)
 	}
 	// Named and clustered variants parse.
-	if _, err := in.ExecOne("build btree dept_by_budget on Dept.budget clustered"); err != nil {
+	if _, err := runOne(in, "build btree dept_by_budget on Dept.budget clustered"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -195,14 +214,14 @@ func TestBuildIndexAndBetween(t *testing.T) {
 func TestDeleteWhere(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	out, err := in.ExecOne("delete Emp1 where Emp1.age >= 40")
+	out, err := runOne(in, "delete Emp1 where Emp1.age >= 40")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.Message, "deleted 2") {
 		t.Fatalf("message = %q", out.Message)
 	}
-	res, _ := in.ExecOne("retrieve (Emp1.name)")
+	res, _ := runOne(in, "retrieve (Emp1.name)")
 	if len(res.Rows) != 1 || res.Rows[0][0] != "Alice" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
@@ -210,13 +229,13 @@ func TestDeleteWhere(t *testing.T) {
 
 func TestVariablesAndNil(t *testing.T) {
 	in := newInterp(t)
-	if _, err := in.ExecOne(`insert Dept (name = "Solo", budget = 1, org = nil)`); err != nil {
+	if _, err := runOne(in, `insert Dept (name = "Solo", budget = 1, org = nil)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.ExecOne(`insert Emp1 (name = "X", age = 1, salary = 1, dept = unbound)`); err == nil {
+	if _, err := runOne(in, `insert Emp1 (name = "X", age = 1, salary = 1, dept = unbound)`); err == nil {
 		t.Fatal("unbound variable accepted")
 	}
-	out, err := in.ExecOne(`retrieve (Dept.name, Dept.org)`)
+	out, err := runOne(in, `retrieve (Dept.name, Dept.org)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +247,7 @@ func TestVariablesAndNil(t *testing.T) {
 func TestRetrieveIntoOutput(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	out, err := in.ExecOne("retrieve into output (Emp1.name, Emp1.salary)")
+	out, err := runOne(in, "retrieve into output (Emp1.name, Emp1.salary)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +259,7 @@ func TestRetrieveIntoOutput(t *testing.T) {
 func TestReplaceAll(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	out, err := in.ExecOne("replace Emp1 (age = 99)")
+	out, err := runOne(in, "replace Emp1 (age = 99)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,20 +271,20 @@ func TestReplaceAll(t *testing.T) {
 func TestOIDLiteral(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	res, err := in.ExecOne(`retrieve (Dept.name) where Dept.name = "Research"`)
+	res, err := runOne(in, `retrieve (Dept.name) where Dept.name = "Research"`)
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatal(err)
 	}
 	// Find an OID via a variable, then insert using the explicit literal.
-	out, err := in.ExecOne(`let d = insert Dept (name = "Temp", budget = 1, org = nil)`)
+	out, err := runOne(in, `let d = insert Dept (name = "Temp", budget = 1, org = nil)`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lit := "@" + out.OID.String()
-	if _, err := in.ExecOne(`insert Emp1 (name = "Y", age = 1, salary = 1, dept = ` + lit + `)`); err != nil {
+	if _, err := runOne(in, `insert Emp1 (name = "Y", age = 1, salary = 1, dept = `+lit+`)`); err != nil {
 		t.Fatalf("OID literal insert: %v", err)
 	}
-	q, err := in.ExecOne(`retrieve (Emp1.dept.name) where Emp1.name = "Y"`)
+	q, err := runOne(in, `retrieve (Emp1.dept.name) where Emp1.name = "Y"`)
 	if err != nil || len(q.Rows) != 1 || q.Rows[0][0] != "Temp" {
 		t.Fatalf("rows = %v, err = %v", q.Rows, err)
 	}
@@ -274,16 +293,16 @@ func TestOIDLiteral(t *testing.T) {
 func TestReplicateDeferredKeyword(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	if _, err := in.ExecOne("replicate deferred Emp1.dept.name"); err != nil {
+	if _, err := runOne(in, "replicate deferred Emp1.dept.name"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.ExecOne(`replace Dept (name = "Lazy") where Dept.name = "Research"`); err != nil {
+	if _, err := runOne(in, `replace Dept (name = "Lazy") where Dept.name = "Research"`); err != nil {
 		t.Fatal(err)
 	}
 	if in.DB.PendingPropagations() != 1 {
 		t.Fatalf("pending = %d", in.DB.PendingPropagations())
 	}
-	out, err := in.ExecOne(`retrieve (Emp1.dept.name) where Emp1.name = "Alice"`)
+	out, err := runOne(in, `retrieve (Emp1.dept.name) where Emp1.name = "Alice"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +310,7 @@ func TestReplicateDeferredKeyword(t *testing.T) {
 		t.Fatalf("deferred read = %v", out.Rows)
 	}
 	// Combined modifiers parse.
-	if _, err := in.ExecOne("replicate collapsed deferred Emp2.dept.org.name"); err != nil {
+	if _, err := runOne(in, "replicate collapsed deferred Emp2.dept.org.name"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -307,7 +326,7 @@ unreplicate Emp1.dept.name
 unreplicate separate Emp1.dept.budget
 drop btree salidx
 `
-	outs, err := in.Exec(script)
+	outs, err := run(in, script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +337,7 @@ drop btree salidx
 		t.Fatalf("messages = %q, %q", outs[3].Message, outs[5].Message)
 	}
 	// Everything still answers via functional joins.
-	out, err := in.ExecOne(`retrieve (Emp1.name, Emp1.dept.name, Emp1.dept.budget)`)
+	out, err := runOne(in, `retrieve (Emp1.name, Emp1.dept.name, Emp1.dept.budget)`)
 	if err != nil || len(out.Rows) != 3 {
 		t.Fatalf("rows = %v, err = %v", out.Rows, err)
 	}
@@ -330,7 +349,7 @@ drop btree salidx
 func TestWhereAndConjuncts(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	out, err := in.ExecOne(`retrieve (Emp1.name) where Emp1.salary > 80000 and Emp1.age >= 40 and Emp1.dept.name = "Research"`)
+	out, err := runOne(in, `retrieve (Emp1.name) where Emp1.salary > 80000 and Emp1.age >= 40 and Emp1.dept.name = "Research"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,26 +363,26 @@ func TestWhereAndConjuncts(t *testing.T) {
 func TestTxnStatements(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	if _, err := in.Exec(`
+	if _, err := run(in, `
 begin
 insert Emp1 (name = "Dave", age = 33, salary = 80000, dept = nil)
 commit
 `); err != nil {
 		t.Fatal(err)
 	}
-	out, err := in.ExecOne("retrieve (Emp1.name)")
+	out, err := runOne(in, "retrieve (Emp1.name)")
 	if err != nil || len(out.Rows) != 4 {
 		t.Fatalf("rows = %v, err = %v", out.Rows, err)
 	}
 
-	if _, err := in.Exec(`
+	if _, err := run(in, `
 begin
 insert Emp1 (name = "Gone", age = 1, salary = 1, dept = nil)
 rollback
 `); err != nil {
 		t.Fatal(err)
 	}
-	out, err = in.ExecOne("retrieve (Emp1.name)")
+	out, err = runOne(in, "retrieve (Emp1.name)")
 	if err != nil || len(out.Rows) != 4 {
 		t.Fatalf("after rollback rows = %v, err = %v", out.Rows, err)
 	}
@@ -371,19 +390,19 @@ rollback
 
 func TestTxnRefusesDDLAndNesting(t *testing.T) {
 	in := newInterp(t)
-	if _, err := in.ExecOne("begin"); err != nil {
+	if _, err := runOne(in, "begin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.ExecOne("define type Q ( x: int )"); err == nil || !strings.Contains(err.Error(), "not allowed inside") {
+	if _, err := runOne(in, "define type Q ( x: int )"); err == nil || !strings.Contains(err.Error(), "not allowed inside") {
 		t.Fatalf("DDL inside txn: err = %v", err)
 	}
-	if _, err := in.ExecOne("begin"); err == nil || !strings.Contains(err.Error(), "already open") {
+	if _, err := runOne(in, "begin"); err == nil || !strings.Contains(err.Error(), "already open") {
 		t.Fatalf("nested begin: err = %v", err)
 	}
-	if _, err := in.ExecOne("rollback"); err != nil {
+	if _, err := runOne(in, "rollback"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.ExecOne("commit"); err == nil {
+	if _, err := runOne(in, "commit"); err == nil {
 		t.Fatal("commit with no open transaction should fail")
 	}
 }
@@ -393,19 +412,19 @@ func TestTxnRefusesDDLAndNesting(t *testing.T) {
 func TestInterpCloseRollsBack(t *testing.T) {
 	in := newInterp(t)
 	seed(t, in)
-	if _, err := in.Exec("begin\ninsert Emp1 (name = \"Orphan\", age = 1, salary = 1, dept = nil)"); err != nil {
+	if _, err := run(in, "begin\ninsert Emp1 (name = \"Orphan\", age = 1, salary = 1, dept = nil)"); err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.Exec("retrieve (Emp1.name)"); err != ErrSessionClosed {
+	if _, err := run(in, "retrieve (Emp1.name)"); err != ErrSessionClosed {
 		t.Fatalf("err = %v, want ErrSessionClosed", err)
 	}
 	// The rollback took effect: a fresh interpreter on the same engine sees
 	// only the seeded rows.
 	in2 := NewInterp(in.DB)
-	out, err := in2.ExecOne("retrieve (Emp1.name)")
+	out, err := runOne(in2, "retrieve (Emp1.name)")
 	if err != nil || len(out.Rows) != 3 {
 		t.Fatalf("rows = %v, err = %v", out.Rows, err)
 	}

@@ -293,17 +293,26 @@ func (t *Trace) Counters() Counters {
 	}
 }
 
-// Record is a completed trace: identity, timing, and final counters. It is
-// the unit the metrics snapshot, the slow-query log, and extradb -explain
-// report.
+// Record is a completed trace: identity, timing, and the page counters the
+// operation itself accumulated. It is the unit the metrics snapshot, the
+// slow-query log, and extradb -explain report, and the public package's
+// TraceRecord. Unlike the store-wide I/O counters, a record is exact under
+// concurrency: it counts only the pages the traced operation touched.
 type Record struct {
-	ID     uint64 `json:"id"`
-	Kind   string `json:"kind"`
+	// ID is the process-unique trace id. Ids are issued at start, so
+	// overlapping operations may complete out of id order.
+	ID uint64 `json:"id"`
+	// Kind is the operation class: "query", "update-where", "dml", "flush",
+	// "txn".
+	Kind string `json:"kind"`
+	// Set is the target set, Detail the predicate expression or DML verb.
 	Set    string `json:"set,omitempty"`
 	Detail string `json:"detail,omitempty"`
-	Plan   string `json:"plan,omitempty"`
-	// Origin is the session identity the operation ran on behalf of (set by
-	// the network server's per-session execution), empty for direct API calls.
+	// Plan is the executor's access-path choice: "scan", "scan-parallel", or
+	// "index:<name>".
+	Plan string `json:"plan,omitempty"`
+	// Origin attributes the operation to the session that ran it ("sess-N"
+	// for Session and network-server statements), empty for direct API calls.
 	Origin string    `json:"origin,omitempty"`
 	Start  time.Time `json:"start"`
 	// Wall is the operation's wall-clock duration (JSON: nanoseconds).

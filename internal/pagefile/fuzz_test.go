@@ -66,8 +66,6 @@ func FuzzSlottedParsing(f *testing.F) {
 		sp.IsFormatted()
 		sp.NumSlots()
 		sp.FreeSpace()
-		sp.LiveCount()
-		sp.NextPage()
 		n := sp.NumSlots()
 		for i := uint16(0); i < n; i++ {
 			sp.Live(i)

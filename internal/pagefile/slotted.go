@@ -105,19 +105,6 @@ func (s Slotted) dataStartInt() int {
 	return v
 }
 
-// NextPage returns the page's next-page link (used by heap files for the
-// free-space chain); ok is false when there is no link.
-func (s Slotted) NextPage() (uint32, bool) {
-	v := binary.LittleEndian.Uint32(s.P[offNextPage:])
-	return v, v != ^uint32(0)
-}
-
-// SetNextPage sets the next-page link.
-func (s Slotted) SetNextPage(p uint32) { binary.LittleEndian.PutUint32(s.P[offNextPage:], p) }
-
-// ClearNextPage removes the next-page link.
-func (s Slotted) ClearNextPage() { binary.LittleEndian.PutUint32(s.P[offNextPage:], ^uint32(0)) }
-
 func (s Slotted) slot(i uint16) (offset, length uint16) {
 	base := slotBase + int(i)*slotSize
 	return binary.LittleEndian.Uint16(s.P[base:]), binary.LittleEndian.Uint16(s.P[base+2:])
@@ -382,16 +369,4 @@ func (s Slotted) Validate() error {
 		}
 	}
 	return nil
-}
-
-// LiveCount returns the number of live records on the page.
-func (s Slotted) LiveCount() int {
-	n := s.NumSlots()
-	live := 0
-	for i := uint16(0); i < n; i++ {
-		if s.Live(i) {
-			live++
-		}
-	}
-	return live
 }

@@ -37,9 +37,20 @@ func TestSlottedInsertRead(t *testing.T) {
 			t.Fatalf("slot %d: got %q, want %q", slot, got, recs[i])
 		}
 	}
-	if s.LiveCount() != len(recs) {
-		t.Fatalf("LiveCount = %d, want %d", s.LiveCount(), len(recs))
+	if n := liveCount(s); n != len(recs) {
+		t.Fatalf("live count = %d, want %d", n, len(recs))
 	}
+}
+
+// liveCount returns the number of live records on the page.
+func liveCount(s Slotted) int {
+	live := 0
+	for i := uint16(0); i < s.NumSlots(); i++ {
+		if s.Live(i) {
+			live++
+		}
+	}
+	return live
 }
 
 func TestSlottedDeleteAndReuse(t *testing.T) {
@@ -295,8 +306,8 @@ func TestSlottedQuickOps(t *testing.T) {
 			delete(model, k)
 		}
 		// Verify model equivalence.
-		if s.LiveCount() != len(model) {
-			t.Fatalf("step %d: LiveCount=%d model=%d", step, s.LiveCount(), len(model))
+		if n := liveCount(s); n != len(model) {
+			t.Fatalf("step %d: live count=%d model=%d", step, n, len(model))
 		}
 		for k, want := range model {
 			got, err := s.Read(k)
@@ -339,22 +350,6 @@ func TestSlottedPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSlottedNextPageLink(t *testing.T) {
-	var p Page
-	s := InitSlotted(&p)
-	if _, ok := s.NextPage(); ok {
-		t.Fatal("fresh page has next link")
-	}
-	s.SetNextPage(42)
-	if next, ok := s.NextPage(); !ok || next != 42 {
-		t.Fatalf("NextPage = %d,%v, want 42,true", next, ok)
-	}
-	s.ClearNextPage()
-	if _, ok := s.NextPage(); ok {
-		t.Fatal("ClearNextPage did not clear")
 	}
 }
 

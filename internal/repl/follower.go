@@ -314,14 +314,17 @@ func (f *Follower) setErr(err error) {
 
 // FollowerStatus is a point-in-time view of the applier.
 type FollowerStatus struct {
-	Connected         bool   `json:"connected"`
-	AppliedLSN        uint64 `json:"applied_lsn"`
+	Connected  bool   `json:"connected"`
+	AppliedLSN uint64 `json:"applied_lsn"`
+	// PrimaryDurableLSN is the primary's durable LSN as of the last
+	// heartbeat; LagLSN is how far applied trails it.
 	PrimaryDurableLSN uint64 `json:"primary_durable_lsn"`
 	LagLSN            uint64 `json:"lag_lsn"`
 	Reconnects        int64  `json:"reconnects"`
-	BadFrames         int64  `json:"bad_frames"`
-	Snapshots         int64  `json:"snapshots"`
-	LastError         string `json:"last_error,omitempty"`
+	// BadFrames counts record batches rejected for framing or CRC damage.
+	BadFrames int64  `json:"bad_frames"`
+	Snapshots int64  `json:"snapshots"`
+	LastError string `json:"last_error,omitempty"`
 }
 
 // Status reports connection state and lag as of the last heartbeat.

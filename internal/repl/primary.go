@@ -434,13 +434,17 @@ type FollowerInfo struct {
 
 // PrimaryStatus is a point-in-time view of the shipper.
 type PrimaryStatus struct {
-	LastLSN      uint64         `json:"last_lsn"`
-	DurableLSN   uint64         `json:"durable_lsn"`
-	Followers    []FollowerInfo `json:"followers"`
-	SyncTimeouts int64          `json:"sync_timeouts"`
-	Unreplicated int64          `json:"unreplicated"`
-	Resyncs      int64          `json:"resyncs"`
-	Snapshots    int64          `json:"snapshots"`
+	LastLSN    uint64         `json:"last_lsn"`
+	DurableLSN uint64         `json:"durable_lsn"`
+	Followers  []FollowerInfo `json:"followers"`
+	// SyncTimeouts counts semi-sync waits that degraded to asynchronous;
+	// Unreplicated counts semi-sync commits acked with no follower connected.
+	SyncTimeouts int64 `json:"sync_timeouts"`
+	Unreplicated int64 `json:"unreplicated"`
+	// Resyncs counts followers sent back for a full snapshot after log
+	// truncation outran them; Snapshots counts snapshots shipped.
+	Resyncs   int64 `json:"resyncs"`
+	Snapshots int64 `json:"snapshots"`
 }
 
 // Status reports the shipper's state and per-follower lag.

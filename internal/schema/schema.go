@@ -276,16 +276,6 @@ func (o *Object) Get(name string) (Value, bool) {
 	return o.Values[i], true
 }
 
-// MustGet returns the value of the named base field, panicking if absent.
-// For use in tests and examples where the schema is static.
-func (o *Object) MustGet(name string) Value {
-	v, ok := o.Get(name)
-	if !ok {
-		panic(fmt.Sprintf("schema: type %s has no field %q", o.Type.Name, name))
-	}
-	return v
-}
-
 // Set assigns the named base field, checking the kind.
 func (o *Object) Set(name string, v Value) error {
 	i := o.Type.FieldIndex(name)

@@ -61,7 +61,7 @@ func TestObjectGetSet(t *testing.T) {
 	if err := o.Set("missing", IntValue(1)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if v := o.MustGet("name"); v.S != "Alice" {
+	if v, _ := o.Get("name"); v.S != "Alice" {
 		t.Fatalf("name = %v", v)
 	}
 	if _, ok := o.Get("nothere"); ok {
@@ -206,7 +206,7 @@ func TestClone(t *testing.T) {
 	c := o.Clone()
 	c.Set("name", StringValue("Mallory"))
 	c.Links[0].Inline[0] = pagefile.OID{File: 99}
-	if o.MustGet("name").S != "Eve" {
+	if v, _ := o.Get("name"); v.S != "Eve" {
 		t.Fatal("clone shares values")
 	}
 	if o.Links[0].Inline[0].File != 1 {
@@ -297,7 +297,9 @@ func TestViewMatchesDecode(t *testing.T) {
 			t.Fatalf("field %d = %v, want %v", i, got, want)
 		}
 	}
-	if got := v.Ref(typ.FieldIndex("dept")); got != o.MustGet("dept").R {
+	dept, _ := o.Get("dept")
+	oname, _ := o.Get("name")
+	if got := v.Ref(typ.FieldIndex("dept")); got != dept.R {
 		t.Fatalf("Ref = %v", got)
 	}
 	for _, h := range o.Hidden {
@@ -318,7 +320,7 @@ func TestViewMatchesDecode(t *testing.T) {
 	}{
 		{"age", IntValue(-4), 1}, {"age", IntValue(-3), 0}, {"age", IntValue(0), -1},
 		{"salary", FloatValue(2), 1}, {"salary", FloatValue(2.5), 0}, {"salary", FloatValue(3), -1},
-		{"name", StringValue("a"), 1}, {"name", o.MustGet("name"), 0}, {"name", StringValue("b"), -1},
+		{"name", StringValue("a"), 1}, {"name", oname, 0}, {"name", StringValue("b"), -1},
 	} {
 		if got := v.CompareField(typ.FieldIndex(c.field), c.c); got != c.want {
 			t.Errorf("CompareField(%s, %v) = %d, want %d", c.field, c.c, got, c.want)
@@ -328,7 +330,7 @@ func TestViewMatchesDecode(t *testing.T) {
 		t.Errorf("CompareHidden = %d, %v", got, ok)
 	}
 
-	name, longer := typ.FieldIndex("name"), StringValue(o.MustGet("name").S+"!")
+	name, longer := typ.FieldIndex("name"), StringValue(oname.S+"!")
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := v.Reset(typ, data); err != nil {
 			t.Fatal(err)

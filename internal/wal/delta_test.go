@@ -303,7 +303,7 @@ func onePage(t *testing.T, store pagefile.Store) pagefile.PageID {
 func TestFullImageRule(t *testing.T) {
 	store := pagefile.NewMemStore()
 	pid := onePage(t, store)
-	m, _ := openT(t, filepath.Join(t.TempDir(), "wal.log"), store, 0)
+	m, _ := openT(t, filepath.Join(t.TempDir(), "wal.log"), store)
 	defer m.Close()
 	s := newScopeLog(t, m)
 
@@ -368,7 +368,7 @@ func TestFailedAppendKeepsTheChain(t *testing.T) {
 	store := pagefile.NewMemStore()
 	pid := onePage(t, store)
 	path := filepath.Join(t.TempDir(), "wal.log")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	s := newScopeLog(t, m)
 	s.commit(poke(1), pid)
 	s.commit(poke(2), pid)
@@ -397,7 +397,7 @@ func TestFailedAppendKeepsTheChain(t *testing.T) {
 	want := *s.cur[pid]
 	m.Close()
 
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if rep.PagesApplied != 1 || rep.DeltasApplied != 2 {
 		t.Fatalf("replay applied %d full + %d deltas, want 1 + 2", rep.PagesApplied, rep.DeltasApplied)
@@ -419,7 +419,7 @@ func deltaLog(t *testing.T) (path string, txns [][]byte, pid pagefile.PageID, fi
 	store := pagefile.NewMemStore()
 	pid = onePage(t, store)
 	path = filepath.Join(t.TempDir(), "wal.log")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	s := newScopeLog(t, m)
 	for v := uint64(1); v <= 3; v++ {
 		s.commit(poke(v), pid)
@@ -464,7 +464,7 @@ func TestRedoRebuildsTornPageThroughDeltas(t *testing.T) {
 	st, pid := fileStoreWithPage(t)
 	tear(t, st, pid)
 	io0 := st.Stats().Snapshot()
-	m, rep, err := Open(path, st, 0)
+	m, rep, err := Open(path, st)
 	if err != nil {
 		t.Fatalf("recovery over a torn page: %v", err)
 	}
@@ -485,7 +485,7 @@ func TestRedoRebuildsTornPageThroughDeltas(t *testing.T) {
 	}
 	// Replaying again is idempotent: every record is at or below the page.
 	m.Close()
-	_, rep2 := openT(t, path, st, 0)
+	_, rep2 := openT(t, path, st)
 	if rep2.PagesSkipped != 3 || rep2.PagesApplied+rep2.DeltasApplied != 0 {
 		t.Fatalf("second replay: skipped %d, applied %d + %d", rep2.PagesSkipped, rep2.PagesApplied, rep2.DeltasApplied)
 	}
@@ -504,7 +504,7 @@ func TestRedoGapIsNamedCorruption(t *testing.T) {
 	if err := st.ReadPage(pid, &before); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Open(path, st, 0)
+	_, _, err := Open(path, st)
 	if !errors.Is(err, pagefile.ErrCorruptPage) || !strings.Contains(err.Error(), pid.String()) {
 		t.Fatalf("gap in the chain: err = %v, want ErrCorruptPage naming %v", err, pid)
 	}
@@ -530,10 +530,10 @@ func TestRedoDeltaWithoutFullImage(t *testing.T) {
 	// The store as the truncation left it: everything through txns[0] applied.
 	st, pid := fileStoreWithPage(t)
 	writeLog(t, full, walVersion, 1, txns[0])
-	m, _ := openT(t, full, st, 0)
+	m, _ := openT(t, full, st)
 	m.Close()
 
-	m, rep := openT(t, path, st, 0)
+	m, rep := openT(t, path, st)
 	m.Close()
 	if rep.PagesApplied != 0 || rep.DeltasApplied != 2 {
 		t.Fatalf("applied %d full + %d deltas, want 0 + 2", rep.PagesApplied, rep.DeltasApplied)
@@ -547,7 +547,7 @@ func TestRedoDeltaWithoutFullImage(t *testing.T) {
 	}
 
 	tear(t, st, pid)
-	if _, _, err := Open(path, st, 0); !errors.Is(err, pagefile.ErrCorruptPage) || !strings.Contains(err.Error(), pid.String()) {
+	if _, _, err := Open(path, st); !errors.Is(err, pagefile.ErrCorruptPage) || !strings.Contains(err.Error(), pid.String()) {
 		t.Fatalf("torn page, no full image: err = %v, want ErrCorruptPage naming %v", err, pid)
 	}
 }
@@ -559,7 +559,7 @@ func TestRedoDeltaWithoutFullImage(t *testing.T) {
 func TestLargeRecordRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 
 	big := bytes.Repeat([]byte("catalog!"), 1<<17)
 	lsn, _, err := m.AppendCommit(nil, nil, big)
@@ -599,7 +599,7 @@ func TestLargeRecordRoundTrips(t *testing.T) {
 	}
 	m.Close()
 
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if rep.Commits != 3 || rep.TornTail || !bytes.Equal(rep.Catalog, big[:100]) {
 		t.Fatalf("reopen: commits=%d tornTail=%v catalog=%d bytes, want 3/false/100", rep.Commits, rep.TornTail, len(rep.Catalog))
@@ -616,7 +616,7 @@ func TestReplayBoundsAllocationByFileSize(t *testing.T) {
 	writeLog(t, path, walVersion, 1, txns[0], liar, []byte("xyz"))
 	store := pagefile.NewMemStore()
 	onePage(t, store)
-	_, rep := openT(t, path, store, 0)
+	_, rep := openT(t, path, store)
 	if rep.Commits != 1 || !rep.TornTail {
 		t.Fatalf("commits=%d tornTail=%v, want 1/true", rep.Commits, rep.TornTail)
 	}
@@ -636,7 +636,7 @@ func TestReplayDropsRecordsWithoutCommit(t *testing.T) {
 	store := pagefile.NewMemStore()
 	onePage(t, store)
 
-	m, rep := openT(t, path, store, 0)
+	m, rep := openT(t, path, store)
 	if rep.Commits != 1 || rep.DeltasApplied != 0 || !rep.TornTail {
 		t.Fatalf("commits=%d deltas=%d tornTail=%v, want 1/0/true", rep.Commits, rep.DeltasApplied, rep.TornTail)
 	}
@@ -648,7 +648,7 @@ func TestReplayDropsRecordsWithoutCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
-	m2, rep2 := openT(t, path, store, 0)
+	m2, rep2 := openT(t, path, store)
 	defer m2.Close()
 	if rep2.Commits != 2 || rep2.DeltasApplied != 0 || rep2.TornTail {
 		t.Fatalf("after the overwrite: commits=%d deltas=%d tornTail=%v, want 2/0/false", rep2.Commits, rep2.DeltasApplied, rep2.TornTail)
@@ -674,7 +674,7 @@ func TestVersions(t *testing.T) {
 	writeLog(t, path, 1, 1, txns[0])
 	store := pagefile.NewMemStore()
 	onePage(t, store)
-	m, rep := openT(t, path, store, 0)
+	m, rep := openT(t, path, store)
 	if rep.Commits != 1 || rep.PagesApplied != 1 {
 		t.Fatalf("v1 log: commits=%d applied=%d, want 1/1", rep.Commits, rep.PagesApplied)
 	}
@@ -686,7 +686,7 @@ func TestVersions(t *testing.T) {
 	if v := headerVersion(t, path); v != 2 {
 		t.Fatalf("header version %d after reopening a v1 log, want 2", v)
 	}
-	m2, rep2 := openT(t, path, store, 0)
+	m2, rep2 := openT(t, path, store)
 	if rep2.Commits != 3 || rep2.Catalog != nil {
 		t.Fatalf("upgraded log replayed %d commits and catalog %q, want 3 and none", rep2.Commits, rep2.Catalog)
 	}
@@ -700,14 +700,14 @@ func TestVersions(t *testing.T) {
 	if v := headerVersion(t, path); v != walVersion {
 		t.Fatalf("header version %d after a checkpoint, want %d", v, walVersion)
 	}
-	m3, rep3 := openT(t, path, store, 0)
+	m3, rep3 := openT(t, path, store)
 	m3.Close()
 	if rep3.Commits != 0 || string(rep3.Catalog) != "cat" {
 		t.Fatalf("v3 log: commits=%d catalog=%q, want 0 and the header's", rep3.Commits, rep3.Catalog)
 	}
 
 	writeLog(t, path, walVersion+1, 1)
-	if _, _, err := Open(path, store, 0); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+	if _, _, err := Open(path, store); err == nil || !strings.Contains(err.Error(), "unsupported version") {
 		t.Fatalf("future version: err = %v", err)
 	}
 }
@@ -719,7 +719,7 @@ func TestRedoOneReadOneWritePerPage(t *testing.T) {
 	src := pagefile.NewMemStore()
 	pid := onePage(t, src)
 	path := filepath.Join(t.TempDir(), "wal.log")
-	m, _ := openT(t, path, src, 0)
+	m, _ := openT(t, path, src)
 	s := newScopeLog(t, m)
 	for v := uint64(0); v <= 200; v++ {
 		s.commit(poke(v), pid)
@@ -728,7 +728,7 @@ func TestRedoOneReadOneWritePerPage(t *testing.T) {
 
 	st, _ := fileStoreWithPage(t)
 	io0 := st.Stats().Snapshot()
-	m2, rep := openT(t, path, st, 0)
+	m2, rep := openT(t, path, st)
 	defer m2.Close()
 	if rep.PagesApplied != 1 || rep.DeltasApplied != 200 {
 		t.Fatalf("applied %d full + %d deltas, want 1 + 200", rep.PagesApplied, rep.DeltasApplied)

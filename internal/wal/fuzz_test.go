@@ -147,7 +147,7 @@ func FuzzOpen(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := Open(path, pagefile.NewMemStore(), 0)
+		m, _, err := Open(path, pagefile.NewMemStore())
 		if err != nil {
 			return
 		}

@@ -28,7 +28,7 @@ func TestReadTailStreamsDurablePrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 
 	var lastLSN uint64
@@ -78,7 +78,7 @@ func TestReadTailExcludesUnsyncedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 
 	pid := pagefile.PageID{File: fid, Page: 0}
@@ -122,7 +122,7 @@ func TestReadTailTruncationForcesResync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 
 	lsn, _, err := m.AppendCommit(nil, []PageImage{{PID: pagefile.PageID{File: fid}, Data: fill(1)}}, nil)
@@ -168,7 +168,7 @@ func TestRetainDefersCheckpointUntilUnregistered(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 
 	lsn, _, err := m.AppendCommit(nil, []PageImage{{PID: pagefile.PageID{File: fid}, Data: fill(1)}}, nil)
@@ -209,7 +209,7 @@ func TestRetainBoundForcesTruncation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 
 	lsn, _, err := m.AppendCommit(nil, []PageImage{{PID: pagefile.PageID{File: fid}, Data: fill(1)}}, nil)
@@ -240,7 +240,7 @@ func TestAppendRawRoundTripsThroughReplay(t *testing.T) {
 	dir := t.TempDir()
 	primary := pagefile.NewMemStore()
 	fid, _ := primary.CreateFile("data")
-	pm, _ := openT(t, filepath.Join(dir, "primary.log"), primary, 0)
+	pm, _ := openT(t, filepath.Join(dir, "primary.log"), primary)
 	defer pm.Close()
 
 	var last uint64
@@ -271,7 +271,7 @@ func TestAppendRawRoundTripsThroughReplay(t *testing.T) {
 
 	fstore := pagefile.NewMemStore()
 	fpath := filepath.Join(dir, "follower.log")
-	fm, _ := openT(t, fpath, fstore, 0)
+	fm, _ := openT(t, fpath, fstore)
 	for i := range txns {
 		if err := fm.AppendRaw(&txns[i]); err != nil {
 			t.Fatal(err)
@@ -305,7 +305,7 @@ func TestAppendRawRoundTripsThroughReplay(t *testing.T) {
 
 	// Crash-restart the follower: replay must rebuild its store byte-for-byte
 	// (modulo the page LSN stamp, which both sides derive from the record).
-	fm2, rep := openT(t, fpath, fstore, 0)
+	fm2, rep := openT(t, fpath, fstore)
 	defer fm2.Close()
 	if rep.Commits != 2 {
 		t.Fatalf("replayed %d commits, want 2", rep.Commits)
@@ -328,7 +328,7 @@ func TestResetToRestartsSequence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 
 	if _, _, err := m.AppendCommit(nil, []PageImage{{PID: pagefile.PageID{File: fid}, Data: fill(1)}}, nil); err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestResetToRestartsSequence(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := openT(t, path, store, 0)
+	m2, _ := openT(t, path, store)
 	defer m2.Close()
 	if m2.BaseLSN() != 50 || m2.LastLSN() != 51 {
 		t.Fatalf("reopen after reset: base=%d last=%d, want 50/51", m2.BaseLSN(), m2.LastLSN())
@@ -368,7 +368,7 @@ func TestWaitDurableAbove(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 
 	// Timeout path: nothing becomes durable, the call returns promptly with
@@ -410,7 +410,7 @@ func buildReplayLog(t *testing.T) (string, []pagefile.PageID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	s := newScopeLog(t, m)
 	var pids []pagefile.PageID
 	var last uint64
@@ -467,7 +467,7 @@ func replayBaseline(t *testing.T, path string, pids []pagefile.PageID) []pagefil
 	t.Helper()
 	store := fileStore(t)
 	defer store.Close()
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func replayBaseline(t *testing.T, path string, pids []pagefile.PageID) []pagefil
 func verifyConverged(t *testing.T, path string, fs *pagefile.FaultStore, pids []pagefile.PageID, want []pagefile.Page, label string) {
 	t.Helper()
 	fs.ClearFaults()
-	m, _, err := Open(path, fs, 0)
+	m, _, err := Open(path, fs)
 	if err != nil {
 		t.Fatalf("%s: fault-free re-replay failed: %v", label, err)
 	}
@@ -507,7 +507,7 @@ func replayOps(t *testing.T, path string) int64 {
 	t.Helper()
 	fs := pagefile.NewFaultStore(fileStore(t))
 	defer fs.Close()
-	m, _, err := Open(path, fs, 0)
+	m, _, err := Open(path, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestReplayFaultSweep(t *testing.T) {
 	for n := int64(0); n < replayOps(t, path); n++ {
 		fs := pagefile.NewFaultStore(fileStore(t))
 		fs.AddFault(pagefile.Fault{Index: n})
-		_, _, err := Open(path, fs, 0)
+		_, _, err := Open(path, fs)
 		if err == nil {
 			t.Fatalf("op %d: fault injected but Open reported success", n)
 		}
@@ -554,7 +554,7 @@ func TestReplayTornWriteSweep(t *testing.T) {
 	for n := int64(0); n < replayOps(t, path); n++ {
 		fs := pagefile.NewFaultStore(fileStore(t))
 		fs.AddFault(pagefile.Fault{Index: n, Op: pagefile.OpWrite, Torn: true})
-		m, _, err := Open(path, fs, 0)
+		m, _, err := Open(path, fs)
 		if fs.Injected() == 0 {
 			// Operation n was not a write; nothing fired this round.
 			if err != nil {

@@ -167,9 +167,8 @@ type Manager struct {
 	closed   bool
 	broken   bool // a failed append left bytes we could not truncate away
 
-	syncMu   sync.Mutex    // serializes fsyncs; the group-commit leader lock
-	durable  atomic.Uint64 // highest LSN known fsync'd
-	interval time.Duration // optional batching window before claiming leadership
+	syncMu  sync.Mutex    // serializes fsyncs; the group-commit leader lock
+	durable atomic.Uint64 // highest LSN known fsync'd
 
 	// Shipping state (guarded by mu). base is the header's base LSN and first
 	// the offset of the generation's first record; epoch increments with
@@ -217,13 +216,13 @@ type Manager struct {
 // does not truncate the log: the caller must make the replayed state durable
 // (store sync) and then call Checkpoint, so a crash during recovery just
 // replays again. A log shorter than its header, or whose header catalog
-// fails its checksum, is an error, never a fresh log. interval is the
-// optional group-commit batching window (see WaitDurable).
-func Open(path string, store pagefile.Store, interval time.Duration) (*Manager, *RecoveryReport, error) {
+// fails its checksum, is an error, never a fresh log. A trailing duration
+// argument is accepted and ignored: it was the group-commit batching window,
+// which no longer exists, and the bench module still passes 0.
+func Open(path string, store pagefile.Store, _ ...time.Duration) (*Manager, *RecoveryReport, error) {
 	m := &Manager{
 		path:      path,
 		pageLSN:   make(map[pagefile.PageID]pageState),
-		interval:  interval,
 		fsyncWait: obs.NewHistogram(),
 		notify:    make(chan struct{}),
 	}
@@ -542,11 +541,9 @@ func (m *Manager) appendTxn(files []FileCreate, pages []PageRef, catalog []byte)
 }
 
 // WaitDurable blocks until every record up to and including lsn is fsync'd.
-// This is the group-commit rendezvous: if a configured CommitInterval is
-// set, the caller first sleeps that window so concurrent commits pile up;
-// then the first waiter through the sync lock fsyncs on behalf of everyone
-// appended so far, and the rest find their LSN already durable and return
-// without an fsync of their own.
+// This is the group-commit rendezvous: the first waiter through the sync
+// lock fsyncs on behalf of everyone appended so far, and the rest find their
+// LSN already durable and return without an fsync of their own.
 func (m *Manager) WaitDurable(lsn uint64) error {
 	if m.durable.Load() >= lsn {
 		return nil
@@ -556,9 +553,6 @@ func (m *Manager) WaitDurable(lsn uint64) error {
 	m.syncWaits.Add(1)
 	m.syncQueue.Add(1)
 	start := time.Now()
-	if m.interval > 0 {
-		time.Sleep(m.interval)
-	}
 	shared, err := m.syncTo(lsn)
 	m.fsyncWait.Observe(time.Since(start))
 	m.syncQueue.Add(-1)
@@ -566,6 +560,14 @@ func (m *Manager) WaitDurable(lsn uint64) error {
 		m.sharedSyncs.Add(1)
 	}
 	return err
+}
+
+// HoldSync takes the group-commit leader lock until release is called:
+// committers still append, and every durability wait queues behind the
+// held lock, so a test can line a batch up before its one fsync.
+func (m *Manager) HoldSync() (release func()) {
+	m.syncMu.Lock()
+	return m.syncMu.Unlock
 }
 
 // syncTo makes the log durable through lsn. shared reports that the caller
@@ -674,7 +676,7 @@ func (m *Manager) Stats() Stats {
 
 // FsyncWaitHist snapshots the durability-wait histogram: the wall time each
 // WaitDurable caller spent between asking for durability and getting it
-// (batching window + queueing behind the leader + the fsync itself).
+// (queueing behind the leader + the fsync itself).
 func (m *Manager) FsyncWaitHist() obs.HistSnapshot {
 	return m.fsyncWait.Snapshot()
 }

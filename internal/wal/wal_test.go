@@ -14,9 +14,9 @@ import (
 	"github.com/exodb/fieldrepl/internal/pagefile"
 )
 
-func openT(t *testing.T, path string, store pagefile.Store, interval time.Duration) (*Manager, *RecoveryReport) {
+func openT(t *testing.T, path string, store pagefile.Store) (*Manager, *RecoveryReport) {
 	t.Helper()
-	m, rep, err := Open(path, store, interval)
+	m, rep, err := Open(path, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	pid := pagefile.PageID{File: fid, Page: 0}
 
-	m, rep := openT(t, path, store, 0)
+	m, rep := openT(t, path, store)
 	if rep.Commits != 0 {
 		t.Fatalf("fresh log replayed %d commits", rep.Commits)
 	}
@@ -65,7 +65,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, rep2 := openT(t, path, store, 0)
+	m2, rep2 := openT(t, path, store)
 	defer m2.Close()
 	if rep2.Commits != 1 || rep2.PagesApplied != 1 {
 		t.Fatalf("replay: commits=%d applied=%d, want 1/1", rep2.Commits, rep2.PagesApplied)
@@ -93,7 +93,7 @@ func TestReplaySkipsNewerDiskPage(t *testing.T) {
 	store.Allocate(fid)
 	pid := pagefile.PageID{File: fid, Page: 0}
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	if _, _, err := m.AppendCommit(nil, []PageImage{{PID: pid, Data: fill(1)}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestReplaySkipsNewerDiskPage(t *testing.T) {
 	if err := store.WritePage(pid, &newer); err != nil {
 		t.Fatal(err)
 	}
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if rep.PagesApplied != 0 || rep.PagesSkipped != 1 {
 		t.Fatalf("applied=%d skipped=%d, want 0/1", rep.PagesApplied, rep.PagesSkipped)
@@ -124,7 +124,7 @@ func TestReplayRecreatesFileAndPages(t *testing.T) {
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	img := fill(0x5C)
 	// Pages 0..2 of a file created inside the transaction; the store never
 	// saw the create (crash before any write-back).
@@ -138,7 +138,7 @@ func TestReplayRecreatesFileAndPages(t *testing.T) {
 	}
 	m.Close()
 
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if rep.FilesCreated != 1 || rep.PagesApplied != 2 {
 		t.Fatalf("filesCreated=%d applied=%d, want 1/2", rep.FilesCreated, rep.PagesApplied)
@@ -167,7 +167,7 @@ func TestReplayFillsFileIDGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	// FIDs 2 and 3 belonged to scratch query outputs on the primary: never
 	// logged, never shipped. FID 4 is a real logged create whose pages the
 	// crash caught before any store apply.
@@ -184,7 +184,7 @@ func TestReplayFillsFileIDGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if rep.FilesCreated != 3 {
 		t.Fatalf("replay created %d files, want 3 (2 gap placeholders + 1 logged)", rep.FilesCreated)
@@ -216,7 +216,7 @@ func TestReplayIgnoresTornTail(t *testing.T) {
 	p0 := pagefile.PageID{File: fid, Page: 0}
 	p1 := pagefile.PageID{File: fid, Page: 1}
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	if _, _, err := m.AppendCommit(nil, []PageImage{{PID: p0, Data: fill(1)}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestReplayIgnoresTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	if rep.Commits != 1 || rep.PagesApplied != 1 {
 		t.Fatalf("commits=%d applied=%d, want 1/1 (second txn torn)", rep.Commits, rep.PagesApplied)
 	}
@@ -253,7 +253,7 @@ func TestReplayIgnoresTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.Close()
-	m3, rep3 := openT(t, path, store, 0)
+	m3, rep3 := openT(t, path, store)
 	defer m3.Close()
 	if rep3.TornTail {
 		t.Fatal("tail still torn after overwrite")
@@ -271,7 +271,7 @@ func TestCatalogRecordRecovered(t *testing.T) {
 	path := filepath.Join(dir, "wal.log")
 	store := pagefile.NewMemStore()
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	if _, _, err := m.AppendCommit(nil, nil, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCatalogRecordRecovered(t *testing.T) {
 	}
 	m.Close()
 
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if string(rep.Catalog) != `{"v":2}` {
 		t.Fatalf("recovered catalog %q, want the last committed one", rep.Catalog)
@@ -295,7 +295,7 @@ func TestCheckpointTruncatesAndKeepsLSNsMonotone(t *testing.T) {
 	store.Allocate(fid)
 	pid := pagefile.PageID{File: fid, Page: 0}
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	lsn1, _, err := m.AppendCommit(nil, []PageImage{{PID: pid, Data: fill(1)}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestCheckpointTruncatesAndKeepsLSNsMonotone(t *testing.T) {
 	m.Close()
 
 	// Only the post-checkpoint transaction replays.
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if rep.Commits != 1 {
 		t.Fatalf("replayed %d commits, want 1 (checkpoint truncated the first)", rep.Commits)
@@ -331,7 +331,7 @@ func TestReplayAfterCheckpointedReopen(t *testing.T) {
 	path := filepath.Join(dir, "wal.log")
 	store := pagefile.NewMemStore()
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	if _, _, err := m.AppendCommit(nil, nil, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestReplayAfterCheckpointedReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
-	m2, rep := openT(t, path, store, 0)
+	m2, rep := openT(t, path, store)
 	defer m2.Close()
 	if rep.Commits != 0 || string(rep.Catalog) != "cat" {
 		t.Fatalf("clean reopen replayed commits=%d catalog=%q, want 0 and the header's", rep.Commits, rep.Catalog)
@@ -356,7 +356,7 @@ func TestGenerationSwitchStates(t *testing.T) {
 	// checkpoint whose header carries "base".
 	oldLog := func(t *testing.T) string {
 		path := filepath.Join(t.TempDir(), "wal.log")
-		m, _ := openT(t, path, pagefile.NewMemStore(), 0)
+		m, _ := openT(t, path, pagefile.NewMemStore())
 		if err := m.Checkpoint([]byte("base")); err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func TestGenerationSwitchStates(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := oldLog(t)
 			tc.tmp(t, path)
-			m, rep := openT(t, path, pagefile.NewMemStore(), 0)
+			m, rep := openT(t, path, pagefile.NewMemStore())
 			defer m.Close()
 			if rep.Commits != 1 || string(rep.Catalog) != "old" || m.BaseLSN() != 1 {
 				t.Fatalf("commits=%d catalog=%q base=%d, want the old log: 1, \"old\", 1", rep.Commits, rep.Catalog, m.BaseLSN())
@@ -406,7 +406,7 @@ func TestGenerationSwitchStates(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(path, pagefile.NewMemStore(), 0); err == nil || !strings.Contains(err.Error(), "checksum") {
+		if _, _, err := Open(path, pagefile.NewMemStore()); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("Open = %v, want a checksum error", err)
 		}
 	})
@@ -416,7 +416,7 @@ func TestGenerationSwitchStates(t *testing.T) {
 			if err := os.Truncate(path, size); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := Open(path, pagefile.NewMemStore(), 0); err == nil || !strings.Contains(err.Error(), path) {
+			if _, _, err := Open(path, pagefile.NewMemStore()); err == nil || !strings.Contains(err.Error(), path) {
 				t.Fatalf("Open = %v, want an error naming %s", err, path)
 			}
 		})
@@ -431,7 +431,7 @@ func TestReadTailAcrossGenerations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	store := pagefile.NewMemStore()
 	fid, _ := store.CreateFile("data")
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 	const gens, perGen = 40, 8
 	var last uint64
@@ -509,7 +509,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		return pagefile.PageID{File: fid, Page: uint32(i)}
 	}
 
-	m, _ := openT(t, path, store, 2*time.Millisecond)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 	base := m.Stats().Fsyncs
 
@@ -545,6 +545,57 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	}
 }
 
+// TestGroupCommitLeaderCoversFollowers pins leader/follower batching: N
+// commits are appended, then N committers wait for durability at once. The
+// leader lock is held until all N are queued, so exactly one of them fsyncs
+// and the other N-1 find their LSN covered by that fsync.
+func TestGroupCommitLeaderCoversFollowers(t *testing.T) {
+	store := pagefile.NewMemStore()
+	fid, _ := store.CreateFile("data")
+	m, _ := openT(t, filepath.Join(t.TempDir(), "wal.log"), store)
+	defer m.Close()
+
+	const N = 8
+	lsns := make([]uint64, N)
+	for i := range lsns {
+		store.Allocate(fid)
+		lsn, _, err := m.AppendCommit(nil, []PageImage{{PID: pagefile.PageID{File: fid, Page: uint32(i)}, Data: fill(byte(i))}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns[i] = lsn
+	}
+	base := m.Stats()
+
+	release := m.HoldSync()
+	var wg sync.WaitGroup
+	for _, lsn := range lsns {
+		wg.Add(1)
+		go func(lsn uint64) {
+			defer wg.Done()
+			if err := m.WaitDurable(lsn); err != nil {
+				t.Error(err)
+			}
+		}(lsn)
+	}
+	for m.Stats().SyncQueue < N {
+		time.Sleep(100 * time.Microsecond)
+	}
+	release()
+	wg.Wait()
+
+	st := m.Stats()
+	if fsyncs := st.Fsyncs - base.Fsyncs; fsyncs != 1 {
+		t.Errorf("%d fsyncs for %d queued committers, want 1", fsyncs, N)
+	}
+	if shared := st.SharedSyncs - base.SharedSyncs; shared != N-1 {
+		t.Errorf("%d shared syncs, want %d", shared, N-1)
+	}
+	if waits := st.SyncWaits - base.SyncWaits; waits != N {
+		t.Errorf("%d sync waits, want %d", waits, N)
+	}
+}
+
 func TestEnsureDurablePage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
@@ -553,7 +604,7 @@ func TestEnsureDurablePage(t *testing.T) {
 	store.Allocate(fid)
 	pid := pagefile.PageID{File: fid, Page: 0}
 
-	m, _ := openT(t, path, store, 0)
+	m, _ := openT(t, path, store)
 	defer m.Close()
 	// Unlogged pages need no durability wait.
 	if err := m.EnsureDurablePage(pagefile.PageID{File: fid, Page: 7}); err != nil {

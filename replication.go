@@ -111,87 +111,25 @@ func OpenFollower(cfg Config, primaryAddr string, fcfg FollowerConfig) (*DB, err
 // it as a follower of the promoted one.
 func (db *DB) Promote() error { return db.e.Promote() }
 
-// ReplFollowerInfo is one connected follower as the primary sees it.
-type ReplFollowerInfo struct {
-	Addr     string `json:"addr"`
-	AckedLSN uint64 `json:"acked_lsn"`
-	SentLSN  uint64 `json:"sent_lsn"`
-	// LagLSN is the primary's durable LSN minus the follower's last ack.
-	LagLSN uint64 `json:"lag_lsn"`
-	// LagMs is how long the follower has been behind, in milliseconds: time
-	// since its oldest outstanding (sent, unacked) batch. 0 while caught up.
-	LagMs        float64 `json:"lag_ms"`
-	ConnectedSec float64 `json:"connected_sec"`
-}
-
-// ReplPrimaryStatus is the shipping primary's view of replication.
-type ReplPrimaryStatus struct {
-	LastLSN    uint64             `json:"last_lsn"`
-	DurableLSN uint64             `json:"durable_lsn"`
-	Followers  []ReplFollowerInfo `json:"followers"`
-	// SyncTimeouts counts semi-sync waits that degraded to asynchronous;
-	// Unreplicated counts semi-sync commits acked with no follower connected.
-	SyncTimeouts int64 `json:"sync_timeouts"`
-	Unreplicated int64 `json:"unreplicated"`
-	// Resyncs counts followers sent back for a full snapshot after log
-	// truncation outran them; Snapshots counts snapshots shipped.
-	Resyncs   int64 `json:"resyncs"`
-	Snapshots int64 `json:"snapshots"`
-}
-
-// ReplFollowerStatus is a follower's view of its session to the primary.
-type ReplFollowerStatus struct {
-	Connected  bool   `json:"connected"`
-	AppliedLSN uint64 `json:"applied_lsn"`
-	// PrimaryDurableLSN is the primary's durable LSN as of the last
-	// heartbeat; LagLSN is how far applied trails it.
-	PrimaryDurableLSN uint64 `json:"primary_durable_lsn"`
-	LagLSN            uint64 `json:"lag_lsn"`
-	Reconnects        int64  `json:"reconnects"`
-	// BadFrames counts record batches rejected for framing or CRC damage.
-	BadFrames int64  `json:"bad_frames"`
-	Snapshots int64  `json:"snapshots"`
-	LastError string `json:"last_error,omitempty"`
-}
-
-// ReplicationStatus reports the database's replication role ("primary" or
-// "follower") and, when replication is active, the side-specific state.
-type ReplicationStatus struct {
-	Role     string              `json:"role"`
-	Primary  *ReplPrimaryStatus  `json:"primary,omitempty"`
-	Follower *ReplFollowerStatus `json:"follower,omitempty"`
-}
+// The replication status types are the engine's and the shipper's own;
+// their fields document each value.
+type (
+	// ReplicationStatus reports the database's replication role ("primary"
+	// or "follower") and, when replication is active, the side-specific
+	// state.
+	ReplicationStatus = engine.ReplicationStatus
+	// ReplPrimaryStatus is the shipping primary's view of replication.
+	ReplPrimaryStatus = repl.PrimaryStatus
+	// ReplFollowerStatus is a follower's view of its session to the primary.
+	ReplFollowerStatus = repl.FollowerStatus
+	// ReplFollowerInfo is one connected follower as the primary sees it.
+	ReplFollowerInfo = repl.FollowerInfo
+)
 
 // ReplicationStatus reports role, per-follower lag (on a shipping primary),
 // and connection/apply progress (on a follower). Safe to call from anywhere;
 // it reads lock-free snapshots.
-func (db *DB) ReplicationStatus() ReplicationStatus {
-	st := db.e.ReplicationStatus()
-	out := ReplicationStatus{Role: st.Role}
-	if p := st.Primary; p != nil {
-		pub := ReplPrimaryStatus{
-			LastLSN: p.LastLSN, DurableLSN: p.DurableLSN,
-			SyncTimeouts: p.SyncTimeouts, Unreplicated: p.Unreplicated,
-			Resyncs: p.Resyncs, Snapshots: p.Snapshots,
-		}
-		for _, fi := range p.Followers {
-			pub.Followers = append(pub.Followers, ReplFollowerInfo{
-				Addr: fi.Addr, AckedLSN: fi.AckedLSN, SentLSN: fi.SentLSN,
-				LagLSN: fi.LagLSN, LagMs: fi.LagMs, ConnectedSec: fi.ConnectedSec,
-			})
-		}
-		out.Primary = &pub
-	}
-	if f := st.Follower; f != nil {
-		out.Follower = &ReplFollowerStatus{
-			Connected: f.Connected, AppliedLSN: f.AppliedLSN,
-			PrimaryDurableLSN: f.PrimaryDurableLSN, LagLSN: f.LagLSN,
-			Reconnects: f.Reconnects, BadFrames: f.BadFrames,
-			Snapshots: f.Snapshots, LastError: f.LastError,
-		}
-	}
-	return out
-}
+func (db *DB) ReplicationStatus() ReplicationStatus { return db.e.ReplicationStatus() }
 
 // CrashStop simulates kill -9 for failover drills and crash-recovery tests:
 // store and log handles are closed without flushing anything. In-flight

@@ -65,16 +65,7 @@ func (s *Session) ExecCtx(ctx context.Context, script string) ([]Output, error) 
 
 // ExecOne runs a single-statement script.
 func (s *Session) ExecOne(stmt string) (Output, error) {
-	return s.execOne(nil, stmt)
-}
-
-// ExecOneCtx is ExecOne under a context.
-func (s *Session) ExecOneCtx(ctx context.Context, stmt string) (Output, error) {
-	return s.execOne(ctx, stmt)
-}
-
-func (s *Session) execOne(ctx context.Context, stmt string) (Output, error) {
-	outs, err := s.ExecCtx(ctx, stmt)
+	outs, err := s.ExecCtx(nil, stmt)
 	if err != nil {
 		return Output{}, err
 	}
@@ -96,32 +87,16 @@ func (s *Session) Close() error {
 	return s.in.Close()
 }
 
-// execRaw executes the script statement by statement; the engine takes the
-// locks each statement needs (a retrieve runs on the snapshot read path, DML
-// under its footprint's per-set locks, schema statements under the exclusive
-// lock). Internal so the network server can reuse it without converting
-// outputs twice.
+// execRaw runs the script through the interpreter under the session's
+// lock and origin; the engine takes the locks each statement needs (a
+// retrieve runs on the snapshot read path, DML under its footprint's per-set
+// locks, schema statements under the exclusive lock). Internal so the
+// network server can reuse it without converting outputs twice.
 func (s *Session) execRaw(ctx context.Context, script string) ([]extra.Output, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, extra.ErrSessionClosed
 	}
-	ctx = obs.WithOrigin(ctx, s.origin)
-	stmts, err := extra.Parse(script)
-	if err != nil {
-		return nil, err
-	}
-	var outs []extra.Output
-	for _, st := range stmts {
-		if err := ctx.Err(); err != nil {
-			return outs, err
-		}
-		out, err := s.in.ExecStmt(ctx, st)
-		if err != nil {
-			return outs, err
-		}
-		outs = append(outs, out)
-	}
-	return outs, nil
+	return s.in.ExecCtx(obs.WithOrigin(ctx, s.origin), script)
 }

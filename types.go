@@ -1,9 +1,8 @@
 package fieldrepl
 
 import (
-	"fmt"
-
 	"github.com/exodb/fieldrepl/internal/catalog"
+	"github.com/exodb/fieldrepl/internal/engine"
 	"github.com/exodb/fieldrepl/internal/pagefile"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
@@ -190,20 +189,6 @@ type Record struct {
 	Fields map[string]Value
 }
 
-// IOStats is a snapshot of cumulative page-level I/O.
-type IOStats struct {
-	Reads  int64
-	Writes int64
-}
-
-// Total returns Reads + Writes.
-func (s IOStats) Total() int64 { return s.Reads + s.Writes }
-
-// Sub returns the delta s - t.
-func (s IOStats) Sub(t IOStats) IOStats {
-	return IOStats{Reads: s.Reads - t.Reads, Writes: s.Writes - t.Writes}
-}
-
-func (s IOStats) String() string {
-	return fmt.Sprintf("reads=%d writes=%d", s.Reads, s.Writes)
-}
+// IOStats is a snapshot of cumulative page-level I/O: store reads, writes
+// and page allocations.
+type IOStats = engine.IOStats
