@@ -49,14 +49,15 @@ test:
 # no lock of its own — the engine's two layers are all there is under its DML,
 # DDL, sessions and sinks; the fifth repeats the native server's connection
 # reader tests (disconnect, pipelining, idle timer, Close); the sixth runs a
-# log tail reader beside checkpoints that switch log generations under it.
+# log tail reader beside checkpoints that switch log generations under it,
+# and a runway fill beside a generation switch and beside Close.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pagefile ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
 	$(GO) test -race -count=2 -run 'TestDisjointWritersConcurrent|TestOverlappingFootprintsSerialize|TestRandomizedMultiSetFootprints|TestSnapshotReadersNoLockWait|TestReadersSeePreTxnStateWithoutWaiting|TestCloseUnderLoad|TestRowProgramMatchesOracle|TestWalkedPredicatesMatchOracle' ./internal/engine
 	$(GO) test -race -count=2 -run 'TestPublicConcurrentUse|TestSlowQueryLogConcurrent' .
 	$(GO) test -race -count=2 -run 'TestDisconnectCancelsExec|TestPipelinedFrameNotSwallowedByWatchdog|TestIdleTimeout|TestLongStatementOutlivesIdleTimeout|TestCloseCancelsInFlight|TestCloseLeavesNoConnectionReaders' ./internal/server
-	$(GO) test -race -count=2 -run 'TestReadTailAcrossGenerations' ./internal/wal
+	$(GO) test -race -count=2 -run 'TestReadTailAcrossGenerations|TestGenerationSwitchAbandonsFill|TestCloseJoinsFiller' ./internal/wal
 
 # The benchmark is its own module (bench/go.mod) that imports the public API
 # and internal/buffer, heap, btree and wal directly; the root ./... never

@@ -335,9 +335,11 @@ func (db *DB) rehydrate() error {
 //
 // Close waits out in-flight statements and transactions on the exclusive
 // lock; statements that start afterwards fail against the closed store and
-// log. A Close that fails before releasing anything may be retried; once the
-// database is released (by Close or CrashStop), Close returns
-// pagefile.ErrClosed.
+// log. A Close that fails before releasing anything may be retried, except
+// on a poisoned log (wal.Manager.Err), which refuses every write until a
+// reopen: that Close releases the database like CrashStop and returns the
+// failure, and Open recovers from the log. Once the database is released
+// (by Close or CrashStop), Close returns pagefile.ErrClosed.
 func (db *DB) Close() error {
 	// Replication components must stop before the lock is taken: the
 	// follower applier acquires db.mu inside ApplyTxns, and the primary's
@@ -348,16 +350,18 @@ func (db *DB) Close() error {
 	if db.closed {
 		return fmt.Errorf("engine: close: %w", pagefile.ErrClosed)
 	}
-	if err := db.sync(); err != nil {
+	err := db.sync()
+	if err != nil && (db.wal == nil || db.wal.Err() == nil) {
 		return err
 	}
 	db.closed = true
 	if db.advisorCancel != nil {
 		db.advisorCancel()
 	}
-	var err error
 	if db.wal != nil {
-		err = db.wal.Close()
+		if werr := db.wal.Close(); err == nil {
+			err = werr
+		}
 	}
 	if cerr := db.store.Close(); err == nil {
 		err = cerr

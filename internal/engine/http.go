@@ -89,6 +89,11 @@ func (db *DB) handleProm(w http.ResponseWriter, _ *http.Request) {
 		obs.PromHeader(w, "fieldrepl_wal_fsync_wait_seconds", "histogram", "Time committers spent in the group-commit durability rendezvous.")
 		obs.PromHistogram(w, "fieldrepl_wal_fsync_wait_seconds", db.wal.FsyncWaitHist())
 		obs.PromCounter(w, "fieldrepl_wal_checkpoints_deferred_total", "Checkpoints that kept the log for a replication consumer.", st.CheckpointsDeferred)
+		obs.PromCounter(w, "fieldrepl_wal_runway_bytes_total", "Zero bytes written ahead of the WAL append offset by runway fills.", st.RunwayBytes)
+		obs.PromCounter(w, "fieldrepl_wal_runway_fsyncs_total", "Fsyncs of runway fills.", st.RunwayFsyncs)
+		obs.PromCounter(w, "fieldrepl_wal_fill_waits_total", "WAL appends that waited for a runway fill to finish.", st.FillWaits)
+		obs.PromCounter(w, "fieldrepl_wal_runway_outruns_total", "WAL appends that ran past the runway and grew the log file.", st.RunwayOutruns)
+		obs.PromCounter(w, "fieldrepl_wal_fill_failures_total", "Runway fills dropped because their write failed.", st.FillFailures)
 	}
 
 	if p := db.primary.Load(); p != nil {

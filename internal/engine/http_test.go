@@ -67,6 +67,11 @@ func TestMetricsHandlerProm(t *testing.T) {
 		"fieldrepl_wal_commits_total",
 		"fieldrepl_wal_full_images_total",
 		"fieldrepl_wal_delta_records_total",
+		"fieldrepl_wal_runway_bytes_total",
+		"fieldrepl_wal_runway_fsyncs_total",
+		"fieldrepl_wal_fill_waits_total",
+		"fieldrepl_wal_runway_outruns_total",
+		"fieldrepl_wal_fill_failures_total",
 		"fieldrepl_pool_hits_total",
 		"fieldrepl_store_reads_total",
 		"fieldrepl_ops_completed_total",

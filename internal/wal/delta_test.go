@@ -386,7 +386,7 @@ func TestFailedAppendKeepsTheChain(t *testing.T) {
 		t.Fatal("append to a read-only file succeeded")
 	}
 	ro.Close()
-	m.f, m.broken = good, false
+	m.f, m.broken = good, nil
 	*s.cur[pid] = kept // the scope's rollback
 
 	f0, d0 := kinds(m)

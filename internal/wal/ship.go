@@ -151,19 +151,15 @@ func (m *Manager) AppendRaw(txn *Txn) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if m.broken {
-		return errors.New("wal: log poisoned by an earlier failed append")
+	if m.broken != nil {
+		return m.broken
 	}
 	if txn.LastLSN <= m.appended {
 		return nil // duplicate of an already-appended transaction
 	}
-	if _, err := m.f.WriteAt(txn.Raw, m.off); err != nil {
-		if terr := m.f.Truncate(m.off); terr != nil {
-			m.broken = true
-		}
+	if err := m.write(txn.Raw); err != nil {
 		return fmt.Errorf("wal: raw append: %w", err)
 	}
-	m.off += int64(len(txn.Raw))
 	m.appended = txn.LastLSN
 	m.nextLSN = txn.LastLSN + 1
 	m.records.Add(int64(txn.Records))
@@ -190,6 +186,9 @@ func (m *Manager) ResetTo(next uint64, cat []byte) error {
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
+	}
+	if m.broken != nil {
+		return m.broken
 	}
 	return m.newGeneration(next, cat)
 }
@@ -222,10 +221,21 @@ func (m *Manager) LastLSN() uint64 {
 	return m.appended
 }
 
+// Err returns the log's sticky failure: nil while it is healthy, and once an
+// fsync of the log has failed, or an append left bytes it could not cut
+// away, the error every later append, durability wait and checkpoint returns
+// until the log is reopened.
+func (m *Manager) Err() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.broken
+}
+
 // DurableLSN returns the highest LSN known fsync'd.
 func (m *Manager) DurableLSN() uint64 { return m.durable.Load() }
 
-// Size returns the log's current append offset in bytes (header included).
+// Size returns the log's current append offset in bytes (header included);
+// the file is longer by its runway.
 func (m *Manager) Size() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,11 +1,15 @@
 // Package wal implements a page-oriented redo write-ahead log.
 //
-// The log is a single append-only file. A header (magic u32 | version u32 |
+// The log is one file per generation. A header (magic u32 | version u32 |
 // base LSN u64 | catLen u32 | catCRC u32 | catalog) is followed by records
 // framed as
 //
 //	u32 bodyLen | u32 crc32(body) | body
 //	body = u8 type | u64 lsn | payload
+//
+// and the records by a zero runway: space already zero-filled, fsynced and
+// inside the file's size. Replay stops at the first frame that does not
+// parse, which after the last append is the runway's first zero frame.
 //
 // Record types:
 //
@@ -23,6 +27,22 @@
 // Dirty pages may only reach the data files after the log records covering
 // them are durable (the buffer pool asks EnsureDurablePage before any
 // write-back).
+//
+// The runway. An fsync that grows the file also commits its new size through
+// the file system's journal, and that costs about as much again as the
+// record's own bytes. So appends land in space the file already owns: once a
+// commit that left less than half a chunk of runway is durable, the sync path
+// starts one background fill that writes runwayChunk zeros after the
+// runway's end and fsyncs them. No committer zero-fills, and an append never
+// writes into a range being zeroed: one that would waits for the fill. An
+// append that outruns the runway grows the file. A new generation starts with
+// none, so a log just checkpointed is exactly its header. Fills write
+// through an open file description of their own: Linux reports a writeback
+// error once per description, so an error the fill's fsync meets on record
+// pages appended beside it still fails the commit's fsync. A failed fill
+// fsync poisons the log like a failed commit fsync; a failed fill write (a
+// full disk, say) clears no error state, so the fill is dropped, cut off
+// again and counted, and the log stays writable.
 //
 // The full-image rule. A page's record is a full image when the log holds no
 // record for the page since the last checkpoint, when the committer supplied
@@ -44,13 +64,14 @@
 // five-line redo loop cover slotted pages, B-tree nodes and whatever comes
 // next, and nothing above the log knows deltas exist.
 //
-// Recovery scans the log, stops at the first torn or corrupt record (an
-// unacknowledged tail), and redoes every committed transaction. A generation
-// — the log from one truncation to the next — starts at creation, at each
-// Checkpoint and at a follower's ResetTo. Its header carries the LSN sequence
-// forward and the catalog as of its base LSN, the catalog's only durable
-// home. It is written whole beside the log, fsynced, renamed over it and the
-// directory fsynced: a crash leaves the old log or the new one, each whole.
+// Recovery scans the log, stops at the first torn, corrupt or zero frame (an
+// unacknowledged tail, or the runway), and redoes every committed
+// transaction. A generation — the log from one truncation to the next —
+// starts at creation, at each Checkpoint and at a follower's ResetTo. Its
+// header carries the LSN sequence forward and the catalog as of its base LSN,
+// the catalog's only durable home. It is written whole beside the log,
+// fsynced, renamed over it and the directory fsynced: a crash leaves the old
+// log or the new one, each whole.
 package wal
 
 import (
@@ -81,7 +102,15 @@ const (
 
 	// keepBufBytes is the largest batch buffer kept between appends.
 	keepBufBytes = 1 << 20
+
+	// runwayChunk is what one fill adds to the runway, and runwayLow the
+	// runway a durable commit must leave for no fill to start.
+	runwayChunk = 1 << 20
+	runwayLow   = runwayChunk / 2
 )
+
+// zeros is the source of every fill's write; nothing writes to it.
+var zeros [runwayChunk]byte
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: closed")
@@ -138,6 +167,17 @@ type Stats struct {
 	SyncWaits   int64 `json:"sync_waits"`
 	SharedSyncs int64 `json:"shared_syncs"`
 	SyncQueue   int64 `json:"sync_queue"`
+	// RunwayBytes and RunwayFsyncs count the zeros fills wrote ahead of the
+	// append offset and the fsyncs that made them durable; neither is in
+	// Bytes or Fsyncs. FillWaits counts appends that waited for a fill to
+	// finish before writing into its range, RunwayOutruns appends that ran
+	// past the runway's end and grew the file, FillFailures fills dropped
+	// because their write failed (the log stays writable).
+	RunwayBytes   int64 `json:"runway_bytes"`
+	RunwayFsyncs  int64 `json:"runway_fsyncs"`
+	FillWaits     int64 `json:"fill_waits"`
+	RunwayOutruns int64 `json:"runway_outruns"`
+	FillFailures  int64 `json:"fill_failures"`
 }
 
 // pageState is what the log remembers of the last record it wrote for a page
@@ -156,18 +196,26 @@ type pageState struct {
 type Manager struct {
 	path string
 
-	mu       sync.Mutex // guards f (writes), off, nextLSN, appended, pageLSN, buf, states, closed, broken
+	mu       sync.Mutex // guards f (writes), ff, off, runEnd, fill, nextLSN, appended, pageLSN, buf, states, closed, broken
 	f        *os.File
-	off      int64 // append position: end of the valid record prefix
+	ff       *os.File    // the generation's file opened again, for fills; nil until its first fill
+	off      int64       // append position: end of the valid record prefix
+	runEnd   int64       // end of the runway: [off, runEnd) is zeros the file owns; runEnd == off when there is none
+	fill     *runwayFill // the fill in flight, nil when none
 	nextLSN  uint64
 	appended uint64 // highest LSN handed to the OS
 	pageLSN  map[pagefile.PageID]pageState
 	buf      []byte      // the batch under construction, recycled between appends
 	states   []pageState // its pages' new pageLSN entries, installed once it is written
 	closed   bool
-	broken   bool // a failed append left bytes we could not truncate away
+	// broken is the sticky failure: an append that left bytes it could not
+	// truncate away, or a failed fsync of a commit or a fill. Once set, durable
+	// never advances again and every append, durability wait and checkpoint
+	// returns it; only a reopen clears it.
+	broken  error
+	fillers sync.WaitGroup // the fill goroutine, joined by Close
 
-	syncMu  sync.Mutex    // serializes fsyncs; the group-commit leader lock
+	syncMu  sync.Mutex    // serializes commit fsyncs; the group-commit leader lock
 	durable atomic.Uint64 // highest LSN known fsync'd
 
 	// Shipping state (guarded by mu). base is the header's base LSN and first
@@ -208,6 +256,48 @@ type Manager struct {
 	syncQueue   atomic.Int64
 
 	ckptDeferred atomic.Int64
+
+	runwayBytes  atomic.Int64
+	runwayFsyncs atomic.Int64
+	fillWaits    atomic.Int64
+	outruns      atomic.Int64
+	fillFailures atomic.Int64
+}
+
+// runwayFill is one runway extension: zeros written over [from, to) of f and
+// fsynced, by a goroutine of its own.
+type runwayFill struct {
+	f        *os.File
+	from, to int64
+	done     chan struct{} // closed once the write and the fsync are over
+	// Set before done is closed: wrote once the zeros are written, err when
+	// their fsync failed. A failed write leaves both unset.
+	wrote bool
+	err   error
+}
+
+// syncHook, when set, runs before the fsync of a commit (fill false) or of a
+// runway fill (fill true); an error it returns stands in for the fsync's.
+var syncHook atomic.Pointer[func(fill bool) error]
+
+// SetSyncHook installs h as the sync hook, or removes it when h is nil. It
+// exists for tests, which fail or hold a commit's or a fill's fsync with it.
+func SetSyncHook(h func(fill bool) error) {
+	if h == nil {
+		syncHook.Store(nil)
+		return
+	}
+	syncHook.Store(&h)
+}
+
+// syncFile fsyncs f, through the sync hook when one is set.
+func syncFile(f *os.File, fill bool) error {
+	if h := syncHook.Load(); h != nil {
+		if err := (*h)(fill); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
 }
 
 // Open opens (creating if absent) the log at path, replays any committed
@@ -260,9 +350,10 @@ func Open(path string, store pagefile.Store, _ ...time.Duration) (*Manager, *Rec
 	m.appended = last
 	m.durable.Store(last)
 	// Appends resume after the last committed transaction, overwriting what
-	// follows it. Everything replayed was applied to the store: the valid
-	// prefix is the shipping boundary (the caller checkpoints right after).
-	m.durableOff = m.off
+	// follows it, with no runway. Everything replayed was applied to the
+	// store: the valid prefix is the shipping boundary (the caller
+	// checkpoints right after).
+	m.durableOff, m.runEnd = m.off, m.off
 	return m, rep, nil
 }
 
@@ -298,14 +389,17 @@ func (m *Manager) newGeneration(base uint64, cat []byte) error {
 	if m.f != nil {
 		m.f.Close()
 	}
-	m.f = f
+	if m.ff != nil {
+		m.ff.Close()
+	}
+	m.f, m.ff = f, nil
 	m.base, m.first = base, int64(len(h))
-	m.off, m.durableOff = m.first, m.first
+	m.off, m.durableOff, m.runEnd = m.first, m.first, m.first
+	m.fill = nil // a fill still writing the old file is abandoned
 	m.epoch++
 	m.pageLSN = make(map[pagefile.PageID]pageState)
 	m.nextLSN, m.appended = base, base-1
 	m.durable.Store(m.appended)
-	m.broken = false
 	m.bytes.Add(int64(len(h)))
 	m.fsyncs.Add(2) // the file's and the directory's
 	if err := pagefile.SyncDir(filepath.Dir(m.path)); err != nil {
@@ -410,11 +504,33 @@ func (m *Manager) replay(store pagefile.Store, base uint64, off, size int64, rep
 			lastLSN, committed = txns[i].LastLSN, off
 		}
 	}
-	rep.TornTail = committed < size // bytes follow the last commit record
+	torn, err := m.nonZero(committed, size)
+	if err != nil {
+		return 0, 0, err
+	}
+	rep.TornTail = torn
 	if err := redo.Flush(); err != nil {
 		return 0, 0, err
 	}
 	return lastLSN, committed, nil
+}
+
+// nonZero reports whether any byte of the log in [off, size) is not zero:
+// whether something other than runway follows the last commit record.
+func (m *Manager) nonZero(off, size int64) (bool, error) {
+	buf := make([]byte, min(size-off, 64<<10))
+	for ; off < size; off += int64(len(buf)) {
+		buf = buf[:min(size-off, int64(len(buf)))]
+		if _, err := m.f.ReadAt(buf, off); err != nil {
+			return false, fmt.Errorf("wal: replay read: %w", err)
+		}
+		for _, b := range buf {
+			if b != 0 {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
 }
 
 // AppendCommit appends one transaction — file creations, page after-images,
@@ -448,8 +564,8 @@ func (m *Manager) appendTxn(files []FileCreate, pages []PageRef, catalog []byte)
 	if m.closed {
 		return 0, 0, ErrClosed
 	}
-	if m.broken {
-		return 0, 0, errors.New("wal: log poisoned by an earlier failed append")
+	if m.broken != nil {
+		return 0, 0, m.broken
 	}
 	// Acknowledged must mean replayable: a record no scan would accept is
 	// refused here, before any LSN is consumed or byte written.
@@ -510,21 +626,13 @@ func (m *Manager) appendTxn(files []FileCreate, pages []PageRef, catalog []byte)
 	}
 	m.states = states
 
-	if _, err := m.f.WriteAt(buf, m.off); err != nil {
-		// A partial append is garbage mid-log: later commits appended after
-		// it would be unreachable at replay (the scan stops at the first bad
-		// record). Truncate the partial bytes away; if even that fails, the
-		// log can no longer accept commits.
-		if terr := m.f.Truncate(m.off); terr != nil {
-			m.broken = true
-		}
+	if err := m.write(buf); err != nil {
 		// The consumed LSNs are simply skipped; the sequence stays monotone.
 		// pageLSN is untouched, so a page stamped above keeps its last real
 		// record as the write barrier's target, and its next record is a full
 		// image unless the caller restores the image that record described.
 		return 0, 0, fmt.Errorf("wal: append: %w", err)
 	}
-	m.off += int64(len(buf))
 	for i := range pages {
 		m.pageLSN[pages[i].PID] = states[i]
 	}
@@ -538,6 +646,107 @@ func (m *Manager) appendTxn(files []FileCreate, pages []PageRef, catalog []byte)
 	m.deltas.Add(int64(nDelta))
 	m.fullImages.Add(int64(len(pages) - nDelta))
 	return commitLSN, len(buf), nil
+}
+
+// write puts buf at the append offset and moves the offset past it. The
+// caller holds mu. An append that would reach into a fill's range waits for
+// the fill first, so no record is ever zeroed; one that runs past the
+// runway grows the file.
+func (m *Manager) write(buf []byte) error {
+	end := m.off + int64(len(buf))
+	if fl := m.fill; fl != nil && end > fl.from {
+		// mu stays held: the batch buffer and the LSNs it took are this
+		// append's until it is written. The fill takes mu only after done.
+		m.fillWaits.Add(1)
+		<-fl.done
+		m.endFill(fl)
+		if m.broken != nil {
+			return m.broken
+		}
+	}
+	if _, err := m.f.WriteAt(buf, m.off); err != nil {
+		// A partial append is garbage mid-log: later commits appended after
+		// it would be unreachable at replay (the scan stops at the first bad
+		// record). Truncate the partial bytes away, and the runway with them;
+		// if even that fails, the log can no longer accept commits.
+		if terr := m.f.Truncate(m.off); terr != nil {
+			m.fail(err)
+		}
+		m.runEnd = m.off
+		return err
+	}
+	if end > m.runEnd {
+		m.runEnd = end
+		m.outruns.Add(1)
+	}
+	m.off = end
+	return nil
+}
+
+// fail poisons the log with err unless it is poisoned already. The caller
+// holds mu.
+func (m *Manager) fail(err error) {
+	if m.broken == nil {
+		m.broken = fmt.Errorf("wal: log poisoned by an earlier failure, reopen to recover: %w", err)
+	}
+}
+
+// startFill starts the goroutine that extends the runway by runwayChunk. The
+// caller holds mu, and no fill is in flight.
+func (m *Manager) startFill() {
+	if m.ff == nil {
+		// m.path names the generation's file: only newGeneration renames
+		// over it, and it holds mu.
+		ff, err := os.OpenFile(m.path, os.O_WRONLY, 0)
+		if err != nil {
+			m.fillFailures.Add(1)
+			return
+		}
+		m.ff = ff
+	}
+	fl := &runwayFill{f: m.ff, from: m.runEnd, to: m.runEnd + runwayChunk, done: make(chan struct{})}
+	m.fill = fl
+	m.fillers.Add(1)
+	go func() {
+		defer m.fillers.Done()
+		if _, err := fl.f.WriteAt(zeros[:fl.to-fl.from], fl.from); err != nil {
+			// No append writes at or past from until done is closed, so
+			// cutting the file back there drops only what the fill wrote. If
+			// the cut fails, the zeros it leaves read as runway.
+			_ = fl.f.Truncate(fl.from)
+		} else {
+			fl.wrote = true
+			m.runwayBytes.Add(fl.to - fl.from)
+			if fl.err = syncFile(fl.f, true); fl.err == nil {
+				m.runwayFsyncs.Add(1)
+			}
+		}
+		close(fl.done)
+		m.mu.Lock()
+		m.endFill(fl)
+		m.mu.Unlock()
+	}()
+}
+
+// endFill installs a finished fill as the new runway end. The caller holds
+// mu. A fill the log has moved past — installed already by an append that
+// waited for it, or abandoned by a new generation — changes nothing. One
+// whose fsync failed poisons the log: the pages it could not write may
+// include records appended beside it. One whose write failed is dropped,
+// and the next durable commit that finds the runway short starts another.
+func (m *Manager) endFill(fl *runwayFill) {
+	if m.fill != fl {
+		return
+	}
+	m.fill = nil
+	switch {
+	case fl.err != nil:
+		m.fail(fmt.Errorf("wal: runway fill: %w", fl.err))
+	case !fl.wrote:
+		m.fillFailures.Add(1)
+	default:
+		m.runEnd = fl.to
+	}
 }
 
 // WaitDurable blocks until every record up to and including lsn is fsync'd.
@@ -586,24 +795,38 @@ func (m *Manager) syncTo(lsn uint64) (shared bool, err error) {
 		m.mu.Unlock()
 		return false, ErrClosed
 	}
+	if m.broken != nil {
+		m.mu.Unlock()
+		return false, m.broken
+	}
 	target := m.appended
 	targetOff := m.off
 	f := m.f
 	m.mu.Unlock()
-	if err := f.Sync(); err != nil {
-		return false, fmt.Errorf("wal: fsync: %w", err)
+	if err := syncFile(f, false); err != nil {
+		// The kernel may have dropped the pages it could not write and
+		// marked them clean, so no later fsync can vouch for them.
+		err = fmt.Errorf("wal: fsync: %w", err)
+		m.mu.Lock()
+		m.fail(err)
+		m.mu.Unlock()
+		return false, err
 	}
 	m.fsyncs.Add(1)
 	m.durable.Store(target)
 	// Publish the new shipping boundary and wake tail readers. The offset is
 	// compared because a checkpoint between the capture above and here resets
-	// durableOff for the new log generation.
+	// durableOff for the new log generation. A commit that left the runway
+	// short is durable now, so the fill it calls for can start.
 	m.mu.Lock()
 	if targetOff > m.durableOff {
 		m.durableOff = targetOff
 	}
 	close(m.notify)
 	m.notify = make(chan struct{})
+	if m.fill == nil && m.broken == nil && m.runEnd-m.off < runwayLow {
+		m.startFill()
+	}
 	m.mu.Unlock()
 	return false, nil
 }
@@ -643,6 +866,9 @@ func (m *Manager) Checkpoint(cat []byte) error {
 	if m.closed {
 		return ErrClosed
 	}
+	if m.broken != nil {
+		return m.broken
+	}
 	if m.retain != nil {
 		if minLSN, ok := m.retain(); ok && minLSN < m.appended && (m.retainBytes <= 0 || m.off <= m.retainBytes) {
 			m.pageLSN = make(map[pagefile.PageID]pageState)
@@ -671,6 +897,11 @@ func (m *Manager) Stats() Stats {
 		SyncWaits:           m.syncWaits.Load(),
 		SharedSyncs:         m.sharedSyncs.Load(),
 		SyncQueue:           m.syncQueue.Load(),
+		RunwayBytes:         m.runwayBytes.Load(),
+		RunwayFsyncs:        m.runwayFsyncs.Load(),
+		FillWaits:           m.fillWaits.Load(),
+		RunwayOutruns:       m.outruns.Load(),
+		FillFailures:        m.fillFailures.Load(),
 	}
 }
 
@@ -681,20 +912,31 @@ func (m *Manager) FsyncWaitHist() obs.HistSnapshot {
 	return m.fsyncWait.Snapshot()
 }
 
-// Close fsyncs and closes the log file. Further appends fail with ErrClosed.
+// Close joins the fill goroutine, then fsyncs and closes the log file; a
+// poisoned log is closed without the fsync and reports its failure. Further
+// appends fail with ErrClosed.
 func (m *Manager) Close() error {
 	m.syncMu.Lock()
 	defer m.syncMu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return nil
 	}
 	m.closed = true
 	// Wake tail readers so shipping loops observe the close promptly.
 	close(m.notify)
 	m.notify = make(chan struct{})
-	err := m.f.Sync()
+	m.mu.Unlock()
+	// The filler takes mu to finish; nothing else touches the file now.
+	m.fillers.Wait()
+	err := m.broken
+	if err == nil {
+		err = m.f.Sync()
+	}
+	if m.ff != nil {
+		m.ff.Close()
+	}
 	if cerr := m.f.Close(); err == nil {
 		err = cerr
 	}
