@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet test race benchmod lines abbench bench gates soak fuzz check ci
+.PHONY: all help build vet test race benchmod lines abbench benchpairs bench gates soak fuzz check ci
 
 # Per-target fuzzing time for `make fuzz` (override: make fuzz FUZZTIME=2m).
 FUZZTIME ?= 30s
@@ -16,6 +16,8 @@ help:
 	@echo "  benchmod - vet + smoke-test the bench/ module against this engine"
 	@echo "  lines  - non-test Go lines per package (the simplicity PRs' before/after number)"
 	@echo "  abbench - Go benchmark A/B: REV=<rev> PKG=<pkg> BENCH=<regex> ROUNDS=10 against the working tree"
+	@echo "  benchpairs - end-to-end A/B: REV=<rev> WORKLOAD=<name> PAIRS=10 alternating bench/run.sh runs against"
+	@echo "           the working tree, with bench -compare's bound verdict, pair wins and the paired-run verdict per metric"
 	@echo "  bench  - the repo benchmark: bash bench/run.sh \$$(ARGS) (see bench/README.md)"
 	@echo "  gates  - the side gates at full scale (go test -tags gates): quantile error, tracing and"
 	@echo "           advisory overhead, advisor convergence, fused path3 speedup, zero read lock wait"
@@ -50,7 +52,9 @@ test:
 # DDL, sessions and sinks; the fifth repeats the native server's connection
 # reader tests (disconnect, pipelining, idle timer, Close); the sixth runs a
 # log tail reader beside checkpoints that switch log generations under it,
-# and a runway fill beside a generation switch and beside Close.
+# and a runway fill beside a generation switch and beside Close; the seventh
+# runs snapshot page reads beside a writer that rewrites the page in place,
+# scope after scope, committing some and rolling back others.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/pagefile ./internal/buffer ./internal/heap ./internal/engine ./internal/obs ./internal/repl ./internal/server .
@@ -58,6 +62,7 @@ race:
 	$(GO) test -race -count=2 -run 'TestPublicConcurrentUse|TestSlowQueryLogConcurrent' .
 	$(GO) test -race -count=2 -run 'TestDisconnectCancelsExec|TestPipelinedFrameNotSwallowedByWatchdog|TestIdleTimeout|TestLongStatementOutlivesIdleTimeout|TestCloseCancelsInFlight|TestCloseLeavesNoConnectionReaders' ./internal/server
 	$(GO) test -race -count=2 -run 'TestReadTailAcrossGenerations|TestGenerationSwitchAbandonsFill|TestCloseJoinsFiller' ./internal/wal
+	$(GO) test -race -count=2 -run 'TestReadSeesOneCommittedImage' ./internal/buffer
 
 # The benchmark is its own module (bench/go.mod) that imports the public API
 # and internal/buffer, heap, btree and wal directly; the root ./... never
@@ -82,6 +87,16 @@ BENCH ?= BenchmarkPathScanWarm
 ROUNDS ?= 10
 abbench:
 	scripts/abbench.sh $(REV) $(PKG) '$(BENCH)' $(ROUNDS)
+
+# End-to-end A/B of the working tree against REV on one workload: REV is
+# exported with git archive, and the two checkouts' bench/run.sh runs
+# alternate PAIRS times on seeds SEED.. (scripts/benchpairs.sh); bench
+# -compare gives each metric's bound verdict, the script the pairs won and
+# the paired-run verdict.
+WORKLOAD ?= mix.separate
+PAIRS ?= 10
+benchpairs:
+	scripts/benchpairs.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # The repo benchmark: end-to-end workloads plus per-layer budgets, compared
 # against a baseline (bench/README.md). Pass its flags through ARGS.

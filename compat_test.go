@@ -3,6 +3,7 @@ package fieldrepl
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -35,8 +36,10 @@ func TestCompatShims(t *testing.T) {
 	if !reflect.DeepEqual(res1.Rows, res2.Rows) || res1.UsedIndex != res2.UsedIndex {
 		t.Fatalf("Query and QueryCtx disagree: %+v vs %+v", res1, res2)
 	}
-	if res1.Plan == "" || res2.Plan == "" {
-		t.Fatal("results lack the rendered plan")
+	for _, res := range []*Result{res1, res2} {
+		if p := res.Plan(); !strings.HasPrefix(p, "plan: ") || !strings.Contains(p, "observed=") {
+			t.Fatalf("result plan = %q, want the rendering with observed pages", p)
+		}
 	}
 
 	n1, err := db.UpdateWhere("Emp1", Pred{Expr: "age", Op: GE, Value: I(40)}, V{"salary": I(95000)})
@@ -101,7 +104,7 @@ func TestPlanValue(t *testing.T) {
 	if after == before {
 		t.Fatal("post-run explain does not carry observed pages")
 	}
-	if res.Plan != after {
+	if res.Plan() != after {
 		t.Fatal("Result.Plan differs from Plan.Explain")
 	}
 }

@@ -276,8 +276,8 @@ func (db *DB) Query(q Query) (*Result, error) {
 // A nil ctx behaves like Query.
 //
 // QueryCtx is the canonical form; Query is a thin wrapper over it. The
-// result's Plan field carries the planner's rendered decision with this
-// execution's observed page count.
+// result's Plan method renders the planner's decision with this execution's
+// observed page count.
 func (db *DB) QueryCtx(ctx context.Context, q Query) (*Result, error) {
 	eq, err := toEngineQuery(q)
 	if err != nil {
@@ -288,9 +288,7 @@ func (db *DB) QueryCtx(ctx context.Context, q Query) (*Result, error) {
 		return nil, err
 	}
 	out := fromEngineResult(res)
-	if res.Decision != nil {
-		out.Plan = res.Decision.RenderObserved(rec.IO())
-	}
+	out.decision, out.observed = res.Decision, rec.IO()
 	return out, nil
 }
 

@@ -37,43 +37,32 @@ func (t *Tree) seek(it *Iterator, e entry) error {
 	}
 	pageNo := m.root
 	for level := m.height; level > 1; level-- {
-		h, err := t.page(pageNo)
+		err := t.readNode(pageNo, func(n node) error {
+			pageNo = n.childAt(n.descendPos(e))
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		n, nerr := asNode(h.Page())
-		if nerr != nil {
-			h.Unpin()
-			return nerr
-		}
-		pageNo = n.childAt(n.descendPos(e))
-		h.Unpin()
 	}
 	it.t = t
 	return it.loadLeaf(pageNo, &e)
 }
 
-// loadLeaf pins leaf pageNo, positions the iterator at its first entry >=
+// loadLeaf reads leaf pageNo, positions the iterator at its first entry >=
 // *from (its first entry when from is nil), and copies the entries from
-// there on into the private page before unpinning.
+// there on into the private page.
 func (it *Iterator) loadLeaf(pageNo uint32, from *entry) error {
-	h, err := it.t.page(pageNo)
-	if err != nil {
-		return err
-	}
-	defer h.Unpin()
-	n, err := asNode(h.Page())
-	if err != nil {
-		return err
-	}
-	it.pos, it.n = 0, n.nkeys()
-	if from != nil {
-		it.pos = n.leafSearch(*from)
-	}
-	it.nextPage = n.next()
-	lo, hi := nodeBody+it.pos*leafEntrySz, nodeBody+it.n*leafEntrySz
-	copy(it.leaf[lo:hi], n.p[lo:hi])
-	return nil
+	return it.t.readNode(pageNo, func(n node) error {
+		it.pos, it.n = 0, n.nkeys()
+		if from != nil {
+			it.pos = n.leafSearch(*from)
+		}
+		it.nextPage = n.next()
+		lo, hi := nodeBody+it.pos*leafEntrySz, nodeBody+it.n*leafEntrySz
+		copy(it.leaf[lo:hi], n.p[lo:hi])
+		return nil
+	})
 }
 
 // Next returns the next entry. ok is false when the iterator is exhausted or

@@ -37,7 +37,7 @@ type pinMode int
 const (
 	modePlain    pinMode = iota // direct frame pins (no overlapping write session)
 	modeCapture                 // write session: pages join the pool scope before they are modified
-	modeSnapshot                // detached committed-state copies, read-only
+	modeSnapshot                // committed images read in place (buffer.Pool.Read), read-only
 )
 
 // WithTrace returns a view of the tree whose page I/O is charged to tr in
@@ -66,8 +66,8 @@ func (t *Tree) WithCapture(tr *obs.Trace) *Tree {
 	return &v
 }
 
-// WithSnapshot returns a read-only view that reads detached copies of the
-// committed state and never blocks on writers.
+// WithSnapshot returns a read-only view that reads the committed state and
+// never blocks on writers.
 func (t *Tree) WithSnapshot(tr *obs.Trace) *Tree {
 	if t == nil {
 		return nil
@@ -78,9 +78,8 @@ func (t *Tree) WithSnapshot(tr *obs.Trace) *Tree {
 	return &v
 }
 
-// guardWrite refuses mutation through a snapshot view: the pinned copies are
-// detached from the pool, so the rebalanced pages would be silently
-// discarded.
+// guardWrite refuses mutation through a snapshot view: it reads committed
+// images, never a frame pinned for writing.
 func (t *Tree) guardWrite() error {
 	if t.mode == modeSnapshot {
 		return fmt.Errorf("btree: write to file %d through a snapshot view", t.fid)
@@ -88,13 +87,36 @@ func (t *Tree) guardWrite() error {
 	return nil
 }
 
-// page pins one of the tree's pages for reading, charging the tree's trace.
+// page pins one of the tree's pages, charging the tree's trace. Only the
+// writing paths pin; a snapshot view never reaches them (guardWrite).
 func (t *Tree) page(pageNo uint32) (*buffer.Handle, error) {
-	pid := pagefile.PageID{File: t.fid, Page: pageNo}
+	return t.pool.GetT(pagefile.PageID{File: t.fid, Page: pageNo}, t.tr)
+}
+
+// read runs fn on page pageNo according to the view's mode: a snapshot
+// view's committed image under the pool's lock (buffer.Pool.Read, so fn must
+// not use the pool), otherwise the frame, pinned for the call.
+func (t *Tree) read(pageNo uint32, fn func(*pagefile.Page) error) error {
 	if t.mode == modeSnapshot {
-		return t.pool.GetSnapshotT(pid, t.tr)
+		return t.pool.Read(pagefile.PageID{File: t.fid, Page: pageNo}, t.tr, fn)
 	}
-	return t.pool.GetT(pid, t.tr)
+	h, err := t.page(pageNo)
+	if err != nil {
+		return err
+	}
+	defer h.Unpin()
+	return fn(h.Page())
+}
+
+// readNode is read for a node page.
+func (t *Tree) readNode(pageNo uint32, fn func(node) error) error {
+	return t.read(pageNo, func(p *pagefile.Page) error {
+		n, err := asNode(p)
+		if err != nil {
+			return err
+		}
+		return fn(n)
+	})
 }
 
 // willWrite must precede every modification of a pinned page: a capture view
@@ -215,18 +237,17 @@ type meta struct {
 }
 
 func (t *Tree) loadMeta() (meta, error) {
-	mh, err := t.page(0)
-	if err != nil {
-		return meta{}, err
-	}
-	defer mh.Unpin()
-	mp := mh.Page()
-	return meta{
-		root:     binary.LittleEndian.Uint32(mp[metaRoot:]),
-		height:   int(binary.LittleEndian.Uint32(mp[metaHeight:])),
-		count:    binary.LittleEndian.Uint64(mp[metaCount:]),
-		freeHead: binary.LittleEndian.Uint32(mp[metaFreeHead:]),
-	}, nil
+	var m meta
+	err := t.read(0, func(mp *pagefile.Page) error {
+		m = meta{
+			root:     binary.LittleEndian.Uint32(mp[metaRoot:]),
+			height:   int(binary.LittleEndian.Uint32(mp[metaHeight:])),
+			count:    binary.LittleEndian.Uint64(mp[metaCount:]),
+			freeHead: binary.LittleEndian.Uint32(mp[metaFreeHead:]),
+		}
+		return nil
+	})
+	return m, err
 }
 
 func (t *Tree) storeMeta(m meta) error {
@@ -684,37 +705,28 @@ func (t *Tree) Bounds() (lo, hi Key, ok bool, err error) {
 func (t *Tree) edgeKey(m meta, rightmost bool) (Key, error) {
 	pageNo := m.root
 	for level := m.height; level > 1; level-- {
-		h, err := t.page(pageNo)
+		err := t.readNode(pageNo, func(n node) error {
+			if rightmost {
+				pageNo = n.childAt(n.nkeys())
+			} else {
+				pageNo = n.childAt(0)
+			}
+			return nil
+		})
 		if err != nil {
 			return Key{}, err
 		}
-		n, nerr := asNode(h.Page())
-		if nerr != nil {
-			h.Unpin()
-			return Key{}, nerr
+	}
+	var k Key
+	err := t.readNode(pageNo, func(n node) error {
+		switch nk := n.nkeys(); {
+		case nk == 0:
+		case rightmost:
+			k = n.leafEntry(nk - 1).key
+		default:
+			k = n.leafEntry(0).key
 		}
-		if rightmost {
-			pageNo = n.childAt(n.nkeys())
-		} else {
-			pageNo = n.childAt(0)
-		}
-		h.Unpin()
-	}
-	h, err := t.page(pageNo)
-	if err != nil {
-		return Key{}, err
-	}
-	defer h.Unpin()
-	n, err := asNode(h.Page())
-	if err != nil {
-		return Key{}, err
-	}
-	k := n.nkeys()
-	if k == 0 {
-		return Key{}, nil
-	}
-	if rightmost {
-		return n.leafEntry(k - 1).key, nil
-	}
-	return n.leafEntry(0).key, nil
+		return nil
+	})
+	return k, err
 }

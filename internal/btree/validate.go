@@ -41,17 +41,14 @@ func (t *Tree) Validate() error {
 			if v.leaves[i] != page {
 				return fmt.Errorf("btree: sibling chain order mismatch at %d: %d != %d", i, page, v.leaves[i])
 			}
-			h, err := t.page(page)
+			var next uint32
+			err := t.readNode(page, func(n node) error {
+				next = n.next()
+				return nil
+			})
 			if err != nil {
 				return err
 			}
-			n, nerr := asNode(h.Page())
-			if nerr != nil {
-				h.Unpin()
-				return nerr
-			}
-			next := n.next()
-			h.Unpin()
 			if next == noPage {
 				if i != len(v.leaves)-1 {
 					return fmt.Errorf("btree: sibling chain ends early at leaf %d of %d", i+1, len(v.leaves))
@@ -71,69 +68,59 @@ type validator struct {
 }
 
 func (v *validator) walk(pageNo uint32, level int, lo, hi entry, isRoot bool) error {
-	h, err := v.t.page(pageNo)
-	if err != nil {
-		return err
-	}
-	n, err := asNode(h.Page())
-	if err != nil {
-		h.Unpin()
-		return err
-	}
-	k := n.nkeys()
-	if level == 1 {
-		if !n.isLeaf() {
-			h.Unpin()
-			return fmt.Errorf("btree: node %d at leaf level is internal", pageNo)
-		}
-		if !isRoot && k < v.t.minLeaf() {
-			h.Unpin()
-			return fmt.Errorf("btree: leaf %d underfull: %d < %d", pageNo, k, v.t.minLeaf())
-		}
-		prev := lo
-		for i := 0; i < k; i++ {
-			e := n.leafEntry(i)
-			if i == 0 {
-				if compareEntries(e, lo) < 0 {
-					h.Unpin()
-					return fmt.Errorf("btree: leaf %d entry 0 below lower bound", pageNo)
+	// Collect separators and children inside the read, then recurse after it
+	// so the pool needs only O(height) frames even during validation.
+	var seps []entry
+	var children []uint32
+	err := v.t.readNode(pageNo, func(n node) error {
+		k := n.nkeys()
+		if level == 1 {
+			if !n.isLeaf() {
+				return fmt.Errorf("btree: node %d at leaf level is internal", pageNo)
+			}
+			if !isRoot && k < v.t.minLeaf() {
+				return fmt.Errorf("btree: leaf %d underfull: %d < %d", pageNo, k, v.t.minLeaf())
+			}
+			prev := lo
+			for i := 0; i < k; i++ {
+				e := n.leafEntry(i)
+				if i == 0 {
+					if compareEntries(e, lo) < 0 {
+						return fmt.Errorf("btree: leaf %d entry 0 below lower bound", pageNo)
+					}
+				} else if compareEntries(prev, e) >= 0 {
+					return fmt.Errorf("btree: leaf %d entries out of order at %d", pageNo, i)
 				}
-			} else if compareEntries(prev, e) >= 0 {
-				h.Unpin()
-				return fmt.Errorf("btree: leaf %d entries out of order at %d", pageNo, i)
+				if compareEntries(e, hi) >= 0 {
+					return fmt.Errorf("btree: leaf %d entry %d at or above upper bound", pageNo, i)
+				}
+				prev = e
 			}
-			if compareEntries(e, hi) >= 0 {
-				h.Unpin()
-				return fmt.Errorf("btree: leaf %d entry %d at or above upper bound", pageNo, i)
-			}
-			prev = e
+			v.count += uint64(k)
+			v.leaves = append(v.leaves, pageNo)
+			return nil
 		}
-		v.count += uint64(k)
-		v.leaves = append(v.leaves, pageNo)
-		h.Unpin()
+		if n.isLeaf() {
+			return fmt.Errorf("btree: node %d at level %d is a leaf", pageNo, level)
+		}
+		if !isRoot && k < v.t.minInt() {
+			return fmt.Errorf("btree: internal %d underfull: %d < %d", pageNo, k, v.t.minInt())
+		}
+		if isRoot && k < 1 {
+			return fmt.Errorf("btree: internal root %d has no separators", pageNo)
+		}
+		seps = make([]entry, k)
+		children = make([]uint32, k+1)
+		children[0] = n.child0()
+		for i := 0; i < k; i++ {
+			seps[i], children[i+1] = n.intEntry(i)
+		}
 		return nil
+	})
+	if err != nil || level == 1 {
+		return err
 	}
-	if n.isLeaf() {
-		h.Unpin()
-		return fmt.Errorf("btree: node %d at level %d is a leaf", pageNo, level)
-	}
-	if !isRoot && k < v.t.minInt() {
-		h.Unpin()
-		return fmt.Errorf("btree: internal %d underfull: %d < %d", pageNo, k, v.t.minInt())
-	}
-	if isRoot && k < 1 {
-		h.Unpin()
-		return fmt.Errorf("btree: internal root %d has no separators", pageNo)
-	}
-	// Collect separators and children, then unpin before recursing so the
-	// pool needs only O(height) frames even during validation.
-	seps := make([]entry, k)
-	children := make([]uint32, k+1)
-	children[0] = n.child0()
-	for i := 0; i < k; i++ {
-		seps[i], children[i+1] = n.intEntry(i)
-	}
-	h.Unpin()
+	k := len(seps)
 	for i := 1; i < k; i++ {
 		if compareEntries(seps[i-1], seps[i]) >= 0 {
 			return fmt.Errorf("btree: internal %d separators out of order at %d", pageNo, i)

@@ -51,3 +51,38 @@ func BenchmarkGet(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSnapshotRead times one snapshot read of a resident page — the hit
+// path every snapshot heap record and B-tree node access takes: the frame
+// lookup and charge, then a callback that reads one byte in place.
+func BenchmarkSnapshotRead(b *testing.B) {
+	const pages = 256
+	store := pagefile.NewMemStore()
+	b.Cleanup(func() { store.Close() })
+	fid, err := store.CreateFile("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := New(store, 2*pages)
+	for i := 0; i < pages; i++ {
+		h, _, err := p.NewPage(fid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Page()[0] = byte(i)
+		h.Unpin()
+	}
+	var sum byte
+	read := func(pg *pagefile.Page) error { sum += pg[0]; return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Read(pagefile.PageID{File: fid, Page: uint32(i % pages)}, nil, read); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := p.Stats(); st.Misses != 0 {
+		b.Fatalf("%d misses on a pool holding the whole file", st.Misses)
+	}
+}

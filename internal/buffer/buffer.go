@@ -73,8 +73,8 @@ type Pool struct {
 	// concurrent writers to disjoint file sets. Before a scope first modifies
 	// a page it registers it (Handle.Capture, NewPageCaptureT), saving the
 	// frame's image as the rollback image; from then on the scope modifies the
-	// frame in place, and concurrent snapshot readers (GetSnapshotT) are served
-	// the registered image — the state at transaction begin — until the scope
+	// frame in place, and concurrent snapshot readers (Read) are served the
+	// registered image — the state at transaction begin — until the scope
 	// commits, so they never observe a half-modified frame. Pins that only
 	// read copy nothing. Ownership of a capture entry is resolved by file id:
 	// scopes operate on disjoint file sets, so EndScope/RollbackScope(files)
@@ -218,10 +218,6 @@ type Handle struct {
 	sh  *shard
 	idx int
 	pid pagefile.PageID
-	// snap is a snapshot handle's detached copy of the page (sh is nil: there
-	// is no pin on any frame, and MarkDirty is a no-op). Unpin hands the copy
-	// back for the next snapshot read to reuse.
-	snap *pagefile.Page
 	// cap is the page's entry in the open scope once Capture registered it.
 	cap *capEntry
 }
@@ -229,14 +225,8 @@ type Handle struct {
 // PageID returns the identity of the pinned page.
 func (h *Handle) PageID() pagefile.PageID { return h.pid }
 
-// Page returns the page bytes. Valid only while pinned. A snapshot handle
-// returns its detached copy, nil once it is unpinned.
-func (h *Handle) Page() *pagefile.Page {
-	if h.sh == nil {
-		return h.snap
-	}
-	return &h.sh.frames[h.idx].page
-}
+// Page returns the page bytes. Valid only while pinned.
+func (h *Handle) Page() *pagefile.Page { return &h.sh.frames[h.idx].page }
 
 // Capture registers the pinned page in the caller's open scope; call it
 // before modifying the page. The first registration of a page saves the
@@ -263,11 +253,8 @@ func (h *Handle) Capture() {
 
 // MarkDirty records that the page was modified and must be written back
 // before eviction; on a captured page it also enters the page into the
-// scope's dirty set. Snapshot handles ignore it.
+// scope's dirty set.
 func (h *Handle) MarkDirty() {
-	if h.sh == nil {
-		return
-	}
 	h.sh.mu.Lock()
 	h.sh.frames[h.idx].dirty = true
 	if h.cap != nil {
@@ -279,17 +266,8 @@ func (h *Handle) MarkDirty() {
 }
 
 // Unpin releases the pin. Unpinning a page that is not pinned (a caller bug)
-// returns ErrNotPinned and leaves the pool unchanged. Snapshot handles hold
-// no pin; their Unpin gives the detached copy up for reuse, so — as with a
-// frame — the page bytes must not be touched afterwards.
+// returns ErrNotPinned and leaves the pool unchanged.
 func (h *Handle) Unpin() error {
-	if h.sh == nil {
-		if h.snap != nil {
-			snapPages.Put(h.snap)
-			h.snap = nil
-		}
-		return nil
-	}
 	h.sh.mu.Lock()
 	defer h.sh.mu.Unlock()
 	f := &h.sh.frames[h.idx]
@@ -299,11 +277,6 @@ func (h *Handle) Unpin() error {
 	f.pins--
 	return nil
 }
-
-// snapPages recycles snapshot handles' page copies. A read of n pages would
-// otherwise leave n × 4 KiB of garbage behind, and the collection cycles that
-// garbage buys land on whichever reads are running when they start.
-var snapPages = sync.Pool{New: func() any { return new(pagefile.Page) }}
 
 // Get pins page pid, reading it from the store on a miss.
 func (p *Pool) Get(pid pagefile.PageID) (*Handle, error) { return p.GetT(pid, nil) }
@@ -322,31 +295,35 @@ func (p *Pool) GetT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error) {
 	return &Handle{p: p, sh: sh, idx: idx, pid: pid}, nil
 }
 
-// GetSnapshotT reads page pid without blocking on writers: it returns a
-// detached handle holding a private copy of either the page's registered
-// capture pre-image (an uncommitted scope owns the frame — the reader sees
-// the transaction-begin state) or the frame itself. The handle holds no pin;
-// MarkDirty is a no-op and Unpin recycles the copy. On a miss the page is
-// read through the pool normally (charged to tr) and left resident unpinned.
-func (p *Pool) GetSnapshotT(pid pagefile.PageID, tr *obs.Trace) (*Handle, error) {
+// Read runs fn on the committed image of page pid without blocking on
+// writers and without copying it: the registered capture pre-image when an
+// open scope owns the frame (the reader sees the transaction-begin state),
+// otherwise the frame itself. The access is found and charged to tr exactly
+// as GetT's is; on a miss the page is read through the pool and left resident
+// unpinned.
+//
+// fn runs under the page's shard mutex — and, for a registered page, capMu —
+// which is what makes the image stable: a writer must Capture (taking that
+// shard mutex) before it modifies a frame, and a pre-image is unregistered
+// only under capMu. So fn must not call the pool, block, or keep the page or
+// any slice of it after it returns; Read returns fn's error. Every writer to
+// the shard waits while fn runs, so fn should copy what it needs and leave
+// decoding and other allocating work until Read returns.
+func (p *Pool) Read(pid pagefile.PageID, tr *obs.Trace, fn func(*pagefile.Page) error) error {
 	sh, idx, err := p.frameOf(pid, tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	priv := snapPages.Get().(*pagefile.Page)
+	defer sh.mu.Unlock()
 	if p.capCount.Load() > 0 {
 		p.capMu.Lock()
 		if e, reg := p.capture[pid]; reg {
-			*priv = e.pre
-		} else {
-			*priv = sh.frames[idx].page
+			defer p.capMu.Unlock()
+			return fn(&e.pre)
 		}
 		p.capMu.Unlock()
-	} else {
-		*priv = sh.frames[idx].page
 	}
-	sh.mu.Unlock()
-	return &Handle{p: p, pid: pid, snap: priv}, nil
+	return fn(&sh.frames[idx].page)
 }
 
 // frameOf returns the frame holding pid, unpinned by this call, with its

@@ -352,8 +352,10 @@ func TestMissReadFailureFreesFrame(t *testing.T) {
 	p.ResetStats()
 
 	store.AddFault(pagefile.Fault{Index: store.Ops(), Op: pagefile.OpRead})
-	if _, err := p.GetSnapshotT(pid, nil); !errors.Is(err, pagefile.ErrInjected) {
-		t.Fatalf("snapshot read during a read fault: err = %v, want ErrInjected", err)
+	called := false
+	err = p.Read(pid, nil, func(*pagefile.Page) error { called = true; return nil })
+	if !errors.Is(err, pagefile.ErrInjected) || called {
+		t.Fatalf("snapshot read during a read fault: err = %v, callback ran %v; want ErrInjected and no callback", err, called)
 	}
 	h2, err := p.Get(pid)
 	if err != nil {

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -252,7 +253,10 @@ func TestSnapshotExhausted(t *testing.T) {
 	defer hb.Unpin()
 	p.ResetStats()
 
-	_, err = p.GetSnapshotT(pids[2], nil)
+	err = p.Read(pids[2], nil, func(*pagefile.Page) error {
+		t.Fatal("callback ran on a page that could not be framed")
+		return nil
+	})
 	if !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("snapshot read with all frames pinned: err = %v, want ErrPoolExhausted", err)
 	}
@@ -263,14 +267,13 @@ func TestSnapshotExhausted(t *testing.T) {
 		t.Fatalf("failed snapshot read charged %+v, want nothing", st)
 	}
 
-	h, err := p.GetSnapshotT(pids[0], nil)
-	if err != nil {
+	var got byte
+	if err := p.Read(pids[0], nil, func(pg *pagefile.Page) error { got = pg[0]; return nil }); err != nil {
 		t.Fatalf("snapshot read of a pinned resident page: %v", err)
 	}
-	if h.Page()[0] != 0x10 {
-		t.Fatalf("snapshot byte = %#x, want 0x10", h.Page()[0])
+	if got != 0x10 {
+		t.Fatalf("snapshot byte = %#x, want 0x10", got)
 	}
-	h.Unpin()
 	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("resident snapshot read charged %+v, want Hits=1 Misses=0", st)
 	}
@@ -362,4 +365,95 @@ func TestShardedSingleShardMatchesHistorical(t *testing.T) {
 	if misses1 != 24 {
 		t.Errorf("single-shard sequential misses = %d, want 24", misses1)
 	}
+}
+
+// TestReadSeesOneCommittedImage runs four Read loops beside a writer that
+// rewrites a 512-byte stretch of one page in place, scope after scope: a
+// committed scope writes the next generation number into every word of the
+// stretch, a rolled-back one writes a marked value that no reader may see. A
+// callback must see the stretch whole — every word the same, unmarked — and
+// each reader's generations must never go backwards. Run under -race it also
+// checks that the writer's in-place bytes and the readers are ordered.
+func TestReadSeesOneCommittedImage(t *testing.T) {
+	const (
+		off, words = 1024, 128 // a 512-byte stretch of 4-byte words
+		rollback   = 1 << 31   // marks a value written by a scope that rolls back
+	)
+	iters := 1000
+	if testing.Short() {
+		iters = 300
+	}
+	p, fid := newShardedPool(t, 4, 1)
+	h, pid, err := p.NewPage(fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.MarkDirty()
+	h.Unpin()
+	files := map[pagefile.FileID]bool{fid: true}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint32
+			for !stop.Load() {
+				var gen uint32
+				err := p.Read(pid, nil, func(pg *pagefile.Page) error {
+					gen = binary.LittleEndian.Uint32(pg[off:])
+					for i := 1; i < words; i++ {
+						if w := binary.LittleEndian.Uint32(pg[off+4*i:]); w != gen {
+							return fmt.Errorf("torn image: word 0 = %#x, word %d = %#x", gen, i, w)
+						}
+					}
+					if gen&rollback != 0 {
+						return fmt.Errorf("saw %#x, written by a scope that rolled back", gen)
+					}
+					return nil
+				})
+				if err == nil && gen < last {
+					err = fmt.Errorf("generation went back from %d to %d", last, gen)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				last = gen
+			}
+		}()
+	}
+
+	var gen uint32
+	for i := 0; i < iters; i++ {
+		commit := i%3 != 2
+		v := gen + 1
+		if !commit {
+			v |= rollback
+		}
+		p.BeginScope()
+		h, err := p.Get(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Capture()
+		pg := h.Page()
+		for w := 0; w < words; w++ {
+			binary.LittleEndian.PutUint32(pg[off+4*w:], v)
+			if w == words/2 {
+				runtime.Gosched() // let readers in while the stretch is half written
+			}
+		}
+		h.MarkDirty()
+		h.Unpin()
+		if commit {
+			p.EndScope(files)
+			gen++
+		} else if err := p.RollbackScope(files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -29,12 +29,11 @@ func scopePool(t *testing.T) (*Pool, pagefile.PageID, map[pagefile.FileID]bool) 
 // byteAt reads one byte of pid the way a concurrent read session would.
 func byteAt(t *testing.T, p *Pool, pid pagefile.PageID) byte {
 	t.Helper()
-	h, err := p.GetSnapshotT(pid, nil)
-	if err != nil {
+	var b byte
+	if err := p.Read(pid, nil, func(pg *pagefile.Page) error { b = pg[100]; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	defer h.Unpin()
-	return h.Page()[100]
+	return b
 }
 
 // write sets the byte through a captured pin, as a write session does.
@@ -140,49 +139,5 @@ func TestScopeNewPageRollsBackToEmpty(t *testing.T) {
 	}
 	if got := byteAt(t, p, npid); got != 0 {
 		t.Fatalf("rolled-back allocation holds %d, want an empty page", got)
-	}
-}
-
-// A snapshot handle's copy is its own until Unpin and nobody's after: two
-// handles held together never share a page, a read inside an open scope keeps
-// seeing the pre-image while later reads recycle other copies, and an
-// unpinned handle gives up its bytes (and may be unpinned again harmlessly).
-func TestSnapshotHandleOwnsItsCopyUntilUnpin(t *testing.T) {
-	p, pid, _ := scopePool(t)
-	p.BeginScope()
-	write(t, p, pid, 7) // the frame now differs from what snapshot readers see
-
-	held, err := p.GetSnapshotT(pid, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ { // churn the recycled copies under the held one
-		h, err := p.GetSnapshotT(pid, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Page() == held.Page() {
-			t.Fatal("two live snapshot handles share one page copy")
-		}
-		h.Page()[100] = 99 // scribbling on a private copy reaches nobody
-		h.MarkDirty()
-		if err := h.Unpin(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := held.Page()[100]; got != 1 {
-		t.Fatalf("the held snapshot copy reads %d, want the pre-image 1", got)
-	}
-	if err := held.Unpin(); err != nil {
-		t.Fatal(err)
-	}
-	if held.Page() != nil {
-		t.Fatal("an unpinned snapshot handle still exposes its copy")
-	}
-	if err := held.Unpin(); err != nil {
-		t.Fatalf("second Unpin of a snapshot handle: %v", err)
-	}
-	if got := byteAt(t, p, pid); got != 1 {
-		t.Fatalf("a later snapshot read saw %d, want 1", got)
 	}
 }

@@ -70,11 +70,11 @@ func TestGetTChargesTrace(t *testing.T) {
 	}
 }
 
-// TestGetSnapshotTChargesLikeGetT pins the snapshot read to GetT's charging
-// rules — a miss charges Miss + StoreRead, a hit charges Hit — and checks a
-// snapshot miss leaves its frame resident but unpinned: a one-frame pool can
-// still evict it.
-func TestGetSnapshotTChargesLikeGetT(t *testing.T) {
+// TestReadChargesLikeGetT pins the snapshot read to GetT's charging rules —
+// a miss charges Miss + StoreRead, a hit charges Hit — and checks a snapshot
+// miss leaves its frame resident but unpinned: a one-frame pool can still
+// evict it.
+func TestReadChargesLikeGetT(t *testing.T) {
 	p, fid := newPool(t, 1)
 	h, pid, err := p.NewPage(fid)
 	if err != nil {
@@ -95,14 +95,13 @@ func TestGetSnapshotTChargesLikeGetT(t *testing.T) {
 	tr := obs.NewRegistry(4096).Start(obs.KindQuery, "q", "")
 	read := func(want obs.Counters) {
 		t.Helper()
-		h, err := p.GetSnapshotT(pid, tr)
-		if err != nil {
+		var got byte
+		if err := p.Read(pid, tr, func(pg *pagefile.Page) error { got = pg[0]; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if h.Page()[0] != 0x5A {
-			t.Fatalf("snapshot byte = %#x, want 0x5A", h.Page()[0])
+		if got != 0x5A {
+			t.Fatalf("snapshot byte = %#x, want 0x5A", got)
 		}
-		h.Unpin()
 		if c := tr.Counters(); c.Hits != want.Hits || c.Misses != want.Misses || c.StoreReads != want.StoreReads {
 			t.Fatalf("counters = %+v, want Hits=%d Misses=%d StoreReads=%d", c, want.Hits, want.Misses, want.StoreReads)
 		}

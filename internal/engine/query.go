@@ -358,8 +358,12 @@ func (s *sess) indexedAccess(ctx context.Context, set string, file *heap.File, i
 		return true, err
 	}
 	w := s.newRowWorker(ctx, prog)
+	// Each record is copied out of its page into one buffer the loop reuses:
+	// evaluation may read other pages (an S′ object, a walk), which a read
+	// callback may not.
+	var payload []byte
 	for _, oid := range oids {
-		payload, err := file.Read(oid)
+		payload, err = file.AppendRecord(payload[:0], oid)
 		if err != nil {
 			return true, err
 		}

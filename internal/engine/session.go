@@ -135,6 +135,9 @@ func (s *sess) readObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, e
 	if err != nil {
 		return nil, err
 	}
+	// Only the record copy runs under the page's lock; decoding, which
+	// allocates the object and its strings, runs after it. (Scan workers
+	// share the sess, so the copy gets its own buffer.)
 	data, err := f.Read(oid)
 	if err != nil {
 		return nil, err

@@ -67,8 +67,8 @@ const (
 	// and concurrent snapshot readers never see uncommitted bytes; reads pin
 	// the frame directly and see the session's own writes.
 	modeCapture
-	// modeSnapshot reads through GetSnapshotT: detached copies of the
-	// committed state, never blocking on (or racing with) writers.
+	// modeSnapshot reads through Pool.Read: the committed state in place,
+	// never blocking on (or racing with) writers.
 	modeSnapshot
 )
 
@@ -151,10 +151,9 @@ func (f *File) WithCapture(tr *obs.Trace) *File {
 }
 
 // WithSnapshot returns a read-only view that never blocks on writers: every
-// page access yields a detached copy of the committed state (an uncommitted
-// concurrent scope's pages read as their transaction-begin image). The
-// mutating entry points refuse loudly through a snapshot view — a write
-// there would touch a detached copy and silently vanish.
+// page access reads the committed state (an uncommitted concurrent scope's
+// pages read as their transaction-begin image). The mutating entry points
+// refuse loudly through a snapshot view — it has no pinned frame to write.
 func (f *File) WithSnapshot(tr *obs.Trace) *File {
 	if f == nil {
 		return nil
@@ -165,8 +164,8 @@ func (f *File) WithSnapshot(tr *obs.Trace) *File {
 	return &v
 }
 
-// guardWrite refuses mutation through a snapshot view: the pinned copies are
-// detached from the pool, so a write would be silently discarded.
+// guardWrite refuses mutation through a snapshot view: it reads committed
+// images, never a frame pinned for writing.
 func (f *File) guardWrite() error {
 	if f.mode == modeSnapshot {
 		return fmt.Errorf("heap: write to %s through a snapshot view", f.name)
@@ -174,18 +173,25 @@ func (f *File) guardWrite() error {
 	return nil
 }
 
-// get pins a page for reading according to the view's mode.
-func (f *File) get(pid pagefile.PageID) (*buffer.Handle, error) {
+// read runs fn on page pid according to the view's mode: a snapshot view's
+// committed image under the pool's lock (buffer.Pool.Read, so fn must not use
+// the pool), otherwise the frame, pinned for the call.
+func (f *File) read(pid pagefile.PageID, fn func(*pagefile.Page) error) error {
 	if f.mode == modeSnapshot {
-		return f.pool.GetSnapshotT(pid, f.tr)
+		return f.pool.Read(pid, f.tr, fn)
 	}
-	return f.pool.GetT(pid, f.tr)
+	h, err := f.pool.GetT(pid, f.tr)
+	if err != nil {
+		return err
+	}
+	defer h.Unpin()
+	return fn(h.Page())
 }
 
 // getW pins a page the caller is about to modify; a capture view registers
 // it in the scope first.
 func (f *File) getW(pid pagefile.PageID) (*buffer.Handle, error) {
-	h, err := f.get(pid)
+	h, err := f.pool.GetT(pid, f.tr)
 	if err == nil && f.mode == modeCapture {
 		h.Capture()
 	}
@@ -337,64 +343,83 @@ func (f *File) tryInsertOn(page uint32, rec []byte) (pagefile.OID, bool, error) 
 
 // Read returns a copy of the record payload at oid, following a forwarding
 // stub if present.
-func (f *File) Read(oid pagefile.OID) ([]byte, error) {
-	payload, _, err := f.readResolved(oid)
-	return payload, err
+func (f *File) Read(oid pagefile.OID) ([]byte, error) { return f.AppendRecord(nil, oid) }
+
+// AppendRecord appends the record payload at oid to dst and returns the
+// extended slice, as Read does. A caller that passes the same buffer back
+// (dst[:0]) copies without allocating once the buffer has grown to fit.
+func (f *File) AppendRecord(dst []byte, oid pagefile.OID) ([]byte, error) {
+	err := f.View(oid, func(payload []byte) error {
+		dst = append(dst, payload...)
+		return nil
+	})
+	return dst, err
 }
 
-// readResolved returns the payload and the OID of the slot where the body
-// actually lives (== oid unless forwarded).
-func (f *File) readResolved(oid pagefile.OID) ([]byte, pagefile.OID, error) {
-	rec, err := f.rawRead(oid)
-	if err != nil {
-		return nil, pagefile.OID{}, err
+// View runs fn on the record payload at oid in place, following a forwarding
+// stub if present, and returns fn's error. payload is valid only until fn
+// returns. Through a snapshot view fn runs under the buffer pool's lock
+// (buffer.Pool.Read): it must not use the pool or block.
+func (f *File) View(oid pagefile.OID, fn func(payload []byte) error) error {
+	if oid.File != f.id {
+		return fmt.Errorf("heap: OID %v is not in file %d", oid, f.id)
 	}
-	switch rec[0] {
-	case kindHome:
-		p, err := decodePayload(rec)
-		return p, oid, err
-	case kindStub:
-		target, err := pagefile.DecodeOID(rec[1:])
+	var target pagefile.OID
+	forwarded := false
+	err := f.read(oid.PageID(), func(pg *pagefile.Page) error {
+		rec, err := slotRecord(pg, oid)
 		if err != nil {
-			return nil, pagefile.OID{}, err
+			return err
 		}
-		body, err := f.rawRead(target)
+		switch rec[0] {
+		case kindHome:
+			p, err := decodePayload(rec)
+			if err != nil {
+				return err
+			}
+			return fn(p)
+		case kindStub:
+			forwarded = true
+			target, err = pagefile.DecodeOID(rec[1:])
+			return err
+		case kindMoved:
+			return fmt.Errorf("%w: %v addresses a moved body, not a record", ErrNotFound, oid)
+		default:
+			return fmt.Errorf("%w: unknown record kind %d at %v", pagefile.ErrCorruptPage, rec[0], oid)
+		}
+	})
+	if err != nil || !forwarded {
+		return err
+	}
+	if target.File != f.id {
+		return fmt.Errorf("heap: OID %v is not in file %d", target, f.id)
+	}
+	return f.read(target.PageID(), func(pg *pagefile.Page) error {
+		body, err := slotRecord(pg, target)
 		if err != nil {
-			return nil, pagefile.OID{}, err
+			return err
 		}
 		if body[0] != kindMoved {
-			return nil, pagefile.OID{}, fmt.Errorf("%w: stub %v points at non-moved record", pagefile.ErrCorruptPage, oid)
+			return fmt.Errorf("%w: stub %v points at non-moved record", pagefile.ErrCorruptPage, oid)
 		}
 		p, err := decodePayload(body)
-		return p, target, err
-	case kindMoved:
-		return nil, pagefile.OID{}, fmt.Errorf("%w: %v addresses a moved body, not a record", ErrNotFound, oid)
-	default:
-		return nil, pagefile.OID{}, fmt.Errorf("%w: unknown record kind %d at %v", pagefile.ErrCorruptPage, rec[0], oid)
-	}
+		if err != nil {
+			return err
+		}
+		return fn(p)
+	})
 }
 
-// rawRead returns a copy of the raw slot contents at oid.
-func (f *File) rawRead(oid pagefile.OID) ([]byte, error) {
-	if oid.File != f.id {
-		return nil, fmt.Errorf("heap: OID %v is not in file %d", oid, f.id)
-	}
-	h, err := f.get(oid.PageID())
-	if err != nil {
-		return nil, err
-	}
-	defer h.Unpin()
-	sp := pagefile.AsSlotted(h.Page())
-	rec, err := sp.Read(oid.Slot)
+// slotRecord returns the raw, non-empty slot contents at oid on pg, in place.
+func slotRecord(pg *pagefile.Page, oid pagefile.OID) ([]byte, error) {
+	rec, err := pagefile.AsSlotted(pg).Read(oid.Slot)
 	if err != nil {
 		return nil, slotReadErr(oid, err)
 	}
 	if len(rec) == 0 {
 		return nil, fmt.Errorf("%w: empty heap record at %v", pagefile.ErrCorruptPage, oid)
 	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	return rec, nil
 }
 
 // Update replaces the payload at oid, keeping the OID stable. If the new
@@ -579,9 +604,9 @@ func (f *File) Delete(oid pagefile.OID) error {
 //
 // payload aliases a scan-owned copy of the record's page and is valid only
 // until fn returns: a callback that keeps any of it must copy those bytes
-// (schema.Decode does). fn runs with no page pinned, so it may use the pool —
-// including updating the file being scanned, which the copy keeps the
-// iteration stable against.
+// (schema.Decode does). fn runs with no page pinned and no pool lock held, so
+// it may use the pool — including updating the file being scanned, which the
+// copy keeps the iteration stable against.
 func (f *File) Scan(fn func(oid pagefile.OID, payload []byte) error) error {
 	n, err := f.NumPages()
 	if err != nil {
@@ -660,26 +685,19 @@ func (f *File) ScanParallel(workers int, each func() func(oid pagefile.OID, payl
 	return nil
 }
 
-// scanPage visits the live records of one page in place. A snapshot handle's
-// page is already a private copy, held until the page is done; the pinned
-// modes copy the page into buf, the scan's recycled page buffer, and drop the
-// pin, so fn runs without a frame pinned either way (it may itself use the
-// pool). Forwarded records are resolved
+// scanPage copies one page into buf, the scan's recycled page buffer, and
+// visits its live records there, so fn runs with no frame pinned and no pool
+// lock held (it may itself use the pool). Forwarded records are resolved
 // through their stubs.
 func (f *File) scanPage(page uint32, buf *pagefile.Page, fn func(oid pagefile.OID, payload []byte) error) error {
-	h, err := f.get(pagefile.PageID{File: f.id, Page: page})
+	err := f.read(pagefile.PageID{File: f.id, Page: page}, func(pg *pagefile.Page) error {
+		*buf = *pg
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	pg := h.Page()
-	if f.mode != modeSnapshot {
-		*buf = *pg
-		pg = buf
-		h.Unpin()
-	} else {
-		defer h.Unpin()
-	}
-	sp := pagefile.AsSlotted(pg)
+	sp := pagefile.AsSlotted(buf)
 	nslots := sp.NumSlots()
 	for slot := uint16(0); slot < nslots; slot++ {
 		if !sp.Live(slot) {
@@ -698,7 +716,7 @@ func (f *File) scanPage(page uint32, buf *pagefile.Page, fn func(oid pagefile.OI
 		case kindHome:
 			payload, err = decodePayload(rec)
 		case kindStub:
-			payload, _, err = f.readResolved(oid)
+			payload, err = f.Read(oid)
 		default:
 			continue // a moved body is visited through its stub
 		}

@@ -31,45 +31,43 @@ func (f *File) Stats() (Stats, error) {
 	}
 	st.Pages = n
 	for page := uint32(0); page < n; page++ {
-		h, err := f.pool.GetT(pagefile.PageID{File: f.id, Page: page}, f.tr)
+		err := f.read(pagefile.PageID{File: f.id, Page: page}, func(pg *pagefile.Page) error {
+			sp := pagefile.AsSlotted(pg)
+			st.FreeBytes += int64(sp.FreeSpace())
+			nslots := sp.NumSlots()
+			for slot := uint16(0); slot < nslots; slot++ {
+				if !sp.Live(slot) {
+					st.DeadSlots++
+					continue
+				}
+				rec, err := sp.Read(slot)
+				if err != nil {
+					return err
+				}
+				switch rec[0] {
+				case kindHome:
+					p, err := decodePayload(rec)
+					if err != nil {
+						return err
+					}
+					st.Live++
+					st.PayloadSize += int64(len(p))
+				case kindStub:
+					st.Live++
+					st.Forwarded++
+				case kindMoved:
+					p, err := decodePayload(rec)
+					if err != nil {
+						return err
+					}
+					st.PayloadSize += int64(len(p))
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return st, err
 		}
-		sp := pagefile.AsSlotted(h.Page())
-		st.FreeBytes += int64(sp.FreeSpace())
-		nslots := sp.NumSlots()
-		for slot := uint16(0); slot < nslots; slot++ {
-			if !sp.Live(slot) {
-				st.DeadSlots++
-				continue
-			}
-			rec, err := sp.Read(slot)
-			if err != nil {
-				h.Unpin()
-				return st, err
-			}
-			switch rec[0] {
-			case kindHome:
-				p, err := decodePayload(rec)
-				if err != nil {
-					h.Unpin()
-					return st, err
-				}
-				st.Live++
-				st.PayloadSize += int64(len(p))
-			case kindStub:
-				st.Live++
-				st.Forwarded++
-			case kindMoved:
-				p, err := decodePayload(rec)
-				if err != nil {
-					h.Unpin()
-					return st, err
-				}
-				st.PayloadSize += int64(len(p))
-			}
-		}
-		h.Unpin()
 	}
 	return st, nil
 }

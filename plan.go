@@ -49,9 +49,8 @@ func (db *DB) Plan(ctx context.Context, q Query) (*Plan, error) {
 }
 
 // Run executes the planned query. Cancellation behaves like QueryCtx; a nil
-// ctx is allowed. The returned Result's Plan field holds the rendered
-// decision with observed pages, and subsequent Explain calls include them
-// too.
+// ctx is allowed. The returned Result's Plan method renders the decision
+// with observed pages, and subsequent Explain calls include them too.
 func (p *Plan) Run(ctx context.Context) (*Result, error) {
 	eq, err := toEngineQuery(p.q)
 	if err != nil {
@@ -67,7 +66,7 @@ func (p *Plan) Run(ctx context.Context) (*Result, error) {
 	p.observed = rec.IO()
 	p.ran = true
 	out := fromEngineResult(res)
-	out.Plan = p.Explain()
+	out.decision, out.observed = p.d, p.observed
 	return out, nil
 }
 

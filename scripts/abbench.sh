@@ -17,9 +17,8 @@ fi
 rev=$1 pkg=$2 bench=$3 rounds=$4
 root="$(git rev-parse --show-toplevel)"
 dir="$root/.bench_build/ab"
-rm -rf "$dir"
-mkdir -p "$dir/base"
-git -C "$root" archive "$rev" | tar -x -C "$dir/base"
+. "$root/scripts/export.sh"
+export_rev "$rev" "$dir"
 (cd "$dir/base" && go test -c -o "$dir/base.test" "$pkg")
 (cd "$root" && go test -c -o "$dir/head.test" "$pkg")
 

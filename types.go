@@ -4,6 +4,7 @@ import (
 	"github.com/exodb/fieldrepl/internal/catalog"
 	"github.com/exodb/fieldrepl/internal/engine"
 	"github.com/exodb/fieldrepl/internal/pagefile"
+	"github.com/exodb/fieldrepl/internal/plan"
 	"github.com/exodb/fieldrepl/internal/schema"
 )
 
@@ -177,10 +178,23 @@ type Result struct {
 	// OutputPages is the size of the generated output file when EmitOutput
 	// was set.
 	OutputPages int
-	// Plan is the cost-based planner's rendered decision for this execution:
-	// the chosen operator pipeline, every costed alternative with its
-	// rejection reason, and predicted vs observed pages.
-	Plan string
+
+	// decision and observed are what Plan renders: the planner's decision
+	// for this execution and the pages it read. Rendering waits until a
+	// caller asks, since most never do.
+	decision *plan.Decision
+	observed int64
+}
+
+// Plan renders the cost-based planner's decision for this execution: the
+// chosen operator pipeline, every costed alternative with its rejection
+// reason, and predicted vs observed pages. It is empty for a result that
+// carries no decision (a transaction's Query).
+func (r *Result) Plan() string {
+	if r.decision == nil {
+		return ""
+	}
+	return r.decision.RenderObserved(r.observed)
 }
 
 // Record is a decoded object's visible fields.
