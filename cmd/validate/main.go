@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -30,47 +31,21 @@ func main() {
 	nlevel := flag.Bool("nlevel", false, "also validate the n-level model extension on a 2-level path")
 	flag.Parse()
 
-	var fs_ []int
+	run := exp.ValidationRun{SCount: *sCount, Fr: *fr, Fsel: *fs, Queries: *queries, Seed: *seed,
+		NLevel: *nlevel, Space: *space}
 	for _, part := range strings.Split(*fList, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 1 {
 			fmt.Fprintf(os.Stderr, "validate: bad sharing level %q\n", part)
 			os.Exit(2)
 		}
-		fs_ = append(fs_, v)
+		run.Fs = append(run.Fs, v)
 	}
-
-	for _, clustered := range []bool{false, true} {
-		for _, f := range fs_ {
-			rows, err := exp.Validate(exp.ValidationSpec{
-				SCount: *sCount, F: f, Fr: *fr, Fs: *fs,
-				Clustered: clustered, Queries: *queries, Seed: *seed,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(exp.FormatValidation(rows))
-		}
-	}
-	if *nlevel {
-		for _, f := range fs_ {
-			rows, err := exp.ValidateTwoLevel(*sCount*f, f, 4, *fr, *queries, *seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(exp.FormatNLevel(rows, *sCount*f, f, 4))
-		}
-	}
-	if *space {
-		for _, f := range fs_ {
-			rows, err := exp.MeasureSpace(*sCount, f, *seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(exp.FormatSpace(rows))
-		}
+	w := bufio.NewWriter(os.Stdout)
+	err := exp.WriteValidation(w, run)
+	w.Flush()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "validate: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"github.com/exodb/fieldrepl/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/figures*.golden from the current WriteFigures output")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current WriteFigures and WriteValidation output")
 
 // TestFiguresGolden pins `figures -fig all` and `figures -fig all -csv` byte
 // for byte. Regenerate with `go test ./internal/exp -update` only when the
@@ -25,25 +25,58 @@ func TestFiguresGolden(t *testing.T) {
 		if err := WriteFigures(&b, Figures, c.csv, 40); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", c.file)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != string(want) {
-			t.Errorf("figures differ from %s; rerun with -update if that is intended", path)
-		}
+		checkGolden(t, c.file, b.String())
 	}
 	if err := WriteFigures(&strings.Builder{}, []string{"15"}, false, 40); err == nil {
 		t.Error("unknown figure accepted")
+	}
+}
+
+// checkGolden compares got with testdata/file, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s; rerun with -update if that is intended", path)
+	}
+}
+
+// TestValidateGolden pins `validate`, `validate -nlevel` and `validate
+// -space` at their defaults byte for byte: every page count the engine
+// measures for the cost model's database, per strategy, sharing level and
+// clustering. A change meant to leave page I/O alone must leave these files
+// unchanged. The three runs take a few seconds each, so -short skips them.
+func TestValidateGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the validation databases; skipped under -short")
+	}
+	for _, c := range []struct {
+		file          string
+		nlevel, space bool
+	}{{"validate.golden", false, false}, {"validate_nlevel.golden", true, false}, {"validate_space.golden", false, true}} {
+		t.Run(c.file, func(t *testing.T) {
+			t.Parallel()
+			var b strings.Builder
+			run := ValidationRun{SCount: 2000, Fs: []int{1, 5, 10}, Fr: 0.01, Fsel: 0.005, Queries: 5, Seed: 1,
+				NLevel: c.nlevel, Space: c.space}
+			if err := WriteValidation(&b, run); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, c.file, b.String())
+		})
 	}
 }
 

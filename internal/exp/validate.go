@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -42,6 +43,54 @@ type ValidationSpec struct {
 	Clustered bool
 	Queries   int // queries averaged per measurement
 	Seed      int64
+}
+
+// ValidationRun is one `validate` invocation: the engine-vs-model tables for
+// each sharing level in Fs, unclustered then clustered, and optionally the
+// n-level and §4.2 space tables for the same levels.
+type ValidationRun struct {
+	SCount        int
+	Fs            []int
+	Fr, Fsel      float64 // read and update query selectivities
+	Queries       int
+	Seed          int64
+	NLevel, Space bool
+}
+
+// WriteValidation runs r and writes its tables to w, each followed by a
+// blank line, as cmd/validate prints them.
+func WriteValidation(w io.Writer, r ValidationRun) error {
+	for _, clustered := range []bool{false, true} {
+		for _, f := range r.Fs {
+			rows, err := Validate(ValidationSpec{
+				SCount: r.SCount, F: f, Fr: r.Fr, Fs: r.Fsel,
+				Clustered: clustered, Queries: r.Queries, Seed: r.Seed,
+			})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, FormatValidation(rows))
+		}
+	}
+	if r.NLevel {
+		for _, f := range r.Fs {
+			rows, err := ValidateTwoLevel(r.SCount*f, f, 4, r.Fr, r.Queries, r.Seed)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, FormatNLevel(rows, r.SCount*f, f, 4))
+		}
+	}
+	if r.Space {
+		for _, f := range r.Fs {
+			rows, err := MeasureSpace(r.SCount, f, r.Seed)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, FormatSpace(rows))
+		}
+	}
+	return nil
 }
 
 // Validate builds the model database at the spec's scale for each strategy,
