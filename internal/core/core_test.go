@@ -593,6 +593,8 @@ func (r *recordingListener) HiddenChanged(src pagefile.OID, p *catalog.Path, f c
 	r.events = append(r.events, f.Name+":"+old.String()+"->"+new.String())
 }
 
+func (r *recordingListener) Watches(*catalog.Path, catalog.ReplField) bool { return true }
+
 func TestListenerNotifications(t *testing.T) {
 	lis := &recordingListener{}
 	fx := load(t)

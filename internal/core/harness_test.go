@@ -21,6 +21,10 @@ type testDB struct {
 	mgr   *Manager
 	files map[pagefile.FileID]*heap.File
 	sets  map[string]*heap.File
+
+	// patched and written log the OIDs PatchObject patched and WriteObject
+	// rewrote, in order.
+	patched, written []pagefile.OID
 }
 
 func (db *testDB) ReadObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, error) {
@@ -40,7 +44,22 @@ func (db *testDB) WriteObject(oid pagefile.OID, o *schema.Object) error {
 	if !ok {
 		return fmt.Errorf("testdb: no file %d", oid.File)
 	}
+	db.written = append(db.written, oid)
 	return f.Update(oid, o.Encode())
+}
+
+func (db *testDB) PatchObject(oid pagefile.OID, fn func(payload []byte) (bool, error)) error {
+	f, ok := db.files[oid.File]
+	if !ok {
+		return fmt.Errorf("testdb: no file %d", oid.File)
+	}
+	return f.Patch(oid, func(payload []byte) (bool, error) {
+		wrote, err := fn(payload)
+		if wrote {
+			db.patched = append(db.patched, oid)
+		}
+		return wrote, err
+	})
 }
 
 func (db *testDB) LinkFile(l *catalog.Link) (*heap.File, error) {

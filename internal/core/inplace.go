@@ -247,8 +247,67 @@ func (m *Manager) propagateInPlace(p *catalog.Path, level int, holder *schema.Ob
 	if err != nil {
 		return err
 	}
+	if level == 0 {
+		return m.refreshSources(p, refs, vals)
+	}
 	for _, r := range refs {
-		if level == 0 {
+		mid, err := m.st.ReadObject(r, p.Types[level])
+		if err != nil {
+			return err
+		}
+		if err := m.propagateInPlace(p, level-1, mid, vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refreshSources installs vals as path p's hidden values in the source
+// objects srcs. A source whose values all keep their kind and encoded width
+// is patched in its page: one write pin, no decode, no encode. Any other — a
+// value of another width, or one not installed yet — is decoded, updated and
+// re-encoded. Either way the listener hears of each change, after the pin,
+// and the page ends up byte for byte as the re-encoding would leave it.
+func (m *Manager) refreshSources(p *catalog.Path, srcs []pagefile.OID, vals map[uint8]schema.Value) error {
+	watched := make([]bool, len(p.Fields))
+	for i, f := range p.Fields {
+		watched[i] = m.listener != nil && m.listener.Watches(p, f)
+	}
+	var (
+		view    schema.View
+		changed = make([]bool, len(p.Fields))
+		olds    = make([]schema.Value, len(p.Fields))
+		done    bool // the source is up to date: patched, or nothing changed
+	)
+	patch := func(payload []byte) (bool, error) {
+		done = false
+		if err := view.Reset(p.Types[0], payload); err != nil {
+			return false, err
+		}
+		dirty := false
+		for i, f := range p.Fields {
+			eq, ok := view.HiddenEqual(p.ID, f.Idx, vals[f.Idx])
+			if !ok {
+				return false, nil // not installed yet, or of another kind
+			}
+			changed[i] = !eq
+			dirty = dirty || !eq
+			if !eq && watched[i] {
+				olds[i], _ = view.GetHidden(p.ID, f.Idx)
+			}
+		}
+		if !dirty {
+			done = true
+			return false, nil
+		}
+		done = view.PatchHidden(p.ID, vals)
+		return done, nil
+	}
+	for _, r := range srcs {
+		if err := m.st.PatchObject(r, patch); err != nil {
+			return err
+		}
+		if !done {
 			srcObj, err := m.st.ReadObject(r, p.Types[0])
 			if err != nil {
 				return err
@@ -260,12 +319,10 @@ func (m *Manager) propagateInPlace(p *catalog.Path, level int, holder *schema.Ob
 			}
 			continue
 		}
-		mid, err := m.st.ReadObject(r, p.Types[level])
-		if err != nil {
-			return err
-		}
-		if err := m.propagateInPlace(p, level-1, mid, vals); err != nil {
-			return err
+		for i, f := range p.Fields {
+			if changed[i] && watched[i] {
+				m.listener.HiddenChanged(r, p, f, olds[i], vals[f.Idx])
+			}
 		}
 	}
 	return nil
@@ -384,16 +441,5 @@ func (m *Manager) propagateCollapsed(p *catalog.Path, terminal *schema.Object, v
 	if err != nil {
 		return err
 	}
-	for _, r := range lobj.Refs {
-		srcObj, err := m.st.ReadObject(r.OID, p.Types[0])
-		if err != nil {
-			return err
-		}
-		if m.setSourceHidden(r.OID, srcObj, p, vals) {
-			if err := m.st.WriteObject(r.OID, srcObj); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return m.refreshSources(p, lobj.OIDs(), vals)
 }

@@ -36,6 +36,11 @@ type Storage interface {
 	ReadObject(oid pagefile.OID, t *schema.Type) (*schema.Object, error)
 	// WriteObject encodes and stores o at oid (the OID stays stable).
 	WriteObject(oid pagefile.OID, o *schema.Object) error
+	// PatchObject is WriteObject for bytes rewritten in place: it runs fn on
+	// the encoded object at oid, its page pinned for writing. fn may
+	// overwrite bytes but not change their length, and reports whether it
+	// wrote (heap.File.Patch).
+	PatchObject(oid pagefile.OID, fn func(payload []byte) (bool, error)) error
 	// LinkFile returns the heap file holding link objects for l.
 	LinkFile(l *catalog.Link) (*heap.File, error)
 	// GroupFile returns the S′ heap file for g.
@@ -49,6 +54,10 @@ type Storage interface {
 // (§3.3.4). old is the zero Value when the hidden value is first installed.
 type Listener interface {
 	HiddenChanged(source pagefile.OID, p *catalog.Path, f catalog.ReplField, old, new schema.Value)
+	// Watches reports whether the listener needs HiddenChanged for p's field
+	// f. Propagation that patches source objects in place reads the old
+	// value, and calls HiddenChanged, only for a watched field.
+	Watches(p *catalog.Path, f catalog.ReplField) bool
 }
 
 // Manager implements field replication over a catalog and a Storage.

@@ -169,20 +169,34 @@ func (s *sess) ReadObject(oid pagefile.OID, typ *schema.Type) (*schema.Object, e
 }
 
 func (s *sess) WriteObject(oid pagefile.OID, o *schema.Object) error {
-	if err := s.safePoint(); err != nil {
+	f, err := s.writeFile(oid)
+	if err != nil {
 		return err
+	}
+	return f.Update(oid, o.Encode())
+}
+
+func (s *sess) PatchObject(oid pagefile.OID, fn func(payload []byte) (bool, error)) error {
+	f, err := s.writeFile(oid)
+	if err != nil {
+		return err
+	}
+	return f.Patch(oid, fn)
+}
+
+// writeFile is WriteObject's and PatchObject's safe point, and the capture
+// view of oid's file once the footprint is found to cover it.
+func (s *sess) writeFile(oid pagefile.OID) (*heap.File, error) {
+	if err := s.safePoint(); err != nil {
+		return nil, err
 	}
 	if !s.fp.files[oid.File] {
 		// The footprint closure covers every file propagation writes;
 		// reaching here means it did not (or a read session tried to write).
 		// Refuse loudly rather than write outside the locks and the scope.
-		return fmt.Errorf("%w: write to file %d outside the statement's footprint %v", ErrWriteConflict, oid.File, s.fp.sets)
+		return nil, fmt.Errorf("%w: write to file %d outside the statement's footprint %v", ErrWriteConflict, oid.File, s.fp.sets)
 	}
-	f, err := s.heapFor(oid.File)
-	if err != nil {
-		return err
-	}
-	return f.Update(oid, o.Encode())
+	return s.heapFor(oid.File)
 }
 
 // LinkFile, GroupFile: link and S′ page files are created when their path is
@@ -237,6 +251,16 @@ func (s *sess) HiddenChanged(source pagefile.OID, p *catalog.Path, f catalog.Rep
 	if err := tree.Insert(keyFor(new), source); err != nil && !errors.Is(err, btree.ErrExists) {
 		s.idxErr = err
 	}
+}
+
+// Watches: only a field with an index on its replicated path needs the old
+// and new values.
+func (s *sess) Watches(p *catalog.Path, f catalog.ReplField) bool {
+	if !s.writes() {
+		return false
+	}
+	_, ok := s.db.cat.PathIndexFor(p.Spec.Source, p.Spec.Refs, f.Name)
+	return ok
 }
 
 // --- scratch output files ---

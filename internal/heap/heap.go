@@ -490,6 +490,78 @@ func (f *File) Update(oid pagefile.OID, payload []byte) error {
 	}
 }
 
+// Patch runs fn on the record payload at oid in place, on its page pinned
+// for writing, following a forwarding stub to the moved body. Each page is
+// pinned as Update pins it (getW), so a capture view registers it in the
+// scope before fn sees it, and rollback and delta logging see the write as
+// they see Update's. fn may overwrite payload bytes but must not write past
+// them or keep the slice; it reports whether it wrote, and only then is the
+// page marked dirty. A record that must grow or shrink is Update's.
+func (f *File) Patch(oid pagefile.OID, fn func(payload []byte) (bool, error)) error {
+	if err := f.guardWrite(); err != nil {
+		return err
+	}
+	if oid.File != f.id {
+		return fmt.Errorf("heap: OID %v is not in file %d", oid, f.id)
+	}
+	h, err := f.getW(oid.PageID())
+	if err != nil {
+		return err
+	}
+	rec, err := slotRecord(h.Page(), oid)
+	if err != nil {
+		h.Unpin()
+		return err
+	}
+	switch rec[0] {
+	case kindHome:
+		return patchIn(h, rec, fn)
+	case kindStub:
+		target, err := pagefile.DecodeOID(rec[1:])
+		h.Unpin()
+		if err != nil {
+			return err
+		}
+		if target.File != f.id {
+			return fmt.Errorf("heap: OID %v is not in file %d", target, f.id)
+		}
+		h, err = f.getW(target.PageID())
+		if err != nil {
+			return err
+		}
+		body, err := slotRecord(h.Page(), target)
+		if err == nil && body[0] != kindMoved {
+			err = fmt.Errorf("%w: stub %v points at non-moved record", pagefile.ErrCorruptPage, oid)
+		}
+		if err != nil {
+			h.Unpin()
+			return err
+		}
+		return patchIn(h, body, fn)
+	case kindMoved:
+		h.Unpin()
+		return fmt.Errorf("%w: %v addresses a moved body, not a record", ErrNotFound, oid)
+	default:
+		h.Unpin()
+		return fmt.Errorf("%w: unknown record kind %d at %v", pagefile.ErrCorruptPage, rec[0], oid)
+	}
+}
+
+// patchIn runs Patch's fn on the payload of rec, a record on h's page, and
+// releases h.
+func patchIn(h *buffer.Handle, rec []byte, fn func(payload []byte) (bool, error)) error {
+	defer h.Unpin()
+	p, err := decodePayload(rec)
+	if err != nil {
+		return err
+	}
+	wrote, err := fn(p)
+	if wrote {
+		h.MarkDirty()
+	}
+	return err
+}
+
 // updateMoved updates a record whose body lives at target, repointing the
 // stub at home if the body must move again.
 func (f *File) updateMoved(home, target pagefile.OID, payload []byte) error {

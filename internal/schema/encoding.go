@@ -68,6 +68,18 @@ func (o *Object) Encode() []byte {
 	return buf
 }
 
+// width is the number of bytes appendValue writes for v.
+func (v Value) width() int {
+	switch v.Kind {
+	case KindString:
+		return 2 + len(v.S)
+	case KindRef:
+		return pagefile.OIDSize
+	default:
+		return 8
+	}
+}
+
 func appendValue(buf []byte, k Kind, v Value) []byte {
 	switch k {
 	case KindInt:

@@ -1,8 +1,10 @@
 package schema
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/exodb/fieldrepl/internal/pagefile"
@@ -69,19 +71,25 @@ func fuzzSeeds(types []*Type) [][]byte {
 // that the in-place View agrees with it: Reset accepts exactly the byte
 // strings Decode accepts, with the error texts of oracleReset, and every base
 // and hidden value reads back equal. Every input is tried as an object of each of fuzzTypes.
+// Its patch leg (checkPatch) overwrites each hidden value of an accepted
+// input with one built from n and s.
 func FuzzDecode(f *testing.F) {
 	types := fuzzTypes(f)
-	for _, seed := range fuzzSeeds(types) {
-		f.Add(seed)
+	for i, seed := range fuzzSeeds(types) {
+		f.Add(seed, int64(i)<<40|int64(i), strings.Repeat("v", i%5))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, n int64, s string) {
 		for _, typ := range types {
-			checkView(t, typ, data)
+			if obj := checkView(t, typ, data); obj != nil {
+				checkPatch(t, typ, data, obj, n, s)
+			}
 		}
 	})
 }
 
-func checkView(t *testing.T, typ *Type, data []byte) {
+// checkView holds View to Decode on data and returns the decoded object, or
+// nil when both reject it.
+func checkView(t *testing.T, typ *Type, data []byte) *Object {
 	obj, err := Decode(typ, data)
 	var view, oracle View
 	verr := view.Reset(typ, data)
@@ -92,7 +100,7 @@ func checkView(t *testing.T, typ *Type, data []byte) {
 		t.Fatalf("%s: View.Reset: %v, but the field-by-field walk: %v", typ.Name, verr, oerr)
 	}
 	if err != nil {
-		return
+		return nil
 	}
 	for i, want := range obj.Values {
 		if got := view.Field(i); !sameValue(got, want) || view.CompareField(i, want) != 0 {
@@ -123,6 +131,85 @@ func checkView(t *testing.T, typ *Type, data []byte) {
 			t.Fatalf("value %d changed across round trip", i)
 		}
 	}
+	return obj
+}
+
+// checkPatch patches every hidden value of obj, the decoding of data, with
+// values of its kind built from n and s: s as given and s fitted to the old
+// width for a string. PatchHidden must refuse, leaving the bytes alone,
+// exactly when the encoded width changes. Otherwise the patched bytes must
+// decode to obj with SetHidden applied, a View reset over them must read the
+// new value, and a patch of obj's own encoding must give the very bytes
+// SetHidden and Encode give.
+func checkPatch(t *testing.T, typ *Type, data []byte, obj *Object, n int64, s string) {
+	canon := obj.Encode()
+	for _, h := range obj.Hidden {
+		old, _ := obj.GetHidden(h.PathID, h.FieldIdx) // the first of duplicates
+		for _, nv := range patchValues(old, n, s) {
+			want := obj.Clone()
+			want.SetHidden(h.PathID, h.FieldIdx, nv)
+			wantEnc := want.Encode()
+			for _, in := range [][]byte{data, canon} {
+				buf := append([]byte(nil), in...)
+				var v View
+				if err := v.Reset(typ, buf); err != nil {
+					t.Fatalf("%s: Decode accepted what Reset rejects: %v", typ.Name, err)
+				}
+				ok := v.PatchHidden(h.PathID, map[uint8]Value{h.FieldIdx: nv})
+				if fits := nv.width() == old.width(); ok != fits {
+					t.Fatalf("hidden (%d,%d) %v -> %v: PatchHidden %v, width kept %v", h.PathID, h.FieldIdx, old, nv, ok, fits)
+				}
+				if !ok {
+					if !bytes.Equal(buf, in) {
+						t.Fatal("a refused patch changed the record")
+					}
+					continue
+				}
+				if got, ok := v.GetHidden(h.PathID, h.FieldIdx); !ok || !sameValue(got, nv) {
+					t.Fatalf("the patched view reads %v, %v; want %v", got, ok, nv)
+				}
+				var back View
+				if err := back.Reset(typ, buf); err != nil {
+					t.Fatalf("the patched record no longer resets: %v", err)
+				}
+				if got, ok := back.GetHidden(h.PathID, h.FieldIdx); !ok || !sameValue(got, nv) {
+					t.Fatalf("a view over the patched record reads %v, %v; want %v", got, ok, nv)
+				}
+				dec, err := Decode(typ, buf)
+				if err != nil {
+					t.Fatalf("the patched record no longer decodes: %v", err)
+				}
+				if !bytes.Equal(dec.Encode(), wantEnc) {
+					t.Fatalf("patched record re-encodes to % x, SetHidden and Encode give % x", dec.Encode(), wantEnc)
+				}
+				if bytes.Equal(in, canon) && !bytes.Equal(buf, wantEnc) {
+					t.Fatalf("patched record % x, SetHidden and Encode give % x", buf, wantEnc)
+				}
+			}
+		}
+	}
+}
+
+// patchValues are the values checkPatch tries in place of old: one of old's
+// kind from n, or for a string s and s cut or padded to old's length.
+func patchValues(old Value, n int64, s string) []Value {
+	switch old.Kind {
+	case KindInt:
+		return []Value{IntValue(n)}
+	case KindFloat:
+		return []Value{FloatValue(math.Float64frombits(uint64(n)))}
+	case KindRef:
+		return []Value{RefValue(pagefile.OID{File: pagefile.FileID(n), Page: uint32(n >> 24), Slot: uint16(n >> 48)})}
+	}
+	if len(s) > math.MaxUint16 {
+		s = s[:math.MaxUint16]
+	}
+	fitted := s
+	if len(fitted) > len(old.S) {
+		fitted = fitted[:len(old.S)]
+	}
+	fitted += strings.Repeat("\x00", len(old.S)-len(fitted))
+	return []Value{StringValue(s), StringValue(fitted)}
 }
 
 // sameValue is Value.Equal with floats compared by bits, so NaNs match.

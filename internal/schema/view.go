@@ -207,6 +207,50 @@ func (v *View) CompareHidden(pathID, fieldIdx uint8, c Value) (cmp int, ok bool)
 	return v.compareAt(h.off, c), true
 }
 
+// HiddenEqual reports whether the hidden value for (pathID, fieldIdx) equals
+// c as Value.Equal has it, without materializing a string. ok is false when
+// the object carries no such hidden value or carries one of another kind.
+func (v *View) HiddenEqual(pathID, fieldIdx uint8, c Value) (equal, ok bool) {
+	h := v.findHidden(pathID, fieldIdx)
+	if h == nil || h.kind != c.Kind {
+		return false, false
+	}
+	if c.Kind == KindString {
+		return string(v.stringAt(h.off)) == c.S, true
+	}
+	return v.valueAt(h.kind, h.off).Equal(c), true
+}
+
+// PatchHidden overwrites, in the bytes the view was reset over, the hidden
+// values of path pathID named by vals' field indexes with vals' values. It
+// writes all of them or none: when one is absent, or is encoded with another
+// kind or width than its new value, it changes nothing and reports false, and
+// the object must be decoded and re-encoded instead. The bytes written are
+// those Encode writes, so a patched record equals the one SetHidden and
+// Encode produce, and the view reads the new values.
+func (v *View) PatchHidden(pathID uint8, vals map[uint8]Value) bool {
+	for idx, val := range vals {
+		h := v.findHidden(pathID, idx)
+		if h == nil || h.kind != val.Kind || v.widthAt(h.kind, h.off) != val.width() {
+			return false
+		}
+	}
+	for idx, val := range vals {
+		h := v.findHidden(pathID, idx)
+		// The width is unchanged, so appending at h.off overwrites in place.
+		appendValue(v.buf[h.off:h.off], val.Kind, val)
+	}
+	return true
+}
+
+// widthAt is the encoded width of the value of kind k that starts at off.
+func (v *View) widthAt(k Kind, off int) int {
+	if k == KindString {
+		return 2 + int(binary.LittleEndian.Uint16(v.buf[off:]))
+	}
+	return Value{Kind: k}.width()
+}
+
 func (v *View) findHidden(pathID, fieldIdx uint8) *hiddenAt {
 	for i := range v.hidden {
 		if h := &v.hidden[i]; h.pathID == pathID && h.fieldIdx == fieldIdx {

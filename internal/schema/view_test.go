@@ -1,7 +1,9 @@
 package schema
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -75,5 +77,42 @@ func TestViewResetErrorsUnchanged(t *testing.T) {
 	}
 	if rejected == 0 || rejected == 2*len(inputs) {
 		t.Fatalf("%d of %d resets rejected: the inputs do not exercise both outcomes", rejected, 2*len(inputs))
+	}
+}
+
+// TestPatchHiddenAllOrNone patches two hidden values of one path: when both
+// keep their width both are written, when one does not neither is, and a
+// value absent from the record refuses too.
+func TestPatchHiddenAllOrNone(t *testing.T) {
+	typ := fuzzTypes(t)[0]
+	o := NewObject(typ)
+	o.SetHidden(1, 0, StringValue("abc"))
+	o.SetHidden(1, 1, IntValue(7))
+	o.SetHidden(2, 0, FloatValue(math.NaN()))
+	enc := o.Encode()
+	var v View
+	if err := v.Reset(typ, enc); err != nil {
+		t.Fatal(err)
+	}
+	if eq, ok := v.HiddenEqual(2, 0, FloatValue(math.NaN())); eq || !ok {
+		t.Fatalf("a NaN hidden value reads equal %v (found %v); Value.Equal has NaN unequal", eq, ok)
+	}
+	before := append([]byte(nil), enc...)
+	for _, vals := range []map[uint8]Value{
+		{0: StringValue("abcd"), 1: IntValue(8)},
+		{0: StringValue("xyz"), 1: StringValue("12345678")},
+		{0: StringValue("xyz"), 2: IntValue(8)},
+	} {
+		if v.PatchHidden(1, vals) || !bytes.Equal(enc, before) {
+			t.Fatalf("PatchHidden(%v) wrote % x over % x", vals, enc, before)
+		}
+	}
+	if !v.PatchHidden(1, map[uint8]Value{0: StringValue("xyz"), 1: IntValue(8)}) {
+		t.Fatal("PatchHidden refused two values of unchanged width")
+	}
+	o.SetHidden(1, 0, StringValue("xyz"))
+	o.SetHidden(1, 1, IntValue(8))
+	if want := o.Encode(); !bytes.Equal(enc, want) {
+		t.Fatalf("patched % x, SetHidden and Encode give % x", enc, want)
 	}
 }

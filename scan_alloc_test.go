@@ -228,3 +228,74 @@ func TestIndexedReadAllocsPerRecord(t *testing.T) {
 		t.Fatalf("%.0f bytes per record read, want under 4 KiB", perRead)
 	}
 }
+
+// TestInPlacePropagationAllocsPerReferrer pins what one referrer costs when
+// an in-place update propagates a value of unchanged width: its record is
+// patched in its page, so no object is decoded and none encoded. Two
+// departments' names are replicated into 100 employees and into 1, and each
+// is renamed back and forth between names of one length; the difference in
+// allocations and bytes per update, over the 99 extra referrers, may be at
+// most 3 allocations and 400 bytes per referrer. Read, decoded, re-encoded
+// and rewritten, each referrer cost 12.2 allocations and 778 bytes (a decoded
+// object with its strings, the record copy, the encoding and two heap views
+// and page handles); patched in place it costs 2.1 and 195 (one heap view
+// and one page handle).
+func TestInPlacePropagationAllocsPerReferrer(t *testing.T) {
+	db, err := Open(Config{PoolPages: 1024, AdvisorDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(db.DefineType("DEPT", []Field{{Name: "name", Kind: String}, {Name: "budget", Kind: Int}}))
+	must(db.DefineType("EMP", []Field{{Name: "name", Kind: String}, {Name: "dept", Kind: Ref, RefType: "DEPT"}}))
+	must(db.CreateSet("Dept", "DEPT"))
+	must(db.CreateSet("Emp", "EMP"))
+	many, err := db.Insert("Dept", V{"name": S("many-0"), "budget": I(1)})
+	must(err)
+	one, err := db.Insert("Dept", V{"name": S("one-0"), "budget": I(2)})
+	must(err)
+	for i := 0; i < 101; i++ {
+		d := many
+		if i == 100 {
+			d = one
+		}
+		_, err := db.Insert("Emp", V{"name": S(fmt.Sprintf("emp-%03d", i)), "dept": R(d)})
+		must(err)
+	}
+	must(db.Replicate("Emp.dept.name", InPlace))
+
+	rename := func(d OID, prefix string) func() {
+		n := 0
+		return func() {
+			n++
+			must(db.Update("Dept", d, V{"name": S(fmt.Sprintf("%s-%d", prefix, n%2))}))
+		}
+	}
+	a1, a100 := testing.AllocsPerRun(20, rename(one, "one")), testing.AllocsPerRun(20, rename(many, "many"))
+	perReferrer := (a100 - a1) / 99
+	t.Logf("%.0f allocations per update reaching 1 referrer, %.0f reaching 100: %.2f per extra referrer", a1, a100, perReferrer)
+	if perReferrer > 3 {
+		t.Fatalf("%.2f allocations per referrer, want at most 3", perReferrer)
+	}
+	rows, err := db.Query(Query{Set: "Emp", Project: []string{"dept.name"}, Where: &Pred{Expr: "dept.name", Op: EQ, Value: S("many-1")}})
+	must(err)
+	if len(rows.Rows) != 100 { // the last of 21 renames
+		t.Fatalf("%d employees replicate many-1, want 100", len(rows.Rows))
+	}
+
+	if raceEnabled {
+		return
+	}
+	b1, b100 := bytesPerRun(rename(one, "one")), bytesPerRun(rename(many, "many"))
+	bytesPerReferrer := float64(b100-b1) / 99
+	t.Logf("%d bytes per update reaching 1 referrer, %d reaching 100: %.0f per extra referrer", b1, b100, bytesPerReferrer)
+	if bytesPerReferrer > 400 {
+		t.Fatalf("%.0f bytes per referrer, want at most 400", bytesPerReferrer)
+	}
+}
