@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -41,10 +40,8 @@ func main() {
 		}
 		run.Fs = append(run.Fs, v)
 	}
-	w := bufio.NewWriter(os.Stdout)
-	err := exp.WriteValidation(w, run)
-	w.Flush()
-	if err != nil {
+	// Unbuffered: each table prints as soon as its databases are measured.
+	if err := exp.WriteValidation(os.Stdout, run); err != nil {
 		fmt.Fprintf(os.Stderr, "validate: %v\n", err)
 		os.Exit(1)
 	}
